@@ -7,9 +7,9 @@ from .core import (
     MetricSpace,
     Star,
     ValidationReport,
-    WeightedMetricSpace,
     aspect_ratio,
     band,
+    block_reduce,
     dumps,
     hausdorff,
     metric_from_csv,

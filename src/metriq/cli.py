@@ -471,8 +471,6 @@ def _verify_embedding(art: dict, ai: int, report: ValidationReport, tol: float):
 
 
 def _verify_cube(art: dict, ai: int, report: ValidationReport, tol: float):
-    from .generators import _popcount
-
     d = int(art["d"])
     r = int(art["r"])
     A = np.asarray(art["net"], dtype=np.int64)
@@ -481,7 +479,7 @@ def _verify_cube(art: dict, ai: int, report: ValidationReport, tol: float):
         report.add("cube-count", (ai,), "block_count inconsistent with survivor/net sizes")
     # net separation
     if A.size > 1:
-        cross = _popcount(A[:, None] ^ A[None, :])
+        cross = np.bitwise_count(A[:, None] ^ A[None, :])
         np.fill_diagonal(cross, 2 * r + 1)
         if int(cross.min()) < 2 * r + 1:
             report.add("cube-net", (ai,), f"net separation {int(cross.min())} < 2r+1")
@@ -489,7 +487,7 @@ def _verify_cube(art: dict, ai: int, report: ValidationReport, tol: float):
     dA = np.full(2**d, np.iinfo(np.int64).max, dtype=np.int64)
     pts = np.arange(2**d, dtype=np.int64)
     for a in A:
-        np.minimum(dA, _popcount(pts ^ a), out=dA)
+        np.minimum(dA, np.bitwise_count(pts ^ a), out=dA)
     expected = pts[(dA == 0) | (dA > r // 2)]
     if not np.array_equal(expected, S):
         report.add("cube-survivors", (ai,), "survivor set does not match the net and radius")

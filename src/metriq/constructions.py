@@ -19,10 +19,9 @@ from .core import (
     MetricSpace,
     Star,
     aspect_ratio,
-    hausdorff,
+    block_reduce,
     nearest_radii,
     realize_special,
-    set_distance,
 )
 from .errors import (
     CapacityError,
@@ -33,7 +32,7 @@ from .errors import (
     ProbabilisticFailureError,
     StructuralError,
 )
-from .generators import CompositionRealization, CompositionTree, leaf_realization, realize_composition
+from .generators import CompositionRealization, CompositionTree, realize_composition
 from .hst import HstTree, hst_to_metric, leaf, validate_khst
 from .quotient import DistortionReport, QuotientSpace, distortion_between, quotient_by_subset, quotient_metric, sq_space
 from .seeds import RngSeed, as_seed
@@ -231,20 +230,15 @@ class ColoringResult:
 def check_coloring_result(chi: np.ndarray, res: ColoringResult) -> bool:
     """Exhaustively verify both invariants of a ColoringResult.
 
-    For every pair of blocks: the minimum color over cross pairs equals ell,
-    and every point of either block sees a point of the other in color ell.
+    For every pair of blocks: the minimum color over cross pairs equals ell
+    (a (min, min) block_reduce of chi), and every point of either block sees a
+    point of the other in color ell (an (or, and) block_reduce of chi == ell).
     """
-    blocks = [list(b) for b in res.blocks]
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            cross = chi[np.ix_(blocks[i], blocks[j])]
-            if cross.min() != res.ell:
-                return False
-            if not np.all(np.any(cross == res.ell, axis=1)):
-                return False
-            if not np.all(np.any(cross == res.ell, axis=0)):
-                return False
-    return True
+    chi = np.asarray(chi)
+    off = ~np.eye(res.s, dtype=bool)
+    cross_min = block_reduce(chi, res.blocks, np.minimum)
+    witnessed = block_reduce(chi == res.ell, res.blocks, np.logical_or, np.logical_and)
+    return bool(np.all(cross_min[off] == res.ell) and np.all(witnessed[off]))
 
 
 def _pair_fallback(chi: np.ndarray, V: list[int], cmin: int) -> ColoringResult:
@@ -302,31 +296,15 @@ def coloring_partition(
             s = min(s, C.size)
             if s < 2:
                 return _pair_fallback(chi, V, cmin)
+            off = ~np.eye(s, dtype=bool)
             for _ in range(cap):
                 assign = rng.integers(0, s, size=C.size)
-                ok = True
-                for g in range(s):
-                    members = C[assign == g]
-                    if members.size == 0:
-                        ok = False
-                        break
-                for g in range(s):
-                    if not ok:
-                        break
-                    others = C[assign != g]
-                    # every member of group g must hit every other group in cmin
-                    for v in C[assign == g]:
-                        hits = assign[np.isin(C, np.flatnonzero(is_cmin[v]))]
-                        # groups (other than g) that v reaches in color cmin
-                        reached = set(int(h) for h in hits)
-                        if not all(h in reached for h in range(s) if h != g):
-                            ok = False
-                            break
-                if ok:
-                    blocks = tuple(
-                        tuple(V[int(c)] for c in C[assign == g]) for g in range(s)
-                    )
-                    return ColoringResult(blocks, cmin)
+                groups = [C[assign == g] for g in range(s)]
+                if any(grp.size == 0 for grp in groups):
+                    continue
+                # every member of every group must hit every other group in cmin
+                if np.all(block_reduce(is_cmin, groups, np.logical_or, np.logical_and)[off]):
+                    return ColoringResult(tuple(tuple(V[int(c)] for c in grp) for grp in groups), cmin)
             raise ProbabilisticFailureError(
                 f"dense split failed {cap} times (|C|={C.size}, s={s})", attempts=cap
             )
@@ -482,14 +460,15 @@ def aspect_quotient(
             {"lo": lo, "hi": hi, "min": float(cross.min()), "max": float(cross.max())},
         )
     if lipschitz:
-        for i in range(col.s):
-            for j in range(i + 1, col.s):
-                h = hausdorff(m, col.blocks[i], col.blocks[j])
-                if not (lo - 1e-9 <= h <= hi + 1e-9):
-                    raise ConstructionFailureError(
-                        "Hausdorff distance escaped the color band",
-                        {"blocks": (i, j), "hausdorff": h, "lo": lo, "hi": hi},
-                    )
+        H = block_reduce(m.dist, col.blocks, np.minimum, np.maximum)
+        H = np.maximum(H, H.T)
+        escaped = np.argwhere(np.triu(~((lo - 1e-9 <= H) & (H <= hi + 1e-9)), 1))
+        if escaped.size:
+            i, j = (int(v) for v in escaped[0])
+            raise ConstructionFailureError(
+                "Hausdorff distance escaped the color band",
+                {"blocks": (i, j), "hausdorff": float(H[i, j]), "lo": lo, "hi": hi},
+            )
     model = realize_special(Equilateral(col.s, lo)) if col.s >= 2 else MetricSpace(np.zeros((1, 1)))
     report = distortion_between(q.metric, model)
     return AspectQuotientResult(q, report, col.ell, (lo, hi), k, sigma, sigma_ok)
@@ -545,7 +524,6 @@ def find_star_quotient(
     np.fill_diagonal(c, -1)
     col = coloring_partition(nn, c + 1, seed.child(1), kcolors=kbuck + 1, cap=cap)
     ell0 = col.ell - 1
-    used = set(i for blk in col.blocks for i in blk)
     leaf_blocks = tuple(tuple(N[i] for i in blk) for blk in col.blocks)
     covered = set(x for blk in leaf_blocks for x in blk)
     root = tuple(x for x in range(m.n) if x not in covered)

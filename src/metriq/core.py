@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -69,34 +70,6 @@ class MetricSpace:
         if self.labels is not None:
             labels = tuple(self.labels[i] for i in idx)
         return MetricSpace(self.dist[np.ix_(idx, idx)], labels)
-
-
-@dataclass(frozen=True)
-class WeightedMetricSpace:
-    """A metric space with a nonnegative weight attached to each point."""
-
-    base: MetricSpace
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.ndim != 1 or w.shape[0] != self.base.n:
-            raise StructuralError("weights length must equal point count")
-        if np.any(w < 0) or not np.all(np.isfinite(w)):
-            raise StructuralError("weights must be finite and nonnegative")
-        w = w.copy()
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-
-    def total(self) -> float:
-        return float(self.weights.sum())
-
-    def w_inf(self, points) -> float:
-        """Maximum weight over a point set."""
-        idx = list(points)
-        if not idx:
-            raise UndefinedInputError("w_inf of an empty set")
-        return float(self.weights[idx].max())
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +257,26 @@ def hausdorff(m: MetricSpace, U, V) -> float:
         raise UndefinedInputError("hausdorff distance of an empty set")
     block = m.dist[np.ix_(U, V)]
     return float(max(block.min(axis=1).max(), block.min(axis=0).max()))
+
+
+def block_reduce(dist, blocks, inner=np.minimum, outer=None) -> np.ndarray:
+    """Reduce a pair matrix over every pair of blocks.
+
+    out[i, j] = outer over x in block i of (inner over y in block j of
+    dist[x, y]); outer defaults to inner.  (min, min) gives set distances,
+    (min, max) one-sided Hausdorff distances, and (or, and) on a boolean
+    matrix says whether every point of block i sees block j.  Blocks need not
+    cover or be ordered; one gather into block order, then one ``reduceat``
+    per axis.
+    """
+    outer = inner if outer is None else outer
+    sizes = np.array([len(b) for b in blocks], dtype=np.intp)
+    if np.any(sizes == 0):
+        raise StructuralError("block_reduce needs nonempty blocks")
+    order = np.fromiter(itertools.chain.from_iterable(blocks), dtype=np.intp, count=int(sizes.sum()))
+    starts = np.cumsum(sizes) - sizes
+    sub = np.asarray(dist)[np.ix_(order, order)]
+    return outer.reduceat(inner.reduceat(sub, starts, axis=1), starts, axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .errors import (
     ParameterError,
     StructuralError,
 )
-from .generators import _popcount, hypercube_metric
+from .generators import hypercube_metric
 from .quotient import Partition, QuotientSpace
 from .seeds import as_seed
 
@@ -87,7 +87,7 @@ class CubeQsResult:
         k = len(blocks)
         pos = {int(x): i for i, x in enumerate(self.S)}
         dsa = np.array([self.dA[pos[int(x)]] for x in sing], dtype=np.float64)
-        h = _popcount(sing[:, None] ^ sing[None, :]).astype(np.float64)
+        h = np.bitwise_count(sing[:, None] ^ sing[None, :]).astype(np.float64)
         dmat = np.minimum(h, dsa[:, None] + dsa[None, :])
         np.fill_diagonal(dmat, 0.0)
         full = np.zeros((k, k))
@@ -119,7 +119,7 @@ def _greedy_net(d: int, r: int) -> np.ndarray:
     for x in pts:
         if mind[x] >= 2 * r + 1:
             kept.append(int(x))
-            np.minimum(mind, _popcount(pts ^ x), out=mind)
+            np.minimum(mind, np.bitwise_count(pts ^ x), out=mind)
     return np.array(kept, dtype=np.int64)
 
 
@@ -153,7 +153,7 @@ def cube_qs_construct(d: int, eps: float, p: float = 2.0, seed=None) -> CubeQsRe
     pts = np.arange(2**d, dtype=np.int64)
     dA_all = np.full(2**d, np.iinfo(np.int64).max, dtype=np.int64)
     for a in A:
-        np.minimum(dA_all, _popcount(pts ^ a), out=dA_all)
+        np.minimum(dA_all, np.bitwise_count(pts ^ a), out=dA_all)
     survive = (dA_all == 0) | (dA_all > r // 2)
     S = pts[survive]
     dA = dA_all[survive].astype(np.float64)
@@ -205,7 +205,7 @@ def _stream_distortion(S, dA, lookup, block_norm, keep_mask, chunk: int = 512) -
     n = sing.size
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
-        h = _popcount(sing[lo:hi, None] ^ sing[None, :])
+        h = np.bitwise_count(sing[lo:hi, None] ^ sing[None, :])
         du = np.minimum(h, dsing[lo:hi, None] + dsing[None, :])
         de = lookup[h]
         iu, ju = np.nonzero(np.arange(lo, hi)[:, None] < np.arange(n)[None, :])

@@ -289,18 +289,7 @@ def hypercube_metric(d: int) -> MetricSpace:
         raise ParameterError("full hypercube matrices limited to d <= 12")
     pts = np.arange(2**d, dtype=np.uint32)
     x = np.bitwise_xor.outer(pts, pts)
-    return MetricSpace(_popcount(x).astype(np.float64))
-
-
-def _popcount(x: np.ndarray) -> np.ndarray:
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(x)
-    v = x.astype(np.uint64)
-    out = np.zeros(v.shape, dtype=np.uint64)
-    while np.any(v):
-        out += v & 1
-        v >>= np.uint64(1)
-    return out
+    return MetricSpace(np.bitwise_count(x).astype(np.float64))
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
-from .core import TOL, MetricSpace, ValidationReport
+from .core import TOL, MetricSpace, ValidationReport, block_reduce
 from .errors import StructuralError
 
 
@@ -133,43 +134,24 @@ def hst_from_ultrametric(m: MetricSpace, tol: float = TOL) -> HstTree:
     if not is_ultrametric(m, tol):
         raise StructuralError("matrix is not an ultrametric")
     n = m.n
-    clusters: dict[int, tuple[list[int], HstTree]] = {i: ([i], leaf(i)) for i in range(n)}
+    # (points, subtree) per cluster, ordered by smallest point id
+    clusters: list[tuple[list[int], HstTree]] = [([i], leaf(i)) for i in range(n)]
     values = np.unique(m.dist[np.triu_indices(n, k=1)]) if n > 1 else np.array([])
     for t in values:
-        # Merge every group of clusters pairwise within distance t.  Use
-        # union-find over current cluster keys.
-        keys = list(clusters)
-        parent = {k: k for k in keys}
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for ai in range(len(keys)):
-            for bi in range(ai + 1, len(keys)):
-                a, b = keys[ai], keys[bi]
-                dab = m.dist[np.ix_(clusters[a][0], clusters[b][0])].min()
-                if dab <= t + tol:
-                    ra, rb = find(a), find(b)
-                    if ra != rb:
-                        parent[rb] = ra
-        groups: dict[int, list[int]] = {}
-        for k in keys:
-            groups.setdefault(find(k), []).append(k)
-        merged: dict[int, tuple[list[int], HstTree]] = {}
-        for root, members in groups.items():
-            if len(members) == 1:
-                merged[root] = clusters[members[0]]
-            else:
-                pts = [p for k in members for p in clusters[k][0]]
-                subtrees = tuple(clusters[k][1] for k in sorted(members))
-                merged[root] = (pts, HstTree(float(t), subtrees))
-        clusters = merged
+        # Merge the connected components of "cluster set distance <= t".
+        near = block_reduce(m.dist, [pts for pts, _ in clusters], np.minimum) <= t + tol
+        _, label = connected_components(near, directed=False)
+        groups: dict[int, list[tuple[list[int], HstTree]]] = {}
+        for lab, cl in zip(label.tolist(), clusters):
+            groups.setdefault(lab, []).append(cl)
+        clusters = [
+            members[0] if len(members) == 1
+            else ([p for pts, _ in members for p in pts], HstTree(float(t), tuple(sub for _, sub in members)))
+            for members in groups.values()
+        ]
         if len(clusters) == 1:
             break
-    (_, tree), = clusters.values()
+    (_, tree), = clusters
     return tree
 
 

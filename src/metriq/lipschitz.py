@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MetricSpace, hausdorff, metric_from_json, metric_to_json, set_distance
+from .core import MetricSpace, block_reduce, metric_from_json, metric_to_json
 from .errors import StructuralError
 
 
@@ -48,22 +48,21 @@ def lip_colip(qm: QuotientMap) -> tuple[float, float]:
 
     lip = max d_Y(y, z) / d(f^-1(y), f^-1(z));
     colip = max H(f^-1(y), f^-1(z)) / d_Y(y, z).
+    Set distances are a (min, min) block_reduce over the preimages; Hausdorff
+    distances are max(H, H.T) of the (min, max) one.
     """
     if qm.degenerate:
         return 1.0, 1.0
     pre = [qm.preimage(y) for y in range(qm.target.n)]
-    lip = 0.0
-    colip = 0.0
-    for y in range(qm.target.n):
-        for z in range(y + 1, qm.target.n):
-            dy = qm.target.dist[y, z]
-            sd = set_distance(qm.source, pre[y], pre[z])
-            hd = hausdorff(qm.source, pre[y], pre[z])
-            if sd <= 0:
-                raise StructuralError("preimages of distinct points at distance 0")
-            lip = max(lip, dy / sd)
-            colip = max(colip, hd / dy)
-    return float(lip), float(colip)
+    d = qm.source.dist
+    iu, ju = np.triu_indices(qm.target.n, k=1)
+    sd = block_reduce(d, pre, np.minimum)[iu, ju]
+    if np.any(sd <= 0):
+        raise StructuralError("preimages of distinct points at distance 0")
+    H = block_reduce(d, pre, np.minimum, np.maximum)
+    hd = np.maximum(H, H.T)[iu, ju]
+    dy = qm.target.dist[iu, ju]
+    return float((dy / sd).max()), float((hd / dy).max())
 
 
 def certify_lip_quotient(qm: QuotientMap, alpha: float) -> bool:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.csgraph import floyd_warshall
 
-from .core import MetricSpace, set_distance
+from .core import MetricSpace, block_reduce
 from .errors import StructuralError, UndefinedInputError
 
 
@@ -71,18 +71,16 @@ class QuotientSpace:
 def quotient_metric(m: MetricSpace, blocks) -> QuotientSpace:
     """Geodesic quotient metric on the given blocks.
 
-    Edge weights are the minimum pairwise distances between blocks; the
+    Edge weights are the set distances between blocks, a (min, min)
+    block_reduce of the distance matrix read off its upper triangle; the
     quotient metric is their all-pairs shortest-path closure.  Provenance is
     Q when the blocks cover all points, QS otherwise (quotient of the induced
     subspace).
     """
     part = Partition(m, tuple(tuple(b) for b in blocks))
     k = len(part.blocks)
-    w = np.zeros((k, k))
-    idx = [list(b) for b in part.blocks]
-    for i in range(k):
-        for j in range(i + 1, k):
-            w[i, j] = w[j, i] = m.dist[np.ix_(idx[i], idx[j])].min()
+    w = np.triu(block_reduce(m.dist, part.blocks, np.minimum), 1)
+    w += w.T
     if k > 1:
         w = floyd_warshall(w, directed=False)
     prov = "Q" if part.covers_base else "QS"

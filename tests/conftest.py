@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from metriq.core import MetricSpace
+from metriq.core import MetricSpace, hausdorff, set_distance
 from metriq.generators import gen_euclidean_cloud
 
 
@@ -34,6 +34,54 @@ def shortest_path_closure(w):
                 if alt < di[j]:
                     di[j] = alt
     return d
+
+
+# --- pair-loop references for the block_reduce kernel ----------------------
+
+
+def block_reduce_loop(dist, blocks, inner=np.minimum, outer=None):
+    """Reference for core.block_reduce: one np.ix_ cross block per block pair."""
+    outer = inner if outer is None else outer
+    dist = np.asarray(dist)
+    k = len(blocks)
+    out = np.empty((k, k), dtype=dist.dtype)
+    for i in range(k):
+        for j in range(k):
+            cross = dist[np.ix_(list(blocks[i]), list(blocks[j]))]
+            out[i, j] = outer.reduce(inner.reduce(cross, axis=1))
+    return out
+
+
+def check_coloring_loop(chi, res):
+    """Reference for check_coloring_result: both invariants, pair by pair."""
+    blocks = [list(b) for b in res.blocks]
+    for i in range(len(blocks)):
+        for j in range(i + 1, len(blocks)):
+            cross = chi[np.ix_(blocks[i], blocks[j])]
+            if cross.min() != res.ell:
+                return False
+            if not np.all(np.any(cross == res.ell, axis=1)):
+                return False
+            if not np.all(np.any(cross == res.ell, axis=0)):
+                return False
+    return True
+
+
+def lip_colip_loop(qm):
+    """Reference for lip_colip: set and Hausdorff distance per target pair."""
+    if qm.degenerate:
+        return 1.0, 1.0
+    pre = [qm.preimage(y) for y in range(qm.target.n)]
+    lip = 0.0
+    colip = 0.0
+    for y in range(qm.target.n):
+        for z in range(y + 1, qm.target.n):
+            dy = qm.target.dist[y, z]
+            sd = set_distance(qm.source, pre[y], pre[z])
+            hd = hausdorff(qm.source, pre[y], pre[z])
+            lip = max(lip, dy / sd)
+            colip = max(colip, hd / dy)
+    return float(lip), float(colip)
 
 
 @pytest.fixture

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from metriq import constructions
 from metriq.constructions import (
+    ColoringResult,
     aspect_quotient,
     check_coloring_result,
     coloring_partition,
@@ -26,12 +28,12 @@ from metriq.core import (
     realize_special,
     validate_metric,
 )
-from metriq.errors import ParameterError
+from metriq.errors import ConstructionFailureError, ParameterError
 from metriq.generators import gen_padded_copies, random_composition_tree
 from metriq.hst import hst_to_metric, validate_khst
 from metriq.quotient import distortion_between
 
-from conftest import random_metric
+from conftest import check_coloring_loop, random_metric, random_partition
 
 
 # --- m-centers -------------------------------------------------------------
@@ -148,12 +150,33 @@ def test_coloring_single_color_gives_all_singletons():
 def test_check_coloring_result_catches_bad_blocks():
     n = 4
     chi = np.array([[0, 1, 2, 2], [1, 0, 2, 2], [2, 2, 0, 1], [2, 2, 1, 0]])
-    from metriq.constructions import ColoringResult
-
     good = ColoringResult(((0, 1), (2, 3)), 2)
     assert check_coloring_result(chi, good)
     bad = ColoringResult(((0, 2), (1, 3)), 2)  # cross pairs contain color 1
     assert not check_coloring_result(chi, bad)
+    # every cross minimum is ell = 1, but point 1 has no color-1 partner in
+    # block (2,); the two block orders put the gap on either side of the pair
+    chi = np.array([[0, 2, 1], [2, 0, 2], [1, 2, 0]])
+    assert check_coloring_result(chi, ColoringResult(((0,), (2,)), 1))
+    for blocks in (((0, 1), (2,)), ((2,), (0, 1))):
+        assert not check_coloring_result(chi, ColoringResult(blocks, 1))
+
+
+def test_check_coloring_result_matches_loop():
+    rng = np.random.default_rng(11)
+    for trial in range(150):
+        n = int(rng.integers(2, 40))
+        k = int(rng.integers(1, 4))
+        chi = random_coloring(rng, n, k)
+        res = coloring_partition(n, chi, seed=trial)
+        moved = [list(b) for b in res.blocks]
+        if len(moved[0]) > 1:
+            moved[-1].append(moved[0].pop())
+        cases = [res, ColoringResult(tuple(map(tuple, moved)), res.ell)]
+        for ell in range(1, k + 1):
+            cases.append(ColoringResult(random_partition(n, rng), ell))
+        for case in cases:
+            assert check_coloring_result(chi, case) == check_coloring_loop(chi, case), (trial, case)
 
 
 def test_weighted_coloring_heavy_pair():
@@ -189,6 +212,21 @@ def test_aspect_quotient_lipschitz_checks_hausdorff():
         for j in range(i + 1, len(res.quotient.blocks)):
             h = hausdorff(m, res.quotient.blocks[i], res.quotient.blocks[j])
             assert lo - 1e-9 <= h <= hi + 1e-9
+
+
+def test_aspect_quotient_lipschitz_reports_offending_pair(monkeypatch):
+    # unit triangle a, b, c plus a far point c' in c's block: every set
+    # distance is 1, but H({a}, {c, c'}) and H({b}, {c, c'}) leave [1, 2]
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2], [0.5, 3.5]])
+    m = MetricSpace(np.linalg.norm(pts[:, None] - pts[None, :], axis=2))
+    blocks = ((0,), (1,), (2, 3))
+    monkeypatch.setattr(constructions, "coloring_partition", lambda *a, **kw: ColoringResult(blocks, 1))
+    with pytest.raises(ConstructionFailureError) as info:
+        aspect_quotient(m, 2.0, lipschitz=True, seed=0)
+    diag = info.value.diagnostics
+    assert diag["blocks"] == (0, 2)
+    assert diag["hausdorff"] == hausdorff(m, blocks[0], blocks[2])
+    assert aspect_quotient(m, 2.0, seed=0).quotient.blocks == blocks
 
 
 def test_aspect_quotient_rejects_bad_alpha():

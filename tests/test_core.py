@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metriq.core import (
     Equilateral,
@@ -10,6 +12,7 @@ from metriq.core import (
     Star,
     aspect_ratio,
     band,
+    block_reduce,
     dumps,
     hausdorff,
     metric_from_csv,
@@ -24,7 +27,7 @@ from metriq.core import (
 )
 from metriq.errors import StructuralError, UndefinedInputError
 
-from conftest import random_metric
+from conftest import block_reduce_loop, random_metric
 
 
 def test_metric_space_basics():
@@ -115,6 +118,59 @@ def test_set_distance_and_hausdorff():
     assert hausdorff(m, [0, 1], [2]) == 4.0
     with pytest.raises(UndefinedInputError):
         set_distance(m, [], [0])
+
+
+@st.composite
+def blocked_matrices(draw):
+    """A square matrix with ties, and disjoint blocks in a random order.
+
+    Shapes: a random partition, all singletons, one block, or one big block
+    beside singletons; blocks may leave points uncovered.
+    """
+    n = draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        dist = rng.integers(-3, 4, size=(n, n)).astype(np.float64)
+    else:
+        dist = rng.uniform(-1e3, 1e3, size=(n, n))
+    perm = draw(st.permutations(range(n)))
+    shape = draw(st.sampled_from(["random", "singletons", "one", "unequal"]))
+    if shape == "random":
+        labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        blocks = [tuple(p for p, lab in zip(perm, labels) if lab == u) for u in dict.fromkeys(labels)]
+    elif shape == "singletons":
+        blocks = [(p,) for p in perm]
+    elif shape == "one":
+        blocks = [tuple(perm)]
+    else:
+        big = draw(st.integers(1, n))
+        blocks = [tuple(perm[:big])] + [(p,) for p in perm[big:]]
+    keep = draw(st.integers(1, len(blocks)))
+    return dist, blocks[:keep]
+
+
+@pytest.mark.parametrize(
+    "inner, outer",
+    [(np.minimum, np.minimum), (np.minimum, np.maximum), (np.logical_or, np.logical_and)],
+)
+@settings(max_examples=200, deadline=None)
+@given(case=blocked_matrices())
+def test_block_reduce_matches_pair_loop(inner, outer, case):
+    dist, blocks = case
+    if inner is np.logical_or:
+        dist = dist > 0
+    got = block_reduce(dist, blocks, inner, outer)
+    want = block_reduce_loop(dist, blocks, inner, outer)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def test_block_reduce_rejects_empty_block():
+    d = random_metric(4, 0).dist
+    with pytest.raises(StructuralError):
+        block_reduce(d, [(0, 1), ()])
+    with pytest.raises(StructuralError):
+        block_reduce(d, [(), (2,)], np.minimum, np.maximum)
 
 
 def test_json_round_trip():

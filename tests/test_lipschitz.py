@@ -12,7 +12,7 @@ from metriq.lipschitz import (
 )
 from metriq.quotient import distortion_between, quotient_metric
 
-from conftest import random_metric
+from conftest import lip_colip_loop, random_metric, random_partition
 
 
 def test_structural_validation():
@@ -108,3 +108,19 @@ def test_json_round_trip():
     assert back.assign == qm.assign
     assert np.array_equal(back.source.dist, m.dist)
     assert np.array_equal(back.target.dist, t.dist)
+
+
+def test_lip_colip_matches_pair_loop():
+    rng = np.random.default_rng(13)
+    for trial in range(100):
+        m = random_metric(int(rng.integers(2, 25)), 90_000 + trial)
+        blocks = random_partition(m.n, rng)
+        if len(blocks) < 2:
+            continue
+        assign = [0] * m.n
+        for b, blk in enumerate(blocks):
+            for i in blk:
+                assign[i] = b
+        for target in (quotient_metric(m, blocks).metric, random_metric(len(blocks), trial)):
+            qm = QuotientMap(m, target, tuple(assign))
+            assert lip_colip(qm) == lip_colip_loop(qm), trial
