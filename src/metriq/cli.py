@@ -260,18 +260,6 @@ def _pipe_cube_qs(m, seed: RngSeed, params: dict):
     eps = float(params.get("eps", 0.1))
     p = float(params.get("p", 2.0))
     res = cube_qs_construct(d, eps, p, seed)
-    art = {
-        "kind": "cube-qs",
-        "d": d,
-        "eps": eps,
-        "p": p,
-        "r": res.r,
-        "net": [int(x) for x in res.A],
-        "survivors": [int(x) for x in res.S],
-        "block_count": res.block_count,
-        "certified_distortion": res.report.distortion,
-        "bound": res.certified_bound,
-    }
     return {
         "quotient_size": res.block_count,
         "provenance": "QS",
@@ -280,7 +268,22 @@ def _pipe_cube_qs(m, seed: RngSeed, params: dict):
         "certified_distortion": res.report.distortion,
         "paper_bound": res.certified_bound,
         "attempts": 1,
-    }, art
+    }, _cube_artifact(res)
+
+
+def _cube_artifact(res) -> dict:
+    return {
+        "kind": "cube-qs",
+        "d": res.d,
+        "eps": res.eps,
+        "p": res.p,
+        "r": res.r,
+        "net": res.A.tolist(),
+        "survivors": res.S.tolist(),
+        "block_count": res.block_count,
+        "certified_distortion": res.report.distortion,
+        "bound": res.certified_bound,
+    }
 
 
 PIPELINES = {
@@ -818,16 +821,7 @@ def cube_qs_cmd(ctx, d, eps, p):
     """Large quotient of the Hamming cube with a certified embedding."""
     from .cube import cube_qs_construct
 
-    res = cube_qs_construct(d, eps, p, _seed_of(ctx))
-    _emit(ctx, {
-        "kind": "cube-qs",
-        "d": d, "eps": eps, "p": p, "r": res.r,
-        "net": [int(x) for x in res.A],
-        "survivors": [int(x) for x in res.S],
-        "block_count": res.block_count,
-        "certified_distortion": res.report.distortion,
-        "bound": res.certified_bound,
-    })
+    _emit(ctx, _cube_artifact(cube_qs_construct(d, eps, p, _seed_of(ctx))))
 
 
 @main.group()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from metriq.core import MetricSpace, hausdorff, set_distance
+from metriq.cube import DistortionSummary
 from metriq.generators import gen_euclidean_cloud
 
 
@@ -82,6 +83,50 @@ def lip_colip_loop(qm):
             lip = max(lip, dy / sd)
             colip = max(colip, hd / dy)
     return float(lip), float(colip)
+
+
+# --- references for the cube certificate and net ----------------------------
+
+
+def stream_distortion_loop(S, dA, lookup, block_norm, chunk: int = 512):
+    """Reference for cube._class_distortion: every singleton pair, row chunk by chunk."""
+    a_mask = dA == 0
+    sing = S[~a_mask]
+    dsing = dA[~a_mask]
+    expansion = 0.0
+    contraction = 0.0
+    pairs = 0
+    n = sing.size
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
+        h = np.bitwise_count(sing[lo:hi, None] ^ sing[None, :])
+        du = np.minimum(h, dsing[lo:hi, None] + dsing[None, :])
+        de = lookup[h]
+        iu, ju = np.nonzero(np.arange(lo, hi)[:, None] < np.arange(n)[None, :])
+        ratio = de[iu, ju] / du[iu, ju]
+        if ratio.size:
+            expansion = max(expansion, float(ratio.max()))
+            contraction = max(contraction, float(1.0 / ratio.min()))
+            pairs += ratio.size
+    # singleton vs the collapsed block
+    ratio = block_norm / dsing
+    if ratio.size:
+        expansion = max(expansion, float(ratio.max()))
+        contraction = max(contraction, float(1.0 / ratio.min()))
+        pairs += ratio.size
+    return DistortionSummary(expansion, contraction, pairs)
+
+
+def greedy_net_loop(d: int, r: int) -> np.ndarray:
+    """Reference for cube._greedy_net: visit all 2^d points in lexicographic order."""
+    pts = np.arange(2**d, dtype=np.int64)
+    kept: list[int] = []
+    mind = np.full(2**d, np.iinfo(np.int64).max, dtype=np.int64)
+    for x in pts:
+        if mind[x] >= 2 * r + 1:
+            kept.append(int(x))
+            np.minimum(mind, np.bitwise_count(pts ^ x), out=mind)
+    return np.array(kept, dtype=np.int64)
 
 
 @pytest.fixture

@@ -2,9 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import greedy_net_loop, stream_distortion_loop
 from metriq.core import MetricSpace, validate_metric
 from metriq.cube import (
+    _class_distortion,
+    _class_pair_counts,
+    _embedding_lookup,
+    _greedy_net,
     check_sandwich,
     cube_qs_certify_lower,
     cube_qs_construct,
@@ -37,6 +44,16 @@ def test_net_is_separated_and_maximal():
     for a in A:
         np.minimum(mind, np.vectorize(popcount)(pts ^ a), out=mind)
     assert mind.max() <= 2 * r
+
+
+@pytest.mark.parametrize("d", [6, 8, 10, 12])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_greedy_net_matches_loop(d, r):
+    A, mind = _greedy_net(d, r)
+    assert np.array_equal(A, greedy_net_loop(d, r))
+    pts = np.arange(2**d)
+    want = np.min(np.bitwise_count(pts[:, None] ^ A[None, :]), axis=1)
+    assert np.array_equal(mind, want)
 
 
 def test_block_count_and_survivor_rule():
@@ -141,3 +158,53 @@ def test_certify_lower_rejects_non_cube():
     q3 = QuotientSpace(Partition(m3, tuple((i,) for i in range(3))), m3, "Q")
     with pytest.raises(StructuralError):
         cube_qs_certify_lower(q3)  # size not a power of two
+
+
+# the ten (d, eps, p) cells of the benchmark's cube workload
+CUBE_CELLS = [
+    (8, 0.22, 1.5), (8, 0.24, 2.0),
+    (10, 0.18, 2.0), (10, 0.2, 1.5), (10, 0.24, 2.0),
+    (11, 0.2, 2.0), (11, 0.22, 1.5),
+    (12, 0.15, 2.0), (12, 0.2, 1.5), (12, 0.24, 2.0),
+]
+
+
+@pytest.mark.parametrize("d, eps, p", CUBE_CELLS)
+def test_class_distortion_matches_stream(d, eps, p):
+    res = cube_qs_construct(d, eps, p)
+    lookup, block_norm = _embedding_lookup(d, res.r, p)
+    assert res.report == stream_distortion_loop(res.S, res.dA, lookup, block_norm)
+
+
+@st.composite
+def labelled_subsets(draw):
+    """A random cube subset with dA labels: 0 (net points) and 1 to d classes."""
+    d = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    S = np.flatnonzero(rng.random(2**d) < draw(st.floats(0.0, 1.0)))
+    classes = rng.permutation(np.arange(1, d + 1))[: draw(st.integers(1, d))]
+    dA = rng.choice(np.concatenate(([0], classes)), size=S.size).astype(np.float64)
+    lookup = np.concatenate(([0.0], rng.uniform(0.1, 3.0, size=d)))
+    return d, S, dA, lookup, draw(st.floats(0.1, 10.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=labelled_subsets())
+def test_class_distortion_matches_stream_on_random_classes(case):
+    d, S, dA, lookup, block_norm = case
+    got = _class_distortion(d, S, dA, lookup, block_norm)
+    assert got == stream_distortion_loop(S, dA, lookup, block_norm)
+
+
+def test_class_pair_counts_exact_beyond_int64():
+    # one class holding all of {0,1}^22: the Krawtchouk contraction passes
+    # 4^d * C(22, 11) ~ 2^63.4, past int64, before the division by 2^d
+    d = 22
+    counts = _class_pair_counts(d, [np.arange(2**d, dtype=np.int64)])
+    assert counts[0, 0] == [0] + [2 ** (d - 1) * math.comb(d, h) for h in range(1, d + 1)]
+
+
+def test_certificate_covers_every_pair_at_d16():
+    res = cube_qs_construct(16, 0.2)
+    n = res.singletons.size
+    assert res.report.pairs == n * (n - 1) // 2 + n
