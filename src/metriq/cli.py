@@ -14,12 +14,12 @@ import json
 import math
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import click
 import numpy as np
 
-from . import core
 from .core import (
     Equilateral,
     Lacunary,
@@ -37,7 +37,6 @@ from .core import (
 from .errors import MetriqError, ParameterError, StructuralError
 from .generators import InstanceSpec, realize_instance
 from .quotient import (
-    Partition,
     QuotientSpace,
     distortion_between,
     quotient_from_json,
@@ -81,6 +80,7 @@ class ExperimentPlan:
             )
         if self.trials < 0:
             raise ParameterError("trials must be >= 0")
+        PIPELINES[self.pipeline].resolve(self.params)
 
 
 def plan_from_json(doc: dict) -> ExperimentPlan:
@@ -138,137 +138,20 @@ def _quotient_artifact(q: QuotientSpace, model, certified: float) -> dict:
     return doc
 
 
-# --- pipeline implementations ----------------------------------------------
-
-
-def _pipe_q2(m: MetricSpace, seed: RngSeed, params: dict):
-    from .constructions import q2_lacunary
-
-    q, report, model, attempts = q2_lacunary(m, seed)
-    return {
-        "quotient_size": q.metric.n,
-        "provenance": q.provenance,
-        "target_class": "lacunary",
-        "p": "",
-        "certified_distortion": report.distortion,
-        "paper_bound": 2.0,
-        "attempts": attempts,
-    }, _quotient_artifact(q, model, report.distortion)
-
-
-def _pipe_aspect(m: MetricSpace, seed: RngSeed, params: dict):
-    from .constructions import aspect_quotient
-
-    alpha = float(params.get("alpha", 2.0))
-    res = aspect_quotient(m, alpha, lipschitz=bool(params.get("lipschitz", False)), seed=seed)
-    model = Equilateral(res.quotient.metric.n, res.band[0])
-    return {
-        "quotient_size": res.quotient.metric.n,
-        "provenance": res.quotient.provenance,
-        "target_class": "equilateral",
-        "p": "",
-        "certified_distortion": res.report.distortion,
-        "paper_bound": alpha,
-        "attempts": 1,
-    }, _quotient_artifact(res.quotient, model, res.report.distortion)
-
-
-def _pipe_dichotomy(m: MetricSpace, seed: RngSeed, params: dict):
-    from .constructions import q_dichotomy
-
-    k = float(params.get("k", 1.0))
-    beta = float(params.get("beta", 1.5))
-    alpha = float(params.get("alpha", 2.0))
-    res = q_dichotomy(m, k, beta, alpha, seed, drop_root=bool(params.get("drop_root", False)))
-    art = _quotient_artifact(res.quotient, res.model, res.report.distortion)
-    if res.branch == "star":
-        art["model"]["scale"] = _star_scale(res)
-    return {
-        "quotient_size": res.quotient.metric.n,
-        "provenance": res.quotient.provenance,
-        "target_class": res.branch if res.branch == "lacunary" else "star",
-        "p": "",
-        "certified_distortion": res.report.distortion,
-        "paper_bound": alpha,
-        "attempts": 1,
-    }, art
-
-
-def _star_scale(res) -> float:
-    # root-leaf quotient distances sit at scale a; recover it from the metric
-    d = res.quotient.metric.dist
-    if res.branch == "star" and d.shape[0] > 1:
-        model = _model_from_doc(_model_doc(res.model))
-        return float(np.median(d[0, 1:] / model.dist[0, 1:]))
-    return 1.0
-
-
-def _pipe_hst(m: MetricSpace, seed: RngSeed, params: dict):
-    from .constructions import hst_from_m_centered, m_center_quotient
+def _hst_artifact(base: MetricSpace, tree, certified: float) -> dict:
     from .hst import hst_to_json
 
-    eps = float(params.get("eps", 0.25))
-    T, q, attempts = m_center_quotient(m, eps, seed)
-    mparam = int(math.ceil(2.0 * math.log(2.0 / eps) / eps))
-    tree, report = hst_from_m_centered(q.metric, max(2, mparam))
-    art = {
-        "kind": "hst",
-        "base": metric_to_json(q.metric),
-        "tree": hst_to_json(tree),
-        "certified_distortion": report.distortion,
-    }
-    return {
-        "quotient_size": q.metric.n,
-        "provenance": q.provenance,
-        "target_class": "UM",
-        "p": "",
-        "certified_distortion": report.distortion,
-        "paper_bound": 2.0 * max(2, mparam),
-        "attempts": attempts,
-    }, art
+    return {"kind": "hst", "base": metric_to_json(base), "tree": hst_to_json(tree),
+            "certified_distortion": certified}
 
 
-def _pipe_bourgain(m: MetricSpace, seed: RngSeed, params: dict):
-    from .constructions import m_center_quotient
-    from .embeddings import bourgain_embed, embedding_to_json, induced_metric
+def _embedding_artifact(emb) -> dict:
+    from .embeddings import embedding_to_json, induced_metric
 
-    eps = float(params.get("eps", 0.25))
-    p = float(params.get("p", 2.0))
-    T, q, attempts = m_center_quotient(m, eps, seed.child(0))
-    mparam = 2.0 * math.log(2.0 / eps) / eps
-    mode = "exact" if q.metric.n <= 15 else "monte-carlo"
-    emb, report = bourgain_embed(q.metric, mparam, p, mode, seed.child(1))
-    qq = max(1, int(math.ceil(math.log(mparam) / p - 1e-12)))
-    art = embedding_to_json(emb)
-    art["kind"] = "embedding"
-    art["claimed"] = induced_metric(emb).dist.tolist()
-    return {
-        "quotient_size": q.metric.n,
-        "provenance": q.provenance,
-        "target_class": "lp",
-        "p": p,
-        "certified_distortion": report.distortion,
-        "paper_bound": 96 * qq,
-        "attempts": attempts,
-    }, art
-
-
-def _pipe_cube_qs(m, seed: RngSeed, params: dict):
-    from .cube import cube_qs_construct
-
-    d = int(params["d"])
-    eps = float(params.get("eps", 0.1))
-    p = float(params.get("p", 2.0))
-    res = cube_qs_construct(d, eps, p, seed)
-    return {
-        "quotient_size": res.block_count,
-        "provenance": "QS",
-        "target_class": "lp",
-        "p": p,
-        "certified_distortion": res.report.distortion,
-        "paper_bound": res.certified_bound,
-        "attempts": 1,
-    }, _cube_artifact(res)
+    doc = embedding_to_json(emb)
+    doc["kind"] = "embedding"
+    doc["claimed"] = induced_metric(emb).dist.tolist()
+    return doc
 
 
 def _cube_artifact(res) -> dict:
@@ -286,14 +169,150 @@ def _cube_artifact(res) -> dict:
     }
 
 
-PIPELINES = {
-    "q2": _pipe_q2,
-    "aspect": _pipe_aspect,
-    "dichotomy": _pipe_dichotomy,
-    "hst": _pipe_hst,
-    "bourgain": _pipe_bourgain,
-    "cube-qs": _pipe_cube_qs,
-}
+# --- pipeline implementations ----------------------------------------------
+# Each pipe maps (instance metric or None, seed, resolved params) to its CSV
+# row fields and the artifact that `run --artifacts` stores; its docstring is
+# the help text of the CLI command generated for it.
+
+
+def _row(size: int, provenance: str, target: str, certified: float, bound, attempts=1, p=""):
+    return {"quotient_size": size, "provenance": provenance, "target_class": target, "p": p,
+            "certified_distortion": certified, "paper_bound": bound, "attempts": attempts}
+
+
+def _pipe_q2(m: MetricSpace, seed: RngSeed, params: dict):
+    """Distortion-2 quotient onto a 1-lacunary space."""
+    from .constructions import q2_lacunary
+
+    q, report, model, attempts = q2_lacunary(m, seed)
+    return (_row(q.metric.n, q.provenance, "lacunary", report.distortion, 2.0, attempts),
+            _quotient_artifact(q, model, report.distortion))
+
+
+def _pipe_aspect(m: MetricSpace, seed: RngSeed, params: dict):
+    """Equilateral quotient from an aspect-ratio colouring."""
+    from .constructions import aspect_quotient
+
+    res = aspect_quotient(m, params["alpha"], lipschitz=params["lipschitz"], seed=seed)
+    q, dist = res.quotient, res.report.distortion
+    return (_row(q.metric.n, q.provenance, "equilateral", dist, params["alpha"]),
+            _quotient_artifact(q, Equilateral(q.metric.n, res.band[0]), dist))
+
+
+def _pipe_dichotomy(m: MetricSpace, seed: RngSeed, params: dict):
+    """Lacunary or star quotient, whichever certifies the larger one."""
+    from .constructions import q_dichotomy
+
+    res = q_dichotomy(m, params["k"], params["beta"], params["alpha"], seed,
+                      drop_root=params["drop_root"])
+    q, dist = res.quotient, res.report.distortion
+    art = _quotient_artifact(q, res.model, dist)
+    if res.branch == "star":
+        art["model"]["scale"] = _star_scale(res)
+    return _row(q.metric.n, q.provenance, res.branch, dist, params["alpha"]), art
+
+
+def _star_scale(res) -> float:
+    # root-leaf quotient distances sit at scale a; recover it from the metric
+    d = res.quotient.metric.dist
+    if res.branch == "star" and d.shape[0] > 1:
+        return float(np.median(d[0, 1:] / realize_special(res.model).dist[0, 1:]))
+    return 1.0
+
+
+def _pipe_hst(m: MetricSpace, seed: RngSeed, params: dict):
+    """m-centre quotient, then its HST with a certified distortion."""
+    from .constructions import hst_from_m_centered, m_center_quotient
+
+    eps = params["eps"]
+    T, q, attempts = m_center_quotient(m, eps, seed)
+    mparam = max(2, int(math.ceil(2.0 * math.log(2.0 / eps) / eps)))
+    tree, report = hst_from_m_centered(q.metric, mparam)
+    return (_row(q.metric.n, q.provenance, "UM", report.distortion, 2.0 * mparam, attempts),
+            _hst_artifact(q.metric, tree, report.distortion))
+
+
+def _pipe_bourgain(m: MetricSpace, seed: RngSeed, params: dict):
+    """m-centre quotient, then its Bourgain embedding into L_p."""
+    from .constructions import m_center_quotient
+    from .embeddings import bourgain_embed
+
+    eps, p = params["eps"], params["p"]
+    T, q, attempts = m_center_quotient(m, eps, seed.child(0))
+    mparam = 2.0 * math.log(2.0 / eps) / eps
+    mode = "exact" if q.metric.n <= 15 else "monte-carlo"
+    emb, report = bourgain_embed(q.metric, mparam, p, mode, seed.child(1))
+    qq = max(1, int(math.ceil(math.log(mparam) / p - 1e-12)))
+    return (_row(q.metric.n, q.provenance, "lp", report.distortion, 96 * qq, attempts, p),
+            _embedding_artifact(emb))
+
+
+def _pipe_cube_qs(m, seed: RngSeed, params: dict):
+    """Large quotient of the Hamming cube with a certified embedding."""
+    from .cube import cube_qs_construct
+
+    res = cube_qs_construct(params["d"], params["eps"], params["p"], seed)
+    return (_row(res.block_count, "QS", "lp", res.report.distortion, res.certified_bound,
+                 p=params["p"]),
+            _cube_artifact(res))
+
+
+@dataclass(frozen=True)
+class Pipeline:
+    """One construction: `metriq run` executes it once per trial, and the CLI
+    command generated from it runs it once.  Its parameters are declared once,
+    as the options of that command; plan params are checked and converted by
+    them.
+    """
+
+    name: str
+    run: Callable
+    options: tuple[click.Option, ...] = ()
+    # None: the pipe runs on the plan's instance metric; otherwise it builds
+    # its own space, of own_space(params) points
+    own_space: Callable[[dict], int] | None = None
+
+    def resolve(self, given: dict) -> dict:
+        """`given` over the declared defaults, each value converted by its option."""
+        opts = {o.name: o for o in self.options}
+        unknown = sorted(set(given) - set(opts))
+        missing = sorted(k for k, o in opts.items() if o.required and k not in given)
+        if unknown or missing:
+            raise ParameterError(
+                f"pipeline {self.name!r} takes params {sorted(opts)}; "
+                f"unknown {unknown}, missing {missing}"
+            )
+        params = {k: o.default for k, o in opts.items() if not o.required}
+        for k, v in given.items():
+            try:
+                # convert, unlike calling the type, rejects None; click's BOOL
+                # raises AttributeError on values that are neither bool nor str
+                params[k] = opts[k].type.convert(v, opts[k], None)
+            except (click.BadParameter, TypeError, AttributeError) as exc:
+                raise ParameterError(f"pipeline {self.name!r}: bad {k!r} value {v!r}") from exc
+        return params
+
+
+def _opt(name: str, default, **kw) -> click.Option:
+    return click.Option([name], default=default, show_default=True, **kw)
+
+
+def _flag(name: str) -> click.Option:
+    return click.Option([name], is_flag=True)
+
+
+PIPELINES = {p.name: p for p in (
+    Pipeline("q2", _pipe_q2),
+    Pipeline("aspect", _pipe_aspect, (_opt("--alpha", 2.0), _flag("--lipschitz"))),
+    Pipeline("dichotomy", _pipe_dichotomy, (
+        _opt("--k", 1.0), _opt("--beta", 1.5), _opt("--alpha", 2.0), _flag("--drop-root"),
+    )),
+    Pipeline("hst", _pipe_hst, (_opt("--eps", 0.25),)),
+    Pipeline("bourgain", _pipe_bourgain, (_opt("--eps", 0.25), _opt("--p", 2.0))),
+    Pipeline("cube-qs", _pipe_cube_qs, (
+        click.Option(["--d"], type=int, required=True), _opt("--eps", 0.1), _opt("--p", 2.0),
+    ), own_space=lambda params: 2 ** params["d"]),
+)}
 
 
 def run_experiment(plan: ExperimentPlan, keep_artifacts: bool = False) -> ReportBundle:
@@ -312,7 +331,8 @@ def run_experiment(plan: ExperimentPlan, keep_artifacts: bool = False) -> Report
             "seed": plan.seed,
         }
     )
-    pipe = PIPELINES[plan.pipeline]
+    pipeline = PIPELINES[plan.pipeline]
+    params = pipeline.resolve(plan.params)
     values = []
     errors = []
     timings = []
@@ -323,14 +343,14 @@ def run_experiment(plan: ExperimentPlan, keep_artifacts: bool = False) -> Report
         row["seed"] = plan.seed
         start = time.perf_counter()
         try:
-            if plan.pipeline == "cube-qs":
+            if pipeline.own_space:
                 m = None
-                row["n"] = 2 ** int(plan.params["d"])
+                row["n"] = pipeline.own_space(params)
             else:
                 spec = InstanceSpec(plan.instance.variant, plan.instance.params, trial_seed.child(0))
                 m = realize_instance(spec)
                 row["n"] = m.n
-            result, art = pipe(m, trial_seed.child(1), plan.params)
+            result, art = pipeline.run(m, trial_seed.child(1), params)
             row.update(result)
             values.append(float(result["certified_distortion"]))
             if keep_artifacts:
@@ -503,14 +523,13 @@ def _verify_cube(art: dict, ai: int, report: ValidationReport, tol: float):
 
 @click.group()
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--trials", type=int, default=1, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 @click.option("--tolerance", type=float, default=1e-9, show_default=True)
 @click.pass_context
-def main(ctx, seed, trials, out, fmt, tolerance):
+def main(ctx, seed, out, fmt, tolerance):
     """Quotients and embeddings of finite metric spaces."""
-    ctx.obj = {"seed": seed, "trials": trials, "out": out, "fmt": fmt, "tol": tolerance}
+    ctx.obj = {"seed": seed, "out": out, "fmt": fmt, "tol": tolerance}
 
 
 def _emit(ctx, doc: dict | str):
@@ -597,20 +616,6 @@ def construct_mcenter(ctx, path, eps):
     _emit(ctx, doc)
 
 
-@construct.command("hst")
-@click.option("--in", "path", required=True, type=click.Path(exists=True))
-@click.option("--mparam", type=int, required=True)
-@click.pass_context
-def construct_hst(ctx, path, mparam):
-    from .constructions import hst_from_m_centered
-    from .hst import hst_to_json
-
-    m = _load_metric(path)
-    tree, report = hst_from_m_centered(m, mparam)
-    _emit(ctx, {"kind": "hst", "base": metric_to_json(m), "tree": hst_to_json(tree),
-                "certified_distortion": report.distortion})
-
-
 @construct.command("star")
 @click.option("--in", "path", required=True, type=click.Path(exists=True))
 @click.option("--a", type=float, required=True)
@@ -629,74 +634,6 @@ def construct_star(ctx, path, a, b, alpha):
     _emit(ctx, doc)
 
 
-@construct.command("lacunary")
-@click.option("--in", "path", required=True, type=click.Path(exists=True))
-@click.option("--k", type=float, default=1.0, show_default=True)
-@click.option("--beta", type=float, default=1.5, show_default=True)
-@click.option("--alpha", type=float, default=2.0, show_default=True)
-@click.pass_context
-def construct_lacunary(ctx, path, k, beta, alpha):
-    """The lacunary branch of the dichotomy (collapse all but class representatives)."""
-    from .constructions import q_dichotomy
-
-    m = _load_metric(path)
-    res = q_dichotomy(m, k, beta, alpha, _seed_of(ctx))
-    _emit(ctx, _dichotomy_doc(res))
-
-
-@construct.command("dichotomy")
-@click.option("--in", "path", required=True, type=click.Path(exists=True))
-@click.option("--k", type=float, default=1.0, show_default=True)
-@click.option("--beta", type=float, default=1.5, show_default=True)
-@click.option("--alpha", type=float, default=2.0, show_default=True)
-@click.option("--drop-root", is_flag=True)
-@click.pass_context
-def construct_dichotomy(ctx, path, k, beta, alpha, drop_root):
-    from .constructions import q_dichotomy
-
-    m = _load_metric(path)
-    res = q_dichotomy(m, k, beta, alpha, _seed_of(ctx), drop_root=drop_root)
-    _emit(ctx, _dichotomy_doc(res))
-
-
-def _dichotomy_doc(res) -> dict:
-    doc = _quotient_artifact(res.quotient, res.model, res.report.distortion)
-    if res.branch == "star":
-        doc["model"]["scale"] = _star_scale(res)
-    doc["branch"] = res.branch
-    return doc
-
-
-@construct.command("q2")
-@click.option("--in", "path", required=True, type=click.Path(exists=True))
-@click.pass_context
-def construct_q2(ctx, path):
-    from .constructions import q2_lacunary
-
-    m = _load_metric(path)
-    q, report, model, attempts = q2_lacunary(m, _seed_of(ctx))
-    doc = _quotient_artifact(q, model, report.distortion)
-    doc["attempts"] = attempts
-    _emit(ctx, doc)
-
-
-@construct.command("aspect")
-@click.option("--in", "path", required=True, type=click.Path(exists=True))
-@click.option("--alpha", type=float, default=2.0, show_default=True)
-@click.option("--lipschitz", is_flag=True)
-@click.pass_context
-def construct_aspect(ctx, path, alpha, lipschitz):
-    from .constructions import aspect_quotient
-
-    m = _load_metric(path)
-    res = aspect_quotient(m, alpha, lipschitz=lipschitz, seed=_seed_of(ctx))
-    doc = _quotient_artifact(
-        res.quotient, Equilateral(res.quotient.metric.n, res.band[0]), res.report.distortion
-    )
-    doc.update({"ell": res.ell, "band": list(res.band)})
-    _emit(ctx, doc)
-
-
 @construct.command("composition")
 @click.option("--depth", type=int, default=2, show_default=True)
 @click.option("--k", type=float, default=2.0, show_default=True)
@@ -706,21 +643,35 @@ def construct_aspect(ctx, path, alpha, lipschitz):
 def construct_composition(ctx, depth, k, alpha, beta):
     from .constructions import composition_qs
     from .generators import random_composition_tree
-    from .hst import hst_to_json
 
     seed = _seed_of(ctx)
     tree = random_composition_tree(depth, seed.child(0), beta=beta)
     res = composition_qs(tree, k, alpha, seed.child(1))
     _emit(ctx, {
-        "kind": "hst",
-        "base": metric_to_json(res.quotient.metric),
-        "tree": hst_to_json(res.hst),
-        "certified_distortion": res.report.distortion,
+        **_hst_artifact(res.quotient.metric, res.hst, res.report.distortion),
         "alpha_bound": res.alpha_bound,
         "sigma": res.sigma,
         "sigma_ok": res.sigma_ok,
         "blocks": [list(b) for b in res.quotient.blocks],
     })
+
+
+def _pipeline_command(pipeline: Pipeline) -> click.Command:
+    """The CLI command that runs `pipeline` once with RngSeed(--seed) and emits its artifact."""
+
+    def callback(path=None, **params):
+        ctx = click.get_current_context()
+        m = None if pipeline.own_space else _load_metric(path)
+        _emit(ctx, pipeline.run(m, _seed_of(ctx), params)[1])
+
+    opts = list(pipeline.options)
+    if not pipeline.own_space:
+        opts.insert(0, click.Option(["--in", "path"], required=True, type=click.Path(exists=True)))
+    return click.Command(pipeline.name, callback=callback, params=opts, help=pipeline.run.__doc__)
+
+
+for _pipeline in PIPELINES.values():
+    (main if _pipeline.own_space else construct).add_command(_pipeline_command(_pipeline))
 
 
 @main.group()
@@ -735,14 +686,10 @@ def embed():
 @click.option("--mode", type=click.Choice(["exact", "monte-carlo"]), default="exact")
 @click.pass_context
 def embed_bourgain(ctx, path, mparam, p, mode):
-    from .embeddings import bourgain_embed, embedding_to_json, induced_metric
+    from .embeddings import bourgain_embed
 
-    m = _load_metric(path)
-    emb, report = bourgain_embed(m, mparam, p, mode, _seed_of(ctx))
-    doc = embedding_to_json(emb)
-    doc.update({"kind": "embedding", "claimed": induced_metric(emb).dist.tolist(),
-                "distortion": report.distortion})
-    _emit(ctx, doc)
+    emb, report = bourgain_embed(_load_metric(path), mparam, p, mode, _seed_of(ctx))
+    _emit(ctx, {**_embedding_artifact(emb), "distortion": report.distortion})
 
 
 @embed.command("star")
@@ -751,12 +698,9 @@ def embed_bourgain(ctx, path, mparam, p, mode):
 @click.option("--p", type=float, required=True)
 @click.pass_context
 def embed_star(ctx, n, tau, p):
-    from .embeddings import embedding_to_json, induced_metric, star_to_lp
+    from .embeddings import star_to_lp
 
-    emb = star_to_lp(n, tau, p)
-    doc = embedding_to_json(emb)
-    doc.update({"kind": "embedding", "claimed": induced_metric(emb).dist.tolist()})
-    _emit(ctx, doc)
+    _emit(ctx, _embedding_artifact(star_to_lp(n, tau, p)))
 
 
 @embed.command("gauss-trunc")
@@ -766,14 +710,12 @@ def embed_star(ctx, n, tau, p):
 @click.option("--features", type=int, default=1024, show_default=True)
 @click.pass_context
 def embed_gauss(ctx, n, dim, D, features):
-    from .embeddings import embedding_to_json, truncated_gauss_embed
+    from .embeddings import truncated_gauss_embed
 
     rng = _seed_of(ctx).child(0).rng()
     pts = rng.uniform(0.0, 2.0 * D, size=(n, dim))
     emb = truncated_gauss_embed(pts, D, features, _seed_of(ctx).child(1))
-    doc = embedding_to_json(emb)
-    doc.update({"kind": "embedding", "points": pts.tolist()})
-    _emit(ctx, doc)
+    _emit(ctx, {**_embedding_artifact(emb), "points": pts.tolist()})
 
 
 @embed.command("pstable")
@@ -784,14 +726,12 @@ def embed_gauss(ctx, n, dim, D, features):
 @click.option("--features", type=int, default=1024, show_default=True)
 @click.pass_context
 def embed_pstable(ctx, n, dim, D, p, features):
-    from .embeddings import embedding_to_json, pstable_embed
+    from .embeddings import pstable_embed
 
     rng = _seed_of(ctx).child(0).rng()
     pts = rng.uniform(0.0, 2.0 * D, size=(n, dim))
     emb = pstable_embed(pts, D, p, features, _seed_of(ctx).child(1))
-    doc = embedding_to_json(emb)
-    doc.update({"kind": "embedding", "points": pts.tolist()})
-    _emit(ctx, doc)
+    _emit(ctx, {**_embedding_artifact(emb), "points": pts.tolist()})
 
 
 @embed.command("uptolog")
@@ -810,18 +750,6 @@ def embed_uptolog(ctx, n, dim, D, p):
     res = uptolog_embed(pts, D, p)
     _emit(ctx, {"kind": "metric", "dist": res.metric.dist.tolist(),
                 "image_norm": res.image_norm, "c1": res.c1, "c2": res.c2})
-
-
-@main.command("cube-qs")
-@click.option("--d", type=int, required=True)
-@click.option("--eps", type=float, required=True)
-@click.option("--p", type=float, default=2.0, show_default=True)
-@click.pass_context
-def cube_qs_cmd(ctx, d, eps, p):
-    """Large quotient of the Hamming cube with a certified embedding."""
-    from .cube import cube_qs_construct
-
-    _emit(ctx, _cube_artifact(cube_qs_construct(d, eps, p, _seed_of(ctx))))
 
 
 @main.group()

@@ -63,8 +63,7 @@ class CubeQsResult:
 
     @cached_property
     def singletons(self) -> np.ndarray:
-        a = set(int(x) for x in self.A)
-        return np.array([int(x) for x in self.S if int(x) not in a], dtype=np.int64)
+        return np.setdiff1d(self.S, self.A, assume_unique=True)
 
     def udist(self, x: int, y: int) -> float:
         """Quotient distance between two singleton-block cube points."""
@@ -89,8 +88,7 @@ class CubeQsResult:
         sing = self.singletons
         blocks = tuple((int(x),) for x in sing) + (tuple(int(a) for a in self.A),)
         k = len(blocks)
-        pos = {int(x): i for i, x in enumerate(self.S)}
-        dsa = np.array([self.dA[pos[int(x)]] for x in sing], dtype=np.float64)
+        dsa = self.dA[np.searchsorted(self.S, sing)].astype(np.float64)
         h = np.bitwise_count(sing[:, None] ^ sing[None, :]).astype(np.float64)
         dmat = np.minimum(h, dsa[:, None] + dsa[None, :])
         np.fill_diagonal(dmat, 0.0)
@@ -290,8 +288,7 @@ def check_sandwich(result: CubeQsResult, samples: int = 20000, seed=None) -> boo
     rng = as_seed(seed).rng()
     sing = result.singletons
     r = result.r
-    pos = {int(x): i for i, x in enumerate(result.S)}
-    ds = np.array([result.dA[pos[int(x)]] for x in sing])
+    ds = result.dA[np.searchsorted(result.S, sing)]
     for _ in range(samples):
         i, j = rng.integers(0, sing.size, 2)
         if i == j:

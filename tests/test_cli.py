@@ -233,3 +233,124 @@ def test_experiment_plan_rejects_negative_trials():
         ExperimentPlan(
             InstanceSpec("cloud", {"n": 10}, RngSeed(0)), "q2", {}, -1, 0
         )
+
+
+# --- pipeline registry ------------------------------------------------------
+
+
+@pytest.fixture
+def metrics(runner, tmp_path):
+    cloud = tmp_path / "cloud.json"
+    invoke(runner, "--seed", "3", "--out", str(cloud), "gen", "--variant", "cloud",
+           "--param", "n=30")
+    equi = tmp_path / "equi.json"
+    invoke(runner, "--out", str(equi), "gen", "--variant", "equilateral", "--param", "n=12")
+    return {"CLOUD": str(cloud), "EQUI": str(equi)}
+
+
+ARTIFACT_COMMANDS = {
+    "construct q2": ["--in", "CLOUD"],
+    "construct aspect": ["--in", "CLOUD", "--alpha", "1.5", "--lipschitz"],
+    "construct dichotomy": ["--in", "CLOUD", "--beta", "1.2", "--drop-root"],
+    "construct hst": ["--in", "CLOUD"],
+    "construct bourgain": ["--in", "CLOUD"],
+    "construct mcenter": ["--in", "CLOUD", "--eps", "0.25"],
+    "construct star": ["--in", "EQUI", "--a", "0.9", "--b", "1.1", "--alpha", "2.0"],
+    "construct composition": [],
+    "embed bourgain": ["--in", "EQUI", "--mparam", "4"],
+    "embed star": ["--n", "3", "--tau", "1.0", "--p", "1.0"],
+    "embed gauss-trunc": ["--level", "2.0"],
+    "embed pstable": ["--level", "2.0", "--p", "1.5"],
+    "embed uptolog": ["--level", "4", "--p", "1.5"],
+    "cube-qs": ["--d", "8", "--eps", "0.24"],
+}
+
+
+def test_artifact_commands_cover_every_construct_and_embed():
+    from metriq.cli import construct, embed
+
+    listed = {f"construct {c}" for c in construct.commands} | {f"embed {c}" for c in embed.commands}
+    assert listed | {"cube-qs"} == set(ARTIFACT_COMMANDS)
+
+
+@pytest.mark.parametrize("command", sorted(ARTIFACT_COMMANDS))
+def test_artifact_command_output_verifies(runner, tmp_path, metrics, command):
+    out = tmp_path / "art.json"
+    args = [metrics.get(a, a) for a in ARTIFACT_COMMANDS[command]]
+    invoke(runner, "--seed", "4", "--out", str(out), *command.split(), *args)
+    res = invoke(runner, "verify", "--bundle", str(out))
+    assert json.loads(res.output)["ok"]
+
+
+@pytest.mark.parametrize("name, opts, params", [
+    ("q2", [], {}),
+    ("aspect", [], {}),
+    ("aspect", ["--alpha", "1.5", "--lipschitz"], {"alpha": 1.5, "lipschitz": True}),
+    ("dichotomy", [], {}),
+    ("dichotomy", ["--beta", "1.2", "--drop-root"], {"beta": 1.2, "drop_root": True}),
+    ("hst", ["--eps", "0.3"], {"eps": 0.3}),
+    ("bourgain", ["--p", "1.5"], {"p": 1.5}),
+    ("cube-qs", ["--d", "8", "--eps", "0.24", "--p", "1.5"], {"d": 8, "eps": 0.24, "p": 1.5}),
+], ids=["q2", "aspect", "aspect-lipschitz", "dichotomy", "dichotomy-drop-root", "hst",
+        "bourgain", "cube-qs"])
+def test_construct_emits_the_pipeline_artifact(runner, metrics, name, opts, params):
+    from metriq.cli import PIPELINES, _load_metric
+    from metriq.core import dumps
+
+    pipeline = PIPELINES[name]
+    if pipeline.own_space:
+        m, args = None, [name, *opts]
+    else:
+        m = _load_metric(metrics["CLOUD"])
+        args = ["construct", name, "--in", metrics["CLOUD"], *opts]
+    res = invoke(runner, "--seed", "6", *args)
+    _, art = pipeline.run(m, RngSeed(6), pipeline.resolve(params))
+    assert res.output == dumps(art) + "\n"
+
+
+def test_flags_take_no_value_and_cube_d_is_required(runner, metrics):
+    from metriq.cli import construct
+
+    flags = {o.name for c in construct.commands.values() for o in c.params if o.is_flag}
+    assert flags == {"lipschitz", "drop_root"}
+    a = invoke(runner, "construct", "dichotomy", "--in", metrics["CLOUD"], "--drop-root",
+               "--beta", "1.2")
+    assert json.loads(a.output)["kind"] == "quotient"
+    result = runner.invoke(main, ["cube-qs", "--eps", "0.2"])
+    assert result.exit_code != 0
+    assert "--d" in result.output
+
+
+def test_construct_lacunary_is_gone(runner, metrics):
+    result = runner.invoke(main, ["construct", "lacunary", "--in", metrics["CLOUD"]])
+    assert result.exit_code != 0
+    assert "No such command" in result.output
+
+
+def test_plan_rejects_missing_param():
+    doc = {
+        "instance": {"variant": "cube", "params": {"d": 8}},
+        "pipeline": "cube-qs",
+        "params": {"eps": 0.2},
+        "trials": 1,
+        "seed": 0,
+    }
+    with pytest.raises(ParameterError, match="missing \\['d'\\]"):
+        plan_from_json(doc)
+
+
+@pytest.mark.parametrize("params", [{"alpah": 1.5}, {"alpha": "two"}, {"alpha": None}, {"lipschitz": "maybe"}])
+def test_plan_rejects_unknown_or_bad_param(params):
+    doc = q2_plan()
+    doc.update(pipeline="aspect", params=params)
+    with pytest.raises(ParameterError):
+        plan_from_json(doc)
+
+
+def test_plan_params_are_recorded_as_given_and_run_converted():
+    doc = q2_plan(trials=1)
+    doc.update(pipeline="aspect", params={"alpha": 2})
+    bundle = run_experiment(plan_from_json(doc))
+    assert bundle.plan["params"] == {"alpha": 2}
+    assert bundle.summary["failures"] == 0
+    assert repr(bundle.rows[0]["paper_bound"]) == "2.0"
