@@ -40,6 +40,7 @@ from .hst import (
     hst_to_json,
     hst_to_metric,
     is_ultrametric,
+    join,
     leaf,
     line_um_lower_bound,
     ultrametric_to_l2,

@@ -459,10 +459,7 @@ def _verify_quotient(art: dict, ai: int, report: ValidationReport, tol: float):
 def _verify_hst(art: dict, ai: int, report: ValidationReport, tol: float):
     from .hst import hst_from_json, hst_to_metric
 
-    base = metric_from_json(art["base"])
-    tree = hst_from_json(art["tree"])
-    leafm = hst_to_metric(tree)
-    rep = distortion_between(base, leafm)
+    rep = distortion_between(metric_from_json(art["base"]), hst_to_metric(hst_from_json(art["tree"])))
     claimed = float(art["certified_distortion"])
     if abs(rep.distortion - claimed) > max(tol, 1e-6 * claimed):
         report.add("certificate", (ai,), f"claimed {claimed} != recomputed {rep.distortion}")

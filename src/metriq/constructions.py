@@ -8,6 +8,7 @@ exact distortion evaluator before being returned.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -33,9 +34,9 @@ from .errors import (
     StructuralError,
 )
 from .generators import CompositionRealization, CompositionTree, realize_composition
-from .hst import HstTree, hst_to_metric, leaf, validate_khst
+from .hst import HstTree, hst_from_splits, hst_to_metric, join, leaf, validate_khst
 from .quotient import DistortionReport, QuotientSpace, distortion_between, quotient_by_subset, quotient_metric, sq_space
-from .seeds import RngSeed, as_seed
+from .seeds import as_seed
 
 RESAMPLE_CAP = 64
 
@@ -56,7 +57,7 @@ def _center_radii(dist: np.ndarray, mparam: float) -> np.ndarray | None:
         need = 1
     if need > n:
         return None
-    return np.sort(dist, axis=1)[:, need - 1]
+    return np.partition(dist, need - 1, axis=1)[:, need - 1]
 
 
 def is_m_center(m: MetricSpace, x: int, mparam: float) -> bool:
@@ -127,12 +128,12 @@ def m_center_quotient(m: MetricSpace, eps: float, seed=None, cap: int = RESAMPLE
 def hst_from_m_centered(m: MetricSpace, mparam: int) -> tuple[HstTree, DistortionReport]:
     """Non-contracting ultrametric approximation of an m-centered space.
 
-    Recursive splitting: take a center x, a diameter-far point a with
+    Top-down splitting: take a center x, a diameter-far point a with
     d(x, a) >= diam/2, slice the open half-diameter ball around a into
-    mparam bands of width diam/(2*mparam), cut at an empty band, and recurse
-    on the two sides under a root labelled diam.  Root label = diam exactly;
-    the leaf metric dominates d and exceeds it by a factor of at most
-    2*mparam.
+    mparam bands of width diam/(2*mparam), cut at an empty band, and split
+    the two sides the same way under a root labelled diam.  Root label = diam
+    exactly; the leaf metric dominates d and exceeds it by a factor of at
+    most 2*mparam.
     """
     if int(mparam) != mparam or mparam < 2:
         raise ParameterError("mparam must be an integer >= 2")
@@ -140,35 +141,31 @@ def hst_from_m_centered(m: MetricSpace, mparam: int) -> tuple[HstTree, Distortio
     if m.n >= 2 and find_m_center(m, mparam) is None:
         raise NoMCenterError(f"no {mparam}-center exists")
 
-    def build(X: list[int]) -> HstTree:
-        if len(X) == 1:
-            return leaf(X[0])
-        sub = MetricSpace(m.dist[np.ix_(X, X)])
+    def split(X: np.ndarray):
+        # `sub` is local, so it is freed before the two sides are split
+        if X.size == 1:
+            return int(X[0])
+        sub = MetricSpace(m.dist[X][:, X])
         x = find_m_center(sub, mparam)
         if x is None:
-            raise NoMCenterError(f"recursion lost the center property on {X}")
+            raise NoMCenterError(f"splitting lost the center property on {X.tolist()}")
         delta = sub.diameter()
         ai, bi = np.unravel_index(int(np.argmax(sub.dist)), sub.dist.shape)
         a = int(ai) if sub.dist[x, ai] >= delta / 2.0 else int(bi)
         width = delta / (2.0 * mparam)
         da = sub.dist[a]
-        cut = None
-        for i in range(1, mparam):
-            # band i+1 is [i*width, (i+1)*width); empty means a clean cut at i*width
-            if not np.any((da >= i * width) & (da < (i + 1) * width)):
-                cut = i
-                break
+        # band i+1 is [i*width, (i+1)*width); empty means a clean cut at i*width
+        empty = (i for i in range(1, mparam) if not np.any((da >= i * width) & (da < (i + 1) * width)))
+        cut = next(empty, None)
         if cut is None:
             raise ConstructionFailureError(
                 "no empty band found; center property violated numerically",
-                {"X": X, "mparam": mparam},
+                {"X": X.tolist(), "mparam": mparam},
             )
         inside = da < cut * width
-        B = [X[i] for i in np.flatnonzero(inside)]
-        rest = [X[i] for i in np.flatnonzero(~inside)]
-        return HstTree(delta, (build(B), build(rest)))
+        return delta, (X[inside], X[~inside])
 
-    t = build(list(range(m.n)))
+    t = hst_from_splits(np.arange(m.n), split)
     report = distortion_between(m, hst_to_metric(t))
     return t, report
 
@@ -695,27 +692,14 @@ def composition_qs(
     seed = as_seed(seed)
     real = realize_composition(tree)
 
-    def check_betas(t: CompositionTree):
-        if t.beta < alpha * k - 1e-12:
-            raise ParameterError(f"beta = {t.beta} < alpha*k = {alpha * k} at some node")
-        for c in t.children:
-            if isinstance(c, CompositionTree):
-                check_betas(c)
+    def betas(t: CompositionTree) -> list[float]:
+        return [t.beta] + [b for c in t.children if isinstance(c, CompositionTree) for b in betas(c)]
 
-    check_betas(tree)
+    bmin = min(betas(tree))
+    if bmin < alpha * k - 1e-12:
+        raise ParameterError(f"beta = {bmin} < alpha*k = {alpha * k} at some node")
 
-    def min_beta(t: CompositionTree) -> float:
-        vals = [t.beta]
-        for c in t.children:
-            if isinstance(c, CompositionTree):
-                vals.append(min_beta(c))
-        return min(vals)
-
-    counter = [0]
-
-    def next_seed() -> RngSeed:
-        counter[0] += 1
-        return seed.child(counter[0])
+    seeds = (seed.child(i) for i in itertools.count(1))
 
     def base_case(msub: MetricSpace, w: np.ndarray):
         """Weighted aspect quotient of a leaf/outer space, as (blocks, hst, sigma)."""
@@ -723,13 +707,10 @@ def composition_qs(
             return ((0,),), leaf(0), 1.0
         if aspect_ratio(msub) > 4.0 + 1e-9:
             raise ParameterError("leaf/outer spaces must have aspect ratio <= 4")
-        res = aspect_quotient(msub, alpha, seed=next_seed(), weights=w, cap=cap)
+        res = aspect_quotient(msub, alpha, seed=next(seeds), weights=w, cap=cap)
         s = len(res.quotient.blocks)
-        if s == 1:
-            tree_h = leaf(0)
-        else:
-            delta = float(res.quotient.metric.dist.max())
-            tree_h = HstTree(delta, tuple(leaf(i) for i in range(s)))
+        delta = float(res.quotient.metric.dist.max())
+        tree_h = leaf(0) if s == 1 else join(delta, [leaf(i) for i in range(s)])
         kb = res.bucket_count
         sigma = 1.0 / (8.0 * kb * math.log(kb + 1.0))
         return res.quotient.blocks, tree_h, sigma
@@ -738,15 +719,11 @@ def composition_qs(
         """Returns (blocks in node-local indices, hst with leaf ids = block slots, sigma)."""
         if node.is_leaf:
             return base_case(node.metric, w)
-        t = node.tree
-        outer = t.outer
-        spans = []
-        for ci, child in enumerate(node.children):
-            lo = node.offsets[ci]
-            spans.append(list(range(lo, lo + child.metric.n)))
+        outer = node.tree.outer
+        spans = [list(range(lo, lo + c.metric.n)) for lo, c in zip(node.offsets, node.children)]
         w_outer = np.array([w[span].sum() for span in spans])
         u_blocks, _, sigma_m = base_case(outer, w_outer)
-        label_scale = (t.beta + 1.0) / t.beta * node.cross_multiplier
+        label_scale = (node.tree.beta + 1.0) / node.tree.beta * node.cross_multiplier
 
         all_blocks: list[tuple[int, ...]] = []
         subtrees: list[HstTree] = []
@@ -760,23 +737,19 @@ def composition_qs(
             # absorb the other children of this outer block into the first sub-block
             extra = tuple(x for z in ublk if z != zi for x in spans[z])
             translated[0] = translated[0] + extra
-            start = len(all_blocks)
             all_blocks.extend(translated)
-            subtrees.append(_shift_leaves(sub_hst, start))
+            subtrees.append(sub_hst)
         if len(subtrees) == 1:
             glued = subtrees[0]
         else:
             # outer star label: dominate every cross-block quotient distance
-            delta_m = _outer_quotient_diameter(outer, u_blocks) * label_scale
-            glued = HstTree(delta_m, tuple(subtrees))
+            delta_m = float(quotient_metric(outer, u_blocks).metric.dist.max()) * label_scale
+            glued = join(delta_m, subtrees, renumber=True)
         return tuple(all_blocks), glued, sigma
 
-    if weights is None:
-        weights = np.ones(real.metric.n)
-    else:
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (real.metric.n,):
-            raise StructuralError("weights length must equal composed size")
+    weights = np.ones(real.metric.n) if weights is None else np.asarray(weights, dtype=np.float64)
+    if weights.shape != (real.metric.n,):
+        raise StructuralError("weights length must equal composed size")
     blocks, glued, sigma = rec(real, weights)
     q = quotient_metric(real.metric, blocks)
     vr = validate_khst(glued, k)
@@ -786,18 +759,5 @@ def composition_qs(
     total = float(weights.sum())
     ssum = sum(float(weights[list(b)].max()) ** sigma for b in blocks)
     sigma_ok = bool(ssum >= total**sigma - 1e-9)
-    bmin = min_beta(tree)
-    return CompositionQsResult(
-        real.metric, q, glued, report, sigma, sigma_ok, (1.0 + 1.0 / bmin) * alpha
-    )
-
-
-def _shift_leaves(t: HstTree, offset: int) -> HstTree:
-    if t.is_leaf:
-        return leaf(t.leaf + offset)
-    return HstTree(t.delta, tuple(_shift_leaves(c, offset) for c in t.children))
-
-
-def _outer_quotient_diameter(outer: MetricSpace, blocks) -> float:
-    q = quotient_metric(outer, blocks)
-    return float(q.metric.dist.max())
+    return CompositionQsResult(real.metric, q, glued, report, sigma, sigma_ok,
+                               (1.0 + 1.0 / bmin) * alpha)

@@ -27,7 +27,7 @@ from .errors import (
     ParameterError,
     StructuralError,
 )
-from .quotient import DistortionReport, QuotientSpace, distortion_between
+from .quotient import DistortionReport, distortion_between
 from .seeds import as_seed
 
 
@@ -159,39 +159,6 @@ def bourgain_embed(
             {"q": q, "report": report},
         )
     return emb, report
-
-
-@dataclass(frozen=True)
-class PipelineResult:
-    T: list[int]
-    quotient: QuotientSpace
-    target: str  # "lp" or "um"
-    embedding: VectorEmbedding | None
-    hst: object | None
-    report: DistortionReport
-
-
-def pipeline_quotient_then_embed(
-    m: MetricSpace, eps: float, p: float = 2.0, seed=None, target: str = "lp"
-) -> PipelineResult:
-    """Collapse a small sampled set, then embed the centered quotient.
-
-    target="lp": the random-subset embedding; target="um": the recursive
-    ultrametric construction (distortion at most 2 * ceil(2 ln(2/eps)/eps)).
-    """
-    from .constructions import hst_from_m_centered, m_center_quotient
-
-    seed = as_seed(seed)
-    T, q, _ = m_center_quotient(m, eps, seed.child(0))
-    mparam = 2.0 * math.log(2.0 / eps) / eps
-    if target == "lp":
-        mode = "exact" if q.metric.n <= 15 else "monte-carlo"
-        emb, report = bourgain_embed(q.metric, mparam, p, mode, seed.child(1))
-        return PipelineResult(T, q, "lp", emb, None, report)
-    if target == "um":
-        t, report = hst_from_m_centered(q.metric, int(math.ceil(mparam)))
-        return PipelineResult(T, q, "um", None, t, report)
-    raise ParameterError(f"unknown target {target!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,10 @@ An HST is a rooted tree with a nonnegative label on every vertex: zero exactly
 at the leaves, and decreasing by a factor >= k along every edge for a k-HST.
 The induced leaf metric d(x, y) = label(lca(x, y)) is an ultrametric; 1-HSTs
 are exactly the finite ultrametrics.
+
+A tree is stored flat, over its vertices in preorder: `parent` (parent[0] =
+-1, parent[i] < i), `delta` (the labels) and `order` (the leaf ids in DFS
+order, so every vertex owns a contiguous span of it).  Nothing here recurses.
 """
 
 from __future__ import annotations
@@ -11,113 +15,170 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
-from .core import TOL, MetricSpace, ValidationReport, block_reduce
+from .core import TOL, MetricSpace, ValidationReport
 from .errors import StructuralError
 
 
-@dataclass(frozen=True)
-class HstTree:
-    """A vertex of an HST.  Leaves carry a point id and have delta == 0."""
+def _flat(x, name: str, integral: bool) -> np.ndarray:
+    a = np.asarray(x)
+    kinds, what = ("iu", "integers") if integral else ("iuf", "numbers")
+    if a.ndim != 1 or (a.size and a.dtype.kind not in kinds):
+        raise StructuralError(f"{name} must be a flat list of {what}")
+    return a.astype(np.int64 if integral else np.float64)
 
-    delta: float
-    children: tuple["HstTree", ...] = ()
-    leaf: int | None = None
+
+@dataclass(frozen=True, eq=False)
+class HstTree:
+    """An HST in preorder arrays.  Vertex i owns the leaves order[lo[i]:hi[i]]."""
+
+    order: np.ndarray
+    parent: np.ndarray
+    delta: np.ndarray
+    lo: np.ndarray = field(init=False, repr=False)
+    hi: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "children", tuple(self.children))
-        if self.is_leaf:
-            if self.children:
-                raise StructuralError("leaf vertex cannot have children")
-            if self.delta != 0.0:
-                raise StructuralError("leaf vertex must have delta = 0")
-        else:
-            if not self.children:
-                raise StructuralError("internal vertex must have children")
-            if self.delta <= 0:
-                raise StructuralError("internal vertex must have delta > 0")
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.leaf is not None
+        order, parent = _flat(self.order, "order", True), _flat(self.parent, "parent", True)
+        delta = _flat(self.delta, "delta", False)
+        size = parent.size
+        if size == 0 or delta.size != size or parent[0] != -1 or np.any(parent[1:] < 0) \
+                or np.any(parent[1:] >= np.arange(1, size)):
+            raise StructuralError("need len(parent) = len(delta), parent[0] = -1, 0 <= parent[i] < i")
+        is_leaf = np.ones(size, dtype=bool)
+        is_leaf[parent[1:]] = False
+        if order.size != np.count_nonzero(is_leaf):
+            raise StructuralError("order must hold one id per leaf vertex")
+        if np.any(delta[is_leaf] != 0.0) or not np.all(delta[~is_leaf] > 0):
+            raise StructuralError("leaf vertices need delta = 0, internal vertices delta > 0")
+        lo = (np.cumsum(is_leaf) - is_leaf).tolist()  # leaves before vertex i
+        hi, path = [order.size] * size, []  # path: root .. current vertex; its spans end last
+        for i, p in enumerate(parent.tolist()):
+            while path and path[-1] != p:
+                hi[path.pop()] = lo[i]
+            if i and not path:
+                raise StructuralError(f"vertex {i} breaks the preorder")
+            path.append(i)
+        for name, a in (("order", order), ("parent", parent), ("delta", delta),
+                        ("lo", np.array(lo)), ("hi", np.array(hi))):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     def leaves(self) -> list[int]:
         """Leaf point ids in left-to-right order."""
-        if self.is_leaf:
-            return [self.leaf]
-        out: list[int] = []
-        for c in self.children:
-            out.extend(c.leaves())
-        return out
+        return self.order.tolist()
 
     def scale(self, factor: float) -> "HstTree":
         """Multiply every label by a positive factor."""
         if factor <= 0:
             raise StructuralError("scale factor must be positive")
-        if self.is_leaf:
-            return self
-        return HstTree(self.delta * factor, tuple(c.scale(factor) for c in self.children))
+        return HstTree(self.order, self.parent, self.delta * factor)
 
 
 def leaf(point_id: int) -> HstTree:
-    return HstTree(0.0, (), int(point_id))
+    return HstTree([int(point_id)], [-1], [0.0])
+
+
+def join(delta: float, children, renumber: bool = False) -> HstTree:
+    """A root labelled delta over `children`, in the given order.
+
+    renumber=True shifts each child's leaf ids by the leaf count of the
+    children before it, so children over 0..s_j-1 glue into one 0..n-1 tree.
+    """
+    orders, parents, deltas = [np.zeros(0, np.int64)], [np.array([-1])], [np.array([delta], float)]
+    nodes = shift = 0
+    for c in children:
+        orders.append(c.order + shift if renumber else c.order)
+        parents.append(np.concatenate([[0], c.parent[1:] + nodes + 1]))
+        deltas.append(c.delta)
+        nodes += c.parent.size
+        shift += c.order.size
+    return HstTree(np.concatenate(orders), np.concatenate(parents), np.concatenate(deltas))
+
+
+def hst_from_splits(root, split) -> HstTree:
+    """Build an HST top-down, in preorder, from an explicit worklist.
+
+    split(item) returns a leaf id (int) or (delta, child items).  Only the
+    pending siblings along the current path stay alive.
+    """
+    order, parent, delta, work = [], [], [], [(root, -1)]
+    while work:
+        item, p = work.pop()
+        got = split(item)
+        parent.append(p)
+        if isinstance(got, tuple):
+            delta.append(float(got[0]))
+            work.extend((c, len(parent) - 1) for c in reversed(got[1]))
+        else:
+            delta.append(0.0)
+            order.append(int(got))
+    return HstTree(order, parent, delta)
 
 
 def validate_khst(t: HstTree, k: float, tol: float = TOL) -> ValidationReport:
-    """Report every edge whose label drop is smaller than the factor k."""
+    """Report every vertex whose label exceeds its parent's label / k, and repeated leaf ids."""
     if k < 1:
         raise StructuralError("separation parameter k must be >= 1")
     report = ValidationReport()
-    seen: set[int] = set()
-
-    def walk(node: HstTree, path: tuple[int, ...]):
-        if node.is_leaf:
-            if node.leaf in seen:
-                report.add("duplicate-leaf", path, f"leaf id {node.leaf} repeated")
-            seen.add(node.leaf)
-            return
-        for ci, c in enumerate(node.children):
-            if not c.is_leaf and c.delta > node.delta / k + tol:
-                report.add(
-                    "label-ratio",
-                    path + (ci,),
-                    f"child delta {c.delta!r} > parent/{k} = {node.delta / k!r}",
-                )
-            walk(c, path + (ci,))
-
-    walk(t, ())
+    delta, parent = t.delta, t.parent
+    for i in (np.flatnonzero(delta[1:] > delta[parent[1:]] / k + tol) + 1).tolist():
+        bound = float(delta[parent[i]] / k)
+        report.add("label-ratio", (i,), f"child delta {float(delta[i])!r} > parent/{k} = {bound!r}")
+    _, first = np.unique(t.order, return_index=True)
+    for j in np.setdiff1d(np.arange(t.order.size), first).tolist():
+        report.add("duplicate-leaf", (j,), f"leaf id {int(t.order[j])} repeated")
     return report
+
+
+def _leaf_position(t: HstTree) -> np.ndarray:
+    """Position of leaf id i in `order`; leaf ids must be 0..n-1."""
+    if not np.array_equal(np.sort(t.order), np.arange(t.order.size)):
+        raise StructuralError("leaf ids must be a permutation of 0..n-1")
+    return np.argsort(t.order)
 
 
 def hst_to_metric(t: HstTree) -> MetricSpace:
     """Leaf metric d(x, y) = label of the least common ancestor.
 
     Point i of the output is the leaf with id i; leaf ids must be 0..n-1.
+    Each child's span meets the rest of its parent's span after it, so every
+    pair is written (and mirrored) once, at its LCA; one permutation then maps
+    DFS positions to leaf ids.
     """
-    ids = t.leaves()
-    n = len(ids)
-    if sorted(ids) != list(range(n)):
-        raise StructuralError("leaf ids must be a permutation of 0..n-1")
-    d = np.zeros((n, n))
+    pos = _leaf_position(t)
+    d = np.zeros((pos.size, pos.size))
+    lo, hi, parent, delta = t.lo.tolist(), t.hi.tolist(), t.parent.tolist(), t.delta.tolist()
+    for c in range(1, len(parent)):
+        p = parent[c]
+        d[lo[c] : hi[c], hi[c] : hi[p]] = delta[p]
+        d[hi[c] : hi[p], lo[c] : hi[c]] = delta[p]
+    return MetricSpace(d[np.ix_(pos, pos)])
 
-    def walk(node: HstTree) -> list[int]:
-        if node.is_leaf:
-            return [node.leaf]
-        groups = [walk(c) for c in node.children]
-        for gi in range(len(groups)):
-            for gj in range(gi + 1, len(groups)):
-                d[np.ix_(groups[gi], groups[gj])] = node.delta
-                d[np.ix_(groups[gj], groups[gi])] = node.delta
-        return [x for g in groups for x in g]
 
-    walk(t)
-    return MetricSpace(d)
+def _single_linkage(d: np.ndarray) -> np.ndarray:
+    """scipy's single-linkage merge table of min(d, d.T); heights are entries of d."""
+    from scipy.cluster.hierarchy import linkage
+    from scipy.spatial.distance import squareform
+
+    return linkage(squareform(np.minimum(d, d.T), checks=False), method="single")
 
 
 def is_ultrametric(m: MetricSpace, tol: float = TOL) -> bool:
-    """d(x, y) <= max(d(x, z), d(z, y)) for all triples."""
+    """d(x, y) <= max(d(x, z), d(z, y)) + tol for all triples.
+
+    The single-linkage cophenetic matrix C (Gower & Ross 1969) is an exact
+    ultrametric, and C <= d <= C + tol gives d(x, y) <= max(C(x, z), C(z, y))
+    + tol <= max(d(x, z), d(z, y)) + tol; triples are enumerated only otherwise.
+    """
     d = m.dist
+    if m.n > 1:
+        from scipy.cluster.hierarchy import cophenet
+        from scipy.spatial.distance import squareform
+
+        c = squareform(cophenet(_single_linkage(d)))
+        if np.all(c <= d) and np.all(d <= c + tol):
+            return True
     for z in range(m.n):
         if np.any(d > np.maximum(d[:, z][:, None], d[z][None, :]) + tol):
             return False
@@ -127,75 +188,60 @@ def is_ultrametric(m: MetricSpace, tol: float = TOL) -> bool:
 def hst_from_ultrametric(m: MetricSpace, tol: float = TOL) -> HstTree:
     """Canonical 1-HST of an ultrametric matrix.
 
-    Single-linkage agglomeration at the exact distinct distance values; for an
-    ultrametric all linkage notions coincide, ties merge simultaneously, and
-    the round trip through hst_to_metric reproduces the matrix exactly.
+    The components of "distance <= t + tol", merged at each distinct distance
+    t in turn, read off single linkage: a merge at height h gets the first t
+    with h <= t + tol, equal-label merges form one vertex, and children are
+    ordered by smallest point id.  Exact ultrametrics round-trip exactly.
     """
     if not is_ultrametric(m, tol):
         raise StructuralError("matrix is not an ultrametric")
     n = m.n
-    # (points, subtree) per cluster, ordered by smallest point id
-    clusters: list[tuple[list[int], HstTree]] = [([i], leaf(i)) for i in range(n)]
-    values = np.unique(m.dist[np.triu_indices(n, k=1)]) if n > 1 else np.array([])
-    for t in values:
-        # Merge the connected components of "cluster set distance <= t".
-        near = block_reduce(m.dist, [pts for pts, _ in clusters], np.minimum) <= t + tol
-        _, label = connected_components(near, directed=False)
-        groups: dict[int, list[tuple[list[int], HstTree]]] = {}
-        for lab, cl in zip(label.tolist(), clusters):
-            groups.setdefault(lab, []).append(cl)
-        clusters = [
-            members[0] if len(members) == 1
-            else ([p for pts, _ in members for p in pts], HstTree(float(t), tuple(sub for _, sub in members)))
-            for members in groups.values()
-        ]
-        if len(clusters) == 1:
-            break
-    (_, tree), = clusters
-    return tree
+    if n == 1:
+        return leaf(0)
+    z = _single_linkage(m.dist)
+    values = np.unique(m.dist[np.triu_indices(n, k=1)])
+    label = values[np.searchsorted(values + tol, z[:, 2])].tolist()
+    pairs = z[:, :2].astype(np.int64).tolist()
+    first = list(range(n))  # smallest point id of cluster c; merge k is cluster n + k
+    for a, b in pairs:
+        first.append(min(first[a], first[b]))
+
+    def split(c: int):
+        """Leaf c, or merge c with every merge of its label below it absorbed."""
+        if c < n:
+            return c
+        kids, below = [], list(pairs[c - n])
+        while below:
+            x = below.pop()
+            if x >= n and label[x - n] == label[c - n]:
+                below.extend(pairs[x - n])
+            else:
+                kids.append(x)
+        return label[c - n], sorted(kids, key=first.__getitem__)
+
+    return hst_from_splits(2 * n - 2, split)
 
 
 def ultrametric_to_l2(t: HstTree) -> np.ndarray:
     """Exact Euclidean realization of an ultrametric tree's leaf metric.
 
-    Recursive construction: the children of a vertex with label D are embedded
-    in pairwise-orthogonal coordinate blocks, each on a sphere of radius D/sqrt(2)
-    around the block origin, so cross-child distances are exactly D; one shared
-    radial coordinate per vertex lifts the whole subtree to any larger
-    prescribed sphere.  Returns an (n, dim) array indexed by leaf id, with
-    all-zero columns dropped.
+    The children of a vertex with label D sit in pairwise-orthogonal blocks,
+    each on a sphere of radius D/sqrt(2), so cross-child distances are exactly
+    D; one column per vertex (in post-order), shared by its span, lifts the
+    subtree to the sphere its parent prescribes.  Returns an (n, dim) array
+    indexed by leaf id, with all-zero columns dropped.
     """
-    ids = t.leaves()
-    n = len(ids)
-    if sorted(ids) != list(range(n)):
-        raise StructuralError("leaf ids must be a permutation of 0..n-1")
-
-    def build(node: HstTree, radius: float) -> tuple[list[int], np.ndarray]:
-        """Embed the subtree with every image at norm exactly `radius`."""
-        if node.is_leaf:
-            return [node.leaf], np.array([[radius]])
-        half = node.delta / np.sqrt(2.0)
-        parts = [build(c, half) for c in node.children]
-        dims = [vec.shape[1] for _, vec in parts]
-        total = sum(dims)
-        order: list[int] = []
-        block = np.zeros((sum(len(p) for p, _ in parts), total))
-        row = 0
-        col = 0
-        for (pts, vec), dim in zip(parts, dims):
-            block[row : row + len(pts), col : col + dim] = vec
-            order.extend(pts)
-            row += len(pts)
-            col += dim
-        lift = radius * radius - half * half
-        lift = np.sqrt(lift) if lift > 0 else 0.0
-        shared = np.full((block.shape[0], 1), lift)
-        return order, np.hstack([block, shared])
-
-    root_radius = 0.0 if t.is_leaf else t.delta / np.sqrt(2.0)
-    order, vec = build(t, root_radius)
-    out = np.zeros((n, vec.shape[1]))
-    out[order] = vec
+    pos = _leaf_position(t)
+    half = t.delta / np.sqrt(2.0)
+    radius = half[np.maximum(t.parent, 0)]  # the root keeps its own sphere
+    lift = np.sqrt(np.maximum(radius * radius - half * half, 0.0))
+    value = np.where(t.delta == 0.0, radius, lift).tolist()
+    post = np.lexsort((-np.arange(t.parent.size), t.hi))  # by end of span, deepest first
+    out = np.zeros((pos.size, post.size))
+    lo, hi = t.lo.tolist(), t.hi.tolist()
+    for col, v in enumerate(post.tolist()):
+        out[lo[v] : hi[v], col] = value[v]
+    out = out[pos]
     keep = np.any(out != 0.0, axis=0)
     if not keep.any():
         keep[:1] = True
@@ -216,18 +262,10 @@ def line_um_lower_bound(a) -> float:
     return float((a[-1] - a[0]) / gaps.max())
 
 
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
 def hst_to_json(t: HstTree) -> dict:
-    if t.is_leaf:
-        return {"leaf": t.leaf}
-    return {"delta": t.delta, "children": [hst_to_json(c) for c in t.children]}
+    return {"order": t.order.tolist(), "parent": t.parent.tolist(), "delta": t.delta.tolist()}
 
 
 def hst_from_json(doc: dict) -> HstTree:
-    if "leaf" in doc:
-        return leaf(int(doc["leaf"]))
-    return HstTree(float(doc["delta"]), tuple(hst_from_json(c) for c in doc["children"]))
+    """Rebuild a tree; malformed arrays raise StructuralError."""
+    return HstTree(doc["order"], doc["parent"], doc["delta"])

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
-from metriq.core import MetricSpace, hausdorff, set_distance
+from metriq.core import TOL, MetricSpace, block_reduce, hausdorff, set_distance
 from metriq.cube import DistortionSummary
+from metriq.errors import StructuralError
 from metriq.generators import gen_euclidean_cloud
+from metriq.hst import join, leaf
 
 
 def random_metric(n: int, seed: int, dim: int = 3) -> MetricSpace:
@@ -127,6 +130,118 @@ def greedy_net_loop(d: int, r: int) -> np.ndarray:
             kept.append(int(x))
             np.minimum(mind, np.bitwise_count(pts ^ x), out=mind)
     return np.array(kept, dtype=np.int64)
+
+
+# --- recursive references for the flat HST functions -----------------------
+# A nested tree is a leaf id (int) or (delta, (child, ...)).
+
+
+def nested_tree(t):
+    """The flat HstTree t as a nested tree."""
+    kids = [[] for _ in range(t.parent.size)]
+    for v, p in enumerate(t.parent.tolist()[1:], start=1):
+        kids[p].append(v)
+    ids = iter(t.order.tolist())  # leaves come in preorder
+
+    def build(v):
+        if not kids[v]:
+            return next(ids)
+        return (float(t.delta[v]), tuple(build(c) for c in kids[v]))
+
+    return build(0)
+
+
+def flat_tree(x):
+    """The nested tree x as an HstTree, built with leaf and join."""
+    if isinstance(x, int):
+        return leaf(x)
+    return join(x[0], [flat_tree(c) for c in x[1]])
+
+
+def hst_to_metric_ref(x) -> np.ndarray:
+    """Reference for hst_to_metric: every pair of child groups gets the vertex label."""
+
+    def leaves(node):
+        return [node] if isinstance(node, int) else [i for c in node[1] for i in leaves(c)]
+
+    n = len(leaves(x))
+    d = np.zeros((n, n))
+
+    def walk(node):
+        if isinstance(node, int):
+            return [node]
+        groups = [walk(c) for c in node[1]]
+        for gi in range(len(groups)):
+            for gj in range(gi + 1, len(groups)):
+                d[np.ix_(groups[gi], groups[gj])] = node[0]
+                d[np.ix_(groups[gj], groups[gi])] = node[0]
+        return [x for g in groups for x in g]
+
+    walk(x)
+    return d
+
+
+def ultrametric_to_l2_ref(x) -> np.ndarray:
+    """Reference for ultrametric_to_l2: children's blocks side by side, then one
+    shared lift column per vertex (post-order), all-zero columns dropped."""
+
+    def build(node, radius):
+        if isinstance(node, int):
+            return [node], np.array([[radius]])
+        half = node[0] / np.sqrt(2.0)
+        parts = [build(c, half) for c in node[1]]
+        block = np.zeros((sum(len(p) for p, _ in parts), sum(v.shape[1] for _, v in parts)))
+        order, row, col = [], 0, 0
+        for pts, vec in parts:
+            block[row : row + len(pts), col : col + vec.shape[1]] = vec
+            order.extend(pts)
+            row, col = row + len(pts), col + vec.shape[1]
+        lift = radius * radius - half * half
+        lift = np.sqrt(lift) if lift > 0 else 0.0
+        return order, np.hstack([block, np.full((block.shape[0], 1), lift)])
+
+    order, vec = build(x, 0.0 if isinstance(x, int) else x[0] / np.sqrt(2.0))
+    out = np.zeros_like(vec)
+    out[order] = vec
+    keep = np.any(out != 0.0, axis=0)
+    if not keep.any():
+        keep[:1] = True
+    return out[:, keep]
+
+
+def is_ultrametric_ref(m: MetricSpace, tol: float = TOL) -> bool:
+    """Reference for is_ultrametric: the triple condition, one z at a time."""
+    d = m.dist
+    for z in range(m.n):
+        if np.any(d > np.maximum(d[:, z][:, None], d[z][None, :]) + tol):
+            return False
+    return True
+
+
+def hst_from_ultrametric_ref(m: MetricSpace, tol: float = TOL):
+    """Reference for hst_from_ultrametric, as a nested tree: at each distinct
+    distance t, merge the connected components of "cluster distance <= t + tol"."""
+    if not is_ultrametric_ref(m, tol):
+        raise StructuralError("matrix is not an ultrametric")
+    n = m.n
+    # (points, subtree) per cluster, ordered by smallest point id
+    clusters = [([i], i) for i in range(n)]
+    values = np.unique(m.dist[np.triu_indices(n, k=1)]) if n > 1 else np.array([])
+    for t in values:
+        near = block_reduce(m.dist, [pts for pts, _ in clusters], np.minimum) <= t + tol
+        _, label = connected_components(near, directed=False)
+        groups = {}
+        for lab, cl in zip(label.tolist(), clusters):
+            groups.setdefault(lab, []).append(cl)
+        clusters = [
+            members[0] if len(members) == 1
+            else ([p for pts, _ in members for p in pts], (float(t), tuple(sub for _, sub in members)))
+            for members in groups.values()
+        ]
+        if len(clusters) == 1:
+            break
+    (_, tree), = clusters
+    return tree
 
 
 @pytest.fixture

@@ -118,7 +118,7 @@ def test_tree_approximation_certificates_bulk():
         m = gen_euclidean_cloud(60, seed=RngSeed(40_000 + trial))
         T, q, _ = m_center_quotient(m, 0.3, seed=RngSeed(trial, 2))
         tree, report = hst_from_m_centered(q.metric, mparam)
-        assert tree.delta == q.metric.diameter()  # root label exact
+        assert tree.delta[0] == q.metric.diameter()  # root label exact
         assert report.contraction <= 1.0 + 1e-12  # never contracts
         recomputed = distortion_between(q.metric, hst_to_metric(tree))
         assert abs(recomputed.distortion - report.distortion) < 1e-12

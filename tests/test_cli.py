@@ -13,7 +13,7 @@ from metriq.cli import (
     run_experiment,
     verify_bundle,
 )
-from metriq.core import metric_from_json, metric_to_json
+from metriq.core import dumps, metric_from_json, metric_to_json
 from metriq.errors import ParameterError
 from metriq.generators import InstanceSpec
 from metriq.lipschitz import QuotientMap, quotient_map_to_json
@@ -354,3 +354,12 @@ def test_plan_params_are_recorded_as_given_and_run_converted():
     assert bundle.plan["params"] == {"alpha": 2}
     assert bundle.summary["failures"] == 0
     assert repr(bundle.rows[0]["paper_bound"]) == "2.0"
+
+
+def test_hst_plan_on_a_large_cloud_completes_and_verifies():
+    # the m-centre splits of a 1000-point cloud nest far past the recursion limit
+    doc = {"instance": {"variant": "cloud", "params": {"n": 1000}}, "pipeline": "hst",
+           "params": {}, "trials": 1, "seed": 0}
+    res = run_experiment(plan_from_json(doc), keep_artifacts=True)
+    assert res.summary["failures"] == 0 and len(res.artifacts) == 1
+    assert verify_bundle(json.loads(dumps({"artifacts": res.artifacts}))).ok

@@ -91,7 +91,7 @@ def test_m_center_quotient_invariants():
 def test_hst_from_m_centered_certificate():
     m = realize_special(Equilateral(7, 2.0))
     t, rep = hst_from_m_centered(m, 3)
-    assert t.delta == m.diameter()
+    assert t.delta[0] == m.diameter()
     assert rep.contraction <= 1.0 + 1e-12
     assert rep.distortion <= 6.0 + 1e-9
     assert validate_metric(hst_to_metric(t)).ok

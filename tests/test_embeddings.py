@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from metriq.cli import PIPELINES
 from metriq.core import Equilateral, Star, realize_special, validate_metric
 from metriq.embeddings import (
     TruncatedMetricSpec,
@@ -10,7 +11,6 @@ from metriq.embeddings import (
     cms_sample,
     embedding_to_json,
     induced_metric,
-    pipeline_quotient_then_embed,
     pstable_distance,
     pstable_embed,
     pstable_envelope_fit,
@@ -27,6 +27,7 @@ from metriq.embeddings import (
 )
 from metriq.errors import CapacityError, NoMCenterError, ParameterError
 from metriq.generators import hypercube_metric
+from metriq.seeds import RngSeed
 
 from conftest import random_metric
 
@@ -70,11 +71,12 @@ def test_bourgain_monte_carlo_close_to_exact():
 
 def test_pipeline_both_targets():
     m = random_metric(40, 2)
-    res = pipeline_quotient_then_embed(m, 0.3, seed=3, target="lp")
-    assert res.target == "lp" and res.embedding is not None
-    res = pipeline_quotient_then_embed(m, 0.3, seed=3, target="um")
+    lp, um = PIPELINES["bourgain"], PIPELINES["hst"]
+    row, art = lp.run(m, RngSeed(3), lp.resolve({"eps": 0.3}))
+    assert row["target_class"] == "lp" and art["kind"] == "embedding"
+    row, art = um.run(m, RngSeed(3), um.resolve({"eps": 0.3}))
     mparam = 2.0 * math.log(2.0 / 0.3) / 0.3
-    assert res.report.distortion <= 2 * math.ceil(mparam) + 1e-9
+    assert row["certified_distortion"] <= 2 * math.ceil(mparam) + 1e-9
 
 
 # --- stars into L_p --------------------------------------------------------

@@ -1,26 +1,43 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
-from metriq.core import MetricSpace
+from metriq.cli import PIPELINES, verify_bundle
+from metriq.core import TOL, MetricSpace, dumps, metric_to_json
 from metriq.errors import StructuralError
 from metriq.hst import (
     HstTree,
     hst_from_json,
+    hst_from_splits,
     hst_from_ultrametric,
     hst_to_json,
     hst_to_metric,
     is_ultrametric,
+    join,
     leaf,
     line_um_lower_bound,
     ultrametric_to_l2,
     validate_khst,
 )
+from metriq.seeds import RngSeed
 
-from conftest import random_metric
+from conftest import (
+    flat_tree,
+    hst_from_ultrametric_ref,
+    hst_to_metric_ref,
+    is_ultrametric_ref,
+    nested_tree,
+    random_metric,
+    ultrametric_to_l2_ref,
+)
 
 
 def two_level_tree():
-    return HstTree(4.0, (HstTree(1.0, (leaf(0), leaf(1))), HstTree(2.0, (leaf(2), leaf(3)))))
+    return join(4.0, (join(1.0, (leaf(0), leaf(1))), join(2.0, (leaf(2), leaf(3)))))
 
 
 def random_hst(rng, n_leaves, k=1.0):
@@ -36,18 +53,37 @@ def random_hst(rng, n_leaves, k=1.0):
         children = tuple(
             leaf(p[0]) if len(p) == 1 else build(p, child_delta) for p in parts
         )
-        return HstTree(delta, children)
+        return join(delta, children)
 
     return build(ids, 8.0)
 
 
+def caterpillar(n):
+    """n leaves; chain vertex i (label n - i) holds leaf i and the rest of the chain."""
+
+    def split(item):
+        kind, i = item
+        if kind == "leaf" or i == n - 1:
+            return i
+        return float(n - i), (("leaf", i), ("chain", i + 1))
+
+    return hst_from_splits(("chain", 0), split)
+
+
 def test_leaf_invariants():
     with pytest.raises(StructuralError):
-        HstTree(1.0, (), 0)  # leaf with nonzero label
+        HstTree([0], [-1], [1.0])  # leaf with nonzero label
     with pytest.raises(StructuralError):
-        HstTree(0.0, ())  # internal with no children
+        join(0.0, ())  # internal with no children
     with pytest.raises(StructuralError):
-        HstTree(-1.0, (leaf(0),))
+        join(-1.0, (leaf(0),))
+
+
+def test_tree_arrays_must_be_in_preorder():
+    HstTree([0, 1, 2], [-1, 0, 1, 1, 0], [2.0, 1.0, 0.0, 0.0, 0.0])
+    with pytest.raises(StructuralError):
+        # vertex 3 hangs under vertex 1, but vertex 2, a sibling of 1, came in between
+        HstTree([0, 1, 2], [-1, 0, 0, 1, 1], [2.0, 1.0, 0.0, 0.0, 0.0])
 
 
 def test_leaves_in_order():
@@ -58,7 +94,8 @@ def test_validate_khst():
     t = two_level_tree()
     assert validate_khst(t, 2.0).ok
     assert not validate_khst(t, 3.0).ok  # 2.0 > 4.0/3
-    dup = HstTree(2.0, (leaf(0), leaf(0)))
+    assert [v[:2] for v in validate_khst(t, 3.0).violations] == [("label-ratio", (4,))]
+    dup = join(2.0, (leaf(0), leaf(0)))
     assert any(v[0] == "duplicate-leaf" for v in validate_khst(dup, 1.0).violations)
 
 
@@ -72,7 +109,7 @@ def test_hst_to_metric_hand_example():
 
 def test_hst_to_metric_requires_id_permutation():
     with pytest.raises(StructuralError):
-        hst_to_metric(HstTree(1.0, (leaf(0), leaf(2))))
+        hst_to_metric(join(1.0, (leaf(0), leaf(2))))
 
 
 def test_is_ultrametric_rejects_generic_metrics():
@@ -119,7 +156,7 @@ def test_line_um_lower_bound():
 
 def test_scale():
     t = two_level_tree().scale(2.0)
-    assert t.delta == 8.0
+    assert t.delta[0] == 8.0
     assert hst_to_metric(t).d(0, 1) == 2.0
 
 
@@ -127,3 +164,186 @@ def test_json_round_trip():
     t = two_level_tree()
     t2 = hst_from_json(hst_to_json(t))
     assert np.array_equal(hst_to_metric(t2).dist, hst_to_metric(t).dist)
+
+
+# --- the flat functions against their recursive references -----------------
+
+
+def _nested(rng, ids, label, chain, drop):
+    """Nested tree over `ids` under a root labelled `label`; labels fall by drop() per edge."""
+    if len(ids) == 1:
+        return int(ids[0])
+    if chain:
+        parts = [ids[:1], ids[1:]]
+    else:
+        k = int(rng.integers(2, min(4, len(ids)) + 1))
+        parts = np.split(ids, np.sort(rng.choice(np.arange(1, len(ids)), k - 1, replace=False)))
+    return (label, tuple(_nested(rng, p, label - drop(), chain, drop) for p in parts))
+
+
+@st.composite
+def nested_trees(draw):
+    """Random or deep-chain trees whose labels fall along every edge: on a grid
+    (equal labels in separate subtrees), by tol-level steps, or uniformly."""
+    chain = draw(st.booleans())
+    n = draw(st.integers(1, 120 if chain else 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    drop = {
+        "grid": lambda: float(rng.integers(1, 3)),
+        "near-ties": lambda: float(rng.choice([1.0, 0.3 * TOL, 0.9 * TOL])),
+        "uniform": lambda: float(rng.uniform(1e-3, 2.0)),
+    }[draw(st.sampled_from(["grid", "near-ties", "uniform"]))]
+    return _nested(rng, rng.permutation(n), 2.0 * n + 2.0, chain, drop)
+
+
+@st.composite
+def near_ultrametrics(draw):
+    """Leaf metrics of nested_trees, exact or with tol-level (a)symmetric noise, and generic metrics."""
+    kind = draw(st.sampled_from(["exact", "noise", "asymmetric-noise", "generic"]))
+    if kind == "generic":
+        return random_metric(draw(st.integers(2, 30)), draw(st.integers(0, 10**6)))
+    d = hst_to_metric_ref(draw(nested_trees()))
+    if kind != "exact":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        noise = rng.uniform(-2 * TOL, 2 * TOL, d.shape)
+        if kind == "noise":
+            noise = np.triu(noise, 1) + np.triu(noise, 1).T
+        np.fill_diagonal(noise, 0.0)
+        d = d + noise
+    return MetricSpace(d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nested_trees())
+def test_hst_to_metric_matches_reference(x):
+    t = flat_tree(x)
+    assert nested_tree(t) == x
+    assert np.array_equal(hst_to_metric(t).dist, hst_to_metric_ref(x))
+
+
+@settings(max_examples=200, deadline=None)
+@given(nested_trees())
+def test_ultrametric_to_l2_matches_reference(x):
+    assert np.array_equal(ultrametric_to_l2(flat_tree(x)), ultrametric_to_l2_ref(x))
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_ultrametrics())
+def test_is_ultrametric_matches_reference(m):
+    assert is_ultrametric(m) == is_ultrametric_ref(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_ultrametrics())
+def test_hst_from_ultrametric_matches_reference(m):
+    try:
+        expected = hst_from_ultrametric_ref(m)
+    except StructuralError:
+        with pytest.raises(StructuralError):
+            hst_from_ultrametric(m)
+        return
+    assert nested_tree(hst_from_ultrametric(m)) == expected
+
+
+# --- trees far deeper than the interpreter's recursion limit ---------------
+
+
+def test_deep_caterpillar_through_metric_khst_and_json():
+    n = 3000
+    t = caterpillar(n)
+    m = hst_to_metric(t)
+    assert m.d(0, n - 1) == float(n) and m.d(n - 2, n - 1) == 2.0 and m.d(1, 2) == float(n - 1)
+    assert validate_khst(t, 1.0).ok
+    t2 = hst_from_json(json.loads(dumps(hst_to_json(t))))
+    assert hst_to_json(t2) == hst_to_json(t)
+    assert np.array_equal(hst_to_metric(t2).dist, m.dist)
+
+
+def test_deep_caterpillar_artifact_verifies_and_embeds():
+    # 1200 leaves: deep past the recursion limit, while the base matrix's JSON stays small
+    t = caterpillar(1200)
+    m = hst_to_metric(t)
+    art = {"kind": "hst", "base": metric_to_json(m), "tree": hst_to_json(t),
+           "certified_distortion": 1.0}
+    assert verify_bundle(json.loads(dumps(art))).ok
+    v = ultrametric_to_l2(t)
+    rows = np.random.default_rng(0).choice(m.n, 100, replace=False)
+    assert np.abs(cdist(v[rows], v) - m.dist[rows]).max() < 1e-9 * m.diameter()
+
+
+# --- hst artifacts: fresh ones verify, malformed or tampered ones do not ---
+
+
+def _hst_artifact(seed: int, n: int) -> dict:
+    pipe = PIPELINES["hst"]
+    _, art = pipe.run(random_metric(n, seed), RngSeed(seed), pipe.resolve({"eps": 0.3}))
+    return json.loads(dumps(art))
+
+
+artifacts = st.builds(_hst_artifact, st.integers(0, 10**6), st.integers(30, 60))
+
+
+@settings(max_examples=50, deadline=None)
+@given(artifacts)
+def test_fresh_hst_artifact_verifies(art):
+    assert verify_bundle(art).ok
+
+
+def _malform(tree: dict, case: str, rng) -> None:
+    parent, delta = tree["parent"], tree["delta"]
+    is_leaf = [d == 0.0 for d in delta]
+    if case == "length":
+        tree[str(rng.choice(["order", "parent", "delta"]))].pop()
+    elif case == "root":
+        i = int(rng.integers(0, len(parent)))
+        parent[i] = 0 if i == 0 else -1
+    elif case == "parent":
+        i = int(rng.integers(1, len(parent)))
+        parent[i] = i + int(rng.integers(0, 3))
+    elif case == "preorder":
+        # hang vertex i under an earlier internal vertex off the path to i - 1
+        for i in rng.permutation(np.arange(2, len(parent))).tolist():
+            path, v = set(), i - 1
+            while v >= 0:
+                path.add(v)
+                v = parent[v]
+            off = [j for j in range(i) if not is_leaf[j] and j not in path]
+            if off:
+                parent[i] = int(rng.choice(off))
+                return
+        assume(False)  # every internal vertex before i is an ancestor of i - 1
+    elif case == "dtype":
+        key = str(rng.choice(["order", "parent", "delta"]))
+        tree[key] = [str(v) if key == "delta" else float(v) for v in tree[key]]
+    elif case == "leaf-delta":
+        i = int(rng.choice(np.flatnonzero(is_leaf)))
+        delta[i] = float(rng.choice([1.0, -1.0, 1e-300]))
+    elif case == "internal-delta":
+        i = int(rng.choice(np.flatnonzero(np.logical_not(is_leaf))))
+        delta[i] = float(rng.choice([0.0, -1.0]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(artifacts,
+       st.sampled_from(["length", "root", "parent", "preorder", "dtype", "leaf-delta", "internal-delta"]),
+       st.integers(0, 2**32 - 1))
+def test_malformed_hst_tree_raises_structural_error(art, case, seed):
+    _malform(art["tree"], case, np.random.default_rng(seed))
+    with pytest.raises(StructuralError):
+        hst_from_json(art["tree"])
+    with pytest.raises(StructuralError):
+        verify_bundle(art)
+
+
+@settings(max_examples=30, deadline=None)
+@given(artifacts)
+def test_shrunken_hst_tree_fails_contraction(art):
+    art["tree"]["delta"] = [0.99 * d for d in art["tree"]["delta"]]
+    assert "contraction" in {v[0] for v in verify_bundle(art).violations}
+
+
+@settings(max_examples=30, deadline=None)
+@given(artifacts, st.sampled_from([1.01, 0.5, 2.0]))
+def test_changed_hst_certificate_fails(art, factor):
+    art["certified_distortion"] *= factor
+    assert "certificate" in {v[0] for v in verify_bundle(art).violations}
