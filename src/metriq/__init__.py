@@ -10,7 +10,9 @@ from .core import (
     aspect_ratio,
     band,
     block_reduce,
+    decode_array,
     dumps,
+    encode_array,
     hausdorff,
     metric_from_csv,
     metric_from_json,

@@ -26,7 +26,9 @@ from .core import (
     MetricSpace,
     Star,
     ValidationReport,
+    decode_array,
     dumps,
+    encode_array,
     metric_from_csv,
     metric_from_json,
     metric_to_csv,
@@ -150,7 +152,7 @@ def _embedding_artifact(emb) -> dict:
 
     doc = embedding_to_json(emb)
     doc["kind"] = "embedding"
-    doc["claimed"] = induced_metric(emb).dist.tolist()
+    doc["claimed"] = encode_array(induced_metric(emb).dist)
     return doc
 
 
@@ -161,8 +163,8 @@ def _cube_artifact(res) -> dict:
         "eps": res.eps,
         "p": res.p,
         "r": res.r,
-        "net": res.A.tolist(),
-        "survivors": res.S.tolist(),
+        "net": encode_array(res.A),
+        "survivors": encode_array(res.S),
         "block_count": res.block_count,
         "certified_distortion": res.report.distortion,
         "bound": res.certified_bound,
@@ -424,7 +426,7 @@ def verify_bundle(doc: dict, tolerance: float = 1e-9) -> ValidationReport:
 def _verify_quotient(art: dict, ai: int, report: ValidationReport, tol: float):
     base = metric_from_json(art["base"])
     blocks = tuple(tuple(int(i) for i in b) for b in art["blocks"])
-    stored = np.asarray(art["dist"], dtype=np.float64)
+    stored = decode_array(art["dist"])
     prov = art["provenance"]
     if prov == "SQ":
         # subspace of a quotient: the stored matrix must itself be a metric and
@@ -469,17 +471,13 @@ def _verify_hst(art: dict, ai: int, report: ValidationReport, tol: float):
 
 def _verify_embedding(art: dict, ai: int, report: ValidationReport, tol: float):
     p = float(art["p"])
-    raw = art["vectors"]
-    w = np.asarray(art["weights"], dtype=np.float64) if art.get("weights") is not None else None
-    if art.get("dtype") == "complex":
-        v = np.asarray([[complex(c[0], c[1]) for c in row] for row in raw])
-    else:
-        v = np.asarray(raw, dtype=np.float64)
+    v = decode_array(art["vectors"])
+    w = decode_array(art["weights"]) if art.get("weights") is not None else None
     mods = np.abs(v[:, None, :] - v[None, :, :]) ** p
     if w is not None:
         mods = mods * w[None, None, :]
     dists = mods.sum(axis=2) ** (1.0 / p)
-    claimed = np.asarray(art["claimed"], dtype=np.float64)
+    claimed = decode_array(art["claimed"])
     bad = np.argwhere(np.abs(dists - claimed) > max(tol, 1e-9 * max(1.0, claimed.max())))
     for i, j in bad:
         if i < j:
@@ -493,8 +491,8 @@ def _verify_embedding(art: dict, ai: int, report: ValidationReport, tol: float):
 def _verify_cube(art: dict, ai: int, report: ValidationReport, tol: float):
     d = int(art["d"])
     r = int(art["r"])
-    A = np.asarray(art["net"], dtype=np.int64)
-    S = np.asarray(art["survivors"], dtype=np.int64)
+    A = decode_array(art["net"])
+    S = decode_array(art["survivors"])
     if int(art["block_count"]) != S.size - A.size + 1:
         report.add("cube-count", (ai,), "block_count inconsistent with survivor/net sizes")
     # net separation
@@ -712,7 +710,7 @@ def embed_gauss(ctx, n, dim, D, features):
     rng = _seed_of(ctx).child(0).rng()
     pts = rng.uniform(0.0, 2.0 * D, size=(n, dim))
     emb = truncated_gauss_embed(pts, D, features, _seed_of(ctx).child(1))
-    _emit(ctx, {**_embedding_artifact(emb), "points": pts.tolist()})
+    _emit(ctx, {**_embedding_artifact(emb), "points": encode_array(pts)})
 
 
 @embed.command("pstable")
@@ -728,7 +726,7 @@ def embed_pstable(ctx, n, dim, D, p, features):
     rng = _seed_of(ctx).child(0).rng()
     pts = rng.uniform(0.0, 2.0 * D, size=(n, dim))
     emb = pstable_embed(pts, D, p, features, _seed_of(ctx).child(1))
-    _emit(ctx, {**_embedding_artifact(emb), "points": pts.tolist()})
+    _emit(ctx, {**_embedding_artifact(emb), "points": encode_array(pts)})
 
 
 @embed.command("uptolog")
@@ -745,7 +743,7 @@ def embed_uptolog(ctx, n, dim, D, p):
     pts = np.floor(rng.uniform(0.0, max(2.0, D), size=(n, dim)))
     pts = np.unique(pts, axis=0)
     res = uptolog_embed(pts, D, p)
-    _emit(ctx, {"kind": "metric", "dist": res.metric.dist.tolist(),
+    _emit(ctx, {"kind": "metric", **metric_to_json(res.metric),
                 "image_norm": res.image_norm, "c1": res.c1, "c2": res.c2})
 
 
@@ -792,8 +790,8 @@ def certify_cube_lower(ctx, path, p):
         doc = json.load(fh)
     if doc.get("kind") == "cube-qs":
         d = int(doc["d"])
-        A = np.asarray(doc["net"], dtype=np.int64)
-        S = np.asarray(doc["survivors"], dtype=np.int64)
+        A = decode_array(doc["net"])
+        S = decode_array(doc["survivors"])
         dA = np.zeros(S.size)  # not needed for the lower bound
         res = CubeQsResult(d, float(doc["eps"]), float(doc["p"]), int(doc["r"]),
                            A, S, dA, DistortionSummary(1.0, 1.0, 0), float(doc["bound"]))

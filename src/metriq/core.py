@@ -8,13 +8,16 @@ not given).  Points are identified by index; labels are cosmetic.
 
 from __future__ import annotations
 
+import binascii
 import csv
 import io
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csgraph
 
 from .errors import StructuralError, UndefinedInputError
 
@@ -30,6 +33,8 @@ class MetricSpace:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        if np.iscomplexobj(self.dist):
+            raise StructuralError("distance matrix must be real")
         d = np.asarray(self.dist, dtype=np.float64)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise StructuralError(f"distance matrix must be square, got shape {d.shape}")
@@ -193,6 +198,11 @@ def validate_metric(m: MetricSpace | np.ndarray, tol: float = TOL) -> Validation
             report.add("positivity", (int(i), int(j)), f"d = {d[i, j]!r} <= 0 off-diagonal")
 
     # Triangle inequality: for each middle point j, d[i,k] <= d[i,j] + d[j,k].
+    # Fast path: with every off-diagonal entry positive (a 0 would read as "no
+    # edge"), the shortest-path closure c has c[i,k] <= d[i,j] + d[j,k] in
+    # rounded arithmetic, so d - c <= tol rules out every slack above tol.
+    if report.ok and np.all(d - csgraph.floyd_warshall(d, directed=True) <= tol):
+        return report
     for j in range(n):
         slack = d - (d[:, j][:, None] + d[j][None, :])
         viol = np.argwhere(slack > tol)
@@ -284,19 +294,73 @@ def block_reduce(dist, blocks, inner=np.minimum, outer=None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+#: Stored dtype per numpy dtype kind: floats, signed ints and complex widen exactly.
+_STORED = {"f": "<f8", "i": "<i8", "c": "<c16"}
+
+
+def encode_array(a) -> dict:
+    """An array as {"dtype", "shape", "b64"}: the base64 of its C-order
+    little-endian bytes as <f8, <i8 or <c16 (artifact format 2).
+
+    The round trip through decode_array is bit-exact, and equal arrays give
+    equal documents.
+    """
+    a = np.asarray(a)
+    dtype = _STORED.get(a.dtype.kind)
+    if dtype is None:
+        raise StructuralError(f"cannot store an array of dtype {a.dtype}")
+    text = binascii.b2a_base64(np.ascontiguousarray(a, dtype=dtype), newline=False)
+    return {"dtype": dtype, "shape": list(a.shape), "b64": text.decode("ascii")}
+
+
+def decode_array(doc) -> np.ndarray:
+    """The read-only array an encode_array document stores.
+
+    Anything else raises StructuralError: a JSON list (format 1), an unknown
+    dtype, a byte count that does not match the shape, or base64 that is not
+    exactly what encode_array writes.
+    """
+    if not isinstance(doc, dict):
+        raise StructuralError(
+            f"expected an encoded array {{dtype, shape, b64}} (artifact format 2), "
+            f"got {type(doc).__name__}; format-1 JSON lists are not read"
+        )
+    missing = sorted({"dtype", "shape", "b64"} - set(doc))
+    if missing:
+        raise StructuralError(f"encoded array lacks {missing}")
+    dtype, shape, text = doc["dtype"], doc["shape"], doc["b64"]
+    if dtype not in _STORED.values():
+        raise StructuralError(f"unsupported array dtype {dtype!r}")
+    if not isinstance(shape, list) or not all(type(s) is int and s >= 0 for s in shape):
+        raise StructuralError(f"array shape must be a list of sizes, got {shape!r}")
+    if not isinstance(text, str):
+        raise StructuralError("array b64 must be a string")
+    try:
+        raw = binascii.a2b_base64(text)  # skips characters outside the alphabet
+    except ValueError as exc:
+        raise StructuralError(f"array b64 is not valid base64 ({exc})") from exc
+    # so the exact re-encoding also rejects those, bad padding and stray trailing bits
+    if binascii.b2a_base64(raw, newline=False).decode("ascii") != text:
+        raise StructuralError("array b64 is not canonical base64")
+    need = math.prod(shape) * np.dtype(dtype).itemsize
+    if len(raw) != need:
+        raise StructuralError(f"array holds {len(raw)} bytes; shape {shape} of {dtype} needs {need}")
+    return np.frombuffer(raw, dtype=dtype).reshape(shape)
+
+
 def metric_to_json(m: MetricSpace) -> dict:
-    doc = {"n": m.n, "dist": m.dist.tolist()}
+    doc = {"n": m.n, "dist": encode_array(m.dist)}
     if m.labels is not None:
         doc["labels"] = list(m.labels)
     return doc
 
 
 def metric_from_json(doc: dict) -> MetricSpace:
-    dist = np.asarray(doc["dist"], dtype=np.float64)
-    if "n" in doc and int(doc["n"]) != dist.shape[0]:
-        raise StructuralError("declared n does not match matrix size")
     labels = tuple(doc["labels"]) if doc.get("labels") else None
-    return MetricSpace(dist, labels)
+    m = MetricSpace(decode_array(doc["dist"]), labels)
+    if "n" in doc and int(doc["n"]) != m.n:
+        raise StructuralError("declared n does not match matrix size")
+    return m
 
 
 def metric_to_csv(m: MetricSpace) -> str:

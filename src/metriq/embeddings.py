@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import integrate, optimize
 
-from .core import MetricSpace
+from .core import MetricSpace, encode_array
 from .errors import (
     CapacityError,
     ConstructionFailureError,
@@ -80,16 +80,10 @@ def induced_metric(emb: VectorEmbedding) -> MetricSpace:
 
 
 def embedding_to_json(emb: VectorEmbedding) -> dict:
-    v = emb.vectors
-    if np.iscomplexobj(v):
-        vec = [[[float(c.real), float(c.imag)] for c in row] for row in v]
-        dtype = "complex"
-    else:
-        vec = v.tolist()
-        dtype = "real"
-    doc = {"p": emb.p, "mode": emb.mode, "dtype": dtype, "vectors": vec}
+    """Complex vectors are stored as <c16."""
+    doc = {"p": emb.p, "mode": emb.mode, "vectors": encode_array(emb.vectors)}
     if emb.weights is not None:
-        doc["weights"] = emb.weights.tolist()
+        doc["weights"] = encode_array(emb.weights)
     return doc
 
 

@@ -306,21 +306,27 @@ class InstanceSpec:
 
 def realize_instance(spec: InstanceSpec) -> MetricSpace:
     v, p = spec.variant, spec.params
+
+    def need(key: str):
+        if key not in p:
+            raise ParameterError(f"instance variant {v!r} needs param {key!r}; given {sorted(p)}")
+        return p[key]
+
     if v == "star":
-        return realize_special(Star(int(p["n"]), float(p.get("tau", 2.0))))
+        return realize_special(Star(int(need("n")), float(p.get("tau", 2.0))))
     if v == "lacunary":
-        return realize_special(Lacunary(tuple(p["a"]), float(p.get("k", 1.0))))
+        return realize_special(Lacunary(tuple(need("a")), float(p.get("k", 1.0))))
     if v == "equilateral":
-        return realize_special(Equilateral(int(p["n"]), float(p.get("edge", 1.0))))
+        return realize_special(Equilateral(int(need("n")), float(p.get("edge", 1.0))))
     if v == "cube":
-        return hypercube_metric(int(p["d"]))
+        return hypercube_metric(int(need("d")))
     if v == "gnp":
-        return gen_random_graph_metric(int(p["n"]), float(p["q"]), spec.seed)[0]
+        return gen_random_graph_metric(int(need("n")), float(need("q")), spec.seed)[0]
     if v == "cloud":
-        return gen_euclidean_cloud(int(p["n"]), spec.seed, int(p.get("dim", 3)))
+        return gen_euclidean_cloud(int(need("n")), spec.seed, int(p.get("dim", 3)))
     if v == "padded":
         base = gen_euclidean_cloud(int(p.get("base_n", 4)), spec.seed)
-        return gen_padded_copies(base, int(p["copies"]), p.get("beta"))
+        return gen_padded_copies(base, int(need("copies")), p.get("beta"))
     if v == "composition":
         tree = random_composition_tree(
             int(p.get("depth", 2)), spec.seed, beta=float(p.get("beta", 4.0))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import TOL, MetricSpace, ValidationReport
+from .core import TOL, MetricSpace, ValidationReport, decode_array, encode_array
 from .errors import StructuralError
 
 
@@ -263,9 +263,9 @@ def line_um_lower_bound(a) -> float:
 
 
 def hst_to_json(t: HstTree) -> dict:
-    return {"order": t.order.tolist(), "parent": t.parent.tolist(), "delta": t.delta.tolist()}
+    return {name: encode_array(getattr(t, name)) for name in ("order", "parent", "delta")}
 
 
 def hst_from_json(doc: dict) -> HstTree:
     """Rebuild a tree; malformed arrays raise StructuralError."""
-    return HstTree(doc["order"], doc["parent"], doc["delta"])
+    return HstTree(*(decode_array(doc[name]) for name in ("order", "parent", "delta")))

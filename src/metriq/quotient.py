@@ -195,19 +195,19 @@ def distortion_between(source: MetricSpace, target: MetricSpace, mapping=None) -
 
 
 def quotient_to_json(q: QuotientSpace) -> dict:
-    from .core import metric_to_json
+    from .core import encode_array, metric_to_json
 
     return {
         "base": metric_to_json(q.partition.base),
         "blocks": [list(b) for b in q.blocks],
         "provenance": q.provenance,
-        "dist": q.metric.dist.tolist(),
+        "dist": encode_array(q.metric.dist),
     }
 
 
 def quotient_from_json(doc: dict) -> QuotientSpace:
-    from .core import metric_from_json
+    from .core import decode_array, metric_from_json
 
     base = metric_from_json(doc["base"])
     part = Partition(base, tuple(tuple(b) for b in doc["blocks"]))
-    return QuotientSpace(part, MetricSpace(np.asarray(doc["dist"], dtype=np.float64)), doc["provenance"])
+    return QuotientSpace(part, MetricSpace(decode_array(doc["dist"])), doc["provenance"])

@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
 
-from metriq.core import TOL, MetricSpace, block_reduce, hausdorff, set_distance
+from metriq.core import (
+    TOL,
+    MetricSpace,
+    ValidationReport,
+    block_reduce,
+    decode_array,
+    encode_array,
+    hausdorff,
+    set_distance,
+)
 from metriq.cube import DistortionSummary
 from metriq.errors import StructuralError
 from metriq.generators import gen_euclidean_cloud
@@ -38,6 +47,36 @@ def shortest_path_closure(w):
                 if alt < di[j]:
                     di[j] = alt
     return d
+
+
+def edit_array(doc: dict, key: str, fn) -> None:
+    """Replace the encoded array doc[key] by fn(a writable copy of it), re-encoded."""
+    doc[key] = encode_array(fn(decode_array(doc[key]).copy()))
+
+
+def validate_metric_loop(d, tol: float = TOL) -> ValidationReport:
+    """Reference for validate_metric: every middle point j is scanned."""
+    d = np.asarray(d, dtype=np.float64)
+    n = d.shape[0]
+    report = ValidationReport()
+    for i in np.flatnonzero(np.abs(np.diag(d)) > tol):
+        report.add("diagonal", (int(i),), f"d(i,i) = {d[i, i]!r} != 0")
+    for i, j in np.argwhere(np.abs(d - d.T) > tol):
+        if i < j:
+            report.add("symmetry", (int(i), int(j)), f"{d[i, j]!r} != {d[j, i]!r}")
+    for i, j in np.argwhere(d <= tol):
+        if i < j:
+            report.add("positivity", (int(i), int(j)), f"d = {d[i, j]!r} <= 0 off-diagonal")
+    for j in range(n):
+        slack = d - (d[:, j][:, None] + d[j][None, :])
+        for i, k in np.argwhere(slack > tol):
+            if i != j and k != j and i < k:
+                report.add(
+                    "triangle",
+                    (int(i), int(j), int(k)),
+                    f"d(i,k) = {d[i, k]!r} > {d[i, j] + d[j, k]!r}",
+                )
+    return report
 
 
 # --- pair-loop references for the block_reduce kernel ----------------------

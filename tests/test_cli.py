@@ -13,13 +13,13 @@ from metriq.cli import (
     run_experiment,
     verify_bundle,
 )
-from metriq.core import dumps, metric_from_json, metric_to_json
-from metriq.errors import ParameterError
+from metriq.core import decode_array, dumps, metric_from_json, metric_to_json
+from metriq.errors import ParameterError, StructuralError
 from metriq.generators import InstanceSpec
 from metriq.lipschitz import QuotientMap, quotient_map_to_json
 from metriq.seeds import RngSeed
 
-from conftest import random_metric
+from conftest import edit_array, random_metric
 
 
 @pytest.fixture
@@ -83,7 +83,7 @@ def test_construct_q2_certificate(runner, tmp_path):
 def test_embed_star_exact(runner):
     res = invoke(runner, "embed", "star", "--n", "3", "--tau", "1.0", "--p", "1.0")
     doc = json.loads(res.output)
-    claimed = np.asarray(doc["claimed"])
+    claimed = decode_array(doc["claimed"])
     assert claimed.shape == (4, 4)
     assert np.allclose(claimed[0, 1:], 1.0)
     assert np.allclose(claimed[1:, 1:][~np.eye(3, dtype=bool)], 1.0)
@@ -126,6 +126,9 @@ def test_cube_qs_and_lower_round_trip(runner, tmp_path):
     invoke(runner, "--out", str(out), "cube-qs", "--d", "10", "--eps", "0.2")
     doc = json.loads(out.read_text())
     assert doc["block_count"] >= 0.8 * 1024
+    net, survivors = decode_array(doc["net"]), decode_array(doc["survivors"])
+    assert net.dtype == survivors.dtype == np.int64
+    assert doc["block_count"] == survivors.size - net.size + 1
     res = invoke(runner, "certify", "cube-lower", "--in", str(out))
     lower = json.loads(res.output)
     assert lower["bound"] <= doc["certified_distortion"] + 1e-9
@@ -206,9 +209,12 @@ def test_verify_bundle_accepts_and_rejects(runner, tmp_path):
     assert verify_bundle(doc).ok
 
     # tamper with one stored quotient distance
-    art = doc["artifacts"][0]
-    art["dist"][0][1] = art["dist"][0][1] + 0.5
-    art["dist"][1][0] = art["dist"][0][1]
+    def tamper(d):
+        d[0, 1] += 0.5
+        d[1, 0] = d[0, 1]
+        return d
+
+    edit_array(doc["artifacts"][0], "dist", tamper)
     rep = verify_bundle(doc)
     assert not rep.ok
     assert any(kind == "quotient-distance" for kind, _, _ in rep.violations)
@@ -217,6 +223,76 @@ def test_verify_bundle_accepts_and_rejects(runner, tmp_path):
     bad.write_text(json.dumps(doc))
     result = runner.invoke(main, ["verify", "--bundle", str(bad)])
     assert result.exit_code == 1
+
+
+def _as_format1(doc):
+    """doc with every encoded array written out as a JSON list, as format 1 stored it."""
+    if isinstance(doc, dict):
+        if set(doc) == {"dtype", "shape", "b64"}:
+            return decode_array(doc).tolist()
+        return {k: _as_format1(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_as_format1(v) for v in doc]
+    return doc
+
+
+def _fresh_artifact(kind: str) -> dict:
+    from metriq.cli import PIPELINES, _embedding_artifact
+    from metriq.embeddings import star_to_lp
+
+    m = random_metric(30, 2)
+    if kind == "metric":
+        return {"kind": "metric", **metric_to_json(m)}
+    if kind == "embedding":
+        return _embedding_artifact(star_to_lp(3, 1.0, 1.5))
+    pipe = PIPELINES[{"quotient": "q2", "hst": "hst", "cube-qs": "cube-qs"}[kind]]
+    params = pipe.resolve({"d": 8, "eps": 0.24} if kind == "cube-qs" else {})
+    return pipe.run(None if pipe.own_space else m, RngSeed(2), params)[1]
+
+
+@pytest.mark.parametrize("kind, path", [
+    ("metric", ["dist"]),
+    ("quotient", ["dist"]),
+    ("quotient", ["base", "dist"]),
+    ("hst", ["tree", "parent"]),
+    ("hst", ["base", "dist"]),
+    ("embedding", ["vectors"]),
+    ("embedding", ["claimed"]),
+    ("cube-qs", ["survivors"]),
+])
+def test_verify_refuses_a_format1_list(kind, path):
+    art = json.loads(dumps(_fresh_artifact(kind)))
+    assert verify_bundle({"artifacts": [art]}).ok
+    holder = art
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = decode_array(holder[path[-1]]).tolist()
+    with pytest.raises(StructuralError, match="format 2"):
+        verify_bundle({"artifacts": [art]})
+
+
+def test_verify_command_refuses_a_format1_bundle(runner, tmp_path):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(q2_plan(trials=1)))
+    out = tmp_path / "bundle.json"
+    invoke(runner, "--out", str(out), "run", "--plan", str(plan), "--artifacts")
+    old = tmp_path / "format1.json"
+    old.write_text(json.dumps(_as_format1(json.loads(out.read_text()))))
+    result = runner.invoke(main, ["verify", "--bundle", str(old)])
+    assert result.exit_code != 0
+    assert isinstance(result.exception, StructuralError)
+    assert "format 2" in str(result.exception)
+
+
+def test_run_records_a_missing_instance_param_per_trial():
+    doc = q2_plan(trials=3)
+    doc["instance"]["params"] = {"nn": 40}
+    bundle = run_experiment(plan_from_json(doc), keep_artifacts=True)
+    assert len(bundle.rows) == 3 and bundle.artifacts == []
+    assert bundle.summary["failures"] == 3
+    for t, err in enumerate(bundle.summary["errors"]):
+        assert err["trial"] == t and err["error"] == "ParameterError"
+        assert "'cloud'" in err["detail"] and "'n'" in err["detail"]
 
 
 def test_verify_command_ok_exit_zero(runner, tmp_path):

@@ -1,11 +1,13 @@
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metriq.core import (
+    TOL,
     Equilateral,
     Lacunary,
     MetricSpace,
@@ -13,7 +15,9 @@ from metriq.core import (
     aspect_ratio,
     band,
     block_reduce,
+    decode_array,
     dumps,
+    encode_array,
     hausdorff,
     metric_from_csv,
     metric_from_json,
@@ -27,7 +31,7 @@ from metriq.core import (
 )
 from metriq.errors import StructuralError, UndefinedInputError
 
-from conftest import block_reduce_loop, random_metric
+from conftest import block_reduce_loop, random_metric, validate_metric_loop
 
 
 def test_metric_space_basics():
@@ -41,6 +45,12 @@ def test_metric_space_basics():
 def test_metric_space_rejects_non_square():
     with pytest.raises(StructuralError):
         MetricSpace(np.zeros((2, 3)))
+
+
+def test_metric_space_rejects_complex_entries():
+    # a decoded <c16 matrix must not lose its imaginary part silently
+    with pytest.raises(StructuralError, match="real"):
+        MetricSpace(np.zeros((2, 2), dtype=np.complex128))
 
 
 def test_metric_space_is_immutable():
@@ -76,6 +86,58 @@ def test_validate_metric_flags_each_violation():
 def test_validate_metric_accepts_clouds():
     for s in range(5):
         assert validate_metric(random_metric(10, s)).ok
+
+
+@st.composite
+def near_metrics(draw):
+    """Clouds or integer points on a line (many exact ties in the triangle
+    inequality), then one kind of damage: tol-level noise, a zero, a negative
+    or asymmetric entry, a stretched pair or a nonzero diagonal."""
+    n = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        d = random_metric(n, int(rng.integers(0, 2**31))).dist.copy()
+    else:
+        x = rng.integers(0, 3 * n, size=n).astype(float)
+        d = np.abs(x[:, None] - x[None, :])
+    iu = np.triu_indices(n, k=1)
+    damage = draw(st.sampled_from(["none", "noise", "noise-asym", "zero", "negative",
+                                   "asymmetric", "stretch", "diagonal"]))
+    if damage in ("noise", "noise-asym"):
+        noise = rng.integers(-3, 4, size=(n, n)) * (TOL / 2)
+        if damage == "noise":
+            noise = np.triu(noise, 1) + np.triu(noise, 1).T
+        np.fill_diagonal(noise, 0.0)
+        d = d + noise
+    elif damage == "diagonal":
+        d[np.diag_indices(n)] = rng.integers(0, 4, size=n) * TOL
+    elif iu[0].size:
+        k = int(rng.integers(0, iu[0].size))
+        i, j = int(iu[0][k]), int(iu[1][k])
+        if damage == "zero":
+            d[i, j] = d[j, i] = 0.0
+        elif damage == "negative":
+            d[i, j] = d[j, i] = -float(rng.uniform(0.0, 2.0))
+        elif damage == "asymmetric":
+            d[j, i] = d[i, j] * float(rng.uniform(0.5, 2.0))
+        elif damage == "stretch":
+            d[i, j] = d[j, i] = d[i, j] * float(rng.uniform(1.5, 3.0))
+    return d
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_metrics())
+@example(np.array([[0.0, 0.0, 5.0], [0.0, 0.0, 1.0], [5.0, 1.0, 0.0]]))
+def test_validate_metric_matches_the_triple_loop(d):
+    # the closure fast path must never hide a violation the loop reports
+    assert validate_metric(d).violations == validate_metric_loop(d).violations
+
+
+def test_validate_metric_zero_entry_is_no_shortcut():
+    # scipy reads the 0 as a missing edge, so the closure check alone would pass
+    d = np.array([[0.0, 0.0, 5.0], [0.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
+    kinds = [(kind, where) for kind, where, _ in validate_metric(d).violations]
+    assert kinds == [("positivity", (0, 1)), ("triangle", (0, 1, 2))]
 
 
 def test_star_realization():
@@ -177,6 +239,86 @@ def test_json_round_trip():
     m = random_metric(7, 3)
     m2 = metric_from_json(metric_to_json(m))
     assert np.array_equal(m.dist, m2.dist)
+
+
+# --- artifact format 2: the array codec --------------------------------------
+
+_SHAPES = st.one_of(
+    st.just((0,)),
+    st.tuples(st.integers(1, 12)),
+    st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    st.tuples(st.integers(0, 6), st.just(0)),
+)
+
+
+@st.composite
+def raw_arrays(draw):
+    """Arrays of every bit pattern: NaN payloads, subnormals, -0.0, int64 extremes."""
+    dtype = np.dtype(draw(st.sampled_from(["<f8", "<i8", "<c16"])))
+    shape = draw(_SHAPES)
+    size = math.prod(shape) * dtype.itemsize
+    return np.frombuffer(draw(st.binary(min_size=size, max_size=size)), dtype=dtype).reshape(shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_arrays())
+def test_encode_decode_is_bit_exact(a):
+    doc = encode_array(a)
+    assert doc["dtype"] == a.dtype.str and doc["shape"] == list(a.shape)
+    back = decode_array(json.loads(dumps(doc)))
+    assert back.dtype == a.dtype and back.shape == a.shape
+    assert back.tobytes() == a.tobytes()
+    assert encode_array(back) == doc
+
+
+def test_encode_decode_special_values():
+    nan_payload = np.array([0x7FF8000000000001, 0xFFF0000000000002], dtype=np.uint64).view("<f8")
+    floats = np.concatenate([[-0.0, 5e-324, 2.2e-308, np.inf, -np.inf], nan_payload])
+    ints = np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0, -1])
+    complexes = np.column_stack([floats, floats[::-1]]).view("<c16")  # no arithmetic on NaNs
+    for a in (floats, ints, complexes, np.zeros((3, 0))):
+        back = decode_array(encode_array(a))
+        assert back.tobytes() == a.tobytes() and back.shape == a.shape
+
+
+def test_encode_widens_exactly_and_refuses_other_kinds():
+    assert decode_array(encode_array(np.arange(3, dtype=np.int32))).dtype == np.int64
+    assert encode_array([0.1, 2.0])["dtype"] == "<f8"
+    assert encode_array(np.array([1 + 2j], dtype=np.complex64))["dtype"] == "<c16"
+    for bad in (np.array(["a"]), np.array([True]), np.array([1], dtype=np.uint8)):
+        with pytest.raises(StructuralError):
+            encode_array(bad)
+
+
+_GOOD = {"dtype": "<f8", "shape": [1], "b64": "jZduEoPA8z8="}  # [1.2345]
+
+
+@pytest.mark.parametrize("doc, match", [
+    ([[0.0, 1.0], [1.0, 0.0]], "format 2"),
+    ({**_GOOD, "dtype": "<f4"}, "dtype"),
+    ({**_GOOD, "dtype": ">f8"}, "dtype"),
+    ({**_GOOD, "shape": [2]}, "bytes"),
+    ({**_GOOD, "shape": [1, 2]}, "bytes"),
+    ({**_GOOD, "shape": 1}, "shape"),
+    ({**_GOOD, "shape": [-1]}, "shape"),
+    ({**_GOOD, "shape": [True]}, "shape"),
+    ({**_GOOD, "b64": "jZduEoPA*z8="}, "base64"),
+    ({**_GOOD, "b64": "jZduEoPA8z\u00e9="}, "base64"),
+    ({**_GOOD, "b64": "jZduEoPA8z8=\n"}, "base64"),
+    ({**_GOOD, "b64": "jZduEoPA8z8"}, "base64"),
+    ({**_GOOD, "b64": "jZduEoPA"}, "bytes"),
+    ({**_GOOD, "b64": "jZduEoPA8z9="}, "canonical"),
+    ({**_GOOD, "b64": 5}, "string"),
+    ({"shape": [1], "b64": "jZduEoPA8z8="}, "dtype"),
+    ({"dtype": "<f8", "b64": "jZduEoPA8z8="}, "shape"),
+    ({"dtype": "<f8", "shape": [1]}, "b64"),
+], ids=["json-list", "dtype-f4", "dtype-big-endian", "size", "shape-size", "shape-int",
+        "shape-negative", "shape-bool", "alphabet", "non-ascii", "newline", "truncated-pad",
+        "truncated-item", "trailing-bits", "b64-type", "no-dtype", "no-shape", "no-b64"])
+def test_decode_rejects(doc, match):
+    assert decode_array(_GOOD)[0] == 1.2345
+    with pytest.raises(StructuralError, match=match):
+        decode_array(doc)
 
 
 def test_csv_round_trip_is_exact():

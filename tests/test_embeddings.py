@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from metriq.cli import PIPELINES
-from metriq.core import Equilateral, Star, realize_special, validate_metric
+from metriq.core import Equilateral, Star, decode_array, realize_special, validate_metric
 from metriq.embeddings import (
     TruncatedMetricSpec,
     bourgain_embed,
@@ -263,6 +263,7 @@ def test_embedding_json_round_trip_complex():
     pts = np.random.default_rng(4).uniform(0, 2, size=(4, 2))
     emb = truncated_gauss_embed(pts, 1.0, 16, seed=5)
     doc = embedding_to_json(emb)
-    assert doc["dtype"] == "complex"
-    v = np.asarray([[complex(c[0], c[1]) for c in row] for row in doc["vectors"]])
-    assert np.allclose(v, emb.vectors)
+    assert doc["vectors"]["dtype"] == "<c16"
+    v = decode_array(doc["vectors"])
+    assert v.dtype == np.complex128
+    assert np.array_equal(v, emb.vectors)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from metriq.cli import PIPELINES, verify_bundle
-from metriq.core import TOL, MetricSpace, dumps, metric_to_json
+from metriq.core import TOL, MetricSpace, decode_array, dumps, metric_to_json
 from metriq.errors import StructuralError
 from metriq.hst import (
     HstTree,
@@ -26,6 +26,7 @@ from metriq.hst import (
 from metriq.seeds import RngSeed
 
 from conftest import (
+    edit_array,
     flat_tree,
     hst_from_ultrametric_ref,
     hst_to_metric_ref,
@@ -289,17 +290,25 @@ def test_fresh_hst_artifact_verifies(art):
     assert verify_bundle(art).ok
 
 
+def _put(tree: dict, key: str, i: int, value) -> None:
+    def set_one(a):
+        a[i] = value
+        return a
+
+    edit_array(tree, key, set_one)
+
+
 def _malform(tree: dict, case: str, rng) -> None:
-    parent, delta = tree["parent"], tree["delta"]
-    is_leaf = [d == 0.0 for d in delta]
+    parent = decode_array(tree["parent"]).tolist()
+    is_leaf = (decode_array(tree["delta"]) == 0.0).tolist()
     if case == "length":
-        tree[str(rng.choice(["order", "parent", "delta"]))].pop()
+        edit_array(tree, str(rng.choice(["order", "parent", "delta"])), lambda a: a[:-1])
     elif case == "root":
         i = int(rng.integers(0, len(parent)))
-        parent[i] = 0 if i == 0 else -1
+        _put(tree, "parent", i, 0 if i == 0 else -1)
     elif case == "parent":
         i = int(rng.integers(1, len(parent)))
-        parent[i] = i + int(rng.integers(0, 3))
+        _put(tree, "parent", i, i + int(rng.integers(0, 3)))
     elif case == "preorder":
         # hang vertex i under an earlier internal vertex off the path to i - 1
         for i in rng.permutation(np.arange(2, len(parent))).tolist():
@@ -309,18 +318,22 @@ def _malform(tree: dict, case: str, rng) -> None:
                 v = parent[v]
             off = [j for j in range(i) if not is_leaf[j] and j not in path]
             if off:
-                parent[i] = int(rng.choice(off))
+                _put(tree, "parent", i, int(rng.choice(off)))
                 return
         assume(False)  # every internal vertex before i is an ancestor of i - 1
     elif case == "dtype":
-        key = str(rng.choice(["order", "parent", "delta"]))
-        tree[key] = [str(v) if key == "delta" else float(v) for v in tree[key]]
+        # integer ids stored as floats, or under a dtype the codec does not read
+        key = str(rng.choice(["order", "parent"]))
+        if rng.integers(0, 2):
+            edit_array(tree, key, lambda a: a.astype(np.float64))
+        else:
+            tree[key]["dtype"] = str(rng.choice(["<u8", "<i4", ">i8", "int"]))
     elif case == "leaf-delta":
         i = int(rng.choice(np.flatnonzero(is_leaf)))
-        delta[i] = float(rng.choice([1.0, -1.0, 1e-300]))
+        _put(tree, "delta", i, float(rng.choice([1.0, -1.0, 1e-300])))
     elif case == "internal-delta":
         i = int(rng.choice(np.flatnonzero(np.logical_not(is_leaf))))
-        delta[i] = float(rng.choice([0.0, -1.0]))
+        _put(tree, "delta", i, float(rng.choice([0.0, -1.0])))
 
 
 @settings(max_examples=100, deadline=None)
@@ -338,7 +351,7 @@ def test_malformed_hst_tree_raises_structural_error(art, case, seed):
 @settings(max_examples=30, deadline=None)
 @given(artifacts)
 def test_shrunken_hst_tree_fails_contraction(art):
-    art["tree"]["delta"] = [0.99 * d for d in art["tree"]["delta"]]
+    edit_array(art["tree"], "delta", lambda d: 0.99 * d)
     assert "contraction" in {v[0] for v in verify_bundle(art).violations}
 
 
