@@ -470,13 +470,20 @@ def _verify_hst(art: dict, ai: int, report: ValidationReport, tol: float):
 
 
 def _verify_embedding(art: dict, ai: int, report: ValidationReport, tol: float):
+    from .embeddings import TABLE_ELEMENTS
+
     p = float(art["p"])
     v = decode_array(art["vectors"])
     w = decode_array(art["weights"]) if art.get("weights") is not None else None
-    mods = np.abs(v[:, None, :] - v[None, :, :]) ** p
-    if w is not None:
-        mods = mods * w[None, None, :]
-    dists = mods.sum(axis=2) ** (1.0 / p)
+    # row chunks keep the n x rows x dim moduli table under TABLE_ELEMENTS entries
+    n, dim = v.shape
+    dists = np.empty((n, n))
+    step = max(1, TABLE_ELEMENTS // max(1, n * dim))
+    for lo in range(0, n, step):
+        mods = np.abs(v[lo : lo + step, None, :] - v[None, :, :]) ** p
+        if w is not None:
+            mods = mods * w[None, None, :]
+        dists[lo : lo + step] = mods.sum(axis=2) ** (1.0 / p)
     claimed = decode_array(art["claimed"])
     bad = np.argwhere(np.abs(dists - claimed) > max(tol, 1e-9 * max(1.0, claimed.max())))
     for i, j in bad:

@@ -125,35 +125,144 @@ def m_center_quotient(m: MetricSpace, eps: float, seed=None, cap: int = RESAMPLE
     )
 
 
+def _pairs_by_distance(dist: np.ndarray) -> np.ndarray:
+    """Flat indices of dist by decreasing value, row-major among ties.
+
+    Within any point set, the first listed pair is the one np.argmax picks
+    on the set's submatrix.  For a symmetric matrix with zero diagonal that
+    pair lies above the diagonal (or the set's distances are all zero and
+    any pair gives delta = 0), so only the upper triangle is listed.
+    Without ties every sort gives the same order, so the fast unstable one
+    is kept unless two values are equal.
+    """
+    n = dist.shape[0]
+    if np.array_equal(dist, dist.T) and not np.any(np.diagonal(dist)):
+        iu, ju = np.triu_indices(n, 1)
+        flat = iu * n + ju
+    else:
+        flat = np.arange(n * n)
+    neg = -dist.reshape(-1)[flat]
+    order = np.argsort(neg)
+    ranked = neg[order]
+    if np.any(ranked[1:] == ranked[:-1]):
+        order = np.argsort(neg, kind="stable")
+    return flat[order]
+
+
+class _PeelChain:
+    """m-center and farthest pair of one shrinking point set, kept incrementally.
+
+    Over the original indices: `alive` marks the set; rho[y] is the need-th
+    smallest alive distance in row y and cnt[y] the number of alive z with
+    d(y, z) <= rho[y]; viol[y] counts the alive z with d(y, z) > rho[z], so
+    the m-centers are exactly the alive y with viol[y] = 0.  `pairs` lists
+    every matrix entry by decreasing distance, row-major among ties (the
+    order in which np.argmax breaks them); the farthest alive pair is the
+    first one whose `live` flag is set, and that position only moves forward.
+    Rows of dead points are updated along with the rest and never read.
+    """
+
+    def __init__(self, dist: np.ndarray, X: np.ndarray, need: int):
+        n = dist.shape[0]
+        self.dist, self.need, self.pos = dist, need, 0
+        self.alive = np.zeros(n, dtype=bool)
+        self.alive[X] = True
+        self.live = np.outer(self.alive, self.alive)
+        sub = dist[np.ix_(X, X)]
+        self.rho, self.cnt, self.viol = np.zeros(n), np.zeros(n, np.int64), np.zeros(n, np.int64)
+        self.rho[X] = np.partition(sub, need - 1, axis=1)[:, need - 1]
+        self.cnt[X] = np.count_nonzero(sub <= self.rho[X][:, None], axis=1)
+        self.viol[X] = np.count_nonzero(sub > self.rho[X][None, :], axis=1)
+        self.pairs = _pairs_by_distance(dist)
+
+    def center(self) -> int | None:
+        """Lowest-index m-center of the alive set (find_m_center's answer), or None."""
+        ok = self.alive & (self.viol == 0)
+        x = int(ok.argmax())
+        return x if ok[x] else None
+
+    def farthest(self) -> tuple[int, int]:
+        """The alive pair np.argmax picks on the alive submatrix."""
+        live, step = self.live.reshape(-1), 256
+        while True:
+            chunk = self.pairs[self.pos : self.pos + step]
+            hit = live[chunk]
+            if hit.any():
+                self.pos += int(hit.argmax())
+                return divmod(int(self.pairs[self.pos]), self.alive.size)
+            self.pos += chunk.size
+            step *= 4
+
+    def drop(self, R: np.ndarray):
+        """Remove the points R; at least `need` points must stay alive."""
+        need, d, rho = self.need, self.dist, self.rho
+        self.alive[R] = False
+        self.live[R] = False
+        self.live[:, R] = False
+        self.cnt -= (d[:, R] <= rho[:, None]).sum(axis=1)
+        # rho[y] only changes once fewer than need alive points lie within it
+        U = np.flatnonzero(self.alive & (self.cnt < need))
+        rows = d[U][:, self.alive]
+        new = np.partition(rows, need - 1, axis=1)[:, need - 1]
+        self.cnt[U] = (rows <= new[:, None]).sum(axis=1)
+        # column z stops counting in viol[y] once rho[z] >= d(y, z); a dead z has rho = inf
+        C = np.concatenate([R, U])
+        dC, old = d[:, C], rho[C]
+        rho[R], rho[U] = np.inf, new
+        self.viol -= ((dC > old) & (dC <= rho[C])).sum(axis=1)
+
+
 def hst_from_m_centered(m: MetricSpace, mparam: int) -> tuple[HstTree, DistortionReport]:
     """Non-contracting ultrametric approximation of an m-centered space.
 
-    Top-down splitting: take a center x, a diameter-far point a with
+    Top-down splitting: take the lowest-index center x, the first farthest
+    pair (a, b) in row-major order, with a swapped for b unless
     d(x, a) >= diam/2, slice the open half-diameter ball around a into
     mparam bands of width diam/(2*mparam), cut at an empty band, and split
     the two sides the same way under a root labelled diam.  Root label = diam
     exactly; the leaf metric dominates d and exceeds it by a factor of at
     most 2*mparam.
+
+    Peeling chain.  Let X have |X| >= need = mparam points and an m-center x.
+    The inside side is a ball around a of radius < diam/2 <= d(x, a).  With
+    need or more points it would hold the ball of radius rho(a) around a,
+    which must contain x; so |inside| < need, and x stays an m-center of the
+    outside side.  Hence the sets with >= need points form one chain of
+    outside sides from the root, and every other set has < need points, so
+    its center condition is vacuous and x = its first point.  The chain's
+    centers and farthest pairs come from one _PeelChain, which updates only
+    the rows a peeled point touches: O(N^2 log N) in all (the one sort of
+    the N^2 distances) against Theta(N^3) for rescanning every set.  Small
+    sets are split from their own submatrix.  The trees are identical.
     """
     if int(mparam) != mparam or mparam < 2:
         raise ParameterError("mparam must be an integer >= 2")
     mparam = int(mparam)
-    if m.n >= 2 and find_m_center(m, mparam) is None:
-        raise NoMCenterError(f"no {mparam}-center exists")
 
-    def split(X: np.ndarray):
-        # `sub` is local, so it is freed before the two sides are split
+    def split(item):
+        X, chain = item
         if X.size == 1:
             return int(X[0])
-        sub = MetricSpace(m.dist[X][:, X])
-        x = find_m_center(sub, mparam)
-        if x is None:
-            raise NoMCenterError(f"splitting lost the center property on {X.tolist()}")
-        delta = sub.diameter()
-        ai, bi = np.unravel_index(int(np.argmax(sub.dist)), sub.dist.shape)
-        a = int(ai) if sub.dist[x, ai] >= delta / 2.0 else int(bi)
+        if X.size >= mparam:
+            if chain is None:  # the root; or a large inside side, if rounding broke the lemma
+                chain = _PeelChain(m.dist, X, mparam)
+            x = chain.center()
+            if x is None:
+                raise NoMCenterError(
+                    f"no {mparam}-center exists" if X.size == m.n
+                    else f"splitting lost the center property on {X.tolist()}"
+                )
+            ai, bi = chain.farthest()
+        else:
+            x = int(X[0])
+            ai, bi = divmod(int(np.argmax(m.dist[X[:, None], X])), X.size)
+            ai, bi = int(X[ai]), int(X[bi])
+        delta = float(m.dist[ai, bi])
+        if delta <= 0:
+            raise StructuralError(f"points {X.tolist()} are all at distance 0; an HST needs positive distances")
+        a = ai if m.dist[x, ai] >= delta / 2.0 else bi
         width = delta / (2.0 * mparam)
-        da = sub.dist[a]
+        da = m.dist[a, X]
         # band i+1 is [i*width, (i+1)*width); empty means a clean cut at i*width
         empty = (i for i in range(1, mparam) if not np.any((da >= i * width) & (da < (i + 1) * width)))
         cut = next(empty, None)
@@ -163,9 +272,14 @@ def hst_from_m_centered(m: MetricSpace, mparam: int) -> tuple[HstTree, Distortio
                 {"X": X.tolist(), "mparam": mparam},
             )
         inside = da < cut * width
-        return delta, (X[inside], X[~inside])
+        rest = X[~inside]
+        if chain is not None and rest.size >= mparam:
+            chain.drop(X[inside])
+        else:
+            chain = None
+        return delta, ((X[inside], None), (rest, chain))
 
-    t = hst_from_splits(np.arange(m.n), split)
+    t = hst_from_splits((np.arange(m.n), None), split)
     report = distortion_between(m, hst_to_metric(t))
     return t, report
 
@@ -596,7 +710,8 @@ def q_dichotomy(
 
     # lacunary branch: one representative per selected class, collapse the rest
     reps = [min(classes[i]) for i in exps]
-    blocks = tuple((v,) for v in reps) + (tuple(x for x in range(m.n) if x not in set(reps)),)
+    kept = set(reps)
+    blocks = tuple((v,) for v in reps) + (tuple(x for x in range(m.n) if x not in kept),)
     lac_q = quotient_metric(m, blocks) if len(blocks[-1]) else quotient_metric(m, blocks[:-1])
     avals = tuple(rho**i for i in exps)
     lac_model = Lacunary(avals, k)
@@ -646,7 +761,8 @@ def q2_lacunary(m: MetricSpace, seed=None, cap: int = RESAMPLE_CAP):
     S, T, attempts = ts_sets(m, seed, cap=cap)
     r = nearest_radii(m)
     ordered = sorted(T, key=lambda x: (-r[x], x))
-    A = tuple(x for x in range(m.n) if x not in set(T))
+    kept = set(T)
+    A = tuple(x for x in range(m.n) if x not in kept)
     blocks = tuple((x,) for x in ordered) + (A,)
     q = quotient_metric(m, blocks)
     model = Lacunary(tuple(float(r[x]) for x in ordered), 1.0)

@@ -52,16 +52,15 @@ def gen_random_graph_metric(n: int, q: float, seed=None) -> tuple[MetricSpace, l
     """
     if not (0 < q < 1):
         raise ParameterError("edge probability must be in (0, 1)")
-    rng = as_seed(seed).rng()
+    # one draw per pair i < j in row-major order: the same PCG64 doubles, in
+    # the same order, as one rng.random() call per pair
+    iu, ju = np.triu_indices(n, 1)
+    hit = as_seed(seed).rng().random(iu.size) < q
+    iu, ju = iu[hit], ju[hit]
     d = np.full((n, n), 2.0)
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < q:
-                d[i, j] = d[j, i] = 1.0
-                edges.append((i, j))
+    d[iu, ju] = d[ju, iu] = 1.0
     np.fill_diagonal(d, 0.0)
-    return MetricSpace(d), edges
+    return MetricSpace(d), list(zip(iu.tolist(), ju.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -304,38 +303,50 @@ class InstanceSpec:
     seed: RngSeed
 
 
+_REQUIRED = object()
+
+
 def realize_instance(spec: InstanceSpec) -> MetricSpace:
     v, p = spec.variant, spec.params
 
-    def need(key: str):
+    def param(key: str, kind, default=_REQUIRED):
+        """p[key] converted by kind; a missing or unconvertible value is a ParameterError."""
         if key not in p:
-            raise ParameterError(f"instance variant {v!r} needs param {key!r}; given {sorted(p)}")
-        return p[key]
+            if default is _REQUIRED:
+                raise ParameterError(f"instance variant {v!r} needs param {key!r}; given {sorted(p)}")
+            return default
+        try:
+            return kind(p[key])
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(
+                f"instance variant {v!r} param {key!r} = {p[key]!r} is not {kind.__name__}: {exc}"
+            ) from None
+
+    def floats(a):
+        return tuple(float(x) for x in a)
 
     if v == "star":
-        return realize_special(Star(int(need("n")), float(p.get("tau", 2.0))))
+        return realize_special(Star(param("n", int), param("tau", float, 2.0)))
     if v == "lacunary":
-        return realize_special(Lacunary(tuple(need("a")), float(p.get("k", 1.0))))
+        return realize_special(Lacunary(param("a", floats), param("k", float, 1.0)))
     if v == "equilateral":
-        return realize_special(Equilateral(int(need("n")), float(p.get("edge", 1.0))))
+        return realize_special(Equilateral(param("n", int), param("edge", float, 1.0)))
     if v == "cube":
-        return hypercube_metric(int(need("d")))
+        return hypercube_metric(param("d", int))
     if v == "gnp":
-        return gen_random_graph_metric(int(need("n")), float(need("q")), spec.seed)[0]
+        return gen_random_graph_metric(param("n", int), param("q", float), spec.seed)[0]
     if v == "cloud":
-        return gen_euclidean_cloud(int(need("n")), spec.seed, int(p.get("dim", 3)))
+        return gen_euclidean_cloud(param("n", int), spec.seed, param("dim", int, 3))
     if v == "padded":
-        base = gen_euclidean_cloud(int(p.get("base_n", 4)), spec.seed)
-        return gen_padded_copies(base, int(need("copies")), p.get("beta"))
+        base = gen_euclidean_cloud(param("base_n", int, 4), spec.seed)
+        return gen_padded_copies(base, param("copies", int), param("beta", float, None))
     if v == "composition":
-        tree = random_composition_tree(
-            int(p.get("depth", 2)), spec.seed, beta=float(p.get("beta", 4.0))
-        )
+        tree = random_composition_tree(param("depth", int, 2), spec.seed, beta=param("beta", float, 4.0))
         return gen_composition(tree)
     if v == "lipcomp":
-        X = gen_euclidean_cloud(int(p.get("k", 3)), spec.seed.child(0))
-        Y = gen_euclidean_cloud(int(p.get("yn", 3)), spec.seed.child(1))
-        alpha = float(p.get("alpha", 1.5))
+        X = gen_euclidean_cloud(param("k", int, 3), spec.seed.child(0))
+        Y = gen_euclidean_cloud(param("yn", int, 3), spec.seed.child(1))
+        alpha = param("alpha", float, 1.5)
         mu = alpha * aspect_ratio(Y) * 1.01
         theta = alpha * mu**X.n * Y.diameter() / X.min_distance()
         return gen_lipcomp_product(X, Y, mu, theta, alpha)

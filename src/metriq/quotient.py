@@ -98,7 +98,8 @@ def quotient_by_subset(m: MetricSpace, A) -> QuotientSpace:
     A = sorted(set(int(i) for i in A))
     if not A:
         raise StructuralError("A must be nonempty")
-    rest = [i for i in range(m.n) if i not in set(A)]
+    collapsed = set(A)
+    rest = [i for i in range(m.n) if i not in collapsed]
     blocks = tuple((i,) for i in rest) + (tuple(A),)
     k = len(blocks)
     dA = m.dist[:, A].min(axis=1)  # distance of every point to A

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
 
+from metriq.constructions import find_m_center
 from metriq.core import (
     TOL,
     MetricSpace,
@@ -13,9 +14,11 @@ from metriq.core import (
     set_distance,
 )
 from metriq.cube import DistortionSummary
-from metriq.errors import StructuralError
+from metriq.errors import ConstructionFailureError, NoMCenterError, StructuralError
 from metriq.generators import gen_euclidean_cloud
-from metriq.hst import join, leaf
+from metriq.hst import hst_from_splits, hst_to_metric, join, leaf
+from metriq.quotient import distortion_between
+from metriq.seeds import as_seed
 
 
 def random_metric(n: int, seed: int, dim: int = 3) -> MetricSpace:
@@ -281,6 +284,60 @@ def hst_from_ultrametric_ref(m: MetricSpace, tol: float = TOL):
             break
     (_, tree), = clusters
     return tree
+
+
+# --- dense references for the m-centered HST build, graphs and p-norm tables ---
+
+
+def hst_from_m_centered_dense(m: MetricSpace, mparam: int):
+    """Reference for hst_from_m_centered: every split rescans its own submatrix
+    with find_m_center, max and argmax (Theta(N^3) over a peeling chain)."""
+    if m.n >= 2 and find_m_center(m, mparam) is None:
+        raise NoMCenterError(f"no {mparam}-center exists")
+
+    def split(X: np.ndarray):
+        if X.size == 1:
+            return int(X[0])
+        sub = MetricSpace(m.dist[X][:, X])
+        x = find_m_center(sub, mparam)
+        if x is None:
+            raise NoMCenterError(f"splitting lost the center property on {X.tolist()}")
+        delta = sub.diameter()
+        ai, bi = np.unravel_index(int(np.argmax(sub.dist)), sub.dist.shape)
+        a = int(ai) if sub.dist[x, ai] >= delta / 2.0 else int(bi)
+        width = delta / (2.0 * mparam)
+        da = sub.dist[a]
+        empty = (i for i in range(1, mparam) if not np.any((da >= i * width) & (da < (i + 1) * width)))
+        cut = next(empty, None)
+        if cut is None:
+            raise ConstructionFailureError("no empty band found", {"X": X.tolist()})
+        inside = da < cut * width
+        return delta, (X[inside], X[~inside])
+
+    t = hst_from_splits(np.arange(m.n), split)
+    return t, distortion_between(m, hst_to_metric(t))
+
+
+def gen_random_graph_metric_loop(n: int, q: float, seed=None):
+    """Reference for gen_random_graph_metric: one rng.random() call per pair i < j."""
+    rng = as_seed(seed).rng()
+    d = np.full((n, n), 2.0)
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < q:
+                d[i, j] = d[j, i] = 1.0
+                edges.append((i, j))
+    np.fill_diagonal(d, 0.0)
+    return MetricSpace(d), edges
+
+
+def pnorm_table_full(v: np.ndarray, p: float, w=None) -> np.ndarray:
+    """Reference for the chunked p-norm tables: the whole n x n x dim broadcast."""
+    diff = np.abs(v[:, None, :] - v[None, :, :]) ** p
+    if w is not None:
+        diff = diff * w[None, None, :]
+    return diff.sum(axis=2) ** (1.0 / p)
 
 
 @pytest.fixture

@@ -295,6 +295,35 @@ def test_run_records_a_missing_instance_param_per_trial():
         assert "'cloud'" in err["detail"] and "'n'" in err["detail"]
 
 
+def test_run_records_a_non_numeric_instance_param_per_trial():
+    doc = q2_plan(trials=2)
+    doc["instance"]["params"] = {"n": "abc"}
+    bundle = run_experiment(plan_from_json(doc), keep_artifacts=True)
+    assert len(bundle.rows) == 2 and bundle.artifacts == []
+    assert bundle.summary["failures"] == 2
+    for t, err in enumerate(bundle.summary["errors"]):
+        assert err["trial"] == t and err["error"] == "ParameterError"
+        assert "'cloud'" in err["detail"] and "'n'" in err["detail"] and "'abc'" in err["detail"]
+
+
+def test_embedding_verifier_in_one_row_chunks(monkeypatch):
+    from metriq import embeddings
+    from metriq.cli import _embedding_artifact
+    from metriq.embeddings import star_to_lp
+
+    monkeypatch.setattr(embeddings, "TABLE_ELEMENTS", 1)
+    art = _embedding_artifact(star_to_lp(4, 1.0, 1.5))
+    assert verify_bundle(art).ok
+
+    def tamper(d):
+        d[1, 2] += 1e-3
+        return d
+
+    edit_array(art, "claimed", tamper)
+    rep = verify_bundle(art)
+    assert [v[1] for v in rep.violations] == [(0, 1, 2)]
+
+
 def test_verify_command_ok_exit_zero(runner, tmp_path):
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps(q2_plan(trials=1)))

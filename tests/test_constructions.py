@@ -1,7 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metriq import constructions
 from metriq.constructions import (
@@ -23,17 +26,30 @@ from metriq.constructions import (
 from metriq.core import (
     Equilateral,
     MetricSpace,
+    Star,
     hausdorff,
     nearest_radii,
     realize_special,
     validate_metric,
 )
-from metriq.errors import ConstructionFailureError, ParameterError
-from metriq.generators import gen_padded_copies, random_composition_tree
-from metriq.hst import hst_to_metric, validate_khst
+from metriq.errors import (
+    ConstructionFailureError,
+    MetriqError,
+    ParameterError,
+    ProbabilisticFailureError,
+    StructuralError,
+)
+from metriq.generators import (
+    gen_euclidean_cloud,
+    gen_padded_copies,
+    gen_random_graph_metric,
+    random_composition_tree,
+)
+from metriq.hst import hst_from_splits, hst_to_metric, validate_khst
 from metriq.quotient import distortion_between
+from metriq.seeds import RngSeed
 
-from conftest import check_coloring_loop, random_metric, random_partition
+from conftest import check_coloring_loop, hst_from_m_centered_dense, random_metric, random_partition
 
 
 # --- m-centers -------------------------------------------------------------
@@ -101,6 +117,95 @@ def test_hst_from_m_centered_rejects_bad_mparam():
     m = random_metric(5, 2)
     with pytest.raises(ParameterError):
         hst_from_m_centered(m, 1)
+
+
+@pytest.mark.parametrize("d", [[[0, 0], [0, 0]], [[0, 0, 1], [0, 0, 1], [1, 1, 0]]])
+def test_hst_from_m_centered_refuses_points_at_distance_zero(d):
+    with pytest.raises(StructuralError, match="distance 0"):
+        hst_from_m_centered(MetricSpace(np.array(d, dtype=float)), 2)
+
+
+# an eps whose m_center_quotient block is an m-center: 2 ln(2/eps)/eps <= mparam
+EPS_FOR_MPARAM = {2: 0.9, 3: 0.75, 5: 0.55, 17: 0.25}
+
+
+@st.composite
+def centered_cases(draw):
+    """(metric, mparam): clouds (dim 1-3) and two-valued gnp metrics, raw or
+    through m_center_quotient, and equilateral and star metrics (all ties);
+    a quarter get one entry raised by 1e-12 relative, so they are asymmetric."""
+    kind = draw(st.sampled_from(["cloud", "gnp", "equilateral", "star"]))
+    n = draw(st.integers(1, 70))
+    mparam = draw(st.sampled_from(sorted(EPS_FOR_MPARAM)))
+    seed = draw(st.integers(0, 2**31 - 1))
+    if kind == "equilateral":
+        m = realize_special(Equilateral(n, draw(st.sampled_from([0.5, 1.0, 3.0]))))
+    elif kind == "star":
+        m = realize_special(Star(n, draw(st.sampled_from([1.0, 1.5, 2.0]))))
+    else:
+        if kind == "cloud":
+            m = gen_euclidean_cloud(n, RngSeed(seed), draw(st.integers(1, 3)))
+        else:
+            m = gen_random_graph_metric(n, draw(st.sampled_from([0.05, 0.3, 0.8])), RngSeed(seed))[0]
+        if m.n >= 2 and draw(st.booleans()):
+            try:
+                m = m_center_quotient(m, EPS_FOR_MPARAM[mparam], RngSeed(seed, 1))[1].metric
+            except ProbabilisticFailureError:
+                pass
+    if m.n >= 2 and draw(st.integers(0, 3)) == 0:
+        d = m.dist.copy()
+        d[0, 1] *= 1.0 + 1e-12
+        m = MetricSpace(d)
+    return m, mparam
+
+
+def _build_outcome(build, m, mparam):
+    try:
+        t, rep = build(m, mparam)
+    except MetriqError as exc:
+        return type(exc).__name__
+    return t.order.tobytes(), t.parent.tobytes(), t.delta.tobytes(), rep.distortion
+
+
+@settings(max_examples=300, deadline=None)
+@given(centered_cases())
+def test_hst_from_m_centered_matches_dense_splitter(case):
+    m, mparam = case
+    assert _build_outcome(hst_from_m_centered, m, mparam) == _build_outcome(hst_from_m_centered_dense, m, mparam)
+
+
+@pytest.mark.parametrize("kind, n, mparam", [
+    ("cloud", 300, 17), ("cloud", 120, 5), ("cloud", 80, 2), ("gnp", 200, 17), ("gnp", 90, 3),
+])
+def test_only_the_peeling_chain_has_mparam_points(monkeypatch, kind, n, mparam):
+    if kind == "cloud":
+        m = gen_euclidean_cloud(n, RngSeed(n))
+    else:
+        m = gen_random_graph_metric(n, 0.05, RngSeed(n))[0]
+    q = m_center_quotient(m, EPS_FOR_MPARAM[mparam], RngSeed(n, 1))[1].metric
+    items = []
+
+    def recording(root, split):
+        return hst_from_splits(root, lambda item: items.append(item) or split(item))
+
+    monkeypatch.setattr(constructions, "hst_from_splits", recording)
+    hst_from_m_centered(q, mparam)
+    chains = {id(chain) for _, chain in items if chain is not None}
+    assert len(chains) == 1  # one chain, started at the root
+    large = [X.size for X, chain in items if chain is None and X.size >= mparam]
+    assert large == [q.n]  # the root is the only large set off the chain
+    assert sum(chain is not None for _, chain in items) >= q.n - 2 * mparam  # it peels a point or so per split
+
+
+def test_hst_from_m_centered_golden_n700():
+    # tree arrays of the n = 700 cloud's m-center quotient, as the dense
+    # splitter built them; later changes must keep these bytes
+    m = gen_euclidean_cloud(700, RngSeed(0))
+    q = m_center_quotient(m, 0.25, RngSeed(0, 1))[1].metric
+    t, rep = hst_from_m_centered(q, 17)
+    digest = hashlib.sha256(b"".join(a.tobytes() for a in (t.order, t.parent, t.delta))).hexdigest()
+    assert (q.n, t.parent.size, rep.distortion) == (538, 1075, 12.48881700012949)
+    assert digest == "525bb5d9eccb80c65dde27b1f8a8508ad28b74fb152b8c184bab3a56f1551a03"
 
 
 # --- ts_sets ---------------------------------------------------------------

@@ -1,12 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+
+from metriq import embeddings
 
 from metriq.cli import PIPELINES
 from metriq.core import Equilateral, Star, decode_array, realize_special, validate_metric
 from metriq.embeddings import (
     TruncatedMetricSpec,
+    VectorEmbedding,
     bourgain_embed,
     cms_sample,
     embedding_to_json,
@@ -29,7 +33,7 @@ from metriq.errors import CapacityError, NoMCenterError, ParameterError
 from metriq.generators import hypercube_metric
 from metriq.seeds import RngSeed
 
-from conftest import random_metric
+from conftest import pnorm_table_full, random_metric
 
 
 # --- random-subset embedding -----------------------------------------------
@@ -267,3 +271,35 @@ def test_embedding_json_round_trip_complex():
     v = decode_array(doc["vectors"])
     assert v.dtype == np.complex128
     assert np.array_equal(v, emb.vectors)
+
+
+# --- chunked p-norm tables -------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("complex_vectors", [False, True])
+@pytest.mark.parametrize("budget", [1, 5000, embeddings.TABLE_ELEMENTS])
+def test_induced_metric_is_bitwise_the_full_broadcast(monkeypatch, p, weighted, complex_vectors, budget):
+    rng = np.random.default_rng(int(p * 10) + 2 * weighted + complex_vectors)
+    n, dim = 37, 300
+    v = rng.normal(size=(n, dim))
+    if complex_vectors:
+        v = v + 1j * rng.normal(size=(n, dim))
+    w = rng.uniform(0.0, 1.0, size=dim) if weighted else None
+    monkeypatch.setattr(embeddings, "TABLE_ELEMENTS", budget)
+    got = induced_metric(VectorEmbedding(v, p, "monte-carlo", w)).dist
+    assert got.tobytes() == pnorm_table_full(v, p, w).tobytes()
+
+
+def test_induced_metric_memory_stays_under_the_table_budget():
+    # the full broadcast would hold 200 x 200 x 1024 float64 = 328 MB at once
+    v = np.random.default_rng(0).uniform(size=(200, 1024))
+    emb = VectorEmbedding(v, 1.5, "monte-carlo", np.full(1024, 1.0 / 1024))
+    tracemalloc.start()
+    try:
+        induced_metric(emb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20

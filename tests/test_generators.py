@@ -19,7 +19,7 @@ from metriq.generators import (
 )
 from metriq.seeds import RngSeed
 
-from conftest import random_metric
+from conftest import gen_random_graph_metric_loop, random_metric
 
 
 def test_padded_copies_structure():
@@ -47,6 +47,16 @@ def test_random_graph_metric_two_valued():
     assert validate_metric(m).ok
     for i, j in edges:
         assert m.d(i, j) == 1.0
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 60, 280])
+@pytest.mark.parametrize("q", [0.02, 0.3, 0.97])
+@pytest.mark.parametrize("seed", [0, 5, RngSeed(3, 1)])
+def test_random_graph_metric_matches_the_pair_loop(n, q, seed):
+    m, edges = gen_random_graph_metric(n, q, seed)
+    ref, ref_edges = gen_random_graph_metric_loop(n, q, seed)
+    assert m.dist.tobytes() == ref.dist.tobytes()
+    assert edges == ref_edges and all(type(i) is int for e in edges for i in e)
 
 
 def test_composition_cross_distances():
@@ -141,6 +151,21 @@ def test_realize_instance_variants():
     ]:
         m = realize_instance(InstanceSpec(variant, params, RngSeed(1)))
         assert validate_metric(m).ok, variant
+
+
+@pytest.mark.parametrize("variant, params, key", [
+    ("cloud", {"n": "abc"}, "n"),
+    ("cloud", {"n": 10, "dim": [3]}, "dim"),
+    ("gnp", {"n": 12, "q": "often"}, "q"),
+    ("lacunary", {"a": 5}, "a"),
+    ("lacunary", {"a": [1.0, "x"]}, "a"),
+    ("star", {"n": None}, "n"),
+])
+def test_realize_instance_refuses_a_non_numeric_param(variant, params, key):
+    with pytest.raises(ParameterError) as err:
+        realize_instance(InstanceSpec(variant, params, RngSeed(1)))
+    assert repr(variant) in str(err.value) and repr(key) in str(err.value)
+    assert repr(params[key]) in str(err.value)
 
 
 def test_realize_instance_is_deterministic():
