@@ -125,30 +125,6 @@ def m_center_quotient(m: MetricSpace, eps: float, seed=None, cap: int = RESAMPLE
     )
 
 
-def _pairs_by_distance(dist: np.ndarray) -> np.ndarray:
-    """Flat indices of dist by decreasing value, row-major among ties.
-
-    Within any point set, the first listed pair is the one np.argmax picks
-    on the set's submatrix.  For a symmetric matrix with zero diagonal that
-    pair lies above the diagonal (or the set's distances are all zero and
-    any pair gives delta = 0), so only the upper triangle is listed.
-    Without ties every sort gives the same order, so the fast unstable one
-    is kept unless two values are equal.
-    """
-    n = dist.shape[0]
-    if np.array_equal(dist, dist.T) and not np.any(np.diagonal(dist)):
-        iu, ju = np.triu_indices(n, 1)
-        flat = iu * n + ju
-    else:
-        flat = np.arange(n * n)
-    neg = -dist.reshape(-1)[flat]
-    order = np.argsort(neg)
-    ranked = neg[order]
-    if np.any(ranked[1:] == ranked[:-1]):
-        order = np.argsort(neg, kind="stable")
-    return flat[order]
-
-
 class _PeelChain:
     """m-center and farthest pair of one shrinking point set, kept incrementally.
 
@@ -173,7 +149,7 @@ class _PeelChain:
         self.rho[X] = np.partition(sub, need - 1, axis=1)[:, need - 1]
         self.cnt[X] = np.count_nonzero(sub <= self.rho[X][:, None], axis=1)
         self.viol[X] = np.count_nonzero(sub > self.rho[X][None, :], axis=1)
-        self.pairs = _pairs_by_distance(dist)
+        self.pairs = np.argsort(-dist, axis=None, kind="stable")
 
     def center(self) -> int | None:
         """Lowest-index m-center of the alive set (find_m_center's answer), or None."""

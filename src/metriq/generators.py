@@ -310,14 +310,19 @@ def realize_instance(spec: InstanceSpec) -> MetricSpace:
     v, p = spec.variant, spec.params
 
     def param(key: str, kind, default=_REQUIRED):
-        """p[key] converted by kind; a missing or unconvertible value is a ParameterError."""
+        """p[key] converted by kind; a missing or unconvertible value is a ParameterError.
+
+        An optional param given as null takes its default.
+        """
         if key not in p:
             if default is _REQUIRED:
                 raise ParameterError(f"instance variant {v!r} needs param {key!r}; given {sorted(p)}")
             return default
+        if p[key] is None and default is not _REQUIRED:
+            return default
         try:
             return kind(p[key])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParameterError(
                 f"instance variant {v!r} param {key!r} = {p[key]!r} is not {kind.__name__}: {exc}"
             ) from None

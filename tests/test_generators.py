@@ -160,12 +160,20 @@ def test_realize_instance_variants():
     ("lacunary", {"a": 5}, "a"),
     ("lacunary", {"a": [1.0, "x"]}, "a"),
     ("star", {"n": None}, "n"),
+    ("cloud", {"n": float("inf")}, "n"),
 ])
 def test_realize_instance_refuses_a_non_numeric_param(variant, params, key):
     with pytest.raises(ParameterError) as err:
         realize_instance(InstanceSpec(variant, params, RngSeed(1)))
     assert repr(variant) in str(err.value) and repr(key) in str(err.value)
     assert repr(params[key]) in str(err.value)
+
+
+def test_realize_instance_null_optional_param_takes_its_default():
+    base = {"base_n": 4, "copies": 3}
+    with_null = realize_instance(InstanceSpec("padded", {**base, "beta": None}, RngSeed(2)))
+    without = realize_instance(InstanceSpec("padded", base, RngSeed(2)))
+    assert np.array_equal(with_null.dist, without.dist)
 
 
 def test_realize_instance_is_deterministic():
