@@ -15,14 +15,13 @@ import math
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import click
 import numpy as np
 
 from .core import (
     Equilateral,
-    Lacunary,
     MetricSpace,
     Star,
     ValidationReport,
@@ -37,7 +36,7 @@ from .core import (
     validate_metric,
 )
 from .errors import MetriqError, ParameterError, StructuralError
-from .generators import InstanceSpec, realize_instance
+from .generators import INSTANCES, InstanceSpec, option, realize_instance, resolve_params
 from .quotient import (
     QuotientSpace,
     distortion_between,
@@ -109,26 +108,17 @@ class ReportBundle:
 
 
 def _model_doc(model) -> dict:
-    if isinstance(model, Lacunary):
-        return {"type": "lacunary", "a": list(model.a), "k": model.k}
-    if isinstance(model, Star):
-        return {"type": "star", "n": model.n, "tau": model.tau}
-    if isinstance(model, Equilateral):
-        return {"type": "equilateral", "n": model.n, "edge": model.edge}
-    raise StructuralError(f"unknown model {model!r}")
+    return {"type": type(model).__name__.lower(), **asdict(model)}
 
 
 def _model_from_doc(doc: dict) -> MetricSpace:
-    t = doc["type"]
-    if t == "lacunary":
-        m = realize_special(Lacunary(tuple(doc["a"]), float(doc.get("k", 1.0))))
-    elif t == "star":
-        m = realize_special(Star(int(doc["n"]), float(doc["tau"])))
-    elif t == "equilateral":
-        m = realize_special(Equilateral(int(doc["n"]), float(doc.get("edge", 1.0))))
-    else:
+    """The model metric of a quotient artifact, built through its INSTANCES entry."""
+    params = dict(doc)
+    t, scale = params.pop("type"), float(params.pop("scale", 1.0))
+    inst = INSTANCES.get(t)
+    if inst is None or inst.model is None:
         raise StructuralError(f"unknown model type {t!r}")
-    scale = float(doc.get("scale", 1.0))
+    m = inst.build(None, **inst.resolve(params))
     return MetricSpace(m.dist * scale) if scale != 1.0 else m
 
 
@@ -275,44 +265,21 @@ class Pipeline:
     own_space: Callable[[dict], int] | None = None
 
     def resolve(self, given: dict) -> dict:
-        """`given` over the declared defaults, each value converted by its option."""
-        opts = {o.name: o for o in self.options}
-        unknown = sorted(set(given) - set(opts))
-        missing = sorted(k for k, o in opts.items() if o.required and k not in given)
-        if unknown or missing:
-            raise ParameterError(
-                f"pipeline {self.name!r} takes params {sorted(opts)}; "
-                f"unknown {unknown}, missing {missing}"
-            )
-        params = {k: o.default for k, o in opts.items() if not o.required}
-        for k, v in given.items():
-            try:
-                # convert, unlike calling the type, rejects None; click's BOOL
-                # raises AttributeError on values that are neither bool nor str
-                params[k] = opts[k].type.convert(v, opts[k], None)
-            except (click.BadParameter, TypeError, AttributeError) as exc:
-                raise ParameterError(f"pipeline {self.name!r}: bad {k!r} value {v!r}") from exc
-        return params
-
-
-def _opt(name: str, default, **kw) -> click.Option:
-    return click.Option([name], default=default, show_default=True, **kw)
-
-
-def _flag(name: str) -> click.Option:
-    return click.Option([name], is_flag=True)
+        return resolve_params(f"pipeline {self.name!r}", self.options, given)
 
 
 PIPELINES = {p.name: p for p in (
     Pipeline("q2", _pipe_q2),
-    Pipeline("aspect", _pipe_aspect, (_opt("--alpha", 2.0), _flag("--lipschitz"))),
+    Pipeline("aspect", _pipe_aspect,
+             (option("--alpha", 2.0), option("--lipschitz", False, is_flag=True))),
     Pipeline("dichotomy", _pipe_dichotomy, (
-        _opt("--k", 1.0), _opt("--beta", 1.5), _opt("--alpha", 2.0), _flag("--drop-root"),
+        option("--k", 1.0), option("--beta", 1.5), option("--alpha", 2.0),
+        option("--drop-root", False, is_flag=True),
     )),
-    Pipeline("hst", _pipe_hst, (_opt("--eps", 0.25),)),
-    Pipeline("bourgain", _pipe_bourgain, (_opt("--eps", 0.25), _opt("--p", 2.0))),
+    Pipeline("hst", _pipe_hst, (option("--eps", 0.25),)),
+    Pipeline("bourgain", _pipe_bourgain, (option("--eps", 0.25), option("--p", 2.0))),
     Pipeline("cube-qs", _pipe_cube_qs, (
-        click.Option(["--d"], type=int, required=True), _opt("--eps", 0.1), _opt("--p", 2.0),
+        option("--d", type=int), option("--eps", 0.1), option("--p", 2.0),
     ), own_space=lambda params: 2 ** params["d"]),
 )}
 
@@ -418,7 +385,7 @@ def verify_bundle(doc: dict, tolerance: float = 1e-9) -> ValidationReport:
                 _verify_cube(art, ai, report, tolerance)
             else:
                 raise StructuralError(f"artifact {ai}: unknown kind {kind!r}")
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ParameterError) as exc:
             raise StructuralError(f"artifact {ai}: malformed ({exc})") from exc
     return report
 
@@ -553,9 +520,7 @@ def _load_metric(path: str) -> MetricSpace:
 
 
 @main.command()
-@click.option("--variant", required=True,
-              type=click.Choice(["padded", "gnp", "composition", "lipcomp", "cube",
-                                 "star", "lacunary", "equilateral", "cloud"]))
+@click.option("--variant", required=True, type=click.Choice(list(INSTANCES)))
 @click.option("--param", "params", multiple=True, help="key=value construction parameters")
 @click.pass_context
 def gen(ctx, variant, params):
@@ -636,11 +601,10 @@ def construct_star(ctx, path, a, b, alpha):
     _emit(ctx, doc)
 
 
-@construct.command("composition")
-@click.option("--depth", type=int, default=2, show_default=True)
+# its tree takes the params of the composition instance family
+@construct.command("composition", params=list(INSTANCES["composition"].options))
 @click.option("--k", type=float, default=2.0, show_default=True)
 @click.option("--alpha", type=float, default=1.5, show_default=True)
-@click.option("--beta", type=float, default=4.0, show_default=True)
 @click.pass_context
 def construct_composition(ctx, depth, k, alpha, beta):
     from .constructions import composition_qs
@@ -705,6 +669,11 @@ def embed_star(ctx, n, tau, p):
     _emit(ctx, _embedding_artifact(star_to_lp(n, tau, p)))
 
 
+def _cloud_points(ctx, n: int, dim: int, high: float) -> np.ndarray:
+    """n points uniform in [0, high)^dim, from stream 0 under --seed (stream 1 is the embedding's)."""
+    return _seed_of(ctx).child(0).rng().uniform(0.0, high, size=(n, dim))
+
+
 @embed.command("gauss-trunc")
 @click.option("--n", type=int, default=16, show_default=True)
 @click.option("--dim", type=int, default=3, show_default=True)
@@ -714,8 +683,7 @@ def embed_star(ctx, n, tau, p):
 def embed_gauss(ctx, n, dim, D, features):
     from .embeddings import truncated_gauss_embed
 
-    rng = _seed_of(ctx).child(0).rng()
-    pts = rng.uniform(0.0, 2.0 * D, size=(n, dim))
+    pts = _cloud_points(ctx, n, dim, 2.0 * D)
     emb = truncated_gauss_embed(pts, D, features, _seed_of(ctx).child(1))
     _emit(ctx, {**_embedding_artifact(emb), "points": encode_array(pts)})
 
@@ -730,8 +698,7 @@ def embed_gauss(ctx, n, dim, D, features):
 def embed_pstable(ctx, n, dim, D, p, features):
     from .embeddings import pstable_embed
 
-    rng = _seed_of(ctx).child(0).rng()
-    pts = rng.uniform(0.0, 2.0 * D, size=(n, dim))
+    pts = _cloud_points(ctx, n, dim, 2.0 * D)
     emb = pstable_embed(pts, D, p, features, _seed_of(ctx).child(1))
     _emit(ctx, {**_embedding_artifact(emb), "points": encode_array(pts)})
 
@@ -745,10 +712,8 @@ def embed_pstable(ctx, n, dim, D, p, features):
 def embed_uptolog(ctx, n, dim, D, p):
     from .embeddings import uptolog_embed
 
-    rng = _seed_of(ctx).child(0).rng()
     # 1-separated l1 points
-    pts = np.floor(rng.uniform(0.0, max(2.0, D), size=(n, dim)))
-    pts = np.unique(pts, axis=0)
+    pts = np.unique(np.floor(_cloud_points(ctx, n, dim, max(2.0, D))), axis=0)
     res = uptolog_embed(pts, D, p)
     _emit(ctx, {"kind": "metric", **metric_to_json(res.metric),
                 "image_norm": res.image_norm, "c1": res.c1, "c2": res.c2})
@@ -790,19 +755,14 @@ def certify_lipq(ctx, path, alpha):
 @click.option("--p", type=float, default=2.0, show_default=True)
 @click.pass_context
 def certify_cube_lower(ctx, path, p):
-    from .cube import CubeQsResult, cube_qs_certify_lower
-    from .cube import DistortionSummary
+    from .cube import cube_qs_certify_lower, singleton_ball_lower_bound
 
     with open(path) as fh:
         doc = json.load(fh)
     if doc.get("kind") == "cube-qs":
-        d = int(doc["d"])
-        A = decode_array(doc["net"])
-        S = decode_array(doc["survivors"])
-        dA = np.zeros(S.size)  # not needed for the lower bound
-        res = CubeQsResult(d, float(doc["eps"]), float(doc["p"]), int(doc["r"]),
-                           A, S, dA, DistortionSummary(1.0, 1.0, 0), float(doc["bound"]))
-        r, bound = cube_qs_certify_lower(res, p)
+        singletons = np.setdiff1d(decode_array(doc["survivors"]), decode_array(doc["net"]),
+                                  assume_unique=True)
+        r, bound = singleton_ball_lower_bound(int(doc["d"]), singletons, p)
     else:
         r, bound = cube_qs_certify_lower(quotient_from_json(doc), p)
     _emit(ctx, {"r": r, "bound": bound, "p": p})

@@ -305,30 +305,30 @@ def check_sandwich(result: CubeQsResult, samples: int = 20000, seed=None) -> boo
 # ---------------------------------------------------------------------------
 
 
-def _singleton_mask_from_quotient(q: QuotientSpace) -> tuple[int, np.ndarray]:
+def _cube_singletons(q: QuotientSpace) -> tuple[int, np.ndarray]:
+    """d and the singleton-block points of a quotient of the Hamming cube {0,1}^d."""
     n = q.partition.base.n
     d = n.bit_length() - 1
     if 2**d != n:
         raise StructuralError("base space size is not a power of two")
-    expected = hypercube_metric(d)
-    if not np.array_equal(q.partition.base.dist, expected.dist):
+    if not np.array_equal(q.partition.base.dist, hypercube_metric(d).dist):
         raise StructuralError("base space is not the Hamming cube")
-    mask = np.zeros(n, dtype=bool)
-    for blk in q.blocks:
-        if len(blk) == 1:
-            mask[blk[0]] = True
-    return d, mask
-
-
-def _singleton_mask_from_result(res: CubeQsResult) -> tuple[int, np.ndarray]:
-    mask = np.zeros(2**res.d, dtype=bool)
-    mask[res.singletons] = True
-    return res.d, mask
+    return d, np.array([blk[0] for blk in q.blocks if len(blk) == 1], dtype=np.int64)
 
 
 def cube_qs_certify_lower(q, p: float = 2.0) -> tuple[int, float]:
-    """Largest Hamming ball consisting of singleton blocks, and its L_p bound.
+    """`singleton_ball_lower_bound` of a QuotientSpace over a cube or a CubeQsResult."""
+    if isinstance(q, CubeQsResult):
+        return singleton_ball_lower_bound(q.d, q.singletons, p)
+    if isinstance(q, QuotientSpace):
+        return singleton_ball_lower_bound(*_cube_singletons(q), p)
+    raise StructuralError("expected a QuotientSpace over a cube or a CubeQsResult")
 
+
+def singleton_ball_lower_bound(d: int, singletons: np.ndarray, p: float = 2.0) -> tuple[int, float]:
+    """Largest Hamming ball of {0,1}^d inside `singletons`, and its L_p bound.
+
+    `singletons` are the cube points that form singleton blocks of a quotient.
     The quotient metric restricted to such a ball is the Hamming metric of a
     radius-r sub-ball, which contains an m-dimensional sub-cube for m = r // 3;
     the cube's exact L_p distortion m^(1 - 1/p) is then a certified lower bound
@@ -336,13 +336,9 @@ def cube_qs_certify_lower(q, p: float = 2.0) -> tuple[int, float]:
     """
     if not (1.0 <= p <= 2.0):
         raise ParameterError("p must be in [1, 2]")
-    if isinstance(q, CubeQsResult):
-        d, singleton = _singleton_mask_from_result(q)
-    elif isinstance(q, QuotientSpace):
-        d, singleton = _singleton_mask_from_quotient(q)
-    else:
-        raise StructuralError("expected a QuotientSpace over a cube or a CubeQsResult")
     n = 2**d
+    singleton = np.zeros(n, dtype=bool)
+    singleton[singletons] = True
     bad = ~singleton
     # multi-source BFS over the cube graph from the non-singleton set
     dist = np.full(n, d + 1, dtype=np.int64)
@@ -358,11 +354,7 @@ def cube_qs_certify_lower(q, p: float = 2.0) -> tuple[int, float]:
     if not bad.any():
         r = d
     else:
-        r = int(dist[singleton].max()) - 1 if singleton.any() else -1
-        r = max(r, 0) if singleton.any() else 0
-        r = min(r, d)
+        r = min(max(int(dist[singleton].max()) - 1, 0), d) if singleton.any() else 0
     m = r // 3
     bound = float(m) ** (1.0 - 1.0 / p) if m >= 1 else 0.0
-    if r < 3:
-        bound = 0.0
     return r, bound

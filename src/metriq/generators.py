@@ -8,8 +8,10 @@ point clouds for testing.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
+import click
 import numpy as np
 
 from .core import (
@@ -292,8 +294,99 @@ def hypercube_metric(d: int) -> MetricSpace:
 
 
 # ---------------------------------------------------------------------------
-# InstanceSpec: the CLI-facing description of a generated instance
+# Declared params, and INSTANCES: each instance family and its params, once
 # ---------------------------------------------------------------------------
+
+
+_REQUIRED = object()
+_SIZE = click.IntRange(min=1)  # point counts and dimensions
+
+
+def option(name: str, default=_REQUIRED, **kw) -> click.Option:
+    """A declared param; required when it is given no default."""
+    if default is _REQUIRED:
+        return click.Option([name], required=True, **kw)
+    return click.Option([name], default=default, show_default=True, **kw)
+
+
+class _Floats(click.ParamType):
+    name = "floats"
+
+    def convert(self, value, param, ctx):
+        return tuple(float(x) for x in value)
+
+
+def resolve_params(owner: str, options, given: dict) -> dict:
+    """`given` over the declared defaults, each value converted by its option.
+
+    An unknown, missing or unconvertible param is a ParameterError naming
+    `owner`.  Null is a value only for a param whose default is null.
+    """
+    opts = {o.name: o for o in options}
+    unknown = sorted(set(given) - set(opts))
+    missing = sorted(k for k, o in opts.items() if o.required and k not in given)
+    if unknown or missing:
+        raise ParameterError(f"{owner} takes params {sorted(opts)}; unknown {unknown}, missing {missing}")
+    params = {k: o.default for k, o in opts.items() if not o.required}
+    for k, v in given.items():
+        if v is None and not opts[k].required and opts[k].default is None:
+            continue
+        try:
+            # convert, unlike calling the type, rejects None; click's BOOL
+            # raises AttributeError on values that are neither bool nor str
+            params[k] = opts[k].type.convert(v, opts[k], None)
+        except (click.BadParameter, TypeError, ValueError, OverflowError, AttributeError) as exc:
+            raise ParameterError(f"{owner}: bad {k!r} value {v!r} ({exc})") from exc
+    return params
+
+
+@dataclass(frozen=True)
+class Instance:
+    """One instance family, realized by `build(seed, **params)`.  Its params are
+    declared once, as click options, in the same way as `cli.PIPELINES`; `model`
+    is the core dataclass (Star, Lacunary, Equilateral) whose fields they are.
+    """
+
+    name: str
+    build: Callable
+    options: tuple[click.Option, ...]
+    model: type | None = None
+
+    def resolve(self, given: dict) -> dict:
+        return resolve_params(f"instance variant {self.name!r}", self.options, given)
+
+
+def _model(cls, *options: click.Option) -> Instance:
+    return Instance(cls.__name__.lower(), lambda seed, **p: realize_special(cls(**p)), options, cls)
+
+
+def _lipcomp(seed, k, yn, alpha):
+    X = gen_euclidean_cloud(k, seed.child(0))
+    Y = gen_euclidean_cloud(yn, seed.child(1))
+    mu = alpha * aspect_ratio(Y) * 1.01
+    theta = alpha * mu**X.n * Y.diameter() / X.min_distance()
+    return gen_lipcomp_product(X, Y, mu, theta, alpha)
+
+
+INSTANCES = {i.name: i for i in (
+    Instance("padded", lambda seed, base_n, copies, beta:
+             gen_padded_copies(gen_euclidean_cloud(base_n, seed), copies, beta),
+             (option("--base-n", 4, type=_SIZE), option("--copies", type=_SIZE),
+              option("--beta", None, type=float))),
+    Instance("gnp", lambda seed, n, q: gen_random_graph_metric(n, q, seed)[0],
+             (option("--n", type=_SIZE), option("--q", type=float))),
+    Instance("composition",
+             lambda seed, depth, beta: gen_composition(random_composition_tree(depth, seed, beta=beta)),
+             (option("--depth", 2), option("--beta", 4.0))),
+    Instance("lipcomp", _lipcomp,
+             (option("--k", 3, type=_SIZE), option("--yn", 3, type=_SIZE), option("--alpha", 1.5))),
+    Instance("cube", lambda seed, d: hypercube_metric(d), (option("--d", type=click.IntRange(min=0)),)),
+    _model(Star, option("--n", type=_SIZE), option("--tau", Star.tau)),
+    _model(Lacunary, option("--a", type=_Floats()), option("--k", Lacunary.k)),
+    _model(Equilateral, option("--n", type=_SIZE), option("--edge", Equilateral.edge)),
+    Instance("cloud", lambda seed, n, dim: gen_euclidean_cloud(n, seed, dim),
+             (option("--n", type=_SIZE), option("--dim", 3, type=_SIZE))),
+)}
 
 
 @dataclass(frozen=True)
@@ -303,56 +396,9 @@ class InstanceSpec:
     seed: RngSeed
 
 
-_REQUIRED = object()
-
-
 def realize_instance(spec: InstanceSpec) -> MetricSpace:
-    v, p = spec.variant, spec.params
-
-    def param(key: str, kind, default=_REQUIRED):
-        """p[key] converted by kind; a missing or unconvertible value is a ParameterError.
-
-        An optional param given as null takes its default.
-        """
-        if key not in p:
-            if default is _REQUIRED:
-                raise ParameterError(f"instance variant {v!r} needs param {key!r}; given {sorted(p)}")
-            return default
-        if p[key] is None and default is not _REQUIRED:
-            return default
-        try:
-            return kind(p[key])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ParameterError(
-                f"instance variant {v!r} param {key!r} = {p[key]!r} is not {kind.__name__}: {exc}"
-            ) from None
-
-    def floats(a):
-        return tuple(float(x) for x in a)
-
-    if v == "star":
-        return realize_special(Star(param("n", int), param("tau", float, 2.0)))
-    if v == "lacunary":
-        return realize_special(Lacunary(param("a", floats), param("k", float, 1.0)))
-    if v == "equilateral":
-        return realize_special(Equilateral(param("n", int), param("edge", float, 1.0)))
-    if v == "cube":
-        return hypercube_metric(param("d", int))
-    if v == "gnp":
-        return gen_random_graph_metric(param("n", int), param("q", float), spec.seed)[0]
-    if v == "cloud":
-        return gen_euclidean_cloud(param("n", int), spec.seed, param("dim", int, 3))
-    if v == "padded":
-        base = gen_euclidean_cloud(param("base_n", int, 4), spec.seed)
-        return gen_padded_copies(base, param("copies", int), param("beta", float, None))
-    if v == "composition":
-        tree = random_composition_tree(param("depth", int, 2), spec.seed, beta=param("beta", float, 4.0))
-        return gen_composition(tree)
-    if v == "lipcomp":
-        X = gen_euclidean_cloud(param("k", int, 3), spec.seed.child(0))
-        Y = gen_euclidean_cloud(param("yn", int, 3), spec.seed.child(1))
-        alpha = param("alpha", float, 1.5)
-        mu = alpha * aspect_ratio(Y) * 1.01
-        theta = alpha * mu**X.n * Y.diameter() / X.min_distance()
-        return gen_lipcomp_product(X, Y, mu, theta, alpha)
-    raise ParameterError(f"unknown instance variant {v!r}")
+    """The metric of `spec`: its params resolved against INSTANCES, then built."""
+    inst = INSTANCES.get(spec.variant)
+    if inst is None:
+        raise ParameterError(f"unknown instance variant {spec.variant!r}")
+    return inst.build(spec.seed, **inst.resolve(spec.params))

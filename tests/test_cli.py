@@ -13,7 +13,16 @@ from metriq.cli import (
     run_experiment,
     verify_bundle,
 )
-from metriq.core import decode_array, dumps, metric_from_json, metric_to_json
+from metriq.core import (
+    Equilateral,
+    Lacunary,
+    Star,
+    decode_array,
+    dumps,
+    metric_from_json,
+    metric_to_json,
+    realize_special,
+)
 from metriq.errors import ParameterError, StructuralError
 from metriq.generators import InstanceSpec
 from metriq.lipschitz import QuotientMap, quotient_map_to_json
@@ -304,6 +313,46 @@ def test_run_records_a_non_numeric_instance_param_per_trial():
     for t, err in enumerate(bundle.summary["errors"]):
         assert err["trial"] == t and err["error"] == "ParameterError"
         assert "'cloud'" in err["detail"] and "'n'" in err["detail"] and "'abc'" in err["detail"]
+
+
+@pytest.mark.parametrize("variant, params, key", [
+    ("cloud", {"n": -1}, "n"),
+    ("cloud", {"n": 10, "dim": -2}, "dim"),
+    ("gnp", {"n": -3, "q": 0.5}, "n"),
+    ("padded", {"base_n": -1, "copies": 2}, "base_n"),
+    ("lipcomp", {"k": -1}, "k"),
+    ("lipcomp", {"yn": -1}, "yn"),
+    ("cloud", {"n": 40, "nn": 3}, "nn"),
+])
+def test_run_and_gen_refuse_a_negative_size_or_unknown_instance_param(runner, variant, params, key):
+    doc = q2_plan(trials=2)
+    doc["instance"] = {"variant": variant, "params": params}
+    bundle = run_experiment(plan_from_json(doc), keep_artifacts=True)
+    assert len(bundle.rows) == 2 and bundle.artifacts == []
+    assert bundle.summary["failures"] == 2
+    for t, err in enumerate(bundle.summary["errors"]):
+        assert err["trial"] == t and err["error"] == "ParameterError"
+        assert repr(variant) in err["detail"] and repr(key) in err["detail"]
+    args = [f"--param={k}={json.dumps(v)}" for k, v in params.items()]
+    result = runner.invoke(main, ["gen", "--variant", variant, *args])
+    assert isinstance(result.exception, ParameterError)
+
+
+@pytest.mark.parametrize("model", [
+    Lacunary((8.0, 4.0, 1.5), 2.0), Star(5, 1.25), Equilateral(4, 0.75),
+], ids=["lacunary", "star", "equilateral"])
+def test_model_doc_round_trips_to_the_model_metric(model):
+    from metriq.cli import _model_doc, _model_from_doc
+
+    doc = json.loads(dumps(_model_doc(model)))
+    assert doc["type"] == type(model).__name__.lower()
+    assert np.array_equal(_model_from_doc(doc).dist, realize_special(model).dist)
+    scaled = _model_from_doc({**doc, "scale": 2.5})
+    assert np.array_equal(scaled.dist, realize_special(model).dist * 2.5)
+    with pytest.raises(StructuralError):
+        _model_from_doc({**doc, "type": "cloud"})
+    with pytest.raises(ParameterError, match="unknown \\['zz'\\]"):
+        _model_from_doc({**doc, "zz": 1})
 
 
 def test_embedding_verifier_in_one_row_chunks(monkeypatch):

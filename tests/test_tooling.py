@@ -1,10 +1,15 @@
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+from metriq.cli import PIPELINES
+from metriq.generators import INSTANCES
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _traced_layers():
@@ -19,3 +24,28 @@ def _traced_layers():
 def test_every_traced_layer_exists(module, function):
     # Tracer.install looks each one up by name; a rename would crash --trace 1
     assert callable(getattr(importlib.import_module(f"metriq.{module}"), function, None))
+
+
+def _readme_table(header: str) -> dict[str, str]:
+    """First cell -> second cell of each row of the README table headed `| header |`."""
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(f"| {header} |"))
+    rows = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        rows[cells[0].strip("`")] = cells[1]
+    return rows
+
+
+def _declared(options) -> str:
+    return ", ".join(
+        f"`{o.name}` ({'required' if o.required else json.dumps(o.default)})" for o in options
+    ) or "—"
+
+
+@pytest.mark.parametrize("header, table", [("pipeline", PIPELINES), ("variant", INSTANCES)],
+                         ids=["pipelines", "instances"])
+def test_readme_tables_list_the_declared_params(header, table):
+    assert _readme_table(header) == {name: _declared(t.options) for name, t in table.items()}
