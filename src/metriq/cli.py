@@ -36,7 +36,7 @@ from .core import (
     validate_metric,
 )
 from .errors import MetriqError, ParameterError, StructuralError
-from .generators import INSTANCES, InstanceSpec, option, realize_instance, resolve_params
+from .generators import INSTANCES, InstanceSpec, option, realize_instance, resolve_instance, resolve_params
 from .quotient import (
     QuotientSpace,
     distortion_between,
@@ -137,12 +137,13 @@ def _hst_artifact(base: MetricSpace, tree, certified: float) -> dict:
             "certified_distortion": certified}
 
 
-def _embedding_artifact(emb) -> dict:
+def _embedding_artifact(emb, induced: MetricSpace | None = None) -> dict:
+    """`induced`, when given, is induced_metric(emb), already computed."""
     from .embeddings import embedding_to_json, induced_metric
 
     doc = embedding_to_json(emb)
     doc["kind"] = "embedding"
-    doc["claimed"] = encode_array(induced_metric(emb).dist)
+    doc["claimed"] = encode_array((induced if induced is not None else induced_metric(emb)).dist)
     return doc
 
 
@@ -233,10 +234,10 @@ def _pipe_bourgain(m: MetricSpace, seed: RngSeed, params: dict):
     T, q, attempts = m_center_quotient(m, eps, seed.child(0))
     mparam = 2.0 * math.log(2.0 / eps) / eps
     mode = "exact" if q.metric.n <= 15 else "monte-carlo"
-    emb, report = bourgain_embed(q.metric, mparam, p, mode, seed.child(1))
+    emb, report, induced = bourgain_embed(q.metric, mparam, p, mode, seed.child(1))
     qq = max(1, int(math.ceil(math.log(mparam) / p - 1e-12)))
     return (_row(q.metric.n, q.provenance, "lp", report.distortion, 96 * qq, attempts, p),
-            _embedding_artifact(emb))
+            _embedding_artifact(emb, induced))
 
 
 def _pipe_cube_qs(m, seed: RngSeed, params: dict):
@@ -312,11 +313,12 @@ def run_experiment(plan: ExperimentPlan, keep_artifacts: bool = False) -> Report
         row["seed"] = plan.seed
         start = time.perf_counter()
         try:
+            spec = InstanceSpec(plan.instance.variant, plan.instance.params, trial_seed.child(0))
             if pipeline.own_space:
+                resolve_instance(spec)  # checked, though the pipe builds its own space
                 m = None
                 row["n"] = pipeline.own_space(params)
             else:
-                spec = InstanceSpec(plan.instance.variant, plan.instance.params, trial_seed.child(0))
                 m = realize_instance(spec)
                 row["n"] = m.n
             result, art = pipeline.run(m, trial_seed.child(1), params)
@@ -654,8 +656,8 @@ def embed():
 def embed_bourgain(ctx, path, mparam, p, mode):
     from .embeddings import bourgain_embed
 
-    emb, report = bourgain_embed(_load_metric(path), mparam, p, mode, _seed_of(ctx))
-    _emit(ctx, {**_embedding_artifact(emb), "distortion": report.distortion})
+    emb, report, induced = bourgain_embed(_load_metric(path), mparam, p, mode, _seed_of(ctx))
+    _emit(ctx, {**_embedding_artifact(emb, induced), "distortion": report.distortion})
 
 
 @embed.command("star")

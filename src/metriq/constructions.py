@@ -125,6 +125,31 @@ def m_center_quotient(m: MetricSpace, eps: float, seed=None, cap: int = RESAMPLE
     )
 
 
+def _pair_order(dist: np.ndarray) -> np.ndarray:
+    """Flat indices of dist by decreasing value, row-major among ties.
+
+    The order of np.argsort(-dist, axis=None, kind="stable"), in two sorts:
+    numpy's default (SIMD) argsort of the negated values, which may shuffle
+    equal values, then one plain int64 sort of run * size + index, where run
+    numbers the runs of equal values in that order.  Exact for any finite
+    matrix, ties, +-0.0 and asymmetric entries included.  Each temporary is
+    freed once used, so at most three flat 8-byte arrays are alive at once.
+    """
+    size = dist.size
+    vals = -dist.reshape(-1)
+    order = np.argsort(vals)
+    vals = vals[order]
+    key = np.empty(size, np.int64)
+    key[:1] = 0
+    np.cumsum(vals[1:] != vals[:-1], out=key[1:])
+    del vals
+    key *= size
+    key += order
+    del order
+    key.sort()
+    return np.remainder(key, size, out=key)
+
+
 class _PeelChain:
     """m-center and farthest pair of one shrinking point set, kept incrementally.
 
@@ -133,9 +158,11 @@ class _PeelChain:
     d(y, z) <= rho[y]; viol[y] counts the alive z with d(y, z) > rho[z], so
     the m-centers are exactly the alive y with viol[y] = 0.  `pairs` lists
     every matrix entry by decreasing distance, row-major among ties (the
-    order in which np.argmax breaks them); the farthest alive pair is the
-    first one whose `live` flag is set, and that position only moves forward.
-    Rows of dead points are updated along with the rest and never read.
+    order in which np.argmax breaks them; see _pair_order); the farthest
+    alive pair is the first one whose `live` flag is set, and that position
+    only moves forward.  `distT` is the C-contiguous transpose, so the
+    columns of the peeled points are read as rows.  Rows of dead points are
+    updated along with the rest and never read.
     """
 
     def __init__(self, dist: np.ndarray, X: np.ndarray, need: int):
@@ -149,7 +176,9 @@ class _PeelChain:
         self.rho[X] = np.partition(sub, need - 1, axis=1)[:, need - 1]
         self.cnt[X] = np.count_nonzero(sub <= self.rho[X][:, None], axis=1)
         self.viol[X] = np.count_nonzero(sub > self.rho[X][None, :], axis=1)
-        self.pairs = np.argsort(-dist, axis=None, kind="stable")
+        del sub  # before the sort's temporaries, which set the peak here
+        self.pairs = _pair_order(dist)
+        self.distT = np.ascontiguousarray(dist.T)
 
     def center(self) -> int | None:
         """Lowest-index m-center of the alive set (find_m_center's answer), or None."""
@@ -171,21 +200,21 @@ class _PeelChain:
 
     def drop(self, R: np.ndarray):
         """Remove the points R; at least `need` points must stay alive."""
-        need, d, rho = self.need, self.dist, self.rho
+        need, dT, rho = self.need, self.distT, self.rho
         self.alive[R] = False
         self.live[R] = False
         self.live[:, R] = False
-        self.cnt -= (d[:, R] <= rho[:, None]).sum(axis=1)
+        self.cnt -= (dT[R] <= rho).sum(axis=0)
         # rho[y] only changes once fewer than need alive points lie within it
         U = np.flatnonzero(self.alive & (self.cnt < need))
-        rows = d[U][:, self.alive]
+        rows = self.dist[U][:, self.alive]
         new = np.partition(rows, need - 1, axis=1)[:, need - 1]
         self.cnt[U] = (rows <= new[:, None]).sum(axis=1)
         # column z stops counting in viol[y] once rho[z] >= d(y, z); a dead z has rho = inf
         C = np.concatenate([R, U])
-        dC, old = d[:, C], rho[C]
+        dC, old = dT[C], rho[C][:, None]
         rho[R], rho[U] = np.inf, new
-        self.viol -= ((dC > old) & (dC <= rho[C])).sum(axis=1)
+        self.viol -= ((dC > old) & (dC <= rho[C][:, None])).sum(axis=0)
 
 
 def hst_from_m_centered(m: MetricSpace, mparam: int) -> tuple[HstTree, DistortionReport]:
@@ -207,9 +236,12 @@ def hst_from_m_centered(m: MetricSpace, mparam: int) -> tuple[HstTree, Distortio
     outside sides from the root, and every other set has < need points, so
     its center condition is vacuous and x = its first point.  The chain's
     centers and farthest pairs come from one _PeelChain, which updates only
-    the rows a peeled point touches: O(N^2 log N) in all (the one sort of
-    the N^2 distances) against Theta(N^3) for rescanning every set.  Small
-    sets are split from their own submatrix.  The trees are identical.
+    the rows a peeled point touches: O(N^2 log N) in all against Theta(N^3)
+    for rescanning every set.  The log factor is the one ordering of the N^2
+    distances (_pair_order: a SIMD argsort, then an exact int64 pass that
+    puts tied entries back in row-major order).  Each cut bins the set's
+    distances to a with one binary search over the band edges i * width.
+    Small sets are split from their own submatrix.  The trees are identical.
     """
     if int(mparam) != mparam or mparam < 2:
         raise ParameterError("mparam must be an integer >= 2")
@@ -239,15 +271,17 @@ def hst_from_m_centered(m: MetricSpace, mparam: int) -> tuple[HstTree, Distortio
         a = ai if m.dist[x, ai] >= delta / 2.0 else bi
         width = delta / (2.0 * mparam)
         da = m.dist[a, X]
-        # band i+1 is [i*width, (i+1)*width); empty means a clean cut at i*width
-        empty = (i for i in range(1, mparam) if not np.any((da >= i * width) & (da < (i + 1) * width)))
-        cut = next(empty, None)
-        if cut is None:
+        # band k is [(k-1)*width, k*width), with edges the products i*width; an
+        # empty band k = i+1 (0 < i < mparam) means a clean cut at i*width
+        edges = np.arange(mparam + 1.0) * width
+        counts = np.bincount(np.searchsorted(edges, da, side="right"), minlength=mparam + 2)
+        empty = np.flatnonzero(counts[2 : mparam + 1] == 0)
+        if not empty.size:
             raise ConstructionFailureError(
                 "no empty band found; center property violated numerically",
                 {"X": X.tolist(), "mparam": mparam},
             )
-        inside = da < cut * width
+        inside = da < edges[empty[0] + 1]
         rest = X[~inside]
         if chain is not None and rest.size >= mparam:
             chain.drop(X[inside])

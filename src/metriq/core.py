@@ -222,10 +222,17 @@ def validate_metric(m: MetricSpace | np.ndarray, tol: float = TOL) -> Validation
 
 
 def aspect_ratio(m: MetricSpace) -> float:
-    """Diameter over the minimum positive distance (>= 1)."""
+    """Diameter over the minimum off-diagonal distance (>= 1).
+
+    Undefined, and refused with UndefinedInputError, below 2 points or when
+    two points are at distance 0.
+    """
     if m.n < 2:
         raise UndefinedInputError("aspect ratio needs at least 2 points")
-    return m.diameter() / m.min_distance()
+    least = m.min_distance()
+    if least <= 0:
+        raise UndefinedInputError(f"aspect ratio needs positive distances; the smallest is {least!r}")
+    return m.diameter() / least
 
 
 def nearest_radius(m: MetricSpace, x: int) -> float:

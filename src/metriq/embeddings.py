@@ -110,7 +110,7 @@ def embedding_to_json(emb: VectorEmbedding) -> dict:
 
 def bourgain_embed(
     m: MetricSpace, mparam: float, p: float = 2.0, mode: str = "exact", seed=None
-) -> tuple[VectorEmbedding, DistortionReport]:
+) -> tuple[VectorEmbedding, DistortionReport, MetricSpace]:
     """Distance-to-random-subset embedding for spaces with an mparam-center.
 
     Coordinates are d(u, A) over subsets A, weighted so the map is
@@ -118,6 +118,9 @@ def bourgain_embed(
     point inclusion probability e^(-p*i) at scale i.  Exact mode enumerates
     all nonempty subsets (n <= 15); monte-carlo samples 256*q subsets per
     scale.  Exact-mode distortion must stay below 96*q.
+
+    Returns the embedding, its distortion report and the induced metric the
+    report was computed from, so a caller that stores the table reuses it.
     """
     from .constructions import find_m_center
 
@@ -162,13 +165,14 @@ def bourgain_embed(
     else:
         raise ParameterError(f"unknown mode {mode!r}")
 
-    report = distortion_between(m, induced_metric(emb))
+    induced = induced_metric(emb)
+    report = distortion_between(m, induced)
     if mode == "exact" and report.distortion > 96 * q + 1e-9:
         raise ConstructionFailureError(
             f"exact-mode distortion {report.distortion} exceeds 96q = {96 * q}",
             {"q": q, "report": report},
         )
-    return emb, report
+    return emb, report, induced
 
 
 # ---------------------------------------------------------------------------

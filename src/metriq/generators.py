@@ -396,9 +396,15 @@ class InstanceSpec:
     seed: RngSeed
 
 
-def realize_instance(spec: InstanceSpec) -> MetricSpace:
-    """The metric of `spec`: its params resolved against INSTANCES, then built."""
+def resolve_instance(spec: InstanceSpec) -> tuple[Instance, dict]:
+    """The INSTANCES entry of `spec` and its params resolved against it; builds nothing."""
     inst = INSTANCES.get(spec.variant)
     if inst is None:
         raise ParameterError(f"unknown instance variant {spec.variant!r}")
-    return inst.build(spec.seed, **inst.resolve(spec.params))
+    return inst, inst.resolve(spec.params)
+
+
+def realize_instance(spec: InstanceSpec) -> MetricSpace:
+    """The metric of `spec`: its params resolved against INSTANCES, then built."""
+    inst, params = resolve_instance(spec)
+    return inst.build(spec.seed, **params)

@@ -138,7 +138,7 @@ def test_subset_embedding_non_expansion_bulk():
             mp for mp in range(2, n + 2) if find_m_center(m, float(mp)) is not None
         )
         for p in (1.0, 2.0):
-            emb, report = bourgain_embed(m, float(mparam), p, "exact")
+            emb, report, _ = bourgain_embed(m, float(mparam), p, "exact")
             ind = induced_metric(emb)
             assert np.all(ind.dist <= m.dist + 1e-9)  # every pair
             q = max(1, int(math.ceil(math.log(mparam) / p - 1e-12)))
@@ -322,7 +322,7 @@ def _hst_artifact(seed):
 def _embedding_artifact(seed):
     m = random_metric(8, seed)
     mparam = next(mp for mp in range(2, 10) if find_m_center(m, float(mp)) is not None)
-    emb, _ = bourgain_embed(m, float(mparam), 2.0, "exact")
+    emb, _, _ = bourgain_embed(m, float(mparam), 2.0, "exact")
     return dumps(embedding_to_json(emb))
 
 

@@ -481,6 +481,40 @@ def test_construct_lacunary_is_gone(runner, metrics):
     assert "No such command" in result.output
 
 
+def test_aspect_plan_on_points_at_distance_zero_records_an_error_per_trial():
+    # one base point in two copies at distance 0: the aspect ratio is undefined
+    doc = {"instance": {"variant": "padded", "params": {"base_n": 1, "copies": 2}},
+           "pipeline": "aspect", "params": {}, "trials": 2, "seed": 0}
+    bundle = run_experiment(plan_from_json(doc), keep_artifacts=True)
+    assert len(bundle.rows) == 2 and bundle.artifacts == []
+    assert [e["error"] for e in bundle.summary["errors"]] == ["UndefinedInputError"] * 2
+
+
+@pytest.mark.parametrize("variant, params, key", [
+    ("cube", {"d": -5, "zz": 1}, "zz"),
+    ("cube", {"d": -5}, "d"),
+    ("cube", {}, "d"),
+    ("kube", {"d": 8}, "kube"),
+])
+def test_cube_qs_plan_checks_its_instance_params_per_trial(variant, params, key):
+    doc = {"instance": {"variant": variant, "params": params}, "pipeline": "cube-qs",
+           "params": {"d": 8, "eps": 0.24}, "trials": 2, "seed": 0}
+    bundle = run_experiment(plan_from_json(doc), keep_artifacts=True)
+    assert len(bundle.rows) == 2 and bundle.artifacts == []
+    for t, err in enumerate(bundle.summary["errors"]):
+        assert err["trial"] == t and err["error"] == "ParameterError"
+        assert repr(key) in err["detail"]
+
+
+@pytest.mark.parametrize("d", [8, 30])
+def test_cube_qs_plan_resolves_its_instance_without_building_it(d):
+    # a built d = 30 cube would be a 2^30-point matrix, which hypercube_metric refuses
+    doc = {"instance": {"variant": "cube", "params": {"d": d}}, "pipeline": "cube-qs",
+           "params": {"d": 8, "eps": 0.24}, "trials": 1, "seed": 0}
+    bundle = run_experiment(plan_from_json(doc))
+    assert bundle.summary["failures"] == 0 and bundle.rows[0]["n"] == 256
+
+
 def test_plan_rejects_missing_param():
     doc = {
         "instance": {"variant": "cube", "params": {"d": 8}},

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,6 +207,46 @@ def test_hst_from_m_centered_golden_n700():
     digest = hashlib.sha256(b"".join(a.tobytes() for a in (t.order, t.parent, t.delta))).hexdigest()
     assert (q.n, t.parent.size, rep.distortion) == (538, 1075, 12.48881700012949)
     assert digest == "525bb5d9eccb80c65dde27b1f8a8508ad28b74fb152b8c184bab3a56f1551a03"
+
+
+def test_hst_from_m_centered_peak_memory_stays_below_its_input_cloud():
+    # in a trial the cloud's generation sets the memory peak; the build, with
+    # the cloud and its quotient still alive, must stay below it (golden
+    # input, N = 538), so its sort temporaries cannot move peak RSS
+    tracemalloc.start()
+    try:
+        m = gen_euclidean_cloud(700, RngSeed(0))
+        cloud_peak = tracemalloc.get_traced_memory()[1]
+        q = m_center_quotient(m, 0.25, RngSeed(0, 1))[1].metric
+        tracemalloc.reset_peak()
+        hst_from_m_centered(q, 17)
+        build_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert q.n == 538 and build_peak < cloud_peak
+
+
+@st.composite
+def tied_matrices(draw):
+    """Square matrices over an alphabet of at most six values: heavy ties,
+    +-0.0 and negative entries, optionally symmetrized, and sometimes one
+    entry raised by 1e-12 relative so that the matrix is asymmetric."""
+    n = draw(st.integers(1, 30))
+    value = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]), st.floats(-4.0, 4.0))
+    alphabet = np.array(draw(st.lists(value, min_size=1, max_size=6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = alphabet[rng.integers(alphabet.size, size=(n, n))]
+    if draw(st.booleans()):
+        d = np.maximum(d, d.T)
+    if draw(st.booleans()):
+        d[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] *= 1.0 + 1e-12
+    return d
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_matrices())
+def test_pair_order_is_the_stable_argsort(d):
+    assert np.array_equal(constructions._pair_order(d), np.argsort(-d, axis=None, kind="stable"))
 
 
 # --- ts_sets ---------------------------------------------------------------

@@ -41,9 +41,9 @@ from conftest import pnorm_table_full, random_metric
 
 def test_bourgain_exact_non_expanding_and_weighted():
     m = realize_special(Equilateral(6, 1.0))
-    emb, rep = bourgain_embed(m, 3.0, 2.0, "exact")
+    emb, rep, ind = bourgain_embed(m, 3.0, 2.0, "exact")
     assert emb.weights.sum() <= 1.0 + 1e-12
-    ind = induced_metric(emb)
+    assert np.array_equal(ind.dist, induced_metric(emb).dist)
     assert np.all(ind.dist <= m.dist + 1e-9)
     # coordinate weight depends only on subset size
     sizes = {}
@@ -68,8 +68,8 @@ def test_bourgain_capacity():
 
 def test_bourgain_monte_carlo_close_to_exact():
     m = realize_special(Equilateral(8, 1.0))
-    _, rep_e = bourgain_embed(m, 3.0, 2.0, "exact")
-    _, rep_mc = bourgain_embed(m, 3.0, 2.0, "monte-carlo", seed=1)
+    _, rep_e, _ = bourgain_embed(m, 3.0, 2.0, "exact")
+    _, rep_mc, _ = bourgain_embed(m, 3.0, 2.0, "monte-carlo", seed=1)
     assert rep_mc.distortion < 3 * rep_e.distortion + 1.0
 
 
