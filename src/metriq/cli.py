@@ -137,13 +137,13 @@ def _hst_artifact(base: MetricSpace, tree, certified: float) -> dict:
             "certified_distortion": certified}
 
 
-def _embedding_artifact(emb, induced: MetricSpace | None = None) -> dict:
-    """`induced`, when given, is induced_metric(emb), already computed."""
-    from .embeddings import embedding_to_json, induced_metric
+def _embedding_artifact(emb, induced: MetricSpace) -> dict:
+    """`induced` is induced_metric(emb), already computed."""
+    from .embeddings import embedding_to_json
 
     doc = embedding_to_json(emb)
     doc["kind"] = "embedding"
-    doc["claimed"] = encode_array((induced if induced is not None else induced_metric(emb)).dist)
+    doc["claimed"] = encode_array(induced.dist)
     return doc
 
 
@@ -205,6 +205,17 @@ def _pipe_dichotomy(m: MetricSpace, seed: RngSeed, params: dict):
     return _row(q.metric.n, q.provenance, res.branch, dist, params["alpha"]), art
 
 
+def _pipe_star(m: MetricSpace, seed: RngSeed, params: dict):
+    """Star quotient from the band [a, b) of nearest radii, within alpha of a star."""
+    from .constructions import find_star_quotient
+
+    res = find_star_quotient(m, params["a"], params["b"], params["alpha"], seed)
+    q, dist = res.quotient, res.report.distortion
+    art = _quotient_artifact(q, Star(q.metric.n - 1, res.tau), dist)
+    art["model"]["scale"] = params["a"]
+    return _row(q.metric.n, q.provenance, "star", dist, params["alpha"], res.attempts), art
+
+
 def _star_scale(res) -> float:
     # root-leaf quotient distances sit at scale a; recover it from the metric
     d = res.quotient.metric.dist
@@ -218,7 +229,7 @@ def _pipe_hst(m: MetricSpace, seed: RngSeed, params: dict):
     from .constructions import hst_from_m_centered, m_center_quotient
 
     eps = params["eps"]
-    T, q, attempts = m_center_quotient(m, eps, seed)
+    _, q, attempts = m_center_quotient(m, eps, seed)
     mparam = max(2, int(math.ceil(2.0 * math.log(2.0 / eps) / eps)))
     tree, report = hst_from_m_centered(q.metric, mparam)
     return (_row(q.metric.n, q.provenance, "UM", report.distortion, 2.0 * mparam, attempts),
@@ -231,7 +242,7 @@ def _pipe_bourgain(m: MetricSpace, seed: RngSeed, params: dict):
     from .embeddings import bourgain_embed
 
     eps, p = params["eps"], params["p"]
-    T, q, attempts = m_center_quotient(m, eps, seed.child(0))
+    _, q, attempts = m_center_quotient(m, eps, seed.child(0))
     mparam = 2.0 * math.log(2.0 / eps) / eps
     mode = "exact" if q.metric.n <= 15 else "monte-carlo"
     emb, report, induced = bourgain_embed(q.metric, mparam, p, mode, seed.child(1))
@@ -250,6 +261,18 @@ def _pipe_cube_qs(m, seed: RngSeed, params: dict):
             _cube_artifact(res))
 
 
+def _pipe_composition(m, seed: RngSeed, params: dict):
+    """Random composition tree, then a QS quotient of it glued into a k-HST."""
+    from .constructions import composition_qs
+    from .generators import random_composition_tree
+
+    tree = random_composition_tree(params["depth"], seed.child(0), beta=params["beta"])
+    res = composition_qs(tree, params["k"], params["alpha"], seed.child(1))
+    q, dist = res.quotient, res.report.distortion
+    return ({"n": res.composed.n, **_row(q.metric.n, q.provenance, "UM", dist, res.alpha_bound)},
+            _hst_artifact(q.metric, res.hst, dist))
+
+
 @dataclass(frozen=True)
 class Pipeline:
     """One construction: `metriq run` executes it once per trial, and the CLI
@@ -262,8 +285,9 @@ class Pipeline:
     run: Callable
     options: tuple[click.Option, ...] = ()
     # None: the pipe runs on the plan's instance metric; otherwise it builds
-    # its own space, of own_space(params) points
-    own_space: Callable[[dict], int] | None = None
+    # its own space, of own_space(params) points, or "" when only the built
+    # space knows its size and the pipe's row gives it as `n`
+    own_space: Callable[[dict], int | str] | None = None
 
     def resolve(self, given: dict) -> dict:
         return resolve_params(f"pipeline {self.name!r}", self.options, given)
@@ -277,11 +301,17 @@ PIPELINES = {p.name: p for p in (
         option("--k", 1.0), option("--beta", 1.5), option("--alpha", 2.0),
         option("--drop-root", False, is_flag=True),
     )),
+    Pipeline("star", _pipe_star,
+             (option("--a", type=float), option("--b", type=float), option("--alpha", type=float))),
     Pipeline("hst", _pipe_hst, (option("--eps", 0.25),)),
     Pipeline("bourgain", _pipe_bourgain, (option("--eps", 0.25), option("--p", 2.0))),
     Pipeline("cube-qs", _pipe_cube_qs, (
         option("--d", type=int), option("--eps", 0.1), option("--p", 2.0),
     ), own_space=lambda params: 2 ** params["d"]),
+    # its tree takes the params of the composition instance family
+    Pipeline("composition", _pipe_composition,
+             (*INSTANCES["composition"].options, option("--k", 2.0), option("--alpha", 1.5)),
+             own_space=lambda params: ""),
 )}
 
 
@@ -367,9 +397,9 @@ def verify_bundle(doc: dict, tolerance: float = 1e-9) -> ValidationReport:
     code involved).
     """
     report = ValidationReport()
-    artifacts = doc.get("artifacts", doc.get("kind") and [doc] or [])
+    artifacts = doc.get("artifacts", [doc] if "kind" in doc else None)
     if not isinstance(artifacts, list):
-        raise StructuralError("bundle must contain an artifact list")
+        raise StructuralError("a bundle needs an artifact list, and a single artifact its kind")
     for ai, art in enumerate(artifacts):
         kind = art.get("kind")
         try:
@@ -539,7 +569,7 @@ def gen(ctx, variant, params):
     if ctx.obj["fmt"] == "csv":
         _emit(ctx, metric_to_csv(m))
     else:
-        _emit(ctx, metric_to_json(m))
+        _emit(ctx, {"kind": "metric", **metric_to_json(m)})
 
 
 @main.command()
@@ -559,69 +589,12 @@ def quotient(ctx, path, blocks, subset):
     else:
         blks = [tuple(int(x) for x in b.split(",") if x.strip()) for b in blocks.split(";")]
         q = quotient_metric(m, blks)
-    _emit(ctx, quotient_to_json(q))
+    _emit(ctx, {"kind": "quotient", **quotient_to_json(q)})
 
 
 @main.group()
 def construct():
     """Randomized quotient constructions."""
-
-
-def _seed_of(ctx) -> RngSeed:
-    return RngSeed(ctx.obj["seed"])
-
-
-@construct.command("mcenter")
-@click.option("--in", "path", required=True, type=click.Path(exists=True))
-@click.option("--eps", type=float, required=True)
-@click.pass_context
-def construct_mcenter(ctx, path, eps):
-    from .constructions import m_center_quotient
-
-    m = _load_metric(path)
-    T, q, attempts = m_center_quotient(m, eps, _seed_of(ctx))
-    doc = quotient_to_json(q)
-    doc.update({"kind": "quotient", "T": T, "attempts": attempts})
-    _emit(ctx, doc)
-
-
-@construct.command("star")
-@click.option("--in", "path", required=True, type=click.Path(exists=True))
-@click.option("--a", type=float, required=True)
-@click.option("--b", type=float, required=True)
-@click.option("--alpha", type=float, required=True)
-@click.pass_context
-def construct_star(ctx, path, a, b, alpha):
-    from .constructions import find_star_quotient
-
-    m = _load_metric(path)
-    res = find_star_quotient(m, a, b, alpha, _seed_of(ctx))
-    doc = _quotient_artifact(res.quotient, Star(res.quotient.metric.n - 1, res.tau),
-                             res.report.distortion)
-    doc["model"]["scale"] = a
-    doc["attempts"] = res.attempts
-    _emit(ctx, doc)
-
-
-# its tree takes the params of the composition instance family
-@construct.command("composition", params=list(INSTANCES["composition"].options))
-@click.option("--k", type=float, default=2.0, show_default=True)
-@click.option("--alpha", type=float, default=1.5, show_default=True)
-@click.pass_context
-def construct_composition(ctx, depth, k, alpha, beta):
-    from .constructions import composition_qs
-    from .generators import random_composition_tree
-
-    seed = _seed_of(ctx)
-    tree = random_composition_tree(depth, seed.child(0), beta=beta)
-    res = composition_qs(tree, k, alpha, seed.child(1))
-    _emit(ctx, {
-        **_hst_artifact(res.quotient.metric, res.hst, res.report.distortion),
-        "alpha_bound": res.alpha_bound,
-        "sigma": res.sigma,
-        "sigma_ok": res.sigma_ok,
-        "blocks": [list(b) for b in res.quotient.blocks],
-    })
 
 
 def _pipeline_command(pipeline: Pipeline) -> click.Command:
@@ -630,7 +603,7 @@ def _pipeline_command(pipeline: Pipeline) -> click.Command:
     def callback(path=None, **params):
         ctx = click.get_current_context()
         m = None if pipeline.own_space else _load_metric(path)
-        _emit(ctx, pipeline.run(m, _seed_of(ctx), params)[1])
+        _emit(ctx, pipeline.run(m, RngSeed(ctx.obj["seed"]), params)[1])
 
     opts = list(pipeline.options)
     if not pipeline.own_space:
@@ -640,85 +613,6 @@ def _pipeline_command(pipeline: Pipeline) -> click.Command:
 
 for _pipeline in PIPELINES.values():
     (main if _pipeline.own_space else construct).add_command(_pipeline_command(_pipeline))
-
-
-@main.group()
-def embed():
-    """Explicit embeddings into weighted L_p."""
-
-
-@embed.command("bourgain")
-@click.option("--in", "path", required=True, type=click.Path(exists=True))
-@click.option("--mparam", type=float, required=True)
-@click.option("--p", type=float, default=2.0, show_default=True)
-@click.option("--mode", type=click.Choice(["exact", "monte-carlo"]), default="exact")
-@click.pass_context
-def embed_bourgain(ctx, path, mparam, p, mode):
-    from .embeddings import bourgain_embed
-
-    emb, report, induced = bourgain_embed(_load_metric(path), mparam, p, mode, _seed_of(ctx))
-    _emit(ctx, {**_embedding_artifact(emb, induced), "distortion": report.distortion})
-
-
-@embed.command("star")
-@click.option("--n", type=int, required=True)
-@click.option("--tau", type=float, required=True)
-@click.option("--p", type=float, required=True)
-@click.pass_context
-def embed_star(ctx, n, tau, p):
-    from .embeddings import star_to_lp
-
-    _emit(ctx, _embedding_artifact(star_to_lp(n, tau, p)))
-
-
-def _cloud_points(ctx, n: int, dim: int, high: float) -> np.ndarray:
-    """n points uniform in [0, high)^dim, from stream 0 under --seed (stream 1 is the embedding's)."""
-    return _seed_of(ctx).child(0).rng().uniform(0.0, high, size=(n, dim))
-
-
-@embed.command("gauss-trunc")
-@click.option("--n", type=int, default=16, show_default=True)
-@click.option("--dim", type=int, default=3, show_default=True)
-@click.option("--level", "D", type=float, required=True)
-@click.option("--features", type=int, default=1024, show_default=True)
-@click.pass_context
-def embed_gauss(ctx, n, dim, D, features):
-    from .embeddings import truncated_gauss_embed
-
-    pts = _cloud_points(ctx, n, dim, 2.0 * D)
-    emb = truncated_gauss_embed(pts, D, features, _seed_of(ctx).child(1))
-    _emit(ctx, {**_embedding_artifact(emb), "points": encode_array(pts)})
-
-
-@embed.command("pstable")
-@click.option("--n", type=int, default=8, show_default=True)
-@click.option("--dim", type=int, default=3, show_default=True)
-@click.option("--level", "D", type=float, required=True)
-@click.option("--p", type=float, required=True)
-@click.option("--features", type=int, default=1024, show_default=True)
-@click.pass_context
-def embed_pstable(ctx, n, dim, D, p, features):
-    from .embeddings import pstable_embed
-
-    pts = _cloud_points(ctx, n, dim, 2.0 * D)
-    emb = pstable_embed(pts, D, p, features, _seed_of(ctx).child(1))
-    _emit(ctx, {**_embedding_artifact(emb), "points": encode_array(pts)})
-
-
-@embed.command("uptolog")
-@click.option("--n", type=int, default=8, show_default=True)
-@click.option("--dim", type=int, default=3, show_default=True)
-@click.option("--level", "D", type=float, required=True)
-@click.option("--p", type=float, required=True)
-@click.pass_context
-def embed_uptolog(ctx, n, dim, D, p):
-    from .embeddings import uptolog_embed
-
-    # 1-separated l1 points
-    pts = np.unique(np.floor(_cloud_points(ctx, n, dim, max(2.0, D))), axis=0)
-    res = uptolog_embed(pts, D, p)
-    _emit(ctx, {"kind": "metric", **metric_to_json(res.metric),
-                "image_norm": res.image_norm, "c1": res.c1, "c2": res.c2})
 
 
 @main.group()

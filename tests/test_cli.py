@@ -89,13 +89,17 @@ def test_construct_q2_certificate(runner, tmp_path):
     assert doc["model"]["type"] == "lacunary"
 
 
-def test_embed_star_exact(runner):
-    res = invoke(runner, "embed", "star", "--n", "3", "--tau", "1.0", "--p", "1.0")
-    doc = json.loads(res.output)
+def test_embed_star_exact():
+    from metriq.cli import _embedding_artifact
+    from metriq.embeddings import induced_metric, star_to_lp
+
+    emb = star_to_lp(3, 1.0, 1.0)
+    doc = json.loads(dumps(_embedding_artifact(emb, induced_metric(emb))))
     claimed = decode_array(doc["claimed"])
     assert claimed.shape == (4, 4)
     assert np.allclose(claimed[0, 1:], 1.0)
     assert np.allclose(claimed[1:, 1:][~np.eye(3, dtype=bool)], 1.0)
+    assert verify_bundle(doc).ok
 
 
 def test_transform_matches_closed_form(runner):
@@ -234,6 +238,37 @@ def test_verify_bundle_accepts_and_rejects(runner, tmp_path):
     assert result.exit_code == 1
 
 
+def test_verify_checks_gen_and_quotient_documents(runner, tmp_path):
+    mpath, qpath = tmp_path / "m.json", tmp_path / "q.json"
+    invoke(runner, "--seed", "2", "--out", str(mpath), "gen", "--variant", "cloud", "--param", "n=6")
+    invoke(runner, "--out", str(qpath), "quotient", "--in", str(mpath), "--subset", "0,3")
+
+    def set_far(d):
+        d[0, 1] = d[1, 0] = 100.0  # breaks the triangle inequality
+        return d
+
+    def raise_by_5(d):
+        d[0, 1] += 5.0
+        d[1, 0] = d[0, 1]
+        return d
+
+    for path, kind, tamper in ((mpath, "metric", set_far), (qpath, "quotient", raise_by_5)):
+        doc = json.loads(path.read_text())
+        assert doc["kind"] == kind
+        assert json.loads(invoke(runner, "verify", "--bundle", str(path)).output)["ok"]
+        edit_array(doc, "dist", tamper)
+        bad = tmp_path / f"bad-{kind}.json"
+        bad.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["verify", "--bundle", str(bad)])
+        assert result.exit_code == 1 and not json.loads(result.output)["ok"]
+
+
+def test_verify_refuses_a_document_without_artifacts_or_kind():
+    doc = json.loads(dumps(metric_to_json(random_metric(5, 1))))
+    with pytest.raises(StructuralError):
+        verify_bundle(doc)
+
+
 def _as_format1(doc):
     """doc with every encoded array written out as a JSON list, as format 1 stored it."""
     if isinstance(doc, dict):
@@ -247,13 +282,14 @@ def _as_format1(doc):
 
 def _fresh_artifact(kind: str) -> dict:
     from metriq.cli import PIPELINES, _embedding_artifact
-    from metriq.embeddings import star_to_lp
+    from metriq.embeddings import induced_metric, star_to_lp
 
     m = random_metric(30, 2)
     if kind == "metric":
         return {"kind": "metric", **metric_to_json(m)}
     if kind == "embedding":
-        return _embedding_artifact(star_to_lp(3, 1.0, 1.5))
+        emb = star_to_lp(3, 1.0, 1.5)
+        return _embedding_artifact(emb, induced_metric(emb))
     pipe = PIPELINES[{"quotient": "q2", "hst": "hst", "cube-qs": "cube-qs"}[kind]]
     params = pipe.resolve({"d": 8, "eps": 0.24} if kind == "cube-qs" else {})
     return pipe.run(None if pipe.own_space else m, RngSeed(2), params)[1]
@@ -358,10 +394,11 @@ def test_model_doc_round_trips_to_the_model_metric(model):
 def test_embedding_verifier_in_one_row_chunks(monkeypatch):
     from metriq import embeddings
     from metriq.cli import _embedding_artifact
-    from metriq.embeddings import star_to_lp
+    from metriq.embeddings import induced_metric, star_to_lp
 
     monkeypatch.setattr(embeddings, "TABLE_ELEMENTS", 1)
-    art = _embedding_artifact(star_to_lp(4, 1.0, 1.5))
+    emb = star_to_lp(4, 1.0, 1.5)
+    art = _embedding_artifact(emb, induced_metric(emb))
     assert verify_bundle(art).ok
 
     def tamper(d):
@@ -408,23 +445,26 @@ ARTIFACT_COMMANDS = {
     "construct dichotomy": ["--in", "CLOUD", "--beta", "1.2", "--drop-root"],
     "construct hst": ["--in", "CLOUD"],
     "construct bourgain": ["--in", "CLOUD"],
-    "construct mcenter": ["--in", "CLOUD", "--eps", "0.25"],
     "construct star": ["--in", "EQUI", "--a", "0.9", "--b", "1.1", "--alpha", "2.0"],
-    "construct composition": [],
-    "embed bourgain": ["--in", "EQUI", "--mparam", "4"],
-    "embed star": ["--n", "3", "--tau", "1.0", "--p", "1.0"],
-    "embed gauss-trunc": ["--level", "2.0"],
-    "embed pstable": ["--level", "2.0", "--p", "1.5"],
-    "embed uptolog": ["--level", "4", "--p", "1.5"],
+    "composition": [],
     "cube-qs": ["--d", "8", "--eps", "0.24"],
 }
 
 
-def test_artifact_commands_cover_every_construct_and_embed():
-    from metriq.cli import construct, embed
+def test_artifact_commands_are_generated_from_pipelines():
+    from metriq.cli import PIPELINES, construct
 
-    listed = {f"construct {c}" for c in construct.commands} | {f"embed {c}" for c in embed.commands}
-    assert listed | {"cube-qs"} == set(ARTIFACT_COMMANDS)
+    own = {n for n, p in PIPELINES.items() if p.own_space}
+    assert set(construct.commands) == set(PIPELINES) - own
+    assert set(main.commands) - own == {"gen", "quotient", "construct", "certify", "transform",
+                                        "run", "verify"}
+    assert {f"construct {c}" for c in construct.commands} | own == set(ARTIFACT_COMMANDS)
+    for name, pipeline in PIPELINES.items():
+        command = (main if pipeline.own_space else construct).commands[name]
+        assert command.help == pipeline.run.__doc__
+        declared = [o.name for o in pipeline.options]
+        expected = declared if pipeline.own_space else ["path", *declared]
+        assert [o.name for o in command.params] == expected
 
 
 @pytest.mark.parametrize("command", sorted(ARTIFACT_COMMANDS))
@@ -445,8 +485,10 @@ def test_artifact_command_output_verifies(runner, tmp_path, metrics, command):
     ("hst", ["--eps", "0.3"], {"eps": 0.3}),
     ("bourgain", ["--p", "1.5"], {"p": 1.5}),
     ("cube-qs", ["--d", "8", "--eps", "0.24", "--p", "1.5"], {"d": 8, "eps": 0.24, "p": 1.5}),
+    ("star", ["--a", "0.2", "--b", "0.3", "--alpha", "2.0"], {"a": 0.2, "b": 0.3, "alpha": 2.0}),
+    ("composition", ["--depth", "1", "--alpha", "1.25"], {"depth": 1, "alpha": 1.25}),
 ], ids=["q2", "aspect", "aspect-lipschitz", "dichotomy", "dichotomy-drop-root", "hst",
-        "bourgain", "cube-qs"])
+        "bourgain", "cube-qs", "star", "composition"])
 def test_construct_emits_the_pipeline_artifact(runner, metrics, name, opts, params):
     from metriq.cli import PIPELINES, _load_metric
     from metriq.core import dumps
@@ -551,3 +593,54 @@ def test_hst_plan_on_a_large_cloud_completes_and_verifies():
     res = run_experiment(plan_from_json(doc), keep_artifacts=True)
     assert res.summary["failures"] == 0 and len(res.artifacts) == 1
     assert verify_bundle(json.loads(dumps({"artifacts": res.artifacts}))).ok
+
+
+@pytest.mark.parametrize("name, instance, params, key", [
+    ("star", {"variant": "equilateral", "params": {"n": 12}}, {"a": 0.9, "b": 1.1, "alpha": 2.0},
+     "dist"),
+    ("composition", {"variant": "composition", "params": {}}, {}, "delta"),
+])
+def test_one_trial_plan_is_certified_and_a_tamper_is_rejected(name, instance, params, key):
+    doc = {"instance": instance, "pipeline": name, "params": params, "trials": 1, "seed": 3}
+    bundle = run_experiment(plan_from_json(doc), keep_artifacts=True)
+    assert bundle.summary["failures"] == 0
+    row, = bundle.rows
+    assert float(row["certified_distortion"]) <= float(row["paper_bound"])
+    art = json.loads(dumps({"artifacts": bundle.artifacts}))
+    assert verify_bundle(art).ok
+    holder = art["artifacts"][0]
+    holder = holder["tree"] if key == "delta" else holder
+
+    def tamper(a):
+        k = a.argmax()  # the root label, or the largest quotient distance
+        a.flat[k] *= 1.5
+        if a.ndim == 2:
+            i, j = np.unravel_index(k, a.shape)
+            a[j, i] = a[i, j]
+        return a
+
+    edit_array(holder, key, tamper)
+    assert not verify_bundle(art).ok
+
+
+def test_composition_rows_carry_the_composed_size():
+    from metriq.constructions import composition_qs
+    from metriq.generators import random_composition_tree
+
+    doc = {"instance": {"variant": "composition", "params": {}}, "pipeline": "composition",
+           "params": {}, "trials": 2, "seed": 4}
+    for t, row in enumerate(run_experiment(plan_from_json(doc)).rows):
+        seed = RngSeed(4, t).child(1)
+        res = composition_qs(random_composition_tree(2, seed.child(0), beta=4.0), 2.0, 1.5,
+                             seed.child(1))
+        assert row["n"] == res.composed.n and row["quotient_size"] == res.quotient.metric.n
+        assert row["paper_bound"] == res.alpha_bound
+
+
+@pytest.mark.parametrize("missing", ["a", "b", "alpha"])
+def test_star_plan_needs_a_b_and_alpha(missing):
+    params = {k: v for k, v in {"a": 0.9, "b": 1.1, "alpha": 2.0}.items() if k != missing}
+    doc = {"instance": {"variant": "equilateral", "params": {"n": 12}}, "pipeline": "star",
+           "params": params, "trials": 1, "seed": 0}
+    with pytest.raises(ParameterError, match=f"missing \\['{missing}'\\]"):
+        plan_from_json(doc)

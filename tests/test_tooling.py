@@ -1,11 +1,15 @@
 import importlib
 import importlib.util
+import itertools
 import json
+import shlex
 from pathlib import Path
 
+import click
 import pytest
+from click.testing import CliRunner
 
-from metriq.cli import PIPELINES
+from metriq.cli import PIPELINES, main
 from metriq.generators import INSTANCES
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -49,3 +53,29 @@ def _declared(options) -> str:
                          ids=["pipelines", "instances"])
 def test_readme_tables_list_the_declared_params(header, table):
     assert _readme_table(header) == {name: _declared(t.options) for name, t in table.items()}
+
+
+def _readme_cli_paths() -> list[list[str]]:
+    """The command path of each `metriq` line in the README's CLI code block."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    paths = []
+    for line in block.splitlines():
+        words = shlex.split(line, comments=True)
+        if words[:1] != ["metriq"]:
+            continue
+        words = words[1:]
+        while words and words[0].startswith("--"):
+            words = words[2:]  # each global option takes a value
+        paths.append(list(itertools.takewhile(lambda w: not w.startswith("-"), words)))
+    return paths
+
+
+@pytest.mark.parametrize("path", _readme_cli_paths(), ids=" ".join)
+def test_readme_cli_lines_name_existing_commands(path):
+    command = main
+    for word in path:
+        assert isinstance(command, click.Group) and word in command.commands, path
+        command = command.commands[word]
+    result = CliRunner().invoke(main, [*path, "--help"])
+    assert result.exit_code == 0, result.output
