@@ -397,10 +397,12 @@ def verify_bundle(doc: dict, tolerance: float = 1e-9) -> ValidationReport:
     code involved).
     """
     report = ValidationReport()
-    artifacts = doc.get("artifacts", [doc] if "kind" in doc else None)
+    artifacts = doc.get("artifacts", [doc] if "kind" in doc else None) if isinstance(doc, dict) else None
     if not isinstance(artifacts, list):
         raise StructuralError("a bundle needs an artifact list, and a single artifact its kind")
     for ai, art in enumerate(artifacts):
+        if not isinstance(art, dict):
+            raise StructuralError(f"artifact {ai}: expected a JSON object, got {type(art).__name__}")
         kind = art.get("kind")
         try:
             if kind == "metric":
@@ -417,7 +419,7 @@ def verify_bundle(doc: dict, tolerance: float = 1e-9) -> ValidationReport:
                 _verify_cube(art, ai, report, tolerance)
             else:
                 raise StructuralError(f"artifact {ai}: unknown kind {kind!r}")
-        except (KeyError, TypeError, ValueError, ParameterError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError, ParameterError) as exc:
             raise StructuralError(f"artifact {ai}: malformed ({exc})") from exc
     return report
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,24 +151,55 @@ def _pair_order(dist: np.ndarray) -> np.ndarray:
     return np.remainder(key, size, out=key)
 
 
-class _PeelChain:
-    """m-center and farthest pair of one shrinking point set, kept incrementally.
+_BATCH = 32  # chain steps taken per speculative batch, before one recount
 
-    Over the original indices: `alive` marks the set; rho[y] is the need-th
-    smallest alive distance in row y and cnt[y] the number of alive z with
-    d(y, z) <= rho[y]; viol[y] counts the alive z with d(y, z) > rho[z], so
-    the m-centers are exactly the alive y with viol[y] = 0.  `pairs` lists
-    every matrix entry by decreasing distance, row-major among ties (the
-    order in which np.argmax breaks them; see _pair_order); the farthest
-    alive pair is the first one whose `live` flag is set, and that position
-    only moves forward.  `distT` is the C-contiguous transpose, so the
-    columns of the peeled points are read as rows.  Rows of dead points are
-    updated along with the rest and never read.
+
+def _cut(dist: np.ndarray, X: np.ndarray, x: int, ai: int, bi: int, mparam: int) -> tuple[float, np.ndarray]:
+    """Split X, with center x and farthest pair (ai, bi), at its first empty band.
+
+    Returns (diam, the mask of the inside side).  a is ai unless
+    d(x, ai) < diam/2; band k is [(k-1)*width, k*width) around a, with edges
+    the products i*width, and an empty band k = i+1 (0 < i < mparam) means a
+    clean cut at i*width.  Each cut bins X's distances to a with one binary
+    search over those edges.
+    """
+    delta = float(dist[ai, bi])
+    if delta <= 0:
+        raise StructuralError(f"points {X.tolist()} are all at distance 0; an HST needs positive distances")
+    a = ai if dist[x, ai] >= delta / 2.0 else bi
+    edges = np.arange(mparam + 1.0) * (delta / (2.0 * mparam))
+    da = dist[a, X]
+    bands = np.bincount(np.searchsorted(edges, da, side="right"), minlength=mparam + 2)[2 : mparam + 1]
+    i = int(bands.argmin())  # the first empty band, if any is empty
+    if bands[i]:
+        raise ConstructionFailureError(
+            "no empty band found; center property violated numerically",
+            {"X": X.tolist(), "mparam": mparam},
+        )
+    return delta, da < edges[i + 1]
+
+
+class _PeelChain:
+    """The splits of one chain of outside sides, computed in batches of peels.
+
+    Over the original indices: `alive` marks the chain's current set X; rho[y]
+    is the need-th smallest alive distance in row y and cnt[y] the number of
+    alive z with d(y, z) <= rho[y]; viol[y] counts the alive z with
+    d(y, z) > rho[z], so the m-centers are exactly the alive y with
+    viol[y] = 0.  `pairs` lists every matrix entry by decreasing distance,
+    row-major among ties (the order in which np.argmax breaks them; see
+    _pair_order); the farthest alive pair is the first one whose `live` flag
+    is set, and that position only moves forward.  `distT` is the
+    C-contiguous transpose, so the columns of the peeled points are read as
+    rows.  Rows of dead points are updated along with the rest and never read.
+    step() hands out the splits in chain order; `queue` holds those computed
+    ahead, and X is the set after the last of them.
     """
 
     def __init__(self, dist: np.ndarray, X: np.ndarray, need: int):
         n = dist.shape[0]
-        self.dist, self.need, self.pos = dist, need, 0
+        self.dist, self.need, self.pos, self.X = dist, need, 0, X
+        self.queue = deque()
         self.alive = np.zeros(n, dtype=bool)
         self.alive[X] = True
         self.live = np.outer(self.alive, self.alive)
@@ -198,12 +230,16 @@ class _PeelChain:
             self.pos += chunk.size
             step *= 4
 
-    def drop(self, R: np.ndarray):
-        """Remove the points R; at least `need` points must stay alive."""
-        need, dT, rho = self.need, self.distT, self.rho
+    def kill(self, R: np.ndarray):
+        """Mark the points R dead, for farthest(); recount() must follow."""
         self.alive[R] = False
         self.live[R] = False
         self.live[:, R] = False
+
+    def recount(self, R: np.ndarray):
+        """Bring rho, cnt and viol up to date after kill(R), for any R that
+        leaves at least `need` points alive."""
+        need, dT, rho = self.need, self.distT, self.rho
         self.cnt -= (dT[R] <= rho).sum(axis=0)
         # rho[y] only changes once fewer than need alive points lie within it
         U = np.flatnonzero(self.alive & (self.cnt < need))
@@ -215,6 +251,69 @@ class _PeelChain:
         dC, old = dT[C], rho[C][:, None]
         rho[R], rho[U] = np.inf, new
         self.viol -= ((dC > old) & (dC <= rho[C][:, None])).sum(axis=0)
+
+    def step(self) -> tuple[float, np.ndarray, np.ndarray]:
+        """(diam, inside side, outside side) of the next set's split; an error
+        found ahead is raised when its set is reached."""
+        if not self.queue:
+            self.batch()
+        got = self.queue.popleft()
+        if isinstance(got, Exception):
+            raise got
+        return got
+
+    def batch(self):
+        """Queue up to _BATCH splits, taken with the current center x held fixed.
+
+        Only `live` follows the peels; one recount of all of them then checks
+        the batch.  It is accepted iff center() is still x and every peeled
+        y < x still has viol[y] > 0.  That is exact (for any matrix): a center
+        of X stays a center of every subset holding it, so x, alive to the
+        end, is the lowest center at every step where no lower y is one; viol
+        never increases as points go, so a lower y that is a center at some
+        step either survives (then center() < x) or is peeled later in the
+        batch (then viol[y] = 0).  A rejected batch is undone and replayed one
+        peel at a time, up to the step where the center changes.
+        """
+        x = self.center()
+        if x is None:
+            X = self.X
+            raise NoMCenterError(
+                f"no {self.need}-center exists" if X.size == self.alive.size
+                else f"splitting lost the center property on {X.tolist()}"
+            )
+        saved = self.X, self.pos, self.alive.copy(), self.rho.copy(), self.cnt.copy(), self.viol.copy()
+        steps, peeled, X = [], [], self.X
+        while len(steps) < _BATCH:
+            try:
+                delta, inside = _cut(self.dist, X, x, *self.farthest(), self.need)
+            except (StructuralError, ConstructionFailureError) as exc:
+                steps.append((self.pos, exc))
+                break
+            peel, X = X[inside], X[~inside]
+            steps.append((self.pos, (delta, peel, X)))
+            if X.size < self.need:
+                break
+            self.kill(peel)
+            peeled.append(peel)
+        if peeled:
+            R = np.concatenate(peeled)
+            self.recount(R)
+            if self.center() != x or not np.all(self.viol[R[R < x]] > 0):
+                self.X, self.pos, self.alive, self.rho, self.cnt, self.viol = saved
+                np.outer(self.alive, self.alive, out=self.live)
+                for i, (pos, got) in enumerate(steps):
+                    if i and self.center() != x:
+                        return
+                    self.pos = pos
+                    self.queue.append(got)
+                    if i < len(peeled):  # the chain goes on after this cut
+                        self.kill(peeled[i])
+                        self.recount(peeled[i])
+                        self.X = got[2]
+                return
+        self.X = X
+        self.queue.extend(got for _, got in steps)
 
 
 def hst_from_m_centered(m: MetricSpace, mparam: int) -> tuple[HstTree, DistortionReport]:
@@ -239,57 +338,45 @@ def hst_from_m_centered(m: MetricSpace, mparam: int) -> tuple[HstTree, Distortio
     the rows a peeled point touches: O(N^2 log N) in all against Theta(N^3)
     for rescanning every set.  The log factor is the one ordering of the N^2
     distances (_pair_order: a SIMD argsort, then an exact int64 pass that
-    puts tied entries back in row-major order).  Each cut bins the set's
-    distances to a with one binary search over the band edges i * width.
-    Small sets are split from their own submatrix.  The trees are identical.
+    puts tied entries back in row-major order).
+
+    Batches.  A center of X stays a center of every subset that holds it, so
+    along the chain the lowest center x changes only when a lower point
+    becomes a center (or x is peeled, if rounding broke the lemma).  The
+    chain takes up to 32 peels with x held fixed, then updates its counts
+    once for all of them and checks that x is still the lowest center and
+    that no lower point became one meanwhile (see _PeelChain.batch; exact,
+    as viol never increases); on failure it replays the peels one at a time
+    up to the change, which happens in one batch in three to six on cloud
+    quotients.  The build without the distortion report takes 24 / 36 /
+    74 ms at N = 244 / 341 / 542, against 32 / 47 / 104 ms with one count
+    update per peel (2-vCPU host).
+
+    Small sets are split from their own submatrix.  The trees, and the errors
+    and their order, are those of the dense splitter; an error found ahead
+    in a batch is raised when the build reaches its set.
     """
     if int(mparam) != mparam or mparam < 2:
         raise ParameterError("mparam must be an integer >= 2")
     mparam = int(mparam)
 
     def split(item):
-        X, chain = item
-        if X.size == 1:
-            return int(X[0])
-        if X.size >= mparam:
-            if chain is None:  # the root; or a large inside side, if rounding broke the lemma
-                chain = _PeelChain(m.dist, X, mparam)
-            x = chain.center()
-            if x is None:
-                raise NoMCenterError(
-                    f"no {mparam}-center exists" if X.size == m.n
-                    else f"splitting lost the center property on {X.tolist()}"
-                )
-            ai, bi = chain.farthest()
+        # an item is the chain (its next set) or the index array of a set
+        if isinstance(item, _PeelChain):
+            chain = item
+        elif item.size == 1:
+            return int(item[0])
+        elif item.size >= mparam:  # the root; or a large inside side, if rounding broke the lemma
+            chain = _PeelChain(m.dist, item, mparam)
         else:
-            x = int(X[0])
+            X = item
             ai, bi = divmod(int(np.argmax(m.dist[X[:, None], X])), X.size)
-            ai, bi = int(X[ai]), int(X[bi])
-        delta = float(m.dist[ai, bi])
-        if delta <= 0:
-            raise StructuralError(f"points {X.tolist()} are all at distance 0; an HST needs positive distances")
-        a = ai if m.dist[x, ai] >= delta / 2.0 else bi
-        width = delta / (2.0 * mparam)
-        da = m.dist[a, X]
-        # band k is [(k-1)*width, k*width), with edges the products i*width; an
-        # empty band k = i+1 (0 < i < mparam) means a clean cut at i*width
-        edges = np.arange(mparam + 1.0) * width
-        counts = np.bincount(np.searchsorted(edges, da, side="right"), minlength=mparam + 2)
-        empty = np.flatnonzero(counts[2 : mparam + 1] == 0)
-        if not empty.size:
-            raise ConstructionFailureError(
-                "no empty band found; center property violated numerically",
-                {"X": X.tolist(), "mparam": mparam},
-            )
-        inside = da < edges[empty[0] + 1]
-        rest = X[~inside]
-        if chain is not None and rest.size >= mparam:
-            chain.drop(X[inside])
-        else:
-            chain = None
-        return delta, ((X[inside], None), (rest, chain))
+            delta, inside = _cut(m.dist, X, int(X[0]), int(X[ai]), int(X[bi]), mparam)
+            return delta, (X[inside], X[~inside])
+        delta, inside, rest = chain.step()
+        return delta, (inside, chain if rest.size >= mparam else rest)
 
-    t = hst_from_splits((np.arange(m.n), None), split)
+    t = hst_from_splits(np.arange(m.n), split)
     report = distortion_between(m, hst_to_metric(t))
     return t, report
 

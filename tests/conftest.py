@@ -26,6 +26,14 @@ def random_metric(n: int, seed: int, dim: int = 3) -> MetricSpace:
     return gen_euclidean_cloud(n, seed, dim)
 
 
+def euclidean_cloud_broadcast(n: int, seed=None, dim: int = 3) -> MetricSpace:
+    """Reference for gen_euclidean_cloud: the same points, with the squared
+    distances summed over the whole n x n x dim broadcast."""
+    pts = as_seed(seed).rng().uniform(size=(n, dim))
+    diff = pts[:, None, :] - pts[None, :, :]
+    return MetricSpace(np.sqrt((diff**2).sum(axis=2)))
+
+
 def random_partition(n: int, rng: np.random.Generator, max_blocks: int | None = None):
     """Random partition of 0..n-1 into a random number of nonempty blocks."""
     k = int(rng.integers(1, (max_blocks or n) + 1))

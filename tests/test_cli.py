@@ -269,6 +269,21 @@ def test_verify_refuses_a_document_without_artifacts_or_kind():
         verify_bundle(doc)
 
 
+@pytest.mark.parametrize("doc", [
+    [1, 2],
+    {"artifacts": [5]},
+    {"artifacts": [{"kind": "quotient", "base": [1]}]},
+    {"kind": "hst", "base": 5},
+])
+def test_verify_refuses_a_document_or_artifact_that_is_not_an_object(runner, tmp_path, doc):
+    with pytest.raises(StructuralError):
+        verify_bundle(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["verify", "--bundle", str(path)])
+    assert result.exit_code != 0 and isinstance(result.exception, StructuralError)
+
+
 def _as_format1(doc):
     """doc with every encoded array written out as a JSON list, as format 1 stored it."""
     if isinstance(doc, dict):

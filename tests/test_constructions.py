@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metriq import constructions
@@ -50,7 +50,13 @@ from metriq.hst import hst_from_splits, hst_to_metric, validate_khst
 from metriq.quotient import distortion_between
 from metriq.seeds import RngSeed
 
-from conftest import check_coloring_loop, hst_from_m_centered_dense, random_metric, random_partition
+from conftest import (
+    check_coloring_loop,
+    euclidean_cloud_broadcast,
+    hst_from_m_centered_dense,
+    random_metric,
+    random_partition,
+)
 
 
 # --- m-centers -------------------------------------------------------------
@@ -168,8 +174,24 @@ def _build_outcome(build, m, mparam):
     return t.order.tobytes(), t.parent.tobytes(), t.delta.tobytes(), rep.distortion
 
 
+# the batch's center is 2; peeling 0 makes 1 a center, and the next cut,
+# taken with 2 held fixed, peels 1: center() is 2 again after the batch, and
+# only viol[1] = 0 shows that the center moved
+PEELED_CENTER_CASE = (
+    MetricSpace(np.array([
+        [0, 2, 1, 1, 1],
+        [2, 0, 1, 1, 1],
+        [1, 1, 0, 1, 1],
+        [1, 1, 1, 0, 1],
+        [1, 1, 1, 1, 0],
+    ], dtype=float)),
+    2,
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(centered_cases())
+@example(PEELED_CENTER_CASE)
 def test_hst_from_m_centered_matches_dense_splitter(case):
     m, mparam = case
     assert _build_outcome(hst_from_m_centered, m, mparam) == _build_outcome(hst_from_m_centered_dense, m, mparam)
@@ -191,11 +213,40 @@ def test_only_the_peeling_chain_has_mparam_points(monkeypatch, kind, n, mparam):
 
     monkeypatch.setattr(constructions, "hst_from_splits", recording)
     hst_from_m_centered(q, mparam)
-    chains = {id(chain) for _, chain in items if chain is not None}
-    assert len(chains) == 1  # one chain, started at the root
-    large = [X.size for X, chain in items if chain is None and X.size >= mparam]
+    # an item is the chain (standing for its next set) or a set's index array
+    chains = [item for item in items if isinstance(item, constructions._PeelChain)]
+    assert len({id(chain) for chain in chains}) == 1  # one chain, started at the root
+    large = [item.size for item in items if isinstance(item, np.ndarray) and item.size >= mparam]
     assert large == [q.n]  # the root is the only large set off the chain
-    assert sum(chain is not None for _, chain in items) >= q.n - 2 * mparam  # it peels a point or so per split
+    assert len(chains) >= q.n - 2 * mparam  # it peels a point or so per split
+
+
+def test_peel_batches_take_the_replay_and_the_peeled_center_clause(monkeypatch):
+    # a batch is replayed iff it recounts again after its one batched
+    # recount; the clause fires when that recount leaves center() == x but
+    # a peeled y < x at viol[y] = 0
+    seen = {"replayed": 0, "peeled center": 0}
+    batch, recount = constructions._PeelChain.batch, constructions._PeelChain.recount
+
+    def spy_batch(self):
+        self.spy = [self.center()]
+        batch(self)
+        seen["replayed"] += len(self.spy) > 2
+
+    def spy_recount(self, R):
+        recount(self, R)
+        if len(self.spy) == 1:
+            x = self.spy[0]
+            seen["peeled center"] += self.center() == x and not np.all(self.viol[R[R < x]] > 0)
+        self.spy.append(R)
+
+    monkeypatch.setattr(constructions._PeelChain, "batch", spy_batch)
+    monkeypatch.setattr(constructions._PeelChain, "recount", spy_recount)
+    hst_from_m_centered(*PEELED_CENTER_CASE)
+    assert seen == {"replayed": 1, "peeled center": 1}
+    q = m_center_quotient(gen_euclidean_cloud(300, RngSeed(300)), 0.25, RngSeed(300, 1))[1].metric
+    hst_from_m_centered(q, 17)
+    assert seen["replayed"] > 1
 
 
 def test_hst_from_m_centered_golden_n700():
@@ -210,20 +261,27 @@ def test_hst_from_m_centered_golden_n700():
 
 
 def test_hst_from_m_centered_peak_memory_stays_below_its_input_cloud():
-    # in a trial the cloud's generation sets the memory peak; the build, with
-    # the cloud and its quotient still alive, must stay below it (golden
-    # input, N = 538), so its sort temporaries cannot move peak RSS
+    # the build, with the cloud and its quotient still alive, must stay below
+    # the peak of generating its input cloud by the n x n x 3 broadcast
+    # (conftest's oracle; golden input, N = 538), so its sort temporaries stay
+    # small; the generator itself sums one coordinate at a time and may peak
+    # at three n x n matrices
     tracemalloc.start()
     try:
+        euclidean_cloud_broadcast(700, RngSeed(0))
+        broadcast_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
         m = gen_euclidean_cloud(700, RngSeed(0))
-        cloud_peak = tracemalloc.get_traced_memory()[1]
+        cloud_peak = tracemalloc.get_traced_memory()[1] - base
         q = m_center_quotient(m, 0.25, RngSeed(0, 1))[1].metric
         tracemalloc.reset_peak()
         hst_from_m_centered(q, 17)
         build_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert q.n == 538 and build_peak < cloud_peak
+    assert q.n == 538 and build_peak < broadcast_peak
+    assert cloud_peak <= 3 * 8 * 700**2
 
 
 @st.composite

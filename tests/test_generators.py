@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metriq.core import MetricSpace, aspect_ratio, validate_metric
 from metriq.errors import ParameterError
@@ -19,7 +21,7 @@ from metriq.generators import (
 )
 from metriq.seeds import RngSeed
 
-from conftest import gen_random_graph_metric_loop, random_metric
+from conftest import euclidean_cloud_broadcast, gen_random_graph_metric_loop, random_metric
 
 
 def test_padded_copies_structure():
@@ -183,3 +185,12 @@ def test_realize_instance_is_deterministic():
 
 def test_euclidean_cloud_is_metric():
     assert validate_metric(gen_euclidean_cloud(30, seed=1)).ok
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 40), st.one_of(st.integers(1, 20), st.sampled_from([129, 200])), st.integers(0, 2**31 - 1))
+def test_euclidean_cloud_matches_the_broadcast_bitwise(n, dim, seed):
+    # below 8, from 8 to 128 and above 128 coordinates numpy sums in three
+    # different orders; the one-coordinate kernel must follow each of them
+    got = gen_euclidean_cloud(n, RngSeed(seed), dim).dist
+    assert got.tobytes() == euclidean_cloud_broadcast(n, RngSeed(seed), dim).dist.tobytes()
