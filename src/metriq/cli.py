@@ -226,11 +226,11 @@ def _star_scale(res) -> float:
 
 def _pipe_hst(m: MetricSpace, seed: RngSeed, params: dict):
     """m-centre quotient, then its HST with a certified distortion."""
-    from .constructions import hst_from_m_centered, m_center_quotient
+    from .constructions import hst_from_m_centered, m_center_quotient, m_center_size
 
     eps = params["eps"]
     _, q, attempts = m_center_quotient(m, eps, seed)
-    mparam = max(2, int(math.ceil(2.0 * math.log(2.0 / eps) / eps)))
+    mparam = max(2, int(math.ceil(m_center_size(eps))))
     tree, report = hst_from_m_centered(q.metric, mparam)
     return (_row(q.metric.n, q.provenance, "UM", report.distortion, 2.0 * mparam, attempts),
             _hst_artifact(q.metric, tree, report.distortion))
@@ -238,16 +238,16 @@ def _pipe_hst(m: MetricSpace, seed: RngSeed, params: dict):
 
 def _pipe_bourgain(m: MetricSpace, seed: RngSeed, params: dict):
     """m-centre quotient, then its Bourgain embedding into L_p."""
-    from .constructions import m_center_quotient
-    from .embeddings import bourgain_embed
+    from .constructions import m_center_quotient, m_center_size
+    from .embeddings import EXACT_MAX_POINTS, bourgain_embed, bourgain_scales
 
     eps, p = params["eps"], params["p"]
     _, q, attempts = m_center_quotient(m, eps, seed.child(0))
-    mparam = 2.0 * math.log(2.0 / eps) / eps
-    mode = "exact" if q.metric.n <= 15 else "monte-carlo"
+    mparam = m_center_size(eps)
+    mode = "exact" if q.metric.n <= EXACT_MAX_POINTS else "monte-carlo"
     emb, report, induced = bourgain_embed(q.metric, mparam, p, mode, seed.child(1))
-    qq = max(1, int(math.ceil(math.log(mparam) / p - 1e-12)))
-    return (_row(q.metric.n, q.provenance, "lp", report.distortion, 96 * qq, attempts, p),
+    bound = 96 * bourgain_scales(mparam, p)
+    return (_row(q.metric.n, q.provenance, "lp", report.distortion, bound, attempts, p),
             _embedding_artifact(emb, induced))
 
 
@@ -392,9 +392,9 @@ def verify_bundle(doc: dict, tolerance: float = 1e-9) -> ValidationReport:
     """Re-check every certificate in a bundle using only the exact evaluators.
 
     Quotient artifacts are rebuilt from base + blocks and compared entry by
-    entry; model distortions are recomputed; embedding distance tables are
-    recomputed from vectors and weights with a local p-norm (no construction
-    code involved).
+    entry; model and HST distortions are recomputed; embedding distance tables
+    are recomputed from vectors and weights by embeddings.induced_metric.  A
+    non-finite claim, table entry or vector is a violation or StructuralError.
     """
     report = ValidationReport()
     artifacts = doc.get("artifacts", [doc] if "kind" in doc else None) if isinstance(doc, dict) else None
@@ -449,43 +449,37 @@ def _verify_quotient(art: dict, ai: int, report: ValidationReport, tol: float):
         report.add(item[0], (ai,) + item[1], item[2])
     if "model" in art and "certified_distortion" in art and not report.violations:
         model = _model_from_doc(art["model"])
-        rep = distortion_between(MetricSpace(stored), model)
-        claimed = float(art["certified_distortion"])
-        if abs(rep.distortion - claimed) > max(tol, 1e-6 * claimed):
-            report.add(
-                "certificate",
-                (ai,),
-                f"claimed distortion {claimed} != recomputed {rep.distortion}",
-            )
+        _check_claim(art, distortion_between(MetricSpace(stored), model).distortion, ai, report, tol)
+
+
+def _check_claim(art: dict, recomputed: float, ai: int, report: ValidationReport, tol: float):
+    """The artifact's certified_distortion must be finite and match the recomputed one."""
+    claimed = float(art["certified_distortion"])
+    if not math.isfinite(claimed) or abs(recomputed - claimed) > max(tol, 1e-6 * claimed):
+        report.add("certificate", (ai,), f"claimed distortion {claimed} != recomputed {recomputed}")
 
 
 def _verify_hst(art: dict, ai: int, report: ValidationReport, tol: float):
     from .hst import hst_from_json, hst_to_metric
 
     rep = distortion_between(metric_from_json(art["base"]), hst_to_metric(hst_from_json(art["tree"])))
-    claimed = float(art["certified_distortion"])
-    if abs(rep.distortion - claimed) > max(tol, 1e-6 * claimed):
-        report.add("certificate", (ai,), f"claimed {claimed} != recomputed {rep.distortion}")
+    _check_claim(art, rep.distortion, ai, report, tol)
     if rep.contraction > 1.0 + tol:
         report.add("contraction", (ai,), f"tree metric contracts by {rep.contraction}")
 
 
 def _verify_embedding(art: dict, ai: int, report: ValidationReport, tol: float):
-    from .embeddings import TABLE_ELEMENTS
+    from .embeddings import VectorEmbedding, induced_metric
 
-    p = float(art["p"])
-    v = decode_array(art["vectors"])
     w = decode_array(art["weights"]) if art.get("weights") is not None else None
-    # row chunks keep the n x rows x dim moduli table under TABLE_ELEMENTS entries
-    n, dim = v.shape
-    dists = np.empty((n, n))
-    step = max(1, TABLE_ELEMENTS // max(1, n * dim))
-    for lo in range(0, n, step):
-        mods = np.abs(v[lo : lo + step, None, :] - v[None, :, :]) ** p
-        if w is not None:
-            mods = mods * w[None, None, :]
-        dists[lo : lo + step] = mods.sum(axis=2) ** (1.0 / p)
+    emb = VectorEmbedding(decode_array(art["vectors"]), float(art["p"]), art["mode"], w)
+    dists = induced_metric(emb).dist
     claimed = decode_array(art["claimed"])
+    nonfinite = ~np.isfinite(claimed)
+    if nonfinite.any():
+        for i, j in np.argwhere(nonfinite):
+            report.add("embedding-distance", (ai, int(i), int(j)), f"claimed {claimed[i, j]!r} is not finite")
+        return
     bad = np.argwhere(np.abs(dists - claimed) > max(tol, 1e-9 * max(1.0, claimed.max())))
     for i, j in bad:
         if i < j:

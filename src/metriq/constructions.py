@@ -1,8 +1,8 @@
 """Randomized and greedy constructions of well-behaved quotient spaces.
 
 Every operation here is deterministic given its RngSeed.  Positive-probability
-existence arguments become rejection-sampling loops with an attempt cap
-(default 64); every certificate a construction claims is recomputed by the
+existence arguments become rejection-sampling loops of at most RESAMPLE_CAP
+draws each; every certificate a construction claims is recomputed by the
 exact distortion evaluator before being returned.
 """
 
@@ -39,6 +39,8 @@ from .hst import HstTree, hst_from_splits, hst_to_metric, join, leaf, validate_k
 from .quotient import DistortionReport, QuotientSpace, distortion_between, quotient_by_subset, quotient_metric, sq_space
 from .seeds import as_seed
 
+#: Draws each rejection-sampling loop makes before it raises
+#: ProbabilisticFailureError; read when the loop starts.
 RESAMPLE_CAP = 64
 
 
@@ -85,7 +87,12 @@ def find_m_center(m: MetricSpace, mparam: float) -> int | None:
     return int(idx[0]) if idx.size else None
 
 
-def m_center_quotient(m: MetricSpace, eps: float, seed=None, cap: int = RESAMPLE_CAP):
+def m_center_size(eps: float) -> float:
+    """The m-centre size 2 ln(2/eps)/eps that m_center_quotient targets."""
+    return 2.0 * math.log(2.0 / eps) / eps
+
+
+def m_center_quotient(m: MetricSpace, eps: float, seed=None):
     """Sample a small set T whose collapse has the T-block as an m-center.
 
     Each point joins S with probability eps/2; T is S plus every point whose
@@ -102,28 +109,18 @@ def m_center_quotient(m: MetricSpace, eps: float, seed=None, cap: int = RESAMPLE
     if n < 2:
         raise ParameterError("need n >= 2")
     rng = as_seed(seed).rng()
-    mparam = 2.0 * math.log(2.0 / eps) / eps
-    rho = _center_radii(m.dist, mparam)
-    best = None
-    for attempt in range(1, cap + 1):
-        S = np.flatnonzero(rng.random(n) < eps / 2.0)
-        T = set(int(i) for i in S)
-        if rho is not None and S.size:
-            # points whose mparam-ball misses S join T
-            miss = np.flatnonzero(m.dist[:, S].min(axis=1) > rho)
-            T.update(int(i) for i in miss)
-        elif rho is not None:
-            T = set(range(n))  # empty S misses every ball
-        if not T:
-            continue
-        if best is None or len(T) < len(best):
-            best = sorted(T)
-        if len(T) <= eps * n + 1e-12:
-            Tl = sorted(T)
+    rho = _center_radii(m.dist, m_center_size(eps))
+    for attempt in range(1, RESAMPLE_CAP + 1):
+        S = rng.random(n) < eps / 2.0
+        T = S.copy()
+        if rho is not None:
+            # points whose mparam-ball misses S join T (all of them when S is empty)
+            T |= m.dist[:, S].min(axis=1, initial=np.inf) > rho
+        size = int(T.sum())
+        if 0 < size <= eps * n + 1e-12:
+            Tl = [int(i) for i in np.flatnonzero(T)]
             return Tl, quotient_by_subset(m, Tl), attempt
-    raise ProbabilisticFailureError(
-        f"no sample with |T| <= {eps * n:.3g} in {cap} attempts", attempts=cap, best=best
-    )
+    raise ProbabilisticFailureError(f"no sample with |T| <= {eps * n:.3g} in {RESAMPLE_CAP} attempts")
 
 
 def _pair_order(dist: np.ndarray) -> np.ndarray:
@@ -386,7 +383,7 @@ def hst_from_m_centered(m: MetricSpace, mparam: int) -> tuple[HstTree, Distortio
 # ---------------------------------------------------------------------------
 
 
-def ts_sets(m: MetricSpace, seed=None, cap: int = RESAMPLE_CAP) -> tuple[list[int], list[int], int]:
+def ts_sets(m: MetricSpace, seed=None) -> tuple[list[int], list[int], int]:
     """Random S and the set T of outside points whose nearest neighbor is in S.
 
     Each point joins S with probability 1/2; T = {x not in S : d(x, S) = r(x)}.
@@ -401,21 +398,16 @@ def ts_sets(m: MetricSpace, seed=None, cap: int = RESAMPLE_CAP) -> tuple[list[in
         raise ParameterError("need n >= 2")
     rng = as_seed(seed).rng()
     r = nearest_radii(m)
-    best = None
-    for attempt in range(1, cap + 1):
+    for attempt in range(1, RESAMPLE_CAP + 1):
         mask = rng.random(n) < 0.5
         S = np.flatnonzero(mask)
         if S.size == 0 or S.size == n:
             continue
         dS = m.dist[:, S].min(axis=1)
         T = np.flatnonzero(~mask & (dS == r))
-        if best is None or T.size > len(best):
-            best = [int(i) for i in T]
         if T.size >= n / 4.0:
             return [int(i) for i in S], [int(i) for i in T], attempt
-    raise ProbabilisticFailureError(
-        f"no sample with |T| >= {n / 4:.3g} in {cap} attempts", attempts=cap, best=best
-    )
+    raise ProbabilisticFailureError(f"no sample with |T| >= {n / 4:.3g} in {RESAMPLE_CAP} attempts")
 
 
 # ---------------------------------------------------------------------------
@@ -458,9 +450,7 @@ def _pair_fallback(chi: np.ndarray, V: list[int], cmin: int) -> ColoringResult:
     raise StructuralError("no pair realizes the minimum color")  # unreachable
 
 
-def coloring_partition(
-    n: int, chi, seed=None, kcolors: int | None = None, cap: int = RESAMPLE_CAP
-) -> ColoringResult:
+def coloring_partition(n: int, chi, seed=None, kcolors: int | None = None) -> ColoringResult:
     """Disjoint blocks whose cross pairs have minimum color ell, with witnesses.
 
     chi is a symmetric n x n integer array of pair colors (diagonal ignored).
@@ -505,7 +495,7 @@ def coloring_partition(
             if s < 2:
                 return _pair_fallback(chi, V, cmin)
             off = ~np.eye(s, dtype=bool)
-            for _ in range(cap):
+            for _ in range(RESAMPLE_CAP):
                 assign = rng.integers(0, s, size=C.size)
                 groups = [C[assign == g] for g in range(s)]
                 if any(grp.size == 0 for grp in groups):
@@ -513,9 +503,7 @@ def coloring_partition(
                 # every member of every group must hit every other group in cmin
                 if np.all(block_reduce(is_cmin, groups, np.logical_or, np.logical_and)[off]):
                     return ColoringResult(tuple(tuple(V[int(c)] for c in grp) for grp in groups), cmin)
-            raise ProbabilisticFailureError(
-                f"dense split failed {cap} times (|C|={C.size}, s={s})", attempts=cap
-            )
+            raise ProbabilisticFailureError(f"dense split failed {RESAMPLE_CAP} times (|C|={C.size}, s={s})")
         # sparse branch: low-degree vertices, greedy coloring of the cmin-graph
         D = np.flatnonzero(deg < thresh)
         palette = int(math.ceil(thresh))
@@ -542,7 +530,7 @@ def coloring_partition(
 
 
 def weighted_coloring_partition(
-    n: int, chi, w, seed=None, kcolors: int | None = None, cap: int = RESAMPLE_CAP
+    n: int, chi, w, seed=None, kcolors: int | None = None
 ) -> tuple[ColoringResult, float, bool]:
     """Coloring partition that also keeps a large weight mass.
 
@@ -566,6 +554,11 @@ def weighted_coloring_partition(
     def sigma_sum(res: ColoringResult) -> float:
         return float(sum(w[list(b)].max() ** sigma for b in res.blocks))
 
+    def level_set(A: list[int]) -> ColoringResult:
+        """coloring_partition on the points A, in original indices."""
+        sub = coloring_partition(len(A), chi[np.ix_(A, A)], seed.child(0), kcolors=k)
+        return ColoringResult(tuple(tuple(A[i] for i in blk) for blk in sub.blocks), sub.ell)
+
     candidates: list[ColoringResult] = []
     # heavy-pair branch
     order = np.argsort(-w, kind="stable")
@@ -582,12 +575,8 @@ def weighted_coloring_partition(
         if A.size >= 2 and score > best_score:
             best_t, best_score = float(t), score
     if best_t is not None and best_score >= math.sqrt(total) - 1e-12:
-        A = [int(i) for i in np.flatnonzero(w >= best_t)]
         try:
-            sub = coloring_partition(len(A), chi[np.ix_(A, A)], seed.child(0), kcolors=k, cap=cap)
-            candidates.append(
-                ColoringResult(tuple(tuple(A[i] for i in blk) for blk in sub.blocks), sub.ell)
-            )
+            candidates.append(level_set([int(i) for i in np.flatnonzero(w >= best_t)]))
         except ProbabilisticFailureError:
             if not candidates:
                 raise
@@ -596,10 +585,7 @@ def weighted_coloring_partition(
         A = [int(i) for i in np.flatnonzero(w >= (best_t if best_t is not None else 0.0))]
         if len(A) < 2:
             A = sorted(set([hi, hj]))
-        sub = coloring_partition(len(A), chi[np.ix_(A, A)], seed.child(0), kcolors=k, cap=cap)
-        candidates.append(
-            ColoringResult(tuple(tuple(A[i] for i in blk) for blk in sub.blocks), sub.ell)
-        )
+        candidates.append(level_set(A))
     best = max(candidates, key=sigma_sum)
     check = sigma_sum(best) >= total**sigma - 1e-9
     return best, sigma, check
@@ -635,7 +621,7 @@ def _distance_buckets(m: MetricSpace, alpha: float) -> tuple[np.ndarray, int, fl
 
 
 def aspect_quotient(
-    m: MetricSpace, alpha: float, lipschitz: bool = False, seed=None, weights=None, cap: int = RESAMPLE_CAP
+    m: MetricSpace, alpha: float, lipschitz: bool = False, seed=None, weights=None
 ) -> AspectQuotientResult:
     """Quotient blocks whose cross distances all sit in one power-of-alpha band.
 
@@ -653,11 +639,9 @@ def aspect_quotient(
     chi, k, mind = _distance_buckets(m, alpha)
     sigma = sigma_ok = None
     if weights is None:
-        col = coloring_partition(m.n, chi, seed.child(0), kcolors=k, cap=cap)
+        col = coloring_partition(m.n, chi, seed.child(0), kcolors=k)
     else:
-        col, sigma, sigma_ok = weighted_coloring_partition(
-            m.n, chi, weights, seed.child(0), kcolors=k, cap=cap
-        )
+        col, sigma, sigma_ok = weighted_coloring_partition(m.n, chi, weights, seed.child(0), kcolors=k)
     q = quotient_metric(m, col.blocks)
     lo = mind * alpha ** (col.ell - 1)
     hi = mind * alpha**col.ell
@@ -696,7 +680,7 @@ class StarQuotientResult:
 
 
 def find_star_quotient(
-    m: MetricSpace, a: float, b: float, alpha: float, seed=None, ts=None, cap: int = RESAMPLE_CAP
+    m: MetricSpace, a: float, b: float, alpha: float, seed=None, ts=None
 ) -> StarQuotientResult:
     """Quotient alpha-equivalent to a star, sourced from one nearest-radius band.
 
@@ -712,7 +696,7 @@ def find_star_quotient(
         raise ParameterError("need b/a <= alpha <= 2b/a")
     seed = as_seed(seed)
     if ts is None:
-        S, T, attempts = ts_sets(m, seed.child(0), cap=cap)
+        S, T, attempts = ts_sets(m, seed.child(0))
     else:
         S, T = ts
         attempts = 0
@@ -730,7 +714,7 @@ def find_star_quotient(
         c = np.ceil(np.log(2 * b / np.maximum(val, 1e-300)) / math.log(alpha) - 1e-12) - 1
     c = np.clip(c, 0, kbuck).astype(int)
     np.fill_diagonal(c, -1)
-    col = coloring_partition(nn, c + 1, seed.child(1), kcolors=kbuck + 1, cap=cap)
+    col = coloring_partition(nn, c + 1, seed.child(1), kcolors=kbuck + 1)
     ell0 = col.ell - 1
     leaf_blocks = tuple(tuple(N[i] for i in blk) for blk in col.blocks)
     covered = set(x for blk in leaf_blocks for x in blk)
@@ -761,8 +745,6 @@ class QDichotomyResult:
     quotient: QuotientSpace
     report: DistortionReport
     model: object  # Lacunary | Star | Equilateral (after drop_root)
-    lacunary_size: int
-    star_size: int | None
 
 
 def q_dichotomy(
@@ -772,7 +754,6 @@ def q_dichotomy(
     alpha: float,
     seed=None,
     drop_root: bool = False,
-    cap: int = RESAMPLE_CAP,
 ) -> QDichotomyResult:
     """Quotient alpha-equivalent to a k-lacunary space or to a star.
 
@@ -790,7 +771,7 @@ def q_dichotomy(
     if not (beta < alpha < 2 * beta):
         raise ParameterError("alpha must be in (beta, 2*beta)")
     seed = as_seed(seed)
-    S, T, attempts = ts_sets(m, seed.child(0), cap=cap)
+    S, T, _ = ts_sets(m, seed.child(0))
     rho = alpha / beta
     r = nearest_radii(m)
     expo = np.floor(np.log(r) / math.log(rho) + 1e-12).astype(int)
@@ -813,7 +794,6 @@ def q_dichotomy(
     avals = tuple(rho**i for i in exps)
     lac_model = Lacunary(avals, k)
     lac_report = distortion_between(lac_q.metric, realize_special(lac_model))
-    lac_size = lac_q.metric.n
 
     # star branch: largest selected class, band [rho^i, rho^(i+1))
     star_res = None
@@ -822,30 +802,22 @@ def q_dichotomy(
         ibest = min(i for i in exps if sizes[i] == max(sizes.values()))
         a_band, b_band = rho**ibest, rho ** (ibest + 1)
         try:
-            star_res = find_star_quotient(
-                m, a_band, b_band, alpha, seed.child(1), ts=(S, T), cap=cap
-            )
+            star_res = find_star_quotient(m, a_band, b_band, alpha, seed.child(1), ts=(S, T))
         except (InsufficientBandError, ProbabilisticFailureError, ConstructionFailureError):
             star_res = None
 
-    if star_res is not None and star_res.quotient.metric.n > lac_size:
+    if star_res is not None and star_res.quotient.metric.n > lac_q.metric.n:
+        s = star_res.quotient.metric.n - 1
         if drop_root:
-            s = star_res.quotient.metric.n - 1
             sq = sq_space(star_res.quotient, list(range(1, s + 1)))
             model = Equilateral(s, star_res.tau)
             report = distortion_between(sq.metric, realize_special(model))
-            return QDichotomyResult("star", sq, report, model, lac_size, s + 1)
-        return QDichotomyResult(
-            "star", star_res.quotient, star_res.report, Star(star_res.quotient.metric.n - 1, star_res.tau),
-            lac_size, star_res.quotient.metric.n,
-        )
-    return QDichotomyResult(
-        "lacunary", lac_q, lac_report, lac_model, lac_size,
-        None if star_res is None else star_res.quotient.metric.n,
-    )
+            return QDichotomyResult("star", sq, report, model)
+        return QDichotomyResult("star", star_res.quotient, star_res.report, Star(s, star_res.tau))
+    return QDichotomyResult("lacunary", lac_q, lac_report, lac_model)
 
 
-def q2_lacunary(m: MetricSpace, seed=None, cap: int = RESAMPLE_CAP):
+def q2_lacunary(m: MetricSpace, seed=None):
     """Large quotient 2-equivalent to a 1-lacunary space.
 
     Collapse the complement of the nearest-neighbor-preserving set T; each
@@ -855,7 +827,7 @@ def q2_lacunary(m: MetricSpace, seed=None, cap: int = RESAMPLE_CAP):
 
     Returns (QuotientSpace, DistortionReport, Lacunary model, attempts).
     """
-    S, T, attempts = ts_sets(m, seed, cap=cap)
+    S, T, attempts = ts_sets(m, seed)
     r = nearest_radii(m)
     ordered = sorted(T, key=lambda x: (-r[x], x))
     kept = set(T)
@@ -889,7 +861,6 @@ def composition_qs(
     alpha: float,
     seed=None,
     weights=None,
-    cap: int = RESAMPLE_CAP,
 ) -> CompositionQsResult:
     """Large weighted QS space of a composed metric, close to a k-HST.
 
@@ -920,7 +891,7 @@ def composition_qs(
             return ((0,),), leaf(0), 1.0
         if aspect_ratio(msub) > 4.0 + 1e-9:
             raise ParameterError("leaf/outer spaces must have aspect ratio <= 4")
-        res = aspect_quotient(msub, alpha, seed=next(seeds), weights=w, cap=cap)
+        res = aspect_quotient(msub, alpha, seed=next(seeds), weights=w)
         s = len(res.quotient.blocks)
         delta = float(res.quotient.metric.dist.max())
         tree_h = leaf(0) if s == 1 else join(delta, [leaf(i) for i in range(s)])

@@ -173,15 +173,22 @@ class ValidationReport:
 
 
 def validate_metric(m: MetricSpace | np.ndarray, tol: float = TOL) -> ValidationReport:
-    """Check symmetry, zero diagonal, positivity, and the triangle inequality.
+    """Check finiteness, symmetry, zero diagonal, positivity, and the triangle inequality.
 
-    Every violated invariant is reported with the indices where it fails.
+    Every violated invariant is reported with the indices where it fails;
+    non-finite entries are reported alone, as the other checks compare through them.
     """
     d = m.dist if isinstance(m, MetricSpace) else np.asarray(m, dtype=np.float64)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise StructuralError(f"distance matrix must be square, got shape {d.shape}")
     n = d.shape[0]
     report = ValidationReport()
+
+    nonfinite = ~np.isfinite(d)
+    if nonfinite.any():
+        for i, j in np.argwhere(nonfinite):
+            report.add("finite", (int(i), int(j)), f"d = {d[i, j]!r} is not finite")
+        return report
 
     bad = np.flatnonzero(np.abs(np.diag(d)) > tol)
     for i in bad:

@@ -80,9 +80,9 @@ class CubeQsResult:
             raise StructuralError("point is not a surviving cube point")
         return float(self.dA[ix])
 
-    def quotient(self, max_dim: int = 12) -> QuotientSpace:
-        """Materialize the QuotientSpace (small dimensions only)."""
-        if self.d > max_dim:
+    def quotient(self) -> QuotientSpace:
+        """Materialize the QuotientSpace (d <= 12 only)."""
+        if self.d > 12:
             raise CapacityError(f"refusing to materialize 2^{self.d} x 2^{self.d} data")
         base = hypercube_metric(self.d)
         sing = self.singletons

@@ -46,6 +46,8 @@ class VectorEmbedding:
             raise StructuralError("vectors must be a 2-d array")
         object.__setattr__(self, "vectors", v)
         if self.weights is not None:
+            if np.iscomplexobj(self.weights):
+                raise StructuralError("weights must be real")
             w = np.asarray(self.weights, dtype=np.float64)
             if w.shape != (v.shape[1],):
                 raise StructuralError("weights must have one entry per coordinate")
@@ -74,6 +76,9 @@ class VectorEmbedding:
 # stays in cache, which made Bourgain tables faster than 8 MB chunks
 TABLE_ELEMENTS = 1 << 16
 
+#: Most points an exact construction takes: it enumerates 2^n subsets or atoms.
+EXACT_MAX_POINTS = 15
+
 
 def induced_metric(emb: VectorEmbedding) -> MetricSpace:
     """Materialize the finite metric of an embedding.
@@ -82,6 +87,7 @@ def induced_metric(emb: VectorEmbedding) -> MetricSpace:
     a time, under TABLE_ELEMENTS entries (at least one row), so memory is
     O(n^2 + TABLE_ELEMENTS).  Each distance is still one sum over the
     contiguous last axis, so the result is bitwise the full table's.
+    Non-finite vectors raise StructuralError (MetricSpace refuses the table).
     """
     v = emb.vectors
     n, dim = v.shape
@@ -108,16 +114,22 @@ def embedding_to_json(emb: VectorEmbedding) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def bourgain_scales(mparam: float, p: float) -> int:
+    """Bourgain's scale count q = ceil(ln(mparam)/p); the distortion bound is 96q."""
+    return max(1, int(math.ceil(math.log(mparam) / p - 1e-12)))
+
+
 def bourgain_embed(
     m: MetricSpace, mparam: float, p: float = 2.0, mode: str = "exact", seed=None
 ) -> tuple[VectorEmbedding, DistortionReport, MetricSpace]:
     """Distance-to-random-subset embedding for spaces with an mparam-center.
 
     Coordinates are d(u, A) over subsets A, weighted so the map is
-    non-expanding (weights sum to <= 1); q = ceil(ln(mparam)/p) scales with
-    point inclusion probability e^(-p*i) at scale i.  Exact mode enumerates
-    all nonempty subsets (n <= 15); monte-carlo samples 256*q subsets per
-    scale.  Exact-mode distortion must stay below 96*q.
+    non-expanding (weights sum to <= 1); q = bourgain_scales(mparam, p) scales
+    with point inclusion probability e^(-p*i) at scale i.  Exact mode
+    enumerates all nonempty subsets (n <= EXACT_MAX_POINTS); monte-carlo
+    samples 256*q subsets per scale.  Exact-mode distortion must stay below
+    96*q.
 
     Returns the embedding, its distortion report and the induced metric the
     report was computed from, so a caller that stores the table reuses it.
@@ -131,12 +143,12 @@ def bourgain_embed(
     if find_m_center(m, mparam) is None:
         raise NoMCenterError(f"space has no {mparam}-center")
     n = m.n
-    q = max(1, int(math.ceil(math.log(mparam) / p - 1e-12)))
+    q = bourgain_scales(mparam, p)
     probs = [math.exp(-p * i) for i in range(1, q + 1)]
 
     if mode == "exact":
-        if n > 15:
-            raise CapacityError("exact mode limited to n <= 15")
+        if n > EXACT_MAX_POINTS:
+            raise CapacityError(f"exact mode limited to n <= {EXACT_MAX_POINTS}")
         masks = np.arange(1, 2**n)
         sizes = np.array([bin(mk).count("1") for mk in masks])
         alpha = np.zeros(masks.size)
@@ -180,7 +192,7 @@ def bourgain_embed(
 # ---------------------------------------------------------------------------
 
 
-def star_to_lp(n: int, tau: float, p: float, max_points: int = 15) -> VectorEmbedding:
+def star_to_lp(n: int, tau: float, p: float) -> VectorEmbedding:
     """Exact isometric embedding of the star (root at 1, leaves pairwise tau).
 
     Realized on the finite product probability space {0,1}^n: leaf i maps to
@@ -189,8 +201,8 @@ def star_to_lp(n: int, tau: float, p: float, max_points: int = 15) -> VectorEmbe
     """
     if n < 1:
         raise ParameterError("need at least one leaf")
-    if n > max_points:
-        raise CapacityError(f"n = {n} exceeds the {max_points}-point cap (2^n atoms)")
+    if n > EXACT_MAX_POINTS:
+        raise CapacityError(f"n = {n} exceeds the {EXACT_MAX_POINTS}-point cap (2^n atoms)")
     if p < 1:
         raise ParameterError("p must be >= 1")
     theta = min(1.0 / p, 1.0 - 1.0 / p)
@@ -428,12 +440,10 @@ def pstable_embed(points, D: float, p: float, features: int, seed=None) -> Vecto
     return VectorEmbedding(vectors, p, "monte-carlo", weights)
 
 
-def pstable_envelope_fit(p: float, a_grid=None) -> tuple[float, float]:
+def pstable_envelope_fit(p: float) -> tuple[float, float]:
     """Fitted two-sided constants for E[(1-cos(ag))^(p/2)] vs min{a^p ln(1/a+1), 1}."""
-    if a_grid is None:
-        a_grid = np.geomspace(0.01, 100.0, 25)
     ratios = []
-    for a in a_grid:
+    for a in np.geomspace(0.01, 100.0, 25):
         model = min(a**p * math.log(1.0 / a + 1.0), 1.0)
         ratios.append(pstable_expectation(a, p) / model)
     return float(min(ratios)), float(max(ratios))

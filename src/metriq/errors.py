@@ -27,16 +27,9 @@ class CapacityError(ParameterError):
 
 
 class ProbabilisticFailureError(MetriqError):
-    """A rejection-sampling loop exhausted its attempt budget.
-
-    Carries the attempt count and the best candidate seen, so callers can
-    inspect how close the sampler got.
+    """A rejection-sampling loop made constructions.RESAMPLE_CAP draws and
+    accepted none; the message gives the draw count and the acceptance test.
     """
-
-    def __init__(self, message, attempts=None, best=None):
-        super().__init__(message)
-        self.attempts = attempts
-        self.best = best
 
 
 class InsufficientBandError(MetriqError):

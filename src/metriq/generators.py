@@ -154,21 +154,15 @@ def gen_composition(tree: CompositionTree) -> MetricSpace:
     return realize_composition(tree).metric
 
 
-def random_composition_tree(
-    depth: int,
-    seed=None,
-    max_outer: int = 4,
-    beta: float = 4.0,
-    edge_scale: float = 1.0,
-) -> CompositionTree:
+def random_composition_tree(depth: int, seed=None, beta: float = 4.0) -> CompositionTree:
     """Random composition tree for testing: small equilateral-ish leaf spaces."""
     rng = as_seed(seed).rng()
 
     def rand_leaf() -> MetricSpace:
-        n = int(rng.integers(2, max_outer + 1))
-        # aspect ratio <= 2: distances in [c, 2c]
+        n = int(rng.integers(2, 5))  # 2 to 4 points
+        # aspect ratio <= 2: distances in [1, 2]
         pts = rng.uniform(1.0, 2.0, size=(n, n))
-        d = np.maximum(pts, pts.T) * edge_scale
+        d = np.maximum(pts, pts.T)
         np.fill_diagonal(d, 0.0)
         return MetricSpace(d)
 

@@ -331,6 +331,46 @@ def test_verify_refuses_a_format1_list(kind, path):
         verify_bundle({"artifacts": [art]})
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("kind, path", [
+    ("quotient", ["certified_distortion"]),
+    ("quotient", ["dist"]),
+    ("bare quotient", ["dist"]),
+    ("hst", ["certified_distortion"]),
+    ("hst", ["base", "dist"]),
+    ("embedding", ["claimed"]),
+    ("embedding", ["vectors"]),
+])
+def test_verify_rejects_a_non_finite_claim_or_entry(kind, path, bad):
+    art = json.loads(dumps(_fresh_artifact(kind.removeprefix("bare "))))
+    if kind.startswith("bare "):
+        del art["model"], art["certified_distortion"]  # as `metriq quotient` writes it
+    assert verify_bundle({"artifacts": [art]}).ok
+    holder = art
+    for key in path[:-1]:
+        holder = holder[key]
+    if path[-1] == "certified_distortion":
+        holder[path[-1]] = bad
+    else:
+        def tamper(a):
+            a[0, 1] = bad
+            return a
+
+        edit_array(holder, path[-1], tamper)
+    try:
+        rep = verify_bundle({"artifacts": [art]})
+    except StructuralError:
+        return
+    assert not rep.ok
+
+
+def test_verify_refuses_complex_embedding_weights():
+    art = json.loads(dumps(_fresh_artifact("embedding")))
+    edit_array(art, "weights", lambda w: w + 0.5j)
+    with pytest.raises(StructuralError, match="weights must be real"):
+        verify_bundle({"artifacts": [art]})
+
+
 def test_verify_command_refuses_a_format1_bundle(runner, tmp_path):
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps(q2_plan(trials=1)))

@@ -111,6 +111,26 @@ def test_m_center_quotient_invariants():
         assert is_m_center(q.metric, q.metric.n - 1, mparam)
 
 
+def test_m_center_quotient_stops_after_resample_cap_draws(monkeypatch):
+    # |T| <= eps * n = 0.3 needs an empty T, which is never accepted
+    draws = []
+    rng = np.random.default_rng(0)
+
+    class CountingSeed:
+        def rng(self):
+            return self
+
+        def random(self, n):
+            draws.append(n)
+            return rng.random(n)
+
+    monkeypatch.setattr(constructions, "RESAMPLE_CAP", 3)
+    monkeypatch.setattr(constructions, "as_seed", lambda seed: CountingSeed())
+    with pytest.raises(ProbabilisticFailureError, match=r"\|T\| <= 0\.3 in 3 attempts"):
+        m_center_quotient(random_metric(3, 0), 0.1)
+    assert draws == [3, 3, 3]
+
+
 def test_hst_from_m_centered_certificate():
     m = realize_special(Equilateral(7, 2.0))
     t, rep = hst_from_m_centered(m, 3)

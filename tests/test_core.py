@@ -83,6 +83,13 @@ def test_validate_metric_flags_each_violation():
     assert {v[0] for v in validate_metric(d).violations} == {"positivity"}
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_validate_metric_reports_a_non_finite_entry(bad):
+    d = random_metric(5, 0).dist.copy()
+    d[1, 3] = bad
+    assert [(kind, where) for kind, where, _ in validate_metric(d).violations] == [("finite", (1, 3))]
+
+
 def test_validate_metric_accepts_clouds():
     for s in range(5):
         assert validate_metric(random_metric(10, s)).ok
