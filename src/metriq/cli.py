@@ -482,12 +482,11 @@ def _verify_embedding(art: dict, ai: int, report: ValidationReport, tol: float):
         return
     bad = np.argwhere(np.abs(dists - claimed) > max(tol, 1e-9 * max(1.0, claimed.max())))
     for i, j in bad:
-        if i < j:
-            report.add(
-                "embedding-distance",
-                (ai, int(i), int(j)),
-                f"claimed {claimed[i, j]!r} != recomputed {dists[i, j]!r}",
-            )
+        report.add(
+            "embedding-distance",
+            (ai, int(i), int(j)),
+            f"claimed {claimed[i, j]!r} != recomputed {dists[i, j]!r}",
+        )
 
 
 def _verify_cube(art: dict, ai: int, report: ValidationReport, tol: float):
@@ -497,6 +496,9 @@ def _verify_cube(art: dict, ai: int, report: ValidationReport, tol: float):
     S = decode_array(art["survivors"])
     if int(art["block_count"]) != S.size - A.size + 1:
         report.add("cube-count", (ai,), "block_count inconsistent with survivor/net sizes")
+    claimed = float(art["certified_distortion"])
+    if not math.isfinite(claimed):
+        report.add("certificate", (ai,), f"claimed distortion {claimed} is not finite")
     # net separation
     if A.size > 1:
         cross = np.bitwise_count(A[:, None] ^ A[None, :])

@@ -83,21 +83,31 @@ EXACT_MAX_POINTS = 15
 def induced_metric(emb: VectorEmbedding) -> MetricSpace:
     """Materialize the finite metric of an embedding.
 
-    The rows x n x dim table of coordinate differences is built a few rows at
-    a time, under TABLE_ELEMENTS entries (at least one row), so memory is
-    O(n^2 + TABLE_ELEMENTS).  Each distance is still one sum over the
-    contiguous last axis, so the result is bitwise the full table's.
-    Non-finite vectors raise StructuralError (MetricSpace refuses the table).
+    Only the upper triangle is computed: rows lo:hi against columns lo:, a few
+    rows at a time, under TABLE_ELEMENTS entries of the rows x columns x dim
+    difference table (at least one row), so memory is O(n^2 + TABLE_ELEMENTS).
+    The lower triangle is its mirror, since |a - b| = |b - a| exactly.  Each
+    distance is still one sum over the contiguous last axis, and ** (1/p) is
+    elementwise, so the result is bitwise the full broadcast's.  Non-finite
+    vectors raise StructuralError (MetricSpace refuses the table).
     """
     v = emb.vectors
+    if not np.issubdtype(v.dtype, np.inexact):
+        v = v.astype(np.float64)  # the in-place ** needs floats; integers convert exactly
     n, dim = v.shape
     out = np.empty((n, n))
-    step = max(1, TABLE_ELEMENTS // max(1, n * dim))
-    for lo in range(0, n, step):
-        diff = np.abs(v[lo : lo + step, None, :] - v[None, :, :]) ** emb.p
+    lo = 0
+    while lo < n:
+        hi = min(n, lo + max(1, TABLE_ELEMENTS // max(1, (n - lo) * dim)))
+        diff = v[lo:hi, None, :] - v[None, lo:, :]
+        diff = np.abs(diff) if np.iscomplexobj(diff) else np.abs(diff, out=diff)
+        diff **= emb.p
         if emb.weights is not None:
-            diff = diff * emb.weights[None, None, :]
-        out[lo : lo + step] = diff.sum(axis=2) ** (1.0 / emb.p)
+            diff *= emb.weights
+        out[lo:hi, lo:] = diff.sum(axis=2)
+        out[lo:, lo:hi] = out[lo:hi, lo:].T
+        lo = hi
+    out **= 1.0 / emb.p
     return MetricSpace(out)
 
 
@@ -119,6 +129,34 @@ def bourgain_scales(mparam: float, p: float) -> int:
     return max(1, int(math.ceil(math.log(mparam) / p - 1e-12)))
 
 
+def _subset_distances(dist: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """d(u, A_j) for every point u and every row A_j of a J x n boolean mask.
+
+    Returns the C-ordered n x J coordinate array; an empty subset gives a 0
+    column.  Consecutive nonempty subsets are taken in groups of at most
+    TABLE_ELEMENTS gathered entries (at least one subset): the members' columns
+    of dist, as contiguous rows of its transpose, and np.minimum.reduceat
+    takes each subset's min.  A min is exact in any order, so every entry is
+    bitwise dist[:, A_j].min(axis=1).
+    """
+    n = dist.shape[0]
+    cols = np.ascontiguousarray(dist.T)
+    out = np.zeros((mask.shape[0], n))
+    sizes = mask.sum(axis=1)
+    live = np.flatnonzero(sizes)
+    members = np.nonzero(mask[live])[1]  # row-major: subset after subset
+    ends = np.cumsum(sizes[live])
+    starts = ends - sizes[live]
+    budget = TABLE_ELEMENTS // max(1, n)
+    lo = 0
+    while lo < live.size:
+        hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + budget, side="right")))
+        gathered = cols[members[starts[lo] : ends[hi - 1]]]
+        out[live[lo:hi]] = np.minimum.reduceat(gathered, starts[lo:hi] - starts[lo], axis=0)
+        lo = hi
+    return np.ascontiguousarray(out.T)
+
+
 def bourgain_embed(
     m: MetricSpace, mparam: float, p: float = 2.0, mode: str = "exact", seed=None
 ) -> tuple[VectorEmbedding, DistortionReport, MetricSpace]:
@@ -128,8 +166,13 @@ def bourgain_embed(
     non-expanding (weights sum to <= 1); q = bourgain_scales(mparam, p) scales
     with point inclusion probability e^(-p*i) at scale i.  Exact mode
     enumerates all nonempty subsets (n <= EXACT_MAX_POINTS); monte-carlo
-    samples 256*q subsets per scale.  Exact-mode distortion must stay below
-    96*q.
+    samples 256*q subsets per scale, an empty one giving a 0 coordinate.
+    Exact-mode distortion must stay below 96*q.
+
+    Both modes build one subsets x n boolean membership mask and take every
+    coordinate from it at once: exact mode from the bits of 1..2^n - 1,
+    monte-carlo from one rng.random draw of 256*q^2 rows, which is the same
+    stream as one rng.random(n) per subset.
 
     Returns the embedding, its distortion report and the induced metric the
     report was computed from, so a caller that stores the table reuses it.
@@ -149,33 +192,19 @@ def bourgain_embed(
     if mode == "exact":
         if n > EXACT_MAX_POINTS:
             raise CapacityError(f"exact mode limited to n <= {EXACT_MAX_POINTS}")
-        masks = np.arange(1, 2**n)
-        sizes = np.array([bin(mk).count("1") for mk in masks])
-        alpha = np.zeros(masks.size)
+        mask = ((np.arange(1, 2**n)[:, None] >> np.arange(n)) & 1).astype(bool)
+        sizes = mask.sum(axis=1)
+        weights = np.zeros(mask.shape[0])
         for pi in probs:
-            alpha += pi**sizes * (1 - pi) ** (n - sizes)
-        alpha /= q
-        vectors = np.zeros((n, masks.size))
-        for col, mk in enumerate(masks):
-            members = [i for i in range(n) if mk >> i & 1]
-            vectors[:, col] = m.dist[:, members].min(axis=1)
-        emb = VectorEmbedding(vectors, p, "exact", alpha)
+            weights += pi**sizes * (1 - pi) ** (n - sizes)
+        weights /= q
     elif mode == "monte-carlo":
-        rng = as_seed(seed).rng()
         L = 256 * q
-        cols = []
-        for pi in probs:
-            for _ in range(L):
-                members = np.flatnonzero(rng.random(n) < pi)
-                if members.size == 0:
-                    cols.append(np.zeros(n))  # empty subset: dead coordinate
-                else:
-                    cols.append(m.dist[:, members].min(axis=1))
-        vectors = np.stack(cols, axis=1)
-        weights = np.full(len(cols), 1.0 / (q * L))
-        emb = VectorEmbedding(vectors, p, "monte-carlo", weights)
+        mask = as_seed(seed).rng().random((q * L, n)) < np.repeat(probs, L)[:, None]
+        weights = np.full(q * L, 1.0 / (q * L))
     else:
         raise ParameterError(f"unknown mode {mode!r}")
+    emb = VectorEmbedding(_subset_distances(m.dist, mask), p, mode, weights)
 
     induced = induced_metric(emb)
     report = distortion_between(m, induced)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
@@ -14,6 +16,7 @@ from metriq.core import (
     set_distance,
 )
 from metriq.cube import DistortionSummary
+from metriq.embeddings import bourgain_scales
 from metriq.errors import ConstructionFailureError, NoMCenterError, StructuralError
 from metriq.generators import gen_euclidean_cloud
 from metriq.hst import hst_from_splits, hst_to_metric, join, leaf
@@ -338,6 +341,43 @@ def gen_random_graph_metric_loop(n: int, q: float, seed=None):
                 edges.append((i, j))
     np.fill_diagonal(d, 0.0)
     return MetricSpace(d), edges
+
+
+def subset_distances_loop(dist: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Reference for embeddings._subset_distances: one column per subset row of
+    the mask, its min over the members' columns, and 0 for an empty subset."""
+    n = dist.shape[0]
+    cols = [dist[:, np.flatnonzero(row)].min(axis=1) if row.any() else np.zeros(n) for row in mask]
+    return np.stack(cols, axis=1) if cols else np.zeros((n, 0))
+
+
+def bourgain_embed_loop(m: MetricSpace, mparam: float, p: float, mode: str, seed=None):
+    """Reference for bourgain_embed's coordinates: the per-subset loop, with one
+    rng.random(n) draw per Monte-Carlo subset.  Returns (vectors, weights,
+    table), the table built one row at a time."""
+    n = m.n
+    q = bourgain_scales(mparam, p)
+    probs = [math.exp(-p * i) for i in range(1, q + 1)]
+    cols = []
+    if mode == "exact":
+        masks = np.arange(1, 2**n)
+        sizes = np.array([bin(mk).count("1") for mk in masks])
+        weights = np.zeros(masks.size)
+        for pi in probs:
+            weights += pi**sizes * (1 - pi) ** (n - sizes)
+        weights /= q
+        for mk in masks:
+            cols.append(m.dist[:, [i for i in range(n) if mk >> i & 1]].min(axis=1))
+    else:
+        rng = as_seed(seed).rng()
+        for pi in probs:
+            for _ in range(256 * q):
+                members = np.flatnonzero(rng.random(n) < pi)
+                cols.append(m.dist[:, members].min(axis=1) if members.size else np.zeros(n))
+        weights = np.full(len(cols), 1.0 / len(cols))
+    vectors = np.stack(cols, axis=1)
+    table = np.stack([(np.abs(vectors[i] - vectors) ** p * weights).sum(axis=1) for i in range(n)])
+    return vectors, weights, table ** (1.0 / p)
 
 
 def pnorm_table_full(v: np.ndarray, p: float, w=None) -> np.ndarray:

@@ -340,6 +340,7 @@ def test_verify_refuses_a_format1_list(kind, path):
     ("hst", ["base", "dist"]),
     ("embedding", ["claimed"]),
     ("embedding", ["vectors"]),
+    ("cube-qs", ["certified_distortion"]),
 ])
 def test_verify_rejects_a_non_finite_claim_or_entry(kind, path, bad):
     art = json.loads(dumps(_fresh_artifact(kind.removeprefix("bare "))))
@@ -455,14 +456,17 @@ def test_embedding_verifier_in_one_row_chunks(monkeypatch):
     emb = star_to_lp(4, 1.0, 1.5)
     art = _embedding_artifact(emb, induced_metric(emb))
     assert verify_bundle(art).ok
+    # every entry of `claimed` is compared: upper, lower triangle and diagonal
+    for i, j in [(1, 2), (2, 1), (2, 2)]:
+        bad = dict(art)  # edit_array replaces the one array it edits
 
-    def tamper(d):
-        d[1, 2] += 1e-3
-        return d
+        def tamper(d):
+            d[i, j] += 1e-3
+            return d
 
-    edit_array(art, "claimed", tamper)
-    rep = verify_bundle(art)
-    assert [v[1] for v in rep.violations] == [(0, 1, 2)]
+        edit_array(bad, "claimed", tamper)
+        rep = verify_bundle(bad)
+        assert [v[1] for v in rep.violations] == [(0, i, j)]
 
 
 def test_verify_command_ok_exit_zero(runner, tmp_path):

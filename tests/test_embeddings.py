@@ -1,12 +1,16 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metriq import embeddings
 
 from metriq.cli import PIPELINES
+from metriq.constructions import m_center_quotient, m_center_size
 from metriq.core import Equilateral, Star, decode_array, realize_special, validate_metric
 from metriq.embeddings import (
     TruncatedMetricSpec,
@@ -33,7 +37,7 @@ from metriq.errors import CapacityError, NoMCenterError, ParameterError
 from metriq.generators import hypercube_metric
 from metriq.seeds import RngSeed
 
-from conftest import pnorm_table_full, random_metric
+from conftest import bourgain_embed_loop, pnorm_table_full, random_metric, subset_distances_loop
 
 
 # --- random-subset embedding -----------------------------------------------
@@ -51,6 +55,69 @@ def test_bourgain_exact_non_expanding_and_weighted():
     for col, mk in enumerate(masks):
         sizes.setdefault(bin(mk).count("1"), set()).add(round(float(emb.weights[col]), 15))
     assert all(len(v) == 1 for v in sizes.values())
+
+
+def same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 40),
+    st.integers(0, 60),
+    st.floats(0.0, 1.0),
+    st.booleans(),
+    st.integers(0, 10_000),
+    st.sampled_from([1, 5000, embeddings.TABLE_ELEMENTS]),
+)
+def test_subset_distances_are_bitwise_the_per_subset_loop(n, subsets, density, all_empty, seed, budget):
+    rng = np.random.default_rng(seed)
+    dist = random_metric(n, seed).dist
+    mask = rng.random((subsets, n)) < density
+    mask[rng.random(subsets) < 0.25] = False  # some empty subsets
+    if all_empty:
+        mask[:] = False
+    with mock.patch.object(embeddings, "TABLE_ELEMENTS", budget):
+        got = embeddings._subset_distances(dist, mask)
+    assert got.flags.c_contiguous
+    assert same_bytes(got, subset_distances_loop(dist, mask))
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n", [20, 50, 80])
+def test_bourgain_monte_carlo_is_bitwise_the_per_subset_loop(n, seed, p):
+    _, q, _ = m_center_quotient(random_metric(n, seed), 0.5, seed)
+    mparam = m_center_size(0.5)
+    emb, _, ind = bourgain_embed(q.metric, mparam, p, "monte-carlo", seed)
+    vectors, weights, table = bourgain_embed_loop(q.metric, mparam, p, "monte-carlo", seed)
+    assert same_bytes(emb.vectors, vectors)
+    assert same_bytes(emb.weights, weights)
+    assert same_bytes(ind.dist, table)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("n", [1, 2, 7, 12, 15])
+def test_bourgain_exact_is_bitwise_the_per_subset_loop(n, p):
+    m = random_metric(n, n)
+    emb, _, ind = bourgain_embed(m, float(n + 1), p, "exact")
+    vectors, weights, table = bourgain_embed_loop(m, float(n + 1), p, "exact")
+    assert same_bytes(emb.vectors, vectors)
+    assert same_bytes(emb.weights, weights)
+    assert same_bytes(ind.dist, table)
+
+
+def test_bourgain_monte_carlo_memory_stays_under_the_per_subset_loop():
+    # 2304 coordinates on 300 points; the per-subset loop this replaced
+    # peaked at 28_667_899 B (27.3 MiB) of traced memory on this input (numpy 2.4)
+    m = random_metric(300, 0)
+    tracemalloc.start()
+    try:
+        bourgain_embed(m, 300.0, 2.0, "monte-carlo", seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 28_667_899
 
 
 def test_bourgain_requires_center():
@@ -290,6 +357,24 @@ def test_induced_metric_is_bitwise_the_full_broadcast(monkeypatch, p, weighted, 
     monkeypatch.setattr(embeddings, "TABLE_ELEMENTS", budget)
     got = induced_metric(VectorEmbedding(v, p, "monte-carlo", w)).dist
     assert got.tobytes() == pnorm_table_full(v, p, w).tobytes()
+
+
+@pytest.mark.parametrize("n, dim", [(1, 300), (2, 300), (37, 0), (1, 0)])
+@pytest.mark.parametrize("p", [1.0, 1.5])
+@pytest.mark.parametrize("budget", [1, 5000, embeddings.TABLE_ELEMENTS])
+def test_induced_metric_on_degenerate_shapes_is_bitwise_the_full_broadcast(monkeypatch, n, dim, p, budget):
+    rng = np.random.default_rng(n + dim)
+    v = rng.normal(size=(n, dim))
+    w = rng.uniform(0.0, 1.0, size=dim)
+    monkeypatch.setattr(embeddings, "TABLE_ELEMENTS", budget)
+    got = induced_metric(VectorEmbedding(v, p, "monte-carlo", w)).dist
+    assert got.tobytes() == pnorm_table_full(v, p, w).tobytes()
+
+
+def test_induced_metric_of_integer_vectors_is_bitwise_the_full_broadcast():
+    v = np.random.default_rng(4).integers(-50, 50, size=(30, 40))
+    for p in (1.0, 1.5, 2.0):
+        assert induced_metric(VectorEmbedding(v, p, "exact")).dist.tobytes() == pnorm_table_full(v, p).tobytes()
 
 
 def test_induced_metric_memory_stays_under_the_table_budget():
