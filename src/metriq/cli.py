@@ -430,8 +430,9 @@ def _verify_quotient(art: dict, ai: int, report: ValidationReport, tol: float):
     stored = decode_array(art["dist"])
     prov = art["provenance"]
     if prov == "SQ":
-        # subspace of a quotient: the stored matrix must itself be a metric and
-        # dominate the recomputed full-quotient distances on those blocks
+        # subspace of a quotient: the artifact lacks the parent blocks, so the
+        # stored matrix is only checked to be a metric below, against no
+        # recomputation (ROADMAP item 3, "SQ")
         recomputed = None
     else:
         recomputed = quotient_metric(base, blocks).metric.dist

@@ -312,19 +312,41 @@ def block_reduce(dist, blocks, inner=np.minimum, outer=None) -> np.ndarray:
 _STORED = {"f": "<f8", "i": "<i8", "c": "<c16"}
 
 
+class _Encoded(dict):
+    """An encode_array document.  While its "b64" is the very object kept in
+    the b64 slot, it is base64 by construction, and dumps splices it into its
+    output as it stands; any other "b64" value is escaped as usual."""
+
+    __slots__ = ("b64",)
+
+
+class _Hole:
+    """Where a payload stood in the copy of a document that dumps hands to
+    json; json passes it to dumps's default hook."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+
 def encode_array(a) -> dict:
     """An array as {"dtype", "shape", "b64"}: the base64 of its C-order
     little-endian bytes as <f8, <i8 or <c16 (artifact format 2).
 
     The round trip through decode_array is bit-exact, and equal arrays give
-    equal documents.
+    equal documents.  The document is a dict subclass, equal to the plain
+    dict, that remembers its b64 text: dumps writes that text unescaped for
+    as long as "b64" still holds it.
     """
     a = np.asarray(a)
     dtype = _STORED.get(a.dtype.kind)
     if dtype is None:
         raise StructuralError(f"cannot store an array of dtype {a.dtype}")
-    text = binascii.b2a_base64(np.ascontiguousarray(a, dtype=dtype), newline=False)
-    return {"dtype": dtype, "shape": list(a.shape), "b64": text.decode("ascii")}
+    text = binascii.b2a_base64(np.ascontiguousarray(a, dtype=dtype), newline=False).decode("ascii")
+    doc = _Encoded(dtype=dtype, shape=list(a.shape), b64=text)
+    doc.b64 = text
+    return doc
 
 
 def decode_array(doc) -> np.ndarray:
@@ -332,7 +354,11 @@ def decode_array(doc) -> np.ndarray:
 
     Anything else raises StructuralError: a JSON list (format 1), an unknown
     dtype, a byte count that does not match the shape, or base64 that is not
-    exactly what encode_array writes.
+    exactly what encode_array writes.  The text is checked in one strict
+    decoding pass (RFC 4648: only the standard alphabet, no whitespace or
+    newlines, padding only at the end), and then only its last quad is
+    re-encoded and compared, as the one place left where a text can differ
+    from the canonical encoding of its bytes (extra padding, unused low bits).
     """
     if not isinstance(doc, dict):
         raise StructuralError(
@@ -350,11 +376,15 @@ def decode_array(doc) -> np.ndarray:
     if not isinstance(text, str):
         raise StructuralError("array b64 must be a string")
     try:
-        raw = binascii.a2b_base64(text)  # skips characters outside the alphabet
-    except ValueError as exc:
+        raw = binascii.a2b_base64(text, strict_mode=True)
+    except ValueError as exc:  # binascii.Error, or text that is not ASCII
         raise StructuralError(f"array b64 is not valid base64 ({exc})") from exc
-    # so the exact re-encoding also rejects those, bad padding and stray trailing bits
-    if binascii.b2a_base64(raw, newline=False).decode("ascii") != text:
+    # Strict mode leaves padding only at the end, so the text is its data
+    # characters plus trailing "="s, and every full quad before the last one
+    # is canonical.  Padding after a full last quad and stray low bits remain;
+    # both show in the last four characters.
+    last = binascii.b2a_base64(raw[-(len(raw) % 3 or 3):], newline=False).decode("ascii")
+    if text[-4:] != last:
         raise StructuralError("array b64 is not canonical base64")
     need = math.prod(shape) * np.dtype(dtype).itemsize
     if len(raw) != need:
@@ -372,8 +402,8 @@ def metric_to_json(m: MetricSpace) -> dict:
 def metric_from_json(doc: dict) -> MetricSpace:
     labels = tuple(doc["labels"]) if doc.get("labels") else None
     m = MetricSpace(decode_array(doc["dist"]), labels)
-    if "n" in doc and int(doc["n"]) != m.n:
-        raise StructuralError("declared n does not match matrix size")
+    if "n" in doc and (type(doc["n"]) is not int or doc["n"] != m.n):
+        raise StructuralError(f"declared n {doc['n']!r} is not the matrix size {m.n}")
     return m
 
 
@@ -398,5 +428,47 @@ def dumps(doc: dict) -> str:
     """Canonical JSON serialization: sorted keys, fixed separators.
 
     Used for every artifact so identical objects are byte-identical on disk.
+    The output is exactly json.dumps(doc, sort_keys=True, separators=(",", ":")),
+    but each encode_array payload is spliced in as it stands instead of going
+    through json's escape scan: json writes a copy of doc with a _Hole where
+    each payload stood, and the quoted hole text it writes there is then
+    swapped for the payload.  The hole text is a run of NULs longer than any
+    in the document's own strings, so none of them can be mistaken for it.
     """
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    suspects: list[str] = []
+    skeleton = _skeleton(doc, suspects)
+    hole = "\x00"
+    while any(hole in s for s in suspects):
+        hole += "\x00"
+    payloads: list[str] = []
+
+    def fill(o):
+        if type(o) is not _Hole:
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        payloads.append(o.text)  # in output order, which sort_keys decides
+        return hole
+
+    text = json.dumps(skeleton, sort_keys=True, separators=(",", ":"), default=fill)
+    parts = text.split(json.dumps(hole))
+    woven = [""] * (2 * len(parts) - 1)
+    woven[::2], woven[1::2] = parts, payloads
+    return '"'.join(woven)
+
+
+def _skeleton(x, suspects: list):
+    """x with the b64 text of each encode_array document replaced by a _Hole;
+    other strings that hold a NUL, dict keys included, are appended to
+    suspects.  Module-level, as a recursive closure would keep every payload
+    alive until the next garbage collection."""
+    if isinstance(x, str):
+        if "\x00" in x:
+            suspects.append(x)
+        return x
+    if isinstance(x, dict):
+        encoded = type(x) is _Encoded
+        suspects.extend(k for k in x if isinstance(k, str) and "\x00" in k)
+        return {k: _Hole(v) if encoded and v is x.b64 else _skeleton(v, suspects)
+                for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_skeleton(v, suspects) for v in x]
+    return x

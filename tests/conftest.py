@@ -1,3 +1,4 @@
+import binascii
 import math
 
 import numpy as np
@@ -66,6 +67,37 @@ def shortest_path_closure(w):
 def edit_array(doc: dict, key: str, fn) -> None:
     """Replace the encoded array doc[key] by fn(a writable copy of it), re-encoded."""
     doc[key] = encode_array(fn(decode_array(doc[key]).copy()))
+
+
+def decode_array_reencode(doc) -> np.ndarray:
+    """Reference for decode_array: decode the b64 leniently, then require the
+    full re-encoding of the bytes to equal the text."""
+    if not isinstance(doc, dict):
+        raise StructuralError(
+            f"expected an encoded array {{dtype, shape, b64}} (artifact format 2), "
+            f"got {type(doc).__name__}; format-1 JSON lists are not read"
+        )
+    missing = sorted({"dtype", "shape", "b64"} - set(doc))
+    if missing:
+        raise StructuralError(f"encoded array lacks {missing}")
+    dtype, shape, text = doc["dtype"], doc["shape"], doc["b64"]
+    if dtype not in ("<f8", "<i8", "<c16"):
+        raise StructuralError(f"unsupported array dtype {dtype!r}")
+    if not isinstance(shape, list) or not all(type(s) is int and s >= 0 for s in shape):
+        raise StructuralError(f"array shape must be a list of sizes, got {shape!r}")
+    if not isinstance(text, str):
+        raise StructuralError("array b64 must be a string")
+    try:
+        raw = binascii.a2b_base64(text)  # skips characters outside the alphabet
+    except ValueError as exc:
+        raise StructuralError(f"array b64 is not valid base64 ({exc})") from exc
+    # so the exact re-encoding also rejects those, bad padding and stray trailing bits
+    if binascii.b2a_base64(raw, newline=False).decode("ascii") != text:
+        raise StructuralError("array b64 is not canonical base64")
+    need = math.prod(shape) * np.dtype(dtype).itemsize
+    if len(raw) != need:
+        raise StructuralError(f"array holds {len(raw)} bytes; shape {shape} of {dtype} needs {need}")
+    return np.frombuffer(raw, dtype=dtype).reshape(shape)
 
 
 def validate_metric_loop(d, tol: float = TOL) -> ValidationReport:

@@ -6,6 +6,7 @@ randomized constructions, exactness of the closed-form embeddings, and
 byte-level determinism of every serialized artifact.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -344,6 +345,39 @@ def _cube_artifact(seed):
 )
 def test_artifacts_are_byte_deterministic(make):
     assert make(123) == make(123)
+
+
+#: sha256 of dumps of a one-trial `run --artifacts` bundle (seed 0) with
+#: summary.millis, its wall-clock field, blanked: instance, pipeline and params,
+#: the artifact kind and provenance they give, and the digest.
+GOLDEN_BUNDLES = {
+    "quotient": ("cloud", {"n": 40}, "q2", {}, ("quotient", "Q"),
+                 "f77bf2c3e3f3210bc377340a3813721514f6a0cac0f7956ced969c3e0404c3d4"),
+    "sq": ("cloud", {"n": 40}, "dichotomy", {"drop_root": True}, ("quotient", "SQ"),
+           "54efa463622d12bf65e3e754b856cf372e7a3c1a5e5471e9c7ebb55299677d69"),
+    "hst": ("cloud", {"n": 40}, "hst", {}, ("hst", None),
+            "566d3788ba9d75473266e813f1470b1139f43e6d05a38fcf4d493fecf72dd0a8"),
+    "embedding": ("cloud", {"n": 40}, "bourgain", {}, ("embedding", None),
+                  "5c441fdfd3cb4437d9c32574ef9b0b7f7d5ef6cb68369e677a32746c2b92485f"),
+    "cube-qs": ("cube", {"d": 8}, "cube-qs", {"d": 8, "eps": 0.24}, ("cube-qs", None),
+                "6ec83a0762ef664845b6d36e4e4c1d64ebceeb721dd94895a3e10fa3fa4cea33"),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_BUNDLES))
+def test_bundle_bytes_are_golden(name):
+    from metriq.cli import plan_from_json, run_experiment
+
+    variant, instance, pipeline, params, kind, digest = GOLDEN_BUNDLES[name]
+    plan = {"instance": {"variant": variant, "params": instance}, "pipeline": pipeline,
+            "params": params, "trials": 1, "seed": 0}
+    bundle = run_experiment(plan_from_json(plan), keep_artifacts=True)
+    art = bundle.artifacts[0]
+    assert (art["kind"], art.get("provenance")) == kind
+    bundle.summary["millis"] = []
+    text = dumps({"plan": bundle.plan, "rows": bundle.rows, "summary": bundle.summary,
+                  "artifacts": bundle.artifacts})
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_experiment_csv_is_byte_deterministic():

@@ -284,6 +284,19 @@ def test_verify_refuses_a_document_or_artifact_that_is_not_an_object(runner, tmp
     assert result.exit_code != 0 and isinstance(result.exception, StructuralError)
 
 
+@pytest.mark.parametrize("n", [3.7, "3", 3.0, True])
+def test_verify_refuses_a_declared_n_that_is_not_an_int(runner, tmp_path, n):
+    art = {"kind": "metric", **metric_to_json(random_metric(3, 1))}
+    assert verify_bundle({"artifacts": [art]}).ok
+    art["n"] = n
+    with pytest.raises(StructuralError, match="declared n"):
+        verify_bundle({"artifacts": [art]})
+    path = tmp_path / "bad.json"
+    path.write_text(dumps(art))
+    result = runner.invoke(main, ["verify", "--bundle", str(path)])
+    assert result.exit_code != 0 and isinstance(result.exception, StructuralError)
+
+
 def _as_format1(doc):
     """doc with every encoded array written out as a JSON list, as format 1 stored it."""
     if isinstance(doc, dict):

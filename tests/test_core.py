@@ -1,5 +1,8 @@
+import binascii
+import gc
 import json
 import math
+import string
 
 import numpy as np
 import pytest
@@ -31,7 +34,12 @@ from metriq.core import (
 )
 from metriq.errors import StructuralError, UndefinedInputError
 
-from conftest import block_reduce_loop, random_metric, validate_metric_loop
+from conftest import (
+    block_reduce_loop,
+    decode_array_reencode,
+    random_metric,
+    validate_metric_loop,
+)
 
 
 def test_metric_space_basics():
@@ -328,6 +336,52 @@ def test_decode_rejects(doc, match):
         decode_array(doc)
 
 
+#: Every kind of character a b64 text could be damaged with.
+_B64_CHARS = string.ascii_letters + string.digits + "+/=" + " \t\r\n-_\x00\u00e9\u20ac"
+
+
+@st.composite
+def mutated_encodings(draw):
+    """The canonical encoding of 0-24 random bytes with up to three characters
+    replaced, inserted or deleted, at the end and as "=" more often than not."""
+    text = list(binascii.b2a_base64(draw(st.binary(max_size=24)), newline=False).decode())
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(["replace", "insert", "delete"]))
+        end = len(text) if op == "insert" else max(len(text) - 1, 0)
+        i = draw(st.one_of(st.just(end), st.integers(0, len(text))))
+        if op == "insert":
+            text.insert(i, draw(st.one_of(st.just("="), st.sampled_from(_B64_CHARS))))
+        elif i < len(text):
+            if op == "replace":
+                text[i] = draw(st.sampled_from(_B64_CHARS))
+            else:
+                del text[i]
+    return "".join(text)
+
+
+def _decode_outcome(decode, text):
+    """The bytes decode reads from text, or whether it refused the base64
+    itself (True) or only the byte count (False)."""
+    try:
+        size = len(binascii.a2b_base64(text)) // 8
+    except ValueError:
+        size = 0
+    try:
+        return decode({"dtype": "<f8", "shape": [size], "b64": text}).tobytes()
+    except StructuralError as exc:
+        return "base64" in str(exc)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.one_of(st.text(_B64_CHARS, max_size=16), mutated_encodings()))
+@example("jZduEoPA8z9=")  # stray trailing bits
+@example("AAAAAAAAAAA=")
+@example("AAAAAAAAAAAA=")  # padding after a full last quad
+@example("")
+def test_decode_array_matches_the_reencode_oracle(text):
+    assert _decode_outcome(decode_array, text) == _decode_outcome(decode_array_reencode, text)
+
+
 def test_csv_round_trip_is_exact():
     m = random_metric(5, 4)
     m2 = metric_from_csv(metric_to_csv(m))
@@ -338,6 +392,85 @@ def test_dumps_is_canonical():
     a = dumps({"b": 1, "a": [1.5, 2]})
     b = dumps({"a": [1.5, 2], "b": 1})
     assert a == b == '{"a":[1.5,2],"b":1}'
+
+
+def _canonical(doc) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+#: Strings that json must escape, or that look like what dumps splices: its
+#: hole text is a run of NULs.
+_TRICKY = st.one_of(
+    st.sampled_from(['"', "\\", '\\"', "\x00", "\x00\x00", "\x00\x00\x00", '"\x00', '"\x00\x00',
+                     "a\x00", '\\u0000', '"\\u0000"', "\x1f\n\t\r\x7f", "\u00e9\u2028\U0001f600",
+                     "b64", "dtype", "AAAA", "=="]),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def encoded_documents(draw):
+    """encode_array documents as they are, copied into a plain dict, or with
+    "b64" replaced by another string, which dumps must escape."""
+    doc = encode_array(draw(raw_arrays()))
+    how = draw(st.sampled_from(["as is", "copied", "replaced"]))
+    if how == "copied":
+        return dict(doc)
+    if how == "replaced":
+        doc["b64"] = draw(_TRICKY)
+    return doc
+
+
+#: JSON objects with arrays, strings and other values nested at any depth in
+#: dicts, lists and tuples; many hold no array.
+_DOCUMENTS = st.dictionaries(_TRICKY, st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _TRICKY,
+              encoded_documents()),
+    lambda kids: st.one_of(st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+                           st.dictionaries(_TRICKY, kids, max_size=4)),
+    max_leaves=12,
+), max_size=5)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_DOCUMENTS)
+@example({})
+@example({"z": [1, 2.5, None, True], "\x00": {"a": ['"\x00\x00', "\u00e9"]}, "b64": "AAAA"})
+@example({"\x00": "\x00", "a": ['"\x00', encode_array([1.5])], "b64": encode_array([])})
+@example({"b64": {"dtype": "<f8", "shape": [0], "b64": ""}, "x": (encode_array([[1, 2]]),)})
+def test_dumps_is_json_dumps_byte_for_byte(doc):
+    assert dumps(doc) == _canonical(doc)
+
+
+def test_encode_array_documents_compare_as_plain_dicts():
+    doc = encode_array([1.2345])
+    assert doc == {"dtype": "<f8", "shape": [1], "b64": "jZduEoPA8z8="}
+    assert json.loads(dumps(doc)) == doc
+    doc["b64"] = 'jZduEoPA8z8="\\\n'
+    assert dumps(doc) == _canonical(doc)
+
+
+def test_dumps_refuses_what_json_refuses():
+    with pytest.raises(TypeError, match="int64 is not JSON serializable"):
+        dumps({"a": encode_array([1.0]), "b": np.int64(3)})
+
+
+def test_dumps_leaves_no_cyclic_garbage():
+    from metriq.cli import plan_from_json, run_experiment
+
+    plan = {"instance": {"variant": "cloud", "params": {"n": 120}}, "pipeline": "q2",
+            "trials": 1, "seed": 5}
+    bundle = run_experiment(plan_from_json(plan), keep_artifacts=True)
+    doc = {"plan": bundle.plan, "rows": bundle.rows, "summary": bundle.summary,
+           "artifacts": bundle.artifacts}
+    gc.collect()
+    gc.disable()
+    try:
+        text = dumps(doc)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert text == _canonical(doc)
 
 
 def test_single_point_undefined_functionals():
