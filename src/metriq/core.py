@@ -354,11 +354,12 @@ def decode_array(doc) -> np.ndarray:
 
     Anything else raises StructuralError: a JSON list (format 1), an unknown
     dtype, a byte count that does not match the shape, or base64 that is not
-    exactly what encode_array writes.  The text is checked in one strict
-    decoding pass (RFC 4648: only the standard alphabet, no whitespace or
-    newlines, padding only at the end), and then only its last quad is
-    re-encoded and compared, as the one place left where a text can differ
-    from the canonical encoding of its bytes (extra padding, unused low bits).
+    exactly what encode_array writes (RFC 4648 §3.5: only the standard
+    alphabet, no whitespace or newlines, padding only at the end and only as
+    much as the byte count needs, no unused low bits).  The text is decoded
+    in one pass; then only its length and its last quad are compared with
+    the canonical encoding of the bytes, which together rule out any other
+    text.
     """
     if not isinstance(doc, dict):
         raise StructuralError(
@@ -376,15 +377,18 @@ def decode_array(doc) -> np.ndarray:
     if not isinstance(text, str):
         raise StructuralError("array b64 must be a string")
     try:
-        raw = binascii.a2b_base64(text, strict_mode=True)
+        raw = binascii.a2b_base64(text)  # skips characters outside the alphabet
     except ValueError as exc:  # binascii.Error, or text that is not ASCII
         raise StructuralError(f"array b64 is not valid base64 ({exc})") from exc
-    # Strict mode leaves padding only at the end, so the text is its data
-    # characters plus trailing "="s, and every full quad before the last one
-    # is canonical.  Padding after a full last quad and stray low bits remain;
-    # both show in the last four characters.
+    # The canonical encoding of raw is as long as text must be, and its last
+    # quad fixes the padding.  Every byte takes 8 bits of 6-bit data
+    # characters, so a text of that length and padding that held one skipped
+    # character (outside the alphabet, or an "=" before the end) would decode
+    # to fewer bytes than raw.  Hence the text before the last quad is all
+    # data characters, in full quads that re-encode to themselves, and only
+    # the last quad (extra padding, unused low bits) is left to compare.
     last = binascii.b2a_base64(raw[-(len(raw) % 3 or 3):], newline=False).decode("ascii")
-    if text[-4:] != last:
+    if len(text) != (len(raw) + 2) // 3 * 4 or text[-4:] != last:
         raise StructuralError("array b64 is not canonical base64")
     need = math.prod(shape) * np.dtype(dtype).itemsize
     if len(raw) != need:
@@ -434,6 +438,8 @@ def dumps(doc: dict) -> str:
     each payload stood, and the quoted hole text it writes there is then
     swapped for the payload.  The hole text is a run of NULs longer than any
     in the document's own strings, so none of them can be mistaken for it.
+    One difference: a document that contains itself raises RecursionError
+    from that walk, where json.dumps raises ValueError.
     """
     suspects: list[str] = []
     skeleton = _skeleton(doc, suspects)
