@@ -500,6 +500,8 @@ def _verify_cube(art: dict, ai: int, report: ValidationReport, tol: float):
     claimed = float(art["certified_distortion"])
     if not math.isfinite(claimed):
         report.add("certificate", (ai,), f"claimed distortion {claimed} is not finite")
+    elif claimed < 1.0 - tol:  # max ratio / min ratio
+        report.add("certificate", (ai,), f"claimed distortion {claimed!r} is below 1")
     # net separation
     if A.size > 1:
         cross = np.bitwise_count(A[:, None] ^ A[None, :])

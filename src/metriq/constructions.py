@@ -124,26 +124,30 @@ def m_center_quotient(m: MetricSpace, eps: float, seed=None):
 
 
 def _pair_order(dist: np.ndarray) -> np.ndarray:
-    """Flat indices of dist by decreasing value, row-major among ties.
+    """np.argsort(-dist, axis=None, kind="stable") without the second entry of
+    each pair {i, j}: a pair keeps its larger entry, d[i, j] (i <= j) on a tie.
 
-    The order of np.argsort(-dist, axis=None, kind="stable"), in two sorts:
-    numpy's default (SIMD) argsort of the negated values, which may shuffle
-    equal values, then one plain int64 sort of run * size + index, where run
-    numbers the runs of equal values in that order.  Exact for any finite
-    matrix, ties, +-0.0 and asymmetric entries included.  Each temporary is
-    freed once used, so at most three flat 8-byte arrays are alive at once.
+    Two sorts of the N(N+1)/2 kept values: numpy's default (SIMD) argsort of
+    the negated values, which may shuffle equal values, then one plain int64
+    sort of run * N^2 + flat index, where run numbers the runs of equal
+    values.  Exact for any finite matrix, ties, +-0.0 and asymmetry included.
     """
-    size = dist.size
-    vals = -dist.reshape(-1)
+    n, size = dist.shape[0], dist.size
+    upper = ~np.tri(n, k=-1, dtype=bool)  # i <= j
+    flat, vals, lower = np.flatnonzero(upper), dist[upper], dist.T[upper]
+    swap = np.flatnonzero(lower > vals)
+    flat[swap] = flat[swap] % n * n + flat[swap] // n  # the entry j * n + i
+    vals = -np.maximum(vals, lower, out=vals)
+    del upper, lower, swap
     order = np.argsort(vals)
     vals = vals[order]
-    key = np.empty(size, np.int64)
+    key = np.empty(vals.size, np.int64)
     key[:1] = 0
     np.cumsum(vals[1:] != vals[:-1], out=key[1:])
     del vals
     key *= size
-    key += order
-    del order
+    key += flat[order]
+    del order, flat
     key.sort()
     return np.remainder(key, size, out=key)
 
@@ -176,30 +180,37 @@ def _cut(dist: np.ndarray, X: np.ndarray, x: int, ai: int, bi: int, mparam: int)
     return delta, da < edges[i + 1]
 
 
+def _lone_peel(dist: np.ndarray, alive: np.ndarray, x: int, ai: int, bi: int, mparam: int) -> np.ndarray | None:
+    """[a] when _cut of the alive set would peel a alone, else None: that is when
+    d(a, a) < width = edges[1] and every other alive z has d(a, z) >= edges[2]."""
+    delta = dist[ai, bi]
+    a = ai if dist[x, ai] >= delta / 2.0 else bi
+    width = delta / (2.0 * mparam)
+    alone = delta > 0 and dist[a, a] < width and np.count_nonzero(alive & (dist[a] < 2.0 * width)) == 1
+    return np.array([a]) if alone else None
+
+
 class _PeelChain:
     """The splits of one chain of outside sides, computed in batches of peels.
 
-    Over the original indices: `alive` marks the chain's current set X; rho[y]
-    is the need-th smallest alive distance in row y and cnt[y] the number of
-    alive z with d(y, z) <= rho[y]; viol[y] counts the alive z with
+    Over the original indices: `alive` marks the chain's current set X;
+    rho[y] is the need-th smallest alive distance in row y and cnt[y] the
+    number of alive z with d(y, z) <= rho[y]; viol[y] counts the alive z with
     d(y, z) > rho[z], so the m-centers are exactly the alive y with
-    viol[y] = 0.  `pairs` lists every matrix entry by decreasing distance,
-    row-major among ties (the order in which np.argmax breaks them; see
-    _pair_order); the farthest alive pair is the first one whose `live` flag
-    is set, and that position only moves forward.  `distT` is the
-    C-contiguous transpose, so the columns of the peeled points are read as
-    rows.  Rows of dead points are updated along with the rest and never read.
-    step() hands out the splits in chain order; `queue` holds those computed
-    ahead, and X is the set after the last of them.
+    viol[y] = 0.  `pairs` lists the pairs by decreasing distance, row-major
+    among ties (as np.argmax breaks them; see _pair_order); the farthest
+    alive pair is the first with both points alive, at a position that only
+    moves forward.  `distT` is the C-contiguous transpose, so the columns of
+    the peeled points are read as rows (dead rows are updated, never read).
+    step() hands out the splits in order; `queue` holds those computed ahead.
     """
 
     def __init__(self, dist: np.ndarray, X: np.ndarray, need: int):
         n = dist.shape[0]
-        self.dist, self.need, self.pos, self.X = dist, need, 0, X
+        self.dist, self.need, self.pos = dist, need, 0
         self.queue = deque()
         self.alive = np.zeros(n, dtype=bool)
         self.alive[X] = True
-        self.live = np.outer(self.alive, self.alive)
         sub = dist[np.ix_(X, X)]
         self.rho, self.cnt, self.viol = np.zeros(n), np.zeros(n, np.int64), np.zeros(n, np.int64)
         self.rho[X] = np.partition(sub, need - 1, axis=1)[:, need - 1]
@@ -217,26 +228,22 @@ class _PeelChain:
 
     def farthest(self) -> tuple[int, int]:
         """The alive pair np.argmax picks on the alive submatrix."""
-        live, step = self.live.reshape(-1), 256
+        alive, n, step = self.alive, self.alive.size, 256
         while True:
             chunk = self.pairs[self.pos : self.pos + step]
-            hit = live[chunk]
+            a, b = np.divmod(chunk, n)
+            hit = alive[a] & alive[b]
             if hit.any():
                 self.pos += int(hit.argmax())
-                return divmod(int(self.pairs[self.pos]), self.alive.size)
+                return divmod(int(self.pairs[self.pos]), n)
             self.pos += chunk.size
             step *= 4
 
-    def kill(self, R: np.ndarray):
-        """Mark the points R dead, for farthest(); recount() must follow."""
-        self.alive[R] = False
-        self.live[R] = False
-        self.live[:, R] = False
-
     def recount(self, R: np.ndarray):
-        """Bring rho, cnt and viol up to date after kill(R), for any R that
-        leaves at least `need` points alive."""
+        """Mark the points R dead and bring rho, cnt and viol up to date, for
+        any R that leaves at least `need` points alive."""
         need, dT, rho = self.need, self.distT, self.rho
+        self.alive[R] = False
         self.cnt -= (dT[R] <= rho).sum(axis=0)
         # rho[y] only changes once fewer than need alive points lie within it
         U = np.flatnonzero(self.alive & (self.cnt < need))
@@ -249,9 +256,16 @@ class _PeelChain:
         rho[R], rho[U] = np.inf, new
         self.viol -= ((dC > old) & (dC <= rho[C][:, None])).sum(axis=0)
 
-    def step(self) -> tuple[float, np.ndarray, np.ndarray]:
-        """(diam, inside side, outside side) of the next set's split; an error
-        found ahead is raised when its set is reached."""
+    def holds(self, x: int, R: np.ndarray) -> bool:
+        """Whether x was the lowest center at every step that peeled R (see batch)."""
+        return self.center() == x and bool(np.all(self.viol[R[R < x]] > 0))
+
+    def state(self) -> list:
+        return [v.copy() for v in (self.alive, self.rho, self.cnt, self.viol)]
+
+    def step(self) -> tuple[float, np.ndarray, np.ndarray | None]:
+        """(diam, inside side, outside side or None for the chain) of the next
+        set's split; an error found ahead is raised when its set is reached."""
         if not self.queue:
             self.batch()
         got = self.queue.popleft()
@@ -262,55 +276,67 @@ class _PeelChain:
     def batch(self):
         """Queue up to _BATCH splits, taken with the current center x held fixed.
 
-        Only `live` follows the peels; one recount of all of them then checks
-        the batch.  It is accepted iff center() is still x and every peeled
-        y < x still has viol[y] > 0.  That is exact (for any matrix): a center
-        of X stays a center of every subset holding it, so x, alive to the
-        end, is the lowest center at every step where no lower y is one; viol
-        never increases as points go, so a lower y that is a center at some
-        step either survives (then center() < x) or is peeled later in the
-        batch (then viol[y] = 0).  A rejected batch is undone and replayed one
-        peel at a time, up to the step where the center changes.
+        Only `alive` follows the peels; one recount of all of them then
+        checks the batch: center() must still be x and every peeled y < x
+        must still have viol[y] > 0.  That is exact (for any matrix): a
+        center of X stays a center of every subset holding it, so x, alive to
+        the end, is the lowest center at every step where no lower y is one;
+        viol never increases as points go, so a lower y that is a center at
+        some step either survives (then center() < x) or is peeled later (then
+        viol[y] = 0).  So the check, once failed, fails for longer prefixes.
         """
         x = self.center()
         if x is None:
-            X = self.X
+            X = np.flatnonzero(self.alive)
             raise NoMCenterError(
                 f"no {self.need}-center exists" if X.size == self.alive.size
                 else f"splitting lost the center property on {X.tolist()}"
             )
-        saved = self.X, self.pos, self.alive.copy(), self.rho.copy(), self.cnt.copy(), self.viol.copy()
-        steps, peeled, X = [], [], self.X
+        dist, alive, need = self.dist, self.alive, self.need
+        saved, steps, peels, size = self.state(), [], [], np.count_nonzero(self.alive)
         while len(steps) < _BATCH:
-            try:
-                delta, inside = _cut(self.dist, X, x, *self.farthest(), self.need)
-            except (StructuralError, ConstructionFailureError) as exc:
-                steps.append((self.pos, exc))
+            ai, bi = self.farthest()
+            delta, peel = float(dist[ai, bi]), _lone_peel(dist, alive, x, ai, bi, need)
+            if peel is None:
+                X = np.flatnonzero(alive)
+                try:
+                    peel = X[_cut(dist, X, x, ai, bi, need)[1]]
+                except (StructuralError, ConstructionFailureError) as exc:
+                    steps.append((self.pos, exc))
+                    break
+            size -= peel.size
+            if size < need:  # the chain ends with this cut
+                steps.append((self.pos, (delta, peel, np.setdiff1d(np.flatnonzero(alive), peel))))
                 break
-            peel, X = X[inside], X[~inside]
-            steps.append((self.pos, (delta, peel, X)))
-            if X.size < self.need:
-                break
-            self.kill(peel)
-            peeled.append(peel)
-        if peeled:
-            R = np.concatenate(peeled)
+            steps.append((self.pos, (delta, peel, None)))
+            alive[peel] = False
+            peels.append(peel)
+        if peels:
+            R = np.concatenate(peels)
             self.recount(R)
-            if self.center() != x or not np.all(self.viol[R[R < x]] > 0):
-                self.X, self.pos, self.alive, self.rho, self.cnt, self.viol = saved
-                np.outer(self.alive, self.alive, out=self.live)
-                for i, (pos, got) in enumerate(steps):
-                    if i and self.center() != x:
-                        return
-                    self.pos = pos
-                    self.queue.append(got)
-                    if i < len(peeled):  # the chain goes on after this cut
-                        self.kill(peeled[i])
-                        self.recount(peeled[i])
-                        self.X = got[2]
-                return
-        self.X = X
+            if not self.holds(x, R):
+                steps = steps[: self.forward(x, saved, peels) + 1]
+                self.pos = steps[-1][0]
         self.queue.extend(got for _, got in steps)
+
+    def forward(self, x: int, saved: list, peels: list) -> int:
+        """The largest k whose first k peels pass holds(), once all of them fail
+        it, by a bisection with one recount per probe from the last state that
+        passed (`saved`); leaves the state after the first k + 1 peels."""
+        lo, hi, passed = 0, len(peels), False  # holds at lo, fails at hi
+        while hi - lo > 1:
+            if not passed:
+                self.alive, self.rho, self.cnt, self.viol = (v.copy() for v in saved)
+            mid = (lo + hi) // 2
+            self.recount(np.concatenate(peels[lo:mid]))
+            passed = self.holds(x, np.concatenate(peels[:mid]))
+            if passed:
+                lo, saved = mid, self.state()
+            else:
+                hi = mid
+        if passed:
+            self.recount(peels[lo])
+        return lo
 
 
 def hst_from_m_centered(m: MetricSpace, mparam: int) -> tuple[HstTree, DistortionReport]:
@@ -333,9 +359,10 @@ def hst_from_m_centered(m: MetricSpace, mparam: int) -> tuple[HstTree, Distortio
     its center condition is vacuous and x = its first point.  The chain's
     centers and farthest pairs come from one _PeelChain, which updates only
     the rows a peeled point touches: O(N^2 log N) in all against Theta(N^3)
-    for rescanning every set.  The log factor is the one ordering of the N^2
-    distances (_pair_order: a SIMD argsort, then an exact int64 pass that
-    puts tied entries back in row-major order).
+    for rescanning every set.  The log factor is the one ordering of the
+    N(N+1)/2 pairs (_pair_order: a SIMD argsort, then an exact int64 pass
+    that puts ties back in row-major order).  Nearly all peels take one
+    point, which _lone_peel tells from one row.
 
     Batches.  A center of X stays a center of every subset that holds it, so
     along the chain the lowest center x changes only when a lower point
@@ -343,11 +370,10 @@ def hst_from_m_centered(m: MetricSpace, mparam: int) -> tuple[HstTree, Distortio
     chain takes up to 32 peels with x held fixed, then updates its counts
     once for all of them and checks that x is still the lowest center and
     that no lower point became one meanwhile (see _PeelChain.batch; exact,
-    as viol never increases); on failure it replays the peels one at a time
-    up to the change, which happens in one batch in three to six on cloud
-    quotients.  The build without the distortion report takes 24 / 36 /
-    74 ms at N = 244 / 341 / 542, against 32 / 47 / 104 ms with one count
-    update per peel (2-vCPU host).
+    as viol never increases); on failure, one batch in three to six on cloud
+    quotients, a bisection keeps the longest prefix that passes.  The build
+    without the distortion report takes 16 / 27 / 51 ms at N = 244 / 356 /
+    542 (2-vCPU host).
 
     Small sets are split from their own submatrix.  The trees, and the errors
     and their order, are those of the dense splitter; an error found ahead
@@ -371,7 +397,7 @@ def hst_from_m_centered(m: MetricSpace, mparam: int) -> tuple[HstTree, Distortio
             delta, inside = _cut(m.dist, X, int(X[0]), int(X[ai]), int(X[bi]), mparam)
             return delta, (X[inside], X[~inside])
         delta, inside, rest = chain.step()
-        return delta, (inside, chain if rest.size >= mparam else rest)
+        return delta, (inside, chain if rest is None else rest)
 
     t = hst_from_splits(np.arange(m.n), split)
     report = distortion_between(m, hst_to_metric(t))

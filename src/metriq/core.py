@@ -404,7 +404,9 @@ def metric_to_json(m: MetricSpace) -> dict:
 
 
 def metric_from_json(doc: dict) -> MetricSpace:
-    labels = tuple(doc["labels"]) if doc.get("labels") else None
+    labels = doc.get("labels")
+    if labels is not None and (type(labels) is not list or any(type(s) is not str for s in labels)):
+        raise StructuralError("labels must be null or a list of strings, one per point")
     m = MetricSpace(decode_array(doc["dist"]), labels)
     if "n" in doc and (type(doc["n"]) is not int or doc["n"] != m.n):
         raise StructuralError(f"declared n {doc['n']!r} is not the matrix size {m.n}")

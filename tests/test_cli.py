@@ -297,6 +297,32 @@ def test_verify_refuses_a_declared_n_that_is_not_an_int(runner, tmp_path, n):
     assert result.exit_code != 0 and isinstance(result.exception, StructuralError)
 
 
+@pytest.mark.parametrize("labels", ["abc", [1, 2, 3], {"x": 1, "y": 2, "z": 3}, ["a", "b"], [], "", ["a", "b", 3]])
+def test_verify_refuses_labels_that_are_not_n_strings(runner, tmp_path, labels):
+    art = {"kind": "metric", **metric_to_json(random_metric(3, 1))}
+    for good in (None, ["a", "b", "c"]):
+        art["labels"] = good
+        assert verify_bundle({"artifacts": [art]}).ok
+    assert metric_from_json(art).labels == ("a", "b", "c")
+    art["labels"] = labels
+    with pytest.raises(StructuralError, match="label"):
+        verify_bundle({"artifacts": [art]})
+    path = tmp_path / "bad.json"
+    path.write_text(dumps(art))
+    result = runner.invoke(main, ["verify", "--bundle", str(path)])
+    assert result.exit_code != 0 and isinstance(result.exception, StructuralError)
+
+
+@pytest.mark.parametrize("claim", [0.5, 0.0, -1.0, 1.0 - 1e-6])
+def test_verify_refuses_a_cube_claim_below_one(claim):
+    # a distortion is max ratio / min ratio, so at least 1
+    art = json.loads(dumps(_fresh_artifact("cube-qs")))
+    assert verify_bundle({"artifacts": [art]}).ok
+    art["certified_distortion"] = claim
+    rep = verify_bundle({"artifacts": [art]})
+    assert [v[0] for v in rep.violations] == ["certificate"]
+
+
 def _as_format1(doc):
     """doc with every encoded array written out as a JSON list, as format 1 stored it."""
     if isinstance(doc, dict):

@@ -209,9 +209,30 @@ PEELED_CENTER_CASE = (
 )
 
 
+# d(0, 2) = 2 and all else 1, mparam 2: the first batch (center 1) peels 0
+# and then 2; viol[0] is 1 after the first peel and 0 after the second, so
+# the batch is rejected at its last peel, and the bisection keeps both steps
+LAST_PEEL_REJECTED_CASE = (
+    MetricSpace(np.array([
+        [0, 1, 2, 1],
+        [1, 0, 1, 1],
+        [2, 1, 0, 1],
+        [1, 1, 1, 0],
+    ], dtype=float)),
+    2,
+)
+# the same with d(2, 0) raised by 1e-12 relative: the farthest pair is the
+# lower entry (2, 0), which makes a = 0 where (0, 2) would make a = 2
+_lower = LAST_PEEL_REJECTED_CASE[0].dist.copy()
+_lower[2, 0] *= 1.0 + 1e-12
+LOWER_FARTHEST_CASE = (MetricSpace(_lower), 2)
+
+
 @settings(max_examples=300, deadline=None)
 @given(centered_cases())
 @example(PEELED_CENTER_CASE)
+@example(LAST_PEEL_REJECTED_CASE)
+@example(LOWER_FARTHEST_CASE)
 def test_hst_from_m_centered_matches_dense_splitter(case):
     m, mparam = case
     assert _build_outcome(hst_from_m_centered, m, mparam) == _build_outcome(hst_from_m_centered_dense, m, mparam)
@@ -241,32 +262,41 @@ def test_only_the_peeling_chain_has_mparam_points(monkeypatch, kind, n, mparam):
     assert len(chains) >= q.n - 2 * mparam  # it peels a point or so per split
 
 
-def test_peel_batches_take_the_replay_and_the_peeled_center_clause(monkeypatch):
-    # a batch is replayed iff it recounts again after its one batched
-    # recount; the clause fires when that recount leaves center() == x but
-    # a peeled y < x at viol[y] = 0
-    seen = {"replayed": 0, "peeled center": 0}
-    batch, recount = constructions._PeelChain.batch, constructions._PeelChain.recount
+def test_peel_batches_take_the_bisection_and_the_peeled_center_clause(monkeypatch):
+    # a batch is rejected iff it calls forward(), which finds the steps to
+    # keep; the clause fires when the batch's one recount leaves center() == x
+    # but a peeled y < x at viol[y] = 0
+    seen = []
+    forward = constructions._PeelChain.forward
 
-    def spy_batch(self):
-        self.spy = [self.center()]
-        batch(self)
-        seen["replayed"] += len(self.spy) > 2
+    def spy_forward(self, x, saved, peels):
+        R = np.concatenate(peels)
+        clause = self.center() == x and not np.all(self.viol[R[R < x]] > 0)
+        kept = forward(self, x, saved, peels)
+        seen.append((clause, kept, len(peels)))
+        return kept
 
-    def spy_recount(self, R):
-        recount(self, R)
-        if len(self.spy) == 1:
-            x = self.spy[0]
-            seen["peeled center"] += self.center() == x and not np.all(self.viol[R[R < x]] > 0)
-        self.spy.append(R)
-
-    monkeypatch.setattr(constructions._PeelChain, "batch", spy_batch)
-    monkeypatch.setattr(constructions._PeelChain, "recount", spy_recount)
+    monkeypatch.setattr(constructions._PeelChain, "forward", spy_forward)
     hst_from_m_centered(*PEELED_CENTER_CASE)
-    assert seen == {"replayed": 1, "peeled center": 1}
+    assert seen == [(True, 0, 3)]
+    seen.clear()
+    hst_from_m_centered(*LAST_PEEL_REJECTED_CASE)
+    assert seen == [(True, 1, 2)]
+    seen.clear()
     q = m_center_quotient(gen_euclidean_cloud(300, RngSeed(300)), 0.25, RngSeed(300, 1))[1].metric
     hst_from_m_centered(q, 17)
-    assert seen["replayed"] > 1
+    assert len(seen) > 1 and any(kept > 0 for _, kept, _ in seen)
+
+
+@pytest.mark.parametrize("n, seed, most", [(300, 300, 35), (700, 0, 32)])
+def test_peel_chain_recounts_per_build(monkeypatch, n, seed, most):
+    # one recount per accepted batch and about log2(32) per rejected one
+    calls = []
+    recount = constructions._PeelChain.recount
+    monkeypatch.setattr(constructions._PeelChain, "recount", lambda self, R: calls.append(R.size) or recount(self, R))
+    q = m_center_quotient(gen_euclidean_cloud(n, RngSeed(seed)), 0.25, RngSeed(seed, 1))[1].metric
+    hst_from_m_centered(q, 17)
+    assert len(calls) <= most
 
 
 def test_hst_from_m_centered_golden_n700():
@@ -318,13 +348,61 @@ def tied_matrices(draw):
         d = np.maximum(d, d.T)
     if draw(st.booleans()):
         d[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] *= 1.0 + 1e-12
+    if draw(st.booleans()):
+        np.fill_diagonal(d, draw(st.sampled_from([alphabet.max(), 5.0, -0.0])))
     return d
 
 
 @settings(max_examples=300, deadline=None)
 @given(tied_matrices())
-def test_pair_order_is_the_stable_argsort(d):
-    assert np.array_equal(constructions._pair_order(d), np.argsort(-d, axis=None, kind="stable"))
+def test_pair_order_is_the_stable_argsort_once_per_pair(d):
+    # the full stable argsort, keeping the first of each pair's two entries
+    full = np.argsort(-d, axis=None, kind="stable")
+    i, j = np.divmod(full, d.shape[0])
+    _, first = np.unique(np.minimum(i, j) * d.shape[0] + np.maximum(i, j), return_index=True)
+    assert np.array_equal(constructions._pair_order(d), full[np.sort(first)])
+
+
+@st.composite
+def lone_peel_cases(draw):
+    """(dist, alive, x, ai, bi, mparam) with entries on and beside the band
+    edges width, 2 * width and 3 * width, a diagonal that is 0 or one of
+    those, and sometimes a diameter <= 0."""
+    n = draw(st.integers(2, 12))
+    mparam = draw(st.integers(2, 6))
+    delta = draw(st.sampled_from([1.0, 3.0, 0.1, 7.3, 0.0, -1.0]))
+    near = np.arange(1.0, 4.0) * (delta / (2.0 * mparam))
+    near = np.concatenate([near, np.nextafter(near, -np.inf), np.nextafter(near, np.inf)])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = rng.choice(np.concatenate([[0.0, delta, delta / 2.0], near, rng.uniform(0.0, 8.0, 3)]), size=(n, n))
+    if draw(st.booleans()):
+        d = np.minimum(d, d.T)
+    np.fill_diagonal(d, draw(st.sampled_from([0.0] * 3 + near.tolist())))
+    alive = rng.random(n) < draw(st.sampled_from([0.3, 0.7, 1.0]))
+    live = np.flatnonzero(alive) if alive.any() else np.array([0])
+    alive[live] = True
+    x, ai, bi = (int(v) for v in rng.choice(live, 3))
+    d[ai, bi] = delta
+    return d, alive, x, ai, bi, mparam
+
+
+@settings(max_examples=1000, deadline=None)
+@given(lone_peel_cases())
+def test_lone_peel_agrees_with_cut(case):
+    d, alive, x, ai, bi, mparam = case
+    X = np.flatnonzero(alive)
+    lone = constructions._lone_peel(d, alive, x, ai, bi, mparam)
+    try:
+        delta, inside = constructions._cut(d, X, x, ai, bi, mparam)
+        peel = X[inside].tolist()
+    except (StructuralError, ConstructionFailureError):
+        peel = None
+    if lone is not None:
+        assert peel == lone.tolist() and len(peel) == 1 and delta == d[ai, bi]
+    else:
+        # _cut peels a alone only where d(a, a) is not below width
+        a = ai if d[x, ai] >= d[ai, bi] / 2.0 else bi
+        assert peel != [a] or d[a, a] >= d[ai, bi] / (2.0 * mparam)
 
 
 # --- ts_sets ---------------------------------------------------------------
