@@ -44,7 +44,6 @@ from .hst import (
     is_ultrametric,
     join,
     leaf,
-    line_um_lower_bound,
     ultrametric_to_l2,
     validate_khst,
 )

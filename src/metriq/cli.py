@@ -40,7 +40,6 @@ from .generators import INSTANCES, InstanceSpec, option, realize_instance, resol
 from .quotient import (
     QuotientSpace,
     distortion_between,
-    quotient_from_json,
     quotient_metric,
     quotient_to_json,
 )
@@ -544,12 +543,26 @@ def _emit(ctx, doc: dict | str):
         click.echo(text)
 
 
-def _load_metric(path: str) -> MetricSpace:
+def _load(path: str, parse):
+    """parse(the file's text); a malformed document raises StructuralError, as in verify_bundle."""
     with open(path) as fh:
         text = fh.read()
-    if path.endswith(".csv"):
-        return metric_from_csv(text)
-    return metric_from_json(json.loads(text))
+    try:
+        return parse(text)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise StructuralError(f"{path}: malformed ({exc!r})") from exc
+
+
+def _load_metric(path: str) -> MetricSpace:
+    return _load(path, metric_from_csv if path.endswith(".csv") else lambda t: metric_from_json(json.loads(t)))
+
+
+def _indices(text: str, option: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise click.BadParameter(f"{text!r} is not a comma-separated list of point indices",
+                                 param_hint=option) from None
 
 
 @main.command()
@@ -586,10 +599,9 @@ def quotient(ctx, path, blocks, subset):
     if (blocks is None) == (subset is None):
         raise click.UsageError("give exactly one of --blocks / --subset")
     if subset is not None:
-        q = quotient_by_subset(m, [int(x) for x in subset.split(",") if x.strip()])
+        q = quotient_by_subset(m, _indices(subset, "--subset"))
     else:
-        blks = [tuple(int(x) for x in b.split(",") if x.strip()) for b in blocks.split(";")]
-        q = quotient_metric(m, blks)
+        q = quotient_metric(m, [tuple(_indices(b, "--blocks")) for b in blocks.split(";")])
     _emit(ctx, {"kind": "quotient", **quotient_to_json(q)})
 
 
@@ -640,29 +652,10 @@ def certify_distortion(ctx, source, target):
 def certify_lipq(ctx, path, alpha):
     from .lipschitz import certify_lip_quotient, lip_colip, quotient_map_from_json
 
-    with open(path) as fh:
-        qm = quotient_map_from_json(json.load(fh))
+    qm = _load(path, lambda t: quotient_map_from_json(json.loads(t)))
     lip, colip = lip_colip(qm)
     _emit(ctx, {"lip": lip, "colip": colip, "product": lip * colip,
                 "certified": certify_lip_quotient(qm, alpha)})
-
-
-@certify.command("cube-lower")
-@click.option("--in", "path", required=True, type=click.Path(exists=True))
-@click.option("--p", type=float, default=2.0, show_default=True)
-@click.pass_context
-def certify_cube_lower(ctx, path, p):
-    from .cube import cube_qs_certify_lower, singleton_ball_lower_bound
-
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("kind") == "cube-qs":
-        singletons = np.setdiff1d(decode_array(doc["survivors"]), decode_array(doc["net"]),
-                                  assume_unique=True)
-        r, bound = singleton_ball_lower_bound(int(doc["d"]), singletons, p)
-    else:
-        r, bound = cube_qs_certify_lower(quotient_from_json(doc), p)
-    _emit(ctx, {"r": r, "bound": bound, "p": p})
 
 
 @main.command()
@@ -689,8 +682,7 @@ def transform(ctx, kind, D, dval, p):
 @click.pass_context
 def run(ctx, path, artifacts):
     """Run an experiment plan and emit its report."""
-    with open(path) as fh:
-        plan = plan_from_json(json.load(fh))
+    plan = _load(path, lambda t: plan_from_json(json.loads(t)))
     bundle = run_experiment(plan, keep_artifacts=artifacts)
     if ctx.obj["fmt"] == "csv":
         _emit(ctx, bundle.csv_text())
@@ -704,9 +696,7 @@ def run(ctx, path, artifacts):
 @click.pass_context
 def verify(ctx, path):
     """Independently re-check every certificate in a bundle file."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    rep = verify_bundle(doc, ctx.obj["tol"])
+    rep = verify_bundle(_load(path, json.loads), ctx.obj["tol"])
     _emit(ctx, {"ok": rep.ok,
                 "violations": [[k, list(w), msg] for k, w, msg in rep.violations]})
     if not rep.ok:

@@ -63,20 +63,6 @@ def _center_radii(dist: np.ndarray, mparam: float) -> np.ndarray | None:
     return np.partition(dist, need - 1, axis=1)[:, need - 1]
 
 
-def is_m_center(m: MetricSpace, x: int, mparam: float) -> bool:
-    """True iff every ball of cardinality >= mparam contains x.
-
-    Balls only change at realized distances, so it suffices to check, for each
-    center y, the smallest radius at which y's ball reaches mparam points.
-    """
-    if mparam < 1:
-        raise ParameterError("mparam must be >= 1")
-    rho = _center_radii(m.dist, mparam)
-    if rho is None:
-        return True
-    return bool(np.all(m.dist[x] <= rho))
-
-
 def find_m_center(m: MetricSpace, mparam: float) -> int | None:
     """Lowest-index m-center, or None."""
     rho = _center_radii(m.dist, mparam)

@@ -8,7 +8,9 @@ materialized.  The distortion certificate is exact over every pair: a pair's
 ratio depends only on its Hamming weight and the d(., A) classes of its ends,
 and the number of pairs in each such cell comes from one fast Walsh-Hadamard
 transform per class plus Krawtchouk-weighted sums, in O(c^2 2^d + c d 2^d)
-time for c <= d + 1 classes.
+time for c <= d + 1 classes.  Singletons map through the closed forms of
+`embeddings`: the truncated Gaussian distance at p = 2, and the p-stable one,
+by quadrature, for 1 <= p < 2.  Only this upper bound is certified.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .errors import (
 )
 from .generators import hypercube_metric
 from .quotient import Partition, QuotientSpace
-from .seeds import as_seed
 
 
 @dataclass(frozen=True)
@@ -281,80 +282,3 @@ def _class_distortion(d: int, S, dA, lookup, block_norm) -> DistortionSummary:
     if not ratios:
         return DistortionSummary(0.0, 0.0, 0)
     return DistortionSummary(float(max(ratios)), float(1.0 / min(ratios)), pairs)
-
-
-def check_sandwich(result: CubeQsResult, samples: int = 20000, seed=None) -> bool:
-    """min{Hamming, r} <= d_U <= min{Hamming, 4r} on sampled singleton pairs."""
-    rng = as_seed(seed).rng()
-    sing = result.singletons
-    r = result.r
-    ds = result.dA[np.searchsorted(result.S, sing)]
-    for _ in range(samples):
-        i, j = rng.integers(0, sing.size, 2)
-        if i == j:
-            continue
-        h = int(bin(int(sing[i]) ^ int(sing[j])).count("1"))
-        du = min(h, ds[i] + ds[j])
-        if not (min(h, r) - 1e-9 <= du <= min(h, 4 * r) + 1e-9):
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# Lower-bound certification via singleton sub-balls
-# ---------------------------------------------------------------------------
-
-
-def _cube_singletons(q: QuotientSpace) -> tuple[int, np.ndarray]:
-    """d and the singleton-block points of a quotient of the Hamming cube {0,1}^d."""
-    n = q.partition.base.n
-    d = n.bit_length() - 1
-    if 2**d != n:
-        raise StructuralError("base space size is not a power of two")
-    if not np.array_equal(q.partition.base.dist, hypercube_metric(d).dist):
-        raise StructuralError("base space is not the Hamming cube")
-    return d, np.array([blk[0] for blk in q.blocks if len(blk) == 1], dtype=np.int64)
-
-
-def cube_qs_certify_lower(q, p: float = 2.0) -> tuple[int, float]:
-    """`singleton_ball_lower_bound` of a QuotientSpace over a cube or a CubeQsResult."""
-    if isinstance(q, CubeQsResult):
-        return singleton_ball_lower_bound(q.d, q.singletons, p)
-    if isinstance(q, QuotientSpace):
-        return singleton_ball_lower_bound(*_cube_singletons(q), p)
-    raise StructuralError("expected a QuotientSpace over a cube or a CubeQsResult")
-
-
-def singleton_ball_lower_bound(d: int, singletons: np.ndarray, p: float = 2.0) -> tuple[int, float]:
-    """Largest Hamming ball of {0,1}^d inside `singletons`, and its L_p bound.
-
-    `singletons` are the cube points that form singleton blocks of a quotient.
-    The quotient metric restricted to such a ball is the Hamming metric of a
-    radius-r sub-ball, which contains an m-dimensional sub-cube for m = r // 3;
-    the cube's exact L_p distortion m^(1 - 1/p) is then a certified lower bound
-    for embedding the quotient.  Returns (r, bound), bound 0 when r < 3.
-    """
-    if not (1.0 <= p <= 2.0):
-        raise ParameterError("p must be in [1, 2]")
-    n = 2**d
-    singleton = np.zeros(n, dtype=bool)
-    singleton[singletons] = True
-    bad = ~singleton
-    # multi-source BFS over the cube graph from the non-singleton set
-    dist = np.full(n, d + 1, dtype=np.int64)
-    frontier = np.flatnonzero(bad)
-    dist[frontier] = 0
-    level = 0
-    while frontier.size:
-        level += 1
-        nxt = np.unique(frontier[:, None] ^ (1 << np.arange(d, dtype=np.int64))[None, :])
-        nxt = nxt[dist[nxt] > level]
-        dist[nxt] = level
-        frontier = nxt
-    if not bad.any():
-        r = d
-    else:
-        r = min(max(int(dist[singleton].max()) - 1, 0), d) if singleton.any() else 0
-    m = r // 3
-    bound = float(m) ** (1.0 - 1.0 / p) if m >= 1 else 0.0
-    return r, bound

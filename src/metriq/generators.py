@@ -210,58 +210,6 @@ def gen_lipcomp_product(
 
 
 # ---------------------------------------------------------------------------
-# Almost-disjoint tuple families
-# ---------------------------------------------------------------------------
-
-
-def _smallest_prime_at_least(x: int) -> int:
-    def is_prime(v):
-        if v < 2:
-            return False
-        f = 2
-        while f * f <= v:
-            if v % f == 0:
-                return False
-            f += 1
-        return True
-
-    while not is_prime(x):
-        x += 1
-    return x
-
-
-def gen_ktuple_free_family(n: int, m: int) -> list[tuple[int, ...]]:
-    """floor(n/4m)^2 tuples of size 2m over [n], pairwise sharing <= 1 point.
-
-    Grid construction: points arranged as 2m rows x P columns (P prime),
-    tuple (a, b) is the graph of the line i -> a*i + b (mod P).  Distinct
-    lines over a prime field meet in at most one column, and rows are
-    disjoint point sets, so two tuples share at most one point.
-    """
-    if m < 1:
-        raise ParameterError("m must be >= 1")
-    if n < 4 * m:
-        raise ParameterError("need n >= 4m")
-    s = n // (4 * m)
-    if s == 1:
-        return [tuple(range(2 * m))]
-    P = _smallest_prime_at_least(max(s, 2 * m))
-    if 2 * m * P <= n:
-        fam = []
-        for a in range(s):
-            for b in range(s):
-                fam.append(tuple(i * P + ((a * i + b) % P) for i in range(2 * m)))
-        return fam
-    # Line family does not fit in [n]; fall back to disjoint tuples if enough.
-    if n // (2 * m) >= s * s:
-        return [tuple(range(t * 2 * m, (t + 1) * 2 * m)) for t in range(s * s)]
-    raise ParameterError(
-        f"cannot realize {s * s} near-disjoint {2 * m}-tuples inside [{n}] "
-        "(tuple length exceeds the grid the point budget allows)"
-    )
-
-
-# ---------------------------------------------------------------------------
 # Generic instances
 # ---------------------------------------------------------------------------
 

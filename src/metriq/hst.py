@@ -248,20 +248,6 @@ def ultrametric_to_l2(t: HstTree) -> np.ndarray:
     return out[:, keep]
 
 
-def line_um_lower_bound(a) -> float:
-    """Lower bound on the ultrametric distortion of a strictly increasing line.
-
-    (a_n - a_1) / max consecutive gap.
-    """
-    a = np.asarray(list(a), dtype=np.float64)
-    if a.size < 2:
-        raise StructuralError("need at least 2 values")
-    gaps = np.diff(a)
-    if np.any(gaps <= 0):
-        raise StructuralError("sequence must be strictly increasing")
-    return float((a[-1] - a[0]) / gaps.max())
-
-
 def hst_to_json(t: HstTree) -> dict:
     return {name: encode_array(getattr(t, name)) for name in ("order", "parent", "delta")}
 

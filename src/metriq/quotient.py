@@ -98,6 +98,8 @@ def quotient_by_subset(m: MetricSpace, A) -> QuotientSpace:
     A = sorted(set(int(i) for i in A))
     if not A:
         raise StructuralError("A must be nonempty")
+    if A[0] < 0 or A[-1] >= m.n:
+        raise StructuralError(f"point index {A[0] if A[0] < 0 else A[-1]} out of range")
     collapsed = set(A)
     rest = [i for i in range(m.n) if i not in collapsed]
     blocks = tuple((i,) for i in rest) + (tuple(A),)
@@ -156,10 +158,12 @@ def distortion_between(source: MetricSpace, target: MetricSpace, mapping=None) -
 
     expansion = max d_target/d_source, contraction = max d_source/d_target,
     both over all pairs; distortion is their product.  mapping=None means the
-    identity (sizes must agree).
+    identity, and sizes that differ raise StructuralError.
     """
     n = source.n
     if mapping is None:
+        if target.n != n:
+            raise StructuralError(f"source has {n} points, target {target.n}")
         mapping = list(range(n))
     mapping = [int(i) for i in mapping]
     if len(mapping) != n:

@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 from scipy.sparse.csgraph import connected_components
 
-from metriq.constructions import find_m_center
+from metriq.constructions import _center_radii, find_m_center
 from metriq.core import (
     TOL,
     MetricSpace,
@@ -16,9 +17,15 @@ from metriq.core import (
     hausdorff,
     set_distance,
 )
-from metriq.cube import DistortionSummary
-from metriq.embeddings import bourgain_scales
-from metriq.errors import ConstructionFailureError, NoMCenterError, StructuralError
+from metriq.cube import CubeQsResult, DistortionSummary
+from metriq.embeddings import EXACT_MAX_POINTS, VectorEmbedding, bourgain_scales
+from metriq.errors import (
+    CapacityError,
+    ConstructionFailureError,
+    NoMCenterError,
+    ParameterError,
+    StructuralError,
+)
 from metriq.generators import gen_euclidean_cloud
 from metriq.hst import hst_from_splits, hst_to_metric, join, leaf
 from metriq.quotient import distortion_between
@@ -418,6 +425,220 @@ def pnorm_table_full(v: np.ndarray, p: float, w=None) -> np.ndarray:
     if w is not None:
         diff = diff * w[None, None, :]
     return diff.sum(axis=2) ** (1.0 / p)
+
+
+# --- paper-lemma checks and Monte-Carlo references for the embeddings ------
+
+
+def star_to_lp(n: int, tau: float, p: float) -> VectorEmbedding:
+    """Exact isometric embedding of the star (root at 1, leaves pairwise tau).
+
+    Realized on the finite product probability space {0,1}^n: leaf i maps to
+    an i.i.d.-coordinate random variable, the root to the zero function.
+    Point 0 of the output is the root, points 1..n the leaves.
+    """
+    if n < 1:
+        raise ParameterError("need at least one leaf")
+    if n > EXACT_MAX_POINTS:
+        raise CapacityError(f"n = {n} exceeds the {EXACT_MAX_POINTS}-point cap (2^n atoms)")
+    if p < 1:
+        raise ParameterError("p must be >= 1")
+    theta = min(1.0 / p, 1.0 - 1.0 / p)
+    if not (0 < tau <= 2 ** (1 - theta) + 1e-12):
+        raise ParameterError(f"tau must be in (0, 2^(1-theta(p))] = (0, {2 ** (1 - theta):.6g}]")
+
+    if p <= 2:
+        delta = 1.0 - tau**p / 2.0
+        if delta <= 1e-15:
+            # tau = 2^(1/p): the standard unit vectors
+            vecs = np.vstack([np.zeros(n), np.eye(n)])
+            return VectorEmbedding(vecs, p, "exact", np.ones(n))
+        value = delta ** (-1.0 / p)
+        atoms = np.arange(2**n)
+        bits = (atoms[:, None] >> np.arange(n)) & 1  # (2^n, n)
+        ones = bits.sum(axis=1)
+        weights = delta**ones * (1 - delta) ** (n - ones)
+        vecs = np.vstack([np.zeros(2**n), (value * bits).T])
+        return VectorEmbedding(vecs, p, "exact", weights)
+
+    # p > 2: +/-1 valued coordinates, +1 with probability delta
+    c = tau**p / 2 ** (p + 1)
+    if c > 0.25 + 1e-12:
+        raise ParameterError("tau out of range for p > 2")
+    delta = (1.0 - math.sqrt(max(0.0, 1.0 - 4.0 * c))) / 2.0
+    atoms = np.arange(2**n)
+    bits = (atoms[:, None] >> np.arange(n)) & 1
+    ones = bits.sum(axis=1)
+    weights = delta**ones * (1 - delta) ** (n - ones)
+    vecs = np.vstack([np.zeros(2**n), (2.0 * bits - 1.0).T])
+    return VectorEmbedding(vecs, p, "exact", weights)
+
+
+def truncated_gauss_embed(points, D: float, features: int, seed=None) -> VectorEmbedding:
+    """Monte Carlo realization F(x) = D * exp(i <x, g> / D) over sampled g.
+
+    Image norms are D exactly; empirical distances converge to
+    truncated_gauss_distance of the Euclidean distance as features grows.
+    """
+    if D <= 0 or features < 1:
+        raise ParameterError("need D > 0 and features >= 1")
+    pts = np.asarray(points, dtype=np.float64)
+    rng = as_seed(seed).rng()
+    g = rng.standard_normal((features, pts.shape[1]))
+    phases = pts @ g.T / D
+    vectors = D * np.exp(1j * phases)
+    weights = np.full(features, 1.0 / features)
+    return VectorEmbedding(vectors, 2.0, "monte-carlo", weights)
+
+
+def cms_sample(p: float, size: int, seed=None) -> np.ndarray:
+    """Symmetric p-stable samples with characteristic function e^(-|t|^p).
+
+    Chambers-Mallows-Stuck transform; p = 1 reduces to tan(V) (Cauchy).
+    """
+    if not (0 < p <= 2):
+        raise ParameterError("p must be in (0, 2]")
+    rng = as_seed(seed).rng()
+    V = rng.uniform(-math.pi / 2, math.pi / 2, size)
+    W = rng.exponential(1.0, size)
+    if abs(p - 1.0) < 1e-12:
+        return np.tan(V)
+    return (
+        np.sin(p * V)
+        / np.cos(V) ** (1.0 / p)
+        * (np.cos(V - p * V) / W) ** ((1.0 - p) / p)
+    )
+
+
+def pstable_expectation_monte_carlo(a: float, p: float, samples: int = 200_000, seed=None) -> float:
+    """Monte-Carlo reference for embeddings.pstable_expectation."""
+    g = cms_sample(p, samples, seed)
+    return float(np.mean((1.0 - np.cos(abs(float(a)) * g)) ** (p / 2.0)))
+
+
+def pstable_embed(points, D: float, p: float, features: int, seed=None) -> VectorEmbedding:
+    """Monte Carlo p-stable feature map F(x) = D * exp(i <x, g> / D).
+
+    Image p-norms are D exactly; pairwise distances converge to
+    pstable_distance of the l_p distance between the points.
+    """
+    if not (1.0 <= p < 2.0):
+        raise ParameterError("p must be in [1, 2)")
+    if D <= 0 or features < 1:
+        raise ParameterError("need D > 0 and features >= 1")
+    pts = np.asarray(points, dtype=np.float64)
+    sd = as_seed(seed)
+    g = cms_sample(p, features * pts.shape[1], sd).reshape(features, pts.shape[1])
+    phases = pts @ g.T / D
+    vectors = D * np.exp(1j * phases)
+    weights = np.full(features, 1.0 / features)
+    return VectorEmbedding(vectors, p, "monte-carlo", weights)
+
+
+def star_poincare_lower(n: int, p: float, xs, ys) -> tuple[bool, float]:
+    """Check the star Poincare inequality on vectors and return the star bound.
+
+    sum_ij (|x_i - x_j|^p + |y_i - y_j|^p) <= factor * sum_ij |x_i - y_j|^p
+    with factor 2 for p <= 2 and 2^(p-1) for p >= 2.  The returned bound is
+    the induced lower bound on embedding the n-leaf star into L_p.
+    """
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    if xs.shape != ys.shape or xs.shape[0] != n:
+        raise StructuralError("need two equal lists of n vectors")
+
+    def pnorm_p(diff):
+        return (np.abs(diff) ** p).sum(axis=-1)
+
+    lhs = pnorm_p(xs[:, None, :] - xs[None, :, :]).sum() + pnorm_p(
+        ys[:, None, :] - ys[None, :, :]
+    ).sum()
+    cross = pnorm_p(xs[:, None, :] - ys[None, :, :]).sum()
+    factor = 2.0 if p <= 2 else 2.0 ** (p - 1.0)
+    scale = max(lhs, cross, 1.0)
+    ok = bool(lhs <= factor * cross + 1e-9 * scale)
+    if p <= 2:
+        # 2^(1-1/p) (1-1/n)^(1/p), arranged to be float-exact at p=2, n=2
+        bound = 2.0 * ((1.0 - 1.0 / n) / 2.0) ** (1.0 / p)
+    else:
+        bound = (2.0 * (1.0 - 1.0 / n)) ** (1.0 / p)
+    return ok, bound
+
+
+def truncation_witness_bound() -> float:
+    """Certified lower bound on Euclidean embedding of truncated Euclidean space."""
+    return 2.0 * math.sqrt(5.0 - math.sqrt(7.0)) / 3.0
+
+
+def truncation_witness(D: float = 1.0) -> MetricSpace:
+    """The 4-point witness: a planar configuration under distances capped at D."""
+    pts = np.array([[0.0, 0.0], [D, 0.0], [D / 2.0, D], [D / 2.0, 0.0]])
+    diff = pts[:, None, :] - pts[None, :, :]
+    eu = np.sqrt((diff**2).sum(axis=2))
+    return MetricSpace(np.minimum(eu, D))
+
+
+def witness_search_distortion(m: MetricSpace, dim: int = 3, restarts: int = 12, seed=None) -> float:
+    """Best Euclidean distortion found by local search over point placements.
+
+    Corroborates (never certifies) lower bounds: the returned value is an
+    upper bound on the optimal distortion that the search could not beat.
+    """
+    rng = as_seed(seed).rng()
+    n = m.n
+    iu, ju = np.triu_indices(n, k=1)
+    src = m.dist[iu, ju]
+
+    def objective(flat):
+        pts = flat.reshape(n, dim)
+        diff = pts[iu] - pts[ju]
+        tgt = np.sqrt((diff**2).sum(axis=1))
+        if tgt.min() < 1e-12:
+            return 1e9
+        ratio = tgt / src
+        return ratio.max() / ratio.min()
+
+    best = np.inf
+    for _ in range(restarts):
+        x0 = rng.normal(scale=m.diameter(), size=n * dim)
+        res = optimize.minimize(objective, x0, method="Nelder-Mead",
+                                options={"maxiter": 4000, "xatol": 1e-10, "fatol": 1e-12})
+        best = min(best, float(res.fun))
+    return best
+
+
+# --- the m-centre definition and the cube's metric sandwich ------------------
+
+
+def is_m_center(m: MetricSpace, x: int, mparam: float) -> bool:
+    """True iff every ball of cardinality >= mparam contains x.
+
+    Balls only change at realized distances, so it suffices to check, for each
+    center y, the smallest radius at which y's ball reaches mparam points.
+    """
+    if mparam < 1:
+        raise ParameterError("mparam must be >= 1")
+    rho = _center_radii(m.dist, mparam)
+    if rho is None:
+        return True
+    return bool(np.all(m.dist[x] <= rho))
+
+
+def check_sandwich(result: CubeQsResult, samples: int = 20000, seed=None) -> bool:
+    """min{Hamming, r} <= d_U <= min{Hamming, 4r} on sampled singleton pairs."""
+    rng = as_seed(seed).rng()
+    sing = result.singletons
+    r = result.r
+    ds = result.dA[np.searchsorted(result.S, sing)]
+    for _ in range(samples):
+        i, j = rng.integers(0, sing.size, 2)
+        if i == j:
+            continue
+        h = int(bin(int(sing[i]) ^ int(sing[j])).count("1"))
+        du = min(h, ds[i] + ds[j])
+        if not (min(h, r) - 1e-9 <= du <= min(h, 4 * r) + 1e-9):
+            return False
+    return True
 
 
 @pytest.fixture

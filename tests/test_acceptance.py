@@ -7,7 +7,6 @@ byte-level determinism of every serialized artifact.
 """
 
 import hashlib
-import json
 import math
 import time
 
@@ -20,32 +19,31 @@ from metriq.constructions import (
     composition_qs,
     find_m_center,
     hst_from_m_centered,
-    is_m_center,
     m_center_quotient,
     q2_lacunary,
 )
 from metriq.core import MetricSpace, Star, dumps, realize_special
-from metriq.cube import check_sandwich, cube_qs_construct
-from metriq.embeddings import (
-    bourgain_embed,
-    embedding_to_json,
-    induced_metric,
-    star_to_lp,
-    truncated_gauss_distance,
-    truncated_gauss_embed,
-    truncation_witness,
-    truncation_witness_bound,
-    star_poincare_lower,
-    witness_search_distortion,
-)
-from metriq.errors import ConstructionFailureError
+from metriq.cube import cube_qs_construct
+from metriq.embeddings import bourgain_embed, embedding_to_json, induced_metric, truncated_gauss_distance
 from metriq.generators import gen_euclidean_cloud, random_composition_tree
 from metriq.hst import hst_to_json, hst_to_metric
 from metriq.lipschitz import QuotientMap, lip_colip
 from metriq.quotient import distortion_between, quotient_by_subset, quotient_metric
 from metriq.seeds import RngSeed
 
-from conftest import random_metric, random_partition, shortest_path_closure
+from conftest import (
+    check_sandwich,
+    is_m_center,
+    random_metric,
+    random_partition,
+    shortest_path_closure,
+    star_poincare_lower,
+    star_to_lp,
+    truncated_gauss_embed,
+    truncation_witness,
+    truncation_witness_bound,
+    witness_search_distortion,
+)
 
 
 # 1. quotient metric equals the brute-force shortest-path oracle ------------

@@ -28,7 +28,7 @@ from metriq.generators import InstanceSpec
 from metriq.lipschitz import QuotientMap, quotient_map_to_json
 from metriq.seeds import RngSeed
 
-from conftest import edit_array, random_metric
+from conftest import edit_array, random_metric, star_to_lp
 
 
 @pytest.fixture
@@ -91,7 +91,7 @@ def test_construct_q2_certificate(runner, tmp_path):
 
 def test_embed_star_exact():
     from metriq.cli import _embedding_artifact
-    from metriq.embeddings import induced_metric, star_to_lp
+    from metriq.embeddings import induced_metric
 
     emb = star_to_lp(3, 1.0, 1.0)
     doc = json.loads(dumps(_embedding_artifact(emb, induced_metric(emb))))
@@ -124,6 +124,75 @@ def test_certify_distortion_command(runner, tmp_path):
     assert doc["distortion"] == pytest.approx(1.0)
 
 
+def test_certify_distortion_refuses_spaces_of_different_sizes(runner, tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(metric_to_json(random_metric(5, 4))))
+    b.write_text(json.dumps(metric_to_json(random_metric(6, 4))))
+    result = runner.invoke(main, ["certify", "distortion", "--source", str(a), "--target", str(b)])
+    assert isinstance(result.exception, StructuralError), result.output
+
+
+def test_verify_refuses_a_model_with_extra_points(runner, tmp_path):
+    mpath = tmp_path / "m.json"
+    invoke(runner, "--seed", "3", "--out", str(mpath), "gen", "--variant", "cloud",
+           "--param", "n=40")
+    doc = json.loads(invoke(runner, "--seed", "3", "construct", "q2", "--in", str(mpath)).output)
+    assert verify_bundle(doc).ok
+    a = doc["model"]["a"]
+    a += [a[-1] / 2, a[-1] / 4]  # the model's first points keep their distances
+    with pytest.raises(StructuralError, match="source has"):
+        verify_bundle(doc)
+
+
+def test_verify_refuses_a_tree_with_extra_leaves():
+    from metriq.hst import hst_from_json, hst_to_json, join, leaf
+
+    art = json.loads(dumps(_fresh_artifact("hst")))
+    assert verify_bundle(art).ok
+    tree = hst_from_json(art["tree"])
+    n = tree.order.size
+    # the old leaves keep their distances under the new root
+    art["tree"] = hst_to_json(join(float(tree.delta[0]), [tree, leaf(n), leaf(n + 1)]))
+    with pytest.raises(StructuralError, match="source has"):
+        verify_bundle(art)
+
+
+def test_quotient_refuses_a_subset_index_out_of_range(runner, tmp_path):
+    mpath = tmp_path / "m.json"
+    invoke(runner, "--seed", "2", "--out", str(mpath), "gen", "--variant", "cloud",
+           "--param", "n=5")
+    result = runner.invoke(main, ["quotient", "--in", str(mpath), "--subset", "0,9"])
+    assert isinstance(result.exception, StructuralError), result.output
+    assert "out of range" in str(result.exception)
+
+
+@pytest.mark.parametrize("option, value", [("--subset", "a"), ("--blocks", "0,1;x")])
+def test_quotient_reports_unparsable_indices_as_a_bad_parameter(runner, tmp_path, option, value):
+    mpath = tmp_path / "m.json"
+    invoke(runner, "--seed", "2", "--out", str(mpath), "gen", "--variant", "cloud",
+           "--param", "n=5")
+    result = runner.invoke(main, ["quotient", "--in", str(mpath), option, value])
+    assert result.exit_code == 2  # click's usage error, not a traceback
+    assert f"Invalid value for {option}" in result.output
+
+
+@pytest.mark.parametrize("command, text", [
+    (["certify", "lipq", "--alpha", "1.0", "--map"], '{"source": {}, "target": {}}'),
+    (["certify", "distortion", "--target", "M", "--source"], "[[0, 1], [1, 0]]"),
+    (["quotient", "--subset", "0", "--in"], "not json"),
+    (["run", "--plan"], "{}"),
+    (["verify", "--bundle"], "not json"),
+], ids=["lipq", "distortion", "quotient", "run", "verify"])
+def test_file_loaders_refuse_a_malformed_document(runner, tmp_path, command, text):
+    good, bad = tmp_path / "m.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(metric_to_json(random_metric(2, 0))))
+    bad.write_text(text)
+    args = [str(good) if a == "M" else a for a in command] + [str(bad)]
+    result = runner.invoke(main, args)
+    assert isinstance(result.exception, StructuralError), result.output
+    assert "malformed" in str(result.exception)
+
+
 def test_certify_lipq_command(runner, tmp_path):
     m = random_metric(5, 7)
     qm = QuotientMap(m, m, tuple(range(5)))
@@ -142,9 +211,6 @@ def test_cube_qs_and_lower_round_trip(runner, tmp_path):
     net, survivors = decode_array(doc["net"]), decode_array(doc["survivors"])
     assert net.dtype == survivors.dtype == np.int64
     assert doc["block_count"] == survivors.size - net.size + 1
-    res = invoke(runner, "certify", "cube-lower", "--in", str(out))
-    lower = json.loads(res.output)
-    assert lower["bound"] <= doc["certified_distortion"] + 1e-9
 
 
 # --- experiment plans -------------------------------------------------------
@@ -336,7 +402,7 @@ def _as_format1(doc):
 
 def _fresh_artifact(kind: str) -> dict:
     from metriq.cli import PIPELINES, _embedding_artifact
-    from metriq.embeddings import induced_metric, star_to_lp
+    from metriq.embeddings import induced_metric
 
     m = random_metric(30, 2)
     if kind == "metric":
@@ -489,7 +555,7 @@ def test_model_doc_round_trips_to_the_model_metric(model):
 def test_embedding_verifier_in_one_row_chunks(monkeypatch):
     from metriq import embeddings
     from metriq.cli import _embedding_artifact
-    from metriq.embeddings import induced_metric, star_to_lp
+    from metriq.embeddings import induced_metric
 
     monkeypatch.setattr(embeddings, "TABLE_ELEMENTS", 1)
     emb = star_to_lp(4, 1.0, 1.5)

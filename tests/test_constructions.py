@@ -17,7 +17,6 @@ from metriq.constructions import (
     find_m_center,
     find_star_quotient,
     hst_from_m_centered,
-    is_m_center,
     m_center_quotient,
     q2_lacunary,
     q_dichotomy,
@@ -54,6 +53,7 @@ from conftest import (
     check_coloring_loop,
     euclidean_cloud_broadcast,
     hst_from_m_centered_dense,
+    is_m_center,
     random_metric,
     random_partition,
 )

@@ -5,30 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import greedy_net_loop, stream_distortion_loop
-from metriq.core import MetricSpace, validate_metric
+from conftest import check_sandwich, greedy_net_loop, stream_distortion_loop
+from metriq.core import validate_metric
 from metriq.cube import (
     _class_distortion,
     _class_pair_counts,
     _embedding_lookup,
     _greedy_net,
-    check_sandwich,
-    cube_qs_certify_lower,
     cube_qs_construct,
 )
-from metriq.errors import CapacityError, ParameterError, StructuralError
-from metriq.generators import hypercube_metric
-from metriq.quotient import Partition, QuotientSpace
+from metriq.errors import CapacityError, ParameterError
 
 
 def popcount(x):
     return bin(int(x)).count("1")
-
-
-def all_singleton_quotient(d):
-    base = hypercube_metric(d)
-    blocks = tuple((i,) for i in range(2**d))
-    return QuotientSpace(Partition(base, blocks), base, "Q")
 
 
 def test_net_is_separated_and_maximal():
@@ -107,57 +97,6 @@ def test_parameter_errors():
         cube_qs_construct(23, 0.2)
     with pytest.raises(ParameterError):
         cube_qs_construct(10, 0.2, p=2.5)
-
-
-def test_certify_lower_identity_quotient():
-    r, bound = cube_qs_certify_lower(all_singleton_quotient(9))
-    assert r == 9
-    assert bound == pytest.approx(math.sqrt(3.0))
-
-
-def test_certify_lower_collapsed_origin():
-    from metriq.quotient import quotient_metric
-
-    base = hypercube_metric(9)
-    merged = ((0, 1),) + tuple((i,) for i in range(2, 2**9))
-    qm = quotient_metric(base, merged)
-    r, bound = cube_qs_certify_lower(qm)
-    # farthest singleton from {0, 1} is at Hamming distance 8, so r = 7, m = 2
-    assert r == 7
-    assert bound == pytest.approx(2.0**0.5)
-
-
-def test_certify_lower_p1_is_trivial():
-    r, bound = cube_qs_certify_lower(all_singleton_quotient(6), p=1.0)
-    assert r == 6 and bound == 1.0
-
-
-def test_certify_lower_small_radius_gives_zero():
-    base = hypercube_metric(4)
-    from metriq.quotient import quotient_by_subset
-
-    q = quotient_by_subset(base, [0, 15])  # punctures both ends
-    r, bound = cube_qs_certify_lower(q)
-    assert bound == 0.0 or r >= 3
-
-
-def test_certify_lower_on_construct_result_is_consistent():
-    res = cube_qs_construct(10, 0.2)
-    r, bound = cube_qs_certify_lower(res)
-    assert 0 <= r <= 10
-    # a valid lower bound can never exceed the measured upper certificate
-    assert bound <= res.report.distortion + 1e-9
-
-
-def test_certify_lower_rejects_non_cube():
-    m = MetricSpace(2.0 * np.ones((4, 4)) - 2.0 * np.eye(4))
-    q = QuotientSpace(Partition(m, tuple((i,) for i in range(4))), m, "Q")
-    with pytest.raises(StructuralError):
-        cube_qs_certify_lower(q)
-    m3 = MetricSpace(np.ones((3, 3)) - np.eye(3))
-    q3 = QuotientSpace(Partition(m3, tuple((i,) for i in range(3))), m3, "Q")
-    with pytest.raises(StructuralError):
-        cube_qs_certify_lower(q3)  # size not a power of two
 
 
 # the ten (d, eps, p) cells of the benchmark's cube workload

@@ -13,31 +13,32 @@ from metriq.cli import PIPELINES
 from metriq.constructions import m_center_quotient, m_center_size
 from metriq.core import Equilateral, Star, decode_array, realize_special, validate_metric
 from metriq.embeddings import (
-    TruncatedMetricSpec,
     VectorEmbedding,
     bourgain_embed,
-    cms_sample,
     embedding_to_json,
     induced_metric,
     pstable_distance,
-    pstable_embed,
-    pstable_envelope_fit,
     pstable_expectation,
-    snowflake_sqrt_embed,
+    truncated_gauss_distance,
+)
+from metriq.errors import CapacityError, NoMCenterError, ParameterError
+from metriq.seeds import RngSeed
+
+from conftest import (
+    bourgain_embed_loop,
+    cms_sample,
+    pnorm_table_full,
+    pstable_embed,
+    pstable_expectation_monte_carlo,
+    random_metric,
     star_poincare_lower,
     star_to_lp,
-    truncated_gauss_distance,
+    subset_distances_loop,
     truncated_gauss_embed,
     truncation_witness,
     truncation_witness_bound,
-    uptolog_embed,
     witness_search_distortion,
 )
-from metriq.errors import CapacityError, NoMCenterError, ParameterError
-from metriq.generators import hypercube_metric
-from metriq.seeds import RngSeed
-
-from conftest import bourgain_embed_loop, pnorm_table_full, random_metric, subset_distances_loop
 
 
 # --- random-subset embedding -----------------------------------------------
@@ -226,7 +227,7 @@ def test_cms_p1_is_cauchy():
 def test_pstable_expectation_quadrature_vs_monte_carlo():
     for a in (0.1, 1.0, 10.0):
         q = pstable_expectation(a, 1.0)
-        mc = pstable_expectation(a, 1.0, method="monte-carlo", samples=400000, seed=2)
+        mc = pstable_expectation_monte_carlo(a, 1.0, samples=400000, seed=2)
         assert q == pytest.approx(mc, rel=0.02)
 
 
@@ -249,47 +250,6 @@ def test_pstable_embed_norms_and_convergence():
     assert np.allclose(emb.norms(), 4.0, atol=1e-9)
     dlp = (np.abs(pts[0] - pts[5]) ** 1.5).sum() ** (1 / 1.5)
     assert emb.distance(0, 5) == pytest.approx(pstable_distance(dlp, 4.0, 1.5), rel=0.02)
-
-
-def test_pstable_envelope_fit_is_two_sided():
-    lo, hi = pstable_envelope_fit(1.5)
-    assert 0 < lo <= hi < 10
-
-
-# --- snowflake and uptolog -------------------------------------------------
-
-
-def test_snowflake_cube_example():
-    spec = TruncatedMetricSpec(hypercube_metric(4), 4.0)
-    res = snowflake_sqrt_embed(spec)
-    assert res.report.distortion <= math.sqrt(4 * math.e / (math.e - 1)) + 1e-9
-    assert res.bound == pytest.approx(math.sqrt(4 * math.e / (math.e - 1)))
-    assert res.image_norm == 2.0
-    assert validate_metric(res.metric).ok
-
-
-def test_snowflake_rejects_small_distances():
-    from metriq.core import MetricSpace
-
-    tiny = MetricSpace([[0.0, 0.5], [0.5, 0.0]])
-    with pytest.raises(ParameterError):
-        snowflake_sqrt_embed(TruncatedMetricSpec(tiny, 4.0))
-
-
-def test_uptolog_norms_and_envelope():
-    rng = np.random.default_rng(2)
-    pts = np.unique(np.floor(rng.uniform(0, 6, size=(12, 3))), axis=0)
-    res = uptolog_embed(pts, 8.0, 1.5)
-    assert res.image_norm == pytest.approx(8.0 ** (1 / 1.5))
-    assert validate_metric(res.metric).ok
-    D = 8.0
-    d1 = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
-    trunc = np.minimum(d1, D)
-    iu, ju = np.triu_indices(pts.shape[0], k=1)
-    psi = res.metric.dist[iu, ju]
-    lo = res.c1 / D ** (1 - 1 / 1.5) * trunc[iu, ju]
-    hi = res.c2 * math.log(D) ** (1 / 1.5) * trunc[iu, ju]
-    assert np.all(psi >= lo - 1e-9) and np.all(psi <= hi + 1e-9)
 
 
 # --- Poincare and the witness ----------------------------------------------

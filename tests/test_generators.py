@@ -10,7 +10,6 @@ from metriq.generators import (
     InstanceSpec,
     gen_composition,
     gen_euclidean_cloud,
-    gen_ktuple_free_family,
     gen_lipcomp_product,
     gen_padded_copies,
     gen_random_graph_metric,
@@ -110,20 +109,6 @@ def test_lipcomp_rejects_small_mu():
     Y = random_metric(3, 5)
     with pytest.raises(ParameterError):
         gen_lipcomp_product(X, Y, 1.0, 1e9, 1.5)
-
-
-def test_ktuple_family_near_disjoint():
-    for n, m in ((64, 2), (200, 3), (100, 1)):
-        fam = gen_ktuple_free_family(n, m)
-        s = n // (4 * m)
-        assert len(fam) == (s * s if s > 1 else 1)
-        for t in fam:
-            assert len(t) == 2 * m
-            assert len(set(t)) == 2 * m
-            assert all(0 <= x < n for x in t)
-        for a in range(len(fam)):
-            for b in range(a + 1, len(fam)):
-                assert len(set(fam[a]) & set(fam[b])) <= 1
 
 
 def test_hypercube_metric_matches_bit_count():

@@ -19,7 +19,6 @@ from metriq.hst import (
     is_ultrametric,
     join,
     leaf,
-    line_um_lower_bound,
     ultrametric_to_l2,
     validate_khst,
 )
@@ -146,13 +145,6 @@ def test_ultrametric_to_l2_is_exact():
 def test_ultrametric_to_l2_single_point():
     v = ultrametric_to_l2(leaf(0))
     assert v.shape[0] == 1
-
-
-def test_line_um_lower_bound():
-    assert line_um_lower_bound([0.0, 1.0, 2.0, 3.0]) == 3.0
-    assert line_um_lower_bound([0.0, 2.0, 3.0]) == 1.5
-    with pytest.raises(StructuralError):
-        line_um_lower_bound([1.0, 1.0])
 
 
 def test_scale():

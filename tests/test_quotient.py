@@ -126,6 +126,20 @@ def test_distortion_rejects_non_injective():
         distortion_between(m, m, [0, 0, 1])
 
 
+@pytest.mark.parametrize("ns,nt", [(5, 6), (6, 5)])
+def test_distortion_identity_refuses_unequal_sizes(ns, nt):
+    # a larger target would otherwise be compared on a prefix of its points
+    with pytest.raises(StructuralError, match=f"source has {ns} points, target {nt}"):
+        distortion_between(random_metric(ns, 12), random_metric(nt, 13))
+
+
+@pytest.mark.parametrize("A,bad", [([0, 9], 9), ([5], 5), ([-1, 2], -1)])
+def test_quotient_by_subset_refuses_indices_out_of_range(A, bad):
+    # checked before indexing: numpy would raise IndexError on 9 and wrap -1
+    with pytest.raises(StructuralError, match=f"point index {bad} out of range"):
+        quotient_by_subset(random_metric(5, 14), A)
+
+
 def test_quotient_json_round_trip():
     m = random_metric(5, 12)
     q = quotient_metric(m, ((0, 1), (2, 3), (4,)))

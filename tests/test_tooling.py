@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import itertools
@@ -79,3 +80,74 @@ def test_readme_cli_lines_name_existing_commands(path):
         command = command.commands[word]
     result = CliRunner().invoke(main, [*path, "--help"])
     assert result.exit_code == 0, result.output
+
+
+# --- no library code that only the tests reach -------------------------------
+
+#: (module, name) of each top-level function or class in src/metriq that only
+#: the tests reach, with the reason it stays.
+ONLY_FROM_TESTS = {
+    ("lipschitz", "quotient_map_to_json"): "writes the map format that `certify lipq` reads",
+}
+
+
+def _names(tree: ast.AST, strings: bool = False) -> set[str]:
+    """Every name, attribute and imported name in tree, and its string constants if asked."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rsplit(".", 1)[-1])
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def _is_click_command(node) -> bool:
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+               and d.func.attr in ("command", "group") for d in node.decorator_list)
+
+
+def _unreached() -> set[tuple[str, str]]:
+    """(module, name) of each top-level function or class in src/metriq that
+    nothing outside the tests reaches.
+
+    The roots are the other module-level statements of src/metriq (the
+    pipeline and instance tables among them), the click commands, what
+    __init__ exports, and every name and string in perfbench/*.py (its tracer
+    looks layers up by name).  A def is reached when a root or a reached def
+    names it.  Names are matched without their module, so a name that two
+    modules define is reached in both or in neither.
+    """
+    defs, roots = {}, set()
+    for path in sorted((ROOT / "src" / "metriq").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.stem == "__init__":
+            roots |= _names(tree)
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, []).append((path.stem, node))
+                if _is_click_command(node):
+                    roots.add(node.name)
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                roots |= _names(node)
+    for path in (ROOT / "perfbench").glob("*.py"):
+        roots |= _names(ast.parse(path.read_text()), strings=True)
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(n for _, node in defs.get(name, []) for n in _names(node))
+    return {(module, name) for name, found in defs.items() if name not in reached
+            for module, _ in found}
+
+
+def test_every_library_function_is_reached_outside_the_tests():
+    # delete such a function, move it into tests/conftest.py as a reference,
+    # or give the reason it stays in ONLY_FROM_TESTS
+    assert _unreached() == set(ONLY_FROM_TESTS)
