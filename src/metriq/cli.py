@@ -254,7 +254,7 @@ def _pipe_cube_qs(m, seed: RngSeed, params: dict):
     """Large quotient of the Hamming cube with a certified embedding."""
     from .cube import cube_qs_construct
 
-    res = cube_qs_construct(params["d"], params["eps"], params["p"], seed)
+    res = cube_qs_construct(params["d"], params["eps"], params["p"])
     return (_row(res.block_count, "QS", "lp", res.report.distortion, res.certified_bound,
                  p=params["p"]),
             _cube_artifact(res))
@@ -417,7 +417,9 @@ def verify_bundle(doc: dict, tolerance: float = 1e-9) -> ValidationReport:
             elif kind == "cube-qs":
                 _verify_cube(art, ai, report, tolerance)
             else:
-                raise StructuralError(f"artifact {ai}: unknown kind {kind!r}")
+                raise StructuralError(f"unknown kind {kind!r}")
+        except StructuralError as exc:
+            raise StructuralError(f"artifact {ai}: {exc}") from exc
         except (AttributeError, KeyError, TypeError, ValueError, ParameterError) as exc:
             raise StructuralError(f"artifact {ai}: malformed ({exc})") from exc
     return report

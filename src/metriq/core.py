@@ -208,7 +208,10 @@ def validate_metric(m: MetricSpace | np.ndarray, tol: float = TOL) -> Validation
     # Fast path: with every off-diagonal entry positive (a 0 would read as "no
     # edge"), the shortest-path closure c has c[i,k] <= d[i,j] + d[j,k] in
     # rounded arithmetic, so d - c <= tol rules out every slack above tol.
-    if report.ok and np.all(d - csgraph.floyd_warshall(d, directed=True) <= tol):
+    # When the O(n^2) row-minimum test of _closure_is_identity holds, c is d
+    # itself, exactly, so the O(n^3) closure is skipped with the same answer.
+    if report.ok and (_closure_is_identity(d)
+                      or np.all(d - csgraph.floyd_warshall(d, directed=True) <= tol)):
         return report
     for j in range(n):
         slack = d - (d[:, j][:, None] + d[j][None, :])
@@ -221,6 +224,26 @@ def validate_metric(m: MetricSpace | np.ndarray, tol: float = TOL) -> Validation
                     f"d(i,k) = {d[i, k]!r} > {d[i, j] + d[j, k]!r}",
                 )
     return report
+
+
+def _closure_is_identity(w: np.ndarray) -> bool:
+    """Whether the shortest-path closure of the square matrix w is w itself,
+    by an O(k^2) test that is sufficient only.
+
+    It holds for a zero diagonal, positive off-diagonal entries (scipy reads
+    a 0 as "no edge") and w[i,k] <= r_i + c_k in float64 for all i != k, r_i
+    and c_k the least off-diagonal entries of row i and column k.  Rounding is
+    monotone, so fl(w[i,j] + w[j,k]) >= fl(r_i + c_k) >= w[i,k]: no
+    Floyd-Warshall relaxation fires and the closure returns w bit for bit.
+    """
+    if np.any(np.diag(w) != 0):
+        return False
+    if w.shape[0] < 2:
+        return True
+    off = w.copy()
+    np.fill_diagonal(off, np.inf)
+    r, c = off.min(axis=1), off.min(axis=0)
+    return bool(r.min() > 0 and np.all(w <= r[:, None] + c))
 
 
 # ---------------------------------------------------------------------------

@@ -152,7 +152,7 @@ def _embedding_lookup(d: int, r: int, p: float) -> tuple[np.ndarray, float]:
     return _uptolog_lookup(d, r, p), float(r) ** (1.0 / p)
 
 
-def cube_qs_construct(d: int, eps: float, p: float = 2.0, seed=None) -> CubeQsResult:
+def cube_qs_construct(d: int, eps: float, p: float = 2.0) -> CubeQsResult:
     """Quotient of the d-cube keeping at least a (1 - eps) fraction of blocks.
 
     p = 2 embeds singletons via the closed-form truncated Gaussian distance of

@@ -220,7 +220,7 @@ def test_cube_quotient_grid(d, eps):
     # small-cell infeasibility is surfaced, never masked: when the punctured
     # balls around even a single net center exceed eps * 2^d, the construction
     # raises and this cell is red by design
-    res = cube_qs_construct(d, eps, 2.0, seed=RngSeed(d, int(eps * 100)))
+    res = cube_qs_construct(d, eps, 2.0)
     assert res.block_count >= (1.0 - eps) * 2**d
     assert res.report.distortion <= 8.0 * math.sqrt(math.e * res.r / (math.e - 1.0)) + 1e-9
     assert check_sandwich(res, samples=20_000, seed=RngSeed(d, 999))
@@ -326,7 +326,7 @@ def _embedding_artifact(seed):
 
 
 def _cube_artifact(seed):
-    res = cube_qs_construct(10, 0.2, 2.0, seed=RngSeed(seed))
+    res = cube_qs_construct(10, 0.2, 2.0)
     return dumps(
         {
             "net": [int(x) for x in res.A],

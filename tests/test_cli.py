@@ -144,6 +144,22 @@ def test_verify_refuses_a_model_with_extra_points(runner, tmp_path):
         verify_bundle(doc)
 
 
+def test_verify_names_the_artifact_of_a_structural_error():
+    from metriq.cli import plan_from_json, run_experiment
+
+    plan = {"instance": {"variant": "cloud", "params": {"n": 40}}, "pipeline": "q2",
+            "params": {}, "trials": 3, "seed": 0}
+    doc = json.loads(dumps({"artifacts": run_experiment(plan_from_json(plan), True).artifacts}))
+    assert verify_bundle(doc).ok
+    a = doc["artifacts"][2]["model"]["a"]
+    a += [a[-1] / 2, a[-1] / 4]
+    with pytest.raises(StructuralError, match=r"^artifact 2: source has"):
+        verify_bundle(doc)
+    with pytest.raises(StructuralError) as err:
+        verify_bundle({"artifacts": [{"kind": "nope"}]})
+    assert str(err.value) == "artifact 0: unknown kind 'nope'"
+
+
 def test_verify_refuses_a_tree_with_extra_leaves():
     from metriq.hst import hst_from_json, hst_to_json, join, leaf
 

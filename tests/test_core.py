@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import floyd_warshall
 
+from metriq import core
 from metriq.core import (
     TOL,
     Equilateral,
@@ -38,6 +40,7 @@ from conftest import (
     block_reduce_loop,
     decode_array_reencode,
     random_metric,
+    shortest_path_closure,
     validate_metric_loop,
 )
 
@@ -153,6 +156,84 @@ def test_validate_metric_zero_entry_is_no_shortcut():
     d = np.array([[0.0, 0.0, 5.0], [0.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
     kinds = [(kind, where) for kind, where, _ in validate_metric(d).violations]
     assert kinds == [("positivity", (0, 1)), ("triangle", (0, 1, 2))]
+
+
+@st.composite
+def closure_cases(draw):
+    """Square matrices around the edge of the closure-identity test: random
+    weights, symmetric or with asymmetric tol-level noise, 1/2-valued, in a
+    band [lo, 2 lo], or a cloud with tol-level noise; then maybe one pair set
+    to exactly r_i + c_k, one off-diagonal 0 or a tiny negative diagonal."""
+    k = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "one-two", "band", "cloud"]))
+    if kind == "random":
+        w = rng.uniform(0.1, 3.0, size=(k, k))
+    elif kind == "one-two":
+        w = rng.integers(1, 3, size=(k, k)).astype(float)
+    elif kind == "band":
+        lo = float(rng.uniform(0.1, 10.0))
+        w = rng.choice([lo, 2 * lo, float(rng.uniform(lo, 2 * lo))], size=(k, k))
+    else:
+        w = random_metric(k, int(rng.integers(0, 2**31))).dist.copy()
+    w = np.triu(w, 1) + np.triu(w, 1).T
+    if kind == "cloud" or draw(st.booleans()):
+        noise = rng.integers(-2, 3, size=(k, k)) * (TOL / 2)
+        w += noise if draw(st.booleans()) else np.triu(noise, 1) + np.triu(noise, 1).T
+    np.fill_diagonal(w, 0.0)
+    edit = draw(st.sampled_from(["none", "boundary", "zero", "diagonal"]))
+    i, j = sorted(int(x) for x in rng.choice(k, size=2, replace=False)) if k > 1 else (0, 0)
+    if edit == "boundary" and k > 2:
+        # the least entries of row i and column j leaving out (i, j) itself
+        others = [x for x in range(k) if x not in (i, j)]
+        w[i, j] = w[j, i] = w[i, others].min() + w[others, j].min()
+    elif edit == "zero" and k > 1:
+        w[i, j] = w[j, i] = 0.0
+    elif edit == "diagonal":
+        w[i, i] = -TOL / 4
+    return w
+
+
+_AT_THE_BOUNDARY = np.array([[0.0, 0.1, 0.1 + 0.2], [0.1, 0.0, 0.2], [0.1 + 0.2, 0.2, 0.0]])
+
+
+@settings(max_examples=500, deadline=None)
+@given(closure_cases())
+@example(_AT_THE_BOUNDARY)
+@example(np.array([[0.0]]))
+@example(np.array([[0.0, 2.0], [1.0, 0.0]]))
+def test_closure_identity_test_is_exact(w):
+    identity = core._closure_is_identity(w)
+    if identity:
+        assert floyd_warshall(w, directed=True).tobytes() == w.tobytes()
+        if np.array_equal(w, w.T):
+            assert floyd_warshall(w, directed=False).tobytes() == w.tobytes()
+        assert np.asarray(shortest_path_closure(w)).tobytes() == w.tobytes()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_closure_is_identity", lambda w: False)
+        unaided = validate_metric(w)
+    assert validate_metric(w).violations == unaided.violations
+
+
+def test_closure_identity_test_edge_cases():
+    assert core._closure_is_identity(_AT_THE_BOUNDARY)
+    over = _AT_THE_BOUNDARY.copy()
+    over[0, 2] = over[2, 0] = np.nextafter(over[0, 2], np.inf)
+    assert not core._closure_is_identity(over)  # the closure takes the detour
+    assert floyd_warshall(over, directed=False)[0, 2] == 0.1 + 0.2
+    assert core._closure_is_identity(np.zeros((1, 1)))
+    assert core._closure_is_identity(np.array([[0.0, 5.0], [5.0, 0.0]]))
+    band = np.full((4, 4), 2.0)
+    band[0, 1] = band[1, 0] = 1.0
+    np.fill_diagonal(band, 0.0)
+    assert core._closure_is_identity(band)  # aspect ratio 2
+    zero = band.copy()
+    zero[2, 3] = zero[3, 2] = 0.0
+    assert not core._closure_is_identity(zero)  # scipy reads the 0 as "no edge"
+    tilted = band.copy()
+    tilted[1, 1] = -TOL / 4
+    assert not core._closure_is_identity(tilted)  # scipy's closure zeroes the diagonal
+    assert validate_metric(tilted).ok
 
 
 def test_star_realization():

@@ -83,7 +83,7 @@ def test_certificate_below_traced_bound():
 
 
 def test_p_below_two_bound():
-    res = cube_qs_construct(10, 0.2, p=1.5, seed=2)
+    res = cube_qs_construct(10, 0.2, p=1.5)
     assert res.report.distortion <= res.certified_bound + 1e-9
     assert check_sandwich(res, samples=2000, seed=3)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from metriq import quotient
 from metriq.core import MetricSpace, validate_metric
 from metriq.errors import StructuralError
 from metriq.quotient import (
@@ -118,6 +119,39 @@ def test_distortion_with_mapping():
     inv = [perm.index(i) for i in range(5)]
     rep = distortion_between(m, t, inv)
     assert rep.distortion == 1.0
+
+
+@pytest.mark.parametrize("n, seed", [(1, 0), (2, 1), (9, 2), (40, 3)])
+def test_distortion_identity_equals_the_explicit_identity_mapping(n, seed):
+    m, t = random_metric(n, seed), random_metric(n, seed + 100)
+    assert distortion_between(m, t) == distortion_between(m, t, list(range(n)))
+
+
+@pytest.mark.parametrize("variant, vparams, pipeline, closures", [
+    ("gnp", {"n": 150, "q": 0.02}, "q2", 0),
+    ("cloud", {"n": 150}, "aspect", 0),
+    ("cloud", {"n": 150}, "q2", None),
+])
+def test_quotient_closure_runs_only_where_the_row_minimum_test_fails(
+        monkeypatch, variant, vparams, pipeline, closures):
+    from metriq.cli import plan_from_json, run_experiment
+
+    calls = []
+    closure = quotient.floyd_warshall
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape[0])
+        return closure(*args, **kwargs)
+
+    monkeypatch.setattr(quotient, "floyd_warshall", counted)
+    plan = {"instance": {"variant": variant, "params": vparams}, "pipeline": pipeline,
+            "params": {}, "trials": 2, "seed": 4}
+    bundle = run_experiment(plan_from_json(plan), keep_artifacts=True)
+    assert len(bundle.artifacts) == 2
+    if closures is None:
+        assert len(calls) >= 1
+    else:
+        assert len(calls) == closures
 
 
 def test_distortion_rejects_non_injective():
