@@ -15,7 +15,7 @@ import math
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import click
 import numpy as np
@@ -24,26 +24,24 @@ from .core import (
     Equilateral,
     MetricSpace,
     Star,
-    ValidationReport,
-    decode_array,
     dumps,
-    encode_array,
     metric_from_csv,
     metric_from_json,
     metric_to_csv,
     metric_to_json,
     realize_special,
-    validate_metric,
 )
 from .errors import MetriqError, ParameterError, StructuralError
 from .generators import INSTANCES, InstanceSpec, option, realize_instance, resolve_instance, resolve_params
-from .quotient import (
-    QuotientSpace,
-    distortion_between,
-    quotient_metric,
-    quotient_to_json,
-)
+from .quotient import distortion_between, quotient_metric, quotient_to_json
 from .seeds import RngSeed
+from .verify import (
+    _cube_artifact,
+    _embedding_artifact,
+    _hst_artifact,
+    _quotient_artifact,
+    verify_bundle,
+)
 
 CSV_COLUMNS = [
     "trial",
@@ -104,61 +102,6 @@ class ReportBundle:
         for row in self.rows:
             lines.append(",".join(str(row.get(c, "")) for c in CSV_COLUMNS))
         return "\n".join(lines) + "\n"
-
-
-def _model_doc(model) -> dict:
-    return {"type": type(model).__name__.lower(), **asdict(model)}
-
-
-def _model_from_doc(doc: dict) -> MetricSpace:
-    """The model metric of a quotient artifact, built through its INSTANCES entry."""
-    params = dict(doc)
-    t, scale = params.pop("type"), float(params.pop("scale", 1.0))
-    inst = INSTANCES.get(t)
-    if inst is None or inst.model is None:
-        raise StructuralError(f"unknown model type {t!r}")
-    m = inst.build(None, **inst.resolve(params))
-    return MetricSpace(m.dist * scale) if scale != 1.0 else m
-
-
-def _quotient_artifact(q: QuotientSpace, model, certified: float) -> dict:
-    doc = quotient_to_json(q)
-    doc["kind"] = "quotient"
-    doc["model"] = _model_doc(model)
-    doc["certified_distortion"] = certified
-    return doc
-
-
-def _hst_artifact(base: MetricSpace, tree, certified: float) -> dict:
-    from .hst import hst_to_json
-
-    return {"kind": "hst", "base": metric_to_json(base), "tree": hst_to_json(tree),
-            "certified_distortion": certified}
-
-
-def _embedding_artifact(emb, induced: MetricSpace) -> dict:
-    """`induced` is induced_metric(emb), already computed."""
-    from .embeddings import embedding_to_json
-
-    doc = embedding_to_json(emb)
-    doc["kind"] = "embedding"
-    doc["claimed"] = encode_array(induced.dist)
-    return doc
-
-
-def _cube_artifact(res) -> dict:
-    return {
-        "kind": "cube-qs",
-        "d": res.d,
-        "eps": res.eps,
-        "p": res.p,
-        "r": res.r,
-        "net": encode_array(res.A),
-        "survivors": encode_array(res.S),
-        "block_count": res.block_count,
-        "certified_distortion": res.report.distortion,
-        "bound": res.certified_bound,
-    }
 
 
 # --- pipeline implementations ----------------------------------------------
@@ -380,143 +323,6 @@ def run_experiment(plan: ExperimentPlan, keep_artifacts: bool = False) -> Report
         "millis": [round(x, 3) for x in timings],
     }
     return bundle
-
-
-# ---------------------------------------------------------------------------
-# Independent verification
-# ---------------------------------------------------------------------------
-
-
-def verify_bundle(doc: dict, tolerance: float = 1e-9) -> ValidationReport:
-    """Re-check every certificate in a bundle using only the exact evaluators.
-
-    Quotient artifacts are rebuilt from base + blocks and compared entry by
-    entry; model and HST distortions are recomputed; embedding distance tables
-    are recomputed from vectors and weights by embeddings.induced_metric.  A
-    non-finite claim, table entry or vector is a violation or StructuralError.
-    """
-    report = ValidationReport()
-    artifacts = doc.get("artifacts", [doc] if "kind" in doc else None) if isinstance(doc, dict) else None
-    if not isinstance(artifacts, list):
-        raise StructuralError("a bundle needs an artifact list, and a single artifact its kind")
-    for ai, art in enumerate(artifacts):
-        if not isinstance(art, dict):
-            raise StructuralError(f"artifact {ai}: expected a JSON object, got {type(art).__name__}")
-        kind = art.get("kind")
-        try:
-            if kind == "metric":
-                vr = validate_metric(metric_from_json(art))
-                for item in vr.violations:
-                    report.add(item[0], (ai,) + item[1], item[2])
-            elif kind == "quotient":
-                _verify_quotient(art, ai, report, tolerance)
-            elif kind == "hst":
-                _verify_hst(art, ai, report, tolerance)
-            elif kind == "embedding":
-                _verify_embedding(art, ai, report, tolerance)
-            elif kind == "cube-qs":
-                _verify_cube(art, ai, report, tolerance)
-            else:
-                raise StructuralError(f"unknown kind {kind!r}")
-        except StructuralError as exc:
-            raise StructuralError(f"artifact {ai}: {exc}") from exc
-        except (AttributeError, KeyError, TypeError, ValueError, ParameterError) as exc:
-            raise StructuralError(f"artifact {ai}: malformed ({exc})") from exc
-    return report
-
-
-def _verify_quotient(art: dict, ai: int, report: ValidationReport, tol: float):
-    base = metric_from_json(art["base"])
-    blocks = tuple(tuple(int(i) for i in b) for b in art["blocks"])
-    stored = decode_array(art["dist"])
-    prov = art["provenance"]
-    if prov == "SQ":
-        # subspace of a quotient: the artifact lacks the parent blocks, so the
-        # stored matrix is only checked to be a metric below, against no
-        # recomputation (ROADMAP item 3, "SQ")
-        recomputed = None
-    else:
-        recomputed = quotient_metric(base, blocks).metric.dist
-    if recomputed is not None:
-        bad = np.argwhere(np.abs(recomputed - stored) > tol)
-        for i, j in bad:
-            if i < j:
-                report.add(
-                    "quotient-distance",
-                    (ai, int(i), int(j)),
-                    f"stored {stored[i, j]!r} != recomputed {recomputed[i, j]!r}",
-                )
-    vr = validate_metric(stored, tol)
-    for item in vr.violations:
-        report.add(item[0], (ai,) + item[1], item[2])
-    if "model" in art and "certified_distortion" in art and not report.violations:
-        model = _model_from_doc(art["model"])
-        _check_claim(art, distortion_between(MetricSpace(stored), model).distortion, ai, report, tol)
-
-
-def _check_claim(art: dict, recomputed: float, ai: int, report: ValidationReport, tol: float):
-    """The artifact's certified_distortion must be finite and match the recomputed one."""
-    claimed = float(art["certified_distortion"])
-    if not math.isfinite(claimed) or abs(recomputed - claimed) > max(tol, 1e-6 * claimed):
-        report.add("certificate", (ai,), f"claimed distortion {claimed} != recomputed {recomputed}")
-
-
-def _verify_hst(art: dict, ai: int, report: ValidationReport, tol: float):
-    from .hst import hst_from_json, hst_to_metric
-
-    rep = distortion_between(metric_from_json(art["base"]), hst_to_metric(hst_from_json(art["tree"])))
-    _check_claim(art, rep.distortion, ai, report, tol)
-    if rep.contraction > 1.0 + tol:
-        report.add("contraction", (ai,), f"tree metric contracts by {rep.contraction}")
-
-
-def _verify_embedding(art: dict, ai: int, report: ValidationReport, tol: float):
-    from .embeddings import VectorEmbedding, induced_metric
-
-    w = decode_array(art["weights"]) if art.get("weights") is not None else None
-    emb = VectorEmbedding(decode_array(art["vectors"]), float(art["p"]), art["mode"], w)
-    dists = induced_metric(emb).dist
-    claimed = decode_array(art["claimed"])
-    nonfinite = ~np.isfinite(claimed)
-    if nonfinite.any():
-        for i, j in np.argwhere(nonfinite):
-            report.add("embedding-distance", (ai, int(i), int(j)), f"claimed {claimed[i, j]!r} is not finite")
-        return
-    bad = np.argwhere(np.abs(dists - claimed) > max(tol, 1e-9 * max(1.0, claimed.max())))
-    for i, j in bad:
-        report.add(
-            "embedding-distance",
-            (ai, int(i), int(j)),
-            f"claimed {claimed[i, j]!r} != recomputed {dists[i, j]!r}",
-        )
-
-
-def _verify_cube(art: dict, ai: int, report: ValidationReport, tol: float):
-    d = int(art["d"])
-    r = int(art["r"])
-    A = decode_array(art["net"])
-    S = decode_array(art["survivors"])
-    if int(art["block_count"]) != S.size - A.size + 1:
-        report.add("cube-count", (ai,), "block_count inconsistent with survivor/net sizes")
-    claimed = float(art["certified_distortion"])
-    if not math.isfinite(claimed):
-        report.add("certificate", (ai,), f"claimed distortion {claimed} is not finite")
-    elif claimed < 1.0 - tol:  # max ratio / min ratio
-        report.add("certificate", (ai,), f"claimed distortion {claimed!r} is below 1")
-    # net separation
-    if A.size > 1:
-        cross = np.bitwise_count(A[:, None] ^ A[None, :])
-        np.fill_diagonal(cross, 2 * r + 1)
-        if int(cross.min()) < 2 * r + 1:
-            report.add("cube-net", (ai,), f"net separation {int(cross.min())} < 2r+1")
-    # survivors really avoid the punctured balls
-    dA = np.full(2**d, np.iinfo(np.int64).max, dtype=np.int64)
-    pts = np.arange(2**d, dtype=np.int64)
-    for a in A:
-        np.minimum(dA, np.bitwise_count(pts ^ a), out=dA)
-    expected = pts[(dA == 0) | (dA > r // 2)]
-    if not np.array_equal(expected, S):
-        report.add("cube-survivors", (ai,), "survivor set does not match the net and radius")
 
 
 # ---------------------------------------------------------------------------

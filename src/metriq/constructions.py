@@ -872,9 +872,8 @@ def composition_qs(
     k: float,
     alpha: float,
     seed=None,
-    weights=None,
 ) -> CompositionQsResult:
-    """Large weighted QS space of a composed metric, close to a k-HST.
+    """Large QS space of a composed metric, close to a k-HST; every point weighs 1.
 
     Structural induction over the composition tree: each node's outer metric
     gets a weighted aspect-ratio quotient; inside every outer block the child
@@ -943,17 +942,13 @@ def composition_qs(
             glued = join(delta_m, subtrees, renumber=True)
         return tuple(all_blocks), glued, sigma
 
-    weights = np.ones(real.metric.n) if weights is None else np.asarray(weights, dtype=np.float64)
-    if weights.shape != (real.metric.n,):
-        raise StructuralError("weights length must equal composed size")
-    blocks, glued, sigma = rec(real, weights)
+    blocks, glued, sigma = rec(real, np.ones(real.metric.n))
     q = quotient_metric(real.metric, blocks)
     vr = validate_khst(glued, k)
     if not vr.ok:
         raise ConstructionFailureError("glued tree is not a k-HST", {"violations": vr.violations})
     report = distortion_between(q.metric, hst_to_metric(glued))
-    total = float(weights.sum())
-    ssum = sum(float(weights[list(b)].max()) ** sigma for b in blocks)
-    sigma_ok = bool(ssum >= total**sigma - 1e-9)
+    # every point weighs 1, so each block's heaviest point adds 1 ** sigma
+    sigma_ok = bool(len(blocks) >= float(real.metric.n) ** sigma - 1e-9)
     return CompositionQsResult(real.metric, q, glued, report, sigma, sigma_ok,
                                (1.0 + 1.0 / bmin) * alpha)

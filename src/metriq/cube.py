@@ -132,24 +132,16 @@ def _greedy_net(d: int, r: int) -> tuple[np.ndarray, np.ndarray]:
         x += 1 + int(far.argmax())
 
 
-def _uptolog_lookup(d: int, r: int, p: float) -> np.ndarray:
-    """Analytic p < 2 embedded distance for each Hamming value 0..d."""
-    from .embeddings import pstable_distance
-
-    hs = np.arange(d + 1, dtype=np.float64)
-    out = np.zeros(d + 1)
-    out[1:] = pstable_distance(hs[1:] ** (1.0 / p), float(r) ** (1.0 / p), p)
-    return out
-
-
 def _embedding_lookup(d: int, r: int, p: float) -> tuple[np.ndarray, float]:
     """Embedded distance for each Hamming value 0..d, and the singleton image norm."""
+    lookup = np.zeros(d + 1)
+    hs = np.arange(1, d + 1, dtype=np.float64)
     if p == 2.0:
-        lookup = np.zeros(d + 1)
-        hs = np.arange(1, d + 1, dtype=np.float64)
         lookup[1:] = math.sqrt(2.0 * r) * np.sqrt(-np.expm1(-hs / (2.0 * r)))
         return lookup, math.sqrt(r)
-    return _uptolog_lookup(d, r, p), float(r) ** (1.0 / p)
+    from .embeddings import pstable_distance  # p < 2: the p-stable distance at level r^(1/p)
+    lookup[1:] = pstable_distance(hs ** (1.0 / p), float(r) ** (1.0 / p), p)
+    return lookup, float(r) ** (1.0 / p)
 
 
 def cube_qs_construct(d: int, eps: float, p: float = 2.0) -> CubeQsResult:

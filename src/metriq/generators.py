@@ -39,12 +39,20 @@ def gen_padded_copies(X: MetricSpace, copies: int, beta: float | None = None) ->
         beta = diam
     if beta < diam:
         raise ParameterError(f"beta = {beta} < diam(X) = {diam} breaks the triangle inequality")
-    n = X.n * copies
-    d = np.full((n, n), float(beta))
-    for i in range(copies):
-        lo = i * X.n
-        d[lo : lo + X.n, lo : lo + X.n] = X.dist
-    return MetricSpace(d)
+    return MetricSpace(_block_matrix(np.full((copies, copies), float(beta)), [X.dist] * copies))
+
+
+def _block_matrix(cross: np.ndarray, diagonal: list[np.ndarray]) -> np.ndarray:
+    """Block i of the rows and j of the columns filled with cross[i, j], read off
+    the upper triangle of cross, and diagonal[i] as the i-th diagonal block."""
+    cross = np.array(cross, dtype=np.float64)
+    lower = np.tril_indices(len(diagonal), -1)
+    cross[lower] = cross.T[lower]
+    sizes = [blk.shape[0] for blk in diagonal]
+    d = np.repeat(np.repeat(cross, sizes, axis=0), sizes, axis=1)
+    for lo, blk in zip(np.cumsum([0] + sizes[:-1]), diagonal):
+        d[lo : lo + blk.shape[0], lo : lo + blk.shape[0]] = blk
+    return d
 
 
 def gen_random_graph_metric(n: int, q: float, seed=None) -> tuple[MetricSpace, list[tuple[int, int]]]:
@@ -115,19 +123,15 @@ class CompositionRealization:
         return self.tree is None
 
 
-def leaf_realization(m: MetricSpace) -> CompositionRealization:
-    return CompositionRealization(m, None, 0.0, 1.0, (), ())
-
-
 def realize_composition(tree: CompositionTree) -> CompositionRealization:
     """Materialize a composition tree bottom-up."""
     reals = [
-        leaf_realization(c) if isinstance(c, MetricSpace) else realize_composition(c)
+        CompositionRealization(c, None, 0.0, 1.0, (), ()) if isinstance(c, MetricSpace)
+        else realize_composition(c)
         for c in tree.children
     ]
     sizes = [r.metric.n for r in reals]
     offsets = tuple(int(x) for x in np.cumsum([0] + sizes[:-1]))
-    n = sum(sizes)
     outer = tree.outer
     max_diam = max(r.metric.diameter() for r in reals)
     if outer.n >= 2:
@@ -138,15 +142,7 @@ def realize_composition(tree: CompositionTree) -> CompositionRealization:
     # gamma = 0 (all children single points) would collapse the matrix; use a
     # plain copy of the outer metric instead.
     cross = tree.beta * gamma if gamma > 0 else 1.0
-    d = np.zeros((n, n))
-    for i, ri in enumerate(reals):
-        lo = offsets[i]
-        d[lo : lo + sizes[i], lo : lo + sizes[i]] = ri.metric.dist
-        for j in range(i + 1, len(reals)):
-            lo2 = offsets[j]
-            val = cross * outer.dist[i, j]
-            d[lo : lo + sizes[i], lo2 : lo2 + sizes[j]] = val
-            d[lo2 : lo2 + sizes[j], lo : lo + sizes[i]] = val
+    d = _block_matrix(cross * outer.dist, [r.metric.dist for r in reals])
     return CompositionRealization(MetricSpace(d), tree, gamma, cross, offsets, tuple(reals))
 
 
@@ -196,17 +192,7 @@ def gen_lipcomp_product(
             raise ParameterError("mu must exceed alpha * aspect_ratio(Y)")
         if k >= 2 and theta < alpha * mu**k * Y.diameter() / X.min_distance():
             raise ParameterError("theta too small for the required separation")
-    n = Y.n * k
-    d = np.zeros((n, n))
-    for i in range(k):
-        lo = i * Y.n
-        d[lo : lo + Y.n, lo : lo + Y.n] = mu ** (i + 1) * Y.dist
-        for j in range(i + 1, k):
-            lo2 = j * Y.n
-            val = theta * X.dist[i, j]
-            d[lo : lo + Y.n, lo2 : lo2 + Y.n] = val
-            d[lo2 : lo2 + Y.n, lo : lo + Y.n] = val
-    return MetricSpace(d)
+    return MetricSpace(_block_matrix(theta * X.dist, [mu ** (i + 1) * Y.dist for i in range(k)]))
 
 
 # ---------------------------------------------------------------------------

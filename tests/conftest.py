@@ -1,4 +1,5 @@
 import binascii
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from scipy import optimize
 from scipy.sparse.csgraph import connected_components
 
+from metriq.cli import plan_from_json, run_experiment
 from metriq.constructions import _center_radii, find_m_center
 from metriq.core import (
     TOL,
@@ -13,6 +15,7 @@ from metriq.core import (
     ValidationReport,
     block_reduce,
     decode_array,
+    dumps,
     encode_array,
     hausdorff,
     set_distance,
@@ -74,6 +77,17 @@ def shortest_path_closure(w):
 def edit_array(doc: dict, key: str, fn) -> None:
     """Replace the encoded array doc[key] by fn(a writable copy of it), re-encoded."""
     doc[key] = encode_array(fn(decode_array(doc[key]).copy()))
+
+
+def run_bundle(variant: str, instance: dict, pipeline: str, params: dict, trials: int = 1,
+               seed: int = 0) -> dict:
+    """The parsed `run --artifacts` bundle of a plan whose every trial succeeds."""
+    plan = {"instance": {"variant": variant, "params": instance}, "pipeline": pipeline,
+            "params": params, "trials": trials, "seed": seed}
+    bundle = run_experiment(plan_from_json(plan), keep_artifacts=True)
+    assert bundle.summary["failures"] == 0
+    return json.loads(dumps({"plan": bundle.plan, "rows": bundle.rows,
+                             "summary": bundle.summary, "artifacts": bundle.artifacts}))
 
 
 def decode_array_reencode(doc) -> np.ndarray:
@@ -380,6 +394,22 @@ def gen_random_graph_metric_loop(n: int, q: float, seed=None):
                 edges.append((i, j))
     np.fill_diagonal(d, 0.0)
     return MetricSpace(d), edges
+
+
+def block_matrix_loop(cross: np.ndarray, diagonal: list[np.ndarray]) -> np.ndarray:
+    """Reference for generators._block_matrix: the pair loop that gen_padded_copies,
+    realize_composition and gen_lipcomp_product each ran, writing cross[i, j]
+    for i < j into blocks (i, j) and (j, i) and diagonal[i] into block (i, i)."""
+    sizes = [blk.shape[0] for blk in diagonal]
+    offsets = np.cumsum([0] + sizes[:-1])
+    d = np.zeros((sum(sizes), sum(sizes)))
+    for i, lo in enumerate(offsets):
+        d[lo : lo + sizes[i], lo : lo + sizes[i]] = diagonal[i]
+        for j in range(i + 1, len(sizes)):
+            lo2 = offsets[j]
+            d[lo : lo + sizes[i], lo2 : lo2 + sizes[j]] = cross[i, j]
+            d[lo2 : lo2 + sizes[j], lo : lo + sizes[i]] = cross[i, j]
+    return d
 
 
 def subset_distances_loop(dist: np.ndarray, mask: np.ndarray) -> np.ndarray:

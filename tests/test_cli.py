@@ -26,9 +26,10 @@ from metriq.core import (
 from metriq.errors import ParameterError, StructuralError
 from metriq.generators import InstanceSpec
 from metriq.lipschitz import QuotientMap, quotient_map_to_json
+from metriq.quotient import quotient_to_json
 from metriq.seeds import RngSeed
 
-from conftest import edit_array, random_metric, star_to_lp
+from conftest import edit_array, random_metric, run_bundle, star_to_lp
 
 
 @pytest.fixture
@@ -90,8 +91,8 @@ def test_construct_q2_certificate(runner, tmp_path):
 
 
 def test_embed_star_exact():
-    from metriq.cli import _embedding_artifact
     from metriq.embeddings import induced_metric
+    from metriq.verify import _embedding_artifact
 
     emb = star_to_lp(3, 1.0, 1.0)
     doc = json.loads(dumps(_embedding_artifact(emb, induced_metric(emb))))
@@ -416,11 +417,20 @@ def _as_format1(doc):
     return doc
 
 
+#: dichotomy --drop-root on cloud n = 60, seed 0: its one artifact is an SQ space
+SQ_PLAN = ("cloud", {"n": 60}, "dichotomy", {"drop_root": True})
+
+
 def _fresh_artifact(kind: str) -> dict:
-    from metriq.cli import PIPELINES, _embedding_artifact
+    from metriq.cli import PIPELINES
     from metriq.embeddings import induced_metric
+    from metriq.verify import _embedding_artifact
 
     m = random_metric(30, 2)
+    if kind == "sq":
+        art, = run_bundle(*SQ_PLAN)["artifacts"]
+        assert art["provenance"] == "SQ"
+        return art
     if kind == "metric":
         return {"kind": "metric", **metric_to_json(m)}
     if kind == "embedding":
@@ -440,6 +450,7 @@ def _fresh_artifact(kind: str) -> dict:
     ("embedding", ["vectors"]),
     ("embedding", ["claimed"]),
     ("cube-qs", ["survivors"]),
+    ("sq", ["dist"]),
 ])
 def test_verify_refuses_a_format1_list(kind, path):
     art = json.loads(dumps(_fresh_artifact(kind)))
@@ -462,6 +473,8 @@ def test_verify_refuses_a_format1_list(kind, path):
     ("embedding", ["claimed"]),
     ("embedding", ["vectors"]),
     ("cube-qs", ["certified_distortion"]),
+    ("sq", ["certified_distortion"]),
+    ("sq", ["dist"]),
 ])
 def test_verify_rejects_a_non_finite_claim_or_entry(kind, path, bad):
     art = json.loads(dumps(_fresh_artifact(kind.removeprefix("bare "))))
@@ -484,6 +497,78 @@ def test_verify_rejects_a_non_finite_claim_or_entry(kind, path, bad):
     except StructuralError:
         return
     assert not rep.ok
+
+
+def test_verify_rebuilds_the_parent_of_an_sq_space():
+    # every stored SQ distance times 1.01, the claim kept: the stored matrix is
+    # still a metric, so only the rebuilt parent quotient catches it
+    doc = run_bundle(*SQ_PLAN)
+    art, = doc["artifacts"]
+    assert art["provenance"] == "SQ" and verify_bundle(doc).ok
+    edit_array(art, "dist", lambda d: d * 1.01)
+    assert {v[0] for v in verify_bundle(doc).violations} == {"quotient-distance"}
+
+
+def test_verify_refuses_an_sq_that_dropped_two_blocks():
+    from metriq.quotient import quotient_metric, sq_space
+
+    m = random_metric(12, 5)
+    parent = quotient_metric(m, [(0, 1), (2, 3), (4,), (5, 6), *((i,) for i in range(7, 12))])
+    sq = sq_space(parent, range(2, len(parent.blocks)))
+    art = {"kind": "quotient", **json.loads(dumps(quotient_to_json(sq)))}
+    assert art["provenance"] == "SQ"
+    rep = verify_bundle(art)
+    assert not rep.ok and {v[0] for v in rep.violations} <= {"quotient-distance"}
+    assert verify_bundle({**art, **quotient_to_json(sq_space(parent, range(1, len(parent.blocks))))}).ok
+
+
+def test_verify_refuses_an_unknown_provenance():
+    art = json.loads(dumps(_fresh_artifact("quotient")))
+    assert art["provenance"] == "Q" and verify_bundle(art).ok
+    assert verify_bundle({**art, "provenance": "SQ"}).ok  # the SQ that keeps every block
+    with pytest.raises(StructuralError, match="unknown provenance"):
+        verify_bundle({**art, "provenance": "X"})
+
+
+@pytest.mark.parametrize("plan, key, edit", [
+    (("cloud", {"n": 40}, "q2", {}), "certified_distortion", lambda v: v * 1.01),
+    (("cloud", {"n": 40}, "hst", {}), "quotient_size", lambda v: v - 1),
+    (("cube", {"d": 8}, "cube-qs", {"d": 8, "eps": 0.24}), "p", lambda v: 1.5),
+    (SQ_PLAN, "provenance", lambda v: "Q"),
+], ids=["q2-certified_distortion", "hst-quotient_size", "cube-p", "sq-provenance"])
+def test_verify_compares_each_row_with_its_artifact(plan, key, edit):
+    doc = run_bundle(*plan, trials=2)
+    assert verify_bundle(doc).ok
+    row = doc["rows"][1]
+    row[key] = edit(row[key])
+    assert [v[:2] for v in verify_bundle(doc).violations] == [("row", (1,))]
+
+
+def test_verify_refuses_a_certified_row_without_its_artifact():
+    doc = run_bundle("cloud", {"n": 40}, "q2", {}, trials=3)
+    doc["artifacts"][1]["trial"] = 0  # two artifacts for trial 0, none for trial 1
+    assert [v[:2] for v in verify_bundle(doc).violations] == [("row", (1,)), ("row", ())]
+    del doc["artifacts"][1]
+    assert [v[:2] for v in verify_bundle(doc).violations] == [("row", ())]
+    del doc["rows"][1]  # the row goes too: nothing left to compare
+    assert verify_bundle(doc).ok
+    doc["rows"] = [{"trial": [0]}]
+    with pytest.raises(StructuralError, match="rows: malformed"):
+        verify_bundle(doc)
+
+
+def test_a_bourgain_row_claim_is_not_checked():
+    # the embedding artifact stores no claim and no source metric (README "verify")
+    doc = run_bundle("cloud", {"n": 40}, "bourgain", {})
+    doc["rows"][0]["certified_distortion"] = 1.0
+    assert verify_bundle(doc).ok
+
+
+def test_cli_verify_bundle_is_the_verify_module_one():
+    import metriq.cli
+    import metriq.verify
+
+    assert metriq.cli.verify_bundle is metriq.verify.verify_bundle
 
 
 def test_verify_refuses_complex_embedding_weights():
@@ -555,7 +640,7 @@ def test_run_and_gen_refuse_a_negative_size_or_unknown_instance_param(runner, va
     Lacunary((8.0, 4.0, 1.5), 2.0), Star(5, 1.25), Equilateral(4, 0.75),
 ], ids=["lacunary", "star", "equilateral"])
 def test_model_doc_round_trips_to_the_model_metric(model):
-    from metriq.cli import _model_doc, _model_from_doc
+    from metriq.verify import _model_doc, _model_from_doc
 
     doc = json.loads(dumps(_model_doc(model)))
     assert doc["type"] == type(model).__name__.lower()
@@ -570,8 +655,8 @@ def test_model_doc_round_trips_to_the_model_metric(model):
 
 def test_embedding_verifier_in_one_row_chunks(monkeypatch):
     from metriq import embeddings
-    from metriq.cli import _embedding_artifact
     from metriq.embeddings import induced_metric
+    from metriq.verify import _embedding_artifact
 
     monkeypatch.setattr(embeddings, "TABLE_ELEMENTS", 1)
     emb = star_to_lp(4, 1.0, 1.5)

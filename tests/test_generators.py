@@ -7,6 +7,7 @@ from metriq.core import MetricSpace, aspect_ratio, validate_metric
 from metriq.errors import ParameterError
 from metriq.generators import (
     CompositionTree,
+    _block_matrix,
     InstanceSpec,
     gen_composition,
     gen_euclidean_cloud,
@@ -20,7 +21,12 @@ from metriq.generators import (
 )
 from metriq.seeds import RngSeed
 
-from conftest import euclidean_cloud_broadcast, gen_random_graph_metric_loop, random_metric
+from conftest import (
+    block_matrix_loop,
+    euclidean_cloud_broadcast,
+    gen_random_graph_metric_loop,
+    random_metric,
+)
 
 
 def test_padded_copies_structure():
@@ -102,6 +108,27 @@ def test_lipcomp_product_structure():
     assert np.allclose(m.dist[3:6, 3:6], mu**2 * Y.dist)
     assert np.all(m.dist[:3, 3:6] == theta * X.d(0, 1))
     assert validate_metric(m).ok
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_block_matrices_match_the_pair_loop(seed):
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 6))
+    cross = rng.uniform(0.5, 3.0, (k, k))  # not symmetric: only its upper triangle is read
+    diagonal = [random_metric(int(rng.integers(1, 5)), 10 * seed + i).dist for i in range(k)]
+    assert _block_matrix(cross, diagonal).tobytes() == block_matrix_loop(cross, diagonal).tobytes()
+
+    X, Y = random_metric(k, seed), random_metric(3, seed + 50)
+    ref = block_matrix_loop(np.full((k, k), 2.0 * X.diameter()), [X.dist] * k)
+    assert gen_padded_copies(X, k, 2.0 * X.diameter()).dist.tobytes() == ref.tobytes()
+    mu = 1.5 * aspect_ratio(Y) * 1.1
+    theta = 1.5 * mu**k * Y.diameter() / (X.min_distance() if k > 1 else 1.0)
+    ref = block_matrix_loop(theta * X.dist, [mu ** (i + 1) * Y.dist for i in range(k)])
+    assert gen_lipcomp_product(X, Y, mu, theta, 1.5).dist.tobytes() == ref.tobytes()
+    real = realize_composition(random_composition_tree(2, seed=seed))
+    ref = block_matrix_loop(real.cross_multiplier * real.tree.outer.dist,
+                            [c.metric.dist for c in real.children])
+    assert real.metric.dist.tobytes() == ref.tobytes()
 
 
 def test_lipcomp_rejects_small_mu():

@@ -12,6 +12,9 @@ from click.testing import CliRunner
 
 from metriq.cli import PIPELINES, main
 from metriq.generators import INSTANCES
+from metriq.verify import CHECKS, verify_bundle
+
+from conftest import run_bundle
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -29,6 +32,29 @@ def _traced_layers():
 def test_every_traced_layer_exists(module, function):
     # Tracer.install looks each one up by name; a rename would crash --trace 1
     assert callable(getattr(importlib.import_module(f"metriq.{module}"), function, None))
+
+
+#: pipeline -> (instance variant, instance params, pipeline params) of a small plan
+SMALL_PLANS = {
+    "q2": ("cloud", {"n": 40}, {}),
+    "aspect": ("cloud", {"n": 40}, {}),
+    "dichotomy": ("cloud", {"n": 40}, {"drop_root": True}),
+    "star": ("equilateral", {"n": 12}, {"a": 0.9, "b": 1.1, "alpha": 2.0}),
+    "hst": ("cloud", {"n": 40}, {}),
+    "bourgain": ("cloud", {"n": 40}, {}),
+    "cube-qs": ("cube", {"d": 8}, {"d": 8, "eps": 0.24}),
+    "composition": ("composition", {}, {}),
+}
+
+
+@pytest.mark.parametrize("pipeline", sorted(PIPELINES))
+def test_every_pipeline_writes_a_kind_that_verify_checks(pipeline):
+    # a new pipeline needs a plan here, and its artifact a check in metriq.verify
+    variant, instance, params = SMALL_PLANS[pipeline]
+    doc = run_bundle(variant, instance, pipeline, params)
+    art, = doc["artifacts"]
+    assert art["kind"] in CHECKS
+    assert verify_bundle(doc).ok
 
 
 def _readme_table(header: str) -> dict[str, str]:
