@@ -29,7 +29,6 @@ from .core import (
     metric_from_json,
     metric_to_csv,
     metric_to_json,
-    realize_special,
 )
 from .errors import MetriqError, ParameterError, StructuralError
 from .generators import INSTANCES, InstanceSpec, option, realize_instance, resolve_instance, resolve_params
@@ -141,10 +140,8 @@ def _pipe_dichotomy(m: MetricSpace, seed: RngSeed, params: dict):
     res = q_dichotomy(m, params["k"], params["beta"], params["alpha"], seed,
                       drop_root=params["drop_root"])
     q, dist = res.quotient, res.report.distortion
-    art = _quotient_artifact(q, res.model, dist)
-    if res.branch == "star":
-        art["model"]["scale"] = _star_scale(res)
-    return _row(q.metric.n, q.provenance, res.branch, dist, params["alpha"]), art
+    return (_row(q.metric.n, q.provenance, res.branch, dist, params["alpha"]),
+            _quotient_artifact(q, res.model, dist))
 
 
 def _pipe_star(m: MetricSpace, seed: RngSeed, params: dict):
@@ -153,17 +150,8 @@ def _pipe_star(m: MetricSpace, seed: RngSeed, params: dict):
 
     res = find_star_quotient(m, params["a"], params["b"], params["alpha"], seed)
     q, dist = res.quotient, res.report.distortion
-    art = _quotient_artifact(q, Star(q.metric.n - 1, res.tau), dist)
-    art["model"]["scale"] = params["a"]
-    return _row(q.metric.n, q.provenance, "star", dist, params["alpha"], res.attempts), art
-
-
-def _star_scale(res) -> float:
-    # root-leaf quotient distances sit at scale a; recover it from the metric
-    d = res.quotient.metric.dist
-    if res.branch == "star" and d.shape[0] > 1:
-        return float(np.median(d[0, 1:] / realize_special(res.model).dist[0, 1:]))
-    return 1.0
+    return (_row(q.metric.n, q.provenance, "star", dist, params["alpha"], res.attempts),
+            _quotient_artifact(q, Star(q.metric.n - 1, res.tau), dist))
 
 
 def _pipe_hst(m: MetricSpace, seed: RngSeed, params: dict):
@@ -400,7 +388,10 @@ def gen(ctx, variant, params):
 @click.option("--subset", default=None, help="comma-separated subset to collapse to one block")
 @click.pass_context
 def quotient(ctx, path, blocks, subset):
-    """Quotient a metric by explicit blocks or by collapsing one subset."""
+    """Quotient a metric by explicit blocks or by collapsing one subset.
+
+    JSON gives its artifact, which `verify` rebuilds; --format csv its distances.
+    """
     from .quotient import quotient_by_subset
 
     m = _load_metric(path)
@@ -410,7 +401,10 @@ def quotient(ctx, path, blocks, subset):
         q = quotient_by_subset(m, _indices(subset, "--subset"))
     else:
         q = quotient_metric(m, [tuple(_indices(b, "--blocks")) for b in blocks.split(";")])
-    _emit(ctx, {"kind": "quotient", **quotient_to_json(q)})
+    if ctx.obj["fmt"] == "csv":
+        _emit(ctx, metric_to_csv(q.metric))
+    else:
+        _emit(ctx, {"kind": "quotient", **quotient_to_json(q)})
 
 
 @main.group()

@@ -615,8 +615,6 @@ class AspectQuotientResult:
     ell: int
     band: tuple[float, float]  # cross distances live in [band[0], band[1]]
     bucket_count: int
-    sigma: float | None = None  # weighted variant only
-    sigma_ok: bool | None = None
 
 
 def _distance_buckets(m: MetricSpace, alpha: float) -> tuple[np.ndarray, int, float]:
@@ -641,7 +639,7 @@ def aspect_quotient(
     minimum cross color ell, and the induced quotient is alpha-equivalent to an
     equilateral space.  With lipschitz=True the Hausdorff distances are checked
     to lie in the same band (so block-collapse is an alpha-Lipschitz quotient);
-    with weights, the weighted coloring is used and its sigma-sum reported.
+    with weights, the weighted coloring is used.
     """
     if not (1.0 < alpha <= 2.0):
         raise ParameterError("alpha must be in (1, 2]")
@@ -649,11 +647,10 @@ def aspect_quotient(
         raise ParameterError("need n >= 2")
     seed = as_seed(seed)
     chi, k, mind = _distance_buckets(m, alpha)
-    sigma = sigma_ok = None
     if weights is None:
         col = coloring_partition(m.n, chi, seed.child(0), kcolors=k)
     else:
-        col, sigma, sigma_ok = weighted_coloring_partition(m.n, chi, weights, seed.child(0), kcolors=k)
+        col, _, _ = weighted_coloring_partition(m.n, chi, weights, seed.child(0), kcolors=k)
     q = quotient_metric(m, col.blocks)
     lo = mind * alpha ** (col.ell - 1)
     hi = mind * alpha**col.ell
@@ -675,7 +672,7 @@ def aspect_quotient(
             )
     model = realize_special(Equilateral(col.s, lo)) if col.s >= 2 else MetricSpace(np.zeros((1, 1)))
     report = distortion_between(q.metric, model)
-    return AspectQuotientResult(q, report, col.ell, (lo, hi), k, sigma, sigma_ok)
+    return AspectQuotientResult(q, report, col.ell, (lo, hi), k)
 
 
 # ---------------------------------------------------------------------------

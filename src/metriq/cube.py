@@ -17,19 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .core import MetricSpace
-from .errors import (
-    CapacityError,
-    ConstructionFailureError,
-    ParameterError,
-    StructuralError,
-)
-from .generators import hypercube_metric
-from .quotient import Partition, QuotientSpace
+from .errors import CapacityError, ConstructionFailureError, ParameterError
 
 
 @dataclass(frozen=True)
@@ -62,42 +53,9 @@ class CubeQsResult:
         # one collapsed A-block plus one singleton per survivor outside A
         return int(self.S.size - self.A.size + 1)
 
-    @cached_property
-    def singletons(self) -> np.ndarray:
-        return np.setdiff1d(self.S, self.A, assume_unique=True)
 
-    def udist(self, x: int, y: int) -> float:
-        """Quotient distance between two singleton-block cube points."""
-        ix = int(np.searchsorted(self.S, x))
-        iy = int(np.searchsorted(self.S, y))
-        if ix >= self.S.size or iy >= self.S.size or self.S[ix] != x or self.S[iy] != y:
-            raise StructuralError("point is not a surviving cube point")
-        h = int(bin(x ^ y).count("1"))
-        return float(min(h, self.dA[ix] + self.dA[iy]))
-
-    def udist_to_block(self, x: int) -> float:
-        ix = int(np.searchsorted(self.S, x))
-        if ix >= self.S.size or self.S[ix] != x:
-            raise StructuralError("point is not a surviving cube point")
-        return float(self.dA[ix])
-
-    def quotient(self) -> QuotientSpace:
-        """Materialize the QuotientSpace (d <= 12 only)."""
-        if self.d > 12:
-            raise CapacityError(f"refusing to materialize 2^{self.d} x 2^{self.d} data")
-        base = hypercube_metric(self.d)
-        sing = self.singletons
-        blocks = tuple((int(x),) for x in sing) + (tuple(int(a) for a in self.A),)
-        k = len(blocks)
-        dsa = self.dA[np.searchsorted(self.S, sing)].astype(np.float64)
-        h = np.bitwise_count(sing[:, None] ^ sing[None, :]).astype(np.float64)
-        dmat = np.minimum(h, dsa[:, None] + dsa[None, :])
-        np.fill_diagonal(dmat, 0.0)
-        full = np.zeros((k, k))
-        full[: k - 1, : k - 1] = dmat
-        full[: k - 1, k - 1] = dsa
-        full[k - 1, : k - 1] = dsa
-        return QuotientSpace(Partition(base, blocks), MetricSpace(full), "QS")
+#: largest cube dimension cube_qs_construct takes
+MAX_D = 22
 
 
 def _net_radius(d: int, eps: float) -> int:
@@ -156,8 +114,8 @@ def cube_qs_construct(d: int, eps: float, p: float = 2.0) -> CubeQsResult:
     """
     if not (2.0 ** (-d) <= eps < 0.25):
         raise ParameterError("need 2^-d <= eps < 1/4")
-    if d > 22:
-        raise CapacityError("d must be at most 22")
+    if d > MAX_D:
+        raise CapacityError(f"d must be at most {MAX_D}")
     if not (p == 2.0 or 1.0 <= p < 2.0):
         raise ParameterError("p must be 2 or in [1, 2)")
     r = _net_radius(d, eps)

@@ -58,18 +58,6 @@ class VectorEmbedding:
     def n(self) -> int:
         return self.vectors.shape[0]
 
-    def distance(self, i: int, j: int) -> float:
-        diff = np.abs(self.vectors[i] - self.vectors[j]) ** self.p
-        if self.weights is not None:
-            diff = diff * self.weights
-        return float(diff.sum() ** (1.0 / self.p))
-
-    def norms(self) -> np.ndarray:
-        mods = np.abs(self.vectors) ** self.p
-        if self.weights is not None:
-            mods = mods * self.weights
-        return mods.sum(axis=1) ** (1.0 / self.p)
-
 
 # entries of one rows x n x dim chunk of a p-norm table; 512 KB of float64
 # stays in cache, which made Bourgain tables faster than 8 MB chunks

@@ -64,16 +64,6 @@ class HstTree:
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
-    def leaves(self) -> list[int]:
-        """Leaf point ids in left-to-right order."""
-        return self.order.tolist()
-
-    def scale(self, factor: float) -> "HstTree":
-        """Multiply every label by a positive factor."""
-        if factor <= 0:
-            raise StructuralError("scale factor must be positive")
-        return HstTree(self.order, self.parent, self.delta * factor)
-
 
 def leaf(point_id: int) -> HstTree:
     return HstTree([int(point_id)], [-1], [0.0])

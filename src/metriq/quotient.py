@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.csgraph import floyd_warshall
 
-from .core import MetricSpace, _closure_is_identity, block_reduce
+from .core import MetricSpace, _closure_is_identity, block_reduce, metric_from_json, metric_to_json
 from .errors import StructuralError, UndefinedInputError
 
 
@@ -77,11 +77,18 @@ def quotient_metric(m: MetricSpace, blocks) -> QuotientSpace:
     closure is skipped where core._closure_is_identity proves in O(k^2) that
     it would return the weights bit for bit: every edge is at most the sum of
     the least edges at its two ends (as in any band [lo, 2 lo]), so no detour
-    is shorter, even in rounded arithmetic.  Provenance is Q when the blocks
-    cover all points, QS otherwise (quotient of the induced subspace).
+    is shorter, even in rounded arithmetic.  Two blocks at distance <= 0
+    raise StructuralError: a negative weight has no shortest paths, and the
+    closure would read a 0 as "no edge".
+    Provenance is Q when the blocks cover all points, QS otherwise (quotient
+    of the induced subspace).
     """
     part = Partition(m, tuple(tuple(b) for b in blocks))
     w = np.triu(block_reduce(m.dist, part.blocks, np.minimum), 1)
+    nonpos = np.argwhere(np.triu(w <= 0, 1))
+    if nonpos.size:
+        i, j = (int(v) for v in nonpos[0])
+        raise StructuralError(f"blocks {i} and {j} are at distance {float(w[i, j])!r} <= 0")
     w += w.T
     if not _closure_is_identity(w):
         w = floyd_warshall(w, directed=False)
@@ -202,19 +209,44 @@ def distortion_between(source: MetricSpace, target: MetricSpace, mapping=None) -
 
 
 def quotient_to_json(q: QuotientSpace) -> dict:
-    from .core import encode_array, metric_to_json
+    """Base, blocks and provenance: the recipe quotient_from_json rebuilds.
 
-    return {
+    An SQ space whose rebuild is not its matrix bit for bit (one that dropped
+    several blocks, say) raises StructuralError instead of being written.
+    """
+    doc = {
         "base": metric_to_json(q.partition.base),
         "blocks": [list(b) for b in q.blocks],
         "provenance": q.provenance,
-        "dist": encode_array(q.metric.dist),
     }
+    if q.provenance == "SQ" and not np.array_equal(quotient_from_json(doc).metric.dist, q.metric.dist):
+        raise StructuralError("this SQ space is not the one its base and blocks rebuild")
+    return doc
 
 
 def quotient_from_json(doc: dict) -> QuotientSpace:
-    from .core import decode_array, metric_from_json
+    """The quotient a document describes, rebuilt by quotient_metric.
 
+    An SQ space is restricted from the parent q_dichotomy(drop_root=True)
+    builds: one block of every point outside the kept blocks, listed first
+    (none when empty), then the kept blocks.  A stored `dist`, an unknown
+    provenance, or a Q or QS label that the blocks contradict raises
+    StructuralError.
+    """
+    if "dist" in doc:
+        raise StructuralError("a quotient stores no dist; it is rebuilt from base and blocks")
     base = metric_from_json(doc["base"])
-    part = Partition(base, tuple(tuple(b) for b in doc["blocks"]))
-    return QuotientSpace(part, MetricSpace(decode_array(doc["dist"])), doc["provenance"])
+    blocks = tuple(tuple(int(i) for i in b) for b in doc["blocks"])
+    prov = doc["provenance"]
+    if prov not in ("Q", "QS", "SQ"):
+        raise StructuralError(f"unknown provenance {prov!r}")
+    if prov != "SQ":
+        q = quotient_metric(base, blocks)
+        if q.provenance != prov:
+            raise StructuralError(f"provenance {prov} but the blocks give {q.provenance}")
+        return q
+    kept = {i for b in blocks for i in b}
+    rest = tuple(i for i in range(base.n) if i not in kept)
+    dropped = (rest,) if rest else ()
+    parent = quotient_metric(base, dropped + blocks)
+    return sq_space(parent, range(len(dropped), len(parent.blocks)))

@@ -20,9 +20,10 @@ from .core import (
     metric_to_json,
     validate_metric,
 )
+from .cube import MAX_D, _net_radius
 from .errors import ParameterError, StructuralError
 from .generators import INSTANCES
-from .quotient import QuotientSpace, distortion_between, quotient_metric, quotient_to_json
+from .quotient import QuotientSpace, distortion_between, quotient_from_json, quotient_to_json
 
 
 def _model_doc(model) -> dict:
@@ -65,7 +66,6 @@ def _cube_artifact(res) -> dict:
         "survivors": encode_array(res.S),
         "block_count": res.block_count,
         "certified_distortion": res.report.distortion,
-        "bound": res.certified_bound,
     }
 
 
@@ -76,12 +76,11 @@ def _cube_artifact(res) -> dict:
 def _model_from_doc(doc: dict) -> MetricSpace:
     """The model metric of a quotient artifact, built through its INSTANCES entry."""
     params = dict(doc)
-    t, scale = params.pop("type"), float(params.pop("scale", 1.0))
+    t = params.pop("type")
     inst = INSTANCES.get(t)
     if inst is None or inst.model is None:
         raise StructuralError(f"unknown model type {t!r}")
-    m = inst.build(None, **inst.resolve(params))
-    return MetricSpace(m.dist * scale) if scale != 1.0 else m
+    return inst.build(None, **inst.resolve(params))
 
 
 def _check_claim(art: dict, recomputed: float, ai: int, report: ValidationReport, tol: float):
@@ -99,44 +98,25 @@ def _verify_metric(art: dict, ai: int, report: ValidationReport, tol: float) -> 
 
 
 def _verify_quotient(art: dict, ai: int, report: ValidationReport, tol: float) -> int:
-    """Rebuild the quotient from base and blocks and compare it entry by entry.
-
-    An SQ space is restricted from the parent q_dichotomy(drop_root=True)
-    builds: one block of every point outside the kept blocks, listed first
-    (none when empty), then the kept blocks; so dropping several is refused.
-    """
-    base = metric_from_json(art["base"])
-    blocks = tuple(tuple(int(i) for i in b) for b in art["blocks"])
-    stored = decode_array(art["dist"])
-    prov = art["provenance"]
-    if prov not in ("Q", "QS", "SQ"):
-        raise StructuralError(f"unknown provenance {prov!r}")
-    dropped = ()
-    if prov == "SQ":
-        kept = {i for b in blocks for i in b}
-        rest = tuple(i for i in range(base.n) if i not in kept)
-        dropped = (rest,) if rest else ()
-    parent = quotient_metric(base, dropped + blocks)
-    recomputed = parent.metric.dist[len(dropped):, len(dropped):]
-    for i, j in np.argwhere(np.abs(recomputed - stored) > tol):
-        if i < j:
-            report.add(
-                "quotient-distance",
-                (ai, int(i), int(j)),
-                f"stored {stored[i, j]!r} != recomputed {recomputed[i, j]!r}",
-            )
-    for kind, where, detail in validate_metric(stored, tol).violations:
+    """Rebuild the quotient from base and blocks (quotient_from_json), check
+    that it is a metric and, if this artifact has no violation, its claim."""
+    q = quotient_from_json(art)
+    metric_report = validate_metric(q.metric, tol)
+    for kind, where, detail in metric_report.violations:
         report.add(kind, (ai,) + where, detail)
-    if "model" in art and "certified_distortion" in art and not report.violations:
+    if "model" in art and "certified_distortion" in art and metric_report.ok:
         model = _model_from_doc(art["model"])
-        _check_claim(art, distortion_between(MetricSpace(stored), model).distortion, ai, report, tol)
-    return len(blocks)
+        _check_claim(art, distortion_between(q.metric, model).distortion, ai, report, tol)
+    return q.metric.n
 
 
 def _verify_hst(art: dict, ai: int, report: ValidationReport, tol: float) -> int:
     from .hst import hst_from_json, hst_to_metric
 
     base = metric_from_json(art["base"])
+    leaves = decode_array(art["tree"]["order"]).size
+    if leaves != base.n:  # before hst_to_metric allocates leaves x leaves
+        raise StructuralError(f"source has {base.n} points, the tree {leaves} leaves")
     rep = distortion_between(base, hst_to_metric(hst_from_json(art["tree"])))
     _check_claim(art, rep.distortion, ai, report, tol)
     if rep.contraction > 1.0 + tol:
@@ -161,8 +141,14 @@ def _verify_embedding(art: dict, ai: int, report: ValidationReport, tol: float) 
 
 
 def _verify_cube(art: dict, ai: int, report: ValidationReport, tol: float) -> int:
-    d = int(art["d"])
-    r = int(art["r"])
+    d, eps, r = int(art["d"]), float(art["eps"]), int(art["r"])
+    if not 1 <= d <= MAX_D:  # before the 2^d scan below allocates
+        raise StructuralError(f"d = {d} is outside 1..{MAX_D}")
+    if not 2.0 ** -d <= eps < 0.25:
+        raise StructuralError(f"eps = {eps!r} is outside [2^-d, 1/4)")
+    radius = _net_radius(d, eps)
+    if r != radius:
+        report.add("cube-radius", (ai,), f"r = {r} is not the net radius {radius} of d and eps")
     A = decode_array(art["net"])
     S = decode_array(art["survivors"])
     block_count = int(art["block_count"])
@@ -173,6 +159,11 @@ def _verify_cube(art: dict, ai: int, report: ValidationReport, tol: float) -> in
         report.add("certificate", (ai,), f"claimed distortion {claimed} is not finite")
     elif claimed < 1.0 - tol:  # max ratio / min ratio
         report.add("certificate", (ai,), f"claimed distortion {claimed!r} is below 1")
+    # radius-r balls around a (2r+1)-separated net are disjoint, so it has at
+    # most 2^d / V(d, r) points; this also caps the |A| x |A| table below
+    if A.size * sum(math.comb(d, k) for k in range(radius + 1)) > 2**d:
+        report.add("cube-net", (ai,), f"{A.size} points are too many for a net of radius {radius}")
+        return block_count
     # net separation
     if A.size > 1:
         cross = np.bitwise_count(A[:, None] ^ A[None, :])
@@ -230,11 +221,12 @@ def verify_bundle(doc: dict, tolerance: float = 1e-9) -> ValidationReport:
     """Re-check every certificate in a bundle using only the exact evaluators.
 
     Quotient artifacts are rebuilt from base + blocks (and, for SQ, the parent
-    quotient) and compared entry by entry; model and HST distortions are
-    recomputed; embedding distance tables are recomputed from vectors and
-    weights by embeddings.induced_metric.  A non-finite claim, table entry or
-    vector is a violation or StructuralError.  In a bundle with rows and
-    artifacts, each artifact must match the row of its trial.
+    quotient) and must be metrics; model and HST distortions are recomputed;
+    embedding distance tables are recomputed from vectors and weights by
+    embeddings.induced_metric; a cube's radius must follow from d and eps.  A
+    non-finite claim, table entry or vector is a violation or StructuralError.
+    In a bundle with rows and artifacts, each artifact must match the row of
+    its trial.
     """
     report = ValidationReport()
     artifacts = doc.get("artifacts", [doc] if "kind" in doc else None) if isinstance(doc, dict) else None

@@ -29,9 +29,9 @@ from metriq.errors import (
     ParameterError,
     StructuralError,
 )
-from metriq.generators import gen_euclidean_cloud
-from metriq.hst import hst_from_splits, hst_to_metric, join, leaf
-from metriq.quotient import distortion_between
+from metriq.generators import gen_euclidean_cloud, hypercube_metric
+from metriq.hst import HstTree, hst_from_splits, hst_to_metric, join, leaf
+from metriq.quotient import Partition, QuotientSpace, distortion_between
 from metriq.seeds import as_seed
 
 
@@ -657,7 +657,7 @@ def is_m_center(m: MetricSpace, x: int, mparam: float) -> bool:
 def check_sandwich(result: CubeQsResult, samples: int = 20000, seed=None) -> bool:
     """min{Hamming, r} <= d_U <= min{Hamming, 4r} on sampled singleton pairs."""
     rng = as_seed(seed).rng()
-    sing = result.singletons
+    sing = cube_singletons(result)
     r = result.r
     ds = result.dA[np.searchsorted(result.S, sing)]
     for _ in range(samples):
@@ -669,6 +669,77 @@ def check_sandwich(result: CubeQsResult, samples: int = 20000, seed=None) -> boo
         if not (min(h, r) - 1e-9 <= du <= min(h, 4 * r) + 1e-9):
             return False
     return True
+
+
+# --- views of library results that only the tests read -----------------------
+
+
+def cube_singletons(res: CubeQsResult) -> np.ndarray:
+    """The survivors outside the net, one singleton block each."""
+    return np.setdiff1d(res.S, res.A, assume_unique=True)
+
+
+def _survivor_index(res: CubeQsResult, x: int) -> int:
+    ix = int(np.searchsorted(res.S, x))
+    if ix >= res.S.size or res.S[ix] != x:
+        raise StructuralError("point is not a surviving cube point")
+    return ix
+
+
+def cube_udist(res: CubeQsResult, x: int, y: int) -> float:
+    """Quotient distance between two singleton-block cube points."""
+    h = int(bin(x ^ y).count("1"))
+    return float(min(h, res.dA[_survivor_index(res, x)] + res.dA[_survivor_index(res, y)]))
+
+
+def cube_udist_to_block(res: CubeQsResult, x: int) -> float:
+    return float(res.dA[_survivor_index(res, x)])
+
+
+def cube_quotient(res: CubeQsResult) -> QuotientSpace:
+    """The materialized QuotientSpace of a cube result (d <= 12 only)."""
+    if res.d > 12:
+        raise CapacityError(f"refusing to materialize 2^{res.d} x 2^{res.d} data")
+    sing = cube_singletons(res)
+    blocks = tuple((int(x),) for x in sing) + (tuple(int(a) for a in res.A),)
+    k = len(blocks)
+    dsa = res.dA[np.searchsorted(res.S, sing)].astype(np.float64)
+    h = np.bitwise_count(sing[:, None] ^ sing[None, :]).astype(np.float64)
+    dmat = np.minimum(h, dsa[:, None] + dsa[None, :])
+    np.fill_diagonal(dmat, 0.0)
+    full = np.zeros((k, k))
+    full[: k - 1, : k - 1] = dmat
+    full[: k - 1, k - 1] = dsa
+    full[k - 1, : k - 1] = dsa
+    return QuotientSpace(Partition(hypercube_metric(res.d), blocks), MetricSpace(full), "QS")
+
+
+def vector_distance(emb: VectorEmbedding, i: int, j: int) -> float:
+    """The (weighted) L_p distance between the images of points i and j."""
+    diff = np.abs(emb.vectors[i] - emb.vectors[j]) ** emb.p
+    if emb.weights is not None:
+        diff = diff * emb.weights
+    return float(diff.sum() ** (1.0 / emb.p))
+
+
+def vector_norms(emb: VectorEmbedding) -> np.ndarray:
+    """The (weighted) L_p norm of every point's image."""
+    mods = np.abs(emb.vectors) ** emb.p
+    if emb.weights is not None:
+        mods = mods * emb.weights
+    return mods.sum(axis=1) ** (1.0 / emb.p)
+
+
+def hst_leaves(t: HstTree) -> list[int]:
+    """Leaf point ids in left-to-right order."""
+    return t.order.tolist()
+
+
+def hst_scale(t: HstTree, factor: float) -> HstTree:
+    """The tree with every label multiplied by a positive factor."""
+    if factor <= 0:
+        raise StructuralError("scale factor must be positive")
+    return HstTree(t.order, t.parent, t.delta * factor)
 
 
 @pytest.fixture

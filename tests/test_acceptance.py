@@ -42,6 +42,8 @@ from conftest import (
     truncated_gauss_embed,
     truncation_witness,
     truncation_witness_bound,
+    vector_distance,
+    vector_norms,
     witness_search_distortion,
 )
 
@@ -187,14 +189,14 @@ def test_gauss_monte_carlo_matches_closed_form():
     D = 2.0
     pts = rng.uniform(0.0, 2.0 * D, size=(15, 3))
     emb = truncated_gauss_embed(pts, D, 100_000, seed=8)
-    assert np.allclose(emb.norms(), D, atol=1e-9)  # image norms exact
+    assert np.allclose(vector_norms(emb), D, atol=1e-9)  # image norms exact
     iu, ju = np.triu_indices(15, k=1)
     checked = 0
     for i, j in zip(iu, ju):
         if checked >= 100:
             break
         d = float(np.linalg.norm(pts[i] - pts[j]))
-        assert emb.distance(int(i), int(j)) == pytest.approx(
+        assert vector_distance(emb, int(i), int(j)) == pytest.approx(
             truncated_gauss_distance(d, D), rel=0.01
         )
         checked += 1
@@ -350,15 +352,15 @@ def test_artifacts_are_byte_deterministic(make):
 #: the artifact kind and provenance they give, and the digest.
 GOLDEN_BUNDLES = {
     "quotient": ("cloud", {"n": 40}, "q2", {}, ("quotient", "Q"),
-                 "f77bf2c3e3f3210bc377340a3813721514f6a0cac0f7956ced969c3e0404c3d4"),
+                 "3e80609a453ae940d94acd5a29b089a6bbe0a0d9aa385c41eb8d93d8f8ee1de1"),
     "sq": ("cloud", {"n": 40}, "dichotomy", {"drop_root": True}, ("quotient", "SQ"),
-           "54efa463622d12bf65e3e754b856cf372e7a3c1a5e5471e9c7ebb55299677d69"),
+           "ac2db8520e8638dbfc4b26a1dfcb6960caab7602aa34c934df5b55d70efcbdcd"),
     "hst": ("cloud", {"n": 40}, "hst", {}, ("hst", None),
             "566d3788ba9d75473266e813f1470b1139f43e6d05a38fcf4d493fecf72dd0a8"),
     "embedding": ("cloud", {"n": 40}, "bourgain", {}, ("embedding", None),
                   "5c441fdfd3cb4437d9c32574ef9b0b7f7d5ef6cb68369e677a32746c2b92485f"),
     "cube-qs": ("cube", {"d": 8}, "cube-qs", {"d": 8, "eps": 0.24}, ("cube-qs", None),
-                "6ec83a0762ef664845b6d36e4e4c1d64ebceeb721dd94895a3e10fa3fa4cea33"),
+                "4726413481cf2e5cdd6a03158d6c858da3714df22e8b3d50a62956486504824d"),
 }
 
 

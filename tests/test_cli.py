@@ -1,9 +1,12 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
 from metriq.cli import (
     CSV_COLUMNS,
@@ -23,7 +26,7 @@ from metriq.core import (
     metric_to_json,
     realize_special,
 )
-from metriq.errors import ParameterError, StructuralError
+from metriq.errors import MetriqError, ParameterError, StructuralError
 from metriq.generators import InstanceSpec
 from metriq.lipschitz import QuotientMap, quotient_map_to_json
 from metriq.quotient import quotient_to_json
@@ -69,6 +72,18 @@ def test_quotient_subset_command(runner, tmp_path):
     doc = json.loads(res.output)
     assert doc["provenance"] == "Q"
     assert doc["blocks"][-1] == [0, 3]
+
+
+def test_quotient_command_writes_its_distances_as_csv(runner, tmp_path):
+    from metriq.core import metric_from_csv
+    from metriq.quotient import quotient_metric
+
+    mpath = tmp_path / "m.json"
+    invoke(runner, "--seed", "2", "--out", str(mpath), "gen", "--variant", "cloud",
+           "--param", "n=6")
+    res = invoke(runner, "--format", "csv", "quotient", "--in", str(mpath), "--blocks", "0,1;2;3,4")
+    q = quotient_metric(metric_from_json(json.loads(mpath.read_text())), [(0, 1), (2,), (3, 4)])
+    assert np.array_equal(metric_from_csv(res.output).dist, q.metric.dist)
 
 
 def test_quotient_requires_exactly_one_selector(runner, tmp_path):
@@ -304,16 +319,13 @@ def test_verify_bundle_accepts_and_rejects(runner, tmp_path):
     doc = json.loads(out.read_text())
     assert verify_bundle(doc).ok
 
-    # tamper with one stored quotient distance
-    def tamper(d):
-        d[0, 1] += 0.5
-        d[1, 0] = d[0, 1]
-        return d
-
-    edit_array(doc["artifacts"][0], "dist", tamper)
+    # bring a point of block 0 close to one of block 1: the rebuilt quotient
+    # gets a shortcut, and the claimed distortion no longer holds
+    art = doc["artifacts"][0]
+    (a, *_), (b, *_) = art["blocks"][:2]
+    edit_array(art["base"], "dist", lambda d: _set_pair(d, a, b, d[a, b] * 1e-3))
     rep = verify_bundle(doc)
-    assert not rep.ok
-    assert any(kind == "quotient-distance" for kind, _, _ in rep.violations)
+    assert [v[:2] for v in rep.violations] == [("certificate", (0,))]
 
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
@@ -321,29 +333,33 @@ def test_verify_bundle_accepts_and_rejects(runner, tmp_path):
     assert result.exit_code == 1
 
 
+def _set_pair(d, i, j, value):
+    d[i, j] = d[j, i] = value
+    return d
+
+
 def test_verify_checks_gen_and_quotient_documents(runner, tmp_path):
     mpath, qpath = tmp_path / "m.json", tmp_path / "q.json"
     invoke(runner, "--seed", "2", "--out", str(mpath), "gen", "--variant", "cloud", "--param", "n=6")
     invoke(runner, "--out", str(qpath), "quotient", "--in", str(mpath), "--subset", "0,3")
 
-    def set_far(d):
-        d[0, 1] = d[1, 0] = 100.0  # breaks the triangle inequality
-        return d
-
-    def raise_by_5(d):
-        d[0, 1] += 5.0
-        d[1, 0] = d[0, 1]
-        return d
-
-    for path, kind, tamper in ((mpath, "metric", set_far), (qpath, "quotient", raise_by_5)):
+    # breaks the triangle inequality of the metric; in the quotient by
+    # {0, 3}, puts the singleton blocks of points 1 and 2 at distance 0,
+    # which no quotient metric has
+    for path, kind, key, tamper in ((mpath, "metric", None, lambda d: _set_pair(d, 0, 1, 100.0)),
+                                    (qpath, "quotient", "base", lambda d: _set_pair(d, 1, 2, 0.0))):
         doc = json.loads(path.read_text())
         assert doc["kind"] == kind
         assert json.loads(invoke(runner, "verify", "--bundle", str(path)).output)["ok"]
-        edit_array(doc, "dist", tamper)
+        edit_array(doc[key] if key else doc, "dist", tamper)
         bad = tmp_path / f"bad-{kind}.json"
         bad.write_text(json.dumps(doc))
         result = runner.invoke(main, ["verify", "--bundle", str(bad)])
-        assert result.exit_code == 1 and not json.loads(result.output)["ok"]
+        if kind == "metric":
+            assert result.exit_code == 1 and not json.loads(result.output)["ok"]
+        else:
+            assert isinstance(result.exception, StructuralError)
+            assert "blocks 0 and 1 are at distance 0.0 <= 0" in str(result.exception)
 
 
 def test_verify_refuses_a_document_without_artifacts_or_kind():
@@ -443,14 +459,13 @@ def _fresh_artifact(kind: str) -> dict:
 
 @pytest.mark.parametrize("kind, path", [
     ("metric", ["dist"]),
-    ("quotient", ["dist"]),
     ("quotient", ["base", "dist"]),
     ("hst", ["tree", "parent"]),
     ("hst", ["base", "dist"]),
     ("embedding", ["vectors"]),
     ("embedding", ["claimed"]),
     ("cube-qs", ["survivors"]),
-    ("sq", ["dist"]),
+    ("sq", ["base", "dist"]),
 ])
 def test_verify_refuses_a_format1_list(kind, path):
     art = json.loads(dumps(_fresh_artifact(kind)))
@@ -466,15 +481,15 @@ def test_verify_refuses_a_format1_list(kind, path):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("kind, path", [
     ("quotient", ["certified_distortion"]),
-    ("quotient", ["dist"]),
-    ("bare quotient", ["dist"]),
+    ("quotient", ["base", "dist"]),
+    ("bare quotient", ["base", "dist"]),
     ("hst", ["certified_distortion"]),
     ("hst", ["base", "dist"]),
     ("embedding", ["claimed"]),
     ("embedding", ["vectors"]),
     ("cube-qs", ["certified_distortion"]),
     ("sq", ["certified_distortion"]),
-    ("sq", ["dist"]),
+    ("sq", ["base", "dist"]),
 ])
 def test_verify_rejects_a_non_finite_claim_or_entry(kind, path, bad):
     art = json.loads(dumps(_fresh_artifact(kind.removeprefix("bare "))))
@@ -500,26 +515,139 @@ def test_verify_rejects_a_non_finite_claim_or_entry(kind, path, bad):
 
 
 def test_verify_rebuilds_the_parent_of_an_sq_space():
-    # every stored SQ distance times 1.01, the claim kept: the stored matrix is
-    # still a metric, so only the rebuilt parent quotient catches it
+    # the base distances from the dropped root block to the kept points
+    # halved: only paths through the rebuilt parent's root block change
     doc = run_bundle(*SQ_PLAN)
     art, = doc["artifacts"]
     assert art["provenance"] == "SQ" and verify_bundle(doc).ok
-    edit_array(art, "dist", lambda d: d * 1.01)
-    assert {v[0] for v in verify_bundle(doc).violations} == {"quotient-distance"}
+    kept = [i for b in art["blocks"] for i in b]
+    root = np.setdiff1d(np.arange(60), kept)  # SQ_PLAN's cloud has 60 points
+
+    def halve(d):
+        d[np.ix_(root, kept)] *= 0.5
+        d[np.ix_(kept, root)] *= 0.5
+        return d
+
+    edit_array(art["base"], "dist", halve)
+    assert [v[:2] for v in verify_bundle(doc).violations] == [("certificate", (0,))]
 
 
-def test_verify_refuses_an_sq_that_dropped_two_blocks():
+def test_an_sq_that_dropped_two_blocks_is_not_written():
+    # its base and blocks would rebuild the SQ that dropped one block
     from metriq.quotient import quotient_metric, sq_space
 
     m = random_metric(12, 5)
     parent = quotient_metric(m, [(0, 1), (2, 3), (4,), (5, 6), *((i,) for i in range(7, 12))])
-    sq = sq_space(parent, range(2, len(parent.blocks)))
-    art = {"kind": "quotient", **json.loads(dumps(quotient_to_json(sq)))}
-    assert art["provenance"] == "SQ"
-    rep = verify_bundle(art)
-    assert not rep.ok and {v[0] for v in rep.violations} <= {"quotient-distance"}
-    assert verify_bundle({**art, **quotient_to_json(sq_space(parent, range(1, len(parent.blocks))))}).ok
+    with pytest.raises(StructuralError, match="SQ space is not the one"):
+        quotient_to_json(sq_space(parent, range(2, len(parent.blocks))))
+    art = {"kind": "quotient", **quotient_to_json(sq_space(parent, range(1, len(parent.blocks))))}
+    assert art["provenance"] == "SQ" and verify_bundle(art).ok
+
+
+QUOTIENT_PIPES = {  # pipeline -> params of one artifact kind "quotient"
+    "q2": {}, "aspect": {}, "dichotomy": {}, "dichotomy --drop-root": {"drop_root": True},
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(variant=st.sampled_from(["cloud", "gnp"]), n=st.integers(12, 60),
+       pipe=st.sampled_from(sorted(QUOTIENT_PIPES)), seed=st.integers(0, 2**32 - 1))
+def test_a_quotient_artifact_rebuilds_its_writers_matrix(variant, n, pipe, seed):
+    from metriq import verify
+    from metriq.cli import PIPELINES
+    from metriq.generators import realize_instance
+    from metriq.quotient import quotient_from_json
+
+    instance = {"n": n, "q": 0.1} if variant == "gnp" else {"n": n}
+    m = realize_instance(InstanceSpec(variant, instance, RngSeed(seed, 0)))
+    pipeline = PIPELINES[pipe.split()[0]]
+    written = []
+
+    def recording(q):
+        written.append(q)
+        return quotient_to_json(q)
+
+    with mock.patch.object(verify, "quotient_to_json", recording):
+        try:
+            _, art = pipeline.run(m, RngSeed(seed, 1), pipeline.resolve(QUOTIENT_PIPES[pipe]))
+        except StructuralError:
+            raise  # as the writer refuses a space it would not rebuild
+        except MetriqError:
+            assume(False)  # the construction failed on this input
+    q, = written
+    event(q.provenance)
+    art = json.loads(dumps(art))
+    assert np.array_equal(quotient_from_json(art).metric.dist, q.metric.dist)
+    assert verify_bundle(art).ok
+    art["certified_distortion"] *= 1 + 1e-5
+    assert [v[:2] for v in verify_bundle(art).violations] == [("certificate", (0,))]
+
+
+def test_verify_checks_each_quotient_claim_after_an_earlier_violation():
+    # the claim check is gated on the artifact's own violations, not the bundle's
+    doc = run_bundle("cloud", {"n": 40}, "q2", {}, trials=2, seed=11)
+    for art in doc["artifacts"]:
+        art["certified_distortion"] = 1.0
+    certificates = [v[1] for v in verify_bundle(doc).violations if v[0] == "certificate"]
+    assert certificates == [(0,), (1,)]
+
+
+def test_verify_refuses_a_quotient_document_that_stores_dist():
+    art = json.loads(dumps(_fresh_artifact("quotient")))
+    with pytest.raises(StructuralError, match="stores no dist"):
+        verify_bundle({**art, "dist": art["base"]["dist"]})
+
+
+def test_verify_refuses_a_negative_block_distance():
+    # scipy's closure would raise NegativeCycleError
+    art = json.loads(dumps(_fresh_artifact("quotient")))
+    (a,), (b,) = [blk for blk in art["blocks"] if len(blk) == 1][:2]
+    edit_array(art["base"], "dist", lambda d: _set_pair(d, a, b, -0.5))
+    with pytest.raises(StructuralError, match="at distance -0.5 <= 0"):
+        verify_bundle(art)
+
+
+def test_verify_refuses_a_cube_dimension_outside_the_construction_cap():
+    # the survivor scan would allocate 2^d entries: 8 TiB at d = 40
+    art = json.loads(dumps(_fresh_artifact("cube-qs")))
+    for d in (40, 0, -3):
+        with pytest.raises(StructuralError, match=f"d = {d} is outside 1..22"):
+            verify_bundle({**art, "d": d})
+
+
+def test_verify_refuses_a_cube_net_past_the_hamming_bound_before_comparing_its_pairs():
+    # the separation table of a net of all 2^22 points would take 128 TiB
+    from metriq.core import encode_array
+    from metriq.cube import _net_radius
+
+    art = json.loads(dumps(_fresh_artifact("cube-qs")))
+    art.update(d=22, net=encode_array(np.arange(2**22, dtype=np.int64)))
+    art["r"] = _net_radius(22, art["eps"])
+    assert [v[0] for v in verify_bundle(art).violations] == ["cube-count", "cube-net"]
+
+
+@pytest.mark.parametrize("key, value", [("r", lambda r: r + 2), ("eps", lambda eps: 0.01)])
+def test_verify_checks_the_cube_radius_against_d_and_eps(key, value):
+    art = json.loads(dumps(_fresh_artifact("cube-qs")))
+    assert verify_bundle(art).ok
+    art[key] = value(art[key])
+    assert "cube-radius" in {v[0] for v in verify_bundle(art).violations}
+    with pytest.raises(StructuralError, match="eps = 0.25 is outside"):
+        verify_bundle({**art, "eps": 0.25})
+
+
+def test_verify_refuses_a_tree_larger_than_its_base_before_building_its_metric():
+    # hst_to_metric would allocate a 10^6 x 10^6 matrix, 7.28 TiB
+    from metriq.core import encode_array
+
+    art = json.loads(dumps(_fresh_artifact("hst")))
+    leaves = 10**6
+    art["tree"] = {"order": encode_array(np.arange(leaves, dtype=np.int64)),
+                   "parent": encode_array(np.r_[-1, np.zeros(leaves, dtype=np.int64)]),
+                   "delta": encode_array(np.r_[1.0, np.zeros(leaves)])}
+    n = decode_array(art["base"]["dist"]).shape[0]
+    with pytest.raises(StructuralError, match=f"source has {n} points, the tree {leaves} leaves"):
+        verify_bundle(art)
 
 
 def test_verify_refuses_an_unknown_provenance():
@@ -645,8 +773,8 @@ def test_model_doc_round_trips_to_the_model_metric(model):
     doc = json.loads(dumps(_model_doc(model)))
     assert doc["type"] == type(model).__name__.lower()
     assert np.array_equal(_model_from_doc(doc).dist, realize_special(model).dist)
-    scaled = _model_from_doc({**doc, "scale": 2.5})
-    assert np.array_equal(scaled.dist, realize_special(model).dist * 2.5)
+    with pytest.raises(ParameterError, match="unknown \\['scale'\\]"):
+        _model_from_doc({**doc, "scale": 2.5})  # distortion ignores scale, so none is stored
     with pytest.raises(StructuralError):
         _model_from_doc({**doc, "type": "cloud"})
     with pytest.raises(ParameterError, match="unknown \\['zz'\\]"):
@@ -874,16 +1002,16 @@ def test_one_trial_plan_is_certified_and_a_tamper_is_rejected(name, instance, pa
     art = json.loads(dumps({"artifacts": bundle.artifacts}))
     assert verify_bundle(art).ok
     holder = art["artifacts"][0]
-    holder = holder["tree"] if key == "delta" else holder
+    if key == "delta":
+        def tamper(a):
+            a[a.argmax()] *= 1.5  # the root label
+            return a
 
-    def tamper(a):
-        k = a.argmax()  # the root label, or the largest quotient distance
-        a.flat[k] *= 1.5
-        if a.ndim == 2:
-            i, j = np.unravel_index(k, a.shape)
-            a[j, i] = a[i, j]
-        return a
-
+        holder = holder["tree"]
+    else:
+        # two leaf blocks of the star moved apart
+        (a, *_), (b, *_) = holder["blocks"][1:3]
+        holder, tamper = holder["base"], lambda d: _set_pair(d, a, b, d[a, b] * 1.5)
     edit_array(holder, key, tamper)
     assert not verify_bundle(art).ok
 

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import check_sandwich, greedy_net_loop, stream_distortion_loop
+from conftest import (
+    check_sandwich,
+    cube_quotient,
+    cube_singletons,
+    cube_udist,
+    cube_udist_to_block,
+    greedy_net_loop,
+    stream_distortion_loop,
+)
 from metriq.core import validate_metric
 from metriq.cube import (
     _class_distortion,
@@ -56,19 +64,19 @@ def test_block_count_and_survivor_rule():
 
 def test_materialized_quotient_consistent_with_closed_form():
     res = cube_qs_construct(10, 0.2)
-    q = res.quotient()
+    q = cube_quotient(res)
     assert q.metric.n == res.block_count
     assert validate_metric(q.metric).ok
-    sing = res.singletons
+    sing = cube_singletons(res)
     rng = np.random.default_rng(0)
     for _ in range(200):
         i, j = rng.integers(0, sing.size, 2)
         if i == j:
             continue
-        assert q.metric.d(int(i), int(j)) == res.udist(int(sing[i]), int(sing[j]))
+        assert q.metric.d(int(i), int(j)) == cube_udist(res, int(sing[i]), int(sing[j]))
     # last block is the collapsed net
     assert q.blocks[-1] == tuple(int(a) for a in res.A)
-    assert q.metric.d(0, q.metric.n - 1) == res.udist_to_block(int(sing[0]))
+    assert q.metric.d(0, q.metric.n - 1) == cube_udist_to_block(res, int(sing[0]))
 
 
 def test_sandwich_on_sampled_pairs():
@@ -145,5 +153,5 @@ def test_class_pair_counts_exact_beyond_int64():
 
 def test_certificate_covers_every_pair_at_d16():
     res = cube_qs_construct(16, 0.2)
-    n = res.singletons.size
+    n = cube_singletons(res).size
     assert res.report.pairs == n * (n - 1) // 2 + n

@@ -37,6 +37,8 @@ from conftest import (
     truncated_gauss_embed,
     truncation_witness,
     truncation_witness_bound,
+    vector_distance,
+    vector_norms,
     witness_search_distortion,
 )
 
@@ -212,7 +214,7 @@ def test_gauss_sandwich_monotone_concave():
 def test_gauss_embed_norms_exact():
     pts = np.random.default_rng(0).uniform(0, 4, size=(10, 3))
     emb = truncated_gauss_embed(pts, 2.0, 500, seed=1)
-    assert np.allclose(emb.norms(), 2.0, atol=1e-12)
+    assert np.allclose(vector_norms(emb), 2.0, atol=1e-12)
 
 
 # --- p-stable --------------------------------------------------------------
@@ -247,9 +249,9 @@ def test_pstable_rejects_p_out_of_range():
 def test_pstable_embed_norms_and_convergence():
     pts = np.random.default_rng(1).uniform(0, 8, size=(8, 3))
     emb = pstable_embed(pts, 4.0, 1.5, 100000, seed=3)
-    assert np.allclose(emb.norms(), 4.0, atol=1e-9)
+    assert np.allclose(vector_norms(emb), 4.0, atol=1e-9)
     dlp = (np.abs(pts[0] - pts[5]) ** 1.5).sum() ** (1 / 1.5)
-    assert emb.distance(0, 5) == pytest.approx(pstable_distance(dlp, 4.0, 1.5), rel=0.02)
+    assert vector_distance(emb, 0, 5) == pytest.approx(pstable_distance(dlp, 4.0, 1.5), rel=0.02)
 
 
 # --- Poincare and the witness ----------------------------------------------

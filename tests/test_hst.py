@@ -28,6 +28,8 @@ from conftest import (
     edit_array,
     flat_tree,
     hst_from_ultrametric_ref,
+    hst_leaves,
+    hst_scale,
     hst_to_metric_ref,
     is_ultrametric_ref,
     nested_tree,
@@ -87,7 +89,7 @@ def test_tree_arrays_must_be_in_preorder():
 
 
 def test_leaves_in_order():
-    assert two_level_tree().leaves() == [0, 1, 2, 3]
+    assert hst_leaves(two_level_tree()) == [0, 1, 2, 3]
 
 
 def test_validate_khst():
@@ -148,7 +150,7 @@ def test_ultrametric_to_l2_single_point():
 
 
 def test_scale():
-    t = two_level_tree().scale(2.0)
+    t = hst_scale(two_level_tree(), 2.0)
     assert t.delta[0] == 8.0
     assert hst_to_metric(t).d(0, 1) == 2.0
 

@@ -175,9 +175,24 @@ def test_quotient_by_subset_refuses_indices_out_of_range(A, bad):
 
 
 def test_quotient_json_round_trip():
-    m = random_metric(5, 12)
-    q = quotient_metric(m, ((0, 1), (2, 3), (4,)))
-    q2 = quotient_from_json(quotient_to_json(q))
-    assert q2.blocks == q.blocks
-    assert q2.provenance == q.provenance
-    assert np.array_equal(q2.metric.dist, q.metric.dist)
+    m = random_metric(8, 12)
+    parent = quotient_metric(m, ((5, 0, 7), (1, 2), (3,), (4, 6)))
+    # an SQ is restricted from the parent with one block of every point
+    # outside the kept blocks, first, whatever order they are kept in
+    for q in (parent, sq_space(parent, [2, 1, 3])):
+        q2 = quotient_from_json(quotient_to_json(q))
+        assert q2.blocks == q.blocks
+        assert q2.provenance == q.provenance
+        assert np.array_equal(q2.metric.dist, q.metric.dist)
+
+
+def test_quotient_from_json_refuses_a_contradicted_label():
+    m = random_metric(6, 12)
+    qs = quotient_to_json(quotient_metric(m, ((0, 1), (2, 3))))
+    q = quotient_to_json(quotient_metric(m, ((0, 1), (2, 3), (4, 5))))
+    assert (qs["provenance"], q["provenance"]) == ("QS", "Q") and "dist" not in q
+    with pytest.raises(StructuralError, match="provenance Q but the blocks give QS"):
+        quotient_from_json({**qs, "provenance": "Q"})
+    with pytest.raises(StructuralError, match="provenance QS but the blocks give Q"):
+        quotient_from_json({**q, "provenance": "QS"})
+

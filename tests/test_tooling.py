@@ -47,14 +47,38 @@ SMALL_PLANS = {
 }
 
 
+class _Recording(dict):
+    """A dict that records each key read through [], get or in."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+
 @pytest.mark.parametrize("pipeline", sorted(PIPELINES))
 def test_every_pipeline_writes_a_kind_that_verify_checks(pipeline):
-    # a new pipeline needs a plan here, and its artifact a check in metriq.verify
+    # a new pipeline needs a plan here, and its artifact a check in
+    # metriq.verify that reads every field it stores: a field that verify
+    # never reads is one it cannot vouch for
     variant, instance, params = SMALL_PLANS[pipeline]
     doc = run_bundle(variant, instance, pipeline, params)
-    art, = doc["artifacts"]
-    assert art["kind"] in CHECKS
+    art = _Recording(doc["artifacts"][0])
+    doc["artifacts"] = [art]
     assert verify_bundle(doc).ok
+    assert set(art) - art.read == set()
+    assert art["kind"] in CHECKS
 
 
 def _readme_table(header: str) -> dict[str, str]:
@@ -110,8 +134,9 @@ def test_readme_cli_lines_name_existing_commands(path):
 
 # --- no library code that only the tests reach -------------------------------
 
-#: (module, name) of each top-level function or class in src/metriq that only
-#: the tests reach, with the reason it stays.
+#: (module, name) of each top-level function or class, or (module,
+#: "Class.member") of each method or property, in src/metriq that only the
+#: tests reach, with the reason it stays.
 ONLY_FROM_TESTS = {
     ("lipschitz", "quotient_map_to_json"): "writes the map format that `certify lipq` reads",
 }
@@ -176,4 +201,29 @@ def _unreached() -> set[tuple[str, str]]:
 def test_every_library_function_is_reached_outside_the_tests():
     # delete such a function, move it into tests/conftest.py as a reference,
     # or give the reason it stays in ONLY_FROM_TESTS
-    assert _unreached() == set(ONLY_FROM_TESTS)
+    assert _unreached() == {key for key in ONLY_FROM_TESTS if "." not in key[1]}
+
+
+def _unused_members() -> set[tuple[str, str]]:
+    """(module, "Class.member") of each method or property of a class in
+    src/metriq whose name src/metriq and perfbench/*.py never use as an
+    attribute.  Dunder methods are left out, as Python calls them.  Names are
+    matched without their class, so a name that any code reads as `.name`
+    counts as used everywhere.
+    """
+    paths = sorted((ROOT / "src" / "metriq").glob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in paths + sorted((ROOT / "perfbench").glob("*.py"))}
+    attrs = {node.attr for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)}
+    return {(path.stem, f"{cls.name}.{member.name}") for path in paths
+            for cls in ast.walk(trees[path]) if isinstance(cls, ast.ClassDef)
+            for member in cls.body if isinstance(member, ast.FunctionDef)
+            and not (member.name.startswith("__") and member.name.endswith("__"))
+            and member.name not in attrs}
+
+
+def test_every_library_member_is_used_outside_the_tests():
+    # move such a member into a tests/conftest.py helper, or give the reason
+    # it stays in ONLY_FROM_TESTS
+    assert _unused_members() == {key for key in ONLY_FROM_TESTS if "." in key[1]}
+
