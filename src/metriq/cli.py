@@ -25,6 +25,7 @@ from .core import (
     MetricSpace,
     Star,
     dumps,
+    integer,
     metric_from_csv,
     metric_from_json,
     metric_to_csv,
@@ -81,12 +82,12 @@ class ExperimentPlan:
 
 
 def plan_from_json(doc: dict) -> ExperimentPlan:
+    """A plan document; a `seed` or `trials` that is not a JSON integer is a ParameterError."""
     inst = doc["instance"]
-    seed = int(doc.get("seed", 0))
+    seed = integer(doc.get("seed", 0), "plan seed", ParameterError)
+    trials = integer(doc.get("trials", 1), "plan trials", ParameterError)
     spec = InstanceSpec(inst["variant"], dict(inst.get("params", {})), RngSeed(seed))
-    return ExperimentPlan(
-        spec, doc["pipeline"], dict(doc.get("params", {})), int(doc.get("trials", 1)), seed
-    )
+    return ExperimentPlan(spec, doc["pipeline"], dict(doc.get("params", {})), trials, seed)
 
 
 @dataclass
@@ -340,12 +341,12 @@ def _emit(ctx, doc: dict | str):
 
 
 def _load(path: str, parse):
-    """parse(the file's text); a malformed document raises StructuralError, as in verify_bundle."""
+    """parse(the file's text); a malformed document raises StructuralError naming the file."""
     with open(path) as fh:
         text = fh.read()
     try:
         return parse(text)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, StructuralError) as exc:
         raise StructuralError(f"{path}: malformed ({exc!r})") from exc
 
 

@@ -14,6 +14,7 @@ import io
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -205,13 +206,14 @@ def validate_metric(m: MetricSpace | np.ndarray, tol: float = TOL) -> Validation
             report.add("positivity", (int(i), int(j)), f"d = {d[i, j]!r} <= 0 off-diagonal")
 
     # Triangle inequality: for each middle point j, d[i,k] <= d[i,j] + d[j,k].
-    # Fast path: with every off-diagonal entry positive (a 0 would read as "no
-    # edge"), the shortest-path closure c has c[i,k] <= d[i,j] + d[j,k] in
-    # rounded arithmetic, so d - c <= tol rules out every slack above tol.
-    # When the O(n^2) row-minimum test of _closure_is_identity holds, c is d
-    # itself, exactly, so the O(n^3) closure is skipped with the same answer.
-    if report.ok and (_closure_is_identity(d)
-                      or np.all(d - csgraph.floyd_warshall(d, directed=True) <= tol)):
+    # Fast path: with every off-diagonal entry above 1e-8 (scipy reads a dense
+    # entry within 1e-8 of 0 as "no edge"), the shortest-path closure c has
+    # c[i,k] <= d[i,j] + d[j,k] in rounded arithmetic, so d - c <= tol rules
+    # out every slack above tol.  When the O(n^2) row-minimum test of
+    # _closure_is_identity holds, c is d itself, exactly, so the O(n^3)
+    # closure is skipped with the same answer.
+    if report.ok and (_closure_is_identity(d) or (d + np.diag(np.full(n, np.inf))).min() > 1e-8
+                      and np.all(d - csgraph.floyd_warshall(d, directed=True) <= tol)):
         return report
     for j in range(n):
         slack = d - (d[:, j][:, None] + d[j][None, :])
@@ -327,6 +329,109 @@ def block_reduce(dist, blocks, inner=np.minimum, outer=None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Declared documents: each stored field has one reader, (value, path) -> value,
+# which raises StructuralError naming the field's path
+# ---------------------------------------------------------------------------
+
+
+def _shown(value) -> str:
+    text = type(value).__name__ if isinstance(value, (dict, list)) else repr(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def integer(value, path: str, error: type = StructuralError) -> int:
+    """A JSON integer: not a bool and not a float, 3.0 included."""
+    if type(value) is not int:
+        raise error(f"declared {path} {_shown(value)} is not an integer")
+    return value
+
+
+def _shape(value, path: str) -> list:
+    if type(value) is not list or not all(type(s) is int and s >= 0 for s in value):
+        raise StructuralError(f"declared {path} {_shown(value)} is not a list of sizes")
+    return value
+
+
+def number(value, path: str) -> float:
+    """A finite JSON number, as a float."""
+    if type(value) is int and abs(value) <= sys.float_info.max:
+        value = float(value)
+    if type(value) is not float or not math.isfinite(value):
+        raise StructuralError(f"declared {path} {_shown(value)} is not a finite number")
+    return value
+
+
+def text(value, path: str) -> str:
+    if type(value) is not str:
+        raise StructuralError(f"declared {path} {_shown(value)} is not a string")
+    return value
+
+
+def one_of(*choices: str):
+    def read(value, path: str) -> str:
+        if type(value) is not str or value not in choices:
+            raise StructuralError(f"unknown {path} {_shown(value)}; expected one of {list(choices)}")
+        return value
+    return read
+
+
+def list_of(item):
+    def read(value, path: str) -> list:
+        if type(value) is not list:
+            raise StructuralError(f"declared {path} {_shown(value)} is not a list")
+        return [item(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    return read
+
+
+def array(kinds: str, ndim: int):
+    """An encoded array (decode_array) of a dtype kind in `kinds` (f, i, c) with `ndim` axes."""
+    def read(value, path: str) -> np.ndarray:
+        a = decode_array(value, path)
+        if a.dtype.kind not in kinds or a.ndim != ndim:
+            what = " or ".join({"f": "real", "i": "integer", "c": "complex"}[k] for k in kinds)
+            raise StructuralError(f"{path} must be {what} with {ndim} axes, got {a.dtype.str} {list(a.shape)}")
+        return a
+    return read
+
+
+class Doc:
+    """A JSON object of declared fields: `fields` maps each to (its reader,
+    whether it is required); the `optional` ones may be absent or null.
+
+    Called on a document, a Doc returns field -> value (None for an absent
+    optional field), and refuses a non-object and an undeclared or missing
+    field.  Read as a whole (path ""), a document of an artifact `kind` may
+    also hold that kind, checked but not returned, and an integer `trial`.
+    """
+
+    def __init__(self, name: str, kind: str | None = None, optional=(), **readers):
+        self.name, self.kind = name, kind
+        self.fields = {k: (r, k not in optional) for k, r in readers.items()}
+        self._whole = {**self.fields, "kind": (one_of(kind), False), "trial": (integer, False)}
+
+    def __call__(self, doc, path: str = "") -> dict:
+        if not isinstance(doc, dict):
+            raise StructuralError(f"{path or 'the document'} must be {self.name}, got {type(doc).__name__}")
+        whole = not path and self.kind is not None
+        fields, prefix = (self._whole if whole else self.fields), (f"{path}." if path else "")
+        if not fields.keys() >= doc.keys():
+            key = next(k for k in doc if k not in fields)
+            raise StructuralError(f"undeclared {prefix}{key}: {self.name} stores no {key}")
+        out = {}
+        for key, (read, required) in fields.items():
+            value = doc.get(key)
+            if value is not None or required and key in doc:
+                out[key] = read(value, prefix + key)
+            elif required:
+                raise StructuralError(f"required {prefix}{key} is missing")
+            else:
+                out[key] = None
+        if whole:
+            del out["kind"]
+        return out
+
+
+# ---------------------------------------------------------------------------
 # Interchange formats
 # ---------------------------------------------------------------------------
 
@@ -372,51 +477,49 @@ def encode_array(a) -> dict:
     return doc
 
 
-def decode_array(doc) -> np.ndarray:
+_ENCODED = Doc("an encoded array {dtype, shape, b64} (artifact format 2)",
+               dtype=one_of(*_STORED.values()), shape=_shape, b64=text)
+
+
+def decode_array(doc, path: str = "array") -> np.ndarray:
     """The read-only array an encode_array document stores.
 
-    Anything else raises StructuralError: a JSON list (format 1), an unknown
-    dtype, a byte count that does not match the shape, or base64 that is not
-    exactly what encode_array writes (RFC 4648 §3.5: only the standard
-    alphabet, no whitespace or newlines, padding only at the end and only as
-    much as the byte count needs, no unused low bits).  The text is decoded
-    in one pass; then only its length and its last quad are compared with
-    the canonical encoding of the bytes, which together rule out any other
-    text.
+    Anything else raises StructuralError naming `path`: a document _ENCODED
+    refuses (a JSON list, as format 1 stored arrays, an unknown dtype, a
+    shape that is not a list of sizes), a byte count that does not match the
+    shape, or base64 that is not exactly what encode_array writes (RFC 4648
+    §3.5: only the standard alphabet, no whitespace or newlines, padding only
+    at the end and only as much as the byte count needs, no unused low bits).
+    The text is decoded in one pass; then only its length and its last quad
+    are compared with the canonical encoding of the bytes, which together
+    rule out any other text.
     """
-    if not isinstance(doc, dict):
-        raise StructuralError(
-            f"expected an encoded array {{dtype, shape, b64}} (artifact format 2), "
-            f"got {type(doc).__name__}; format-1 JSON lists are not read"
-        )
-    missing = sorted({"dtype", "shape", "b64"} - set(doc))
-    if missing:
-        raise StructuralError(f"encoded array lacks {missing}")
-    dtype, shape, text = doc["dtype"], doc["shape"], doc["b64"]
-    if dtype not in _STORED.values():
-        raise StructuralError(f"unsupported array dtype {dtype!r}")
-    if not isinstance(shape, list) or not all(type(s) is int and s >= 0 for s in shape):
-        raise StructuralError(f"array shape must be a list of sizes, got {shape!r}")
-    if not isinstance(text, str):
-        raise StructuralError("array b64 must be a string")
+    f = _ENCODED(doc, path)
+    dtype, shape, b64 = f["dtype"], f["shape"], f["b64"]
     try:
-        raw = binascii.a2b_base64(text)  # skips characters outside the alphabet
+        raw = binascii.a2b_base64(b64)  # skips characters outside the alphabet
     except ValueError as exc:  # binascii.Error, or text that is not ASCII
-        raise StructuralError(f"array b64 is not valid base64 ({exc})") from exc
-    # The canonical encoding of raw is as long as text must be, and its last
-    # quad fixes the padding.  Every byte takes 8 bits of 6-bit data
+        raise StructuralError(f"{path} b64 is not valid base64 ({exc})") from exc
+    # The canonical encoding of raw is as long as the text must be, and its
+    # last quad fixes the padding.  Every byte takes 8 bits of 6-bit data
     # characters, so a text of that length and padding that held one skipped
     # character (outside the alphabet, or an "=" before the end) would decode
     # to fewer bytes than raw.  Hence the text before the last quad is all
     # data characters, in full quads that re-encode to themselves, and only
     # the last quad (extra padding, unused low bits) is left to compare.
     last = binascii.b2a_base64(raw[-(len(raw) % 3 or 3):], newline=False).decode("ascii")
-    if len(text) != (len(raw) + 2) // 3 * 4 or text[-4:] != last:
-        raise StructuralError("array b64 is not canonical base64")
+    if len(b64) != (len(raw) + 2) // 3 * 4 or b64[-4:] != last:
+        raise StructuralError(f"{path} b64 is not canonical base64")
     need = math.prod(shape) * np.dtype(dtype).itemsize
     if len(raw) != need:
-        raise StructuralError(f"array holds {len(raw)} bytes; shape {shape} of {dtype} needs {need}")
+        raise StructuralError(f"{path} holds {len(raw)} bytes; shape {shape} of {dtype} needs {need}")
     return np.frombuffer(raw, dtype=dtype).reshape(shape)
+
+
+#: a metric document: its point count, its distance matrix and, optionally,
+#: one label per point
+METRIC = Doc("a metric", kind="metric", n=integer, dist=array("f", 2), labels=list_of(text),
+             optional={"labels"})
 
 
 def metric_to_json(m: MetricSpace) -> dict:
@@ -426,14 +529,16 @@ def metric_to_json(m: MetricSpace) -> dict:
     return doc
 
 
-def metric_from_json(doc: dict) -> MetricSpace:
-    labels = doc.get("labels")
-    if labels is not None and (type(labels) is not list or any(type(s) is not str for s in labels)):
-        raise StructuralError("labels must be null or a list of strings, one per point")
-    m = MetricSpace(decode_array(doc["dist"]), labels)
-    if "n" in doc and (type(doc["n"]) is not int or doc["n"] != m.n):
-        raise StructuralError(f"declared n {doc['n']!r} is not the matrix size {m.n}")
+def metric_from_fields(f: dict) -> MetricSpace:
+    """The metric of a document that METRIC has read."""
+    m = MetricSpace(f["dist"], f["labels"])
+    if f["n"] != m.n:
+        raise StructuralError(f"declared n {f['n']} is not the matrix size {m.n}")
     return m
+
+
+def metric_from_json(doc: dict) -> MetricSpace:
+    return metric_from_fields(METRIC(doc))
 
 
 def metric_to_csv(m: MetricSpace) -> str:

@@ -20,6 +20,7 @@ from .core import (
     MetricSpace,
     Star,
     aspect_ratio,
+    integer,
     realize_special,
 )
 from .errors import ParameterError, StructuralError
@@ -289,7 +290,8 @@ def resolve_params(owner: str, options, given: dict) -> dict:
     """`given` over the declared defaults, each value converted by its option.
 
     An unknown, missing or unconvertible param is a ParameterError naming
-    `owner`.  Null is a value only for a param whose default is null.
+    `owner`, and so is a value of an integer param that is not a JSON
+    integer (core.integer).  Null is a value only for a param whose default is null.
     """
     opts = {o.name: o for o in options}
     unknown = sorted(set(given) - set(opts))
@@ -301,10 +303,13 @@ def resolve_params(owner: str, options, given: dict) -> dict:
         if v is None and not opts[k].required and opts[k].default is None:
             continue
         try:
+            if isinstance(opts[k].type, click.types.IntParamType):
+                integer(v, k)  # click would truncate a float and read a bool as 0 or 1
             # convert, unlike calling the type, rejects None; click's BOOL
             # raises AttributeError on values that are neither bool nor str
             params[k] = opts[k].type.convert(v, opts[k], None)
-        except (click.BadParameter, TypeError, ValueError, OverflowError, AttributeError) as exc:
+        except (click.BadParameter, StructuralError, TypeError, ValueError, OverflowError,
+                AttributeError) as exc:
             raise ParameterError(f"{owner}: bad {k!r} value {v!r} ({exc})") from exc
     return params
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import TOL, MetricSpace, ValidationReport, decode_array, encode_array
+from .core import TOL, Doc, MetricSpace, ValidationReport, array, encode_array
 from .errors import StructuralError
 
 
@@ -242,6 +242,10 @@ def hst_to_json(t: HstTree) -> dict:
     return {name: encode_array(getattr(t, name)) for name in ("order", "parent", "delta")}
 
 
+#: an HST tree document, as hst_to_json writes it
+TREE = Doc("an HST tree", order=array("i", 1), parent=array("i", 1), delta=array("f", 1))
+
+
 def hst_from_json(doc: dict) -> HstTree:
-    """Rebuild a tree; malformed arrays raise StructuralError."""
-    return HstTree(*(decode_array(doc[name]) for name in ("order", "parent", "delta")))
+    """Rebuild a tree; a malformed document raises StructuralError."""
+    return HstTree(**TREE(doc))

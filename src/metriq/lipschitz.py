@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MetricSpace, block_reduce, metric_from_json, metric_to_json
+from .core import METRIC, Doc, MetricSpace, block_reduce, integer, list_of, metric_from_fields, metric_to_json
 from .errors import StructuralError
 
 
@@ -79,9 +79,10 @@ def quotient_map_to_json(qm: QuotientMap) -> dict:
     }
 
 
+#: a quotient map document, as quotient_map_to_json writes it
+QUOTIENT_MAP = Doc("a quotient map", source=METRIC, target=METRIC, assign=list_of(integer))
+
+
 def quotient_map_from_json(doc: dict) -> QuotientMap:
-    return QuotientMap(
-        metric_from_json(doc["source"]),
-        metric_from_json(doc["target"]),
-        tuple(int(a) for a in doc["assign"]),
-    )
+    f = QUOTIENT_MAP(doc)
+    return QuotientMap(metric_from_fields(f["source"]), metric_from_fields(f["target"]), tuple(f["assign"]))

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.csgraph import floyd_warshall
 
-from .core import MetricSpace, _closure_is_identity, block_reduce, metric_from_json, metric_to_json
+from .core import (METRIC, Doc, MetricSpace, _closure_is_identity, block_reduce, integer, list_of,
+                   metric_from_fields, metric_to_json, number, one_of)
 from .errors import StructuralError, UndefinedInputError
 
 
@@ -224,22 +225,31 @@ def quotient_to_json(q: QuotientSpace) -> dict:
     return doc
 
 
+#: a quotient's model: its `type`, which names a core dataclass (Star,
+#: Lacunary, Equilateral), and the fields of that dataclass
+MODEL = Doc("a model", type=one_of("star", "lacunary", "equilateral"), n=integer, tau=number,
+            a=list_of(number), k=number, edge=number, optional={"n", "tau", "a", "k", "edge"})
+
+#: a quotient document, as quotient_to_json writes it, and the model and
+#: certified distortion that a quotient pipeline's artifact adds
+QUOTIENT = Doc("a quotient", kind="quotient", base=METRIC, blocks=list_of(list_of(integer)),
+               provenance=one_of("Q", "QS", "SQ"), model=MODEL, certified_distortion=number,
+               optional={"model", "certified_distortion"})
+
+
 def quotient_from_json(doc: dict) -> QuotientSpace:
-    """The quotient a document describes, rebuilt by quotient_metric.
+    return quotient_from_fields(QUOTIENT(doc))
+
+
+def quotient_from_fields(f: dict) -> QuotientSpace:
+    """The quotient of a document that QUOTIENT has read, rebuilt by quotient_metric.
 
     An SQ space is restricted from the parent q_dichotomy(drop_root=True)
     builds: one block of every point outside the kept blocks, listed first
-    (none when empty), then the kept blocks.  A stored `dist`, an unknown
-    provenance, or a Q or QS label that the blocks contradict raises
-    StructuralError.
+    (none when empty), then the kept blocks.  A Q or QS label that the blocks
+    contradict raises StructuralError.
     """
-    if "dist" in doc:
-        raise StructuralError("a quotient stores no dist; it is rebuilt from base and blocks")
-    base = metric_from_json(doc["base"])
-    blocks = tuple(tuple(int(i) for i in b) for b in doc["blocks"])
-    prov = doc["provenance"]
-    if prov not in ("Q", "QS", "SQ"):
-        raise StructuralError(f"unknown provenance {prov!r}")
+    base, blocks, prov = metric_from_fields(f["base"]), tuple(map(tuple, f["blocks"])), f["provenance"]
     if prov != "SQ":
         q = quotient_metric(base, blocks)
         if q.provenance != prov:

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 from scipy import optimize
+from click.testing import CliRunner
 from scipy.sparse.csgraph import connected_components
 
-from metriq.cli import plan_from_json, run_experiment
+from metriq.cli import main, plan_from_json, run_experiment
 from metriq.constructions import _center_radii, find_m_center
 from metriq.core import (
     TOL,
@@ -88,6 +89,52 @@ def run_bundle(variant: str, instance: dict, pipeline: str, params: dict, trials
     assert bundle.summary["failures"] == 0
     return json.loads(dumps({"plan": bundle.plan, "rows": bundle.rows,
                              "summary": bundle.summary, "artifacts": bundle.artifacts}))
+
+
+#: pipeline -> (instance variant, instance params, pipeline params) of a small plan
+SMALL_PLANS = {
+    "q2": ("cloud", {"n": 40}, {}),
+    "aspect": ("cloud", {"n": 40}, {}),
+    "dichotomy": ("cloud", {"n": 40}, {"drop_root": True}),
+    "star": ("equilateral", {"n": 12}, {"a": 0.9, "b": 1.1, "alpha": 2.0}),
+    "hst": ("cloud", {"n": 40}, {}),
+    "bourgain": ("cloud", {"n": 40}, {}),
+    "cube-qs": ("cube", {"d": 8}, {"d": 8, "eps": 0.24}),
+    "composition": ("composition", {}, {}),
+}
+
+#: dichotomy --drop-root on cloud n = 60, seed 0: its one artifact is an SQ space
+SQ_PLAN = ("cloud", {"n": 60}, "dichotomy", {"drop_root": True})
+
+
+#: each command that writes an artifact -> its args; CLOUD and EQUI stand for
+#: the files of the `metrics` fixture
+ARTIFACT_COMMANDS = {
+    "construct q2": ["--in", "CLOUD"],
+    "construct aspect": ["--in", "CLOUD", "--alpha", "1.5", "--lipschitz"],
+    "construct dichotomy": ["--in", "CLOUD", "--beta", "1.2", "--drop-root"],
+    "construct hst": ["--in", "CLOUD"],
+    "construct bourgain": ["--in", "CLOUD"],
+    "construct star": ["--in", "EQUI", "--a", "0.9", "--b", "1.1", "--alpha", "2.0"],
+    "composition": [],
+    "cube-qs": ["--d", "8", "--eps", "0.24"],
+}
+
+
+def cli_output(*args: str) -> str:
+    """The standard output of a `metriq` command that succeeds."""
+    result = CliRunner().invoke(main, list(args), catch_exceptions=False)
+    assert result.exit_code == 0, result.output
+    return result.output
+
+
+@pytest.fixture
+def metrics(tmp_path):
+    """`gen` files: CLOUD a 30-point cloud (seed 3), EQUI a 12-point equilateral space."""
+    paths = {"CLOUD": str(tmp_path / "cloud.json"), "EQUI": str(tmp_path / "equi.json")}
+    cli_output("--seed", "3", "--out", paths["CLOUD"], "gen", "--variant", "cloud", "--param", "n=30")
+    cli_output("--out", paths["EQUI"], "gen", "--variant", "equilateral", "--param", "n=12")
+    return paths
 
 
 def decode_array_reencode(doc) -> np.ndarray:

@@ -32,7 +32,7 @@ from metriq.lipschitz import QuotientMap, quotient_map_to_json
 from metriq.quotient import quotient_to_json
 from metriq.seeds import RngSeed
 
-from conftest import edit_array, random_metric, run_bundle, star_to_lp
+from conftest import ARTIFACT_COMMANDS, SQ_PLAN, edit_array, random_metric, run_bundle, star_to_lp
 
 
 @pytest.fixture
@@ -433,10 +433,6 @@ def _as_format1(doc):
     return doc
 
 
-#: dichotomy --drop-root on cloud n = 60, seed 0: its one artifact is an SQ space
-SQ_PLAN = ("cloud", {"n": 60}, "dichotomy", {"drop_root": True})
-
-
 def _fresh_artifact(kind: str) -> dict:
     from metriq.cli import PIPELINES
     from metriq.embeddings import induced_metric
@@ -822,28 +818,6 @@ def test_experiment_plan_rejects_negative_trials():
 # --- pipeline registry ------------------------------------------------------
 
 
-@pytest.fixture
-def metrics(runner, tmp_path):
-    cloud = tmp_path / "cloud.json"
-    invoke(runner, "--seed", "3", "--out", str(cloud), "gen", "--variant", "cloud",
-           "--param", "n=30")
-    equi = tmp_path / "equi.json"
-    invoke(runner, "--out", str(equi), "gen", "--variant", "equilateral", "--param", "n=12")
-    return {"CLOUD": str(cloud), "EQUI": str(equi)}
-
-
-ARTIFACT_COMMANDS = {
-    "construct q2": ["--in", "CLOUD"],
-    "construct aspect": ["--in", "CLOUD", "--alpha", "1.5", "--lipschitz"],
-    "construct dichotomy": ["--in", "CLOUD", "--beta", "1.2", "--drop-root"],
-    "construct hst": ["--in", "CLOUD"],
-    "construct bourgain": ["--in", "CLOUD"],
-    "construct star": ["--in", "EQUI", "--a", "0.9", "--b", "1.1", "--alpha", "2.0"],
-    "composition": [],
-    "cube-qs": ["--d", "8", "--eps", "0.24"],
-}
-
-
 def test_artifact_commands_are_generated_from_pipelines():
     from metriq.cli import PIPELINES, construct
 
@@ -967,6 +941,24 @@ def test_plan_rejects_unknown_or_bad_param(params):
     doc = q2_plan()
     doc.update(pipeline="aspect", params=params)
     with pytest.raises(ParameterError):
+        plan_from_json(doc)
+
+
+@pytest.mark.parametrize("key, value", [("trials", 1.9), ("trials", True), ("seed", 2.0), ("seed", False)])
+def test_plan_refuses_a_seed_or_trial_count_that_is_not_a_json_integer(key, value):
+    # read with int(), "trials": 1.9 ran one trial
+    doc = q2_plan()
+    doc[key] = value
+    with pytest.raises(ParameterError, match=f"plan {key} {value!r} is not an integer"):
+        plan_from_json(doc)
+
+
+@pytest.mark.parametrize("d", [8.5, 8.0, True])
+def test_plan_refuses_an_integer_param_that_is_not_a_json_integer(d):
+    # click would truncate 8.5 to a d = 8 cube, and read True as d = 1
+    doc = {"instance": {"variant": "cube", "params": {"d": 8}}, "pipeline": "cube-qs",
+           "params": {"d": d, "eps": 0.24}, "trials": 1, "seed": 0}
+    with pytest.raises(ParameterError, match=f"pipeline 'cube-qs': bad 'd' value {d!r}"):
         plan_from_json(doc)
 
 

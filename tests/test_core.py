@@ -146,6 +146,9 @@ def near_metrics(draw):
 @settings(max_examples=300, deadline=None)
 @given(near_metrics())
 @example(np.array([[0.0, 0.0, 5.0], [0.0, 0.0, 1.0], [5.0, 1.0, 0.0]]))
+# d(0, 2) = 1.5e-9 is positive, but scipy's closure reads it as no edge
+@example(np.array([[0.0, 3.0000000015, 1.5e-9], [3.0000000015, 0.0, 2.9999999985],
+                   [1.5e-9, 2.9999999985, 0.0]]))
 def test_validate_metric_matches_the_triple_loop(d):
     # the closure fast path must never hide a violation the loop reports
     assert validate_metric(d).violations == validate_metric_loop(d).violations

@@ -1,17 +1,18 @@
+import json
 import math
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from metriq import embeddings
 
 from metriq.cli import PIPELINES
 from metriq.constructions import m_center_quotient, m_center_size
-from metriq.core import Equilateral, Star, decode_array, realize_special, validate_metric
+from metriq.core import Equilateral, Star, decode_array, dumps, encode_array, realize_special, validate_metric
 from metriq.embeddings import (
     VectorEmbedding,
     bourgain_embed,
@@ -21,8 +22,9 @@ from metriq.embeddings import (
     pstable_expectation,
     truncated_gauss_distance,
 )
-from metriq.errors import CapacityError, NoMCenterError, ParameterError
+from metriq.errors import CapacityError, MetriqError, NoMCenterError, ParameterError
 from metriq.seeds import RngSeed
+from metriq.verify import verify_bundle
 
 from conftest import (
     bourgain_embed_loop,
@@ -350,3 +352,23 @@ def test_induced_metric_memory_stays_under_the_table_budget():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6), st.integers(20, 40), st.data())
+def test_a_fresh_bourgain_artifact_verifies_and_a_moved_claimed_entry_is_refused(seed, n, data):
+    pipe = PIPELINES["bourgain"]
+    try:
+        _, art = pipe.run(random_metric(n, seed), RngSeed(seed), pipe.resolve({}))
+    except MetriqError:
+        assume(False)  # no m-centre quotient of this cloud
+    art = json.loads(dumps(art))
+    assert verify_bundle(art).ok
+    claimed = decode_array(art["claimed"]).copy()
+    size = claimed.shape[0]
+    i, j = data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, size - 1))
+    # verify's tolerance on a table entry, times 2 to 10^6, either way
+    step = 1e-9 * max(1.0, claimed.max()) * data.draw(st.floats(2.0, 1e6))
+    claimed[i, j] += data.draw(st.sampled_from([step, -step]))
+    art["claimed"] = encode_array(claimed)
+    assert [v[:2] for v in verify_bundle(art).violations] == [("embedding-distance", (0, i, j))]

@@ -175,6 +175,11 @@ def test_realize_instance_variants():
     ("lacunary", {"a": [1.0, "x"]}, "a"),
     ("star", {"n": None}, "n"),
     ("cloud", {"n": float("inf")}, "n"),
+    ("cloud", {"n": 40.9}, "n"),  # click would truncate it to 40
+    ("cloud", {"n": 40.0}, "n"),
+    ("cloud", {"n": True}, "n"),  # and read it as 1
+    ("cloud", {"n": "40"}, "n"),
+    ("cube", {"d": 3.5}, "d"),
 ])
 def test_realize_instance_refuses_a_non_numeric_param(variant, params, key):
     with pytest.raises(ParameterError) as err:

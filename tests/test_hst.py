@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from metriq.cli import PIPELINES, verify_bundle
-from metriq.core import TOL, MetricSpace, decode_array, dumps, metric_to_json
+from metriq.core import TOL, MetricSpace, decode_array, dumps, metric_from_json, metric_to_json
 from metriq.errors import StructuralError
 from metriq.hst import (
     HstTree,
@@ -22,6 +22,7 @@ from metriq.hst import (
     ultrametric_to_l2,
     validate_khst,
 )
+from metriq.quotient import distortion_between
 from metriq.seeds import RngSeed
 
 from conftest import (
@@ -282,6 +283,30 @@ artifacts = st.builds(_hst_artifact, st.integers(0, 10**6), st.integers(30, 60))
 @given(artifacts)
 def test_fresh_hst_artifact_verifies(art):
     assert verify_bundle(art).ok
+
+
+@settings(max_examples=40, deadline=None)
+@given(artifacts, st.floats(1.01, 4.0))
+def test_a_raised_tree_label_is_refused(art, factor):
+    # the label of the lowest common ancestor of the most expanded pair, raised
+    # by factor: that pair expands by factor, so unless the most contracted
+    # pair shares the ancestor and the product is unchanged, the claim is off
+    base, tree = metric_from_json(art["base"]), hst_from_json(art["tree"])
+    x, y = distortion_between(base, hst_to_metric(tree)).expansion_pair
+    pos = np.argsort(tree.order)
+    lo, hi = sorted((pos[x], pos[y]))
+    spans = np.where((tree.lo <= lo) & (tree.hi > hi), tree.hi - tree.lo, tree.order.size + 1)
+    top = int(np.argmin(spans))
+
+    def raise_label(delta):
+        delta[top] *= factor
+        return delta
+
+    edit_array(art["tree"], "delta", raise_label)
+    rep = distortion_between(base, hst_to_metric(hst_from_json(art["tree"])))
+    claimed = art["certified_distortion"]
+    assume(abs(rep.distortion - claimed) > max(1e-9, 1e-6 * claimed))
+    assert "certificate" in {v[0] for v in verify_bundle(art).violations}
 
 
 def _put(tree: dict, key: str, i: int, value) -> None:

@@ -110,6 +110,15 @@ def test_json_round_trip():
     assert np.array_equal(back.target.dist, t.dist)
 
 
+@pytest.mark.parametrize("bad", [0.9, True], ids=["float", "bool"])
+def test_json_refuses_an_assignment_that_is_not_an_integer(bad):
+    # read with int(), 0.9 was point 0
+    doc = quotient_map_to_json(QuotientMap(random_metric(3, 9), random_metric(2, 10), (0, 1, 1)))
+    doc["assign"][0] = bad
+    with pytest.raises(StructuralError, match=r"declared assign\[0\] "):
+        quotient_map_from_json(doc)
+
+
 def test_lip_colip_matches_pair_loop():
     rng = np.random.default_rng(13)
     for trial in range(100):

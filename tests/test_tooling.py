@@ -4,17 +4,22 @@ import importlib.util
 import itertools
 import json
 import shlex
+from dataclasses import fields
 from pathlib import Path
 
 import click
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from metriq import verify
 from metriq.cli import PIPELINES, main
+from metriq.core import Doc, MetricSpace, ValidationReport, metric_to_json
 from metriq.generators import INSTANCES
+from metriq.quotient import MODEL
 from metriq.verify import CHECKS, verify_bundle
 
-from conftest import run_bundle
+from conftest import ARTIFACT_COMMANDS, SMALL_PLANS, cli_output, run_bundle
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -34,51 +39,105 @@ def test_every_traced_layer_exists(module, function):
     assert callable(getattr(importlib.import_module(f"metriq.{module}"), function, None))
 
 
-#: pipeline -> (instance variant, instance params, pipeline params) of a small plan
-SMALL_PLANS = {
-    "q2": ("cloud", {"n": 40}, {}),
-    "aspect": ("cloud", {"n": 40}, {}),
-    "dichotomy": ("cloud", {"n": 40}, {"drop_root": True}),
-    "star": ("equilateral", {"n": 12}, {"a": 0.9, "b": 1.1, "alpha": 2.0}),
-    "hst": ("cloud", {"n": 40}, {}),
-    "bourgain": ("cloud", {"n": 40}, {}),
-    "cube-qs": ("cube", {"d": 8}, {"d": 8, "eps": 0.24}),
-    "composition": ("composition", {}, {}),
-}
-
-
 class _Recording(dict):
-    """A dict that records each key read through [], get or in."""
+    """Read fields that record each key a check reads, by [] or by iterating;
+    a nested document's fields are a _Recording too."""
 
-    def __init__(self, *args):
-        super().__init__(*args)
+    def __init__(self, values: dict):
+        super().__init__({k: _Recording(v) if isinstance(v, dict) else v for k, v in values.items()})
         self.read = set()
 
     def __getitem__(self, key):
         self.read.add(key)
         return super().__getitem__(key)
 
-    def get(self, key, default=None):
-        self.read.add(key)
-        return super().get(key, default)
+    def __iter__(self):
+        self.read.update(self.keys())
+        return super().__iter__()
 
-    def __contains__(self, key):
-        self.read.add(key)
-        return super().__contains__(key)
+    def items(self):
+        self.read.update(self.keys())
+        return super().items()
+
+    def unread(self, stored: dict, path: str = "") -> set[str]:
+        """The paths of the fields stored in `stored` that no check read; its
+        kind is read when verify_bundle looks up its declaration."""
+        out = set()
+        for key in stored.keys() - {"kind"}:
+            if key not in self.read:
+                out.add(path + key)
+            elif isinstance(self[key], _Recording):
+                out |= self[key].unread(stored[key], f"{path}{key}.")
+        return out
 
 
 @pytest.mark.parametrize("pipeline", sorted(PIPELINES))
 def test_every_pipeline_writes_a_kind_that_verify_checks(pipeline):
-    # a new pipeline needs a plan here, and its artifact a check in
-    # metriq.verify that reads every field it stores: a field that verify
-    # never reads is one it cannot vouch for
+    # a new pipeline needs a plan here, and its artifact a kind in
+    # metriq.verify.CHECKS whose declaration names each field it stores and
+    # whose check, or the row check, reads every one of them: a field that
+    # verify never reads is one it cannot vouch for
     variant, instance, params = SMALL_PLANS[pipeline]
     doc = run_bundle(variant, instance, pipeline, params)
-    art = _Recording(doc["artifacts"][0])
-    doc["artifacts"] = [art]
-    assert verify_bundle(doc).ok
-    assert set(art) - art.read == set()
-    assert art["kind"] in CHECKS
+    art, = doc["artifacts"]
+    decl, check = CHECKS[art["kind"]]
+    typed, report = _Recording(decl(art)), ValidationReport()
+    verify._check_rows(doc["rows"], [(decl, typed, check(typed, 0, report, 1e-9))], report)
+    assert report.ok
+    assert typed.unread(art) == set()
+
+
+def _fields(decl: Doc, doc: dict | None = None) -> set[tuple[str, str]]:
+    """(declaration name, field) of each field decl declares, or of each that
+    doc stores, with those of its nested documents."""
+    out = set()
+    for key, (read, _) in decl.fields.items():
+        if doc is None or key in doc:
+            out.add((decl.name, key))
+            if isinstance(read, Doc):
+                out |= _fields(read, None if doc is None else doc[key])
+    return out
+
+
+def _required(decl: Doc, doc: dict) -> set[tuple[str, str]]:
+    """(declaration name, field) of each required field of doc and of the documents it stores."""
+    out = set()
+    for key, (read, required) in decl.fields.items():
+        if required:
+            out.add((decl.name, key))
+        if isinstance(read, Doc) and key in doc:
+            out |= _required(read, doc[key])
+    return out
+
+
+def test_every_declared_field_is_stored_by_some_writer(metrics):
+    # every artifact a command or pipeline writes: each stored field is
+    # declared for its kind and each required one is stored, and every
+    # declared field is stored by one of them, so no declaration is dead
+    arts = [run_bundle(*plan[:2], pipeline, plan[2])["artifacts"][0]
+            for pipeline, plan in SMALL_PLANS.items()]
+    arts += [json.loads(cli_output("--seed", "4", *command.split(), *[metrics.get(a, a) for a in args]))
+             for command, args in ARTIFACT_COMMANDS.items()]
+    arts.append(json.loads(Path(metrics["CLOUD"]).read_text()))
+    arts += [json.loads(cli_output("quotient", "--in", metrics["CLOUD"], *selector))
+             for selector in (["--subset", "0,3"], ["--blocks", "0,1;2;5,6"])]
+    # labels: only a MetricSpace given labels has them, and no command makes one
+    labelled = MetricSpace(np.ones((2, 2)) - np.eye(2), ("a", "b"))
+    arts.append({"kind": "metric", **metric_to_json(labelled)})
+    stored = set()
+    for art in arts:
+        decl = CHECKS[art["kind"]][0]
+        assert verify_bundle(art).ok
+        assert set(art) - {"kind", "trial"} <= decl.fields.keys()
+        assert _required(decl, art) <= _fields(decl, art)
+        stored |= _fields(decl, art)
+    assert set().union(*(_fields(decl) for decl, _ in CHECKS.values())) == stored
+    assert any("trial" in art for art in arts)
+    # a model holds its type and the fields of the core dataclass it names
+    models = {name: i.model for name, i in INSTANCES.items() if i.model}
+    assert MODEL.fields.keys() == {"type"} | {f.name for m in models.values() for f in fields(m)}
+    for name in models:
+        MODEL({"type": name}, "model")
 
 
 def _readme_table(header: str) -> dict[str, str]:

@@ -1,0 +1,175 @@
+"""Every artifact field is read through its kind's declaration in metriq.verify.CHECKS.
+
+A field that is dropped, undeclared or of the wrong type is a StructuralError
+that names the artifact and the field's path, before any check runs.
+"""
+
+import copy
+import json
+import math
+import re
+from pathlib import Path
+
+import pytest
+
+from metriq.core import Doc, decode_array, integer, number
+from metriq.errors import StructuralError, UndefinedInputError
+from metriq.verify import CHECKS, verify_bundle
+
+from conftest import SMALL_PLANS, SQ_PLAN, cli_output, run_bundle
+
+def _plan(pipeline: str) -> dict:
+    variant, instance, params = SMALL_PLANS[pipeline]
+    return run_bundle(variant, instance, pipeline, params)
+
+
+#: name -> (metrics fixture -> a fresh document that verifies): a bundle, or
+#: the artifact a command writes
+FRESH = {
+    "metric": lambda metrics: json.loads(Path(metrics["CLOUD"]).read_text()),
+    "quotient-Q": lambda metrics: _plan("q2"),
+    "quotient-QS": lambda metrics: json.loads(
+        cli_output("quotient", "--in", metrics["CLOUD"], "--blocks", "0,1;2;5,6")),
+    "quotient-SQ": lambda metrics: run_bundle(*SQ_PLAN),
+    "hst": lambda metrics: _plan("hst"),
+    "embedding": lambda metrics: _plan("bourgain"),
+    "cube-qs": lambda metrics: _plan("cube-qs"),
+}
+
+DROP = object()
+
+
+def _path(keys: tuple) -> str:
+    text = ""
+    for k in keys:
+        text += f"[{k}]" if isinstance(k, int) else f".{k}" if text else k
+    return text
+
+
+def _value_cases(read, value, at: tuple):
+    """(keys, bad value) pairs for one stored value that its reader refuses;
+    read is None for a list item, whose reader is the list's."""
+    if read is integer or read is None and type(value) is int:
+        yield from ((at, value + 0.5), (at, True))
+    elif read is number or read is None and type(value) is float:
+        yield from ((at, repr(value)), (at, math.nan))
+    elif isinstance(value, str):
+        yield at, "bogus"
+    elif isinstance(value, dict):  # an encoded array
+        yield from ((at, decode_array(value).tolist()), (at + ("zz",), 1))
+    else:
+        yield at, dict(enumerate(value))
+        yield from _value_cases(None, value[0], at + (0,))
+
+
+def _cases(decl: Doc, doc: dict, at: tuple = ()):
+    """(keys, replacement) for each way to change one field of doc that decl
+    refuses: keys lead to the field, and DROP deletes it."""
+    yield at + ("zz",), 1
+    for key, (read, required) in decl.fields.items():
+        if key in doc:
+            if required:
+                yield at + (key,), DROP
+            if isinstance(read, Doc):
+                yield from _cases(read, doc[key], at + (key,))
+            else:
+                yield from _value_cases(read, doc[key], at + (key,))
+
+
+def _artifact(doc: dict) -> dict:
+    return doc["artifacts"][0] if "artifacts" in doc else doc
+
+
+def _refusal(doc: dict, keys: tuple, replacement) -> str:
+    """The StructuralError message of verify_bundle on a copy of doc with one
+    field of its artifact replaced, or "" when the copy verifies."""
+    doc = copy.deepcopy(doc)
+    holder = _artifact(doc)
+    for k in keys[:-1]:
+        holder = holder[k]
+    if replacement is DROP:
+        del holder[keys[-1]]
+    else:
+        holder[keys[-1]] = replacement
+    try:
+        verify_bundle(doc)
+    except StructuralError as exc:
+        return str(exc)
+    return ""
+
+
+@pytest.mark.parametrize("name", sorted(FRESH))
+def test_every_field_refuses_a_dropped_undeclared_or_mistyped_value(name, metrics):
+    doc = FRESH[name](metrics)
+    art = _artifact(doc)
+    assert verify_bundle(doc).ok
+    assert name in (art["kind"], f"{art['kind']}-{art.get('provenance')}")
+    cases = list(_cases(CHECKS[art["kind"]][0], art))
+    if "trial" in art:
+        cases += list(_value_cases(integer, art["trial"], ("trial",)))
+    missed = []
+    for keys, replacement in cases:
+        message = _refusal(doc, keys, replacement)
+        named = rf"artifact 0: (declared |unknown |undeclared |required )?{re.escape(_path(keys))}[ :]"
+        if not re.match(named, message):
+            missed.append((_path(keys), replacement if replacement is not DROP else "dropped", message))
+    assert missed == []
+
+
+@pytest.mark.parametrize("pipeline, keys, edit", [
+    ("cube-qs", ("d",), lambda v: 8.9),
+    ("cube-qs", ("r",), lambda v: v + 0.7),
+    ("cube-qs", ("block_count",), lambda v: v + 0.5),
+    ("cube-qs", ("eps",), lambda v: "0.24"),
+    ("cube-qs", ("extra",), lambda v: 1),
+    ("q2", ("blocks", 0), lambda v: [1.7]),
+    ("q2", ("blocks", 0), lambda v: [True]),
+    ("aspect", ("model", "n"), lambda v: v + 0.9),
+    ("aspect", ("model", "edge"), lambda v: repr(v)),
+    ("q2", ("trial",), lambda v: 0.0),
+    ("bourgain", ("mode",), lambda v: "bogus"),
+], ids=["cube-d", "cube-r", "cube-block_count", "cube-eps-string", "cube-undeclared", "q2-block-float",
+        "q2-block-bool", "aspect-model-n", "aspect-model-edge-string", "q2-trial-float",
+        "bourgain-mode"])
+def test_verify_refuses_a_truncated_or_mistyped_field(pipeline, keys, edit):
+    # each of these verified while fields were read with int(), float() or not at all
+    doc = _plan(pipeline)
+    holder = doc["artifacts"][0]
+    for k in keys[:-1]:
+        holder = holder[k]
+    key = keys[-1]
+    holder[key] = edit(holder[key] if isinstance(holder, list) or key in holder else None)
+    with pytest.raises(StructuralError, match=r"^artifact 0: .*" + re.escape(_path(keys))):
+        verify_bundle(doc)
+
+
+@pytest.mark.parametrize("pipeline", ["cube-qs", "q2", "hst"])
+def test_a_standalone_claim_that_is_a_string_is_refused(pipeline):
+    art = _plan(pipeline)["artifacts"][0]
+    del art["trial"]
+    assert verify_bundle(art).ok
+    art["certified_distortion"] = repr(art["certified_distortion"])
+    with pytest.raises(StructuralError, match="^artifact 0: declared certified_distortion '"):
+        verify_bundle(art)
+
+
+@pytest.mark.parametrize("pipeline", ["q2", "aspect", "dichotomy"])
+def test_a_quotient_holds_its_model_and_claim_together(pipeline):
+    doc = _plan(pipeline)
+    art, row = doc["artifacts"][0], doc["rows"][0]
+    del art["model"]
+    art["certified_distortion"] = row["certified_distortion"] = 1.0
+    with pytest.raises(StructuralError, match="^artifact 0: a quotient holds model and"):
+        verify_bundle(doc)
+    # without both, the row's claim has nothing to match
+    del art["certified_distortion"]
+    assert [v[:2] for v in verify_bundle(doc).violations] == [("row", (0,))]
+    row["certified_distortion"] = ""
+    assert verify_bundle(doc).ok
+
+
+def test_every_metriq_error_names_its_artifact():
+    doc = run_bundle(*SQ_PLAN)
+    doc["artifacts"][0]["blocks"] = []  # the SQ space keeps no block
+    with pytest.raises(UndefinedInputError, match="^artifact 0: must keep at least one block"):
+        verify_bundle(doc)
