@@ -40,6 +40,7 @@ from .verify import (
     _embedding_artifact,
     _hst_artifact,
     _quotient_artifact,
+    _standalone_artifact,
     verify_bundle,
 )
 
@@ -80,6 +81,10 @@ class ExperimentPlan:
             raise ParameterError("trials must be >= 0")
         PIPELINES[self.pipeline].resolve(self.params)
 
+    def instance_spec(self, t: int) -> InstanceSpec:
+        """Trial t's instance, which run_experiment realizes and verify_bundle rebuilds."""
+        return InstanceSpec(self.instance.variant, self.instance.params, RngSeed(self.seed, t).child(0))
+
 
 def plan_from_json(doc: dict) -> ExperimentPlan:
     """A plan document; a `seed` or `trials` that is not a JSON integer is a ParameterError."""
@@ -106,8 +111,9 @@ class ReportBundle:
 
 # --- pipeline implementations ----------------------------------------------
 # Each pipe maps (instance metric or None, seed, resolved params) to its CSV
-# row fields and the artifact that `run --artifacts` stores; its docstring is
-# the help text of the CLI command generated for it.
+# row fields and the artifact that `run --artifacts` stores, which references
+# the instance metric instead of copying it; its docstring is the help text
+# of the CLI command generated for it.
 
 
 def _row(size: int, provenance: str, target: str, certified: float, bound, attempts=1, p=""):
@@ -160,11 +166,11 @@ def _pipe_hst(m: MetricSpace, seed: RngSeed, params: dict):
     from .constructions import hst_from_m_centered, m_center_quotient, m_center_size
 
     eps = params["eps"]
-    _, q, attempts = m_center_quotient(m, eps, seed)
+    T, q, attempts = m_center_quotient(m, eps, seed)
     mparam = max(2, int(math.ceil(m_center_size(eps))))
     tree, report = hst_from_m_centered(q.metric, mparam)
     return (_row(q.metric.n, q.provenance, "UM", report.distortion, 2.0 * mparam, attempts),
-            _hst_artifact(q.metric, tree, report.distortion))
+            _hst_artifact(tree, report.distortion, subset=T))
 
 
 def _pipe_bourgain(m: MetricSpace, seed: RngSeed, params: dict):
@@ -201,7 +207,7 @@ def _pipe_composition(m, seed: RngSeed, params: dict):
     res = composition_qs(tree, params["k"], params["alpha"], seed.child(1))
     q, dist = res.quotient, res.report.distortion
     return ({"n": res.composed.n, **_row(q.metric.n, q.provenance, "UM", dist, res.alpha_bound)},
-            _hst_artifact(q.metric, res.hst, dist))
+            _hst_artifact(res.hst, dist, base=metric_to_json(q.metric)))
 
 
 @dataclass(frozen=True)
@@ -213,6 +219,7 @@ class Pipeline:
     """
 
     name: str
+    kind: str  # of its artifacts
     run: Callable
     options: tuple[click.Option, ...] = ()
     # None: the pipe runs on the plan's instance metric; otherwise it builds
@@ -225,22 +232,22 @@ class Pipeline:
 
 
 PIPELINES = {p.name: p for p in (
-    Pipeline("q2", _pipe_q2),
-    Pipeline("aspect", _pipe_aspect,
+    Pipeline("q2", "quotient", _pipe_q2),
+    Pipeline("aspect", "quotient", _pipe_aspect,
              (option("--alpha", 2.0), option("--lipschitz", False, is_flag=True))),
-    Pipeline("dichotomy", _pipe_dichotomy, (
+    Pipeline("dichotomy", "quotient", _pipe_dichotomy, (
         option("--k", 1.0), option("--beta", 1.5), option("--alpha", 2.0),
         option("--drop-root", False, is_flag=True),
     )),
-    Pipeline("star", _pipe_star,
+    Pipeline("star", "quotient", _pipe_star,
              (option("--a", type=float), option("--b", type=float), option("--alpha", type=float))),
-    Pipeline("hst", _pipe_hst, (option("--eps", 0.25),)),
-    Pipeline("bourgain", _pipe_bourgain, (option("--eps", 0.25), option("--p", 2.0))),
-    Pipeline("cube-qs", _pipe_cube_qs, (
+    Pipeline("hst", "hst", _pipe_hst, (option("--eps", 0.25),)),
+    Pipeline("bourgain", "embedding", _pipe_bourgain, (option("--eps", 0.25), option("--p", 2.0))),
+    Pipeline("cube-qs", "cube-qs", _pipe_cube_qs, (
         option("--d", type=int), option("--eps", 0.1), option("--p", 2.0),
     ), own_space=lambda params: 2 ** params["d"]),
     # its tree takes the params of the composition instance family
-    Pipeline("composition", _pipe_composition,
+    Pipeline("composition", "hst", _pipe_composition,
              (*INSTANCES["composition"].options, option("--k", 2.0), option("--alpha", 1.5)),
              own_space=lambda params: ""),
 )}
@@ -268,13 +275,12 @@ def run_experiment(plan: ExperimentPlan, keep_artifacts: bool = False) -> Report
     errors = []
     timings = []
     for t in range(plan.trials):
-        trial_seed = RngSeed(plan.seed, t)
         row = {c: "" for c in CSV_COLUMNS}
         row["trial"] = t
         row["seed"] = plan.seed
         start = time.perf_counter()
         try:
-            spec = InstanceSpec(plan.instance.variant, plan.instance.params, trial_seed.child(0))
+            spec = plan.instance_spec(t)
             if pipeline.own_space:
                 resolve_instance(spec)  # checked, though the pipe builds its own space
                 m = None
@@ -282,7 +288,7 @@ def run_experiment(plan: ExperimentPlan, keep_artifacts: bool = False) -> Report
             else:
                 m = realize_instance(spec)
                 row["n"] = m.n
-            result, art = pipeline.run(m, trial_seed.child(1), params)
+            result, art = pipeline.run(m, RngSeed(plan.seed, t).child(1), params)
             row.update(result)
             values.append(float(result["certified_distortion"]))
             if keep_artifacts:
@@ -414,12 +420,13 @@ def construct():
 
 
 def _pipeline_command(pipeline: Pipeline) -> click.Command:
-    """The CLI command that runs `pipeline` once with RngSeed(--seed) and emits its artifact."""
+    """The CLI command that runs `pipeline` once with RngSeed(--seed) and emits
+    its artifact, with the metric it ran on embedded, as no plan gives it."""
 
     def callback(path=None, **params):
         ctx = click.get_current_context()
         m = None if pipeline.own_space else _load_metric(path)
-        _emit(ctx, pipeline.run(m, RngSeed(ctx.obj["seed"]), params)[1])
+        _emit(ctx, _standalone_artifact(pipeline.run(m, RngSeed(ctx.obj["seed"]), params)[1], m))
 
     opts = list(pipeline.options)
     if not pipeline.own_space:

@@ -23,7 +23,7 @@ from .core import (
     integer,
     realize_special,
 )
-from .errors import ParameterError, StructuralError
+from .errors import CapacityError, ParameterError, StructuralError
 from .seeds import RngSeed, as_seed
 
 
@@ -314,24 +314,31 @@ def resolve_params(owner: str, options, given: dict) -> dict:
     return params
 
 
+#: the most points realize_instance builds: 2^12, the largest hypercube_metric
+#: takes, above the largest plan sizes run (hst at n = 2000)
+MAX_POINTS = 4096
+
+
 @dataclass(frozen=True)
 class Instance:
     """One instance family, realized by `build(seed, **params)`.  Its params are
-    declared once, as click options, in the same way as `cli.PIPELINES`; `model`
-    is the core dataclass (Star, Lacunary, Equilateral) whose fields they are.
+    declared once, as click options, in the same way as `cli.PIPELINES`;
+    `points(params)` bounds the point count they give, and `model` is the core
+    dataclass (Star, Lacunary, Equilateral) whose fields they are.
     """
 
     name: str
     build: Callable
     options: tuple[click.Option, ...]
+    points: Callable[[dict], int]
     model: type | None = None
 
     def resolve(self, given: dict) -> dict:
         return resolve_params(f"instance variant {self.name!r}", self.options, given)
 
 
-def _model(cls, *options: click.Option) -> Instance:
-    return Instance(cls.__name__.lower(), lambda seed, **p: realize_special(cls(**p)), options, cls)
+def _model(cls, points, *options: click.Option) -> Instance:
+    return Instance(cls.__name__.lower(), lambda seed, **p: realize_special(cls(**p)), options, points, cls)
 
 
 def _lipcomp(seed, k, yn, alpha):
@@ -346,20 +353,23 @@ INSTANCES = {i.name: i for i in (
     Instance("padded", lambda seed, base_n, copies, beta:
              gen_padded_copies(gen_euclidean_cloud(base_n, seed), copies, beta),
              (option("--base-n", 4, type=_SIZE), option("--copies", type=_SIZE),
-              option("--beta", None, type=float))),
+              option("--beta", None, type=float)), lambda p: p["base_n"] * p["copies"]),
     Instance("gnp", lambda seed, n, q: gen_random_graph_metric(n, q, seed)[0],
-             (option("--n", type=_SIZE), option("--q", type=float))),
+             (option("--n", type=_SIZE), option("--q", type=float)), lambda p: p["n"]),
+    # random_composition_tree: up to 4 children per outer point, 4 points per leaf space
     Instance("composition",
              lambda seed, depth, beta: gen_composition(random_composition_tree(depth, seed, beta=beta)),
-             (option("--depth", 2), option("--beta", 4.0))),
+             (option("--depth", 2), option("--beta", 4.0)), lambda p: 4 ** (min(p["depth"], 64) + 1)),
     Instance("lipcomp", _lipcomp,
-             (option("--k", 3, type=_SIZE), option("--yn", 3, type=_SIZE), option("--alpha", 1.5))),
-    Instance("cube", lambda seed, d: hypercube_metric(d), (option("--d", type=click.IntRange(min=0)),)),
-    _model(Star, option("--n", type=_SIZE), option("--tau", Star.tau)),
-    _model(Lacunary, option("--a", type=_Floats()), option("--k", Lacunary.k)),
-    _model(Equilateral, option("--n", type=_SIZE), option("--edge", Equilateral.edge)),
+             (option("--k", 3, type=_SIZE), option("--yn", 3, type=_SIZE), option("--alpha", 1.5)),
+             lambda p: p["k"] * p["yn"]),
+    Instance("cube", lambda seed, d: hypercube_metric(d), (option("--d", type=click.IntRange(min=0)),),
+             lambda p: 2 ** min(p["d"], 64)),
+    _model(Star, lambda p: p["n"] + 1, option("--n", type=_SIZE), option("--tau", Star.tau)),
+    _model(Lacunary, lambda p: len(p["a"]) + 1, option("--a", type=_Floats()), option("--k", Lacunary.k)),
+    _model(Equilateral, lambda p: p["n"], option("--n", type=_SIZE), option("--edge", Equilateral.edge)),
     Instance("cloud", lambda seed, n, dim: gen_euclidean_cloud(n, seed, dim),
-             (option("--n", type=_SIZE), option("--dim", 3, type=_SIZE))),
+             (option("--n", type=_SIZE), option("--dim", 3, type=_SIZE)), lambda p: p["n"]),
 )}
 
 
@@ -379,6 +389,13 @@ def resolve_instance(spec: InstanceSpec) -> tuple[Instance, dict]:
 
 
 def realize_instance(spec: InstanceSpec) -> MetricSpace:
-    """The metric of `spec`: its params resolved against INSTANCES, then built."""
+    """The metric of `spec`: its params resolved against INSTANCES, then built.
+
+    Params that give more than MAX_POINTS points raise CapacityError before
+    anything is built.
+    """
     inst, params = resolve_instance(spec)
+    points = inst.points(params)
+    if points > MAX_POINTS:
+        raise CapacityError(f"instance {spec.variant!r} would have {points} points; the cap is {MAX_POINTS}")
     return inst.build(spec.seed, **params)

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import floyd_warshall
 
 from .core import (METRIC, Doc, MetricSpace, _closure_is_identity, block_reduce, integer, list_of,
@@ -78,9 +79,11 @@ def quotient_metric(m: MetricSpace, blocks) -> QuotientSpace:
     closure is skipped where core._closure_is_identity proves in O(k^2) that
     it would return the weights bit for bit: every edge is at most the sum of
     the least edges at its two ends (as in any band [lo, 2 lo]), so no detour
-    is shorter, even in rounded arithmetic.  Two blocks at distance <= 0
-    raise StructuralError: a negative weight has no shortest paths, and the
-    closure would read a 0 as "no edge".
+    is shorter, even in rounded arithmetic.  scipy reads an entry of a dense
+    matrix within 1e-8 of 0 as "no edge", so weights that small go to the
+    closure as a sparse matrix, whose every stored entry is an edge.  Two
+    blocks at distance <= 0 raise StructuralError: a negative weight has no
+    shortest paths, and the closure would read a 0 as "no edge".
     Provenance is Q when the blocks cover all points, QS otherwise (quotient
     of the induced subspace).
     """
@@ -92,7 +95,8 @@ def quotient_metric(m: MetricSpace, blocks) -> QuotientSpace:
         raise StructuralError(f"blocks {i} and {j} are at distance {float(w[i, j])!r} <= 0")
     w += w.T
     if not _closure_is_identity(w):
-        w = floyd_warshall(w, directed=False)
+        tiny = np.min(w + np.diag(np.full(w.shape[0], np.inf))) <= 1e-8
+        w = floyd_warshall(csr_matrix(w) if tiny else w, directed=False)
     prov = "Q" if part.covers_base else "QS"
     return QuotientSpace(part, MetricSpace(w), prov)
 
@@ -209,19 +213,19 @@ def distortion_between(source: MetricSpace, target: MetricSpace, mapping=None) -
 # ---------------------------------------------------------------------------
 
 
-def quotient_to_json(q: QuotientSpace) -> dict:
-    """Base, blocks and provenance: the recipe quotient_from_json rebuilds.
+def quotient_to_json(q: QuotientSpace, base: bool = True) -> dict:
+    """Base, blocks and provenance: the recipe quotient_from_fields rebuilds.
+    Without its base (base=False) for an artifact whose plan gives the base.
 
     An SQ space whose rebuild is not its matrix bit for bit (one that dropped
     several blocks, say) raises StructuralError instead of being written.
     """
-    doc = {
-        "base": metric_to_json(q.partition.base),
-        "blocks": [list(b) for b in q.blocks],
-        "provenance": q.provenance,
-    }
-    if q.provenance == "SQ" and not np.array_equal(quotient_from_json(doc).metric.dist, q.metric.dist):
+    doc = {"blocks": [list(b) for b in q.blocks], "provenance": q.provenance}
+    if q.provenance == "SQ" and not np.array_equal(
+            quotient_from_fields(q.partition.base, doc).metric.dist, q.metric.dist):
         raise StructuralError("this SQ space is not the one its base and blocks rebuild")
+    if base:
+        doc["base"] = metric_to_json(q.partition.base)
     return doc
 
 
@@ -231,25 +235,29 @@ MODEL = Doc("a model", type=one_of("star", "lacunary", "equilateral"), n=integer
             a=list_of(number), k=number, edge=number, optional={"n", "tau", "a", "k", "edge"})
 
 #: a quotient document, as quotient_to_json writes it, and the model and
-#: certified distortion that a quotient pipeline's artifact adds
+#: certified distortion that a quotient pipeline's artifact adds; a bundle's
+#: artifact stores no base, as its plan gives it
 QUOTIENT = Doc("a quotient", kind="quotient", base=METRIC, blocks=list_of(list_of(integer)),
                provenance=one_of("Q", "QS", "SQ"), model=MODEL, certified_distortion=number,
-               optional={"model", "certified_distortion"})
+               optional={"base", "model", "certified_distortion"})
 
 
 def quotient_from_json(doc: dict) -> QuotientSpace:
-    return quotient_from_fields(QUOTIENT(doc))
+    f = QUOTIENT(doc)
+    if f["base"] is None:
+        raise StructuralError("required base is missing")
+    return quotient_from_fields(metric_from_fields(f["base"]), f)
 
 
-def quotient_from_fields(f: dict) -> QuotientSpace:
-    """The quotient of a document that QUOTIENT has read, rebuilt by quotient_metric.
+def quotient_from_fields(base: MetricSpace, f: dict) -> QuotientSpace:
+    """The quotient of base by the blocks and provenance of a read document, rebuilt by quotient_metric.
 
     An SQ space is restricted from the parent q_dichotomy(drop_root=True)
     builds: one block of every point outside the kept blocks, listed first
     (none when empty), then the kept blocks.  A Q or QS label that the blocks
     contradict raises StructuralError.
     """
-    base, blocks, prov = metric_from_fields(f["base"]), tuple(map(tuple, f["blocks"])), f["provenance"]
+    blocks, prov = tuple(map(tuple, f["blocks"])), f["provenance"]
     if prov != "SQ":
         q = quotient_metric(base, blocks)
         if q.provenance != prov:

@@ -2,22 +2,26 @@
 
 `verify_bundle` reads every artifact through the declaration `CHECKS` gives its `kind`,
 re-checks the fields it read through the kind's check, and compares a bundle's rows with them.
+A quotient or hst artifact is about a base metric: in a bundle, the instance its plan
+names, which verify rebuilds; in a standalone artifact, the base it embeds.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict
 
 import numpy as np
 
-from .core import (METRIC, Doc, MetricSpace, ValidationReport, array, encode_array, integer,
+from .core import (METRIC, Doc, MetricSpace, ValidationReport, array, encode_array, integer, list_of,
                    metric_from_fields, metric_to_json, number, one_of, validate_metric)
 from .cube import MAX_D, _net_radius
 from .errors import MetriqError, StructuralError
-from .generators import INSTANCES
+from .generators import INSTANCES, InstanceSpec, realize_instance
 from .hst import TREE, HstTree, hst_to_json, hst_to_metric
-from .quotient import QUOTIENT, QuotientSpace, distortion_between, quotient_from_fields, quotient_to_json
+from .quotient import (QUOTIENT, QuotientSpace, distortion_between, quotient_by_subset, quotient_from_fields,
+                       quotient_to_json)
 
 
 def _model_doc(model) -> dict:
@@ -25,16 +29,26 @@ def _model_doc(model) -> dict:
 
 
 def _quotient_artifact(q: QuotientSpace, model, certified: float) -> dict:
-    doc = quotient_to_json(q)
+    """Blocks and provenance of q, a quotient of the pipe's instance, which the artifact does not copy."""
+    doc = quotient_to_json(q, base=False)
     doc["kind"] = "quotient"
     doc["model"] = _model_doc(model)
     doc["certified_distortion"] = certified
     return doc
 
 
-def _hst_artifact(base: MetricSpace, tree, certified: float) -> dict:
-    return {"kind": "hst", "base": metric_to_json(base), "tree": hst_to_json(tree),
-            "certified_distortion": certified}
+def _hst_artifact(tree, certified: float, **source) -> dict:
+    """source: subset=T when the tree's base is the pipe's instance collapsed on
+    T (quotient_by_subset), or base=the metric document of a base of its own."""
+    return {"kind": "hst", **source, "tree": hst_to_json(tree), "certified_distortion": certified}
+
+
+def _standalone_artifact(art: dict, m: MetricSpace | None) -> dict:
+    """A pipe's artifact with m, the instance metric it ran on, embedded as the
+    base of a kind that has one: without a plan, nothing else gives it."""
+    if m is not None and "base" in CHECKS[art["kind"]][0].fields:
+        art["base"] = metric_to_json(m)
+    return art
 
 
 def _embedding_artifact(emb, induced: MetricSpace) -> dict:
@@ -67,13 +81,13 @@ def _cube_artifact(res) -> dict:
 
 
 def _model_from_doc(doc: dict) -> MetricSpace:
-    """The model metric of a quotient artifact, built through its INSTANCES entry."""
+    """The model metric of a quotient artifact, realized through its INSTANCES entry."""
     params = {k: v for k, v in doc.items() if v is not None}
     t = params.pop("type")
     inst = INSTANCES.get(t)
     if inst is None or inst.model is None:
         raise StructuralError(f"unknown model type {t!r}")
-    return inst.build(None, **inst.resolve(params))
+    return realize_instance(InstanceSpec(t, params, None))
 
 
 def _check_claim(claimed: float, recomputed: float, ai: int, report: ValidationReport, tol: float):
@@ -94,7 +108,7 @@ def _verify_quotient(f: dict, ai: int, report: ValidationReport, tol: float) -> 
     Model and claim come together or not at all."""
     if (f["model"] is None) != (f["certified_distortion"] is None):
         raise StructuralError("a quotient holds model and certified_distortion together, or neither")
-    q = quotient_from_fields(f)
+    q = quotient_from_fields(f["base"], f)
     metric_report = validate_metric(q.metric, tol)
     for kind, where, detail in metric_report.violations:
         report.add(kind, (ai,) + where, detail)
@@ -104,11 +118,19 @@ def _verify_quotient(f: dict, ai: int, report: ValidationReport, tol: float) -> 
     return q.metric.n
 
 
-HST = Doc("an hst artifact", kind="hst", base=METRIC, tree=TREE, certified_distortion=number)
+#: the tree is over the base collapsed on `subset`, the m-centre set T the hst
+#: pipeline collapses, or over the base itself (composition); the base is the
+#: plan's instance in a bundle of the hst pipeline, else embedded
+HST = Doc("an hst artifact", kind="hst", base=METRIC, subset=list_of(integer), tree=TREE,
+          certified_distortion=number, optional={"base", "subset"})
 
 
 def _verify_hst(f: dict, ai: int, report: ValidationReport, tol: float) -> int:
-    base, tree = metric_from_fields(f["base"]), f["tree"]
+    """The tree against its base, collapsed on `subset` where it has one as
+    the hst pipeline collapses it (quotient_by_subset)."""
+    base, tree = f["base"], f["tree"]
+    if f["subset"] is not None:
+        base = quotient_by_subset(base, f["subset"]).metric
     if tree["order"].size != base.n:  # before hst_to_metric allocates leaves x leaves
         raise StructuralError(f"source has {base.n} points, the tree {tree['order'].size} leaves")
     rep = distortion_between(base, hst_to_metric(HstTree(**tree)))
@@ -176,7 +198,8 @@ def _verify_cube(f: dict, ai: int, report: ValidationReport, tol: float) -> int:
 
 
 #: artifact kind -> (its declaration, check(fields, artifact index, report, tolerance) ->
-#: certified size); metric_from_json and quotient_from_json read core.METRIC and quotient.QUOTIENT
+#: certified size); metric_from_json and quotient_from_json read core.METRIC and quotient.QUOTIENT.
+#: A check gets a declared `base` as a MetricSpace (_with_base).
 CHECKS = {
     "metric": (METRIC, _verify_metric),
     "quotient": (QUOTIENT, _verify_quotient),
@@ -215,21 +238,71 @@ def _check_rows(rows: list, artifacts: list[tuple[Doc, dict, int]], report: Vali
             report.add("row", (), f"trial {t!r} has a certificate but no artifact")
 
 
+def _bundle_plan(doc: dict):
+    """The plan of a bundle, read as `metriq run` reads it, or None for a document without one."""
+    if "plan" not in doc:
+        return None
+    from .cli import plan_from_json
+
+    try:
+        return plan_from_json(doc["plan"])
+    except MetriqError as exc:
+        raise type(exc)(f"plan: {exc}") from exc
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise StructuralError(f"plan: malformed ({exc!r})") from exc
+
+
+def _with_base(f: dict, kind: str, plan) -> None:
+    """Set the `base` of f, read for a kind that declares one, to the metric
+    the artifact is about.
+
+    In a bundle whose pipeline runs on its plan's instance, that is trial t's
+    instance, rebuilt from the plan as run_experiment built it, and the
+    artifact must name t and store no base.  Otherwise (no plan, or a
+    pipeline that builds its own space) it is the base the artifact embeds.
+    An artifact of a kind its plan's pipeline does not write is refused.
+    """
+    pipeline = None
+    if plan is not None:
+        from .cli import PIPELINES
+
+        pipeline = PIPELINES[plan.pipeline]
+        if kind != pipeline.kind:
+            raise StructuralError(f"a {plan.pipeline} plan writes {pipeline.kind} artifacts, not {kind}")
+    if pipeline is None or pipeline.own_space:
+        if f["base"] is None:
+            raise StructuralError("required base is missing")
+        f["base"] = metric_from_fields(f["base"])
+        return
+    t = f["trial"]
+    if f["base"] is not None:
+        raise StructuralError(f"stores a base, but a {plan.pipeline} bundle's base is its plan's instance")
+    if t is None or not 0 <= t < plan.trials:
+        raise StructuralError(f"trial {t!r} is not one of the plan's {plan.trials} trials")
+    f["base"] = realize_instance(plan.instance_spec(t))
+
+
 def verify_bundle(doc: dict, tolerance: float = 1e-9) -> ValidationReport:
     """Re-check every certificate in a bundle using only the exact evaluators.
 
     Each artifact is read through its kind's declaration, which refuses an
     undeclared key, a missing required field and a mistyped value with
-    StructuralError.  Quotients are rebuilt from base + blocks (and, for SQ,
-    the parent quotient) and must be metrics; model and HST distortions and
-    embedding tables are recomputed; a cube's radius must follow from d and
-    eps.  Each artifact in a bundle with rows must match the row of its
-    trial.  Every MetriqError raised names its artifact.
+    StructuralError.  A bundle's quotient and hst artifacts are checked
+    against the instance of their trial, rebuilt from the plan (_with_base),
+    which is read when the first of them needs it; rows need their plan.
+    Quotients are rebuilt from base + blocks (and, for SQ, the parent
+    quotient) and must be metrics; model and HST distortions and embedding
+    tables are recomputed; a cube's radius must follow from d and eps.  Each
+    artifact in a bundle with rows must match the row of its trial.  Every
+    MetriqError raised names its artifact.
     """
     report = ValidationReport()
     artifacts = doc.get("artifacts", [doc] if "kind" in doc else None) if isinstance(doc, dict) else None
     if not isinstance(artifacts, list):
         raise StructuralError("a bundle needs an artifact list, and a single artifact its kind")
+    if "rows" in doc and "plan" not in doc:
+        raise StructuralError("rows: a bundle's rows come with the plan they ran")
+    plan = functools.cache(lambda: _bundle_plan(doc))
     read = []
     for ai, art in enumerate(artifacts):
         try:
@@ -240,6 +313,8 @@ def verify_bundle(doc: dict, tolerance: float = 1e-9) -> ValidationReport:
                 raise StructuralError(f"unknown kind {kind!r}")
             decl, check = CHECKS[kind]
             fields = decl(art)
+            if "base" in decl.fields:
+                _with_base(fields, kind, plan())
             read.append((decl, fields, check(fields, ai, report, tolerance)))
         except MetriqError as exc:
             raise type(exc)(f"artifact {ai}: {exc}") from exc

@@ -8,7 +8,7 @@ from scipy import optimize
 from click.testing import CliRunner
 from scipy.sparse.csgraph import connected_components
 
-from metriq.cli import main, plan_from_json, run_experiment
+from metriq.cli import PIPELINES, main, plan_from_json, run_experiment
 from metriq.constructions import _center_radii, find_m_center
 from metriq.core import (
     TOL,
@@ -30,10 +30,11 @@ from metriq.errors import (
     ParameterError,
     StructuralError,
 )
-from metriq.generators import gen_euclidean_cloud, hypercube_metric
+from metriq.generators import gen_euclidean_cloud, hypercube_metric, realize_instance
 from metriq.hst import HstTree, hst_from_splits, hst_to_metric, join, leaf
 from metriq.quotient import Partition, QuotientSpace, distortion_between
 from metriq.seeds import as_seed
+from metriq.verify import _standalone_artifact
 
 
 def random_metric(n: int, seed: int, dim: int = 3) -> MetricSpace:
@@ -89,6 +90,16 @@ def run_bundle(variant: str, instance: dict, pipeline: str, params: dict, trials
     assert bundle.summary["failures"] == 0
     return json.loads(dumps({"plan": bundle.plan, "rows": bundle.rows,
                              "summary": bundle.summary, "artifacts": bundle.artifacts}))
+
+
+def standalone(doc: dict) -> dict:
+    """The first artifact of a bundle as its pipeline's command writes it:
+    without its trial, and with the instance its plan gives embedded."""
+    plan = plan_from_json(doc["plan"])
+    art = dict(doc["artifacts"][0])
+    t = art.pop("trial")
+    m = None if PIPELINES[plan.pipeline].own_space else realize_instance(plan.instance_spec(t))
+    return json.loads(dumps(_standalone_artifact(art, m)))
 
 
 #: pipeline -> (instance variant, instance params, pipeline params) of a small plan

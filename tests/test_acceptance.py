@@ -352,11 +352,11 @@ def test_artifacts_are_byte_deterministic(make):
 #: the artifact kind and provenance they give, and the digest.
 GOLDEN_BUNDLES = {
     "quotient": ("cloud", {"n": 40}, "q2", {}, ("quotient", "Q"),
-                 "3e80609a453ae940d94acd5a29b089a6bbe0a0d9aa385c41eb8d93d8f8ee1de1"),
+                 "7d6c8c55478c02f6739577dab6a86a85a3e10da65a4e04679c388980e38e9366"),
     "sq": ("cloud", {"n": 40}, "dichotomy", {"drop_root": True}, ("quotient", "SQ"),
-           "ac2db8520e8638dbfc4b26a1dfcb6960caab7602aa34c934df5b55d70efcbdcd"),
+           "49dd22679d7af593119eeb72b44abdd1c70dc00eb52a6e5d6e02402426722dcd"),
     "hst": ("cloud", {"n": 40}, "hst", {}, ("hst", None),
-            "566d3788ba9d75473266e813f1470b1139f43e6d05a38fcf4d493fecf72dd0a8"),
+            "b5ae7e30468429171ea9ff05fae1c0ad697f1be6f1638dbb8dbf2069a6cafafe"),
     "embedding": ("cloud", {"n": 40}, "bourgain", {}, ("embedding", None),
                   "5c441fdfd3cb4437d9c32574ef9b0b7f7d5ef6cb68369e677a32746c2b92485f"),
     "cube-qs": ("cube", {"d": 8}, "cube-qs", {"d": 8, "eps": 0.24}, ("cube-qs", None),

@@ -32,7 +32,7 @@ from metriq.lipschitz import QuotientMap, quotient_map_to_json
 from metriq.quotient import quotient_to_json
 from metriq.seeds import RngSeed
 
-from conftest import ARTIFACT_COMMANDS, SQ_PLAN, edit_array, random_metric, run_bundle, star_to_lp
+from conftest import ARTIFACT_COMMANDS, SQ_PLAN, edit_array, random_metric, run_bundle, standalone, star_to_lp
 
 
 @pytest.fixture
@@ -165,7 +165,8 @@ def test_verify_names_the_artifact_of_a_structural_error():
 
     plan = {"instance": {"variant": "cloud", "params": {"n": 40}}, "pipeline": "q2",
             "params": {}, "trials": 3, "seed": 0}
-    doc = json.loads(dumps({"artifacts": run_experiment(plan_from_json(plan), True).artifacts}))
+    bundle = run_experiment(plan_from_json(plan), True)
+    doc = json.loads(dumps({"plan": bundle.plan, "artifacts": bundle.artifacts}))
     assert verify_bundle(doc).ok
     a = doc["artifacts"][2]["model"]["a"]
     a += [a[-1] / 2, a[-1] / 4]
@@ -319,11 +320,11 @@ def test_verify_bundle_accepts_and_rejects(runner, tmp_path):
     doc = json.loads(out.read_text())
     assert verify_bundle(doc).ok
 
-    # bring a point of block 0 close to one of block 1: the rebuilt quotient
-    # gets a shortcut, and the claimed distortion no longer holds
+    # a point moved to another block: the quotient rebuilt from the plan's
+    # instance changes, and the claimed distortion no longer holds
     art = doc["artifacts"][0]
-    (a, *_), (b, *_) = art["blocks"][:2]
-    edit_array(art["base"], "dist", lambda d: _set_pair(d, a, b, d[a, b] * 1e-3))
+    src = next(b for b in art["blocks"] if len(b) > 1)
+    next(b for b in art["blocks"] if b is not src).append(src.pop())
     rep = verify_bundle(doc)
     assert [v[:2] for v in rep.violations] == [("certificate", (0,))]
 
@@ -434,13 +435,14 @@ def _as_format1(doc):
 
 
 def _fresh_artifact(kind: str) -> dict:
+    """A standalone artifact of the kind, with its base embedded where it has one."""
     from metriq.cli import PIPELINES
     from metriq.embeddings import induced_metric
-    from metriq.verify import _embedding_artifact
+    from metriq.verify import _embedding_artifact, _standalone_artifact
 
     m = random_metric(30, 2)
     if kind == "sq":
-        art, = run_bundle(*SQ_PLAN)["artifacts"]
+        art = standalone(run_bundle(*SQ_PLAN))
         assert art["provenance"] == "SQ"
         return art
     if kind == "metric":
@@ -450,7 +452,8 @@ def _fresh_artifact(kind: str) -> dict:
         return _embedding_artifact(emb, induced_metric(emb))
     pipe = PIPELINES[{"quotient": "q2", "hst": "hst", "cube-qs": "cube-qs"}[kind]]
     params = pipe.resolve({"d": 8, "eps": 0.24} if kind == "cube-qs" else {})
-    return pipe.run(None if pipe.own_space else m, RngSeed(2), params)[1]
+    m = None if pipe.own_space else m
+    return _standalone_artifact(pipe.run(m, RngSeed(2), params)[1], m)
 
 
 @pytest.mark.parametrize("kind, path", [
@@ -513,9 +516,8 @@ def test_verify_rejects_a_non_finite_claim_or_entry(kind, path, bad):
 def test_verify_rebuilds_the_parent_of_an_sq_space():
     # the base distances from the dropped root block to the kept points
     # halved: only paths through the rebuilt parent's root block change
-    doc = run_bundle(*SQ_PLAN)
-    art, = doc["artifacts"]
-    assert art["provenance"] == "SQ" and verify_bundle(doc).ok
+    art = standalone(run_bundle(*SQ_PLAN))
+    assert art["provenance"] == "SQ" and verify_bundle(art).ok
     kept = [i for b in art["blocks"] for i in b]
     root = np.setdiff1d(np.arange(60), kept)  # SQ_PLAN's cloud has 60 points
 
@@ -525,7 +527,7 @@ def test_verify_rebuilds_the_parent_of_an_sq_space():
         return d
 
     edit_array(art["base"], "dist", halve)
-    assert [v[:2] for v in verify_bundle(doc).violations] == [("certificate", (0,))]
+    assert [v[:2] for v in verify_bundle(art).violations] == [("certificate", (0,))]
 
 
 def test_an_sq_that_dropped_two_blocks_is_not_written():
@@ -545,38 +547,63 @@ QUOTIENT_PIPES = {  # pipeline -> params of one artifact kind "quotient"
 }
 
 
+def _verdict(doc: dict):
+    """What verify_bundle says of doc: its violations (kind, where), or the
+    class and message, without the artifact prefix, of the error it raises."""
+    try:
+        return [v[:2] for v in verify_bundle(doc).violations]
+    except MetriqError as exc:
+        return type(exc).__name__, str(exc).removeprefix("artifact 0: ")
+
+
 @settings(max_examples=60, deadline=None)
 @given(variant=st.sampled_from(["cloud", "gnp"]), n=st.integers(12, 60),
-       pipe=st.sampled_from(sorted(QUOTIENT_PIPES)), seed=st.integers(0, 2**32 - 1))
-def test_a_quotient_artifact_rebuilds_its_writers_matrix(variant, n, pipe, seed):
+       pipe=st.sampled_from(sorted(QUOTIENT_PIPES)), seed=st.integers(0, 2**32 - 1),
+       move=st.integers(0, 2**32 - 1))
+def test_a_quotient_artifact_rebuilds_its_writers_matrix(variant, n, pipe, seed, move):
     from metriq import verify
-    from metriq.cli import PIPELINES
     from metriq.generators import realize_instance
-    from metriq.quotient import quotient_from_json
+    from metriq.quotient import quotient_from_fields
 
     instance = {"n": n, "q": 0.1} if variant == "gnp" else {"n": n}
-    m = realize_instance(InstanceSpec(variant, instance, RngSeed(seed, 0)))
-    pipeline = PIPELINES[pipe.split()[0]]
+    plan = {"instance": {"variant": variant, "params": instance}, "pipeline": pipe.split()[0],
+            "params": QUOTIENT_PIPES[pipe], "trials": 1, "seed": seed}
     written = []
 
-    def recording(q):
+    def recording(q, base=True):
         written.append(q)
-        return quotient_to_json(q)
+        return quotient_to_json(q, base)
 
     with mock.patch.object(verify, "quotient_to_json", recording):
-        try:
-            _, art = pipeline.run(m, RngSeed(seed, 1), pipeline.resolve(QUOTIENT_PIPES[pipe]))
-        except StructuralError:
-            raise  # as the writer refuses a space it would not rebuild
-        except MetriqError:
-            assume(False)  # the construction failed on this input
+        bundle = run_experiment(plan_from_json(plan), keep_artifacts=True)
+    errors = [e["error"] for e in bundle.summary["errors"]]
+    assert "StructuralError" not in errors  # as the writer refuses a space it would not rebuild
+    assume(not errors)  # the construction failed on this input
     q, = written
     event(q.provenance)
-    art = json.loads(dumps(art))
-    assert np.array_equal(quotient_from_json(art).metric.dist, q.metric.dist)
-    assert verify_bundle(art).ok
-    art["certified_distortion"] *= 1 + 1e-5
-    assert [v[:2] for v in verify_bundle(art).violations] == [("certificate", (0,))]
+    doc = json.loads(dumps({"plan": bundle.plan, "rows": bundle.rows, "artifacts": bundle.artifacts}))
+    art, row = doc["artifacts"][0], doc["rows"][0]
+    m = realize_instance(plan_from_json(plan).instance_spec(0))
+    assert np.array_equal(quotient_from_fields(m, art).metric.dist, q.metric.dist)
+    assert verify_bundle(doc).ok
+    claim = art["certified_distortion"]
+    art["certified_distortion"] = row["certified_distortion"] = claim * (1 + 1e-5)
+    assert _verdict(doc) == [("certificate", (0,))]
+    art["certified_distortion"] = row["certified_distortion"] = claim
+
+    # the reference tampered, not a base: another plan seed, or one point moved
+    # to another block.  verify checks the artifact on the instance the edited
+    # plan gives, as it checks the standalone artifact that embeds it
+    other = {**doc, "plan": {**doc["plan"], "seed": seed ^ 1}}
+    assert _verdict(other) == _verdict(standalone(other))
+    if variant == "cloud" and pipe == "q2":  # a claim on another cloud is off
+        assert _verdict(other) != []
+    blocks = art["blocks"]
+    rng = np.random.default_rng(move)
+    src = int(rng.choice([i for i, b in enumerate(blocks) if len(b) > 1] or [0]))
+    dst = int(rng.choice([i for i in range(len(blocks)) if i != src]))
+    blocks[dst].append(blocks[src].pop(int(rng.integers(len(blocks[src])))))
+    assert _verdict(doc) == _verdict(standalone(doc))
 
 
 def test_verify_checks_each_quotient_claim_after_an_earlier_violation():
@@ -641,7 +668,7 @@ def test_verify_refuses_a_tree_larger_than_its_base_before_building_its_metric()
     art["tree"] = {"order": encode_array(np.arange(leaves, dtype=np.int64)),
                    "parent": encode_array(np.r_[-1, np.zeros(leaves, dtype=np.int64)]),
                    "delta": encode_array(np.r_[1.0, np.zeros(leaves)])}
-    n = decode_array(art["base"]["dist"]).shape[0]
+    n = art["base"]["n"] - len(art["subset"]) + 1  # the base collapsed on the subset
     with pytest.raises(StructuralError, match=f"source has {n} points, the tree {leaves} leaves"):
         verify_bundle(art)
 
@@ -671,7 +698,9 @@ def test_verify_compares_each_row_with_its_artifact(plan, key, edit):
 def test_verify_refuses_a_certified_row_without_its_artifact():
     doc = run_bundle("cloud", {"n": 40}, "q2", {}, trials=3)
     doc["artifacts"][1]["trial"] = 0  # two artifacts for trial 0, none for trial 1
-    assert [v[:2] for v in verify_bundle(doc).violations] == [("row", (1,)), ("row", ())]
+    # artifact 1's blocks are now checked on trial 0's instance, where its claim fails
+    assert [v[:2] for v in verify_bundle(doc).violations] == [
+        ("certificate", (1,)), ("row", (1,)), ("row", ())]
     del doc["artifacts"][1]
     assert [v[:2] for v in verify_bundle(doc).violations] == [("row", ())]
     del doc["rows"][1]  # the row goes too: nothing left to compare
@@ -703,8 +732,9 @@ def test_verify_refuses_complex_embedding_weights():
 
 
 def test_verify_command_refuses_a_format1_bundle(runner, tmp_path):
+    # an hst bundle: a q2 bundle's artifact holds no array since it stores no base
     plan = tmp_path / "plan.json"
-    plan.write_text(json.dumps(q2_plan(trials=1)))
+    plan.write_text(json.dumps({**q2_plan(trials=1), "pipeline": "hst"}))
     out = tmp_path / "bundle.json"
     invoke(runner, "--out", str(out), "run", "--plan", str(plan), "--artifacts")
     old = tmp_path / "format1.json"
@@ -859,6 +889,7 @@ def test_artifact_command_output_verifies(runner, tmp_path, metrics, command):
 def test_construct_emits_the_pipeline_artifact(runner, metrics, name, opts, params):
     from metriq.cli import PIPELINES, _load_metric
     from metriq.core import dumps
+    from metriq.verify import _standalone_artifact
 
     pipeline = PIPELINES[name]
     if pipeline.own_space:
@@ -868,7 +899,7 @@ def test_construct_emits_the_pipeline_artifact(runner, metrics, name, opts, para
         args = ["construct", name, "--in", metrics["CLOUD"], *opts]
     res = invoke(runner, "--seed", "6", *args)
     _, art = pipeline.run(m, RngSeed(6), pipeline.resolve(params))
-    assert res.output == dumps(art) + "\n"
+    assert res.output == dumps(_standalone_artifact(art, m)) + "\n"
 
 
 def test_flags_take_no_value_and_cube_d_is_required(runner, metrics):
@@ -977,7 +1008,7 @@ def test_hst_plan_on_a_large_cloud_completes_and_verifies():
            "params": {}, "trials": 1, "seed": 0}
     res = run_experiment(plan_from_json(doc), keep_artifacts=True)
     assert res.summary["failures"] == 0 and len(res.artifacts) == 1
-    assert verify_bundle(json.loads(dumps({"artifacts": res.artifacts}))).ok
+    assert verify_bundle(json.loads(dumps({"plan": res.plan, "artifacts": res.artifacts}))).ok
 
 
 @pytest.mark.parametrize("name, instance, params, key", [
@@ -991,7 +1022,7 @@ def test_one_trial_plan_is_certified_and_a_tamper_is_rejected(name, instance, pa
     assert bundle.summary["failures"] == 0
     row, = bundle.rows
     assert float(row["certified_distortion"]) <= float(row["paper_bound"])
-    art = json.loads(dumps({"artifacts": bundle.artifacts}))
+    art = json.loads(dumps({"plan": bundle.plan, "artifacts": bundle.artifacts}))
     assert verify_bundle(art).ok
     holder = art["artifacts"][0]
     if key == "delta":
@@ -999,12 +1030,12 @@ def test_one_trial_plan_is_certified_and_a_tamper_is_rejected(name, instance, pa
             a[a.argmax()] *= 1.5  # the root label
             return a
 
-        holder = holder["tree"]
+        edit_array(holder["tree"], key, tamper)
     else:
-        # two leaf blocks of the star moved apart
-        (a, *_), (b, *_) = holder["blocks"][1:3]
-        holder, tamper = holder["base"], lambda d: _set_pair(d, a, b, d[a, b] * 1.5)
-    edit_array(holder, key, tamper)
+        # two leaf blocks of the star moved apart in the instance the plan gives
+        art = standalone(art)
+        (a, *_), (b, *_) = art["blocks"][1:3]
+        edit_array(art["base"], key, lambda d: _set_pair(d, a, b, d[a, b] * 1.5))
     assert not verify_bundle(art).ok
 
 

@@ -6,8 +6,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from metriq.cli import PIPELINES, verify_bundle
-from metriq.core import TOL, MetricSpace, decode_array, dumps, metric_from_json, metric_to_json
+from metriq.cli import plan_from_json, verify_bundle
+from metriq.generators import realize_instance
+from metriq.core import TOL, MetricSpace, decode_array, dumps, metric_to_json
 from metriq.errors import StructuralError
 from metriq.hst import (
     HstTree,
@@ -22,8 +23,7 @@ from metriq.hst import (
     ultrametric_to_l2,
     validate_khst,
 )
-from metriq.quotient import distortion_between
-from metriq.seeds import RngSeed
+from metriq.quotient import distortion_between, quotient_by_subset
 
 from conftest import (
     edit_array,
@@ -35,6 +35,8 @@ from conftest import (
     is_ultrametric_ref,
     nested_tree,
     random_metric,
+    run_bundle,
+    standalone,
     ultrametric_to_l2_ref,
 )
 
@@ -270,28 +272,71 @@ def test_deep_caterpillar_artifact_verifies_and_embeds():
 # --- hst artifacts: fresh ones verify, malformed or tampered ones do not ---
 
 
-def _hst_artifact(seed: int, n: int) -> dict:
-    pipe = PIPELINES["hst"]
-    _, art = pipe.run(random_metric(n, seed), RngSeed(seed), pipe.resolve({"eps": 0.3}))
-    return json.loads(dumps(art))
+def _hst_bundle(seed: int, n: int) -> dict:
+    """A one-trial hst bundle: its artifact holds the m-centre set T of the
+    plan's instance as `subset`, and no base."""
+    return run_bundle("cloud", {"n": n}, "hst", {"eps": 0.3}, seed=seed)
 
 
-artifacts = st.builds(_hst_artifact, st.integers(0, 10**6), st.integers(30, 60))
+def _tree_base(doc: dict) -> MetricSpace:
+    """The base of the bundle's tree: its plan's instance collapsed on T."""
+    art = doc["artifacts"][0]
+    m = realize_instance(plan_from_json(doc["plan"]).instance_spec(art["trial"]))
+    return quotient_by_subset(m, art["subset"]).metric
+
+
+bundles = st.builds(_hst_bundle, st.integers(0, 10**6), st.integers(30, 60))
 
 
 @settings(max_examples=50, deadline=None)
-@given(artifacts)
-def test_fresh_hst_artifact_verifies(art):
-    assert verify_bundle(art).ok
+@given(bundles)
+def test_fresh_hst_artifact_verifies(doc):
+    assert verify_bundle(doc).ok
+    assert verify_bundle(standalone(doc)).ok
 
 
 @settings(max_examples=40, deadline=None)
-@given(artifacts, st.floats(1.01, 4.0))
-def test_a_raised_tree_label_is_refused(art, factor):
+@given(bundles, st.integers(0, 2**32 - 1))
+def test_a_swapped_m_centre_point_is_refused(doc, seed):
+    # one point of T traded for a point outside it: the tree's base, rebuilt
+    # from the plan's instance and T, changes; unless the distortion does not,
+    # the claim is off
+    art = doc["artifacts"][0]
+    rng = np.random.default_rng(seed)
+    T = art["subset"]
+    outside = np.setdiff1d(np.arange(doc["plan"]["instance"]["params"]["n"]), T)
+    T[int(rng.integers(len(T)))] = int(rng.choice(outside))
+    T.sort()
+    rep = distortion_between(_tree_base(doc), hst_to_metric(hst_from_json(art["tree"])))
+    claimed = art["certified_distortion"]
+    assume(abs(rep.distortion - claimed) > max(1e-9, 1e-6 * claimed))
+    assert "certificate" in {v[0] for v in verify_bundle(doc).violations}
+
+
+@settings(max_examples=20, deadline=None)
+@given(bundles, st.booleans())
+def test_a_dropped_or_added_m_centre_point_is_refused(doc, drop):
+    # the base collapsed on T then has one point more, or one fewer, than the tree
+    art = doc["artifacts"][0]
+    T = art["subset"]
+    if drop:
+        assume(len(T) > 1)
+        T.pop()
+    else:
+        T.append(int(np.setdiff1d(np.arange(doc["plan"]["instance"]["params"]["n"]), T)[0]))
+        T.sort()
+    with pytest.raises(StructuralError, match="^artifact 0: source has"):
+        verify_bundle(doc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(bundles, st.floats(1.01, 4.0))
+def test_a_raised_tree_label_is_refused(doc, factor):
     # the label of the lowest common ancestor of the most expanded pair, raised
     # by factor: that pair expands by factor, so unless the most contracted
     # pair shares the ancestor and the product is unchanged, the claim is off
-    base, tree = metric_from_json(art["base"]), hst_from_json(art["tree"])
+    art = doc["artifacts"][0]
+    base, tree = _tree_base(doc), hst_from_json(art["tree"])
     x, y = distortion_between(base, hst_to_metric(tree)).expansion_pair
     pos = np.argsort(tree.order)
     lo, hi = sorted((pos[x], pos[y]))
@@ -306,7 +351,7 @@ def test_a_raised_tree_label_is_refused(art, factor):
     rep = distortion_between(base, hst_to_metric(hst_from_json(art["tree"])))
     claimed = art["certified_distortion"]
     assume(abs(rep.distortion - claimed) > max(1e-9, 1e-6 * claimed))
-    assert "certificate" in {v[0] for v in verify_bundle(art).violations}
+    assert "certificate" in {v[0] for v in verify_bundle(doc).violations}
 
 
 def _put(tree: dict, key: str, i: int, value) -> None:
@@ -356,26 +401,27 @@ def _malform(tree: dict, case: str, rng) -> None:
 
 
 @settings(max_examples=100, deadline=None)
-@given(artifacts,
+@given(bundles,
        st.sampled_from(["length", "root", "parent", "preorder", "dtype", "leaf-delta", "internal-delta"]),
        st.integers(0, 2**32 - 1))
-def test_malformed_hst_tree_raises_structural_error(art, case, seed):
-    _malform(art["tree"], case, np.random.default_rng(seed))
+def test_malformed_hst_tree_raises_structural_error(doc, case, seed):
+    tree = doc["artifacts"][0]["tree"]
+    _malform(tree, case, np.random.default_rng(seed))
     with pytest.raises(StructuralError):
-        hst_from_json(art["tree"])
+        hst_from_json(tree)
     with pytest.raises(StructuralError):
-        verify_bundle(art)
+        verify_bundle(doc)
 
 
 @settings(max_examples=30, deadline=None)
-@given(artifacts)
-def test_shrunken_hst_tree_fails_contraction(art):
-    edit_array(art["tree"], "delta", lambda d: 0.99 * d)
-    assert "contraction" in {v[0] for v in verify_bundle(art).violations}
+@given(bundles)
+def test_shrunken_hst_tree_fails_contraction(doc):
+    edit_array(doc["artifacts"][0]["tree"], "delta", lambda d: 0.99 * d)
+    assert "contraction" in {v[0] for v in verify_bundle(doc).violations}
 
 
 @settings(max_examples=30, deadline=None)
-@given(artifacts, st.sampled_from([1.01, 0.5, 2.0]))
-def test_changed_hst_certificate_fails(art, factor):
-    art["certified_distortion"] *= factor
-    assert "certificate" in {v[0] for v in verify_bundle(art).violations}
+@given(bundles, st.sampled_from([1.01, 0.5, 2.0]))
+def test_changed_hst_certificate_fails(doc, factor):
+    doc["artifacts"][0]["certified_distortion"] *= factor
+    assert "certificate" in {v[0] for v in verify_bundle(doc).violations}

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metriq import quotient
 from metriq.core import MetricSpace, validate_metric
@@ -49,6 +51,33 @@ def test_quotient_matches_oracle_small():
         q = quotient_metric(m, blocks)
         assert np.allclose(q.metric.dist, brute_quotient(m, blocks), atol=0, rtol=0)
         assert validate_metric(q.metric).ok
+
+
+def test_quotient_metric_keeps_an_edge_below_1e8():
+    # scipy's dense closure reads an entry within 1e-8 of 0 as "no edge", and
+    # gave d(0, 2) = 5.9 here, the path through point 1
+    m = MetricSpace(np.array([[0.0, 3.0, 5e-9], [3.0, 0.0, 2.9], [5e-9, 2.9, 0.0]]))
+    d = quotient_metric(m, ((0,), (1,), (2,))).metric.dist
+    assert d[0, 2] == 5e-9 and d[0, 1] == 2.9 + 5e-9 and d[1, 2] == 2.9
+    assert np.array_equal(d, shortest_path_closure(m.dist))
+
+
+@st.composite
+def tiny_weights(draw):
+    """Symmetric matrices with a zero diagonal and off-diagonal entries in [1e-12, 1e-8]."""
+    k = draw(st.integers(2, 8))
+    upper = draw(st.lists(st.floats(1e-12, 1e-8), min_size=k * (k - 1) // 2, max_size=k * (k - 1) // 2))
+    w = np.zeros((k, k))
+    w[np.triu_indices(k, 1)] = upper
+    return w + w.T
+
+
+@settings(max_examples=200, deadline=None)
+@given(tiny_weights())
+def test_quotient_metric_closes_tiny_weights_as_the_loop_does(w):
+    # singleton blocks: the block distances are w itself
+    q = quotient_metric(MetricSpace(w), [(i,) for i in range(len(w))])
+    assert np.array_equal(q.metric.dist, shortest_path_closure(w))
 
 
 def test_provenance_q_vs_qs():

@@ -13,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 from metriq import verify
-from metriq.cli import PIPELINES, main
+from metriq.cli import PIPELINES, main, plan_from_json
 from metriq.core import Doc, MetricSpace, ValidationReport, metric_to_json
 from metriq.generators import INSTANCES
 from metriq.quotient import MODEL
@@ -82,6 +82,8 @@ def test_every_pipeline_writes_a_kind_that_verify_checks(pipeline):
     art, = doc["artifacts"]
     decl, check = CHECKS[art["kind"]]
     typed, report = _Recording(decl(art)), ValidationReport()
+    if "base" in decl.fields:
+        verify._with_base(typed, art["kind"], plan_from_json(doc["plan"]))
     verify._check_rows(doc["rows"], [(decl, typed, check(typed, 0, report, 1e-9))], report)
     assert report.ok
     assert typed.unread(art) == set()
@@ -113,26 +115,37 @@ def _required(decl: Doc, doc: dict) -> set[tuple[str, str]]:
 def test_every_declared_field_is_stored_by_some_writer(metrics):
     # every artifact a command or pipeline writes: each stored field is
     # declared for its kind and each required one is stored, and every
-    # declared field is stored by one of them, so no declaration is dead
-    arts = [run_bundle(*plan[:2], pipeline, plan[2])["artifacts"][0]
-            for pipeline, plan in SMALL_PLANS.items()]
-    arts += [json.loads(cli_output("--seed", "4", *command.split(), *[metrics.get(a, a) for a in args]))
-             for command, args in ARTIFACT_COMMANDS.items()]
-    arts.append(json.loads(Path(metrics["CLOUD"]).read_text()))
-    arts += [json.loads(cli_output("quotient", "--in", metrics["CLOUD"], *selector))
-             for selector in (["--subset", "0,3"], ["--blocks", "0,1;2;5,6"])]
+    # declared field is stored by one of them, so no declaration is dead.
+    # Both forms of a kind with a base count: a bundle's artifact of a
+    # pipeline that runs on its plan's instance stores no base (hst: its
+    # m-centre set as `subset`); a standalone or composition one embeds it
+    bundles = {pipeline: run_bundle(*plan[:2], pipeline, plan[2]) for pipeline, plan in SMALL_PLANS.items()}
+    standalone = [json.loads(cli_output("--seed", "4", *command.split(), *[metrics.get(a, a) for a in args]))
+                  for command, args in ARTIFACT_COMMANDS.items()]
+    standalone.append(json.loads(Path(metrics["CLOUD"]).read_text()))
+    standalone += [json.loads(cli_output("quotient", "--in", metrics["CLOUD"], *selector))
+                   for selector in (["--subset", "0,3"], ["--blocks", "0,1;2;5,6"])]
     # labels: only a MetricSpace given labels has them, and no command makes one
     labelled = MetricSpace(np.ones((2, 2)) - np.eye(2), ("a", "b"))
-    arts.append({"kind": "metric", **metric_to_json(labelled)})
+    standalone.append({"kind": "metric", **metric_to_json(labelled)})
+    for pipeline, doc in bundles.items():
+        art, = doc["artifacts"]
+        if "base" in CHECKS[art["kind"]][0].fields:
+            assert ("base" in art) == bool(PIPELINES[pipeline].own_space), pipeline
+        assert ("subset" in art) == (pipeline == "hst"), pipeline
+    for art in standalone:
+        if "base" in CHECKS[art["kind"]][0].fields:
+            assert "base" in art, art["kind"]
+    pairs = [(doc, doc["artifacts"][0]) for doc in bundles.values()] + [(art, art) for art in standalone]
     stored = set()
-    for art in arts:
+    for doc, art in pairs:
         decl = CHECKS[art["kind"]][0]
-        assert verify_bundle(art).ok
+        assert verify_bundle(doc).ok
         assert set(art) - {"kind", "trial"} <= decl.fields.keys()
         assert _required(decl, art) <= _fields(decl, art)
         stored |= _fields(decl, art)
     assert set().union(*(_fields(decl) for decl, _ in CHECKS.values())) == stored
-    assert any("trial" in art for art in arts)
+    assert any("trial" in art for _, art in pairs)
     # a model holds its type and the fields of the core dataclass it names
     models = {name: i.model for name, i in INSTANCES.items() if i.model}
     assert MODEL.fields.keys() == {"type"} | {f.name for m in models.values() for f in fields(m)}

@@ -16,7 +16,7 @@ from metriq.core import Doc, decode_array, integer, number
 from metriq.errors import StructuralError, UndefinedInputError
 from metriq.verify import CHECKS, verify_bundle
 
-from conftest import SMALL_PLANS, SQ_PLAN, cli_output, run_bundle
+from conftest import SMALL_PLANS, SQ_PLAN, cli_output, run_bundle, standalone
 
 def _plan(pipeline: str) -> dict:
     variant, instance, params = SMALL_PLANS[pipeline]
@@ -145,8 +145,7 @@ def test_verify_refuses_a_truncated_or_mistyped_field(pipeline, keys, edit):
 
 @pytest.mark.parametrize("pipeline", ["cube-qs", "q2", "hst"])
 def test_a_standalone_claim_that_is_a_string_is_refused(pipeline):
-    art = _plan(pipeline)["artifacts"][0]
-    del art["trial"]
+    art = standalone(_plan(pipeline))
     assert verify_bundle(art).ok
     art["certified_distortion"] = repr(art["certified_distortion"])
     with pytest.raises(StructuralError, match="^artifact 0: declared certified_distortion '"):
