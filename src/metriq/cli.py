@@ -31,6 +31,7 @@ from .core import (
     metric_to_csv,
     metric_to_json,
 )
+from .cube import MAX_D
 from .errors import MetriqError, ParameterError, StructuralError
 from .generators import INSTANCES, InstanceSpec, option, realize_instance, resolve_instance, resolve_params
 from .quotient import distortion_between, quotient_metric, quotient_to_json
@@ -71,6 +72,8 @@ class ExperimentPlan:
     params: dict
     trials: int
     seed: int
+    #: the params as the pipeline's options check and convert them
+    resolved: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.pipeline not in PIPELINES:
@@ -79,7 +82,7 @@ class ExperimentPlan:
             )
         if self.trials < 0:
             raise ParameterError("trials must be >= 0")
-        PIPELINES[self.pipeline].resolve(self.params)
+        object.__setattr__(self, "resolved", PIPELINES[self.pipeline].resolve(self.params))
 
     def instance_spec(self, t: int) -> InstanceSpec:
         """Trial t's instance, which run_experiment realizes and verify_bundle rebuilds."""
@@ -137,7 +140,8 @@ def _pipe_aspect(m: MetricSpace, seed: RngSeed, params: dict):
     res = aspect_quotient(m, params["alpha"], lipschitz=params["lipschitz"], seed=seed)
     q, dist = res.quotient, res.report.distortion
     return (_row(q.metric.n, q.provenance, "equilateral", dist, params["alpha"]),
-            _quotient_artifact(q, Equilateral(q.metric.n, res.band[0]), dist))
+            _quotient_artifact(q, Equilateral(q.metric.n, res.band[0]), dist,
+                               lipschitz=params["alpha"] if params["lipschitz"] else None))
 
 
 def _pipe_dichotomy(m: MetricSpace, seed: RngSeed, params: dict):
@@ -244,7 +248,7 @@ PIPELINES = {p.name: p for p in (
     Pipeline("hst", "hst", _pipe_hst, (option("--eps", 0.25),)),
     Pipeline("bourgain", "embedding", _pipe_bourgain, (option("--eps", 0.25), option("--p", 2.0))),
     Pipeline("cube-qs", "cube-qs", _pipe_cube_qs, (
-        option("--d", type=int), option("--eps", 0.1), option("--p", 2.0),
+        option("--d", type=click.IntRange(1, MAX_D)), option("--eps", 0.1), option("--p", 2.0),
     ), own_space=lambda params: 2 ** params["d"]),
     # its tree takes the params of the composition instance family
     Pipeline("composition", "hst", _pipe_composition,
@@ -270,7 +274,7 @@ def run_experiment(plan: ExperimentPlan, keep_artifacts: bool = False) -> Report
         }
     )
     pipeline = PIPELINES[plan.pipeline]
-    params = pipeline.resolve(plan.params)
+    params = plan.resolved
     values = []
     errors = []
     timings = []
@@ -453,19 +457,6 @@ def certify_distortion(ctx, source, target):
                 "distortion": rep.distortion,
                 "expansion_pair": list(rep.expansion_pair),
                 "contraction_pair": list(rep.contraction_pair)})
-
-
-@certify.command("lipq")
-@click.option("--map", "path", required=True, type=click.Path(exists=True))
-@click.option("--alpha", type=float, required=True)
-@click.pass_context
-def certify_lipq(ctx, path, alpha):
-    from .lipschitz import certify_lip_quotient, lip_colip, quotient_map_from_json
-
-    qm = _load(path, lambda t: quotient_map_from_json(json.loads(t)))
-    lip, colip = lip_colip(qm)
-    _emit(ctx, {"lip": lip, "colip": colip, "product": lip * colip,
-                "certified": certify_lip_quotient(qm, alpha)})
 
 
 @main.command()

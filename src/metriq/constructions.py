@@ -36,7 +36,8 @@ from .errors import (
 )
 from .generators import CompositionRealization, CompositionTree, realize_composition
 from .hst import HstTree, hst_from_splits, hst_to_metric, join, leaf, validate_khst
-from .quotient import DistortionReport, QuotientSpace, distortion_between, quotient_by_subset, quotient_metric, sq_space
+from .quotient import (DistortionReport, QuotientSpace, claim_slack, distortion_between, lip_colip, quotient_by_subset,
+                       quotient_metric, sq_space)
 from .seeds import as_seed
 
 #: Draws each rejection-sampling loop makes before it raises
@@ -637,9 +638,9 @@ def aspect_quotient(
 
     Pairs are colored by distance scale, a coloring partition picks blocks with
     minimum cross color ell, and the induced quotient is alpha-equivalent to an
-    equilateral space.  With lipschitz=True the Hausdorff distances are checked
-    to lie in the same band (so block-collapse is an alpha-Lipschitz quotient);
-    with weights, the weighted coloring is used.
+    equilateral space.  With lipschitz=True the block collapse must also be an
+    alpha-Lipschitz quotient, lip * colip <= alpha (quotient.lip_colip, within
+    the claim_slack verify allows); with weights, the weighted coloring is used.
     """
     if not (1.0 < alpha <= 2.0):
         raise ParameterError("alpha must be in (1, 2]")
@@ -660,15 +661,12 @@ def aspect_quotient(
             "cross distances escaped the color band",
             {"lo": lo, "hi": hi, "min": float(cross.min()), "max": float(cross.max())},
         )
-    if lipschitz:
-        H = block_reduce(m.dist, col.blocks, np.minimum, np.maximum)
-        H = np.maximum(H, H.T)
-        escaped = np.argwhere(np.triu(~((lo - 1e-9 <= H) & (H <= hi + 1e-9)), 1))
-        if escaped.size:
-            i, j = (int(v) for v in escaped[0])
+    if lipschitz:  # the check verify makes, with its tolerance
+        lip, colip = lip_colip(m, q.blocks, q.metric)
+        if lip * colip - alpha > claim_slack(alpha):
             raise ConstructionFailureError(
-                "Hausdorff distance escaped the color band",
-                {"blocks": (i, j), "hausdorff": float(H[i, j]), "lo": lo, "hi": hi},
+                "the block collapse is not an alpha-Lipschitz quotient",
+                {"lip": lip, "colip": colip, "alpha": alpha},
             )
     model = realize_special(Equilateral(col.s, lo)) if col.s >= 2 else MetricSpace(np.zeros((1, 1)))
     report = distortion_between(q.metric, model)

@@ -208,6 +208,37 @@ def distortion_between(source: MetricSpace, target: MetricSpace, mapping=None) -
     )
 
 
+def lip_colip(base: MetricSpace, blocks, target: MetricSpace) -> tuple[float, float]:
+    """(lip, colip) of the map from the blocks of base onto target whose
+    preimage of point y is block y; (1, 1) when the target is a point.
+
+    lip = max d_Y(y, z) / d(B_y, B_z); colip = max H(B_y, B_z) / d_Y(y, z),
+    over all target pairs.  Their product certifies the map as an
+    alpha-Lipschitz quotient; with singleton blocks it is the map's
+    distortion.  The blocks need not cover the base (a QS quotient).  Set
+    distances are a (min, min) block_reduce over the blocks, Hausdorff
+    distances max(H, H.T) of the (min, max) one.
+    """
+    if target.n != len(blocks):
+        raise StructuralError(f"{len(blocks)} blocks, but the target has {target.n} points")
+    if target.n == 1:
+        return 1.0, 1.0
+    iu, ju = np.triu_indices(target.n, k=1)
+    sd = block_reduce(base.dist, blocks, np.minimum)[iu, ju]
+    if np.any(sd <= 0):
+        raise StructuralError("preimages of distinct points at distance 0")
+    H = block_reduce(base.dist, blocks, np.minimum, np.maximum)
+    hd = np.maximum(H, H.T)[iu, ju]
+    dy = target.dist[iu, ju]
+    return float((dy / sd).max()), float((hd / dy).max())
+
+
+def claim_slack(claimed: float, tol: float = 1e-9) -> float:
+    """How far a recomputed distortion, or lip * colip, may stray from the
+    value claimed for it: tol, or 1e-6 relative where that is larger."""
+    return max(tol, 1e-6 * claimed)
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
@@ -236,10 +267,11 @@ MODEL = Doc("a model", type=one_of("star", "lacunary", "equilateral"), n=integer
 
 #: a quotient document, as quotient_to_json writes it, and the model and
 #: certified distortion that a quotient pipeline's artifact adds; a bundle's
-#: artifact stores no base, as its plan gives it
+#: artifact stores no base, as its plan gives it.  `lipschitz` is the alpha
+#: that lip * colip of the block collapse must not exceed (aspect --lipschitz)
 QUOTIENT = Doc("a quotient", kind="quotient", base=METRIC, blocks=list_of(list_of(integer)),
                provenance=one_of("Q", "QS", "SQ"), model=MODEL, certified_distortion=number,
-               optional={"base", "model", "certified_distortion"})
+               lipschitz=number, optional={"base", "model", "certified_distortion", "lipschitz"})
 
 
 def quotient_from_json(doc: dict) -> QuotientSpace:

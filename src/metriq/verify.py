@@ -8,7 +8,6 @@ names, which verify rebuilds; in a standalone artifact, the base it embeds.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import asdict
 
@@ -20,20 +19,24 @@ from .cube import MAX_D, _net_radius
 from .errors import MetriqError, StructuralError
 from .generators import INSTANCES, InstanceSpec, realize_instance
 from .hst import TREE, HstTree, hst_to_json, hst_to_metric
-from .quotient import (QUOTIENT, QuotientSpace, distortion_between, quotient_by_subset, quotient_from_fields,
-                       quotient_to_json)
+from .quotient import (QUOTIENT, QuotientSpace, claim_slack, distortion_between, lip_colip, quotient_by_subset,
+                       quotient_from_fields, quotient_to_json)
 
 
 def _model_doc(model) -> dict:
     return {"type": type(model).__name__.lower(), **asdict(model)}
 
 
-def _quotient_artifact(q: QuotientSpace, model, certified: float) -> dict:
-    """Blocks and provenance of q, a quotient of the pipe's instance, which the artifact does not copy."""
+def _quotient_artifact(q: QuotientSpace, model, certified: float, lipschitz: float | None = None) -> dict:
+    """Blocks and provenance of q, a quotient of the pipe's instance, which the
+    artifact does not copy; lipschitz: the alpha that bounds lip * colip of its
+    block collapse, where the pipe promises one."""
     doc = quotient_to_json(q, base=False)
     doc["kind"] = "quotient"
     doc["model"] = _model_doc(model)
     doc["certified_distortion"] = certified
+    if lipschitz is not None:
+        doc["lipschitz"] = lipschitz
     return doc
 
 
@@ -91,7 +94,7 @@ def _model_from_doc(doc: dict) -> MetricSpace:
 
 
 def _check_claim(claimed: float, recomputed: float, ai: int, report: ValidationReport, tol: float):
-    if abs(recomputed - claimed) > max(tol, 1e-6 * claimed):
+    if abs(recomputed - claimed) > claim_slack(claimed, tol):
         report.add("certificate", (ai,), f"claimed distortion {claimed} != recomputed {recomputed}")
 
 
@@ -104,7 +107,8 @@ def _verify_metric(f: dict, ai: int, report: ValidationReport, tol: float) -> in
 
 def _verify_quotient(f: dict, ai: int, report: ValidationReport, tol: float) -> int:
     """Rebuild the quotient from base and blocks (quotient_from_fields), check
-    that it is a metric and, if this artifact has no violation, its claim.
+    that it is a metric and, if this artifact has no violation, its claim and
+    its `lipschitz` bound on lip * colip of the block collapse onto it.
     Model and claim come together or not at all."""
     if (f["model"] is None) != (f["certified_distortion"] is None):
         raise StructuralError("a quotient holds model and certified_distortion together, or neither")
@@ -115,6 +119,10 @@ def _verify_quotient(f: dict, ai: int, report: ValidationReport, tol: float) -> 
     if f["model"] is not None and metric_report.ok:
         rep = distortion_between(q.metric, _model_from_doc(f["model"]))
         _check_claim(f["certified_distortion"], rep.distortion, ai, report, tol)
+    if f["lipschitz"] is not None and metric_report.ok:
+        lip, colip = lip_colip(f["base"], q.blocks, q.metric)
+        if lip * colip - f["lipschitz"] > claim_slack(f["lipschitz"], tol):
+            report.add("lipschitz", (ai,), f"lip * colip = {lip} * {colip} exceeds {f['lipschitz']}")
     return q.metric.n
 
 
@@ -212,14 +220,28 @@ CHECKS = {
 ROW_FIELDS = ("provenance", "certified_distortion", "p")
 
 
-def _check_rows(rows: list, artifacts: list[tuple[Doc, dict, int]], report: ValidationReport):
+def _check_rows(rows: list, artifacts: list[tuple[Doc, dict, int]], report: ValidationReport, plan):
     """Each artifact (its declaration, read fields and certified size) against
-    the row of its trial, and each certified row against its artifact.
+    the row of its trial, each certified row against its artifact, and every
+    row's seed against its plan's.
 
     Row and artifact are written from the same values, so they must be equal;
     a row field the artifact's kind declares but does not hold must be empty.
+    A row's `n` is the size of the instance its artifact was checked on (the
+    rebuilt base of a quotient or hst artifact of a pipeline that runs on its
+    plan's instance), or own_space(params) where that is a number (cube-qs,
+    whose artifact repeats its plan's d).
+    The `n` of a bourgain or composition row is not checked: verify does not
+    rebuild the space it names.
     """
+    from .cli import PIPELINES
+
+    pipeline = PIPELINES[plan.pipeline]
+    own = pipeline.own_space(plan.resolved) if pipeline.own_space else None
     by_trial = {row["trial"]: row for row in rows}
+    for row in rows:
+        if row.get("seed") != plan.seed:
+            report.add("row", (), f"trial {row['trial']!r}: seed {row.get('seed')!r} != plan seed {plan.seed}")
     seen = set()
     for ai, (decl, f, size) in enumerate(artifacts):
         t = f["trial"]
@@ -230,6 +252,10 @@ def _check_rows(rows: list, artifacts: list[tuple[Doc, dict, int]], report: Vali
         row = by_trial[t]
         stored = {"quotient_size": size,
                   **{k: "" if f[k] is None else f[k] for k in ROW_FIELDS if k in decl.fields}}
+        if own is None and "base" in decl.fields:
+            stored["n"] = f["base"].n
+        elif isinstance(own, int):
+            stored["n"] = own
         for key, value in stored.items():
             if row.get(key) != value:
                 report.add("row", (ai,), f"row {key} {row.get(key)!r} != artifact {value!r}")
@@ -252,7 +278,31 @@ def _bundle_plan(doc: dict):
         raise StructuralError(f"plan: malformed ({exc!r})") from exc
 
 
-def _with_base(f: dict, kind: str, plan) -> None:
+def _plan_fields(kind: str, params: dict) -> dict:
+    """The fields that an artifact of `kind` copies from its pipeline's
+    resolved params: a cube's d, eps and p, and a quotient's `lipschitz`,
+    its alpha where the lipschitz flag is set and none otherwise."""
+    if kind == "cube-qs":
+        return {k: params[k] for k in ("d", "eps", "p")}
+    if kind == "quotient":
+        return {"lipschitz": params["alpha"] if params.get("lipschitz") else None}
+    return {}
+
+
+def _bind_to_plan(f: dict, kind: str, plan) -> None:
+    """Refuse a bundle artifact of a kind its plan's pipeline does not write,
+    or whose fields disagree with the params it was written from."""
+    from .cli import PIPELINES
+
+    pipeline = PIPELINES[plan.pipeline]
+    if kind != pipeline.kind:
+        raise StructuralError(f"a {plan.pipeline} plan writes {pipeline.kind} artifacts, not {kind}")
+    for key, value in _plan_fields(kind, plan.resolved).items():
+        if f[key] != value:
+            raise StructuralError(f"{key} {f[key]!r} is not its plan's {value!r}")
+
+
+def _with_base(f: dict, plan) -> None:
     """Set the `base` of f, read for a kind that declares one, to the metric
     the artifact is about.
 
@@ -260,16 +310,10 @@ def _with_base(f: dict, kind: str, plan) -> None:
     instance, rebuilt from the plan as run_experiment built it, and the
     artifact must name t and store no base.  Otherwise (no plan, or a
     pipeline that builds its own space) it is the base the artifact embeds.
-    An artifact of a kind its plan's pipeline does not write is refused.
     """
-    pipeline = None
-    if plan is not None:
-        from .cli import PIPELINES
+    from .cli import PIPELINES
 
-        pipeline = PIPELINES[plan.pipeline]
-        if kind != pipeline.kind:
-            raise StructuralError(f"a {plan.pipeline} plan writes {pipeline.kind} artifacts, not {kind}")
-    if pipeline is None or pipeline.own_space:
+    if plan is None or PIPELINES[plan.pipeline].own_space:
         if f["base"] is None:
             raise StructuralError("required base is missing")
         f["base"] = metric_from_fields(f["base"])
@@ -287,14 +331,17 @@ def verify_bundle(doc: dict, tolerance: float = 1e-9) -> ValidationReport:
 
     Each artifact is read through its kind's declaration, which refuses an
     undeclared key, a missing required field and a mistyped value with
-    StructuralError.  A bundle's quotient and hst artifacts are checked
-    against the instance of their trial, rebuilt from the plan (_with_base),
-    which is read when the first of them needs it; rows need their plan.
+    StructuralError.  The plan is read first; rows need it.  A bundle's
+    artifacts must be of the kind its pipeline writes and repeat the params
+    they were written from (_bind_to_plan), and its quotient and hst
+    artifacts are checked against the instance of their trial, rebuilt from
+    the plan (_with_base).
     Quotients are rebuilt from base + blocks (and, for SQ, the parent
     quotient) and must be metrics; model and HST distortions and embedding
-    tables are recomputed; a cube's radius must follow from d and eps.  Each
-    artifact in a bundle with rows must match the row of its trial.  Every
-    MetriqError raised names its artifact.
+    tables are recomputed; a cube's radius must follow from d and eps; a
+    quotient's `lipschitz` bound must hold for its block collapse.  Each
+    artifact in a bundle with rows must match the row of its trial, and each
+    row name its plan's seed.  Every MetriqError raised names its artifact.
     """
     report = ValidationReport()
     artifacts = doc.get("artifacts", [doc] if "kind" in doc else None) if isinstance(doc, dict) else None
@@ -302,7 +349,7 @@ def verify_bundle(doc: dict, tolerance: float = 1e-9) -> ValidationReport:
         raise StructuralError("a bundle needs an artifact list, and a single artifact its kind")
     if "rows" in doc and "plan" not in doc:
         raise StructuralError("rows: a bundle's rows come with the plan they ran")
-    plan = functools.cache(lambda: _bundle_plan(doc))
+    plan = _bundle_plan(doc)
     read = []
     for ai, art in enumerate(artifacts):
         try:
@@ -313,8 +360,10 @@ def verify_bundle(doc: dict, tolerance: float = 1e-9) -> ValidationReport:
                 raise StructuralError(f"unknown kind {kind!r}")
             decl, check = CHECKS[kind]
             fields = decl(art)
+            if plan is not None:
+                _bind_to_plan(fields, kind, plan)
             if "base" in decl.fields:
-                _with_base(fields, kind, plan())
+                _with_base(fields, plan)
             read.append((decl, fields, check(fields, ai, report, tolerance)))
         except MetriqError as exc:
             raise type(exc)(f"artifact {ai}: {exc}") from exc
@@ -322,7 +371,7 @@ def verify_bundle(doc: dict, tolerance: float = 1e-9) -> ValidationReport:
             raise StructuralError(f"artifact {ai}: malformed ({exc})") from exc
     if artifacts and "rows" in doc:
         try:
-            _check_rows(doc["rows"], read, report)
+            _check_rows(doc["rows"], read, report, plan)
         except (AttributeError, KeyError, TypeError) as exc:
             raise StructuralError(f"rows: malformed ({exc!r})") from exc
     return report

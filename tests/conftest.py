@@ -235,21 +235,45 @@ def check_coloring_loop(chi, res):
     return True
 
 
-def lip_colip_loop(qm):
-    """Reference for lip_colip: set and Hausdorff distance per target pair."""
-    if qm.degenerate:
+def lip_colip_loop(base: MetricSpace, blocks, target: MetricSpace):
+    """Reference for lip_colip: set and Hausdorff distance per target pair,
+    the preimage of target point y being block y."""
+    if target.n == 1:
         return 1.0, 1.0
-    pre = [qm.preimage(y) for y in range(qm.target.n)]
     lip = 0.0
     colip = 0.0
-    for y in range(qm.target.n):
-        for z in range(y + 1, qm.target.n):
-            dy = qm.target.dist[y, z]
-            sd = set_distance(qm.source, pre[y], pre[z])
-            hd = hausdorff(qm.source, pre[y], pre[z])
+    for y in range(target.n):
+        for z in range(y + 1, target.n):
+            dy = target.dist[y, z]
+            sd = set_distance(base, blocks[y], blocks[z])
+            hd = hausdorff(base, blocks[y], blocks[z])
             lip = max(lip, dy / sd)
             colip = max(colip, hd / dy)
     return float(lip), float(colip)
+
+
+def widenings(base: MetricSpace, blocks) -> list[tuple[int, int]]:
+    """(block b, point x) for each point x outside every block whose addition
+    to block b leaves every set distance between blocks as it is: the quotient
+    stays bit for bit, while a Hausdorff distance may grow."""
+    inside = {i for blk in blocks for i in blk}
+    sd = block_reduce(base.dist, blocks, np.minimum)
+    out = []
+    for x in range(base.n):
+        if x not in inside:
+            to_blocks = np.array([base.dist[x, list(blk)].min() for blk in blocks])
+            out += [(b, x) for b in range(len(blocks))
+                    if all(to_blocks[j] >= sd[b, j] for j in range(len(blocks)) if j != b)]
+    return out
+
+
+def widen(art: dict, base: MetricSpace, b: int, x: int) -> tuple:
+    """Add point x to block b of a quotient artifact over base, relabelling
+    its provenance Q when the blocks then cover the base; the new blocks."""
+    art["blocks"][b].append(x)
+    if sum(map(len, art["blocks"])) == base.n:
+        art["provenance"] = "Q"
+    return tuple(map(tuple, art["blocks"]))
 
 
 # --- references for the cube certificate and net ----------------------------

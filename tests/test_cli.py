@@ -28,7 +28,6 @@ from metriq.core import (
 )
 from metriq.errors import MetriqError, ParameterError, StructuralError
 from metriq.generators import InstanceSpec
-from metriq.lipschitz import QuotientMap, quotient_map_to_json
 from metriq.quotient import quotient_to_json
 from metriq.seeds import RngSeed
 
@@ -210,12 +209,11 @@ def test_quotient_reports_unparsable_indices_as_a_bad_parameter(runner, tmp_path
 
 
 @pytest.mark.parametrize("command, text", [
-    (["certify", "lipq", "--alpha", "1.0", "--map"], '{"source": {}, "target": {}}'),
     (["certify", "distortion", "--target", "M", "--source"], "[[0, 1], [1, 0]]"),
     (["quotient", "--subset", "0", "--in"], "not json"),
     (["run", "--plan"], "{}"),
     (["verify", "--bundle"], "not json"),
-], ids=["lipq", "distortion", "quotient", "run", "verify"])
+], ids=["distortion", "quotient", "run", "verify"])
 def test_file_loaders_refuse_a_malformed_document(runner, tmp_path, command, text):
     good, bad = tmp_path / "m.json", tmp_path / "bad.json"
     good.write_text(json.dumps(metric_to_json(random_metric(2, 0))))
@@ -224,16 +222,6 @@ def test_file_loaders_refuse_a_malformed_document(runner, tmp_path, command, tex
     result = runner.invoke(main, args)
     assert isinstance(result.exception, StructuralError), result.output
     assert "malformed" in str(result.exception)
-
-
-def test_certify_lipq_command(runner, tmp_path):
-    m = random_metric(5, 7)
-    qm = QuotientMap(m, m, tuple(range(5)))
-    path = tmp_path / "map.json"
-    path.write_text(json.dumps(quotient_map_to_json(qm)))
-    res = invoke(runner, "certify", "lipq", "--map", str(path), "--alpha", "1.0")
-    doc = json.loads(res.output)
-    assert doc["certified"] and doc["product"] == pytest.approx(1.0)
 
 
 def test_cube_qs_and_lower_round_trip(runner, tmp_path):
@@ -591,10 +579,11 @@ def test_a_quotient_artifact_rebuilds_its_writers_matrix(variant, n, pipe, seed,
     assert _verdict(doc) == [("certificate", (0,))]
     art["certified_distortion"] = row["certified_distortion"] = claim
 
-    # the reference tampered, not a base: another plan seed, or one point moved
-    # to another block.  verify checks the artifact on the instance the edited
-    # plan gives, as it checks the standalone artifact that embeds it
-    other = {**doc, "plan": {**doc["plan"], "seed": seed ^ 1}}
+    # the reference tampered, not a base: another plan seed (and its rows'),
+    # or one point moved to another block.  verify checks the artifact on the
+    # instance the edited plan gives, as it checks the standalone artifact that
+    # embeds it
+    other = {**doc, "plan": {**doc["plan"], "seed": seed ^ 1}, "rows": [{**row, "seed": seed ^ 1}]}
     assert _verdict(other) == _verdict(standalone(other))
     if variant == "cloud" and pipe == "q2":  # a claim on another cloud is off
         assert _verdict(other) != []

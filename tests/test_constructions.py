@@ -46,7 +46,7 @@ from metriq.generators import (
     random_composition_tree,
 )
 from metriq.hst import hst_from_splits, hst_to_metric, validate_khst
-from metriq.quotient import distortion_between
+from metriq.quotient import claim_slack, distortion_between, lip_colip, quotient_metric
 from metriq.seeds import RngSeed
 
 from conftest import (
@@ -516,9 +516,9 @@ def test_aspect_quotient_lipschitz_checks_hausdorff():
             assert lo - 1e-9 <= h <= hi + 1e-9
 
 
-def test_aspect_quotient_lipschitz_reports_offending_pair(monkeypatch):
+def test_aspect_quotient_lipschitz_refuses_a_far_point_in_a_block(monkeypatch):
     # unit triangle a, b, c plus a far point c' in c's block: every set
-    # distance is 1, but H({a}, {c, c'}) and H({b}, {c, c'}) leave [1, 2]
+    # distance is 1, but H({a}, {c, c'}) = |a c'| ~ 3.5 gives lip * colip > 2
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2], [0.5, 3.5]])
     m = MetricSpace(np.linalg.norm(pts[:, None] - pts[None, :], axis=2))
     blocks = ((0,), (1,), (2, 3))
@@ -526,9 +526,24 @@ def test_aspect_quotient_lipschitz_reports_offending_pair(monkeypatch):
     with pytest.raises(ConstructionFailureError) as info:
         aspect_quotient(m, 2.0, lipschitz=True, seed=0)
     diag = info.value.diagnostics
-    assert diag["blocks"] == (0, 2)
-    assert diag["hausdorff"] == hausdorff(m, blocks[0], blocks[2])
+    assert diag["lip"] == pytest.approx(1.0)
+    assert diag["colip"] == pytest.approx(hausdorff(m, blocks[0], blocks[2]) / m.dist[0, 2])
+    assert diag["alpha"] == 2.0
     assert aspect_quotient(m, 2.0, seed=0).quotient.blocks == blocks
+
+
+def test_aspect_quotient_lipschitz_holds_verifys_bound_at_small_scale(monkeypatch):
+    # set distances s = 1e-4 and H({a}, {c, c'}) = 2s + 5e-10, within 1e-9 of
+    # the band [s, 2s]; but lip * colip = 2 + 5e-6 exceeds alpha = 2 by more
+    # than the 2e-6 that verify allows, so the construction must refuse it too
+    s, far = 1e-4, 2e-4 + 5e-10
+    m = MetricSpace(np.array([[0, s, s, far], [s, 0, s, far], [s, s, 0, 2 * s], [far, far, 2 * s, 0]]))
+    blocks = ((0,), (1,), (2, 3))
+    lip, colip = lip_colip(m, blocks, quotient_metric(m, blocks).metric)
+    assert lip * colip - 2.0 > claim_slack(2.0)
+    monkeypatch.setattr(constructions, "coloring_partition", lambda *a, **kw: ColoringResult(blocks, 1))
+    with pytest.raises(ConstructionFailureError, match="not an alpha-Lipschitz quotient"):
+        aspect_quotient(m, 2.0, lipschitz=True, seed=0)
 
 
 def test_aspect_quotient_rejects_bad_alpha():

@@ -2,11 +2,15 @@
 
 They store no copy of it: `verify` rebuilds trial t's instance from the plan,
 as `run` built it, so a base of the artifact's own, an edited plan and a
-missing trial are refused.  Instances above generators.MAX_POINTS are refused
+missing trial are refused.  Rows must name the plan's seed and the size of
+the rebuilt instance, an aspect quotient the `lipschitz` bound its plan
+promises, and a cube-qs artifact its plan's d, eps and p.  Instances above
+generators.MAX_POINTS, and cube dimensions above cube.MAX_D, are refused
 before anything is built.
 """
 
 import importlib.util
+import math
 import sys
 import tracemalloc
 from pathlib import Path
@@ -15,16 +19,19 @@ import pytest
 
 from metriq.cli import plan_from_json, run_experiment
 from metriq.core import metric_to_json
-from metriq.errors import CapacityError, StructuralError
+from metriq.cube import MAX_D
+from metriq.errors import CapacityError, ParameterError, StructuralError
 from metriq.generators import INSTANCES, MAX_POINTS, InstanceSpec, realize_instance
 from metriq.hst import hst_from_json, hst_to_metric
+from metriq.quotient import quotient_metric
 from metriq.seeds import RngSeed
 from metriq.verify import verify_bundle
 
-from conftest import edit_array, run_bundle
+from conftest import edit_array, lip_colip_loop, run_bundle, widen, widenings
 
 Q2 = ("cloud", {"n": 40}, "q2", {})
 HST = ("cloud", {"n": 40}, "hst", {})
+CUBE = ("cube", {"d": 8}, "cube-qs", {"d": 8, "eps": 0.24})
 
 
 def _instance(doc: dict):
@@ -60,10 +67,11 @@ def test_a_q2_artifact_given_its_instance_times_three_is_refused():
 
 @pytest.mark.parametrize("plan", [Q2, HST], ids=["q2", "hst"])
 def test_an_edited_plan_seed_fails_the_certificate_on_the_other_instance(plan):
-    # a valid plan: its instance is another cloud, where the claim is off
+    # a valid plan, and rows that name its seed: its instance is another
+    # cloud, where the claim is off
     doc = run_bundle(*plan)
     assert verify_bundle(doc).ok
-    doc["plan"]["seed"] += 1
+    doc["plan"]["seed"] = doc["rows"][0]["seed"] = 1
     violations = verify_bundle(doc).violations
     assert violations and {v[1][:1] for v in violations} == {(0,)}
     assert "certificate" in {v[0] for v in violations}
@@ -116,6 +124,114 @@ def test_a_composition_bundle_keeps_its_embedded_base():
     assert "base" in doc["artifacts"][0] and verify_bundle(doc).ok
     del doc["artifacts"][0]["base"]
     assert "required base is missing" in _refusal(doc)
+
+
+# --- rows name the plan's seed and the size of its instance -----------------
+
+
+def _violations(doc: dict) -> list:
+    return [v[:2] for v in verify_bundle(doc).violations]
+
+
+@pytest.mark.parametrize("plan", [Q2, HST, CUBE], ids=["q2", "hst", "cube-qs"])
+def test_a_row_naming_another_instance_size_is_refused(plan):
+    doc = run_bundle(*plan)
+    assert verify_bundle(doc).ok
+    doc["rows"][0]["n"] = 4000
+    assert _violations(doc) == [("row", (0,))]
+
+
+@pytest.mark.parametrize("plan", [Q2, HST], ids=["q2", "hst"])
+def test_a_row_naming_another_seed_is_refused(plan):
+    doc = run_bundle(*plan)
+    doc["rows"][0]["seed"] = 99
+    assert _violations(doc) == [("row", ())]
+
+
+def test_the_seed_of_a_failed_trials_row_is_checked():
+    # trial 1 fails: its row has no certificate and no artifact, but its seed
+    doc = run_bundle(*Q2, trials=2)
+    doc["artifacts"].pop()
+    row = doc["rows"][1]
+    row["certified_distortion"] = ""
+    assert verify_bundle(doc).ok
+    row["seed"] = 99
+    assert _violations(doc) == [("row", ())]
+
+
+# --- the lipschitz bound of an aspect quotient is its plan's ----------------
+
+LIPSCHITZ = ("cloud", {"n": 60}, "aspect", {"alpha": 1.5, "lipschitz": True})
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda art: art.pop("lipschitz"), "lipschitz None is not its plan's 1.5"),
+    (lambda art: art.update(lipschitz=4.5), "lipschitz 4.5 is not its plan's 1.5"),
+], ids=["dropped", "raised"])
+def test_a_lipschitz_bound_that_is_not_the_plans_is_refused(edit, message):
+    doc = run_bundle(*LIPSCHITZ)
+    assert doc["artifacts"][0]["lipschitz"] == 1.5 and verify_bundle(doc).ok
+    edit(doc["artifacts"][0])
+    assert message in _refusal(doc)
+
+
+def test_a_lipschitz_bound_that_its_plan_does_not_promise_is_refused():
+    doc = run_bundle("cloud", {"n": 60}, "aspect", {"alpha": 1.5})
+    assert "lipschitz" not in doc["artifacts"][0]
+    doc["artifacts"][0]["lipschitz"] = 1.5
+    assert "lipschitz 1.5 is not its plan's None" in _refusal(doc)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_block_widened_past_the_lipschitz_bound_is_refused(seed):
+    # one point outside the blocks joins block 0 and no set distance moves:
+    # quotient, model claim and row still hold, but a Hausdorff distance grows
+    doc = run_bundle(*LIPSCHITZ, seed=seed)
+    art, m = doc["artifacts"][0], _instance(doc)
+
+    def product(x):
+        blocks = [list(b) for b in art["blocks"]]
+        blocks[0].append(x)
+        return math.prod(lip_colip_loop(m, blocks, quotient_metric(m, blocks).metric))
+
+    x = max((x for b, x in widenings(m, art["blocks"]) if b == 0), key=product)
+    assert product(x) > 2.0
+    widen(art, m, 0, x)
+    assert _violations(doc) == [("lipschitz", (0,))]
+
+
+# --- a cube-qs artifact repeats its plan's d, eps and p ---------------------
+
+def test_a_cube_artifact_of_another_plan_is_refused():
+    # the d = 9 artifact of another run, its row's size and claim copied
+    doc, other = run_bundle(*CUBE), run_bundle("cube", {"d": 8}, "cube-qs", {"d": 9, "eps": 0.24})
+    doc["artifacts"] = other["artifacts"]
+    for key in ("quotient_size", "certified_distortion"):
+        doc["rows"][0][key] = other["rows"][0][key]
+    assert "d 9 is not its plan's 8" in _refusal(doc)
+
+
+@pytest.mark.parametrize("key, value", [("eps", 0.2), ("p", 1.5)])
+def test_a_cube_artifact_with_another_eps_or_p_is_refused(key, value):
+    doc = run_bundle(*CUBE)
+    doc["artifacts"][0][key] = value
+    assert f"{key} {value!r} is not its plan's" in _refusal(doc)
+
+
+def test_a_cube_plan_of_a_huge_dimension_is_refused_before_2_to_the_d():
+    # 2 ** 10**9 alone is a 125 MB integer; the plan's d is bounded by MAX_D
+    doc = run_bundle(*CUBE)
+    doc["plan"]["params"]["d"] = 10**9
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError, match="^plan: pipeline 'cube-qs': bad 'd' value 1000000000"):
+            verify_bundle(doc)
+        with pytest.raises(ParameterError, match=f"not in the range 1<=x<={MAX_D}"):
+            plan_from_json(doc["plan"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # --- the cap on realized instances ------------------------------------------

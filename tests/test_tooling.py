@@ -81,10 +81,11 @@ def test_every_pipeline_writes_a_kind_that_verify_checks(pipeline):
     doc = run_bundle(variant, instance, pipeline, params)
     art, = doc["artifacts"]
     decl, check = CHECKS[art["kind"]]
-    typed, report = _Recording(decl(art)), ValidationReport()
+    typed, report, plan = _Recording(decl(art)), ValidationReport(), plan_from_json(doc["plan"])
+    verify._bind_to_plan(typed, art["kind"], plan)
     if "base" in decl.fields:
-        verify._with_base(typed, art["kind"], plan_from_json(doc["plan"]))
-    verify._check_rows(doc["rows"], [(decl, typed, check(typed, 0, report, 1e-9))], report)
+        verify._with_base(typed, plan)
+    verify._check_rows(doc["rows"], [(decl, typed, check(typed, 0, report, 1e-9))], report, plan)
     assert report.ok
     assert typed.unread(art) == set()
 
@@ -118,8 +119,10 @@ def test_every_declared_field_is_stored_by_some_writer(metrics):
     # declared field is stored by one of them, so no declaration is dead.
     # Both forms of a kind with a base count: a bundle's artifact of a
     # pipeline that runs on its plan's instance stores no base (hst: its
-    # m-centre set as `subset`); a standalone or composition one embeds it
+    # m-centre set as `subset`); a standalone or composition one embeds it.
+    # `lipschitz` is written in both forms by aspect --lipschitz alone
     bundles = {pipeline: run_bundle(*plan[:2], pipeline, plan[2]) for pipeline, plan in SMALL_PLANS.items()}
+    bundles["aspect --lipschitz"] = run_bundle("cloud", {"n": 40}, "aspect", {"alpha": 1.5, "lipschitz": True})
     standalone = [json.loads(cli_output("--seed", "4", *command.split(), *[metrics.get(a, a) for a in args]))
                   for command, args in ARTIFACT_COMMANDS.items()]
     standalone.append(json.loads(Path(metrics["CLOUD"]).read_text()))
@@ -131,8 +134,9 @@ def test_every_declared_field_is_stored_by_some_writer(metrics):
     for pipeline, doc in bundles.items():
         art, = doc["artifacts"]
         if "base" in CHECKS[art["kind"]][0].fields:
-            assert ("base" in art) == bool(PIPELINES[pipeline].own_space), pipeline
+            assert ("base" in art) == bool(PIPELINES[doc["plan"]["pipeline"]].own_space), pipeline
         assert ("subset" in art) == (pipeline == "hst"), pipeline
+        assert ("lipschitz" in art) == (pipeline == "aspect --lipschitz"), pipeline
     for art in standalone:
         if "base" in CHECKS[art["kind"]][0].fields:
             assert "base" in art, art["kind"]
@@ -209,9 +213,7 @@ def test_readme_cli_lines_name_existing_commands(path):
 #: (module, name) of each top-level function or class, or (module,
 #: "Class.member") of each method or property, in src/metriq that only the
 #: tests reach, with the reason it stays.
-ONLY_FROM_TESTS = {
-    ("lipschitz", "quotient_map_to_json"): "writes the map format that `certify lipq` reads",
-}
+ONLY_FROM_TESTS: dict[tuple[str, str], str] = {}
 
 
 def _names(tree: ast.AST, strings: bool = False) -> set[str]:
