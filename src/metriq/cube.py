@@ -6,11 +6,11 @@ point as a singleton.  Distances in the quotient have the closed form
 min{Hamming(x, y), d(x, A) + d(y, A)}, so nothing quadratic in 2^d is ever
 materialized.  The distortion certificate is exact over every pair: a pair's
 ratio depends only on its Hamming weight and the d(., A) classes of its ends,
-and the number of pairs in each such cell comes from one fast Walsh-Hadamard
-transform per class plus Krawtchouk-weighted sums, in O(c^2 2^d + c d 2^d)
-time for c <= d + 1 classes.  Singletons map through the closed forms of
-`embeddings`: the truncated Gaussian distance at p = 2, and the p-stable one,
-by quadrature, for 1 <= p < 2.  Only this upper bound is certified.
+and batched Walsh-Hadamard transforms of the class indicators plus one
+Krawtchouk contraction count all cells in O(c^2 2^d + c d 2^d) time for
+c <= d+1 classes.  Singletons map through the closed forms of `embeddings`:
+the truncated Gaussian distance at p = 2, and the p-stable one, by quadrature,
+for 1 <= p < 2.  Only this upper bound is certified.
 """
 
 from __future__ import annotations
@@ -148,87 +148,87 @@ def cube_qs_construct(d: int, eps: float, p: float = 2.0) -> CubeQsResult:
     return CubeQsResult(d, eps, p, r, A, S, dA, summary, bound)
 
 
-def _wht(f: np.ndarray) -> np.ndarray:
-    """In-place fast Walsh-Hadamard transform of an int64 vector of length 2^d."""
-    h = 1
-    while h < f.size:
-        v = f.reshape(-1, 2, h)
-        lo = v[:, 0, :].copy()
-        v[:, 0, :] += v[:, 1, :]
-        np.subtract(lo, v[:, 1, :], out=v[:, 1, :])
-        h *= 2
-    return f
+#: int64 budget of the kernel's work buffer: max(1, CHUNK_ELEMENTS >> d) rows
+CHUNK_ELEMENTS = 1 << 10
 
 
-def _krawtchouk(d: int) -> list[list[int]]:
-    """K[h][w] = sum_j (-1)^j C(w, j) C(d - w, h - j), as Python ints."""
-    return [
-        [sum((-1) ** j * math.comb(w, j) * math.comb(d - w, h - j) for j in range(h + 1))
-         for w in range(d + 1)]
-        for h in range(d + 1)
-    ]
+def _wht(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Walsh-Hadamard transforms of the k int64 vectors x holds as a (2^d, k)
+    array, returned as a (k, 2^d) array in x or y: each pass writes the sums
+    and differences of one buffer's halves, interleaved, into the other."""
+    for _ in range(x.shape[-1].bit_length() - 1):
+        halves, pairs = x.reshape(2, -1), y.reshape(-1, 2)
+        np.add(halves[0], halves[1], out=pairs[:, 0])
+        np.subtract(halves[0], halves[1], out=pairs[:, 1])
+        x, y = y, x
+    return x
 
 
-def _class_pair_counts(d: int, classes: list[np.ndarray]) -> dict[tuple[int, int], list[int]]:
-    """Exact unordered pair counts per Hamming weight between point classes.
+def _krawtchouk(d: int) -> np.ndarray:
+    """K[h, w] = sum_j (-1)^j C(w, j) C(d - w, h - j), the coefficient of z^h in
+    (1 - z)^w (1 + z)^(d - w); exact in int64, since |K[h, w]| <= C(d, h)."""
+    K = np.zeros((d + 1, d + 1), dtype=np.int64)
+    K[0] = 1
+    for t in range(d):  # column w: w factors (1 - z), then d - w factors (1 + z)
+        K[1:] += np.where(np.arange(d + 1) > t, -1, 1) * K[:-1]
+    return K
 
-    For disjoint classes (arrays of distinct cube points) and i <= j,
-    `counts[i, j][h]` is the number of unordered pairs {x, y}, x in class i and
-    y in class j, x != y, with Hamming(x, y) = h.  The ordered count is the XOR
-    convolution of the two indicators summed over the weight-h shell, i.e.
-    2^-d sum_w K_h(|w|) F_i(w) F_j(w) with F the Walsh-Hadamard transforms.
-    The per-weight sums of F_i F_j are at most 4^d by Cauchy-Schwarz, so they
-    are exact in int64; the Krawtchouk contraction is done in Python ints,
-    which int64 would overflow from d = 22 on.
-    """
-    n = 1 << d
-    weight = np.bitwise_count(np.arange(n, dtype=np.int64))
-    order = np.argsort(weight, kind="stable")
+
+def _shell_sums(d: int, classes: list[np.ndarray]) -> np.ndarray:
+    """Row p, column h: sum_{|w| = h} F_i(w) F_j(w) for the p-th pair (i, j) of
+    `np.triu_indices(len(classes))`, F_i the transform of class i's indicator;
+    at most 4^d by Cauchy-Schwarz, so exact in int64."""
+    n, c = 1 << d, len(classes)
+    order = np.argsort(np.bitwise_count(np.arange(n, dtype=np.int64)), kind="stable")
+    spectra = np.empty((c, n), dtype=np.int64)
+    work = np.empty((min(max(1, CHUNK_ELEMENTS >> d), c), n), dtype=np.int64)
+    for lo in range(0, c, len(work)):
+        block, spare = spectra[lo:lo + len(work)], work[:c - lo]
+        x, y = (block, spare) if d % 2 else (spare, block)  # d passes end in spare
+        x[:] = 0
+        for r, members in enumerate(classes[lo:lo + len(block)]):
+            x.reshape(n, -1)[members, r] = 1
+        np.take(_wht(x, y), order, axis=1, out=block, mode="clip")  # by |w|; clip: out unbuffered
     starts = np.concatenate(([0], np.cumsum([math.comb(d, w) for w in range(d)])))
-    spectra = []
-    for members in classes:
-        f = np.zeros(n, dtype=np.int64)
-        f[members] = 1
-        spectra.append(_wht(f)[order])
-    kraw = _krawtchouk(d)
-    counts = {}
-    for i, fi in enumerate(spectra):
-        for j in range(i, len(spectra)):
-            shell = [int(g) for g in np.add.reduceat(fi * spectra[j], starts)]
-            cnt = [sum(k * g for k, g in zip(row, shell)) // n for row in kraw]
-            if i == j:
-                cnt[0] -= len(classes[i])
-                cnt = [c // 2 for c in cnt]
-            counts[i, j] = cnt
+    i, j = np.triu_indices(c)
+    shell = []
+    for lo in range(0, i.size, len(work)):
+        products = work[:i.size - lo]
+        for row, a, b in zip(products, i[lo:], j[lo:]):
+            np.multiply(spectra[a], spectra[b], out=row)
+        shell.append(np.add.reduceat(products, starts, axis=1))
+    return np.concatenate(shell)
+
+
+def _class_pair_counts(d: int, classes: list[np.ndarray]) -> np.ndarray:
+    """Row p, column h: the pairs {x, y}, x in class i and y in class j, x != y,
+    at Hamming distance h, for disjoint classes and the p-th pair (i, j) of
+    `np.triu_indices(len(classes))`.  Their XOR convolution gives
+    2^-d sum_w K_h(|w|) F_i(w) F_j(w) ordered pairs: one int64 product when
+    max|K| * max sum|shell| < 2^63 bounds its partial sums, else Python ints."""
+    shell, kraw = _shell_sums(d, classes), _krawtchouk(d)
+    if int(np.abs(kraw).max()) * int(np.abs(shell).sum(axis=1).max()) >= 2**63:
+        shell, kraw = shell.astype(object), kraw.astype(object)
+    counts = shell @ kraw.T >> d
+    i, j = np.triu_indices(len(classes))
+    counts[i == j, 0] -= [members.size for members in classes]
+    counts[i == j] //= 2
     return counts
 
 
 def _class_distortion(d: int, S, dA, lookup, block_norm) -> DistortionSummary:
-    """Distortion of the closed-form embedded distances against the quotient.
-
-    Covers every singleton pair and every singleton-to-A-block pair (embedded
-    distance = image norm, quotient distance = dA).  A singleton pair's ratio
-    lookup[h] / min(h, dA(x) + dA(y)) depends only on its Hamming weight h and
-    on the dA classes of its ends, so the scan runs over the (class pair, h)
-    cells that `_class_pair_counts` finds occupied: O(c^2 2^d + c d 2^d) for c
-    classes instead of O(4^d), with the same float operations per ratio.
-    """
+    """Distortion of the closed-form embedded distances against the quotient,
+    over every singleton pair (one ratio lookup[h] / min(h, dA(x) + dA(y)) per
+    occupied (class pair, h) cell, the float operation a scan of every pair
+    makes) and every singleton-to-A-block pair."""
     sing = dA > 0
-    labels, inverse = np.unique(dA[sing], return_inverse=True)
-    pts = S[sing]
-    classes = [pts[inverse == i] for i in range(labels.size)]
-    ratios = []
-    pairs = 0
-    for (i, j), cnt in _class_pair_counts(d, classes).items():
-        s = labels[i] + labels[j]
-        for h in range(1, d + 1):
-            if cnt[h]:
-                ratios.append(lookup[h] / np.minimum(h, s))
-                pairs += cnt[h]
-    # singleton vs the collapsed block
-    for label, members in zip(labels, classes):
-        ratios.append(block_norm / label)
-        pairs += members.size
-    if not ratios:
+    labels, sizes = np.unique(dA[sing], return_counts=True)
+    if not labels.size:
         return DistortionSummary(0.0, 0.0, 0)
-    return DistortionSummary(float(max(ratios)), float(1.0 / min(ratios)), pairs)
+    classes = np.split(S[sing][np.argsort(dA[sing], kind="stable")], np.cumsum(sizes[:-1]))
+    counts = _class_pair_counts(d, classes)[:, 1:]
+    i, j = np.triu_indices(labels.size)
+    cells = lookup[1:] / np.minimum(np.arange(1, d + 1), (labels[i] + labels[j])[:, None])
+    ratios = np.concatenate((cells[counts > 0], block_norm / labels))
+    return DistortionSummary(float(ratios.max()), float(1.0 / ratios.min()),
+                             int(counts.sum() + sizes.sum()))

@@ -308,6 +308,18 @@ def stream_distortion_loop(S, dA, lookup, block_norm, chunk: int = 512):
     return DistortionSummary(expansion, contraction, pairs)
 
 
+def brute_pair_counts(d: int, classes) -> list:
+    """Reference for cube._class_pair_counts: one row per class pair (i <= j)
+    in np.triu_indices order, the unordered pairs per XOR popcount."""
+    rows = []
+    for i, j in zip(*np.triu_indices(len(classes))):
+        h = np.bitwise_count(classes[i][:, None] ^ classes[j][None, :])
+        if i == j:
+            h = h[np.triu_indices(classes[i].size, 1)]
+        rows.append(np.bincount(h.ravel(), minlength=d + 1).tolist())
+    return rows
+
+
 def greedy_net_loop(d: int, r: int) -> np.ndarray:
     """Reference for cube._greedy_net: visit all 2^d points in lexicographic order."""
     pts = np.arange(2**d, dtype=np.int64)

@@ -1,4 +1,8 @@
+import importlib.util
 import math
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    brute_pair_counts,
     check_sandwich,
     cube_quotient,
     cube_singletons,
@@ -14,12 +19,16 @@ from conftest import (
     greedy_net_loop,
     stream_distortion_loop,
 )
+from metriq import cube
 from metriq.core import validate_metric
 from metriq.cube import (
+    MAX_D,
     _class_distortion,
     _class_pair_counts,
     _embedding_lookup,
     _greedy_net,
+    _krawtchouk,
+    _shell_sums,
     cube_qs_construct,
 )
 from metriq.errors import CapacityError, ParameterError
@@ -116,6 +125,18 @@ CUBE_CELLS = [
 ]
 
 
+def test_cube_cells_are_the_benchmark_cells(monkeypatch):
+    # read perfbench's cube workload from its file, so CUBE_CELLS keeps
+    # covering what the benchmark runs
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclass looks itself up
+    spec.loader.exec_module(module)
+    cells = [(c.params["d"], c.params["eps"], c.params["p"]) for c in module.WORKLOADS["cube"]]
+    assert sorted(cells) == sorted(CUBE_CELLS)
+
+
 @pytest.mark.parametrize("d, eps, p", CUBE_CELLS)
 def test_class_distortion_matches_stream(d, eps, p):
     res = cube_qs_construct(d, eps, p)
@@ -148,7 +169,84 @@ def test_class_pair_counts_exact_beyond_int64():
     # 4^d * C(22, 11) ~ 2^63.4, past int64, before the division by 2^d
     d = 22
     counts = _class_pair_counts(d, [np.arange(2**d, dtype=np.int64)])
-    assert counts[0, 0] == [0] + [2 ** (d - 1) * math.comb(d, h) for h in range(1, d + 1)]
+    assert counts.dtype == object  # the overflow guard chose Python ints
+    assert counts[0].tolist() == [0] + [2 ** (d - 1) * math.comb(d, h) for h in range(1, d + 1)]
+
+
+@st.composite
+def disjoint_classes(draw):
+    """1 to 7 disjoint nonempty classes of {0,1}^d, d <= 8; many are one point."""
+    d = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.permutation(2**d)[: draw(st.integers(1, 2**d))].astype(np.int64)
+    k = draw(st.integers(1, min(7, pts.size)))
+    ones = draw(st.integers(0, k - 1))  # leading one-point classes
+    cuts = np.sort(rng.choice(np.arange(ones + 1, pts.size), k - 1 - ones, replace=False))
+    return d, np.split(pts, np.concatenate((np.arange(1, ones + 1), cuts)).astype(int))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=disjoint_classes(), chunk=st.sampled_from([1, cube.CHUNK_ELEMENTS, 1 << 20]))
+def test_class_pair_counts_match_brute_force(case, chunk):
+    # chunk 1 transforms class by class, 1 << 20 every class in one batch
+    d, classes = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cube, "CHUNK_ELEMENTS", chunk)
+        counts = _class_pair_counts(d, classes)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == brute_pair_counts(d, classes)
+
+
+def test_int64_contraction_matches_python_ints_near_the_bound():
+    # the lower half of {0,1}^20 without 0, the point 0, and the upper half:
+    # max|K| = C(20, 10) and sum|shell| = 2^39 put the partial-sum bound
+    # within a factor 2^7 of 2^63, and the guard keeps int64
+    d = 20
+    half = 2 ** (d - 1)
+    classes = [np.arange(1, half), np.array([0]), np.arange(half, 2 * half)]
+    shell, kraw = _shell_sums(d, classes), _krawtchouk(d)
+    assert 2**56 < int(np.abs(kraw).max()) * int(np.abs(shell).sum(axis=1).max()) < 2**63
+    assert (shell @ kraw.T == shell.astype(object) @ kraw.T.astype(object)).all()
+    counts = _class_pair_counts(d, classes)
+    assert counts.dtype == np.int64
+    low = [math.comb(d - 1, h) for h in range(d + 1)]  # weight-h points of a half
+    cross = [0] + low[:-1]  # pairs across the halves differ in the top bit
+    assert counts.tolist() == [
+        [0] + [(half // 2 - 1) * k for k in low[1:]],  # (0, 0): inside the half, none with 0
+        [0] + low[1:],  # (0, 1)
+        [(half - 1) * k for k in cross],  # (0, 2)
+        [0] * (d + 1),  # (1, 1)
+        cross,  # (1, 2)
+        [0] + [half // 2 * k for k in low[1:]],  # (2, 2)
+    ]
+
+
+@pytest.mark.parametrize("d", range(1, MAX_D + 1))
+def test_krawtchouk_table_is_the_defining_sum(d):
+    K = _krawtchouk(d)
+    assert K.dtype == np.int64
+    assert K.tolist() == [
+        [sum((-1) ** j * math.comb(w, j) * math.comb(d - w, h - j) for j in range(h + 1))
+         for w in range(d + 1)]
+        for h in range(d + 1)
+    ]
+
+
+# tracemalloc peak of `_class_distortion` at d = 16, eps = 0.2 before the
+# certificate kernel was batched (one transform and Python-int sums per class)
+PEAK_BEFORE_BATCHING = 6_436_832
+
+
+def test_class_distortion_memory_stays_at_the_per_class_peak():
+    res = cube_qs_construct(16, 0.2)
+    lookup, block_norm = _embedding_lookup(16, res.r, 2.0)
+    tracemalloc.start()
+    try:
+        _class_distortion(16, res.S, res.dA, lookup, block_norm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * PEAK_BEFORE_BATCHING
 
 
 def test_certificate_covers_every_pair_at_d16():
