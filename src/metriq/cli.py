@@ -230,9 +230,13 @@ class Pipeline:
     # its own space, of own_space(params) points, or "" when only the built
     # space knows its size and the pipe's row gives it as `n`
     own_space: Callable[[dict], int | str] | None = None
+    by_name: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "by_name", {o.name: o for o in self.options})
 
     def resolve(self, given: dict) -> dict:
-        return resolve_params(f"pipeline {self.name!r}", self.options, given)
+        return resolve_params(f"pipeline {self.name!r}", self.by_name, given)
 
 
 PIPELINES = {p.name: p for p in (

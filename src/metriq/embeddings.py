@@ -13,10 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
 from .core import MetricSpace, encode_array
 from .errors import (
@@ -59,8 +57,9 @@ class VectorEmbedding:
         return self.vectors.shape[0]
 
 
-# entries of one rows x n x dim chunk of a p-norm table; 512 KB of float64
-# stays in cache, which made Bourgain tables faster than 8 MB chunks
+# entries of one rows x n x dim chunk of a p-norm table, or of one block of
+# the p-stable series; 512 KB of float64 stays in cache, which made Bourgain
+# tables faster than 8 MB chunks
 TABLE_ELEMENTS = 1 << 16
 
 #: Most points an exact construction takes: it enumerates 2^n subsets or atoms.
@@ -228,60 +227,59 @@ def truncated_gauss_distance(d, D: float):
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=8)
-def _pstable_density_grid(p: float):
-    """Tabulated density of the symmetric p-stable law with char. fn e^(-|t|^p).
+#: terms past K = ceil(PSTABLE_DECAY^(1/p) / a) are taken at their a -> infinity
+#: value, which drops less than e^-42 of their sum; a K above PSTABLE_MAX_TERMS,
+#: that is, a d/D below PSTABLE_DECAY^(1/p) / PSTABLE_MAX_TERMS, is refused
+PSTABLE_DECAY, PSTABLE_MAX_TERMS = 42.0, 1 << 23
 
-    Returns (u grid, density values, tail coefficient A) where the density is
-    ~ A / u^(p+1) beyond the grid.
+
+def _pstable_series(a: np.ndarray, p: float, K: int) -> np.ndarray:
+    """2^(p/2) [sum_{k <= K} |c_k| (1 - e^-(k a)^p) + sum_{k > K} |c_k|] for each a > 0.
+
+    The c_k are the cosine coefficients of |sin(x/2)|^p: c_0 = 2 Gamma(p + 1) /
+    (2^p Gamma(p/2 + 1)^2), c_k = c_(k-1) (k - 1 - p/2) / (k + p/2) < 0.  Terms
+    are summed TABLE_ELEMENTS entries of the (len(a), k) table at a time (at
+    least one column).  |c_k| is proportional to Gamma(k - p/2) / Gamma(k + 1 + p/2),
+    which telescopes: the tail sum_{k > K} |c_k| is |c_K| (K - p/2) / p.
     """
-    us = np.concatenate([np.linspace(0.0, 1.0, 201)[1:], np.geomspace(1.0, 1e4, 600)])
-    if p == 1.0:
-        phi = 1.0 / (math.pi * (1.0 + us**2))
-    else:
-        phi = np.array(
-            [
-                integrate.quad(lambda t: math.exp(-(t**p)) / math.pi, 0, np.inf,
-                               weight="cos", wvar=u, limit=200)[0]
-                for u in us
-            ]
-        )
-        phi = np.maximum(phi, 0.0)
-    A = float(phi[-1] * us[-1] ** (p + 1))
-    return us, phi, A
+    ap = a**p
+    total = np.zeros(a.shape)
+    c = 2.0 * math.gamma(p + 1.0) / (2.0**p * math.gamma(p / 2.0 + 1.0) ** 2)
+    step = max(1, TABLE_ELEMENTS // a.size)
+    for lo in range(1, K + 1, step):
+        k = np.arange(lo, min(K + 1, lo + step), dtype=np.float64)
+        ck = np.cumprod((k - 1.0 - p / 2.0) / (k + p / 2.0)) * c
+        c = ck[-1]
+        terms = np.multiply.outer(ap, -(k**p))
+        np.expm1(terms, out=terms)  # e^-(k a)^p - 1 < 0, and c_k < 0
+        terms *= ck
+        total += terms.sum(axis=1)
+    return 2.0 ** (p / 2.0) * (total - c * (K - p / 2.0) / p)
 
 
-@lru_cache(maxsize=8)
-def _mean_cos_power(p: float) -> float:
-    """Average of (1 - cos x)^(p/2) over a full period."""
-    val, _ = integrate.quad(lambda x: (1.0 - math.cos(x)) ** (p / 2.0), 0, 2 * math.pi)
-    return val / (2 * math.pi)
+def pstable_expectation(a, p: float):
+    """E[(1 - cos(a g))^(p/2)] for a symmetric p-stable g, 1 <= p < 2, at a
+    scalar or an array of a, by an exact series of positive terms.
 
-
-def pstable_expectation(a: float, p: float) -> float:
-    """E[(1 - cos(a g))^(p/2)] for a symmetric p-stable g, 1 <= p < 2, by quadrature."""
+    (1 - cos x)^(p/2) = 2^(p/2) sum_k |c_k| (1 - cos kx) (see `_pstable_series`)
+    and E cos(k a g) = e^-(k a)^p, so E(a) = 2^(p/2) sum_k |c_k| (1 - e^-(k a)^p),
+    which goes to 0 with a.  One K = ceil(42^(1/p) / min a) serves every a:
+    taking the terms past it at their limit |c_k| errs by at most e^-42 times
+    their sum.  A nonzero a below the floor, or a NaN, is a ParameterError,
+    raised before any table is built.
+    """
     if not (1.0 <= p < 2.0):
         raise ParameterError("p must be in [1, 2)")
-    if a == 0:
-        return 0.0
-    a = abs(float(a))
-    us, phi, A = _pstable_density_grid(p)
-    # dense trapezoid up to ~50 oscillation periods (or the grid edge),
-    # then replace (1 - cos)^(p/2) by its period average against the
-    # tabulated density, and close with the power-law density tail
-    period = 2.0 * math.pi / a
-    u1 = min(us[-1], max(1.0, 50.0 * period))
-    step = min(period / 64.0, 0.05)
-    grid = np.linspace(0.0, u1, max(2, int(u1 / step) + 1))
-    vals = (1.0 - np.cos(a * grid)) ** (p / 2.0) * np.interp(grid, us, phi)
-    body = float(np.trapezoid(vals, grid))
-    if u1 < us[-1]:
-        sel = us >= u1
-        g2 = np.concatenate([[u1], us[sel]])
-        v2 = np.concatenate([[float(np.interp(u1, us, phi))], phi[sel]])
-        body += _mean_cos_power(p) * float(np.trapezoid(v2, g2))
-    tail = _mean_cos_power(p) * A / (p * us[-1] ** p)
-    return 2.0 * (body + tail)
+    a = np.abs(np.asarray(a, dtype=np.float64))
+    out = np.zeros(a.shape)
+    live = a != 0
+    if live.any():
+        a_min, floor = float(a[live].min()), PSTABLE_DECAY ** (1.0 / p) / PSTABLE_MAX_TERMS
+        if not a_min >= floor:  # a NaN too
+            raise ParameterError(f"d/D = {a_min:.3g}, but the p = {p} series of "
+                                 f"{PSTABLE_MAX_TERMS} terms needs d/D >= {floor:.3g}")
+        out[live] = _pstable_series(a[live], p, max(1, math.ceil(PSTABLE_DECAY ** (1.0 / p) / a_min)))
+    return float(out) if out.ndim == 0 else out
 
 
 def pstable_distance(d, D: float, p: float):
@@ -292,15 +290,8 @@ def pstable_distance(d, D: float, p: float):
     p-stable g: images have norm D, and <x - y, g> has the law of d * g.
     Only two-sided envelopes with unspecified constants hold for it, so the
     cube certificate recomputes its distortion from these values exactly.
+    All of d goes through one pstable_expectation pass, floor included.
     """
-    if not (1.0 <= p < 2.0):
-        raise ParameterError("p must be in [1, 2)")
     if D <= 0:
         raise ParameterError("D must be positive")
-    scalar = np.isscalar(d)
-    out = []
-    for di in np.atleast_1d(np.asarray(d, dtype=np.float64)):
-        e = pstable_expectation(di / D, p)
-        out.append(math.sqrt(2.0) * D * e ** (1.0 / p))
-    out = np.array(out)
-    return float(out[0]) if scalar else out
+    return math.sqrt(2.0) * D * pstable_expectation(np.asarray(d, dtype=np.float64) / D, p) ** (1.0 / p)

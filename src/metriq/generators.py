@@ -9,7 +9,7 @@ point clouds for testing.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import click
 import numpy as np
@@ -286,28 +286,27 @@ class _Floats(click.ParamType):
         return tuple(float(x) for x in value)
 
 
-def resolve_params(owner: str, options, given: dict) -> dict:
-    """`given` over the declared defaults, each value converted by its option.
+def resolve_params(owner: str, by_name: dict[str, click.Option], given: dict) -> dict:
+    """`given` over the declared defaults, each value converted by its option in `by_name`.
 
     An unknown, missing or unconvertible param is a ParameterError naming
     `owner`, and so is a value of an integer param that is not a JSON
     integer (core.integer).  Null is a value only for a param whose default is null.
     """
-    opts = {o.name: o for o in options}
-    unknown = sorted(set(given) - set(opts))
-    missing = sorted(k for k, o in opts.items() if o.required and k not in given)
-    if unknown or missing:
-        raise ParameterError(f"{owner} takes params {sorted(opts)}; unknown {unknown}, missing {missing}")
-    params = {k: o.default for k, o in opts.items() if not o.required}
+    params = {k: o.default for k, o in by_name.items() if not o.required}
+    if not given.keys() <= by_name.keys() <= given.keys() | params.keys():
+        unknown = sorted(given.keys() - by_name.keys())
+        missing = sorted(by_name.keys() - given.keys() - params.keys())
+        raise ParameterError(f"{owner} takes params {sorted(by_name)}; unknown {unknown}, missing {missing}")
     for k, v in given.items():
-        if v is None and not opts[k].required and opts[k].default is None:
+        if v is None and not by_name[k].required and by_name[k].default is None:
             continue
         try:
-            if isinstance(opts[k].type, click.types.IntParamType):
+            if isinstance(by_name[k].type, click.types.IntParamType):
                 integer(v, k)  # click would truncate a float and read a bool as 0 or 1
             # convert, unlike calling the type, rejects None; click's BOOL
             # raises AttributeError on values that are neither bool nor str
-            params[k] = opts[k].type.convert(v, opts[k], None)
+            params[k] = by_name[k].type.convert(v, by_name[k], None)
         except (click.BadParameter, StructuralError, TypeError, ValueError, OverflowError,
                 AttributeError) as exc:
             raise ParameterError(f"{owner}: bad {k!r} value {v!r} ({exc})") from exc
@@ -332,9 +331,13 @@ class Instance:
     options: tuple[click.Option, ...]
     points: Callable[[dict], int]
     model: type | None = None
+    by_name: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "by_name", {o.name: o for o in self.options})
 
     def resolve(self, given: dict) -> dict:
-        return resolve_params(f"instance variant {self.name!r}", self.options, given)
+        return resolve_params(f"instance variant {self.name!r}", self.by_name, given)
 
 
 def _model(cls, points, *options: click.Option) -> Instance:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import optimize
+from scipy import integrate, optimize
 from click.testing import CliRunner
 from scipy.sparse.csgraph import connected_components
 
@@ -638,6 +638,30 @@ def pstable_expectation_monte_carlo(a: float, p: float, samples: int = 200_000, 
     """Monte-Carlo reference for embeddings.pstable_expectation."""
     g = cms_sample(p, samples, seed)
     return float(np.mean((1.0 - np.cos(abs(float(a)) * g)) ** (p / 2.0)))
+
+
+def cauchy_expectation_quad(a: float, periods: int = 2000) -> float:
+    """Quadrature reference for embeddings.pstable_expectation at p = 1.
+
+    E[(1 - cos(a g))^(1/2)] for Cauchy g is twice the integral over u >= 0 of
+    sqrt(2) |sin(a u / 2)| / (pi (1 + u^2)) (the same integrand as
+    (1 - cos)^(1/2), without its cancellation at small a u).  Adaptive quad
+    takes the first period in geometric pieces, then one period at a time up
+    to U = periods * 2 pi / a; past U the integrand is its period average
+    2 sqrt(2) / pi times the density, whose mass there is arctan(1 / U) / pi.
+    """
+    a = abs(float(a))
+    period = 2.0 * math.pi / a
+
+    def f(u):
+        return math.sqrt(2.0) * abs(math.sin(a * u / 2.0)) / (math.pi * (1.0 + u * u))
+
+    edges = [0.0, *(period * 2.0 ** -np.arange(40.0, -1.0, -1.0))]
+    edges += [period * j for j in range(2, periods + 1)]
+    body = sum(integrate.quad(f, lo, hi, limit=200, epsabs=0.0, epsrel=1e-12)[0]
+               for lo, hi in zip(edges, edges[1:]))
+    tail = 2.0 * math.sqrt(2.0) / math.pi * math.atan2(1.0, periods * period) / math.pi
+    return 2.0 * (body + tail)
 
 
 def pstable_embed(points, D: float, p: float, features: int, seed=None) -> VectorEmbedding:

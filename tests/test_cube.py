@@ -99,8 +99,9 @@ def test_certificate_below_traced_bound():
     assert res.report.distortion <= res.certified_bound + 1e-9
 
 
-def test_p_below_two_bound():
-    res = cube_qs_construct(10, 0.2, p=1.5)
+@pytest.mark.parametrize("p", [1.0, 1.25, 1.5, 1.9])
+def test_p_below_two_bound(p):
+    res = cube_qs_construct(10, 0.2, p=p)
     assert res.report.distortion <= res.certified_bound + 1e-9
     assert check_sandwich(res, samples=2000, seed=3)
 

@@ -5,12 +5,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from metriq import embeddings
 
-from metriq.cli import PIPELINES
+from metriq.cli import PIPELINES, main
 from metriq.constructions import m_center_quotient, m_center_size
 from metriq.core import Equilateral, Star, decode_array, dumps, encode_array, realize_special, validate_metric
 from metriq.embeddings import (
@@ -28,6 +30,7 @@ from metriq.verify import verify_bundle
 
 from conftest import (
     bourgain_embed_loop,
+    cauchy_expectation_quad,
     cms_sample,
     pnorm_table_full,
     pstable_embed,
@@ -228,11 +231,59 @@ def test_cms_p1_is_cauchy():
     assert np.median(np.abs(g)) == pytest.approx(1.0, abs=0.02)
 
 
-def test_pstable_expectation_quadrature_vs_monte_carlo():
+@pytest.mark.parametrize("p", [1.0, 1.5])
+def test_pstable_expectation_vs_monte_carlo(p):
     for a in (0.1, 1.0, 10.0):
-        q = pstable_expectation(a, 1.0)
-        mc = pstable_expectation_monte_carlo(a, 1.0, samples=400000, seed=2)
+        q = pstable_expectation(a, p)
+        mc = pstable_expectation_monte_carlo(a, p, samples=400000, seed=2)
         assert q == pytest.approx(mc, rel=0.02)
+
+
+@pytest.mark.parametrize("a", [0.05, 0.5, 2.0, 10.0, 1e-4, 1e-5])
+def test_pstable_expectation_matches_the_cauchy_quadrature(a):
+    assert pstable_expectation(a, 1.0) == pytest.approx(cauchy_expectation_quad(a), rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 1.9])
+def test_pstable_expectation_tends_to_the_period_average(p):
+    mean = integrate.quad(lambda x: (1.0 - math.cos(x)) ** (p / 2.0), 0.0, 2.0 * math.pi,
+                          epsabs=0.0, epsrel=1e-13)[0] / (2.0 * math.pi)
+    c0 = 2.0 * math.gamma(p + 1.0) / (2.0**p * math.gamma(p / 2.0 + 1.0) ** 2)
+    assert 2.0 ** (p / 2.0) * c0 / 2.0 == pytest.approx(mean, rel=1e-12)
+    far = pstable_expectation(np.array([60.0, 1e3, 1e8, np.inf]), p)
+    assert far == pytest.approx(mean, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.25, 1.5, 1.9])
+def test_pstable_series_is_converged_at_its_length(p):
+    a = np.geomspace(1e-3, 1e2, 60)
+    K = math.ceil(embeddings.PSTABLE_DECAY ** (1 / p) / a.min())
+    once, twice = embeddings._pstable_series(a, p, K), embeddings._pstable_series(a, p, 2 * K)
+    assert np.abs(twice / once - 1.0).max() <= 1e-14
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 1.9])
+def test_pstable_expectation_goes_to_zero_with_a(p):
+    a = np.geomspace(1e-5, 1.0, 30)
+    e = pstable_expectation(a, p)
+    assert np.all(e > 0) and np.all(np.diff(e) > 0)
+    assert e[0] < 1e-4 and pstable_expectation(0.0, p) == 0.0
+    assert e == pytest.approx([pstable_expectation(x, p) for x in a], rel=1e-13)
+
+
+def test_pstable_below_the_floor_is_refused_before_any_table():
+    floor = embeddings.PSTABLE_DECAY ** (1 / 1.5) / embeddings.PSTABLE_MAX_TERMS
+    tracemalloc.start()
+    try:
+        result = CliRunner().invoke(main, ["transform", "--kind", "pstable", "--d", str(floor / 10),
+                                           "--level", "1", "--p", "1.5"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code != 0 and isinstance(result.exception, ParameterError)
+    assert f"{floor:.3g}" in str(result.exception)
+    assert peak < 1 << 20
+    assert pstable_distance(floor * 2, 1.0, 1.5) > 0
 
 
 def test_pstable_distance_zero_and_monotone():

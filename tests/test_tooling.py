@@ -3,7 +3,10 @@ import importlib
 import importlib.util
 import itertools
 import json
+import os
 import shlex
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -301,3 +304,13 @@ def test_every_library_member_is_used_outside_the_tests():
     # it stays in ONLY_FROM_TESTS
     assert _unused_members() == {key for key in ONLY_FROM_TESTS if "." in key[1]}
 
+
+def test_the_benchmarked_imports_leave_scipy_integrate_out():
+    # the modules perfbench's import_program loads; importing scipy.integrate
+    # alone costs 0.11-0.16 s on a 2-vCPU host, and nothing in src/metriq needs it
+    code = ("import sys\n"
+            "from metriq import cli, constructions, core, cube, embeddings, generators, hst, quotient\n"
+            "print('scipy.integrate' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "False"
