@@ -9,11 +9,18 @@ from click.testing import CliRunner
 from scipy.sparse.csgraph import connected_components
 
 from metriq.cli import PIPELINES, main, plan_from_json, run_experiment
-from metriq.constructions import _center_radii, find_m_center
+from metriq.constructions import (
+    RESAMPLE_CAP,
+    ColoringResult,
+    _center_radii,
+    check_coloring_result,
+    find_m_center,
+)
 from metriq.core import (
     TOL,
     MetricSpace,
     ValidationReport,
+    aspect_ratio,
     block_reduce,
     decode_array,
     dumps,
@@ -28,6 +35,7 @@ from metriq.errors import (
     ConstructionFailureError,
     NoMCenterError,
     ParameterError,
+    ProbabilisticFailureError,
     StructuralError,
 )
 from metriq.generators import gen_euclidean_cloud, hypercube_metric, realize_instance
@@ -233,6 +241,104 @@ def check_coloring_loop(chi, res):
             if not np.all(np.any(cross == res.ell, axis=0)):
                 return False
     return True
+
+
+# --- loop references for the colouring path --------------------------------
+# The colouring recursion, its pair fallback and the distance buckets as they
+# were before the per-level array passes: one flatnonzero per greedy vertex,
+# a pair double loop, and min_distance / aspect_ratio over eye masks.
+
+
+def pair_fallback_loop(chi: np.ndarray, V: list[int], cmin: int) -> ColoringResult:
+    """Two singleton blocks on the lexicographically first min-color pair."""
+    for ai in range(len(V)):
+        for bi in range(ai + 1, len(V)):
+            if chi[V[ai], V[bi]] == cmin:
+                return ColoringResult(((V[ai],), (V[bi],)), cmin)
+    raise StructuralError("no pair realizes the minimum color")  # unreachable
+
+
+def coloring_partition_loop(n: int, chi, seed=None, kcolors: int | None = None) -> ColoringResult:
+    """Reference for coloring_partition: the same recursion, draws and errors."""
+    chi = np.asarray(chi)
+    if chi.shape != (n, n):
+        raise StructuralError("chi must be an n x n array")
+    if n < 2:
+        raise ParameterError("need n >= 2")
+    if not np.array_equal(chi, chi.T):
+        raise StructuralError("chi must be symmetric")
+    rng = as_seed(seed).rng()
+    iu, ju = np.triu_indices(n, k=1)
+    if kcolors is None:
+        kcolors = len(np.unique(chi[iu, ju]))
+
+    def solve(V: list[int], krem: int) -> ColoringResult:
+        nv = len(V)
+        sub = chi[np.ix_(V, V)]
+        off = sub[np.triu_indices(nv, k=1)]
+        cmin = int(off.min())
+        if np.all(off == cmin):
+            return ColoringResult(tuple((v,) for v in V), cmin)
+        if krem <= 1:
+            return pair_fallback_loop(chi, V, cmin)
+        is_cmin = sub == cmin
+        np.fill_diagonal(is_cmin, False)
+        deg = is_cmin.sum(axis=1)
+        mcount = int(deg.sum())  # ordered color-cmin pair count
+        thresh = nv ** (1.0 / krem)
+        if mcount >= nv ** (1.0 + 1.0 / krem) / 2.0:
+            C = np.flatnonzero(deg >= thresh / 4.0)
+            s = int(thresh / (8.0 * math.log(nv))) if nv > 1 else 0
+            s = min(s, C.size)
+            if s < 2:
+                return pair_fallback_loop(chi, V, cmin)
+            off = ~np.eye(s, dtype=bool)
+            for _ in range(RESAMPLE_CAP):
+                assign = rng.integers(0, s, size=C.size)
+                groups = [C[assign == g] for g in range(s)]
+                if any(grp.size == 0 for grp in groups):
+                    continue
+                # every member of every group must hit every other group in cmin
+                if np.all(block_reduce(is_cmin, groups, np.logical_or, np.logical_and)[off]):
+                    return ColoringResult(tuple(tuple(V[int(c)] for c in grp) for grp in groups), cmin)
+            raise ProbabilisticFailureError(f"dense split failed {RESAMPLE_CAP} times (|C|={C.size}, s={s})")
+        # sparse branch: low-degree vertices, greedy coloring of the cmin-graph
+        D = np.flatnonzero(deg < thresh)
+        palette = int(math.ceil(thresh))
+        color = -np.ones(nv, dtype=int)
+        for v in D:
+            used = set(int(color[u]) for u in np.flatnonzero(is_cmin[v]) if color[u] >= 0)
+            c = 0
+            while c in used:
+                c += 1
+            if c >= palette:
+                c = palette - 1  # cannot happen when degrees < palette; guard anyway
+            color[v] = c
+        sizes = [int(np.sum(color[D] == c)) for c in range(palette)]
+        cbest = int(np.argmax(sizes))
+        I = [V[int(v)] for v in D if color[v] == cbest]
+        if len(I) < 2:
+            return pair_fallback_loop(chi, V, cmin)
+        return solve(I, krem - 1)
+
+    res = solve(list(range(n)), max(1, int(kcolors)))
+    if not check_coloring_result(chi, res):
+        raise ConstructionFailureError("coloring invariants failed post-check", {"result": res})
+    return res
+
+
+def distance_buckets_loop(m: MetricSpace, alpha: float) -> tuple[np.ndarray, int, float]:
+    """Reference for constructions._distance_buckets: min_distance, aspect_ratio
+    and a fresh array per float operation."""
+    mind = m.min_distance()
+    phi = aspect_ratio(m)
+    k = 1 if phi <= 1.0 + 1e-12 else int(math.log(phi) / math.log(alpha)) + 1
+    with np.errstate(divide="ignore"):
+        ratio = np.where(m.dist > 0, m.dist / mind, mind)
+    chi = np.floor(np.log(ratio) / math.log(alpha) + 1e-12).astype(int) + 1
+    chi = np.clip(chi, 1, k)
+    np.fill_diagonal(chi, 0)
+    return chi, k, mind
 
 
 def lip_colip_loop(base: MetricSpace, blocks, target: MetricSpace):

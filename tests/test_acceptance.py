@@ -354,6 +354,12 @@ GOLDEN_BUNDLES = {
                  "7d6c8c55478c02f6739577dab6a86a85a3e10da65a4e04679c388980e38e9366"),
     "sq": ("cloud", {"n": 40}, "dichotomy", {"drop_root": True}, ("quotient", "SQ"),
            "49dd22679d7af593119eeb72b44abdd1c70dc00eb52a6e5d6e02402426722dcd"),
+    "aspect": ("cloud", {"n": 40}, "aspect", {}, ("quotient", "QS"),
+               "351f6b609da487cde2b1e31dd58ecb0bf7af90488ea5f51ef2b456072dbf3d04"),
+    "aspect-gnp": ("gnp", {"n": 60, "q": 0.05}, "aspect", {}, ("quotient", "QS"),
+                   "3d7bd49c1221ada072f9d9cc1f24a6a509f1d318944fa9c1ec82e37207074260"),
+    "aspect-lipschitz": ("cloud", {"n": 40}, "aspect", {"lipschitz": True}, ("quotient", "QS"),
+                         "1b2775c38025fafdb7b8a68af5bd1ee2ab2de1b807083d140dbf544981a8063b"),
     "hst": ("cloud", {"n": 40}, "hst", {}, ("hst", None),
             "b5ae7e30468429171ea9ff05fae1c0ad697f1be6f1638dbb8dbf2069a6cafafe"),
     "embedding": ("cloud", {"n": 40}, "bourgain", {}, ("embedding", None),
