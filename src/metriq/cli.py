@@ -333,7 +333,19 @@ def run_experiment(plan: ExperimentPlan, keep_artifacts: bool = False) -> Report
 # ---------------------------------------------------------------------------
 
 
-@click.group()
+class _Main(click.Group):
+    """A MetriqError ends the command with one stderr line, `Error: <class>: <message>`, and exit code 3."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except MetriqError as exc:
+            refused = click.ClickException(f"{type(exc).__name__}: {exc}")
+            refused.exit_code = 3
+            raise refused from exc
+
+
+@click.group(cls=_Main)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")

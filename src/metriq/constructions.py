@@ -454,13 +454,10 @@ def check_coloring_result(chi: np.ndarray, res: ColoringResult) -> bool:
     return bool(np.all(cross_min[off] == res.ell) and np.all(witnessed[off]))
 
 
-def _pair_fallback(chi: np.ndarray, V: list[int], cmin: int) -> ColoringResult:
+def _pair_fallback(V: list[int], is_cmin: np.ndarray, cmin: int) -> ColoringResult:
     """Two singleton blocks on the lexicographically first min-color pair."""
-    for ai in range(len(V)):
-        for bi in range(ai + 1, len(V)):
-            if chi[V[ai], V[bi]] == cmin:
-                return ColoringResult(((V[ai],), (V[bi],)), cmin)
-    raise StructuralError("no pair realizes the minimum color")  # unreachable
+    ai, bi = divmod(int(np.argmax(is_cmin)), len(V))  # symmetric, False diagonal: ai < bi
+    return ColoringResult(((V[ai],), (V[bi],)), cmin)
 
 
 def coloring_partition(n: int, chi, seed=None, kcolors: int | None = None) -> ColoringResult:
@@ -474,6 +471,10 @@ def coloring_partition(n: int, chi, seed=None, kcolors: int | None = None) -> Co
     low-degree vertices of the color-c graph and recurse on the largest color
     class with one fewer color.  Tiny instances fall back to a single
     min-color pair as two singleton blocks.
+
+    Each level makes a few array passes over its own submatrix of chi: its
+    min with the diagonal set off-diagonal is c, the mask sub == c gives the
+    degrees and the one-color test, and one np.nonzero the neighbor lists.
     """
     chi = np.asarray(chi)
     if chi.shape != (n, n):
@@ -483,30 +484,29 @@ def coloring_partition(n: int, chi, seed=None, kcolors: int | None = None) -> Co
     if not np.array_equal(chi, chi.T):
         raise StructuralError("chi must be symmetric")
     rng = as_seed(seed).rng()
-    iu, ju = np.triu_indices(n, k=1)
     if kcolors is None:
+        iu, ju = np.triu_indices(n, k=1)
         kcolors = len(np.unique(chi[iu, ju]))
 
-    def solve(V: list[int], krem: int) -> ColoringResult:
+    def solve(V: list[int], sub: np.ndarray, krem: int) -> ColoringResult:
         nv = len(V)
-        sub = chi[np.ix_(V, V)]
-        off = sub[np.triu_indices(nv, k=1)]
-        cmin = int(off.min())
-        if np.all(off == cmin):
-            return ColoringResult(tuple((v,) for v in V), cmin)
-        if krem <= 1:
-            return _pair_fallback(chi, V, cmin)
+        np.fill_diagonal(sub, sub[0, 1])  # sub is this level's own copy
+        cmin = int(sub.min())
         is_cmin = sub == cmin
         np.fill_diagonal(is_cmin, False)
-        deg = is_cmin.sum(axis=1)
+        deg = np.count_nonzero(is_cmin, axis=1)
         mcount = int(deg.sum())  # ordered color-cmin pair count
+        if mcount == nv * (nv - 1):
+            return ColoringResult(tuple((v,) for v in V), cmin)
+        if krem <= 1:
+            return _pair_fallback(V, is_cmin, cmin)
         thresh = nv ** (1.0 / krem)
         if mcount >= nv ** (1.0 + 1.0 / krem) / 2.0:
             C = np.flatnonzero(deg >= thresh / 4.0)
             s = int(thresh / (8.0 * math.log(nv))) if nv > 1 else 0
             s = min(s, C.size)
             if s < 2:
-                return _pair_fallback(chi, V, cmin)
+                return _pair_fallback(V, is_cmin, cmin)
             off = ~np.eye(s, dtype=bool)
             for _ in range(RESAMPLE_CAP):
                 assign = rng.integers(0, s, size=C.size)
@@ -520,23 +520,23 @@ def coloring_partition(n: int, chi, seed=None, kcolors: int | None = None) -> Co
         # sparse branch: low-degree vertices, greedy coloring of the cmin-graph
         D = np.flatnonzero(deg < thresh)
         palette = int(math.ceil(thresh))
-        color = -np.ones(nv, dtype=int)
-        for v in D:
-            used = set(int(color[u]) for u in np.flatnonzero(is_cmin[v]) if color[u] >= 0)
+        nbrs = np.nonzero(is_cmin[D])[1].tolist()  # row by row, so deg[D] splits it
+        color = [-1] * nv
+        start = 0
+        for v, end in zip(D.tolist(), np.cumsum(deg[D]).tolist()):
+            used = {color[u] for u in nbrs[start:end]}
+            start = end
             c = 0
             while c in used:
                 c += 1
-            if c >= palette:
-                c = palette - 1  # cannot happen when degrees < palette; guard anyway
-            color[v] = c
-        sizes = [int(np.sum(color[D] == c)) for c in range(palette)]
-        cbest = int(np.argmax(sizes))
-        I = [V[int(v)] for v in D if color[v] == cbest]
-        if len(I) < 2:
-            return _pair_fallback(chi, V, cmin)
-        return solve(I, krem - 1)
+            color[v] = min(c, palette - 1)  # c < palette when degrees < palette; guard anyway
+        colD = np.array(color)[D]
+        keep = D[colD == int(np.argmax(np.bincount(colD, minlength=palette)))]
+        if keep.size < 2:
+            return _pair_fallback(V, is_cmin, cmin)
+        return solve([V[i] for i in keep.tolist()], sub[np.ix_(keep, keep)], krem - 1)
 
-    res = solve(list(range(n)), max(1, int(kcolors)))
+    res = solve(list(range(n)), chi.copy(), max(1, int(kcolors)))
     if not check_coloring_result(chi, res):
         raise ConstructionFailureError("coloring invariants failed post-check", {"result": res})
     return res
@@ -619,14 +619,18 @@ class AspectQuotientResult:
 
 
 def _distance_buckets(m: MetricSpace, alpha: float) -> tuple[np.ndarray, int, float]:
-    """Color every pair by the power-of-alpha band its distance falls in."""
+    """Color every pair by the power-of-alpha band its distance falls in, in one n x n buffer."""
     mind = m.min_distance()
     phi = aspect_ratio(m)
     k = 1 if phi <= 1.0 + 1e-12 else int(math.log(phi) / math.log(alpha)) + 1
-    with np.errstate(divide="ignore"):
-        ratio = np.where(m.dist > 0, m.dist / mind, mind)
-    chi = np.floor(np.log(ratio) / math.log(alpha) + 1e-12).astype(int) + 1
-    chi = np.clip(chi, 1, k)
+    buf = m.dist / mind
+    np.fill_diagonal(buf, 1.0)  # the diagonal becomes 0 below; 1 keeps its log finite
+    np.log(buf, out=buf)
+    buf /= math.log(alpha)
+    buf += 1e-12
+    chi = np.floor(buf, out=buf).astype(int)
+    chi += 1
+    np.clip(chi, 1, k, out=chi)
     np.fill_diagonal(chi, 0)
     return chi, k, mind
 

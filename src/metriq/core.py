@@ -64,7 +64,7 @@ class MetricSpace:
         """Smallest off-diagonal distance."""
         if self.n < 2:
             raise UndefinedInputError("min_distance needs at least 2 points")
-        off = self.dist[~np.eye(self.n, dtype=bool)]
+        off = self.dist.ravel()[1:].reshape(self.n - 1, self.n + 1)[:, :-1]  # a view: row i skips (i, i)
         return float(off.min())
 
     def restrict(self, points) -> "MetricSpace":

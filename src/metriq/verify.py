@@ -227,8 +227,8 @@ def _check_rows(rows: list, artifacts: list[tuple[Doc, dict, int]], report: Vali
 
     Row and artifact are written from the same values, so they must be equal;
     a row field the artifact's kind declares but does not hold must be empty.
-    A row's `n` is the size of the instance its artifact was checked on (the
-    rebuilt base of a quotient or hst artifact of a pipeline that runs on its
+    A row's `n` is the size of the instance its artifact was checked on (kept
+    as `base`, for a quotient or hst artifact of a pipeline that runs on its
     plan's instance), or own_space(params) where that is a number (cube-qs,
     whose artifact repeats its plan's d).
     The `n` of a bourgain or composition row is not checked: verify does not
@@ -253,7 +253,7 @@ def _check_rows(rows: list, artifacts: list[tuple[Doc, dict, int]], report: Vali
         stored = {"quotient_size": size,
                   **{k: "" if f[k] is None else f[k] for k in ROW_FIELDS if k in decl.fields}}
         if own is None and "base" in decl.fields:
-            stored["n"] = f["base"].n
+            stored["n"] = f["base"]
         elif isinstance(own, int):
             stored["n"] = own
         for key, value in stored.items():
@@ -365,6 +365,8 @@ def verify_bundle(doc: dict, tolerance: float = 1e-9) -> ValidationReport:
             if "base" in decl.fields:
                 _with_base(fields, plan)
             read.append((decl, fields, check(fields, ai, report, tolerance)))
+            if "base" in decl.fields:  # the rows read only its size: memory stays flat in trials
+                fields["base"] = fields["base"].n
         except MetriqError as exc:
             raise type(exc)(f"artifact {ai}: {exc}") from exc
         except (AttributeError, KeyError, TypeError, ValueError) as exc:

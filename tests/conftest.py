@@ -147,6 +147,16 @@ def cli_output(*args: str) -> str:
     return result.output
 
 
+def refusal(result, error: type) -> str:
+    """The message of a `metriq` command that the library refused with error:
+    exit code 3, nothing on stdout, one line `Error: <class>: <message>` on stderr."""
+    assert result.exit_code == 3, result.output
+    prefix = f"Error: {error.__name__}: "
+    assert result.stdout == "" and result.stderr.startswith(prefix), result.output
+    assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n"), result.stderr
+    return result.stderr[len(prefix):-1]
+
+
 @pytest.fixture
 def metrics(tmp_path):
     """`gen` files: CLOUD a 30-point cloud (seed 3), EQUI a 12-point equilateral space."""

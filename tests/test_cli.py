@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -31,7 +32,8 @@ from metriq.generators import InstanceSpec
 from metriq.quotient import quotient_to_json
 from metriq.seeds import RngSeed
 
-from conftest import ARTIFACT_COMMANDS, SQ_PLAN, edit_array, random_metric, run_bundle, standalone, star_to_lp
+from conftest import (ARTIFACT_COMMANDS, SQ_PLAN, edit_array, random_metric, refusal, run_bundle, standalone,
+                      star_to_lp)
 
 
 @pytest.fixture
@@ -144,7 +146,7 @@ def test_certify_distortion_refuses_spaces_of_different_sizes(runner, tmp_path):
     a.write_text(json.dumps(metric_to_json(random_metric(5, 4))))
     b.write_text(json.dumps(metric_to_json(random_metric(6, 4))))
     result = runner.invoke(main, ["certify", "distortion", "--source", str(a), "--target", str(b)])
-    assert isinstance(result.exception, StructuralError), result.output
+    assert refusal(result, StructuralError) == "source has 5 points, target 6"
 
 
 def test_verify_refuses_a_model_with_extra_points(runner, tmp_path):
@@ -194,8 +196,7 @@ def test_quotient_refuses_a_subset_index_out_of_range(runner, tmp_path):
     invoke(runner, "--seed", "2", "--out", str(mpath), "gen", "--variant", "cloud",
            "--param", "n=5")
     result = runner.invoke(main, ["quotient", "--in", str(mpath), "--subset", "0,9"])
-    assert isinstance(result.exception, StructuralError), result.output
-    assert "out of range" in str(result.exception)
+    assert "out of range" in refusal(result, StructuralError)
 
 
 @pytest.mark.parametrize("option, value", [("--subset", "a"), ("--blocks", "0,1;x")])
@@ -220,8 +221,7 @@ def test_file_loaders_refuse_a_malformed_document(runner, tmp_path, command, tex
     bad.write_text(text)
     args = [str(good) if a == "M" else a for a in command] + [str(bad)]
     result = runner.invoke(main, args)
-    assert isinstance(result.exception, StructuralError), result.output
-    assert "malformed" in str(result.exception)
+    assert refusal(result, StructuralError).startswith(f"{bad}: malformed (")
 
 
 def test_cube_qs_and_lower_round_trip(runner, tmp_path):
@@ -322,6 +322,30 @@ def test_verify_bundle_accepts_and_rejects(runner, tmp_path):
     assert result.exit_code == 1
 
 
+def _verify_peak(doc: dict) -> tuple[int, list]:
+    """verify_bundle's tracemalloc peak on doc, and its violations."""
+    tracemalloc.start()
+    try:
+        rep = verify_bundle(doc)
+        return tracemalloc.get_traced_memory()[1], rep.violations
+    finally:
+        tracemalloc.stop()
+
+
+def test_verify_bundle_memory_is_flat_in_trials():
+    # each trial rebuilds a 600-point instance (2.9 MB); the 16-trial peak is
+    # that of its largest trial, which keeps no rebuilt base for its rows
+    doc = run_bundle("cloud", {"n": 600}, "hst", {}, trials=16)
+    peak, violations = _verify_peak(doc)
+    assert violations == []
+    singles = []
+    for row, art in zip(doc["rows"], doc["artifacts"]):
+        one = {"plan": doc["plan"], "rows": [row], "artifacts": [art]}
+        singles.append(_verify_peak(one))
+    assert all(v == [] for _, v in singles)
+    assert peak <= 1.1 * max(p for p, _ in singles)
+
+
 def _set_pair(d, i, j, value):
     d[i, j] = d[j, i] = value
     return d
@@ -347,8 +371,7 @@ def test_verify_checks_gen_and_quotient_documents(runner, tmp_path):
         if kind == "metric":
             assert result.exit_code == 1 and not json.loads(result.output)["ok"]
         else:
-            assert isinstance(result.exception, StructuralError)
-            assert "blocks 0 and 1 are at distance 0.0 <= 0" in str(result.exception)
+            assert "blocks 0 and 1 are at distance 0.0 <= 0" in refusal(result, StructuralError)
 
 
 def test_verify_refuses_a_document_without_artifacts_or_kind():
@@ -364,12 +387,12 @@ def test_verify_refuses_a_document_without_artifacts_or_kind():
     {"kind": "hst", "base": 5},
 ])
 def test_verify_refuses_a_document_or_artifact_that_is_not_an_object(runner, tmp_path, doc):
-    with pytest.raises(StructuralError):
+    with pytest.raises(StructuralError) as err:
         verify_bundle(doc)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     result = runner.invoke(main, ["verify", "--bundle", str(path)])
-    assert result.exit_code != 0 and isinstance(result.exception, StructuralError)
+    assert refusal(result, StructuralError) == str(err.value)
 
 
 @pytest.mark.parametrize("n", [3.7, "3", 3.0, True])
@@ -377,12 +400,12 @@ def test_verify_refuses_a_declared_n_that_is_not_an_int(runner, tmp_path, n):
     art = {"kind": "metric", **metric_to_json(random_metric(3, 1))}
     assert verify_bundle({"artifacts": [art]}).ok
     art["n"] = n
-    with pytest.raises(StructuralError, match="declared n"):
+    with pytest.raises(StructuralError, match="declared n") as err:
         verify_bundle({"artifacts": [art]})
     path = tmp_path / "bad.json"
     path.write_text(dumps(art))
     result = runner.invoke(main, ["verify", "--bundle", str(path)])
-    assert result.exit_code != 0 and isinstance(result.exception, StructuralError)
+    assert refusal(result, StructuralError) == str(err.value)
 
 
 @pytest.mark.parametrize("labels", ["abc", [1, 2, 3], {"x": 1, "y": 2, "z": 3}, ["a", "b"], [], "", ["a", "b", 3]])
@@ -393,12 +416,12 @@ def test_verify_refuses_labels_that_are_not_n_strings(runner, tmp_path, labels):
         assert verify_bundle({"artifacts": [art]}).ok
     assert metric_from_json(art).labels == ("a", "b", "c")
     art["labels"] = labels
-    with pytest.raises(StructuralError, match="label"):
+    with pytest.raises(StructuralError, match="label") as err:
         verify_bundle({"artifacts": [art]})
     path = tmp_path / "bad.json"
     path.write_text(dumps(art))
     result = runner.invoke(main, ["verify", "--bundle", str(path)])
-    assert result.exit_code != 0 and isinstance(result.exception, StructuralError)
+    assert refusal(result, StructuralError) == str(err.value)
 
 
 @pytest.mark.parametrize("claim", [0.5, 0.0, -1.0, 1.0 - 1e-6])
@@ -729,9 +752,7 @@ def test_verify_command_refuses_a_format1_bundle(runner, tmp_path):
     old = tmp_path / "format1.json"
     old.write_text(json.dumps(_as_format1(json.loads(out.read_text()))))
     result = runner.invoke(main, ["verify", "--bundle", str(old)])
-    assert result.exit_code != 0
-    assert isinstance(result.exception, StructuralError)
-    assert "format 2" in str(result.exception)
+    assert "format 2" in refusal(result, StructuralError)
 
 
 def test_run_records_a_missing_instance_param_per_trial():
@@ -776,7 +797,7 @@ def test_run_and_gen_refuse_a_negative_size_or_unknown_instance_param(runner, va
         assert repr(variant) in err["detail"] and repr(key) in err["detail"]
     args = [f"--param={k}={json.dumps(v)}" for k, v in params.items()]
     result = runner.invoke(main, ["gen", "--variant", variant, *args])
-    assert isinstance(result.exception, ParameterError)
+    assert refusal(result, ParameterError) == err["detail"]
 
 
 @pytest.mark.parametrize("model", [

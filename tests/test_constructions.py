@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -38,6 +39,7 @@ from metriq.errors import (
     ParameterError,
     ProbabilisticFailureError,
     StructuralError,
+    UndefinedInputError,
 )
 from metriq.generators import (
     gen_euclidean_cloud,
@@ -51,6 +53,8 @@ from metriq.seeds import RngSeed
 
 from conftest import (
     check_coloring_loop,
+    coloring_partition_loop,
+    distance_buckets_loop,
     euclidean_cloud_broadcast,
     hst_from_m_centered_dense,
     is_m_center,
@@ -479,6 +483,117 @@ def test_check_coloring_result_matches_loop():
             cases.append(ColoringResult(random_partition(n, rng), ell))
         for case in cases:
             assert check_coloring_result(chi, case) == check_coloring_loop(chi, case), (trial, case)
+
+
+def coloring_outcome(fn, n, chi, seed, kcolors=None):
+    """(blocks and ell, or the error's type and message; the generator state
+    after the call) of fn(n, chi, seed, kcolors)."""
+    made = []
+
+    class RecordingSeed(RngSeed):
+        def rng(self):
+            made.append(super().rng())
+            return made[-1]
+
+    try:
+        res = fn(n, chi, RecordingSeed(seed, 3), kcolors=kcolors)
+        out = (res.blocks, res.ell)
+    except MetriqError as exc:
+        out = (type(exc), str(exc))
+    return out, made[0].bit_generator.state if made else None
+
+
+def assert_coloring_matches_loop(n, chi, seed, kcolors=None):
+    got = coloring_outcome(coloring_partition, n, chi, seed, kcolors)
+    assert got == coloring_outcome(coloring_partition_loop, n, chi, seed, kcolors)
+    (blocks, ell), _ = got
+    if isinstance(blocks, tuple):  # plain ints, as the bundles serialise them
+        assert type(ell) is int and all(type(v) is int for blk in blocks for v in blk)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 200), st.integers(1, 6), st.integers(0, 2**32 - 1), st.booleans())
+def test_coloring_partition_matches_loop_reference(n, k, seed, pass_k):
+    chi = random_coloring(np.random.default_rng(seed), n, k)
+    assert_coloring_matches_loop(n, chi, seed, k if pass_k else None)
+
+
+def test_coloring_partition_matches_loop_reference_seeded():
+    rng = np.random.default_rng(26)
+    for trial in range(120):
+        n = int(rng.integers(2, 201))
+        k = int(rng.integers(1, 7))
+        chi = random_coloring(rng, n, k)
+        # skew towards the least colour so that dense levels occur too
+        if trial % 3 == 0:
+            chi = np.where(rng.random((n, n)) < 0.6, 1, chi)
+            chi = np.minimum(chi, chi.T)
+            np.fill_diagonal(chi, 0)
+        assert_coloring_matches_loop(n, chi, trial, k if trial % 2 else None)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint8])
+def test_coloring_partition_matches_loop_reference_at_dtype_extremes(dtype):
+    top = np.iinfo(dtype).max
+    rng = np.random.default_rng(int(top) % 1000)
+    for n in (2, 3, 9, 40):
+        # one colour only, the dtype's max, with the diagonal at 0 or at max
+        for diag in (0, top):
+            chi = np.full((n, n), top, dtype=dtype)
+            np.fill_diagonal(chi, diag)
+            assert_coloring_matches_loop(n, chi, n)
+        # the max as the larger of two colours, and as a colour above ell
+        for low in (1, top - 1):
+            chi = np.where(rng.random((n, n)) < 0.5, low, top).astype(dtype)
+            chi = np.minimum(chi, chi.T)
+            np.fill_diagonal(chi, top)
+            assert_coloring_matches_loop(n, chi, n)
+            assert_coloring_matches_loop(n, chi, n, kcolors=1)
+
+
+def test_coloring_partition_matches_loop_reference_on_min_colour_pairs():
+    # ell realised by a few pairs only: the pair fallback picks the first one
+    rng = np.random.default_rng(5)
+    for trial in range(60):
+        n = int(rng.integers(2, 60))
+        chi = np.full((n, n), 3)
+        pairs = rng.integers(0, n, size=(int(rng.integers(1, 4)), 2))
+        for i, j in pairs:
+            if i != j:
+                chi[i, j] = chi[j, i] = 1
+        np.fill_diagonal(chi, 0)
+        for kcolors in (None, 1, 2, 3):
+            assert_coloring_matches_loop(n, chi, trial, kcolors)
+
+
+@pytest.mark.parametrize("alpha", [1.05, 1.5, 2.0])
+def test_distance_buckets_match_loop_reference(alpha):
+    spaces = [gen_euclidean_cloud(n, 300 + n) for n in (2, 7, 40, 130)]
+    spaces += [gen_random_graph_metric(n, q, 400 + n)[0] for n, q in ((5, 0.5), (60, 0.05), (90, 0.3))]
+    spaces.append(MetricSpace(np.full((4, 4), 2.5) - 2.5 * np.eye(4)))  # one distance: k = 1
+    # a hub at distance alpha^(j - delta) from its points, which are at the
+    # larger of their two radii from each other: the 1e-12 nudge puts
+    # delta = 1e-13 in the band of alpha^j and leaves 1e-10 in the band below
+    r = np.array([1.0] + [alpha ** (j - delta) for j in (1, 2, 3, 4) for delta in (0.0, 1e-13, 1e-10)])
+    hub = np.zeros((r.size + 1, r.size + 1))
+    hub[0, 1:] = hub[1:, 0] = r
+    hub[1:, 1:] = np.maximum(r[:, None], r[None, :])
+    np.fill_diagonal(hub, 0.0)
+    spaces.append(MetricSpace(hub))
+    for m in spaces:
+        chi, k, mind = constructions._distance_buckets(m, alpha)
+        ref, kref, mref = distance_buckets_loop(m, alpha)
+        assert chi.dtype == ref.dtype and np.array_equal(chi, ref)
+        assert (k, mind) == (kref, mref) and type(k) is type(kref) and type(mind) is type(mref)
+
+
+def test_distance_buckets_keep_the_loop_reference_errors():
+    flat = MetricSpace(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]]))
+    for m in (flat, MetricSpace(np.zeros((1, 1)))):
+        with pytest.raises(UndefinedInputError) as ref:
+            distance_buckets_loop(m, 2.0)
+        with pytest.raises(UndefinedInputError, match=f"^{re.escape(str(ref.value))}$"):
+            constructions._distance_buckets(m, 2.0)
 
 
 def test_weighted_coloring_heavy_pair():
