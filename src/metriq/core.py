@@ -64,7 +64,8 @@ class MetricSpace:
         """Smallest off-diagonal distance."""
         if self.n < 2:
             raise UndefinedInputError("min_distance needs at least 2 points")
-        off = self.dist.ravel()[1:].reshape(self.n - 1, self.n + 1)[:, :-1]  # a view: row i skips (i, i)
+        # a view: after d[0, 0], each run of n + 1 entries ends on the diagonal
+        off = self.dist.ravel()[1:].reshape(self.n - 1, self.n + 1)[:, :-1]
         return float(off.min())
 
     def restrict(self, points) -> "MetricSpace":
