@@ -524,7 +524,7 @@ def test_coloring_partition_matches_loop_reference_seeded():
         n = int(rng.integers(2, 201))
         k = int(rng.integers(1, 7))
         chi = random_coloring(rng, n, k)
-        # skew towards the least colour so that dense levels occur too
+        # skew towards the least colour so that levels take the dense branch too
         if trial % 3 == 0:
             chi = np.where(rng.random((n, n)) < 0.6, 1, chi)
             chi = np.minimum(chi, chi.T)

@@ -53,6 +53,15 @@ def test_metric_space_basics():
     assert m.min_distance() == 1.0
 
 
+def test_min_distance_is_the_masked_off_diagonal_min():
+    rng = np.random.default_rng(3)
+    for n in (2, 3, 5, 17, 64):
+        d = rng.uniform(1.0, 2.0, size=(n, n))  # asymmetric, diagonal below and above
+        d[rng.integers(n), rng.integers(n)] = 0.5
+        np.fill_diagonal(d, rng.uniform(0.0, 3.0, size=n))
+        assert MetricSpace(d).min_distance() == float(d[~np.eye(n, dtype=bool)].min())
+
+
 def test_metric_space_rejects_non_square():
     with pytest.raises(StructuralError):
         MetricSpace(np.zeros((2, 3)))
