@@ -90,8 +90,14 @@ class ExperimentPlan:
 
 
 def plan_from_json(doc: dict) -> ExperimentPlan:
-    """A plan document; a `seed` or `trials` that is not a JSON integer is a ParameterError."""
+    """A plan document; a key it does not declare, at the top or in its
+    `instance`, and a `seed` or `trials` that is not a JSON integer are a ParameterError."""
     inst = doc["instance"]
+    for where, holder, keys in (("plan", doc, ("instance", "pipeline", "params", "trials", "seed")),
+                                ("plan instance", inst, ("variant", "params"))):
+        unknown = sorted(holder.keys() - set(keys))
+        if unknown:
+            raise ParameterError(f"unknown {where} key {unknown[0]!r}; a {where} holds {', '.join(keys)}")
     seed = integer(doc.get("seed", 0), "plan seed", ParameterError)
     trials = integer(doc.get("trials", 1), "plan trials", ParameterError)
     spec = InstanceSpec(inst["variant"], dict(inst.get("params", {})), RngSeed(seed))
@@ -360,8 +366,11 @@ def _emit(ctx, doc: dict | str):
     text = doc if isinstance(doc, str) else dumps(doc)
     out = ctx.obj["out"]
     if out:
-        with open(out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:  # one `Error:` line, exit code 1
+            raise click.FileError(out, exc.strerror) from exc
     else:
         click.echo(text)
 

@@ -5,16 +5,24 @@ The construction removes the punctured balls of radius r/2 around a maximal
 point as a singleton.  Distances in the quotient have the closed form
 min{Hamming(x, y), d(x, A) + d(y, A)}, so nothing quadratic in 2^d is ever
 materialized.  The distortion certificate is exact over every pair: a pair's
-ratio depends only on its Hamming weight and the d(., A) classes of its ends,
-and batched Walsh-Hadamard transforms of the class indicators plus one
-Krawtchouk contraction count all cells in O(c^2 2^d + c d 2^d) time for
-c <= d+1 classes.  Singletons map through the closed forms of `embeddings`:
-the truncated Gaussian distance at p = 2, and the p-stable one, an exact
-series, for 1 <= p < 2.  Only this upper bound is certified.
+ratio depends only on its Hamming distance h and the d(., A) classes a, b of
+its ends.  Since d(., A) is 1-Lipschitz, h >= |a - b|, and at h = d the only
+pairs are antipodal, so the cells (a, b, h < d) with h >= |a - b|, the
+antipodal cells some pair hits and the singleton-to-block ratios contain every
+occupied cell: their max / min bounds the distortion in O(2^d).  The bound is
+exact when its extreme cells are occupied; a witness pair shows each one that
+is neither a block ratio nor an antipodal cell.  Where no witness is found,
+the exact kernel (`_class_distortion`: batched Walsh-Hadamard transforms of
+the class indicators plus one Krawtchouk contraction count all cells in
+O(c^2 2^d + c d 2^d) time for c <= d+1 classes) gives the value.  Singletons
+map through the closed forms of `embeddings`: the truncated Gaussian distance
+at p = 2, and the p-stable one, an exact series, for 1 <= p < 2.  Only this
+upper bound is certified.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -47,6 +55,7 @@ class CubeQsResult:
     dA: np.ndarray  # Hamming distance to nearest center, for every point in S
     report: DistortionSummary
     certified_bound: float
+    witnesses: list  # (x, y) singleton pairs that attain the bound's extremes (_certify)
 
     @property
     def block_count(self) -> int:
@@ -110,8 +119,9 @@ def cube_qs_construct(d: int, eps: float, p: float = 2.0) -> CubeQsResult:
     the square-root metric at level r (A-block at the origin, image norms
     sqrt(r)); 1 <= p < 2 uses the analytic p-stable distances at level r^(1/p).
     The certificate is the exact distortion of those closed forms against the
-    quotient metric over every pair, computed from Walsh-Hadamard class counts
-    (see `_class_distortion`), and asserted below the traced constant.
+    quotient metric over every pair, read from the bound and its witnesses
+    (`_certify`) or, where a witness is missing, from Walsh-Hadamard class
+    counts (`_class_distortion`), and asserted below the traced constant.
     """
     if not (2.0 ** (-d) <= eps < 0.25):
         raise ParameterError("need 2^-d <= eps < 1/4")
@@ -132,7 +142,7 @@ def cube_qs_construct(d: int, eps: float, p: float = 2.0) -> CubeQsResult:
         )
 
     lookup, block_norm = _embedding_lookup(d, r, p)
-    summary = _class_distortion(d, S, dA, lookup, block_norm)
+    summary, witnesses = _certify(d, dA_all, r // 2, lookup, block_norm)
     if p == 2.0:
         bound = 8.0 * math.sqrt(math.e * r / (math.e - 1.0))
     else:
@@ -146,7 +156,108 @@ def cube_qs_construct(d: int, eps: float, p: float = 2.0) -> CubeQsResult:
             f"measured distortion {summary.distortion:.6g} exceeds the traced bound {bound:.6g}",
             {"r": r, "summary": summary},
         )
-    return CubeQsResult(d, eps, p, r, A, S, dA, summary, bound)
+    return CubeQsResult(d, eps, p, r, A, S, dA, summary, bound, witnesses)
+
+
+def _cell_ratio(lookup, s, h):
+    """Embedded over quotient distance of a pair at Hamming distance h whose
+    classes sum to s, the kernel's float expression: lookup[h] / min(h, s)."""
+    return lookup[h] / np.minimum(h, s)
+
+
+@dataclass(frozen=True)
+class _Bound:
+    """The bound over the singletons, the cube points x with dA[x] > cut, in
+    their classes dA[x].  `hi` and `lo` are the max and min ratio over the
+    cells (a, b, h) of occupied classes with |a - b| <= h < d, the (a, b, d)
+    cells that an antipodal pair hits and the singleton-to-block ratios;
+    `unattained` holds the ones of them that no antipodal cell or block ratio
+    attains."""
+
+    labels: list  # the occupied classes, ascending
+    singletons: int
+    hi: float
+    lo: float
+    unattained: list
+
+
+def _class_bound(d: int, dA: np.ndarray, cut: int, lookup, block_norm) -> _Bound | None:
+    """The bound (see _Bound) for dA <= d, or None when no point is a singleton.
+
+    A ratio falls as the class sum a + b grows, and (a, a, h) is a cell for
+    every h, so over h < d the cells peak on the least class's diagonal and
+    bottom out on the greatest's, as the block ratios block_norm / a do.
+    One bincount of (dA of x, dA of its antipode) gives the classes and the
+    antipodal cells; the rest is O(d^2)."""
+    pairs = np.bincount(dA * (d + 1) + dA[::-1], minlength=(d + 1) ** 2).reshape(d + 1, d + 1)
+    sizes = pairs.sum(axis=1).tolist()
+    labels = [a for a in range(cut + 1, d + 1) if sizes[a]]
+    if not labels:
+        return None
+    hi_known, lo_known = block_norm / labels[0], block_norm / labels[-1]
+    classes = np.arange(cut + 1, d + 1)
+    ends = np.add.outer(classes, classes)[pairs[cut + 1:, cut + 1:] > 0].tolist()  # antipodal class sums
+    if ends:
+        hi_known = max(hi_known, _cell_ratio(lookup, min(ends), d))
+        lo_known = min(lo_known, _cell_ratio(lookup, max(ends), d))
+    h = np.arange(1, d)
+    hi = float(max(_cell_ratio(lookup, 2 * labels[0], h).tolist() + [hi_known]))
+    lo = float(min(_cell_ratio(lookup, 2 * labels[-1], h).tolist() + [lo_known]))
+    unattained = [v for v, known in ((hi, hi_known), (lo, lo_known)) if v != known]
+    return _Bound(labels, sum(sizes[cut + 1:]), hi, lo, unattained)
+
+
+def _bound_summary(bound: _Bound) -> DistortionSummary:
+    """The exact distortion when the bound is attained: every singleton pair
+    and every singleton-to-block pair is certified."""
+    n = bound.singletons
+    return DistortionSummary(bound.hi, 1.0 / bound.lo, n * (n - 1) // 2 + n)
+
+
+def _find_witnesses(d: int, dA: np.ndarray, cut: int, lookup, bound: _Bound) -> list | None:
+    """For each unattained extreme, a singleton pair (x, y) in a cell
+    (a, b, h < d) of its ratio, or None where one is not found.  For each
+    distance h of such a cell, ascending, y runs over x XOR the d cyclic
+    shifts of h low bits, for every singleton x at once; at most d passes per
+    extreme."""
+    labels = np.array(bound.labels)
+    a, b, h = labels[:, None, None], labels[None, :, None], np.arange(1, d)
+    cells, ratios = h >= np.abs(a - b), _cell_ratio(lookup, a + b, h)
+    sing = np.flatnonzero(dA > cut)
+    classes, full = dA[sing], (1 << d) - 1
+    witnesses = []
+    for v in bound.unattained:
+        tied = np.zeros((d + 1, d + 1, d - 1), dtype=bool)  # by class of x, class of y, h - 1
+        tied[labels[:, None], labels] = cells & (ratios == v)
+        shifts = ((t, ((1 << t) - 1) << k & full | ((1 << t) - 1) >> (d - k))
+                  for t in (np.flatnonzero(tied.any(axis=(0, 1))) + 1).tolist() for k in range(d))
+        for t, mask in itertools.islice(shifts, d):
+            y = sing ^ mask
+            hit = tied[:, :, t - 1][classes, dA[y]]
+            if hit.any():
+                x = int(hit.argmax())
+                witnesses.append((int(sing[x]), int(y[x])))
+                break
+        else:
+            return None
+    return witnesses
+
+
+def _certify(d: int, dA: np.ndarray, cut: int, lookup, block_norm) -> tuple[DistortionSummary, list]:
+    """The exact distortion over the singletons and a witness for each extreme
+    of the bound that no block ratio or antipodal cell attains, or the
+    kernel's value and no witness where one is not found."""
+    bound = _class_bound(d, dA, cut, lookup, block_norm)
+    witnesses = _find_witnesses(d, dA, cut, lookup, bound) if bound else None
+    if witnesses is None:
+        return _class_kernel(d, dA, cut, lookup, block_norm), []
+    return _bound_summary(bound), witnesses
+
+
+def _class_kernel(d: int, dA: np.ndarray, cut: int, lookup, block_norm) -> DistortionSummary:
+    """`_class_distortion` over the singletons, the points with dA > cut."""
+    sing = np.flatnonzero(dA > cut)
+    return _class_distortion(d, sing, dA[sing].astype(np.float64), lookup, block_norm)
 
 
 #: int64 budget of the kernel's work buffer: max(1, CHUNK_ELEMENTS >> d) rows

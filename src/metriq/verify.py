@@ -15,7 +15,8 @@ import numpy as np
 
 from .core import (METRIC, Doc, MetricSpace, ValidationReport, array, encode_array, integer, list_of,
                    metric_from_fields, metric_to_json, number, one_of, validate_metric)
-from .cube import MAX_D, _net_radius
+from .cube import (MAX_D, _bound_summary, _cell_ratio, _class_bound, _class_kernel,
+                   _embedding_lookup, _net_radius)
 from .errors import MetriqError, StructuralError
 from .generators import INSTANCES, InstanceSpec, realize_instance
 from .hst import TREE, HstTree, hst_to_json, hst_to_metric
@@ -72,8 +73,7 @@ def _cube_artifact(res) -> dict:
         "p": res.p,
         "r": res.r,
         "net": encode_array(res.A),
-        "survivors": encode_array(res.S),
-        "block_count": res.block_count,
+        "witnesses": [list(w) for w in res.witnesses],
         "certified_distortion": res.report.distortion,
     }
 
@@ -166,43 +166,74 @@ def _verify_embedding(f: dict, ai: int, report: ValidationReport, tol: float) ->
     return emb.n
 
 
+def _witness_pairs(value, path: str) -> list:
+    """At most two point pairs, one per extreme of the cube bound."""
+    pairs = list_of(list_of(integer))(value, path)
+    if len(pairs) > 2:
+        raise StructuralError(f"declared {path} holds {len(pairs)} pairs, more than the bound's two extremes")
+    for i, pair in enumerate(pairs):
+        if len(pair) != 2:
+            raise StructuralError(f"declared {path}[{i}] is not a pair of points")
+    return pairs
+
+
 CUBE = Doc("a cube-qs artifact", kind="cube-qs", d=integer, eps=number, p=number, r=integer,
-           net=array("i", 1), survivors=array("i", 1), block_count=integer, certified_distortion=number)
+           net=array("i", 1), witnesses=_witness_pairs, certified_distortion=number)
 
 
 def _verify_cube(f: dict, ai: int, report: ValidationReport, tol: float) -> int:
-    d, eps, r, A, S = f["d"], f["eps"], f["r"], f["net"], f["survivors"]
+    """Recompute the claim from d, eps, p and the net: the survivors and their
+    classes (distance to the net), the bound over them (cube._class_bound) and
+    the stored witnesses.  Each witness must be a pair of singletons whose
+    classes and Hamming distance name an extreme cell of the bound; where an
+    extreme is neither a block ratio, an antipodal cell nor named by a
+    witness, the exact kernel gives the claim.  Returns the block count."""
+    d, eps, p, A = f["d"], f["eps"], f["p"], f["net"]
     if not 1 <= d <= MAX_D:  # before the 2^d scan below allocates
         raise StructuralError(f"d = {d} is outside 1..{MAX_D}")
     if not 2.0 ** -d <= eps < 0.25:
         raise StructuralError(f"eps = {eps!r} is outside [2^-d, 1/4)")
-    radius = _net_radius(d, eps)
-    if r != radius:
-        report.add("cube-radius", (ai,), f"r = {r} is not the net radius {radius} of d and eps")
-    if f["block_count"] != S.size - A.size + 1:
-        report.add("cube-count", (ai,), "block_count inconsistent with survivor/net sizes")
-    if f["certified_distortion"] < 1.0 - tol:  # max ratio / min ratio
-        report.add("certificate", (ai,), f"claimed distortion {f['certified_distortion']!r} is below 1")
+    if not (p == 2.0 or 1.0 <= p < 2.0):
+        raise StructuralError(f"p = {p!r} is neither 2 nor in [1, 2)")
+    r = _net_radius(d, eps)
+    if f["r"] != r:
+        report.add("cube-radius", (ai,), f"r = {f['r']} is not the net radius {r} of d and eps")
     # radius-r balls around a (2r+1)-separated net are disjoint, so it has at
     # most 2^d / V(d, r) points; this also caps the |A| x |A| table below
-    if A.size * sum(math.comb(d, k) for k in range(radius + 1)) > 2**d:
-        report.add("cube-net", (ai,), f"{A.size} points are too many for a net of radius {radius}")
-        return f["block_count"]
-    # net separation
+    if A.size * sum(math.comb(d, k) for k in range(r + 1)) > 2**d:
+        report.add("cube-net", (ai,), f"{A.size} points are too many for a net of radius {r}")
+        return 0
+    net = A.tolist()
+    if not net or min(net) < 0 or max(net) >= 2**d:
+        report.add("cube-net", (ai,), f"the net is empty or leaves the {d}-cube")
+        return 0
     if A.size > 1:
         cross = np.bitwise_count(A[:, None] ^ A[None, :])
         np.fill_diagonal(cross, 2 * r + 1)
         if int(cross.min()) < 2 * r + 1:
             report.add("cube-net", (ai,), f"net separation {int(cross.min())} < 2r+1")
-    # survivors really avoid the punctured balls
-    dA = np.full(2**d, np.iinfo(np.int64).max, dtype=np.int64)
     pts = np.arange(2**d, dtype=np.int64)
-    for a in A:
+    dA = np.bitwise_count(pts ^ net[0]).astype(np.int64)
+    for a in net[1:]:
         np.minimum(dA, np.bitwise_count(pts ^ a), out=dA)
-    expected = pts[(dA == 0) | (dA > r // 2)]
-    if not np.array_equal(expected, S):
-        report.add("cube-survivors", (ai,), "survivor set does not match the net and radius")
-    return f["block_count"]
+    cut = r // 2  # the survivors outside the net, the singletons, have dA > cut
+    lookup, block_norm = _embedding_lookup(d, r, p)
+    bound = _class_bound(d, dA, cut, lookup, block_norm)
+    if bound is None:  # no singleton: one block, and the kernel's empty summary
+        _check_claim(f["certified_distortion"], 0.0, ai, report, tol)
+        return 1
+    unattained = set(bound.unattained)
+    for wi, (x, y) in enumerate(f["witnesses"]):
+        named = None
+        if x != y and 0 <= min(x, y) and max(x, y) < 2**d and dA[x] > cut and dA[y] > cut:
+            named = _cell_ratio(lookup, dA[x] + dA[y], (x ^ y).bit_count())
+        if named not in (bound.hi, bound.lo):
+            report.add("cube-witness", (ai, wi), f"({x}, {y}) is not a singleton pair in an extreme cell")
+            return bound.singletons + 1
+        unattained.discard(named)
+    exact = _class_kernel(d, dA, cut, lookup, block_norm) if unattained else _bound_summary(bound)
+    _check_claim(f["certified_distortion"], exact.distortion, ai, report, tol)
+    return bound.singletons + 1  # a block per singleton, and the net's
 
 
 #: artifact kind -> (its declaration, check(fields, artifact index, report, tolerance) ->

@@ -365,7 +365,7 @@ GOLDEN_BUNDLES = {
     "embedding": ("cloud", {"n": 40}, "bourgain", {}, ("embedding", None),
                   "5c441fdfd3cb4437d9c32574ef9b0b7f7d5ef6cb68369e677a32746c2b92485f"),
     "cube-qs": ("cube", {"d": 8}, "cube-qs", {"d": 8, "eps": 0.24}, ("cube-qs", None),
-                "4726413481cf2e5cdd6a03158d6c858da3714df22e8b3d50a62956486504824d"),
+                "f39d512e40b02ccf7661f1aeadbd460e1f975048c36d385961c5825b2299a016"),
 }
 
 
@@ -383,6 +383,18 @@ def test_bundle_bytes_are_golden(name):
     text = dumps({"plan": bundle.plan, "rows": bundle.rows, "summary": bundle.summary,
                   "artifacts": bundle.artifacts})
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_a_cube_bundle_stores_no_array_of_cube_size():
+    # the d = 12 bundle was 42.9 kB while it stored the survivors
+    from metriq.cli import plan_from_json, run_experiment
+
+    plan = {"instance": {"variant": "cube", "params": {"d": 12}}, "pipeline": "cube-qs",
+            "params": {"d": 12, "eps": 0.2}, "trials": 1, "seed": 0}
+    bundle = run_experiment(plan_from_json(plan), keep_artifacts=True)
+    text = dumps({"plan": bundle.plan, "rows": bundle.rows, "summary": bundle.summary,
+                  "artifacts": bundle.artifacts})
+    assert len(text.encode()) < 2048
 
 
 def test_experiment_csv_is_byte_deterministic():

@@ -21,16 +21,19 @@ from metriq.core import (
     Equilateral,
     Lacunary,
     Star,
+    ValidationReport,
     decode_array,
     dumps,
     metric_from_json,
     metric_to_json,
     realize_special,
 )
+from metriq.cube import cube_qs_construct
 from metriq.errors import MetriqError, ParameterError, StructuralError
 from metriq.generators import InstanceSpec
 from metriq.quotient import quotient_to_json
 from metriq.seeds import RngSeed
+from metriq.verify import CHECKS
 
 from conftest import (ARTIFACT_COMMANDS, SQ_PLAN, edit_array, random_metric, refusal, run_bundle, standalone,
                       star_to_lp)
@@ -228,10 +231,14 @@ def test_cube_qs_and_lower_round_trip(runner, tmp_path):
     out = tmp_path / "cube.json"
     invoke(runner, "--out", str(out), "cube-qs", "--d", "10", "--eps", "0.2")
     doc = json.loads(out.read_text())
-    assert doc["block_count"] >= 0.8 * 1024
-    net, survivors = decode_array(doc["net"]), decode_array(doc["survivors"])
-    assert net.dtype == survivors.dtype == np.int64
-    assert doc["block_count"] == survivors.size - net.size + 1
+    res = cube_qs_construct(10, 0.2)
+    assert decode_array(doc["net"]).dtype == np.int64
+    assert doc["witnesses"] == [list(w) for w in res.witnesses]
+    # verify derives the block count from the net: it stores no survivor
+    decl, check = CHECKS["cube-qs"]
+    report = ValidationReport()
+    assert check(decl(doc), 0, report, 1e-9) == res.block_count >= 0.8 * 1024
+    assert report.ok
 
 
 # --- experiment plans -------------------------------------------------------
@@ -252,6 +259,30 @@ def test_plan_rejects_unknown_pipeline():
     doc["pipeline"] = "nope"
     with pytest.raises(ParameterError):
         plan_from_json(doc)
+
+
+@pytest.mark.parametrize("where, key, message", [
+    ((), "param", "unknown plan key 'param'; a plan holds instance, pipeline, params, trials, seed"),
+    (("instance",), "seed", "unknown plan instance key 'seed'; a plan instance holds variant, params"),
+], ids=["plan", "instance"])
+def test_run_refuses_an_unknown_plan_key(runner, tmp_path, where, key, message):
+    # a misspelled "params" ran aspect with its default alpha 2.0
+    doc = {"instance": {"variant": "cloud", "params": {"n": 10}}, "pipeline": "aspect"}
+    holder = doc
+    for k in where:
+        holder = holder[k]
+    holder[key] = {"alpha": 1.1} if key == "param" else 3
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(doc))
+    assert refusal(runner.invoke(main, ["run", "--plan", str(path)]), ParameterError) == message
+
+
+def test_out_into_a_missing_directory_is_one_error_line(runner, tmp_path):
+    out = tmp_path / "missing" / "x.json"
+    result = runner.invoke(main, ["--out", str(out), "gen", "--variant", "cloud", "--param", "n=5"])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == f"Error: Could not open file {str(out)!r}: No such file or directory\n"
 
 
 def test_run_experiment_rows_and_summary():
@@ -474,7 +505,7 @@ def _fresh_artifact(kind: str) -> dict:
     ("hst", ["base", "dist"]),
     ("embedding", ["vectors"]),
     ("embedding", ["claimed"]),
-    ("cube-qs", ["survivors"]),
+    ("cube-qs", ["net"]),
     ("sq", ["base", "dist"]),
 ])
 def test_verify_refuses_a_format1_list(kind, path):
@@ -658,7 +689,7 @@ def test_verify_refuses_a_cube_net_past_the_hamming_bound_before_comparing_its_p
     art = json.loads(dumps(_fresh_artifact("cube-qs")))
     art.update(d=22, net=encode_array(np.arange(2**22, dtype=np.int64)))
     art["r"] = _net_radius(22, art["eps"])
-    assert [v[0] for v in verify_bundle(art).violations] == ["cube-count", "cube-net"]
+    assert [v[0] for v in verify_bundle(art).violations] == ["cube-net"]
 
 
 @pytest.mark.parametrize("key, value", [("r", lambda r: r + 2), ("eps", lambda eps: 0.01)])

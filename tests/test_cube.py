@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import math
 import sys
 import tracemalloc
@@ -23,15 +24,23 @@ from metriq import cube
 from metriq.core import validate_metric
 from metriq.cube import (
     MAX_D,
+    DistortionSummary,
+    _bound_summary,
+    _cell_ratio,
+    _certify,
+    _class_bound,
     _class_distortion,
+    _class_kernel,
     _class_pair_counts,
     _embedding_lookup,
+    _find_witnesses,
     _greedy_net,
     _krawtchouk,
+    _net_radius,
     _shell_sums,
     cube_qs_construct,
 )
-from metriq.errors import CapacityError, ParameterError
+from metriq.errors import CapacityError, ConstructionFailureError, ParameterError
 
 
 def popcount(x):
@@ -163,6 +172,81 @@ def test_class_distortion_matches_stream_on_random_classes(case):
     d, S, dA, lookup, block_norm = case
     got = _class_distortion(d, S, dA, lookup, block_norm)
     assert got == stream_distortion_loop(S, dA, lookup, block_norm)
+
+
+def test_the_bound_path_certifies_the_benchmark_cells_without_the_kernel(monkeypatch):
+    def kernel(*args):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(cube, "_class_distortion", kernel)
+    for d, eps, p in CUBE_CELLS:
+        assert 1 <= len(cube_qs_construct(d, eps, p).witnesses) <= 2
+
+
+def test_bound_path_matches_the_kernel():
+    built = 0
+    grid = itertools.product(range(4, 15), (0.01, 0.05, 0.1, 0.15, 0.18, 0.2, 0.22, 0.24), (2.0, 1.5, 1.0))
+    for d, eps, p in grid:
+        try:
+            res = cube_qs_construct(d, eps, p)
+        except (ParameterError, ConstructionFailureError):
+            continue
+        built += 1
+        lookup, block_norm = _embedding_lookup(d, res.r, p)
+        exact = _class_distortion(d, res.S, res.dA, lookup, block_norm)
+        assert (res.report.expansion, res.report.contraction, res.report.pairs) == (
+            exact.expansion, exact.contraction, exact.pairs), (d, eps, p)
+    assert built == 102  # of the 264 cells; none below d = 7
+
+
+def test_an_unattained_bound_falls_back_to_the_kernel():
+    # the one region of the d = 4..22 sweep where no witness attains the bound
+    d, eps = 19, 0.15
+    r = _net_radius(d, eps)
+    _, dA = _greedy_net(d, r)
+    lookup, block_norm = _embedding_lookup(d, r, 2.0)
+    bound = _class_bound(d, dA, r // 2, lookup, block_norm)
+    assert bound.hi / bound.lo == pytest.approx(5.898, abs=1e-3)
+    assert _find_witnesses(d, dA, r // 2, lookup, bound) is None
+    res = cube_qs_construct(d, eps, 2.0)
+    assert res.witnesses == []
+    assert res.report == _class_distortion(d, res.S, res.dA, lookup, block_norm)
+    assert res.report.distortion == pytest.approx(5.588, abs=1e-3)
+
+
+@st.composite
+def net_classes(draw):
+    """Every point's class in {0,1}^d, d <= 9: its Hamming distance to a random
+    nonempty set, kept on a random subset of the points and 0 elsewhere, so
+    that classes are 1-Lipschitz as distances to a net are; and a random
+    positive embedding lookup and block norm."""
+    d = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    centers = rng.choice(2**d, size=draw(st.integers(1, min(8, 2**d))), replace=False)
+    dist = np.bitwise_count(np.arange(2**d)[:, None] ^ centers[None, :]).min(axis=1).astype(np.int64)
+    lab = np.where(rng.random(2**d) < draw(st.floats(0.0, 1.0)), dist, 0)
+    lookup = np.concatenate(([0.0], rng.uniform(0.1, 3.0, size=d)))
+    return d, lab, lookup, draw(st.floats(0.1, 10.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=net_classes())
+def test_bound_is_above_the_kernel_and_equal_where_witnessed(case):
+    # class 0 is no singleton, so the cut is 0
+    d, lab, lookup, block_norm = case
+    exact = _class_kernel(d, lab, 0, lookup, block_norm)
+    bound = _class_bound(d, lab, 0, lookup, block_norm)
+    assert _certify(d, lab, 0, lookup, block_norm)[0] == exact
+    if bound is None:
+        assert exact == DistortionSummary(0.0, 0.0, 0)
+        return
+    assert bound.hi >= exact.expansion and 1.0 / bound.lo >= exact.contraction
+    witnesses = _find_witnesses(d, lab, 0, lookup, bound)
+    if witnesses is not None:
+        assert _bound_summary(bound) == exact
+        for x, y in witnesses:
+            assert lab[x] and lab[y]
+            assert _cell_ratio(lookup, lab[x] + lab[y], (x ^ y).bit_count()) in (bound.hi, bound.lo)
 
 
 def test_class_pair_counts_exact_beyond_int64():

@@ -234,6 +234,18 @@ def test_a_cube_plan_of_a_huge_dimension_is_refused_before_2_to_the_d():
     assert peak < 2**20
 
 
+@pytest.mark.parametrize("where, key", [((), "param"), (("instance",), "seed")], ids=["plan", "instance"])
+def test_a_bundle_plan_with_an_unknown_key_is_refused(where, key):
+    # verify reads the plan as `run` reads it, so a misspelled key is no default
+    doc = run_bundle(*Q2)
+    holder = doc["plan"]
+    for k in where:
+        holder = holder[k]
+    holder[key] = 1
+    with pytest.raises(ParameterError, match=f"^plan: unknown plan (instance )?key {key!r}"):
+        verify_bundle(doc)
+
+
 # --- the cap on realized instances ------------------------------------------
 
 

@@ -10,9 +10,12 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from metriq import cube
 from metriq.core import Doc, decode_array, integer, number
+from metriq.cube import _cell_ratio, _class_bound, _embedding_lookup, _greedy_net
 from metriq.errors import StructuralError, UndefinedInputError
 from metriq.verify import CHECKS, verify_bundle
 
@@ -119,7 +122,9 @@ def test_every_field_refuses_a_dropped_undeclared_or_mistyped_value(name, metric
 @pytest.mark.parametrize("pipeline, keys, edit", [
     ("cube-qs", ("d",), lambda v: 8.9),
     ("cube-qs", ("r",), lambda v: v + 0.7),
-    ("cube-qs", ("block_count",), lambda v: v + 0.5),
+    ("cube-qs", ("witnesses", 0, 0), lambda v: v + 0.5),
+    ("cube-qs", ("witnesses", 0), lambda v: v + [1]),
+    ("cube-qs", ("witnesses",), lambda v: v * 3),
     ("cube-qs", ("eps",), lambda v: "0.24"),
     ("cube-qs", ("extra",), lambda v: 1),
     ("q2", ("blocks", 0), lambda v: [1.7]),
@@ -128,7 +133,8 @@ def test_every_field_refuses_a_dropped_undeclared_or_mistyped_value(name, metric
     ("aspect", ("model", "edge"), lambda v: repr(v)),
     ("q2", ("trial",), lambda v: 0.0),
     ("bourgain", ("mode",), lambda v: "bogus"),
-], ids=["cube-d", "cube-r", "cube-block_count", "cube-eps-string", "cube-undeclared", "q2-block-float",
+], ids=["cube-d", "cube-r", "cube-witness-float", "cube-witness-triple",
+        "cube-witnesses-three", "cube-eps-string", "cube-undeclared", "q2-block-float",
         "q2-block-bool", "aspect-model-n", "aspect-model-edge-string", "q2-trial-float",
         "bourgain-mode"])
 def test_verify_refuses_a_truncated_or_mistyped_field(pipeline, keys, edit):
@@ -172,3 +178,63 @@ def test_every_metriq_error_names_its_artifact():
     doc["artifacts"][0]["blocks"] = []  # the SQ space keeps no block
     with pytest.raises(UndefinedInputError, match="^artifact 0: must keep at least one block"):
         verify_bundle(doc)
+
+
+# --- the cube certificate: recomputed from the net, its bound and witnesses
+
+#: d = 10, eps = 0.2: both extremes of its bound need a witness
+CUBE = ("cube", {"d": 10}, "cube-qs", {"d": 10, "eps": 0.2})
+
+
+def test_a_consistent_cube_claim_of_one_is_refused():
+    # it verified while verify only refused a cube claim below 1
+    doc = run_bundle(*CUBE)
+    doc["artifacts"][0]["certified_distortion"] = doc["rows"][0]["certified_distortion"] = 1.0
+    assert [v[:2] for v in verify_bundle(doc).violations] == [("certificate", (0,))]
+
+
+# witness 0 is at distance 1, where every singleton pair has the largest ratio
+# lookup[1], so only its distance can be wrong; witness 1 is at distance d - 1
+@pytest.mark.parametrize("tamper, wi", [
+    ("non-survivor", 0), ("wrong distance", 0), ("non-survivor", 1), ("wrong class", 1), ("wrong distance", 1),
+], ids=["expansion-non-survivor", "expansion-wrong-distance", "contraction-non-survivor",
+        "contraction-wrong-class", "contraction-wrong-distance"])
+def test_a_cube_witness_outside_an_extreme_cell_is_refused(tamper, wi):
+    doc = run_bundle(*CUBE)
+    art = doc["artifacts"][0]
+    d, r = art["d"], art["r"]
+    _, dA = _greedy_net(d, r)
+    lab = np.where(dA > r // 2, dA, 0)
+    lookup, block_norm = _embedding_lookup(d, r, art["p"])
+    bound = _class_bound(d, dA, r // 2, lookup, block_norm)
+    x, y = art["witnesses"][wi]
+    assert (x ^ y).bit_count() == [1, d - 1][wi]
+    assert _cell_ratio(lookup, lab[x] + lab[y], (x ^ y).bit_count()) == [bound.hi, bound.lo][wi]
+    pts = np.arange(2**d)
+    h = np.bitwise_count(pts ^ x)
+    singleton = (lab > 0) & (pts != x)
+    extreme = np.isin(_cell_ratio(lookup, lab[x] + lab, np.maximum(h, 1)), [bound.hi, bound.lo])
+    # a removed point that would name an extreme cell if its distance to the
+    # net counted as a class, where there is one (next to the expansion witness)
+    removed = (dA > 0) & (lab == 0)
+    counted = removed & np.isin(_cell_ratio(lookup, lab[x] + dA, np.maximum(h, 1)), [bound.hi, bound.lo])
+    moved = {"non-survivor": counted if counted.any() else removed,
+             "wrong class": singleton & (h == h[y]) & (lab != lab[y]) & ~extreme,
+             "wrong distance": singleton & (lab == lab[y]) & (h != h[y]) & ~extreme}[tamper]
+    art["witnesses"][wi][1] = int(np.flatnonzero(moved)[0])
+    assert [v[:2] for v in verify_bundle(doc).violations] == [("cube-witness", (0, wi))]
+
+
+def test_a_dropped_cube_witness_verifies_the_true_claim_by_the_kernel(monkeypatch):
+    doc = run_bundle(*CUBE)
+    kernel, calls = cube._class_distortion, []
+    monkeypatch.setattr(cube, "_class_distortion", lambda *args: calls.append(args) or kernel(*args))
+    assert verify_bundle(doc).ok and not calls
+    for wi in (0, 1):
+        dropped = copy.deepcopy(doc)
+        del dropped["artifacts"][0]["witnesses"][wi]
+        assert verify_bundle(dropped).ok
+    assert len(calls) == 2
+    # the kernel's value is the one compared
+    dropped["artifacts"][0]["certified_distortion"] = dropped["rows"][0]["certified_distortion"] = 1.0
+    assert [v[:2] for v in verify_bundle(dropped).violations] == [("certificate", (0,))]
