@@ -33,7 +33,8 @@ from .core import (
 )
 from .cube import MAX_D
 from .errors import MetriqError, ParameterError, StructuralError
-from .generators import INSTANCES, InstanceSpec, option, realize_instance, resolve_instance, resolve_params
+from .generators import (INSTANCES, InstanceSpec, build_instance, option, realize_instance, resolve_instance,
+                         resolve_params)
 from .quotient import distortion_between, quotient_metric, quotient_to_json
 from .seeds import RngSeed
 from .verify import (
@@ -82,7 +83,11 @@ class ExperimentPlan:
             )
         if self.trials < 0:
             raise ParameterError("trials must be >= 0")
-        object.__setattr__(self, "resolved", PIPELINES[self.pipeline].resolve(self.params))
+        pipeline = PIPELINES[self.pipeline]
+        if pipeline.variant not in (None, self.instance.variant):
+            raise ParameterError(f"a {self.pipeline} plan runs on a {pipeline.variant!r} instance, "
+                                 f"not {self.instance.variant!r}")
+        object.__setattr__(self, "resolved", pipeline.resolve(self.params))
 
     def instance_spec(self, t: int) -> InstanceSpec:
         """Trial t's instance, which run_experiment realizes and verify_bundle rebuilds."""
@@ -119,10 +124,10 @@ class ReportBundle:
 
 
 # --- pipeline implementations ----------------------------------------------
-# Each pipe maps (instance metric or None, seed, resolved params) to its CSV
-# row fields and the artifact that `run --artifacts` stores, which references
-# the instance metric instead of copying it; its docstring is the help text
-# of the CLI command generated for it.
+# Each pipe maps (its instance as a metric, a composition tree or None, seed,
+# resolved params) to its CSV row fields and the artifact that `run
+# --artifacts` stores, which references the instance instead of copying it;
+# its docstring is the help text of the CLI command generated for it.
 
 
 def _row(size: int, provenance: str, target: str, certified: float, bound, attempts=1, p=""):
@@ -208,16 +213,14 @@ def _pipe_cube_qs(m, seed: RngSeed, params: dict):
             _cube_artifact(res))
 
 
-def _pipe_composition(m, seed: RngSeed, params: dict):
+def _pipe_composition(tree, seed: RngSeed, params: dict):
     """Random composition tree, then a QS quotient of it glued into a k-HST."""
     from .constructions import composition_qs
-    from .generators import random_composition_tree
 
-    tree = random_composition_tree(params["depth"], seed.child(0), beta=params["beta"])
-    res = composition_qs(tree, params["k"], params["alpha"], seed.child(1))
+    res = composition_qs(tree, params["k"], params["alpha"], seed)
     q, dist = res.quotient, res.report.distortion
-    return ({"n": res.composed.n, **_row(q.metric.n, q.provenance, "UM", dist, res.alpha_bound)},
-            _hst_artifact(res.hst, dist, base=metric_to_json(q.metric)))
+    return (_row(q.metric.n, q.provenance, "UM", dist, res.alpha_bound),
+            _hst_artifact(res.hst, dist, **quotient_to_json(q, base=False)))
 
 
 @dataclass(frozen=True)
@@ -232,10 +235,11 @@ class Pipeline:
     kind: str  # of its artifacts
     run: Callable
     options: tuple[click.Option, ...] = ()
-    # None: the pipe runs on the plan's instance metric; otherwise it builds
-    # its own space, of own_space(params) points, or "" when only the built
-    # space knows its size and the pipe's row gives it as `n`
-    own_space: Callable[[dict], int | str] | None = None
+    # both None: the pipe runs on the plan's instance metric; own_space: it
+    # builds its own space of own_space(params) points (cube-qs); variant: it
+    # runs on that instance variant only, as build_instance builds it (a tree)
+    own_space: Callable[[dict], int] | None = None
+    variant: str | None = None
     by_name: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -260,10 +264,8 @@ PIPELINES = {p.name: p for p in (
     Pipeline("cube-qs", "cube-qs", _pipe_cube_qs, (
         option("--d", type=click.IntRange(1, MAX_D)), option("--eps", 0.1), option("--p", 2.0),
     ), own_space=lambda params: 2 ** params["d"]),
-    # its tree takes the params of the composition instance family
-    Pipeline("composition", "hst", _pipe_composition,
-             (*INSTANCES["composition"].options, option("--k", 2.0), option("--alpha", 1.5)),
-             own_space=lambda params: ""),
+    Pipeline("composition", "hst", _pipe_composition, (option("--k", 2.0), option("--alpha", 1.5)),
+             variant="composition"),
 )}
 
 
@@ -300,7 +302,7 @@ def run_experiment(plan: ExperimentPlan, keep_artifacts: bool = False) -> Report
                 m = None
                 row["n"] = pipeline.own_space(params)
             else:
-                m = realize_instance(spec)
+                m = (build_instance if pipeline.variant else realize_instance)(spec)
                 row["n"] = m.n
             result, art = pipeline.run(m, RngSeed(plan.seed, t).child(1), params)
             row.update(result)
@@ -450,21 +452,29 @@ def construct():
 
 def _pipeline_command(pipeline: Pipeline) -> click.Command:
     """The CLI command that runs `pipeline` once with RngSeed(--seed) and emits
-    its artifact, with the metric it ran on embedded, as no plan gives it."""
+    its artifact, with the metric it ran on embedded, as no plan gives it.
+    A pipeline of one variant takes its params too, and runs as trial 0 of a
+    plan with that seed (RngSeed(seed) is RngSeed(seed, 0))."""
+    inst = INSTANCES.get(pipeline.variant)
 
     def callback(path=None, **params):
         ctx = click.get_current_context()
-        m = None if pipeline.own_space else _load_metric(path)
-        _emit(ctx, _standalone_artifact(pipeline.run(m, RngSeed(ctx.obj["seed"]), params)[1], m))
+        seed = RngSeed(ctx.obj["seed"])
+        if inst:
+            spec = InstanceSpec(inst.name, {k: params.pop(k) for k in inst.by_name}, seed.child(0))
+            built, m, seed = build_instance(spec), realize_instance(spec), seed.child(1)
+        else:
+            built = m = None if pipeline.own_space else _load_metric(path)
+        _emit(ctx, _standalone_artifact(pipeline.run(built, seed, params)[1], m))
 
-    opts = list(pipeline.options)
-    if not pipeline.own_space:
+    opts = [*(inst.options if inst else ()), *pipeline.options]
+    if not (pipeline.own_space or inst):
         opts.insert(0, click.Option(["--in", "path"], required=True, type=click.Path(exists=True)))
     return click.Command(pipeline.name, callback=callback, params=opts, help=pipeline.run.__doc__)
 
 
 for _pipeline in PIPELINES.values():
-    (main if _pipeline.own_space else construct).add_command(_pipeline_command(_pipeline))
+    (main if _pipeline.own_space or _pipeline.variant else construct).add_command(_pipeline_command(_pipeline))
 
 
 @main.group()

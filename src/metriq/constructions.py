@@ -857,7 +857,6 @@ def q2_lacunary(m: MetricSpace, seed=None):
 
 @dataclass(frozen=True)
 class CompositionQsResult:
-    composed: MetricSpace
     quotient: QuotientSpace
     hst: HstTree
     report: DistortionReport  # quotient vs glued HST leaf metric
@@ -949,5 +948,5 @@ def composition_qs(
     report = distortion_between(q.metric, hst_to_metric(glued))
     # every point weighs 1, so each block's heaviest point adds 1 ** sigma
     sigma_ok = bool(len(blocks) >= float(real.metric.n) ** sigma - 1e-9)
-    return CompositionQsResult(real.metric, q, glued, report, sigma, sigma_ok,
+    return CompositionQsResult(q, glued, report, sigma, sigma_ok,
                                (1.0 + 1.0 / bmin) * alpha)

@@ -104,8 +104,8 @@ class CompositionTree:
                 raise StructuralError("children must be MetricSpace or CompositionTree")
 
     @property
-    def size(self) -> int:
-        return sum(c.n if isinstance(c, MetricSpace) else c.size for c in self.children)
+    def n(self) -> int:  # of its composed metric
+        return sum(c.n for c in self.children)
 
 
 @dataclass(frozen=True)
@@ -320,8 +320,8 @@ MAX_POINTS = 4096
 
 @dataclass(frozen=True)
 class Instance:
-    """One instance family, realized by `build(seed, **params)`.  Its params are
-    declared once, as click options, in the same way as `cli.PIPELINES`;
+    """One instance family, built by `build(seed, **params)` (build_instance).
+    Its params are declared once, as click options, as in `cli.PIPELINES`;
     `points(params)` bounds the point count they give, and `model` is the core
     dataclass (Star, Lacunary, Equilateral) whose fields they are.
     """
@@ -359,9 +359,8 @@ INSTANCES = {i.name: i for i in (
               option("--beta", None, type=float)), lambda p: p["base_n"] * p["copies"]),
     Instance("gnp", lambda seed, n, q: gen_random_graph_metric(n, q, seed)[0],
              (option("--n", type=_SIZE), option("--q", type=float)), lambda p: p["n"]),
-    # random_composition_tree: up to 4 children per outer point, 4 points per leaf space
-    Instance("composition",
-             lambda seed, depth, beta: gen_composition(random_composition_tree(depth, seed, beta=beta)),
+    # a tree, which realize_instance composes: up to 4 children per outer point, 4 points per leaf
+    Instance("composition", lambda seed, depth, beta: random_composition_tree(depth, seed, beta=beta),
              (option("--depth", 2), option("--beta", 4.0)), lambda p: 4 ** (min(p["depth"], 64) + 1)),
     Instance("lipcomp", _lipcomp,
              (option("--k", 3, type=_SIZE), option("--yn", 3, type=_SIZE), option("--alpha", 1.5)),
@@ -391,14 +390,18 @@ def resolve_instance(spec: InstanceSpec) -> tuple[Instance, dict]:
     return inst, inst.resolve(spec.params)
 
 
-def realize_instance(spec: InstanceSpec) -> MetricSpace:
-    """The metric of `spec`: its params resolved against INSTANCES, then built.
-
-    Params that give more than MAX_POINTS points raise CapacityError before
-    anything is built.
-    """
+def build_instance(spec: InstanceSpec) -> MetricSpace | CompositionTree:
+    """`spec` built from its params resolved against INSTANCES: a `composition`
+    instance as its tree, any other as its metric.  Params that give more than
+    MAX_POINTS points raise CapacityError before anything is built."""
     inst, params = resolve_instance(spec)
     points = inst.points(params)
     if points > MAX_POINTS:
         raise CapacityError(f"instance {spec.variant!r} would have {points} points; the cap is {MAX_POINTS}")
     return inst.build(spec.seed, **params)
+
+
+def realize_instance(spec: InstanceSpec) -> MetricSpace:
+    """The metric of `spec` (build_instance), a composition tree composed."""
+    built = build_instance(spec)
+    return gen_composition(built) if isinstance(built, CompositionTree) else built

@@ -8,7 +8,6 @@ names, which verify rebuilds; in a standalone artifact, the base it embeds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict
 
 import numpy as np
@@ -16,7 +15,7 @@ import numpy as np
 from .core import (METRIC, Doc, MetricSpace, ValidationReport, array, encode_array, integer, list_of,
                    metric_from_fields, metric_to_json, number, one_of, validate_metric)
 from .cube import (MAX_D, _bound_summary, _cell_ratio, _class_bound, _class_kernel,
-                   _embedding_lookup, _net_radius)
+                   _embedding_lookup, _greedy_net, _net_radius)
 from .errors import MetriqError, StructuralError
 from .generators import INSTANCES, InstanceSpec, realize_instance
 from .hst import TREE, HstTree, hst_to_json, hst_to_metric
@@ -42,8 +41,8 @@ def _quotient_artifact(q: QuotientSpace, model, certified: float, lipschitz: flo
 
 
 def _hst_artifact(tree, certified: float, **source) -> dict:
-    """source: subset=T when the tree's base is the pipe's instance collapsed on
-    T (quotient_by_subset), or base=the metric document of a base of its own."""
+    """source: how the tree's base is the pipe's instance collapsed, subset=T
+    (quotient_by_subset) or the blocks and provenance of a quotient_to_json."""
     return {"kind": "hst", **source, "tree": hst_to_json(tree), "certified_distortion": certified}
 
 
@@ -126,19 +125,26 @@ def _verify_quotient(f: dict, ai: int, report: ValidationReport, tol: float) -> 
     return q.metric.n
 
 
-#: the tree is over the base collapsed on `subset`, the m-centre set T the hst
-#: pipeline collapses, or over the base itself (composition); the base is the
-#: plan's instance in a bundle of the hst pipeline, else embedded
-HST = Doc("an hst artifact", kind="hst", base=METRIC, subset=list_of(integer), tree=TREE,
-          certified_distortion=number, optional={"base", "subset"})
+#: the tree is over the base collapsed on `subset` (the hst pipeline's m-centre
+#: set T) or by `blocks` and `provenance` (the composition pipeline's QS
+#: quotient), or over the base itself: in a bundle the plan's instance
+HST = Doc("an hst artifact", kind="hst", base=METRIC, subset=list_of(integer),
+          blocks=list_of(list_of(integer)), provenance=one_of("Q", "QS", "SQ"), tree=TREE,
+          certified_distortion=number, optional={"base", "subset", "blocks", "provenance"})
 
 
 def _verify_hst(f: dict, ai: int, report: ValidationReport, tol: float) -> int:
-    """The tree against its base, collapsed on `subset` where it has one as
-    the hst pipeline collapses it (quotient_by_subset)."""
-    base, tree = f["base"], f["tree"]
+    """The tree against its base, collapsed where the artifact says how, as
+    its pipeline collapses it: on `subset` (quotient_by_subset, whose
+    provenance the row repeats) or by `blocks` (quotient_from_fields)."""
+    tree, base = f["tree"], f["base"]
+    if (f["blocks"] is None) != (f["provenance"] is None) or f["subset"] is not None and f["blocks"] is not None:
+        raise StructuralError("an hst artifact holds a subset, or blocks and their provenance, or neither")
     if f["subset"] is not None:
-        base = quotient_by_subset(base, f["subset"]).metric
+        q = quotient_by_subset(base, f["subset"])
+        f["provenance"], base = q.provenance, q.metric
+    elif f["blocks"] is not None:
+        base = quotient_from_fields(base, f).metric
     if tree["order"].size != base.n:  # before hst_to_metric allocates leaves x leaves
         raise StructuralError(f"source has {base.n} points, the tree {tree['order'].size} leaves")
     rep = distortion_between(base, hst_to_metric(HstTree(**tree)))
@@ -182,7 +188,8 @@ CUBE = Doc("a cube-qs artifact", kind="cube-qs", d=integer, eps=number, p=number
 
 
 def _verify_cube(f: dict, ai: int, report: ValidationReport, tol: float) -> int:
-    """Recompute the claim from d, eps, p and the net: the survivors and their
+    """Recompute the claim from d, eps and p: the net, which must be the
+    greedy net of d and r (cube._greedy_net), the survivors and their
     classes (distance to the net), the bound over them (cube._class_bound) and
     the stored witnesses.  Each witness must be a pair of singletons whose
     classes and Hamming distance name an extreme cell of the bound; where an
@@ -198,24 +205,10 @@ def _verify_cube(f: dict, ai: int, report: ValidationReport, tol: float) -> int:
     r = _net_radius(d, eps)
     if f["r"] != r:
         report.add("cube-radius", (ai,), f"r = {f['r']} is not the net radius {r} of d and eps")
-    # radius-r balls around a (2r+1)-separated net are disjoint, so it has at
-    # most 2^d / V(d, r) points; this also caps the |A| x |A| table below
-    if A.size * sum(math.comb(d, k) for k in range(r + 1)) > 2**d:
-        report.add("cube-net", (ai,), f"{A.size} points are too many for a net of radius {r}")
+    net, dA = _greedy_net(d, r)
+    if not np.array_equal(A, net):
+        report.add("cube-net", (ai,), f"the net is not the greedy net of d = {d} and r = {r}")
         return 0
-    net = A.tolist()
-    if not net or min(net) < 0 or max(net) >= 2**d:
-        report.add("cube-net", (ai,), f"the net is empty or leaves the {d}-cube")
-        return 0
-    if A.size > 1:
-        cross = np.bitwise_count(A[:, None] ^ A[None, :])
-        np.fill_diagonal(cross, 2 * r + 1)
-        if int(cross.min()) < 2 * r + 1:
-            report.add("cube-net", (ai,), f"net separation {int(cross.min())} < 2r+1")
-    pts = np.arange(2**d, dtype=np.int64)
-    dA = np.bitwise_count(pts ^ net[0]).astype(np.int64)
-    for a in net[1:]:
-        np.minimum(dA, np.bitwise_count(pts ^ a), out=dA)
     cut = r // 2  # the survivors outside the net, the singletons, have dA > cut
     lookup, block_norm = _embedding_lookup(d, r, p)
     bound = _class_bound(d, dA, cut, lookup, block_norm)
@@ -259,16 +252,13 @@ def _check_rows(rows: list, artifacts: list[tuple[Doc, dict, int]], report: Vali
     Row and artifact are written from the same values, so they must be equal;
     a row field the artifact's kind declares but does not hold must be empty.
     A row's `n` is the size of the instance its artifact was checked on (kept
-    as `base`, for a quotient or hst artifact of a pipeline that runs on its
-    plan's instance), or own_space(params) where that is a number (cube-qs,
-    whose artifact repeats its plan's d).
-    The `n` of a bourgain or composition row is not checked: verify does not
-    rebuild the space it names.
+    as `base`, for a quotient or hst artifact), or own_space(params) (cube-qs,
+    whose artifact repeats its plan's d); a bourgain row's is not checked, as
+    verify does not rebuild the space it names.
     """
     from .cli import PIPELINES
 
-    pipeline = PIPELINES[plan.pipeline]
-    own = pipeline.own_space(plan.resolved) if pipeline.own_space else None
+    own_space = PIPELINES[plan.pipeline].own_space
     by_trial = {row["trial"]: row for row in rows}
     for row in rows:
         if row.get("seed") != plan.seed:
@@ -283,10 +273,10 @@ def _check_rows(rows: list, artifacts: list[tuple[Doc, dict, int]], report: Vali
         row = by_trial[t]
         stored = {"quotient_size": size,
                   **{k: "" if f[k] is None else f[k] for k in ROW_FIELDS if k in decl.fields}}
-        if own is None and "base" in decl.fields:
+        if "base" in decl.fields:
             stored["n"] = f["base"]
-        elif isinstance(own, int):
-            stored["n"] = own
+        elif own_space:
+            stored["n"] = own_space(plan.resolved)
         for key, value in stored.items():
             if row.get(key) != value:
                 report.add("row", (ai,), f"row {key} {row.get(key)!r} != artifact {value!r}")
@@ -337,14 +327,11 @@ def _with_base(f: dict, plan) -> None:
     """Set the `base` of f, read for a kind that declares one, to the metric
     the artifact is about.
 
-    In a bundle whose pipeline runs on its plan's instance, that is trial t's
-    instance, rebuilt from the plan as run_experiment built it, and the
-    artifact must name t and store no base.  Otherwise (no plan, or a
-    pipeline that builds its own space) it is the base the artifact embeds.
+    In a bundle, that is trial t's instance, rebuilt from the plan as
+    run_experiment built it, and the artifact must name t and store no base.
+    Without a plan it is the base the artifact embeds.
     """
-    from .cli import PIPELINES
-
-    if plan is None or PIPELINES[plan.pipeline].own_space:
+    if plan is None:
         if f["base"] is None:
             raise StructuralError("required base is missing")
         f["base"] = metric_from_fields(f["base"])

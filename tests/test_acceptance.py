@@ -366,6 +366,8 @@ GOLDEN_BUNDLES = {
                   "5c441fdfd3cb4437d9c32574ef9b0b7f7d5ef6cb68369e677a32746c2b92485f"),
     "cube-qs": ("cube", {"d": 8}, "cube-qs", {"d": 8, "eps": 0.24}, ("cube-qs", None),
                 "f39d512e40b02ccf7661f1aeadbd460e1f975048c36d385961c5825b2299a016"),
+    "composition": ("composition", {}, "composition", {}, ("hst", "QS"),
+                    "8f53be7fd468f257985500108620bc8791f190886cc4012f9f3ff5714ea58006"),
 }
 
 

@@ -682,7 +682,8 @@ def test_verify_refuses_a_cube_dimension_outside_the_construction_cap():
 
 
 def test_verify_refuses_a_cube_net_past_the_hamming_bound_before_comparing_its_pairs():
-    # the separation table of a net of all 2^22 points would take 128 TiB
+    # the separation table of a net of all 2^22 points would take 128 TiB;
+    # verify compares the net with the greedy net of d and r instead
     from metriq.core import encode_array
     from metriq.cube import _net_radius
 
@@ -690,6 +691,26 @@ def test_verify_refuses_a_cube_net_past_the_hamming_bound_before_comparing_its_p
     art.update(d=22, net=encode_array(np.arange(2**22, dtype=np.int64)))
     art["r"] = _net_radius(22, art["eps"])
     assert [v[0] for v in verify_bundle(art).violations] == ["cube-net"]
+
+
+@pytest.mark.parametrize("net", [[0], [1023], [5, 1018]], ids=str)
+def test_verify_refuses_a_cube_net_that_is_not_the_greedy_net(net):
+    # at d = 10, eps = 0.2, each with its claim, witnesses and row
+    # quotient_size recomputed for it: a separated net in the cube within the
+    # Hamming bound, but not the one the greedy scan of d and r keeps
+    from metriq.core import encode_array
+    from metriq.cube import _certify, _embedding_lookup
+
+    doc = run_bundle("cube", {"d": 10}, "cube-qs", {"d": 10, "eps": 0.2})
+    art, row = doc["artifacts"][0], doc["rows"][0]
+    d, r = art["d"], art["r"]
+    pts = np.arange(2**d, dtype=np.int64)
+    dA = np.min([np.bitwise_count(pts ^ a) for a in net], axis=0).astype(np.int64)
+    summary, witnesses = _certify(d, dA, r // 2, *_embedding_lookup(d, r, art["p"]))
+    art.update(net=encode_array(np.array(net, dtype=np.int64)), witnesses=[list(w) for w in witnesses],
+               certified_distortion=summary.distortion)
+    row.update(certified_distortion=summary.distortion, quotient_size=int((dA > r // 2).sum()) + 1)
+    assert [v[0] for v in verify_bundle(doc).violations] == ["cube-net", "row"]
 
 
 @pytest.mark.parametrize("key, value", [("r", lambda r: r + 2), ("eps", lambda eps: 0.01)])
@@ -891,17 +912,22 @@ def test_experiment_plan_rejects_negative_trials():
 
 def test_artifact_commands_are_generated_from_pipelines():
     from metriq.cli import PIPELINES, construct
+    from metriq.generators import INSTANCES
 
-    own = {n for n, p in PIPELINES.items() if p.own_space}
+    # cube-qs builds its own space; composition takes its instance's params
+    own = {n for n, p in PIPELINES.items() if p.own_space or p.variant}
+    assert own == {"cube-qs", "composition"}
     assert set(construct.commands) == set(PIPELINES) - own
     assert set(main.commands) - own == {"gen", "quotient", "construct", "certify", "transform",
                                         "run", "verify"}
     assert {f"construct {c}" for c in construct.commands} | own == set(ARTIFACT_COMMANDS)
     for name, pipeline in PIPELINES.items():
-        command = (main if pipeline.own_space else construct).commands[name]
+        command = (main if name in own else construct).commands[name]
         assert command.help == pipeline.run.__doc__
         declared = [o.name for o in pipeline.options]
-        expected = declared if pipeline.own_space else ["path", *declared]
+        if pipeline.variant:
+            declared = [o.name for o in INSTANCES[pipeline.variant].options] + declared
+        expected = declared if name in own else ["path", *declared]
         assert [o.name for o in command.params] == expected
 
 
@@ -924,7 +950,7 @@ def test_artifact_command_output_verifies(runner, tmp_path, metrics, command):
     ("bourgain", ["--p", "1.5"], {"p": 1.5}),
     ("cube-qs", ["--d", "8", "--eps", "0.24", "--p", "1.5"], {"d": 8, "eps": 0.24, "p": 1.5}),
     ("star", ["--a", "0.2", "--b", "0.3", "--alpha", "2.0"], {"a": 0.2, "b": 0.3, "alpha": 2.0}),
-    ("composition", ["--depth", "1", "--alpha", "1.25"], {"depth": 1, "alpha": 1.25}),
+    ("composition", ["--depth", "1", "--alpha", "1.25"], {"alpha": 1.25}),
 ], ids=["q2", "aspect", "aspect-lipschitz", "dichotomy", "dichotomy-drop-root", "hst",
         "bourgain", "cube-qs", "star", "composition"])
 def test_construct_emits_the_pipeline_artifact(runner, metrics, name, opts, params):
@@ -933,6 +959,12 @@ def test_construct_emits_the_pipeline_artifact(runner, metrics, name, opts, para
     from metriq.verify import _standalone_artifact
 
     pipeline = PIPELINES[name]
+    if pipeline.variant:
+        # trial 0 of a plan with seed 6 on the instance the options give, embedded
+        res = invoke(runner, "--seed", "6", name, *opts)
+        doc = run_bundle(pipeline.variant, {"depth": 1}, name, params, seed=6)
+        assert json.loads(res.output) == standalone(doc)
+        return
     if pipeline.own_space:
         m, args = None, [name, *opts]
     else:
@@ -1080,18 +1112,49 @@ def test_one_trial_plan_is_certified_and_a_tamper_is_rejected(name, instance, pa
     assert not verify_bundle(art).ok
 
 
-def test_composition_rows_carry_the_composed_size():
+@pytest.mark.parametrize("instance, depth, beta", [({}, 2, 4.0), ({"depth": 1, "beta": 3.0}, 1, 3.0)],
+                         ids=["defaults", "depth1-beta3"])
+def test_composition_runs_on_the_tree_of_its_plan_instance(instance, depth, beta):
+    # the tree is random_composition_tree of the instance's depth, seed and
+    # beta, and the row's n is the size of the instance realize_instance builds
     from metriq.constructions import composition_qs
-    from metriq.generators import random_composition_tree
+    from metriq.generators import random_composition_tree, realize_instance
+    from metriq.hst import hst_to_json
 
-    doc = {"instance": {"variant": "composition", "params": {}}, "pipeline": "composition",
-           "params": {}, "trials": 2, "seed": 4}
-    for t, row in enumerate(run_experiment(plan_from_json(doc)).rows):
-        seed = RngSeed(4, t).child(1)
-        res = composition_qs(random_composition_tree(2, seed.child(0), beta=4.0), 2.0, 1.5,
-                             seed.child(1))
-        assert row["n"] == res.composed.n and row["quotient_size"] == res.quotient.metric.n
-        assert row["paper_bound"] == res.alpha_bound
+    plan = plan_from_json({"instance": {"variant": "composition", "params": instance},
+                           "pipeline": "composition", "params": {}, "trials": 2, "seed": 4})
+    bundle = run_experiment(plan, keep_artifacts=True)
+    assert bundle.summary["failures"] == 0
+    for t, (row, art) in enumerate(zip(bundle.rows, bundle.artifacts)):
+        spec = plan.instance_spec(t)
+        tree = random_composition_tree(depth, spec.seed, beta=beta)
+        res = composition_qs(tree, 2.0, 1.5, RngSeed(4, t).child(1))
+        assert row["n"] == tree.n == realize_instance(spec).n
+        assert row["quotient_size"] == res.quotient.metric.n and row["paper_bound"] == res.alpha_bound
+        assert dumps(art["tree"]) == dumps(hst_to_json(res.hst))
+        assert art["blocks"] == [list(b) for b in res.quotient.blocks]
+
+
+def test_the_composition_instance_params_change_the_tree():
+    doc = run_bundle("composition", {}, "composition", {})
+    other = run_bundle("composition", {"depth": 1, "beta": 3.0}, "composition", {})
+    assert dumps(doc["artifacts"][0]["tree"]) != dumps(other["artifacts"][0]["tree"])
+    assert doc["rows"][0]["n"] != other["rows"][0]["n"]
+
+
+def test_a_composition_plan_on_another_variant_is_refused_in_run_and_verify(tmp_path):
+    plan = {"instance": {"variant": "cloud", "params": {"n": 40}}, "pipeline": "composition",
+            "params": {}, "trials": 1, "seed": 0}
+    message = "a composition plan runs on a 'composition' instance, not 'cloud'"
+    with pytest.raises(ParameterError, match=message):
+        plan_from_json(plan)
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))
+    assert message in refusal(CliRunner().invoke(main, ["run", "--plan", str(path)]), ParameterError)
+    doc = run_bundle("composition", {}, "composition", {})
+    doc["plan"]["instance"] = plan["instance"]
+    with pytest.raises(ParameterError, match=f"^plan: {message}"):
+        verify_bundle(doc)
 
 
 @pytest.mark.parametrize("missing", ["a", "b", "alpha"])

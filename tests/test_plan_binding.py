@@ -4,17 +4,21 @@ They store no copy of it: `verify` rebuilds trial t's instance from the plan,
 as `run` built it, so a base of the artifact's own, an edited plan and a
 missing trial are refused.  Rows must name the plan's seed and the size of
 the rebuilt instance, an aspect quotient the `lipschitz` bound its plan
-promises, and a cube-qs artifact its plan's d, eps and p.  Instances above
+promises, and a cube-qs artifact its plan's d, eps and p.  A composition
+plan runs only on a composition instance, and its hst artifact stores the
+blocks of its quotient of that instance, not a base.  Instances above
 generators.MAX_POINTS, and cube dimensions above cube.MAX_D, are refused
 before anything is built.
 """
 
 import importlib.util
+import json
 import math
 import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from metriq.cli import plan_from_json, run_experiment
@@ -23,15 +27,17 @@ from metriq.cube import MAX_D
 from metriq.errors import CapacityError, ParameterError, StructuralError
 from metriq.generators import INSTANCES, MAX_POINTS, InstanceSpec, realize_instance
 from metriq.hst import hst_from_json, hst_to_metric
-from metriq.quotient import quotient_metric
+from metriq.quotient import claim_slack, quotient_metric
 from metriq.seeds import RngSeed
 from metriq.verify import verify_bundle
 
-from conftest import edit_array, lip_colip_loop, run_bundle, widen, widenings
+from conftest import (block_reduce_loop, edit_array, lip_colip_loop, run_bundle, shortest_path_closure, standalone,
+                      widen, widenings)
 
 Q2 = ("cloud", {"n": 40}, "q2", {})
 HST = ("cloud", {"n": 40}, "hst", {})
 CUBE = ("cube", {"d": 8}, "cube-qs", {"d": 8, "eps": 0.24})
+COMPOSITION = ("composition", {}, "composition", {})
 
 
 def _instance(doc: dict):
@@ -102,11 +108,9 @@ def test_a_bundle_artifact_needs_one_of_its_plan_trials(plan, trial):
 
 
 def test_an_artifact_of_a_kind_its_plan_does_not_write_is_refused():
-    # a composition plan's artifacts embed their base: a q2 artifact with a
-    # base of its own must not pass as one
+    # a q2 artifact under a composition plan, on the instance a composition plan takes
     doc = run_bundle(*Q2)
-    doc["plan"].update(pipeline="composition", params={})
-    doc["artifacts"][0]["base"] = metric_to_json(_instance(doc))
+    doc["plan"].update(instance={"variant": "composition", "params": {}}, pipeline="composition", params={})
     assert "a composition plan writes hst artifacts, not quotient" in _refusal(doc)
 
 
@@ -119,11 +123,76 @@ def test_rows_need_their_plan_and_an_artifact_without_a_plan_its_base():
     assert "required base is missing" in _refusal(doc)
 
 
-def test_a_composition_bundle_keeps_its_embedded_base():
-    doc = run_bundle("composition", {}, "composition", {})
-    assert "base" in doc["artifacts"][0] and verify_bundle(doc).ok
-    del doc["artifacts"][0]["base"]
-    assert "required base is missing" in _refusal(doc)
+def test_a_composition_bundle_stores_no_base():
+    # its tree is checked on the plan's instance collapsed by its QS blocks;
+    # that instance with one distance changed verifies neither as an embedded
+    # base nor as the base of the standalone artifact
+    doc = run_bundle(*COMPOSITION)
+    art = doc["artifacts"][0]
+    assert "base" not in art and art["provenance"] == "QS" and verify_bundle(doc).ok
+    a, b = art["blocks"][0][0], art["blocks"][1][0]
+
+    def halve(d):
+        d[a, b] = d[b, a] = d[a, b] / 2
+        return d
+
+    base = metric_to_json(_instance(doc))
+    edit_array(base, "dist", halve)
+    alone = {**standalone(doc), "base": base}
+    art["base"] = base
+    assert "stores a base" in _refusal(doc)
+    assert "certificate" in {v[0] for v in verify_bundle(alone).violations}
+
+
+@pytest.mark.parametrize("edit", [
+    lambda art: art.update(subset=[0, 1]),
+    lambda art: art.pop("provenance"),
+    lambda art: art.pop("blocks"),
+], ids=["subset-too", "no-provenance", "no-blocks"])
+def test_a_composition_artifact_holds_its_blocks_and_their_provenance(edit):
+    doc = run_bundle(*COMPOSITION)
+    edit(doc["artifacts"][0])
+    assert "holds a subset, or blocks and their provenance, or neither" in _refusal(doc)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_a_point_added_to_a_composition_block_is_checked_on_the_quotient_it_gives(seed):
+    # every point outside the blocks, added to every block in turn: verify
+    # accepts the tree exactly where the claim still holds on the quotient
+    # by the new blocks, recomputed by loops
+    doc = run_bundle(*COMPOSITION, seed=seed)
+    del doc["rows"]
+    art, m = doc["artifacts"][0], _instance(doc)
+    tree = hst_to_metric(hst_from_json(art["tree"])).dist
+    iu, ju = np.triu_indices(tree.shape[0], 1)
+    outside = sorted(set(range(m.n)) - {x for b in art["blocks"] for x in b})
+    verdicts = []
+    for x in outside:
+        for b in range(len(art["blocks"])):
+            trial = json.loads(json.dumps(doc))
+            blocks = widen(trial["artifacts"][0], m, b, x)
+            q = np.array(shortest_path_closure(block_reduce_loop(m.dist, blocks)))
+            ratio = tree[iu, ju] / q[iu, ju]
+            claim = art["certified_distortion"]
+            holds = (abs(ratio.max() / ratio.min() - claim) <= claim_slack(claim)
+                     and 1 / ratio.min() <= 1 + 1e-9)
+            verdicts.append(holds)
+            assert verify_bundle(trial).ok == holds, (x, b)
+    assert outside and not all(verdicts)
+
+
+def test_an_hst_bundle_relabelled_as_a_composition_plan_is_refused():
+    # the tree's own metric as the base of its artifact: exact for its tree
+    doc = run_bundle(*HST)
+    art, row = doc["artifacts"][0], doc["rows"][0]
+    art["base"] = metric_to_json(hst_to_metric(hst_from_json(art["tree"])))
+    del art["subset"]
+    art["certified_distortion"] = row["certified_distortion"] = 1.0
+    doc["plan"].update(pipeline="composition", params={})
+    with pytest.raises(ParameterError, match="^plan: a composition plan runs on a 'composition' instance"):
+        verify_bundle(doc)
+    doc["plan"]["instance"] = {"variant": "composition", "params": {}}
+    assert "stores a base" in _refusal(doc)
 
 
 # --- rows name the plan's seed and the size of its instance -----------------
@@ -133,11 +202,11 @@ def _violations(doc: dict) -> list:
     return [v[:2] for v in verify_bundle(doc).violations]
 
 
-@pytest.mark.parametrize("plan", [Q2, HST, CUBE], ids=["q2", "hst", "cube-qs"])
+@pytest.mark.parametrize("plan", [Q2, HST, CUBE, COMPOSITION], ids=["q2", "hst", "cube-qs", "composition"])
 def test_a_row_naming_another_instance_size_is_refused(plan):
     doc = run_bundle(*plan)
     assert verify_bundle(doc).ok
-    doc["rows"][0]["n"] = 4000
+    doc["rows"][0]["n"] += 1
     assert _violations(doc) == [("row", (0,))]
 
 

@@ -125,7 +125,7 @@ def test_every_declared_field_is_stored_by_some_writer(metrics):
     # declared field is stored by one of them, so no declaration is dead.
     # Both forms of a kind with a base count: a bundle's artifact of a
     # pipeline that runs on its plan's instance stores no base (hst: its
-    # m-centre set as `subset`); a standalone or composition one embeds it.
+    # m-centre set as `subset`, composition: its blocks); a standalone one embeds it.
     # `lipschitz` is written in both forms by aspect --lipschitz alone
     bundles = {pipeline: run_bundle(*plan[:2], pipeline, plan[2]) for pipeline, plan in SMALL_PLANS.items()}
     bundles["aspect --lipschitz"] = run_bundle("cloud", {"n": 40}, "aspect", {"alpha": 1.5, "lipschitz": True})
@@ -140,7 +140,7 @@ def test_every_declared_field_is_stored_by_some_writer(metrics):
     for pipeline, doc in bundles.items():
         art, = doc["artifacts"]
         if "base" in CHECKS[art["kind"]][0].fields:
-            assert ("base" in art) == bool(PIPELINES[doc["plan"]["pipeline"]].own_space), pipeline
+            assert "base" not in art, pipeline
         assert ("subset" in art) == (pipeline == "hst"), pipeline
         assert ("lipschitz" in art) == (pipeline == "aspect --lipschitz"), pipeline
     for art in standalone:
