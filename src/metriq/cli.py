@@ -33,13 +33,12 @@ from .core import (
 )
 from .cube import MAX_D
 from .errors import MetriqError, ParameterError, StructuralError
-from .generators import (INSTANCES, InstanceSpec, build_instance, option, realize_instance, resolve_instance,
-                         resolve_params)
+from .generators import (INSTANCES, InstanceSpec, build_instance, gen_composition, option, realize_instance,
+                         resolve_instance, resolve_params)
 from .quotient import distortion_between, quotient_metric, quotient_to_json
 from .seeds import RngSeed
 from .verify import (
     _cube_artifact,
-    _embedding_artifact,
     _hst_artifact,
     _quotient_artifact,
     _standalone_artifact,
@@ -191,16 +190,16 @@ def _pipe_hst(m: MetricSpace, seed: RngSeed, params: dict):
 def _pipe_bourgain(m: MetricSpace, seed: RngSeed, params: dict):
     """m-centre quotient, then its Bourgain embedding into L_p."""
     from .constructions import m_center_quotient, m_center_size
-    from .embeddings import EXACT_MAX_POINTS, bourgain_embed, bourgain_scales
+    from .embeddings import EXACT_MAX_POINTS, bourgain_embed, bourgain_scales, embedding_to_json
 
     eps, p = params["eps"], params["p"]
-    _, q, attempts = m_center_quotient(m, eps, seed.child(0))
+    T, q, attempts = m_center_quotient(m, eps, seed.child(0))
     mparam = m_center_size(eps)
     mode = "exact" if q.metric.n <= EXACT_MAX_POINTS else "monte-carlo"
-    emb, report, induced = bourgain_embed(q.metric, mparam, p, mode, seed.child(1))
+    emb, report, mask = bourgain_embed(q.metric, mparam, p, mode, seed.child(1))
     bound = 96 * bourgain_scales(mparam, p)
     return (_row(q.metric.n, q.provenance, "lp", report.distortion, bound, attempts, p),
-            _embedding_artifact(emb, induced))
+            embedding_to_json(T, emb, mask, report.distortion))
 
 
 def _pipe_cube_qs(m, seed: RngSeed, params: dict):
@@ -462,7 +461,8 @@ def _pipeline_command(pipeline: Pipeline) -> click.Command:
         seed = RngSeed(ctx.obj["seed"])
         if inst:
             spec = InstanceSpec(inst.name, {k: params.pop(k) for k in inst.by_name}, seed.child(0))
-            built, m, seed = build_instance(spec), realize_instance(spec), seed.child(1)
+            built = build_instance(spec)  # a tree, composed once for the embedded base
+            m, seed = gen_composition(built), seed.child(1)
         else:
             built = m = None if pipeline.own_space else _load_metric(path)
         _emit(ctx, _standalone_artifact(pipeline.run(built, seed, params)[1], m))

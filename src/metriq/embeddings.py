@@ -52,10 +52,6 @@ class VectorEmbedding:
         if self.p < 1:
             raise ParameterError("p must be >= 1")
 
-    @property
-    def n(self) -> int:
-        return self.vectors.shape[0]
-
 
 # entries of one rows x n x dim chunk of a p-norm table, or of one block of
 # the p-stable series; 512 KB of float64 stays in cache, which made Bourgain
@@ -97,12 +93,12 @@ def induced_metric(emb: VectorEmbedding) -> MetricSpace:
     return MetricSpace(out)
 
 
-def embedding_to_json(emb: VectorEmbedding) -> dict:
-    """Complex vectors are stored as <c16."""
-    doc = {"p": emb.p, "mode": emb.mode, "vectors": encode_array(emb.vectors)}
-    if emb.weights is not None:
-        doc["weights"] = encode_array(emb.weights)
-    return doc
+def embedding_to_json(subset: list[int], emb: VectorEmbedding, mask: np.ndarray, certified: float) -> dict:
+    """The embedding artifact of a subset embedding of the pipe's instance
+    collapsed on `subset`: its J x n membership mask is stored as `subsets`,
+    np.flatnonzero of it, from which _subset_distances rebuilds the coordinates."""
+    return {"kind": "embedding", "subset": subset, "p": emb.p, "mode": emb.mode, "weights": encode_array(emb.weights),
+            "subsets": encode_array(np.flatnonzero(mask)), "certified_distortion": certified}
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +141,7 @@ def _subset_distances(dist: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 def bourgain_embed(
     m: MetricSpace, mparam: float, p: float = 2.0, mode: str = "exact", seed=None
-) -> tuple[VectorEmbedding, DistortionReport, MetricSpace]:
+) -> tuple[VectorEmbedding, DistortionReport, np.ndarray]:
     """Distance-to-random-subset embedding for spaces with an mparam-center.
 
     Coordinates are d(u, A) over subsets A, weighted so the map is
@@ -160,8 +156,8 @@ def bourgain_embed(
     monte-carlo from one rng.random draw of 256*q^2 rows, which is the same
     stream as one rng.random(n) per subset.
 
-    Returns the embedding, its distortion report and the induced metric the
-    report was computed from, so a caller that stores the table reuses it.
+    Returns the embedding, its distortion report and the mask, which
+    embedding_to_json stores and verify rebuilds the coordinates from.
     """
     from .constructions import find_m_center
 
@@ -192,14 +188,13 @@ def bourgain_embed(
         raise ParameterError(f"unknown mode {mode!r}")
     emb = VectorEmbedding(_subset_distances(m.dist, mask), p, mode, weights)
 
-    induced = induced_metric(emb)
-    report = distortion_between(m, induced)
+    report = distortion_between(m, induced_metric(emb))
     if mode == "exact" and report.distortion > 96 * q + 1e-9:
         raise ConstructionFailureError(
             f"exact-mode distortion {report.distortion} exceeds 96q = {96 * q}",
             {"q": q, "report": report},
         )
-    return emb, report, induced
+    return emb, report, mask
 
 
 # ---------------------------------------------------------------------------

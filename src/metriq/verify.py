@@ -1,9 +1,10 @@
-"""The artifact format: the writer of each certificate kind, its fields and its check.
+"""The artifact format: the writer of each certificate kind (an embedding's is
+embeddings.embedding_to_json), its fields and its check.
 
 `verify_bundle` reads every artifact through the declaration `CHECKS` gives its `kind`,
 re-checks the fields it read through the kind's check, and compares a bundle's rows with them.
-A quotient or hst artifact is about a base metric: in a bundle, the instance its plan
-names, which verify rebuilds; in a standalone artifact, the base it embeds.
+A quotient, hst or embedding artifact is about a base metric: in a bundle, the instance
+its plan names, which verify rebuilds; in a standalone artifact, the base it embeds.
 """
 
 from __future__ import annotations
@@ -52,16 +53,6 @@ def _standalone_artifact(art: dict, m: MetricSpace | None) -> dict:
     if m is not None and "base" in CHECKS[art["kind"]][0].fields:
         art["base"] = metric_to_json(m)
     return art
-
-
-def _embedding_artifact(emb, induced: MetricSpace) -> dict:
-    """`induced` is induced_metric(emb), already computed."""
-    from .embeddings import embedding_to_json
-
-    doc = embedding_to_json(emb)
-    doc["kind"] = "embedding"
-    doc["claimed"] = encode_array(induced.dist)
-    return doc
 
 
 def _cube_artifact(res) -> dict:
@@ -133,18 +124,24 @@ HST = Doc("an hst artifact", kind="hst", base=METRIC, subset=list_of(integer),
           certified_distortion=number, optional={"base", "subset", "blocks", "provenance"})
 
 
+def _collapsed_base(f: dict) -> MetricSpace:
+    """The base of f collapsed on its `subset` by quotient_by_subset, as the hst and bourgain pipelines
+    collapse their m-centre set, its provenance set for the row; the base itself without a subset."""
+    if f["subset"] is None:
+        return f["base"]
+    q = quotient_by_subset(f["base"], f["subset"])
+    f["provenance"] = q.provenance
+    return q.metric
+
+
 def _verify_hst(f: dict, ai: int, report: ValidationReport, tol: float) -> int:
     """The tree against its base, collapsed where the artifact says how, as
-    its pipeline collapses it: on `subset` (quotient_by_subset, whose
-    provenance the row repeats) or by `blocks` (quotient_from_fields)."""
-    tree, base = f["tree"], f["base"]
+    its pipeline collapses it: on `subset` (_collapsed_base) or by `blocks`
+    (quotient_from_fields)."""
+    tree = f["tree"]
     if (f["blocks"] is None) != (f["provenance"] is None) or f["subset"] is not None and f["blocks"] is not None:
         raise StructuralError("an hst artifact holds a subset, or blocks and their provenance, or neither")
-    if f["subset"] is not None:
-        q = quotient_by_subset(base, f["subset"])
-        f["provenance"], base = q.provenance, q.metric
-    elif f["blocks"] is not None:
-        base = quotient_from_fields(base, f).metric
+    base = _collapsed_base(f) if f["blocks"] is None else quotient_from_fields(f["base"], f).metric
     if tree["order"].size != base.n:  # before hst_to_metric allocates leaves x leaves
         raise StructuralError(f"source has {base.n} points, the tree {tree['order'].size} leaves")
     rep = distortion_between(base, hst_to_metric(HstTree(**tree)))
@@ -154,22 +151,30 @@ def _verify_hst(f: dict, ai: int, report: ValidationReport, tol: float) -> int:
     return base.n
 
 
-EMBEDDING = Doc("an embedding artifact", kind="embedding", p=number, mode=one_of("exact", "monte-carlo"),
-                vectors=array("fc", 2), weights=array("f", 1), claimed=array("f", 2))
+#: the bourgain pipeline's embedding of the base collapsed on `subset`: the
+#: coordinates d(u, A_j), A_j row j of the J x N membership mask whose flat
+#: indices `subsets` lists, J the size of `weights`
+EMBEDDING = Doc("an embedding artifact", kind="embedding", base=METRIC, subset=list_of(integer), p=number,
+                mode=one_of("exact", "monte-carlo"), weights=array("f", 1), subsets=array("i", 1),
+                certified_distortion=number, optional={"base"})
 
 
 def _verify_embedding(f: dict, ai: int, report: ValidationReport, tol: float) -> int:
-    from .embeddings import VectorEmbedding, induced_metric
+    """Rebuild the coordinates with the _subset_distances that the run takes and recompute the claim;
+    weights >= 0 that sum to at most 1 keep the 1-Lipschitz coordinates non-expanding."""
+    from .embeddings import VectorEmbedding, _subset_distances, induced_metric
 
-    emb = VectorEmbedding(f["vectors"], f["p"], f["mode"], f["weights"])
-    dists, claimed = induced_metric(emb).dist, f["claimed"]
-    bad = ~np.isfinite(claimed)
-    if not bad.any():
-        bad = np.abs(dists - claimed) > max(tol, 1e-9 * max(1.0, claimed.max()))
-    for i, j in np.argwhere(bad):
-        report.add("embedding-distance", (ai, int(i), int(j)),
-                   f"claimed {claimed[i, j]!r} != recomputed {dists[i, j]!r}")
-    return emb.n
+    source, w, flat = _collapsed_base(f), f["weights"], f["subsets"]
+    if not ((w >= 0).all() and w.sum() <= 1.0 + tol):
+        raise StructuralError("weights must be >= 0 and sum to at most 1")
+    mask = np.zeros((w.size, source.n), dtype=bool)
+    if flat.size and not (0 <= flat[0] and flat[-1] < mask.size and (np.diff(flat) > 0).all()):
+        raise StructuralError(f"subsets must be increasing flat indices into a {w.size} x {source.n} mask")
+    mask.flat[flat] = True
+    emb = VectorEmbedding(_subset_distances(source.dist, mask), f["p"], f["mode"], w)
+    rep = distortion_between(source, induced_metric(emb))
+    _check_claim(f["certified_distortion"], rep.distortion, ai, report, tol)
+    return source.n
 
 
 def _witness_pairs(value, path: str) -> list:
@@ -194,8 +199,9 @@ def _verify_cube(f: dict, ai: int, report: ValidationReport, tol: float) -> int:
     the stored witnesses.  Each witness must be a pair of singletons whose
     classes and Hamming distance name an extreme cell of the bound; where an
     extreme is neither a block ratio, an antipodal cell nor named by a
-    witness, the exact kernel gives the claim.  Returns the block count."""
+    witness, the exact kernel gives the claim.  Returns the block count; a cube quotient is QS."""
     d, eps, p, A = f["d"], f["eps"], f["p"], f["net"]
+    f["provenance"] = "QS"
     if not 1 <= d <= MAX_D:  # before the 2^d scan below allocates
         raise StructuralError(f"d = {d} is outside 1..{MAX_D}")
     if not 2.0 ** -d <= eps < 0.25:
@@ -240,7 +246,7 @@ CHECKS = {
     "cube-qs": (CUBE, _verify_cube),
 }
 
-#: row fields an artifact repeats, where it stores them
+#: row fields an artifact repeats, where its fields hold them, as read or as its check sets them
 ROW_FIELDS = ("provenance", "certified_distortion", "p")
 
 
@@ -250,11 +256,10 @@ def _check_rows(rows: list, artifacts: list[tuple[Doc, dict, int]], report: Vali
     row's seed against its plan's.
 
     Row and artifact are written from the same values, so they must be equal;
-    a row field the artifact's kind declares but does not hold must be empty.
+    a row field the artifact's fields hold as None must be empty.
     A row's `n` is the size of the instance its artifact was checked on (kept
-    as `base`, for a quotient or hst artifact), or own_space(params) (cube-qs,
-    whose artifact repeats its plan's d); a bourgain row's is not checked, as
-    verify does not rebuild the space it names.
+    as `base`), or own_space(params) (cube-qs, whose artifact repeats its
+    plan's d).
     """
     from .cli import PIPELINES
 
@@ -272,7 +277,7 @@ def _check_rows(rows: list, artifacts: list[tuple[Doc, dict, int]], report: Vali
         seen.add(t)
         row = by_trial[t]
         stored = {"quotient_size": size,
-                  **{k: "" if f[k] is None else f[k] for k in ROW_FIELDS if k in decl.fields}}
+                  **{k: "" if f[k] is None else f[k] for k in ROW_FIELDS if k in f}}
         if "base" in decl.fields:
             stored["n"] = f["base"]
         elif own_space:
@@ -351,12 +356,12 @@ def verify_bundle(doc: dict, tolerance: float = 1e-9) -> ValidationReport:
     undeclared key, a missing required field and a mistyped value with
     StructuralError.  The plan is read first; rows need it.  A bundle's
     artifacts must be of the kind its pipeline writes and repeat the params
-    they were written from (_bind_to_plan), and its quotient and hst
-    artifacts are checked against the instance of their trial, rebuilt from
-    the plan (_with_base).
+    they were written from (_bind_to_plan), and its quotient, hst and
+    embedding artifacts are checked against the instance of their trial,
+    rebuilt from the plan (_with_base).
     Quotients are rebuilt from base + blocks (and, for SQ, the parent
-    quotient) and must be metrics; model and HST distortions and embedding
-    tables are recomputed; a cube's radius must follow from d and eps; a
+    quotient) and must be metrics; model, HST, embedding and cube
+    distortions are recomputed; a cube's radius must follow from d and eps; a
     quotient's `lipschitz` bound must hold for its block collapse.  Each
     artifact in a bundle with rows must match the row of its trial, and each
     row name its plan's seed.  Every MetriqError raised names its artifact.

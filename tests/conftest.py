@@ -630,15 +630,19 @@ def subset_distances_loop(dist: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=1) if cols else np.zeros((n, 0))
 
 
-def bourgain_embed_loop(m: MetricSpace, mparam: float, p: float, mode: str, seed=None):
+def bourgain_embed_loop(m: MetricSpace, mparam: float, p: float, mode: str, seed=None, given=None):
     """Reference for bourgain_embed's coordinates: the per-subset loop, with one
-    rng.random(n) draw per Monte-Carlo subset.  Returns (vectors, weights,
+    rng.random(n) draw per Monte-Carlo subset, or over the rows of a given
+    (membership mask, weights) pair instead.  Returns (vectors, weights,
     table), the table built one row at a time."""
     n = m.n
     q = bourgain_scales(mparam, p)
     probs = [math.exp(-p * i) for i in range(1, q + 1)]
     cols = []
-    if mode == "exact":
+    if given is not None:
+        mask, weights = given
+        cols = [m.dist[:, np.flatnonzero(row)].min(axis=1) if row.any() else np.zeros(n) for row in mask]
+    elif mode == "exact":
         masks = np.arange(1, 2**n)
         sizes = np.array([bin(mk).count("1") for mk in masks])
         weights = np.zeros(masks.size)

@@ -20,6 +20,7 @@ from metriq.constructions import (
     find_m_center,
     hst_from_m_centered,
     m_center_quotient,
+    m_center_size,
     q2_lacunary,
 )
 from metriq.core import MetricSpace, Star, dumps, realize_special
@@ -320,10 +321,10 @@ def _hst_artifact(seed):
 
 
 def _embedding_artifact(seed):
-    m = random_metric(8, seed)
-    mparam = next(mp for mp in range(2, 10) if find_m_center(m, float(mp)) is not None)
-    emb, _, _ = bourgain_embed(m, float(mparam), 2.0, "exact")
-    return dumps(embedding_to_json(emb))
+    m = gen_euclidean_cloud(12, seed=RngSeed(seed, 0))
+    T, q, _ = m_center_quotient(m, 0.25, seed=RngSeed(seed, 1))
+    emb, report, mask = bourgain_embed(q.metric, m_center_size(0.25), 2.0, "exact")
+    return dumps(embedding_to_json(T, emb, mask, report.distortion))
 
 
 def _cube_artifact(seed):
@@ -363,7 +364,7 @@ GOLDEN_BUNDLES = {
     "hst": ("cloud", {"n": 40}, "hst", {}, ("hst", None),
             "b5ae7e30468429171ea9ff05fae1c0ad697f1be6f1638dbb8dbf2069a6cafafe"),
     "embedding": ("cloud", {"n": 40}, "bourgain", {}, ("embedding", None),
-                  "5c441fdfd3cb4437d9c32574ef9b0b7f7d5ef6cb68369e677a32746c2b92485f"),
+                  "2c60f8a4591ea8f4fc5ec827115a7df6184845eee102820618db2e32dbec5d7d"),
     "cube-qs": ("cube", {"d": 8}, "cube-qs", {"d": 8, "eps": 0.24}, ("cube-qs", None),
                 "f39d512e40b02ccf7661f1aeadbd460e1f975048c36d385961c5825b2299a016"),
     "composition": ("composition", {}, "composition", {}, ("hst", "QS"),

@@ -35,8 +35,7 @@ from metriq.quotient import quotient_to_json
 from metriq.seeds import RngSeed
 from metriq.verify import CHECKS
 
-from conftest import (ARTIFACT_COMMANDS, SQ_PLAN, edit_array, random_metric, refusal, run_bundle, standalone,
-                      star_to_lp)
+from conftest import ARTIFACT_COMMANDS, SQ_PLAN, edit_array, random_metric, refusal, run_bundle, standalone
 
 
 @pytest.fixture
@@ -107,19 +106,6 @@ def test_construct_q2_certificate(runner, tmp_path):
     assert doc["kind"] == "quotient"
     assert doc["certified_distortion"] <= 2.0 + 1e-9
     assert doc["model"]["type"] == "lacunary"
-
-
-def test_embed_star_exact():
-    from metriq.embeddings import induced_metric
-    from metriq.verify import _embedding_artifact
-
-    emb = star_to_lp(3, 1.0, 1.0)
-    doc = json.loads(dumps(_embedding_artifact(emb, induced_metric(emb))))
-    claimed = decode_array(doc["claimed"])
-    assert claimed.shape == (4, 4)
-    assert np.allclose(claimed[0, 1:], 1.0)
-    assert np.allclose(claimed[1:, 1:][~np.eye(3, dtype=bool)], 1.0)
-    assert verify_bundle(doc).ok
 
 
 def test_transform_matches_closed_form(runner):
@@ -479,8 +465,7 @@ def _as_format1(doc):
 def _fresh_artifact(kind: str) -> dict:
     """A standalone artifact of the kind, with its base embedded where it has one."""
     from metriq.cli import PIPELINES
-    from metriq.embeddings import induced_metric
-    from metriq.verify import _embedding_artifact, _standalone_artifact
+    from metriq.verify import _standalone_artifact
 
     m = random_metric(30, 2)
     if kind == "sq":
@@ -489,10 +474,7 @@ def _fresh_artifact(kind: str) -> dict:
         return art
     if kind == "metric":
         return {"kind": "metric", **metric_to_json(m)}
-    if kind == "embedding":
-        emb = star_to_lp(3, 1.0, 1.5)
-        return _embedding_artifact(emb, induced_metric(emb))
-    pipe = PIPELINES[{"quotient": "q2", "hst": "hst", "cube-qs": "cube-qs"}[kind]]
+    pipe = PIPELINES[{"quotient": "q2", "hst": "hst", "embedding": "bourgain", "cube-qs": "cube-qs"}[kind]]
     params = pipe.resolve({"d": 8, "eps": 0.24} if kind == "cube-qs" else {})
     m = None if pipe.own_space else m
     return _standalone_artifact(pipe.run(m, RngSeed(2), params)[1], m)
@@ -503,8 +485,8 @@ def _fresh_artifact(kind: str) -> dict:
     ("quotient", ["base", "dist"]),
     ("hst", ["tree", "parent"]),
     ("hst", ["base", "dist"]),
-    ("embedding", ["vectors"]),
-    ("embedding", ["claimed"]),
+    ("embedding", ["subsets"]),
+    ("embedding", ["base", "dist"]),
     ("cube-qs", ["net"]),
     ("sq", ["base", "dist"]),
 ])
@@ -526,8 +508,8 @@ def test_verify_refuses_a_format1_list(kind, path):
     ("bare quotient", ["base", "dist"]),
     ("hst", ["certified_distortion"]),
     ("hst", ["base", "dist"]),
-    ("embedding", ["claimed"]),
-    ("embedding", ["vectors"]),
+    ("embedding", ["certified_distortion"]),
+    ("embedding", ["base", "dist"]),
     ("cube-qs", ["certified_distortion"]),
     ("sq", ["certified_distortion"]),
     ("sq", ["base", "dist"]),
@@ -750,7 +732,11 @@ def test_verify_refuses_an_unknown_provenance():
     (("cloud", {"n": 40}, "hst", {}), "quotient_size", lambda v: v - 1),
     (("cube", {"d": 8}, "cube-qs", {"d": 8, "eps": 0.24}), "p", lambda v: 1.5),
     (SQ_PLAN, "provenance", lambda v: "Q"),
-], ids=["q2-certified_distortion", "hst-quotient_size", "cube-p", "sq-provenance"])
+    (("cube", {"d": 8}, "cube-qs", {"d": 8, "eps": 0.24}), "provenance", lambda v: "Q"),
+    (("cloud", {"n": 40}, "bourgain", {}), "certified_distortion", lambda v: v * 1.25 + 0.5),
+    (("cloud", {"n": 40}, "bourgain", {}), "provenance", lambda v: "QS"),
+], ids=["q2-certified_distortion", "hst-quotient_size", "cube-p", "sq-provenance", "cube-provenance",
+        "bourgain-certified_distortion", "bourgain-provenance"])
 def test_verify_compares_each_row_with_its_artifact(plan, key, edit):
     doc = run_bundle(*plan, trials=2)
     assert verify_bundle(doc).ok
@@ -774,11 +760,15 @@ def test_verify_refuses_a_certified_row_without_its_artifact():
         verify_bundle(doc)
 
 
-def test_a_bourgain_row_claim_is_not_checked():
-    # the embedding artifact stores no claim and no source metric (README "verify")
+def test_a_bourgain_row_claim_is_checked():
+    # the embedding artifact names its source, the plan's instance collapsed on
+    # its m-centre set: the row repeats its claim, which verify recomputes there
     doc = run_bundle("cloud", {"n": 40}, "bourgain", {})
-    doc["rows"][0]["certified_distortion"] = 1.0
     assert verify_bundle(doc).ok
+    doc["rows"][0]["certified_distortion"] = 1.0
+    assert [v[:2] for v in verify_bundle(doc).violations] == [("row", (0,))]
+    doc["artifacts"][0]["certified_distortion"] = 1.0
+    assert [v[:2] for v in verify_bundle(doc).violations] == [("certificate", (0,))]
 
 
 def test_cli_verify_bundle_is_the_verify_module_one():
@@ -788,10 +778,29 @@ def test_cli_verify_bundle_is_the_verify_module_one():
     assert metriq.cli.verify_bundle is metriq.verify.verify_bundle
 
 
-def test_verify_refuses_complex_embedding_weights():
+def _past_the_mask(art: dict):
+    """The first flat index past the J x N mask of an embedding artifact: J
+    weights, N the points of its base collapsed on its subset."""
+    return decode_array(art["weights"]).size * (art["base"]["n"] - len(art["subset"]) + 1)
+
+
+@pytest.mark.parametrize("key, tamper, message", [
+    ("weights", lambda w, art: w + 0.5j, "weights must be real"),
+    ("weights", lambda w, art: np.r_[-w[0], w[1:]], "weights must be >= 0 and sum to at most 1"),
+    ("weights", lambda w, art: w * (1 + 1e-6), "weights must be >= 0 and sum to at most 1"),
+    ("subsets", lambda s, art: s[::-1], "subsets must be increasing flat indices"),
+    ("subsets", lambda s, art: np.r_[s[0], s[:-1]], "subsets must be increasing flat indices"),
+    ("subsets", lambda s, art: np.r_[-1, s[1:]], "subsets must be increasing flat indices"),
+    ("subsets", lambda s, art: np.r_[s[:-1], _past_the_mask(art)], "subsets must be increasing flat indices"),
+], ids=["complex-weight", "negative-weight", "weights-above-1", "subsets-reversed", "subset-repeated",
+        "subset-negative", "subset-past-the-mask"])
+def test_verify_refuses_embedding_weights_or_subsets_that_do_not_give_a_map(key, tamper, message):
+    # weights >= 0 that sum to at most 1 keep the 1-Lipschitz coordinates
+    # non-expanding; the subsets are the increasing indices of a J x N mask
     art = json.loads(dumps(_fresh_artifact("embedding")))
-    edit_array(art, "weights", lambda w: w + 0.5j)
-    with pytest.raises(StructuralError, match="weights must be real"):
+    assert verify_bundle(art).ok
+    edit_array(art, key, lambda a: tamper(a, art))
+    with pytest.raises(StructuralError, match=message):
         verify_bundle({"artifacts": [art]})
 
 
@@ -869,26 +878,28 @@ def test_model_doc_round_trips_to_the_model_metric(model):
         _model_from_doc({**doc, "zz": 1})
 
 
-def test_embedding_verifier_in_one_row_chunks(monkeypatch):
-    from metriq import embeddings
-    from metriq.embeddings import induced_metric
-    from metriq.verify import _embedding_artifact
+def test_embedding_verifier_in_one_row_chunks(runner, monkeypatch, metrics):
+    # `construct bourgain --in M` embeds M as its base; verify rebuilds the
+    # coordinates one subset and the induced metric one row at a time, and
+    # recomputes the claim bit for bit; the nearest pair outside the subset
+    # brought closer fails it
+    from metriq import embeddings, verify
 
-    monkeypatch.setattr(embeddings, "TABLE_ELEMENTS", 1)
-    emb = star_to_lp(4, 1.0, 1.5)
-    art = _embedding_artifact(emb, induced_metric(emb))
-    assert verify_bundle(art).ok
-    # every entry of `claimed` is compared: upper, lower triangle and diagonal
-    for i, j in [(1, 2), (2, 1), (2, 2)]:
-        bad = dict(art)  # edit_array replaces the one array it edits
-
-        def tamper(d):
-            d[i, j] += 1e-3
-            return d
-
-        edit_array(bad, "claimed", tamper)
-        rep = verify_bundle(bad)
-        assert [v[1] for v in rep.violations] == [(0, i, j)]
+    art = json.loads(invoke(runner, "--seed", "4", "construct", "bourgain", "--in", metrics["CLOUD"]).output)
+    with open(metrics["CLOUD"]) as fh:
+        assert {"kind": "metric", **art["base"]} == json.load(fh)
+    recomputed = []
+    with monkeypatch.context() as patch:
+        patch.setattr(embeddings, "TABLE_ELEMENTS", 1)
+        patch.setattr(verify, "_check_claim", lambda claimed, value, *rest: recomputed.append((claimed, value)))
+        assert verify_bundle(art).ok
+    assert recomputed == [(art["certified_distortion"],) * 2]
+    d = metric_from_json(art["base"]).dist
+    rest = np.setdiff1d(np.arange(30), art["subset"])
+    near = d[np.ix_(rest, rest)] + np.diag(np.full(rest.size, np.inf))
+    a, b = rest[list(np.unravel_index(np.argmin(near), near.shape))]
+    edit_array(art["base"], "dist", lambda d: _set_pair(d, a, b, d[a, b] / 2))
+    assert [v[:2] for v in verify_bundle(art).violations] == [("certificate", (0,))]
 
 
 def test_verify_command_ok_exit_zero(runner, tmp_path):

@@ -6,15 +6,16 @@ from unittest import mock
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
 from metriq import embeddings
 
-from metriq.cli import PIPELINES, main
+from metriq.cli import PIPELINES, main, plan_from_json, run_experiment
 from metriq.constructions import m_center_quotient, m_center_size
-from metriq.core import Equilateral, Star, decode_array, dumps, encode_array, realize_special, validate_metric
+from metriq.core import (Equilateral, Star, decode_array, dumps, encode_array, metric_from_json, realize_special,
+                         validate_metric)
 from metriq.embeddings import (
     VectorEmbedding,
     bourgain_embed,
@@ -24,7 +25,8 @@ from metriq.embeddings import (
     pstable_expectation,
     truncated_gauss_distance,
 )
-from metriq.errors import CapacityError, MetriqError, NoMCenterError, ParameterError
+from metriq.errors import CapacityError, NoMCenterError, ParameterError
+from metriq.quotient import claim_slack, quotient_by_subset
 from metriq.seeds import RngSeed
 from metriq.verify import verify_bundle
 
@@ -37,6 +39,7 @@ from conftest import (
     pstable_expectation_monte_carlo,
     random_metric,
     refusal,
+    standalone,
     star_poincare_lower,
     star_to_lp,
     subset_distances_loop,
@@ -54,10 +57,10 @@ from conftest import (
 
 def test_bourgain_exact_non_expanding_and_weighted():
     m = realize_special(Equilateral(6, 1.0))
-    emb, rep, ind = bourgain_embed(m, 3.0, 2.0, "exact")
+    emb, rep, mask = bourgain_embed(m, 3.0, 2.0, "exact")
     assert emb.weights.sum() <= 1.0 + 1e-12
-    assert np.array_equal(ind.dist, induced_metric(emb).dist)
-    assert np.all(ind.dist <= m.dist + 1e-9)
+    assert mask.shape == (2**6 - 1, 6) and np.array_equal(emb.vectors, embeddings._subset_distances(m.dist, mask))
+    assert np.all(induced_metric(emb).dist <= m.dist + 1e-9)
     # coordinate weight depends only on subset size
     sizes = {}
     masks = np.arange(1, 2**6)
@@ -98,22 +101,24 @@ def test_subset_distances_are_bitwise_the_per_subset_loop(n, subsets, density, a
 def test_bourgain_monte_carlo_is_bitwise_the_per_subset_loop(n, seed, p):
     _, q, _ = m_center_quotient(random_metric(n, seed), 0.5, seed)
     mparam = m_center_size(0.5)
-    emb, _, ind = bourgain_embed(q.metric, mparam, p, "monte-carlo", seed)
+    emb, _, mask = bourgain_embed(q.metric, mparam, p, "monte-carlo", seed)
     vectors, weights, table = bourgain_embed_loop(q.metric, mparam, p, "monte-carlo", seed)
     assert same_bytes(emb.vectors, vectors)
+    assert same_bytes(subset_distances_loop(q.metric.dist, mask), vectors)
     assert same_bytes(emb.weights, weights)
-    assert same_bytes(ind.dist, table)
+    assert same_bytes(induced_metric(emb).dist, table)
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0])
 @pytest.mark.parametrize("n", [1, 2, 7, 12, 15])
 def test_bourgain_exact_is_bitwise_the_per_subset_loop(n, p):
     m = random_metric(n, n)
-    emb, _, ind = bourgain_embed(m, float(n + 1), p, "exact")
+    emb, _, mask = bourgain_embed(m, float(n + 1), p, "exact")
     vectors, weights, table = bourgain_embed_loop(m, float(n + 1), p, "exact")
     assert same_bytes(emb.vectors, vectors)
+    assert same_bytes(subset_distances_loop(m.dist, mask), vectors)
     assert same_bytes(emb.weights, weights)
-    assert same_bytes(ind.dist, table)
+    assert same_bytes(induced_metric(emb).dist, table)
 
 
 def test_bourgain_monte_carlo_memory_stays_under_the_per_subset_loop():
@@ -345,14 +350,20 @@ def test_witness_search_corroborates():
 # --- serialization ---------------------------------------------------------
 
 
-def test_embedding_json_round_trip_complex():
-    pts = np.random.default_rng(4).uniform(0, 2, size=(4, 2))
-    emb = truncated_gauss_embed(pts, 1.0, 16, seed=5)
-    doc = embedding_to_json(emb)
-    assert doc["vectors"]["dtype"] == "<c16"
-    v = decode_array(doc["vectors"])
-    assert v.dtype == np.complex128
-    assert np.array_equal(v, emb.vectors)
+@pytest.mark.parametrize("mode", ["exact", "monte-carlo"])
+def test_embedding_json_round_trips_the_subsets(mode):
+    # `subsets`, the flat <i8 indices of the membership mask, gives the mask
+    # back with J = the size of `weights` rows; the <c16 encoding of complex
+    # arrays is covered in test_core
+    m = realize_special(Equilateral(6, 1.0))
+    emb, rep, mask = bourgain_embed(m, 3.0, 1.5, mode, seed=2)
+    doc = json.loads(dumps(embedding_to_json([6], emb, mask, rep.distortion)))
+    flat, weights = decode_array(doc["subsets"]), decode_array(doc["weights"])
+    assert flat.dtype == np.int64 and (np.diff(flat) > 0).all()
+    assert np.array_equal(np.isin(np.arange(weights.size * m.n), flat).reshape(weights.size, m.n), mask)
+    assert same_bytes(weights, emb.weights)
+    assert (doc["kind"], doc["subset"], doc["p"], doc["mode"]) == ("embedding", [6], 1.5, mode)
+    assert doc["certified_distortion"] == rep.distortion
 
 
 # --- chunked p-norm tables -------------------------------------------------
@@ -405,21 +416,34 @@ def test_induced_metric_memory_stays_under_the_table_budget():
     assert peak < 64 * 2**20
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 10**6), st.integers(20, 40), st.data())
-def test_a_fresh_bourgain_artifact_verifies_and_a_moved_claimed_entry_is_refused(seed, n, data):
-    pipe = PIPELINES["bourgain"]
-    try:
-        _, art = pipe.run(random_metric(n, seed), RngSeed(seed), pipe.resolve({}))
-    except MetriqError:
-        assume(False)  # no m-centre quotient of this cloud
-    art = json.loads(dumps(art))
-    assert verify_bundle(art).ok
-    claimed = decode_array(art["claimed"]).copy()
-    size = claimed.shape[0]
-    i, j = data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, size - 1))
-    # verify's tolerance on a table entry, times 2 to 10^6, either way
-    step = 1e-9 * max(1.0, claimed.max()) * data.draw(st.floats(2.0, 1e6))
-    claimed[i, j] += data.draw(st.sampled_from([step, -step]))
-    art["claimed"] = encode_array(claimed)
-    assert [v[:2] for v in verify_bundle(art).violations] == [("embedding-distance", (0, i, j))]
+@pytest.mark.parametrize("n", [12, 40], ids=["exact", "monte-carlo"])
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), move=st.integers(0, 2**32 - 1))
+@example(seed=0, move=0)
+def test_a_fresh_bourgain_artifact_verifies_and_a_moved_subsets_entry_is_refused(n, seed, move):
+    # one membership moved: verify refuses the artifact unless the per-subset
+    # loop gives the moved subsets the claimed distortion too; at n = 12 every
+    # subset of the quotient is a coordinate (exact mode, 4095 at seed 0)
+    plan = {"instance": {"variant": "cloud", "params": {"n": n}}, "pipeline": "bourgain",
+            "params": {}, "trials": 1, "seed": seed}
+    bundle = run_experiment(plan_from_json(plan), keep_artifacts=True)
+    assume(not bundle.summary["errors"])  # no m-centre quotient of this cloud
+    doc = json.loads(dumps({"plan": bundle.plan, "rows": bundle.rows, "artifacts": bundle.artifacts}))
+    art = standalone(doc)
+    assert art["mode"] == ("exact" if n == 12 else "monte-carlo")
+    assert verify_bundle(doc).ok and verify_bundle(art).ok
+    source = quotient_by_subset(metric_from_json(art["base"]), art["subset"]).metric
+    flat, weights = decode_array(art["subsets"]), decode_array(art["weights"])
+    rng = np.random.default_rng(move)
+    free = np.setdiff1d(np.arange(weights.size * source.n), flat)
+    moved = np.sort(np.r_[np.delete(flat, rng.integers(flat.size)), rng.choice(free)])
+    art["subsets"] = doc["artifacts"][0]["subsets"] = encode_array(moved)
+    mask = np.isin(np.arange(weights.size * source.n), moved).reshape(weights.size, source.n)
+    _, _, table = bourgain_embed_loop(source, 1.0, art["p"], art["mode"], given=(mask, weights))
+    iu, ju = np.triu_indices(source.n, 1)
+    ratio = table[iu, ju] / source.dist[iu, ju]
+    claim = art["certified_distortion"]
+    holds = ratio.min() > 0 and abs(ratio.max() / ratio.min() - claim) <= claim_slack(claim)
+    event(f"holds: {holds}")
+    for moved_doc in (doc, art):
+        assert verify_bundle(moved_doc).ok == holds

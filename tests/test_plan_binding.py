@@ -1,4 +1,4 @@
-"""A bundle's quotient and hst artifacts are about the instance its plan names.
+"""A bundle's quotient, hst and embedding artifacts are about the instance its plan names.
 
 They store no copy of it: `verify` rebuilds trial t's instance from the plan,
 as `run` built it, so a base of the artifact's own, an edited plan and a
@@ -38,6 +38,7 @@ Q2 = ("cloud", {"n": 40}, "q2", {})
 HST = ("cloud", {"n": 40}, "hst", {})
 CUBE = ("cube", {"d": 8}, "cube-qs", {"d": 8, "eps": 0.24})
 COMPOSITION = ("composition", {}, "composition", {})
+BOURGAIN = ("cloud", {"n": 40}, "bourgain", {})
 
 
 def _instance(doc: dict):
@@ -63,8 +64,9 @@ def test_an_hst_artifact_given_its_own_tree_metric_as_base_is_refused():
     assert "stores a base" in _refusal(doc)
 
 
-def test_a_q2_artifact_given_its_instance_times_three_is_refused():
-    doc = run_bundle(*Q2)
+@pytest.mark.parametrize("plan", [Q2, BOURGAIN], ids=["q2", "bourgain"])
+def test_an_artifact_given_its_instance_times_three_is_refused(plan):
+    doc = run_bundle(*plan)
     base = metric_to_json(_instance(doc))
     edit_array(base, "dist", lambda d: 3 * d)
     doc["artifacts"][0]["base"] = base
@@ -202,7 +204,8 @@ def _violations(doc: dict) -> list:
     return [v[:2] for v in verify_bundle(doc).violations]
 
 
-@pytest.mark.parametrize("plan", [Q2, HST, CUBE, COMPOSITION], ids=["q2", "hst", "cube-qs", "composition"])
+@pytest.mark.parametrize("plan", [Q2, HST, CUBE, COMPOSITION, BOURGAIN],
+                         ids=["q2", "hst", "cube-qs", "composition", "bourgain"])
 def test_a_row_naming_another_instance_size_is_refused(plan):
     doc = run_bundle(*plan)
     assert verify_bundle(doc).ok

@@ -74,12 +74,10 @@ class _Recording(dict):
         return out
 
 
-@pytest.mark.parametrize("pipeline", sorted(PIPELINES))
-def test_every_pipeline_writes_a_kind_that_verify_checks(pipeline):
-    # a new pipeline needs a plan here, and its artifact a kind in
-    # metriq.verify.CHECKS whose declaration names each field it stores and
-    # whose check, or the row check, reads every one of them: a field that
-    # verify never reads is one it cannot vouch for
+def _checked(pipeline: str):
+    """The SMALL_PLANS bundle of the pipeline, its artifact's declaration, and
+    its fields as verify_bundle hands them to the row check, read through a
+    _Recording, with the report of its check and of the rows."""
     variant, instance, params = SMALL_PLANS[pipeline]
     doc = run_bundle(variant, instance, pipeline, params)
     art, = doc["artifacts"]
@@ -92,8 +90,29 @@ def test_every_pipeline_writes_a_kind_that_verify_checks(pipeline):
     if "base" in decl.fields:
         typed["base"] = typed["base"].n  # what verify_bundle keeps of it for the rows
     verify._check_rows(doc["rows"], [(decl, typed, size)], report, plan)
+    return doc, decl, typed, report
+
+
+@pytest.mark.parametrize("pipeline", sorted(PIPELINES))
+def test_every_pipeline_writes_a_kind_that_verify_checks(pipeline):
+    # a new pipeline needs a plan here, and its artifact a kind in
+    # metriq.verify.CHECKS whose declaration names each field it stores and
+    # whose check, or the row check, reads every one of them: a field that
+    # verify never reads is one it cannot vouch for
+    doc, _, typed, report = _checked(pipeline)
     assert report.ok
-    assert typed.unread(art) == set()
+    assert typed.unread(doc["artifacts"][0]) == set()
+
+
+@pytest.mark.parametrize("pipeline", sorted(PIPELINES))
+def test_every_row_field_a_pipeline_fills_is_bound_by_its_artifact(pipeline):
+    # each ROW_FIELDS value the row fills is one its artifact's fields hold,
+    # as declared or as its check sets them, so the row check compares it;
+    # and the row's n is the size of a declared base or of the pipeline's own space
+    doc, decl, typed, _ = _checked(pipeline)
+    row, = doc["rows"]
+    assert {k for k in verify.ROW_FIELDS if row[k] != ""} <= typed.keys()
+    assert "base" in decl.fields or PIPELINES[pipeline].own_space
 
 
 def _fields(decl: Doc, doc: dict | None = None) -> set[tuple[str, str]]:
@@ -124,8 +143,9 @@ def test_every_declared_field_is_stored_by_some_writer(metrics):
     # declared for its kind and each required one is stored, and every
     # declared field is stored by one of them, so no declaration is dead.
     # Both forms of a kind with a base count: a bundle's artifact of a
-    # pipeline that runs on its plan's instance stores no base (hst: its
-    # m-centre set as `subset`, composition: its blocks); a standalone one embeds it.
+    # pipeline that runs on its plan's instance stores no base (hst and
+    # bourgain: its m-centre set as `subset`, composition: its blocks); a
+    # standalone one embeds it.
     # `lipschitz` is written in both forms by aspect --lipschitz alone
     bundles = {pipeline: run_bundle(*plan[:2], pipeline, plan[2]) for pipeline, plan in SMALL_PLANS.items()}
     bundles["aspect --lipschitz"] = run_bundle("cloud", {"n": 40}, "aspect", {"alpha": 1.5, "lipschitz": True})
@@ -141,7 +161,7 @@ def test_every_declared_field_is_stored_by_some_writer(metrics):
         art, = doc["artifacts"]
         if "base" in CHECKS[art["kind"]][0].fields:
             assert "base" not in art, pipeline
-        assert ("subset" in art) == (pipeline == "hst"), pipeline
+        assert ("subset" in art) == (pipeline in ("hst", "bourgain")), pipeline
         assert ("lipschitz" in art) == (pipeline == "aspect --lipschitz"), pipeline
     for art in standalone:
         if "base" in CHECKS[art["kind"]][0].fields:
