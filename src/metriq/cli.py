@@ -356,11 +356,10 @@ class _Main(click.Group):
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
-@click.option("--tolerance", type=float, default=1e-9, show_default=True)
 @click.pass_context
-def main(ctx, seed, out, fmt, tolerance):
+def main(ctx, seed, out, fmt):
     """Quotients and embeddings of finite metric spaces."""
-    ctx.obj = {"seed": seed, "out": out, "fmt": fmt, "tol": tolerance}
+    ctx.obj = {"seed": seed, "out": out, "fmt": fmt}
 
 
 def _emit(ctx, doc: dict | str):
@@ -532,7 +531,7 @@ def run(ctx, path, artifacts):
 @click.pass_context
 def verify(ctx, path):
     """Independently re-check every certificate in a bundle file."""
-    rep = verify_bundle(_load(path, json.loads), ctx.obj["tol"])
+    rep = verify_bundle(_load(path, json.loads))
     _emit(ctx, {"ok": rep.ok,
                 "violations": [[k, list(w), msg] for k, w, msg in rep.violations]})
     if not rep.ok:

@@ -373,6 +373,7 @@ def one_of(*choices: str):
         if type(value) is not str or value not in choices:
             raise StructuralError(f"unknown {path} {_shown(value)}; expected one of {list(choices)}")
         return value
+    read.choices = choices
     return read
 
 

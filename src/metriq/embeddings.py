@@ -30,11 +30,12 @@ from .seeds import as_seed
 
 @dataclass(frozen=True)
 class VectorEmbedding:
-    """Point images in a (possibly weighted, possibly complex) L_p space."""
+    """Point images in a (possibly weighted, possibly complex) L_p space: the
+    vectors, p and weights alone give its metric (induced_metric), so it keeps
+    no record of how the coordinates were drawn."""
 
     vectors: np.ndarray  # (n, dim), float64 or complex128
     p: float
-    mode: str  # "exact" or "monte-carlo"
     weights: np.ndarray | None = None  # per-coordinate weights, default all-1
 
     def __post_init__(self):
@@ -97,7 +98,7 @@ def embedding_to_json(subset: list[int], emb: VectorEmbedding, mask: np.ndarray,
     """The embedding artifact of a subset embedding of the pipe's instance
     collapsed on `subset`: its J x n membership mask is stored as `subsets`,
     np.flatnonzero of it, from which _subset_distances rebuilds the coordinates."""
-    return {"kind": "embedding", "subset": subset, "p": emb.p, "mode": emb.mode, "weights": encode_array(emb.weights),
+    return {"kind": "embedding", "subset": subset, "p": emb.p, "weights": encode_array(emb.weights),
             "subsets": encode_array(np.flatnonzero(mask)), "certified_distortion": certified}
 
 
@@ -186,7 +187,7 @@ def bourgain_embed(
         weights = np.full(q * L, 1.0 / (q * L))
     else:
         raise ParameterError(f"unknown mode {mode!r}")
-    emb = VectorEmbedding(_subset_distances(m.dist, mask), p, mode, weights)
+    emb = VectorEmbedding(_subset_distances(m.dist, mask), p, weights)
 
     report = distortion_between(m, induced_metric(emb))
     if mode == "exact" and report.distortion > 96 * q + 1e-9:

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import floyd_warshall
 
-from .core import (METRIC, Doc, MetricSpace, _closure_is_identity, block_reduce, integer, list_of,
+from .core import (METRIC, TOL, Doc, MetricSpace, _closure_is_identity, block_reduce, integer, list_of,
                    metric_from_fields, metric_to_json, number, one_of)
 from .errors import StructuralError, UndefinedInputError
 
@@ -233,10 +233,10 @@ def lip_colip(base: MetricSpace, blocks, target: MetricSpace) -> tuple[float, fl
     return float((dy / sd).max()), float((hd / dy).max())
 
 
-def claim_slack(claimed: float, tol: float = 1e-9) -> float:
+def claim_slack(claimed: float) -> float:
     """How far a recomputed distortion, or lip * colip, may stray from the
-    value claimed for it: tol, or 1e-6 relative where that is larger."""
-    return max(tol, 1e-6 * claimed)
+    value claimed for it: TOL, or 1e-6 relative where that is larger."""
+    return max(TOL, 1e-6 * claimed)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .core import (METRIC, Doc, MetricSpace, ValidationReport, array, encode_array, integer, list_of,
-                   metric_from_fields, metric_to_json, number, one_of, validate_metric)
+from .core import (METRIC, TOL, Doc, MetricSpace, ValidationReport, array, integer, list_of, metric_from_fields,
+                   metric_to_json, number, one_of, validate_metric)
 from .cube import (MAX_D, _bound_summary, _cell_ratio, _class_bound, _class_kernel,
                    _embedding_lookup, _greedy_net, _net_radius)
 from .errors import MetriqError, StructuralError
@@ -61,8 +61,6 @@ def _cube_artifact(res) -> dict:
         "d": res.d,
         "eps": res.eps,
         "p": res.p,
-        "r": res.r,
-        "net": encode_array(res.A),
         "witnesses": [list(w) for w in res.witnesses],
         "certified_distortion": res.report.distortion,
     }
@@ -83,19 +81,19 @@ def _model_from_doc(doc: dict) -> MetricSpace:
     return realize_instance(InstanceSpec(t, params, None))
 
 
-def _check_claim(claimed: float, recomputed: float, ai: int, report: ValidationReport, tol: float):
-    if abs(recomputed - claimed) > claim_slack(claimed, tol):
+def _check_claim(claimed: float, recomputed: float, ai: int, report: ValidationReport):
+    if abs(recomputed - claimed) > claim_slack(claimed):
         report.add("certificate", (ai,), f"claimed distortion {claimed} != recomputed {recomputed}")
 
 
-def _verify_metric(f: dict, ai: int, report: ValidationReport, tol: float) -> int:
+def _verify_metric(f: dict, ai: int, report: ValidationReport) -> int:
     m = metric_from_fields(f)
     for kind, where, detail in validate_metric(m).violations:
         report.add(kind, (ai,) + where, detail)
     return m.n
 
 
-def _verify_quotient(f: dict, ai: int, report: ValidationReport, tol: float) -> int:
+def _verify_quotient(f: dict, ai: int, report: ValidationReport) -> int:
     """Rebuild the quotient from base and blocks (quotient_from_fields), check
     that it is a metric and, if this artifact has no violation, its claim and
     its `lipschitz` bound on lip * colip of the block collapse onto it.
@@ -103,15 +101,15 @@ def _verify_quotient(f: dict, ai: int, report: ValidationReport, tol: float) -> 
     if (f["model"] is None) != (f["certified_distortion"] is None):
         raise StructuralError("a quotient holds model and certified_distortion together, or neither")
     q = quotient_from_fields(f["base"], f)
-    metric_report = validate_metric(q.metric, tol)
+    metric_report = validate_metric(q.metric)
     for kind, where, detail in metric_report.violations:
         report.add(kind, (ai,) + where, detail)
     if f["model"] is not None and metric_report.ok:
         rep = distortion_between(q.metric, _model_from_doc(f["model"]))
-        _check_claim(f["certified_distortion"], rep.distortion, ai, report, tol)
+        _check_claim(f["certified_distortion"], rep.distortion, ai, report)
     if f["lipschitz"] is not None and metric_report.ok:
         lip, colip = lip_colip(f["base"], q.blocks, q.metric)
-        if lip * colip - f["lipschitz"] > claim_slack(f["lipschitz"], tol):
+        if lip * colip - f["lipschitz"] > claim_slack(f["lipschitz"]):
             report.add("lipschitz", (ai,), f"lip * colip = {lip} * {colip} exceeds {f['lipschitz']}")
     return q.metric.n
 
@@ -134,7 +132,7 @@ def _collapsed_base(f: dict) -> MetricSpace:
     return q.metric
 
 
-def _verify_hst(f: dict, ai: int, report: ValidationReport, tol: float) -> int:
+def _verify_hst(f: dict, ai: int, report: ValidationReport) -> int:
     """The tree against its base, collapsed where the artifact says how, as
     its pipeline collapses it: on `subset` (_collapsed_base) or by `blocks`
     (quotient_from_fields)."""
@@ -145,8 +143,8 @@ def _verify_hst(f: dict, ai: int, report: ValidationReport, tol: float) -> int:
     if tree["order"].size != base.n:  # before hst_to_metric allocates leaves x leaves
         raise StructuralError(f"source has {base.n} points, the tree {tree['order'].size} leaves")
     rep = distortion_between(base, hst_to_metric(HstTree(**tree)))
-    _check_claim(f["certified_distortion"], rep.distortion, ai, report, tol)
-    if rep.contraction > 1.0 + tol:
+    _check_claim(f["certified_distortion"], rep.distortion, ai, report)
+    if rep.contraction > 1.0 + TOL:
         report.add("contraction", (ai,), f"tree metric contracts by {rep.contraction}")
     return base.n
 
@@ -155,25 +153,24 @@ def _verify_hst(f: dict, ai: int, report: ValidationReport, tol: float) -> int:
 #: coordinates d(u, A_j), A_j row j of the J x N membership mask whose flat
 #: indices `subsets` lists, J the size of `weights`
 EMBEDDING = Doc("an embedding artifact", kind="embedding", base=METRIC, subset=list_of(integer), p=number,
-                mode=one_of("exact", "monte-carlo"), weights=array("f", 1), subsets=array("i", 1),
-                certified_distortion=number, optional={"base"})
+                weights=array("f", 1), subsets=array("i", 1), certified_distortion=number, optional={"base"})
 
 
-def _verify_embedding(f: dict, ai: int, report: ValidationReport, tol: float) -> int:
+def _verify_embedding(f: dict, ai: int, report: ValidationReport) -> int:
     """Rebuild the coordinates with the _subset_distances that the run takes and recompute the claim;
     weights >= 0 that sum to at most 1 keep the 1-Lipschitz coordinates non-expanding."""
     from .embeddings import VectorEmbedding, _subset_distances, induced_metric
 
     source, w, flat = _collapsed_base(f), f["weights"], f["subsets"]
-    if not ((w >= 0).all() and w.sum() <= 1.0 + tol):
+    if not ((w >= 0).all() and w.sum() <= 1.0 + TOL):
         raise StructuralError("weights must be >= 0 and sum to at most 1")
     mask = np.zeros((w.size, source.n), dtype=bool)
     if flat.size and not (0 <= flat[0] and flat[-1] < mask.size and (np.diff(flat) > 0).all()):
         raise StructuralError(f"subsets must be increasing flat indices into a {w.size} x {source.n} mask")
     mask.flat[flat] = True
-    emb = VectorEmbedding(_subset_distances(source.dist, mask), f["p"], f["mode"], w)
+    emb = VectorEmbedding(_subset_distances(source.dist, mask), f["p"], w)
     rep = distortion_between(source, induced_metric(emb))
-    _check_claim(f["certified_distortion"], rep.distortion, ai, report, tol)
+    _check_claim(f["certified_distortion"], rep.distortion, ai, report)
     return source.n
 
 
@@ -188,19 +185,19 @@ def _witness_pairs(value, path: str) -> list:
     return pairs
 
 
-CUBE = Doc("a cube-qs artifact", kind="cube-qs", d=integer, eps=number, p=number, r=integer,
-           net=array("i", 1), witnesses=_witness_pairs, certified_distortion=number)
+CUBE = Doc("a cube-qs artifact", kind="cube-qs", d=integer, eps=number, p=number, witnesses=_witness_pairs,
+           certified_distortion=number)
 
 
-def _verify_cube(f: dict, ai: int, report: ValidationReport, tol: float) -> int:
-    """Recompute the claim from d, eps and p: the net, which must be the
-    greedy net of d and r (cube._greedy_net), the survivors and their
-    classes (distance to the net), the bound over them (cube._class_bound) and
-    the stored witnesses.  Each witness must be a pair of singletons whose
+def _verify_cube(f: dict, ai: int, report: ValidationReport) -> int:
+    """Recompute the claim from d, eps and p: the net radius (cube._net_radius)
+    and greedy net (cube._greedy_net) the construction takes, the survivors and
+    their classes (distance to the net), the bound over them (cube._class_bound)
+    and the stored witnesses.  Each witness must be a pair of singletons whose
     classes and Hamming distance name an extreme cell of the bound; where an
     extreme is neither a block ratio, an antipodal cell nor named by a
     witness, the exact kernel gives the claim.  Returns the block count; a cube quotient is QS."""
-    d, eps, p, A = f["d"], f["eps"], f["p"], f["net"]
+    d, eps, p = f["d"], f["eps"], f["p"]
     f["provenance"] = "QS"
     if not 1 <= d <= MAX_D:  # before the 2^d scan below allocates
         raise StructuralError(f"d = {d} is outside 1..{MAX_D}")
@@ -209,17 +206,12 @@ def _verify_cube(f: dict, ai: int, report: ValidationReport, tol: float) -> int:
     if not (p == 2.0 or 1.0 <= p < 2.0):
         raise StructuralError(f"p = {p!r} is neither 2 nor in [1, 2)")
     r = _net_radius(d, eps)
-    if f["r"] != r:
-        report.add("cube-radius", (ai,), f"r = {f['r']} is not the net radius {r} of d and eps")
-    net, dA = _greedy_net(d, r)
-    if not np.array_equal(A, net):
-        report.add("cube-net", (ai,), f"the net is not the greedy net of d = {d} and r = {r}")
-        return 0
+    _, dA = _greedy_net(d, r)
     cut = r // 2  # the survivors outside the net, the singletons, have dA > cut
     lookup, block_norm = _embedding_lookup(d, r, p)
     bound = _class_bound(d, dA, cut, lookup, block_norm)
     if bound is None:  # no singleton: one block, and the kernel's empty summary
-        _check_claim(f["certified_distortion"], 0.0, ai, report, tol)
+        _check_claim(f["certified_distortion"], 0.0, ai, report)
         return 1
     unattained = set(bound.unattained)
     for wi, (x, y) in enumerate(f["witnesses"]):
@@ -231,12 +223,13 @@ def _verify_cube(f: dict, ai: int, report: ValidationReport, tol: float) -> int:
             return bound.singletons + 1
         unattained.discard(named)
     exact = _class_kernel(d, dA, cut, lookup, block_norm) if unattained else _bound_summary(bound)
-    _check_claim(f["certified_distortion"], exact.distortion, ai, report, tol)
+    _check_claim(f["certified_distortion"], exact.distortion, ai, report)
     return bound.singletons + 1  # a block per singleton, and the net's
 
 
-#: artifact kind -> (its declaration, check(fields, artifact index, report, tolerance) ->
-#: certified size); metric_from_json and quotient_from_json read core.METRIC and quotient.QUOTIENT.
+#: artifact kind -> (its declaration, check(fields, artifact index, report) -> certified
+#: size); each check allows core.TOL, and quotient.claim_slack about a claim.
+#: metric_from_json and quotient_from_json read core.METRIC and quotient.QUOTIENT.
 #: A check gets a declared `base` as a MetricSpace (_with_base).
 CHECKS = {
     "metric": (METRIC, _verify_metric),
@@ -306,10 +299,12 @@ def _bundle_plan(doc: dict):
 
 def _plan_fields(kind: str, params: dict) -> dict:
     """The fields that an artifact of `kind` copies from its pipeline's
-    resolved params: a cube's d, eps and p, and a quotient's `lipschitz`,
-    its alpha where the lipschitz flag is set and none otherwise."""
+    resolved params: a cube's d, eps and p, an embedding's p, and a quotient's
+    `lipschitz`, its alpha where the lipschitz flag is set and none otherwise."""
     if kind == "cube-qs":
         return {k: params[k] for k in ("d", "eps", "p")}
+    if kind == "embedding":
+        return {"p": params["p"]}
     if kind == "quotient":
         return {"lipschitz": params["alpha"] if params.get("lipschitz") else None}
     return {}
@@ -349,7 +344,7 @@ def _with_base(f: dict, plan) -> None:
     f["base"] = realize_instance(plan.instance_spec(t))
 
 
-def verify_bundle(doc: dict, tolerance: float = 1e-9) -> ValidationReport:
+def verify_bundle(doc: dict) -> ValidationReport:
     """Re-check every certificate in a bundle using only the exact evaluators.
 
     Each artifact is read through its kind's declaration, which refuses an
@@ -361,10 +356,11 @@ def verify_bundle(doc: dict, tolerance: float = 1e-9) -> ValidationReport:
     rebuilt from the plan (_with_base).
     Quotients are rebuilt from base + blocks (and, for SQ, the parent
     quotient) and must be metrics; model, HST, embedding and cube
-    distortions are recomputed; a cube's radius must follow from d and eps; a
-    quotient's `lipschitz` bound must hold for its block collapse.  Each
-    artifact in a bundle with rows must match the row of its trial, and each
-    row name its plan's seed.  Every MetriqError raised names its artifact.
+    distortions are recomputed, a cube's from its d, eps, p and witnesses; a
+    quotient's `lipschitz` bound must hold for its block collapse.  The
+    tolerances are fixed: core.TOL, and quotient.claim_slack about a claim.
+    Each artifact in a bundle with rows must match the row of its trial, and
+    each row name its plan's seed.  Every MetriqError raised names its artifact.
     """
     report = ValidationReport()
     artifacts = doc.get("artifacts", [doc] if "kind" in doc else None) if isinstance(doc, dict) else None
@@ -387,7 +383,7 @@ def verify_bundle(doc: dict, tolerance: float = 1e-9) -> ValidationReport:
                 _bind_to_plan(fields, kind, plan)
             if "base" in decl.fields:
                 _with_base(fields, plan)
-            read.append((decl, fields, check(fields, ai, report, tolerance)))
+            read.append((decl, fields, check(fields, ai, report)))
             if "base" in decl.fields:  # the rows read only its size: memory stays flat in trials
                 fields["base"] = fields["base"].n
         except MetriqError as exc:

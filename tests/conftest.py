@@ -696,14 +696,14 @@ def star_to_lp(n: int, tau: float, p: float) -> VectorEmbedding:
         if delta <= 1e-15:
             # tau = 2^(1/p): the standard unit vectors
             vecs = np.vstack([np.zeros(n), np.eye(n)])
-            return VectorEmbedding(vecs, p, "exact", np.ones(n))
+            return VectorEmbedding(vecs, p, np.ones(n))
         value = delta ** (-1.0 / p)
         atoms = np.arange(2**n)
         bits = (atoms[:, None] >> np.arange(n)) & 1  # (2^n, n)
         ones = bits.sum(axis=1)
         weights = delta**ones * (1 - delta) ** (n - ones)
         vecs = np.vstack([np.zeros(2**n), (value * bits).T])
-        return VectorEmbedding(vecs, p, "exact", weights)
+        return VectorEmbedding(vecs, p, weights)
 
     # p > 2: +/-1 valued coordinates, +1 with probability delta
     c = tau**p / 2 ** (p + 1)
@@ -715,7 +715,7 @@ def star_to_lp(n: int, tau: float, p: float) -> VectorEmbedding:
     ones = bits.sum(axis=1)
     weights = delta**ones * (1 - delta) ** (n - ones)
     vecs = np.vstack([np.zeros(2**n), (2.0 * bits - 1.0).T])
-    return VectorEmbedding(vecs, p, "exact", weights)
+    return VectorEmbedding(vecs, p, weights)
 
 
 def truncated_gauss_embed(points, D: float, features: int, seed=None) -> VectorEmbedding:
@@ -732,7 +732,7 @@ def truncated_gauss_embed(points, D: float, features: int, seed=None) -> VectorE
     phases = pts @ g.T / D
     vectors = D * np.exp(1j * phases)
     weights = np.full(features, 1.0 / features)
-    return VectorEmbedding(vectors, 2.0, "monte-carlo", weights)
+    return VectorEmbedding(vectors, 2.0, weights)
 
 
 def cms_sample(p: float, size: int, seed=None) -> np.ndarray:
@@ -800,7 +800,7 @@ def pstable_embed(points, D: float, p: float, features: int, seed=None) -> Vecto
     phases = pts @ g.T / D
     vectors = D * np.exp(1j * phases)
     weights = np.full(features, 1.0 / features)
-    return VectorEmbedding(vectors, p, "monte-carlo", weights)
+    return VectorEmbedding(vectors, p, weights)
 
 
 def star_poincare_lower(n: int, p: float, xs, ys) -> tuple[bool, float]:

@@ -364,9 +364,9 @@ GOLDEN_BUNDLES = {
     "hst": ("cloud", {"n": 40}, "hst", {}, ("hst", None),
             "b5ae7e30468429171ea9ff05fae1c0ad697f1be6f1638dbb8dbf2069a6cafafe"),
     "embedding": ("cloud", {"n": 40}, "bourgain", {}, ("embedding", None),
-                  "2c60f8a4591ea8f4fc5ec827115a7df6184845eee102820618db2e32dbec5d7d"),
+                  "3a5adddb7e25f283506318f596437c1894853a61ed3435bfbce5e0ddaa70f306"),
     "cube-qs": ("cube", {"d": 8}, "cube-qs", {"d": 8, "eps": 0.24}, ("cube-qs", None),
-                "f39d512e40b02ccf7661f1aeadbd460e1f975048c36d385961c5825b2299a016"),
+                "e8e6ff1b7794bd408b5356b6681fe54f6de56b9814ebcb0c1f395ebba8649f28"),
     "composition": ("composition", {}, "composition", {}, ("hst", "QS"),
                     "8f53be7fd468f257985500108620bc8791f190886cc4012f9f3ff5714ea58006"),
 }

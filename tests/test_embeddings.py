@@ -362,7 +362,8 @@ def test_embedding_json_round_trips_the_subsets(mode):
     assert flat.dtype == np.int64 and (np.diff(flat) > 0).all()
     assert np.array_equal(np.isin(np.arange(weights.size * m.n), flat).reshape(weights.size, m.n), mask)
     assert same_bytes(weights, emb.weights)
-    assert (doc["kind"], doc["subset"], doc["p"], doc["mode"]) == ("embedding", [6], 1.5, mode)
+    # the mode picks the subsets; the artifact stores them, not how they were drawn
+    assert (doc["kind"], doc["subset"], doc["p"], "mode" in doc) == ("embedding", [6], 1.5, False)
     assert doc["certified_distortion"] == rep.distortion
 
 
@@ -381,7 +382,7 @@ def test_induced_metric_is_bitwise_the_full_broadcast(monkeypatch, p, weighted, 
         v = v + 1j * rng.normal(size=(n, dim))
     w = rng.uniform(0.0, 1.0, size=dim) if weighted else None
     monkeypatch.setattr(embeddings, "TABLE_ELEMENTS", budget)
-    got = induced_metric(VectorEmbedding(v, p, "monte-carlo", w)).dist
+    got = induced_metric(VectorEmbedding(v, p, w)).dist
     assert got.tobytes() == pnorm_table_full(v, p, w).tobytes()
 
 
@@ -393,20 +394,20 @@ def test_induced_metric_on_degenerate_shapes_is_bitwise_the_full_broadcast(monke
     v = rng.normal(size=(n, dim))
     w = rng.uniform(0.0, 1.0, size=dim)
     monkeypatch.setattr(embeddings, "TABLE_ELEMENTS", budget)
-    got = induced_metric(VectorEmbedding(v, p, "monte-carlo", w)).dist
+    got = induced_metric(VectorEmbedding(v, p, w)).dist
     assert got.tobytes() == pnorm_table_full(v, p, w).tobytes()
 
 
 def test_induced_metric_of_integer_vectors_is_bitwise_the_full_broadcast():
     v = np.random.default_rng(4).integers(-50, 50, size=(30, 40))
     for p in (1.0, 1.5, 2.0):
-        assert induced_metric(VectorEmbedding(v, p, "exact")).dist.tobytes() == pnorm_table_full(v, p).tobytes()
+        assert induced_metric(VectorEmbedding(v, p)).dist.tobytes() == pnorm_table_full(v, p).tobytes()
 
 
 def test_induced_metric_memory_stays_under_the_table_budget():
     # the full broadcast would hold 200 x 200 x 1024 float64 = 328 MB at once
     v = np.random.default_rng(0).uniform(size=(200, 1024))
-    emb = VectorEmbedding(v, 1.5, "monte-carlo", np.full(1024, 1.0 / 1024))
+    emb = VectorEmbedding(v, 1.5, np.full(1024, 1.0 / 1024))
     tracemalloc.start()
     try:
         induced_metric(emb)
@@ -430,16 +431,17 @@ def test_a_fresh_bourgain_artifact_verifies_and_a_moved_subsets_entry_is_refused
     assume(not bundle.summary["errors"])  # no m-centre quotient of this cloud
     doc = json.loads(dumps({"plan": bundle.plan, "rows": bundle.rows, "artifacts": bundle.artifacts}))
     art = standalone(doc)
-    assert art["mode"] == ("exact" if n == 12 else "monte-carlo")
     assert verify_bundle(doc).ok and verify_bundle(art).ok
     source = quotient_by_subset(metric_from_json(art["base"]), art["subset"]).metric
     flat, weights = decode_array(art["subsets"]), decode_array(art["weights"])
+    mode = "exact" if n == 12 else "monte-carlo"
+    assert (weights.size == 2**source.n - 1) == (mode == "exact")
     rng = np.random.default_rng(move)
     free = np.setdiff1d(np.arange(weights.size * source.n), flat)
     moved = np.sort(np.r_[np.delete(flat, rng.integers(flat.size)), rng.choice(free)])
     art["subsets"] = doc["artifacts"][0]["subsets"] = encode_array(moved)
     mask = np.isin(np.arange(weights.size * source.n), moved).reshape(weights.size, source.n)
-    _, _, table = bourgain_embed_loop(source, 1.0, art["p"], art["mode"], given=(mask, weights))
+    _, _, table = bourgain_embed_loop(source, 1.0, art["p"], mode, given=(mask, weights))
     iu, ju = np.triu_indices(source.n, 1)
     ratio = table[iu, ju] / source.dist[iu, ju]
     claim = art["certified_distortion"]

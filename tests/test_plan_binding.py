@@ -4,11 +4,11 @@ They store no copy of it: `verify` rebuilds trial t's instance from the plan,
 as `run` built it, so a base of the artifact's own, an edited plan and a
 missing trial are refused.  Rows must name the plan's seed and the size of
 the rebuilt instance, an aspect quotient the `lipschitz` bound its plan
-promises, and a cube-qs artifact its plan's d, eps and p.  A composition
-plan runs only on a composition instance, and its hst artifact stores the
-blocks of its quotient of that instance, not a base.  Instances above
-generators.MAX_POINTS, and cube dimensions above cube.MAX_D, are refused
-before anything is built.
+promises, a cube-qs artifact its plan's d, eps and p, and an embedding its
+p.  A composition plan runs only on a composition instance, and its hst
+artifact stores the blocks of its quotient of that instance, not a base.
+Instances above generators.MAX_POINTS, and cube dimensions above
+cube.MAX_D, are refused before anything is built.
 """
 
 import importlib.util
@@ -22,17 +22,17 @@ import numpy as np
 import pytest
 
 from metriq.cli import plan_from_json, run_experiment
-from metriq.core import metric_to_json
-from metriq.cube import MAX_D
+from metriq.core import decode_array, metric_to_json
+from metriq.cube import MAX_D, cube_qs_construct
 from metriq.errors import CapacityError, ParameterError, StructuralError
 from metriq.generators import INSTANCES, MAX_POINTS, InstanceSpec, realize_instance
 from metriq.hst import hst_from_json, hst_to_metric
-from metriq.quotient import claim_slack, quotient_metric
+from metriq.quotient import claim_slack, quotient_by_subset, quotient_metric
 from metriq.seeds import RngSeed
 from metriq.verify import verify_bundle
 
-from conftest import (block_reduce_loop, edit_array, lip_colip_loop, run_bundle, shortest_path_closure, standalone,
-                      widen, widenings)
+from conftest import (block_reduce_loop, bourgain_embed_loop, edit_array, lip_colip_loop, run_bundle,
+                      shortest_path_closure, standalone, widen, widenings)
 
 Q2 = ("cloud", {"n": 40}, "q2", {})
 HST = ("cloud", {"n": 40}, "hst", {})
@@ -272,7 +272,7 @@ def test_a_block_widened_past_the_lipschitz_bound_is_refused(seed):
     assert _violations(doc) == [("lipschitz", (0,))]
 
 
-# --- a cube-qs artifact repeats its plan's d, eps and p ---------------------
+# --- a cube-qs artifact repeats its plan's d, eps and p, an embedding its p --
 
 def test_a_cube_artifact_of_another_plan_is_refused():
     # the d = 9 artifact of another run, its row's size and claim copied
@@ -283,10 +283,39 @@ def test_a_cube_artifact_of_another_plan_is_refused():
     assert "d 9 is not its plan's 8" in _refusal(doc)
 
 
-@pytest.mark.parametrize("key, value", [("eps", 0.2), ("p", 1.5)])
-def test_a_cube_artifact_with_another_eps_or_p_is_refused(key, value):
-    doc = run_bundle(*CUBE)
-    doc["artifacts"][0][key] = value
+def _rewritten(doc: dict, key: str, value) -> None:
+    """Set the artifact's `key` to value, and its row's too where the row has
+    it, with the claims and the rest that value gives: a cube's witnesses and
+    block count as cube_qs_construct makes them, an embedding's distortion
+    under that p of the same coordinates (the per-subset loop)."""
+    art, row = doc["artifacts"][0], doc["rows"][0]
+    art[key] = value
+    if row.get(key, "") != "":
+        row[key] = value
+    if art["kind"] == "cube-qs":
+        res = cube_qs_construct(art["d"], art["eps"], art["p"])
+        art["witnesses"], row["quotient_size"] = [list(w) for w in res.witnesses], res.block_count
+        claim = res.report.distortion
+    else:
+        source = quotient_by_subset(_instance(doc), art["subset"]).metric
+        flat, weights = decode_array(art["subsets"]), decode_array(art["weights"])
+        mask = np.isin(np.arange(weights.size * source.n), flat).reshape(weights.size, source.n)
+        _, _, table = bourgain_embed_loop(source, 1.0, art["p"], "monte-carlo", given=(mask, weights))
+        iu, ju = np.triu_indices(source.n, 1)
+        ratio = table[iu, ju] / source.dist[iu, ju]
+        claim = ratio.max() / ratio.min()
+    art["certified_distortion"] = row["certified_distortion"] = float(claim)
+
+
+@pytest.mark.parametrize("plan, key, value", [(CUBE, "eps", 0.22), (CUBE, "p", 1.5), (BOURGAIN, "p", 1.0)],
+                         ids=["cube-eps", "cube-p", "bourgain-p"])
+def test_an_artifact_with_another_param_than_its_plan_is_refused(plan, key, value):
+    # rewritten as a run with that param writes it, the artifact is a true
+    # certificate on its own, and its row agrees; at bourgain seed 1 the p = 2
+    # claim 2.94 became the p = 1 distortion 4.23 and verified
+    doc = run_bundle(*plan, seed=1)
+    _rewritten(doc, key, value)
+    assert verify_bundle(standalone(doc)).ok
     assert f"{key} {value!r} is not its plan's" in _refusal(doc)
 
 

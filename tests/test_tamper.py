@@ -1,0 +1,156 @@
+"""One-field tampers of every stored artifact field, generated from the declarations.
+
+Each plan's bundle artifact gets one tamper per field that its kind's
+declaration in metriq.verify.CHECKS names and the artifact stores, the fields
+of a nested document included: an integer + 1, a float x 1.25 + 0.5, a
+`one_of` string another declared choice, and a list or an encoded array its
+last entry changed by these rules.  `verify_bundle` must refuse each one, by
+a violation or a MetriqError, but for the ones KNOWN_ACCEPTED lists, each
+with the reason it holds.  Tampers of the rows, and tampers written into an
+artifact and its row alike, are not generated here.
+"""
+
+import copy
+import functools
+
+import numpy as np
+import pytest
+
+from metriq.cli import plan_from_json
+from metriq.core import Doc, MetricSpace, decode_array, encode_array
+from metriq.errors import MetriqError
+from metriq.generators import InstanceSpec, realize_instance
+from metriq.quotient import claim_slack
+from metriq.verify import CHECKS, verify_bundle
+
+from conftest import SMALL_PLANS, SQ_PLAN, block_reduce_loop, lip_colip_loop, run_bundle, shortest_path_closure
+
+#: name -> (instance variant, instance params, pipeline, pipeline params)
+PLANS = {
+    **{pipeline: (variant, instance, pipeline, params)
+       for pipeline, (variant, instance, params) in SMALL_PLANS.items()},
+    "sq": SQ_PLAN,
+    "aspect-lipschitz": ("cloud", {"n": 40}, "aspect", {"alpha": 1.5, "lipschitz": True}),
+}
+
+SCALE = "distortion does not depend on scale, so the model's edge certifies nothing"
+
+#: (plan, field path) -> why verify accepts that tamper; each is a true
+#: certificate by the loop oracle (_loop_claims)
+KNOWN_ACCEPTED = {
+    ("aspect", "blocks"): "benign: both blocks are singletons, so the quotient with the last one "
+                          "moved to the next point is a 2-point space, of the claimed distortion 1",
+    ("aspect-lipschitz", "blocks"): "benign: as for aspect, and singleton blocks keep lip * colip = 1",
+    ("sq", "blocks"): "benign: the SQ space with the last kept point moved to the next one has the "
+                      "claimed distortion",
+    ("aspect", "model.edge"): SCALE,
+    ("aspect-lipschitz", "model.edge"): SCALE,
+    ("dichotomy", "model.edge"): SCALE,
+    ("sq", "model.edge"): SCALE,
+}
+
+
+@functools.cache
+def _bundle(name: str) -> dict:
+    """The plan's bundle, which verifies untampered; callers change only copies."""
+    doc = run_bundle(*PLANS[name])
+    assert verify_bundle(doc).ok, name
+    return doc
+
+
+def _changed(value, read=None):
+    """value under its tamper rule, `read` its declared reader where known;
+    None where the rule finds nothing to change (an empty list or array)."""
+    if hasattr(read, "choices"):
+        return next(c for c in read.choices if c != value)
+    if type(value) is int:
+        return value + 1
+    if type(value) is float:
+        return value * 1.25 + 0.5
+    if isinstance(value, list):
+        last = _changed(value[-1]) if value else None
+        return None if last is None else value[:-1] + [last]
+    a = decode_array(value).copy()  # an encoded array
+    if not a.size:
+        return None
+    a.flat[-1] = _changed(a.flat[-1].item())
+    return encode_array(a)
+
+
+def _stored(decl: Doc, doc: dict, prefix: str = ""):
+    """(path, holder, key, reader) of each field of doc that decl declares, the
+    holder the document that stores it; for a nested document, of its fields."""
+    for key, (read, _) in decl.fields.items():
+        if doc.get(key) is None:
+            continue
+        if isinstance(read, Doc):
+            yield from _stored(read, doc[key], f"{prefix}{key}.")
+        else:
+            yield prefix + key, doc, key, read
+
+
+def _tampered(name: str, path: str) -> dict:
+    """A copy of the plan's bundle with the artifact field at path tampered."""
+    doc = copy.deepcopy(_bundle(name))
+    art = doc["artifacts"][0]
+    for at, holder, key, read in _stored(CHECKS[art["kind"]][0], art):
+        if at == path:
+            holder[key] = _changed(holder[key], read)
+            return doc
+    raise KeyError(path)
+
+
+def _cases() -> list[tuple[str, str]]:
+    out = []
+    for name in PLANS:
+        art = _bundle(name)["artifacts"][0]
+        out += [(name, path) for path, holder, key, read in _stored(CHECKS[art["kind"]][0], art)
+                if _changed(holder[key], read) is not None]
+    return out
+
+
+CASES = _cases()
+
+
+def _accepted(doc: dict) -> bool:
+    try:
+        return verify_bundle(doc).ok
+    except MetriqError:
+        return False
+
+
+@pytest.mark.parametrize("name, path", CASES, ids=[f"{name}-{path}" for name, path in CASES])
+def test_a_one_field_tamper_is_refused_unless_known(name, path):
+    assert _accepted(_tampered(name, path)) == ((name, path) in KNOWN_ACCEPTED)
+
+
+def _loop_claims(doc: dict) -> tuple[float, float]:
+    """The distortion of a bundle's quotient artifact against its model, and
+    lip * colip of its blocks' collapse, recomputed pair by pair on its plan's
+    instance: the shortest-path closure of the block set distances, an SQ
+    space restricted from the quotient by one block of every point outside
+    its blocks, then its blocks."""
+    art = doc["artifacts"][0]
+    base = realize_instance(plan_from_json(doc["plan"]).instance_spec(art["trial"]))
+    blocks = [tuple(b) for b in art["blocks"]]
+    parts, kept = blocks, slice(None)
+    if art["provenance"] == "SQ":
+        parts, kept = [tuple(sorted(set(range(base.n)).difference(*blocks))), *blocks], slice(1, None)
+    q = np.array(shortest_path_closure(block_reduce_loop(base.dist, parts)))[kept, kept]
+    model = {k: v for k, v in art["model"].items() if v is not None}
+    target = realize_instance(InstanceSpec(model.pop("type"), model, None)).dist
+    ratios = [target[i, j] / q[i, j] for i in range(len(q)) for j in range(i + 1, len(q))]
+    lip, colip = lip_colip_loop(base, blocks, MetricSpace(q))
+    return max(ratios) / min(ratios), lip * colip
+
+
+@pytest.mark.parametrize("name, path", sorted(KNOWN_ACCEPTED), ids=[f"{n}-{p}" for n, p in sorted(KNOWN_ACCEPTED)])
+def test_each_known_acceptance_is_a_generated_tamper_and_a_true_certificate(name, path):
+    # a field that leaves its artifact, or a plan that leaves PLANS, takes its entry along
+    assert (name, path) in CASES
+    doc = _tampered(name, path)
+    art = doc["artifacts"][0]
+    claim, product = _loop_claims(doc)
+    assert abs(claim - art["certified_distortion"]) <= claim_slack(art["certified_distortion"])
+    if "lipschitz" in art:
+        assert product - art["lipschitz"] <= claim_slack(art["lipschitz"])

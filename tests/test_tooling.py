@@ -4,6 +4,7 @@ import importlib.util
 import itertools
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -86,7 +87,7 @@ def _checked(pipeline: str):
     verify._bind_to_plan(typed, art["kind"], plan)
     if "base" in decl.fields:
         verify._with_base(typed, plan)
-    size = check(typed, 0, report, 1e-9)
+    size = check(typed, 0, report)
     if "base" in decl.fields:
         typed["base"] = typed["base"].n  # what verify_bundle keeps of it for the rows
     verify._check_rows(doc["rows"], [(decl, typed, size)], report, plan)
@@ -206,6 +207,13 @@ def _declared(options) -> str:
                          ids=["pipelines", "instances"])
 def test_readme_tables_list_the_declared_params(header, table):
     assert _readme_table(header) == {name: _declared(t.options) for name, t in table.items()}
+
+
+def test_readme_global_options_are_the_options_of_main():
+    # the sentence "Global options (`--seed`, ...) come before the subcommand"
+    text = (ROOT / "README.md").read_text()
+    listed = text.split("Global options (", 1)[1].split(")", 1)[0]
+    assert re.findall(r"`([^`]+)`", listed) == [p.opts[0] for p in main.params]
 
 
 def _readme_cli_paths() -> list[list[str]]:

@@ -15,7 +15,7 @@ import pytest
 
 from metriq import cube
 from metriq.core import Doc, decode_array, integer, number
-from metriq.cube import _cell_ratio, _class_bound, _embedding_lookup, _greedy_net
+from metriq.cube import _cell_ratio, _class_bound, _embedding_lookup, _greedy_net, _net_radius
 from metriq.errors import StructuralError, UndefinedInputError
 from metriq.verify import CHECKS, verify_bundle
 
@@ -121,7 +121,6 @@ def test_every_field_refuses_a_dropped_undeclared_or_mistyped_value(name, metric
 
 @pytest.mark.parametrize("pipeline, keys, edit", [
     ("cube-qs", ("d",), lambda v: 8.9),
-    ("cube-qs", ("r",), lambda v: v + 0.7),
     ("cube-qs", ("witnesses", 0, 0), lambda v: v + 0.5),
     ("cube-qs", ("witnesses", 0), lambda v: v + [1]),
     ("cube-qs", ("witnesses",), lambda v: v * 3),
@@ -132,11 +131,9 @@ def test_every_field_refuses_a_dropped_undeclared_or_mistyped_value(name, metric
     ("aspect", ("model", "n"), lambda v: v + 0.9),
     ("aspect", ("model", "edge"), lambda v: repr(v)),
     ("q2", ("trial",), lambda v: 0.0),
-    ("bourgain", ("mode",), lambda v: "bogus"),
-], ids=["cube-d", "cube-r", "cube-witness-float", "cube-witness-triple",
+], ids=["cube-d", "cube-witness-float", "cube-witness-triple",
         "cube-witnesses-three", "cube-eps-string", "cube-undeclared", "q2-block-float",
-        "q2-block-bool", "aspect-model-n", "aspect-model-edge-string", "q2-trial-float",
-        "bourgain-mode"])
+        "q2-block-bool", "aspect-model-n", "aspect-model-edge-string", "q2-trial-float"])
 def test_verify_refuses_a_truncated_or_mistyped_field(pipeline, keys, edit):
     # each of these verified while fields were read with int(), float() or not at all
     doc = _plan(pipeline)
@@ -202,7 +199,8 @@ def test_a_consistent_cube_claim_of_one_is_refused():
 def test_a_cube_witness_outside_an_extreme_cell_is_refused(tamper, wi):
     doc = run_bundle(*CUBE)
     art = doc["artifacts"][0]
-    d, r = art["d"], art["r"]
+    d = art["d"]
+    r = _net_radius(d, art["eps"])
     _, dA = _greedy_net(d, r)
     lab = np.where(dA > r // 2, dA, 0)
     lookup, block_norm = _embedding_lookup(d, r, art["p"])
