@@ -8,20 +8,16 @@ from .core import (
     Star,
     ValidationReport,
     aspect_ratio,
-    band,
     block_reduce,
     decode_array,
     dumps,
     encode_array,
-    hausdorff,
     metric_from_csv,
     metric_from_json,
     metric_to_csv,
     metric_to_json,
     nearest_radii,
-    nearest_radius,
     realize_special,
-    set_distance,
     validate_metric,
 )
 from .errors import (

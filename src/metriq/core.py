@@ -268,45 +268,12 @@ def aspect_ratio(m: MetricSpace) -> float:
     return m.diameter() / least
 
 
-def nearest_radius(m: MetricSpace, x: int) -> float:
-    """Distance from x to its closest other point."""
-    if m.n < 2:
-        raise UndefinedInputError("nearest_radius needs at least 2 points")
-    row = np.delete(m.dist[x], x)
-    return float(row.min())
-
-
 def nearest_radii(m: MetricSpace) -> np.ndarray:
     """Vector of nearest-neighbor distances for every point."""
     if m.n < 2:
         raise UndefinedInputError("nearest_radii needs at least 2 points")
     d = m.dist + np.diag(np.full(m.n, np.inf))
     return d.min(axis=1)
-
-
-def band(m: MetricSpace, a: float, b: float) -> list[int]:
-    """Points whose nearest-neighbor distance lies in the half-open band [a, b)."""
-    if not (0 < a < b):
-        raise UndefinedInputError(f"band needs 0 < a < b, got a={a}, b={b}")
-    r = nearest_radii(m)
-    return [int(i) for i in np.flatnonzero((r >= a) & (r < b))]
-
-
-def set_distance(m: MetricSpace, U, V) -> float:
-    """Minimum distance between two nonempty point sets."""
-    U, V = list(U), list(V)
-    if not U or not V:
-        raise UndefinedInputError("set_distance of an empty set")
-    return float(m.dist[np.ix_(U, V)].min())
-
-
-def hausdorff(m: MetricSpace, U, V) -> float:
-    """Hausdorff distance between two nonempty point sets."""
-    U, V = list(U), list(V)
-    if not U or not V:
-        raise UndefinedInputError("hausdorff distance of an empty set")
-    block = m.dist[np.ix_(U, V)]
-    return float(max(block.min(axis=1).max(), block.min(axis=0).max()))
 
 
 def block_reduce(dist, blocks, inner=np.minimum, outer=None) -> np.ndarray:
@@ -442,41 +409,19 @@ class Doc:
 _STORED = {"f": "<f8", "i": "<i8", "c": "<c16"}
 
 
-class _Encoded(dict):
-    """An encode_array document.  While its "b64" is the very object kept in
-    the b64 slot, it is base64 by construction, and dumps splices it into its
-    output as it stands; any other "b64" value is escaped as usual."""
-
-    __slots__ = ("b64",)
-
-
-class _Hole:
-    """Where a payload stood in the copy of a document that dumps hands to
-    json; json passes it to dumps's default hook."""
-
-    __slots__ = ("text",)
-
-    def __init__(self, text: str):
-        self.text = text
-
-
 def encode_array(a) -> dict:
     """An array as {"dtype", "shape", "b64"}: the base64 of its C-order
     little-endian bytes as <f8, <i8 or <c16 (artifact format 2).
 
     The round trip through decode_array is bit-exact, and equal arrays give
-    equal documents.  The document is a dict subclass, equal to the plain
-    dict, that remembers its b64 text: dumps writes that text unescaped for
-    as long as "b64" still holds it.
+    equal documents.
     """
     a = np.asarray(a)
     dtype = _STORED.get(a.dtype.kind)
     if dtype is None:
         raise StructuralError(f"cannot store an array of dtype {a.dtype}")
     text = binascii.b2a_base64(np.ascontiguousarray(a, dtype=dtype), newline=False).decode("ascii")
-    doc = _Encoded(dtype=dtype, shape=list(a.shape), b64=text)
-    doc.b64 = text
-    return doc
+    return {"dtype": dtype, "shape": list(a.shape), "b64": text}
 
 
 _ENCODED = Doc("an encoded array {dtype, shape, b64} (artifact format 2)",
@@ -564,49 +509,5 @@ def dumps(doc: dict) -> str:
     """Canonical JSON serialization: sorted keys, fixed separators.
 
     Used for every artifact so identical objects are byte-identical on disk.
-    The output is exactly json.dumps(doc, sort_keys=True, separators=(",", ":")),
-    but each encode_array payload is spliced in as it stands instead of going
-    through json's escape scan: json writes a copy of doc with a _Hole where
-    each payload stood, and the quoted hole text it writes there is then
-    swapped for the payload.  The hole text is a run of NULs longer than any
-    in the document's own strings, so none of them can be mistaken for it.
-    One difference: a document that contains itself raises RecursionError
-    from that walk, where json.dumps raises ValueError.
     """
-    suspects: list[str] = []
-    skeleton = _skeleton(doc, suspects)
-    hole = "\x00"
-    while any(hole in s for s in suspects):
-        hole += "\x00"
-    payloads: list[str] = []
-
-    def fill(o):
-        if type(o) is not _Hole:
-            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-        payloads.append(o.text)  # in output order, which sort_keys decides
-        return hole
-
-    text = json.dumps(skeleton, sort_keys=True, separators=(",", ":"), default=fill)
-    parts = text.split(json.dumps(hole))
-    woven = [""] * (2 * len(parts) - 1)
-    woven[::2], woven[1::2] = parts, payloads
-    return '"'.join(woven)
-
-
-def _skeleton(x, suspects: list):
-    """x with the b64 text of each encode_array document replaced by a _Hole;
-    other strings that hold a NUL, dict keys included, are appended to
-    suspects.  Module-level, as a recursive closure would keep every payload
-    alive until the next garbage collection."""
-    if isinstance(x, str):
-        if "\x00" in x:
-            suspects.append(x)
-        return x
-    if isinstance(x, dict):
-        encoded = type(x) is _Encoded
-        suspects.extend(k for k in x if isinstance(k, str) and "\x00" in k)
-        return {k: _Hole(v) if encoded and v is x.b64 else _skeleton(v, suspects)
-                for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_skeleton(v, suspects) for v in x]
-    return x
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))

@@ -359,7 +359,8 @@ def verify_bundle(doc: dict) -> ValidationReport:
     distortions are recomputed, a cube's from its d, eps, p and witnesses; a
     quotient's `lipschitz` bound must hold for its block collapse.  The
     tolerances are fixed: core.TOL, and quotient.claim_slack about a claim.
-    Each artifact in a bundle with rows must match the row of its trial, and
+    In a bundle with rows, with or without artifacts, each artifact must match
+    the row of its trial, each row with a certificate have an artifact, and
     each row name its plan's seed.  Every MetriqError raised names its artifact.
     """
     report = ValidationReport()
@@ -390,7 +391,7 @@ def verify_bundle(doc: dict) -> ValidationReport:
             raise type(exc)(f"artifact {ai}: {exc}") from exc
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise StructuralError(f"artifact {ai}: malformed ({exc})") from exc
-    if artifacts and "rows" in doc:
+    if "rows" in doc:
         try:
             _check_rows(doc["rows"], read, report, plan)
         except (AttributeError, KeyError, TypeError) as exc:

@@ -25,8 +25,6 @@ from metriq.core import (
     decode_array,
     dumps,
     encode_array,
-    hausdorff,
-    set_distance,
 )
 from metriq.cube import CubeQsResult, DistortionSummary
 from metriq.embeddings import EXACT_MAX_POINTS, VectorEmbedding, bourgain_scales
@@ -349,6 +347,17 @@ def distance_buckets_loop(m: MetricSpace, alpha: float) -> tuple[np.ndarray, int
     chi = np.clip(chi, 1, k)
     np.fill_diagonal(chi, 0)
     return chi, k, mind
+
+
+def set_distance(m: MetricSpace, U, V) -> float:
+    """Least distance between two nonempty point sets, pair by pair."""
+    return float(min(m.dist[u, v] for u in U for v in V))
+
+
+def hausdorff(m: MetricSpace, U, V) -> float:
+    """Hausdorff distance between two nonempty point sets, pair by pair."""
+    return float(max(max(min(m.dist[u, v] for v in V) for u in U),
+                     max(min(m.dist[u, v] for u in U) for v in V)))
 
 
 def lip_colip_loop(base: MetricSpace, blocks, target: MetricSpace):

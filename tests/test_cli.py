@@ -339,6 +339,25 @@ def test_verify_bundle_accepts_and_rejects(runner, tmp_path):
     assert result.exit_code == 1
 
 
+@pytest.mark.parametrize("claim", [None, 0.5], ids=["as-run", "claim-0.5"])
+def test_a_certified_bundle_without_artifacts_fails_verify(runner, tmp_path, claim):
+    # `run` without --artifacts: both rows claim a certificate that no
+    # artifact backs, so there is nothing to check them against
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"instance": {"variant": "cloud", "params": {"n": 40}}, "pipeline": "hst",
+                                "params": {}, "trials": 2, "seed": 1}))
+    out = tmp_path / "bundle.json"
+    invoke(runner, "--out", str(out), "run", "--plan", str(plan))
+    doc = json.loads(out.read_text())
+    assert doc["artifacts"] == [] and all(row["certified_distortion"] != "" for row in doc["rows"])
+    if claim is not None:
+        doc["rows"][0]["certified_distortion"] = claim
+        out.write_text(json.dumps(doc))
+    assert [v[:2] for v in verify_bundle(doc).violations] == [("row", ()), ("row", ())]
+    result = runner.invoke(main, ["verify", "--bundle", str(out)])
+    assert result.exit_code == 1 and not json.loads(result.output)["ok"]
+
+
 def _verify_peak(doc: dict) -> tuple[int, list]:
     """verify_bundle's tracemalloc peak on doc, and its violations."""
     tracemalloc.start()

@@ -28,7 +28,6 @@ from metriq.core import (
     Equilateral,
     MetricSpace,
     Star,
-    hausdorff,
     nearest_radii,
     realize_special,
     validate_metric,
@@ -56,6 +55,7 @@ from conftest import (
     coloring_partition_loop,
     distance_buckets_loop,
     euclidean_cloud_broadcast,
+    hausdorff,
     hst_from_m_centered_dense,
     is_m_center,
     random_metric,

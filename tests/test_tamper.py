@@ -6,8 +6,11 @@ of a nested document included: an integer + 1, a float x 1.25 + 0.5, a
 `one_of` string another declared choice, and a list or an encoded array its
 last entry changed by these rules.  `verify_bundle` must refuse each one, by
 a violation or a MetriqError, but for the ones KNOWN_ACCEPTED lists, each
-with the reason it holds.  Tampers of the rows, and tampers written into an
-artifact and its row alike, are not generated here.
+with the reason it holds.  Each plan's row gets one tamper per CSV column it
+fills, by the same rules, `provenance` and `target_class` read as strings of
+their fixed sets; verify must refuse each one but for the ones KNOWN_GAPS
+lists, each with the work that closes it.  Tampers written into an artifact
+and its row alike are not generated here.
 """
 
 import copy
@@ -16,8 +19,8 @@ import functools
 import numpy as np
 import pytest
 
-from metriq.cli import plan_from_json
-from metriq.core import Doc, MetricSpace, decode_array, encode_array
+from metriq.cli import CSV_COLUMNS, plan_from_json
+from metriq.core import Doc, MetricSpace, decode_array, encode_array, one_of
 from metriq.errors import MetriqError
 from metriq.generators import InstanceSpec, realize_instance
 from metriq.quotient import claim_slack
@@ -154,3 +157,45 @@ def test_each_known_acceptance_is_a_generated_tamper_and_a_true_certificate(name
     assert abs(claim - art["certified_distortion"]) <= claim_slack(art["certified_distortion"])
     if "lipschitz" in art:
         assert product - art["lipschitz"] <= claim_slack(art["lipschitz"])
+
+
+# --- the row half: one tamper per CSV column a row fills ---------------------
+
+#: the string columns, read as another value of their fixed set
+ROW_READERS = {"provenance": one_of("Q", "QS", "SQ"),
+               "target_class": one_of("lacunary", "UM", "equilateral", "star", "lp")}
+
+GUARANTEES = "ROADMAP, the paper's guarantees as declared, checked and swept results"
+
+#: column -> (the work that closes its gap, why verify accepts a tamper of it)
+GAPS = {
+    "paper_bound": (GUARANTEES, "verify reads no paper bound; it is to be derived from the plan"),
+    "target_class": (GUARANTEES, "verify reads no target class; it is to be derived from the pipeline "
+                                 "and, for dichotomy, the model's type"),
+    "attempts": ("ROADMAP, the tamper matrix, row half: listed for as long as the CSV keeps the column",
+                 "a counter of construction attempts, which certifies nothing, so verify does not read it"),
+}
+
+#: (plan, column) of each row tamper that verify accepts -> GAPS[column]
+KNOWN_GAPS = {(name, column): GAPS[column] for name in PLANS for column in GAPS}
+
+
+def _row_tampered(name: str, column: str) -> dict:
+    """A copy of the plan's bundle with its row's value in column tampered."""
+    doc = copy.deepcopy(_bundle(name))
+    row = doc["rows"][0]
+    row[column] = _changed(row[column], ROW_READERS.get(column))
+    return doc
+
+
+ROW_CASES = [(name, column) for name in PLANS for column in CSV_COLUMNS if _bundle(name)["rows"][0][column] != ""]
+
+
+@pytest.mark.parametrize("name, column", ROW_CASES, ids=[f"{name}-{column}" for name, column in ROW_CASES])
+def test_a_row_tamper_is_refused_unless_a_known_gap(name, column):
+    assert _accepted(_row_tampered(name, column)) == ((name, column) in KNOWN_GAPS)
+
+
+def test_each_known_gap_is_a_generated_row_tamper():
+    # a column that leaves the rows, or a plan that leaves PLANS, takes its entries along
+    assert KNOWN_GAPS.keys() <= set(ROW_CASES)

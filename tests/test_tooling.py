@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import types
 from dataclasses import fields
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import metriq
 from metriq import verify
 from metriq.cli import PIPELINES, main, plan_from_json
 from metriq.core import Doc, MetricSpace, ValidationReport, metric_to_json
@@ -334,6 +336,41 @@ def test_every_library_member_is_used_outside_the_tests():
     # move such a member into a tests/conftest.py helper, or give the reason
     # it stays in ONLY_FROM_TESTS
     assert _unused_members() == {key for key in ONLY_FROM_TESTS if "." in key[1]}
+
+
+# --- no public name that the library never calls -------------------------------
+
+#: each name metriq exports that no src/metriq module names, with the reason it stays
+UNCALLED_PUBLIC = {
+    "quotient_from_json": "the documented reader of a quotient document (README, artifact format)",
+    "hst_from_json": "the documented reader of a tree document (README, artifact format)",
+    "hst_from_ultrametric": "the exact L2 embedding of lacunary and UM models is to call it (ROADMAP, the "
+                            "certificate reaches Hilbert space); perfbench/sweep.py times it",
+    "ultrametric_to_l2": "the exact L2 embedding of lacunary and UM models is to call it (ROADMAP, the "
+                         "certificate reaches Hilbert space)",
+}
+
+
+def _uncalled_public() -> set[str]:
+    """Each name in metriq.__all__, modules aside, that no src/metriq module
+    but __init__ reads as a name or imports by name."""
+    used = set()
+    for path in (ROOT / "src" / "metriq").glob("*.py"):
+        if path.stem == "__init__":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                used |= {alias.name for alias in node.names}
+    return {name for name in metriq.__all__
+            if not isinstance(getattr(metriq, name), types.ModuleType) and name not in used}
+
+
+def test_every_public_name_is_called_in_the_library():
+    # delete such a name, or give the reason it stays in UNCALLED_PUBLIC; a
+    # listed name that gains a caller leaves the table
+    assert _uncalled_public() == UNCALLED_PUBLIC.keys()
 
 
 def test_the_benchmarked_imports_leave_scipy_integrate_out():
