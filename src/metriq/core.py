@@ -174,7 +174,7 @@ class ValidationReport:
         return "\n".join(f"{k} at {w}: {msg}" for k, w, msg in self.violations)
 
 
-def validate_metric(m: MetricSpace | np.ndarray, tol: float = TOL) -> ValidationReport:
+def validate_metric(m: MetricSpace | np.ndarray) -> ValidationReport:
     """Check finiteness, symmetry, zero diagonal, positivity, and the triangle inequality.
 
     Every violated invariant is reported with the indices where it fails;
@@ -192,16 +192,16 @@ def validate_metric(m: MetricSpace | np.ndarray, tol: float = TOL) -> Validation
             report.add("finite", (int(i), int(j)), f"d = {d[i, j]!r} is not finite")
         return report
 
-    bad = np.flatnonzero(np.abs(np.diag(d)) > tol)
+    bad = np.flatnonzero(np.abs(np.diag(d)) > TOL)
     for i in bad:
         report.add("diagonal", (int(i),), f"d(i,i) = {d[i, i]!r} != 0")
 
-    asym = np.argwhere(np.abs(d - d.T) > tol)
+    asym = np.argwhere(np.abs(d - d.T) > TOL)
     for i, j in asym:
         if i < j:
             report.add("symmetry", (int(i), int(j)), f"{d[i, j]!r} != {d[j, i]!r}")
 
-    nonpos = np.argwhere(d <= tol)
+    nonpos = np.argwhere(d <= TOL)
     for i, j in nonpos:
         if i < j:
             report.add("positivity", (int(i), int(j)), f"d = {d[i, j]!r} <= 0 off-diagonal")
@@ -209,16 +209,16 @@ def validate_metric(m: MetricSpace | np.ndarray, tol: float = TOL) -> Validation
     # Triangle inequality: for each middle point j, d[i,k] <= d[i,j] + d[j,k].
     # Fast path: with every off-diagonal entry above 1e-8 (scipy reads a dense
     # entry within 1e-8 of 0 as "no edge"), the shortest-path closure c has
-    # c[i,k] <= d[i,j] + d[j,k] in rounded arithmetic, so d - c <= tol rules
-    # out every slack above tol.  When the O(n^2) row-minimum test of
+    # c[i,k] <= d[i,j] + d[j,k] in rounded arithmetic, so d - c <= TOL rules
+    # out every slack above TOL.  When the O(n^2) row-minimum test of
     # _closure_is_identity holds, c is d itself, exactly, so the O(n^3)
     # closure is skipped with the same answer.
     if report.ok and (_closure_is_identity(d) or (d + np.diag(np.full(n, np.inf))).min() > 1e-8
-                      and np.all(d - csgraph.floyd_warshall(d, directed=True) <= tol)):
+                      and np.all(d - csgraph.floyd_warshall(d, directed=True) <= TOL)):
         return report
     for j in range(n):
         slack = d - (d[:, j][:, None] + d[j][None, :])
-        viol = np.argwhere(slack > tol)
+        viol = np.argwhere(slack > TOL)
         for i, k in viol:
             if i != j and k != j and i < k:
                 report.add(

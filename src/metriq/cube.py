@@ -68,17 +68,10 @@ MAX_D = 22
 
 
 def _net_radius(d: int, eps: float) -> int:
+    """t + 1 made even, for t = 2 ceil(lg / ln(d / lg)) and lg = ln(1/eps); the
+    callers' 2^-d <= eps < 1/4 gives 0 < lg <= d ln 2 < d."""
     lg = math.log(1.0 / eps)
-    if d <= lg:
-        raise ParameterError("eps too small for this dimension (ln(1/eps) >= d)")
-    denom = math.log(d / lg)
-    if denom <= 0:
-        raise ParameterError("eps too small for this dimension")
-    t = 2 * math.ceil(lg / denom)
-    r = t + 1
-    if r % 2 == 1:
-        r += 1
-    return r
+    return 2 * math.ceil(lg / math.log(d / lg)) + 2
 
 
 def _greedy_net(d: int, r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -142,7 +135,9 @@ def cube_qs_construct(d: int, eps: float, p: float = 2.0) -> CubeQsResult:
         )
 
     lookup, block_norm = _embedding_lookup(d, r, p)
-    summary, witnesses = _certify(d, dA_all, r // 2, lookup, block_norm)
+    summary, witnesses, bad, _ = _certify(d, dA_all, r // 2, lookup, block_norm)
+    if bad is not None:  # a found pair that fails the rule verify reads it by
+        raise ConstructionFailureError(f"witness {witnesses[bad]} names no extreme cell", {"r": r})
     if p == 2.0:
         bound = 8.0 * math.sqrt(math.e * r / (math.e - 1.0))
     else:
@@ -216,24 +211,26 @@ def _bound_summary(bound: _Bound) -> DistortionSummary:
 
 def _find_witnesses(d: int, dA: np.ndarray, cut: int, lookup, bound: _Bound) -> list | None:
     """For each unattained extreme, a singleton pair (x, y) in a cell
-    (a, b, h < d) of its ratio, or None where one is not found.  For each
-    distance h of such a cell, ascending, y runs over x XOR the d cyclic
-    shifts of h low bits, for every singleton x at once; at most d passes per
-    extreme."""
-    labels = np.array(bound.labels)
-    a, b, h = labels[:, None, None], labels[None, :, None], np.arange(1, d)
-    cells, ratios = h >= np.abs(a - b), _cell_ratio(lookup, a + b, h)
+    (a, b, t < d) of its ratio, or None where one is not found.  For each
+    distance t of such a cell, ascending, y runs over x XOR the d cyclic
+    shifts of t low bits, for every singleton x at once; at most d passes per
+    extreme.  A y passes `_certify`'s rule where the ratio at t of the class
+    sum is the extreme; a non-singleton's class 2d + 1 gives sums of no ratio."""
+    h, labels = np.arange(1, d)[:, None], np.array(bound.labels)
+    ratios = np.full((d - 1, 3 * d + 2), np.nan)  # by t - 1 and class sum
+    ratios[:, 1:2 * d + 1] = _cell_ratio(lookup, np.arange(1, 2 * d + 1), h)
+    sums, cells = np.add.outer(labels, labels), h[:, :, None] >= np.abs(np.subtract.outer(labels, labels))
     sing = np.flatnonzero(dA > cut)
-    classes, full = dA[sing], (1 << d) - 1
+    classes, lab, full = dA[sing], np.where(dA > cut, dA, 2 * d + 1), (1 << d) - 1
     witnesses = []
     for v in bound.unattained:
-        tied = np.zeros((d + 1, d + 1, d - 1), dtype=bool)  # by class of x, class of y, h - 1
-        tied[labels[:, None], labels] = cells & (ratios == v)
+        extreme = ratios == v
         shifts = ((t, ((1 << t) - 1) << k & full | ((1 << t) - 1) >> (d - k))
-                  for t in (np.flatnonzero(tied.any(axis=(0, 1))) + 1).tolist() for k in range(d))
+                  for t in (np.flatnonzero((extreme[:, sums] & cells).any(axis=(1, 2))) + 1).tolist()
+                  for k in range(d))
         for t, mask in itertools.islice(shifts, d):
             y = sing ^ mask
-            hit = tied[:, :, t - 1][classes, dA[y]]
+            hit = extreme[t - 1][classes + lab[y]]
             if hit.any():
                 x = int(hit.argmax())
                 witnesses.append((int(sing[x]), int(y[x])))
@@ -243,15 +240,30 @@ def _find_witnesses(d: int, dA: np.ndarray, cut: int, lookup, bound: _Bound) -> 
     return witnesses
 
 
-def _certify(d: int, dA: np.ndarray, cut: int, lookup, block_norm) -> tuple[DistortionSummary, list]:
-    """The exact distortion over the singletons and a witness for each extreme
-    of the bound that no block ratio or antipodal cell attains, or the
-    kernel's value and no witness where one is not found."""
+def _certify(d: int, dA: np.ndarray, cut: int, lookup, block_norm,
+             witnesses=None) -> tuple[DistortionSummary | None, list, int | None, int]:
+    """A cube claim's decision, in run and verify alike, over the singletons
+    (dA > cut): the bound (`_class_bound`), and the given witnesses or those
+    `_find_witnesses` finds, each two distinct in-range singletons whose cell
+    ratio is hi or lo; the kernel where an unattained extreme has none.
+    Returns the distortion (None after a bad witness; the empty summary, with
+    no witness read, where no point is a singleton), the witnesses, the first
+    bad one's index or None, and the singleton count."""
     bound = _class_bound(d, dA, cut, lookup, block_norm)
-    witnesses = _find_witnesses(d, dA, cut, lookup, bound) if bound else None
+    if bound is None:
+        return DistortionSummary(0.0, 0.0, 0), [], None, 0
     if witnesses is None:
-        return _class_kernel(d, dA, cut, lookup, block_norm), []
-    return _bound_summary(bound), witnesses
+        witnesses = _find_witnesses(d, dA, cut, lookup, bound) or []
+    unattained = set(bound.unattained)
+    for i, (x, y) in enumerate(witnesses):
+        named = None
+        if x != y and 0 <= min(x, y) and max(x, y) < 2**d and dA[x] > cut and dA[y] > cut:
+            named = _cell_ratio(lookup, dA[x] + dA[y], (x ^ y).bit_count())
+        if named not in (bound.hi, bound.lo):
+            return None, witnesses, i, bound.singletons
+        unattained.discard(named)
+    summary = _class_kernel(d, dA, cut, lookup, block_norm) if unattained else _bound_summary(bound)
+    return summary, witnesses, None, bound.singletons
 
 
 def _class_kernel(d: int, dA: np.ndarray, cut: int, lookup, block_norm) -> DistortionSummary:

@@ -106,13 +106,13 @@ def hst_from_splits(root, split) -> HstTree:
     return HstTree(order, parent, delta)
 
 
-def validate_khst(t: HstTree, k: float, tol: float = TOL) -> ValidationReport:
+def validate_khst(t: HstTree, k: float) -> ValidationReport:
     """Report every vertex whose label exceeds its parent's label / k, and repeated leaf ids."""
     if k < 1:
         raise StructuralError("separation parameter k must be >= 1")
     report = ValidationReport()
     delta, parent = t.delta, t.parent
-    for i in (np.flatnonzero(delta[1:] > delta[parent[1:]] / k + tol) + 1).tolist():
+    for i in (np.flatnonzero(delta[1:] > delta[parent[1:]] / k + TOL) + 1).tolist():
         bound = float(delta[parent[i]] / k)
         report.add("label-ratio", (i,), f"child delta {float(delta[i])!r} > parent/{k} = {bound!r}")
     _, first = np.unique(t.order, return_index=True)
@@ -154,12 +154,12 @@ def _single_linkage(d: np.ndarray) -> np.ndarray:
     return linkage(squareform(np.minimum(d, d.T), checks=False), method="single")
 
 
-def is_ultrametric(m: MetricSpace, tol: float = TOL) -> bool:
-    """d(x, y) <= max(d(x, z), d(z, y)) + tol for all triples.
+def is_ultrametric(m: MetricSpace) -> bool:
+    """d(x, y) <= max(d(x, z), d(z, y)) + TOL for all triples.
 
     The single-linkage cophenetic matrix C (Gower & Ross 1969) is an exact
-    ultrametric, and C <= d <= C + tol gives d(x, y) <= max(C(x, z), C(z, y))
-    + tol <= max(d(x, z), d(z, y)) + tol; triples are enumerated only otherwise.
+    ultrametric, and C <= d <= C + TOL gives d(x, y) <= max(C(x, z), C(z, y))
+    + TOL <= max(d(x, z), d(z, y)) + TOL; triples are enumerated only otherwise.
     """
     d = m.dist
     if m.n > 1:
@@ -167,30 +167,30 @@ def is_ultrametric(m: MetricSpace, tol: float = TOL) -> bool:
         from scipy.spatial.distance import squareform
 
         c = squareform(cophenet(_single_linkage(d)))
-        if np.all(c <= d) and np.all(d <= c + tol):
+        if np.all(c <= d) and np.all(d <= c + TOL):
             return True
     for z in range(m.n):
-        if np.any(d > np.maximum(d[:, z][:, None], d[z][None, :]) + tol):
+        if np.any(d > np.maximum(d[:, z][:, None], d[z][None, :]) + TOL):
             return False
     return True
 
 
-def hst_from_ultrametric(m: MetricSpace, tol: float = TOL) -> HstTree:
+def hst_from_ultrametric(m: MetricSpace) -> HstTree:
     """Canonical 1-HST of an ultrametric matrix.
 
-    The components of "distance <= t + tol", merged at each distinct distance
+    The components of "distance <= t + TOL", merged at each distinct distance
     t in turn, read off single linkage: a merge at height h gets the first t
-    with h <= t + tol, equal-label merges form one vertex, and children are
+    with h <= t + TOL, equal-label merges form one vertex, and children are
     ordered by smallest point id.  Exact ultrametrics round-trip exactly.
     """
-    if not is_ultrametric(m, tol):
+    if not is_ultrametric(m):
         raise StructuralError("matrix is not an ultrametric")
     n = m.n
     if n == 1:
         return leaf(0)
     z = _single_linkage(m.dist)
     values = np.unique(m.dist[np.triu_indices(n, k=1)])
-    label = values[np.searchsorted(values + tol, z[:, 2])].tolist()
+    label = values[np.searchsorted(values + TOL, z[:, 2])].tolist()
     pairs = z[:, :2].astype(np.int64).tolist()
     first = list(range(n))  # smallest point id of cluster c; merge k is cluster n + k
     for a, b in pairs:

@@ -13,10 +13,9 @@ from dataclasses import asdict
 
 import numpy as np
 
+from . import cube
 from .core import (METRIC, TOL, Doc, MetricSpace, ValidationReport, array, integer, list_of, metric_from_fields,
                    metric_to_json, number, one_of, validate_metric)
-from .cube import (MAX_D, _bound_summary, _cell_ratio, _class_bound, _class_kernel,
-                   _embedding_lookup, _greedy_net, _net_radius)
 from .errors import MetriqError, StructuralError
 from .generators import INSTANCES, InstanceSpec, realize_instance
 from .hst import TREE, HstTree, hst_to_json, hst_to_metric
@@ -190,41 +189,26 @@ CUBE = Doc("a cube-qs artifact", kind="cube-qs", d=integer, eps=number, p=number
 
 
 def _verify_cube(f: dict, ai: int, report: ValidationReport) -> int:
-    """Recompute the claim from d, eps and p: the net radius (cube._net_radius)
-    and greedy net (cube._greedy_net) the construction takes, the survivors and
-    their classes (distance to the net), the bound over them (cube._class_bound)
-    and the stored witnesses.  Each witness must be a pair of singletons whose
-    classes and Hamming distance name an extreme cell of the bound; where an
-    extreme is neither a block ratio, an antipodal cell nor named by a
-    witness, the exact kernel gives the claim.  Returns the block count; a cube quotient is QS."""
+    """Recompute the claim from d, eps and p: the net radius and greedy net the
+    construction takes, then its decision, cube._certify, on the stored
+    witnesses.  Returns the block count; a cube quotient is QS."""
     d, eps, p = f["d"], f["eps"], f["p"]
     f["provenance"] = "QS"
-    if not 1 <= d <= MAX_D:  # before the 2^d scan below allocates
-        raise StructuralError(f"d = {d} is outside 1..{MAX_D}")
+    if not 1 <= d <= cube.MAX_D:  # before the 2^d scan below allocates
+        raise StructuralError(f"d = {d} is outside 1..{cube.MAX_D}")
     if not 2.0 ** -d <= eps < 0.25:
         raise StructuralError(f"eps = {eps!r} is outside [2^-d, 1/4)")
     if not (p == 2.0 or 1.0 <= p < 2.0):
         raise StructuralError(f"p = {p!r} is neither 2 nor in [1, 2)")
-    r = _net_radius(d, eps)
-    _, dA = _greedy_net(d, r)
-    cut = r // 2  # the survivors outside the net, the singletons, have dA > cut
-    lookup, block_norm = _embedding_lookup(d, r, p)
-    bound = _class_bound(d, dA, cut, lookup, block_norm)
-    if bound is None:  # no singleton: one block, and the kernel's empty summary
-        _check_claim(f["certified_distortion"], 0.0, ai, report)
-        return 1
-    unattained = set(bound.unattained)
-    for wi, (x, y) in enumerate(f["witnesses"]):
-        named = None
-        if x != y and 0 <= min(x, y) and max(x, y) < 2**d and dA[x] > cut and dA[y] > cut:
-            named = _cell_ratio(lookup, dA[x] + dA[y], (x ^ y).bit_count())
-        if named not in (bound.hi, bound.lo):
-            report.add("cube-witness", (ai, wi), f"({x}, {y}) is not a singleton pair in an extreme cell")
-            return bound.singletons + 1
-        unattained.discard(named)
-    exact = _class_kernel(d, dA, cut, lookup, block_norm) if unattained else _bound_summary(bound)
-    _check_claim(f["certified_distortion"], exact.distortion, ai, report)
-    return bound.singletons + 1  # a block per singleton, and the net's
+    r = cube._net_radius(d, eps)
+    _, dA = cube._greedy_net(d, r)
+    exact, _, bad, singletons = cube._certify(d, dA, r // 2, *cube._embedding_lookup(d, r, p), f["witnesses"])
+    if bad is None:
+        _check_claim(f["certified_distortion"], exact.distortion, ai, report)
+    else:
+        x, y = f["witnesses"][bad]
+        report.add("cube-witness", (ai, bad), f"({x}, {y}) is not a singleton pair in an extreme cell")
+    return singletons + 1  # a block per singleton, and the net's
 
 
 #: artifact kind -> (its declaration, check(fields, artifact index, report) -> certified
@@ -246,7 +230,8 @@ ROW_FIELDS = ("provenance", "certified_distortion", "p")
 def _check_rows(rows: list, artifacts: list[tuple[Doc, dict, int]], report: ValidationReport, plan):
     """Each artifact (its declaration, read fields and certified size) against
     the row of its trial, each certified row against its artifact, and every
-    row's seed against its plan's.
+    row's seed against its plan's.  A row's trial is one of its plan's trials
+    and no earlier row's.
 
     Row and artifact are written from the same values, so they must be equal;
     a row field the artifact's fields hold as None must be empty.
@@ -257,18 +242,20 @@ def _check_rows(rows: list, artifacts: list[tuple[Doc, dict, int]], report: Vali
     from .cli import PIPELINES
 
     own_space = PIPELINES[plan.pipeline].own_space
-    by_trial = {row["trial"]: row for row in rows}
+    by_trial = {}
     for row in rows:
+        t = row["trial"]
         if row.get("seed") != plan.seed:
-            report.add("row", (), f"trial {row['trial']!r}: seed {row.get('seed')!r} != plan seed {plan.seed}")
-    seen = set()
+            report.add("row", (), f"trial {t!r}: seed {row.get('seed')!r} != plan seed {plan.seed}")
+        if t in by_trial or type(t) is not int or not 0 <= t < plan.trials:
+            report.add("row", (), f"trial {t!r} repeats an earlier row's or is not in 0..{plan.trials - 1}")
+        else:
+            by_trial[t] = row
     for ai, (decl, f, size) in enumerate(artifacts):
-        t = f["trial"]
-        if t not in by_trial or t in seen:
-            report.add("row", (ai,), f"trial {t!r} has no row, or an earlier artifact")
+        row = by_trial.pop(f["trial"], None)  # what stays is the rows without an artifact
+        if row is None:
+            report.add("row", (ai,), f"trial {f['trial']!r} has no row, or an earlier artifact")
             continue
-        seen.add(t)
-        row = by_trial[t]
         stored = {"quotient_size": size,
                   **{k: "" if f[k] is None else f[k] for k in ROW_FIELDS if k in f}}
         if "base" in decl.fields:
@@ -279,7 +266,7 @@ def _check_rows(rows: list, artifacts: list[tuple[Doc, dict, int]], report: Vali
             if row.get(key) != value:
                 report.add("row", (ai,), f"row {key} {row.get(key)!r} != artifact {value!r}")
     for t, row in by_trial.items():
-        if row.get("certified_distortion", "") != "" and t not in seen:
+        if row.get("certified_distortion", "") != "":
             report.add("row", (), f"trial {t!r} has a certificate but no artifact")
 
 

@@ -731,7 +731,7 @@ def test_verify_refuses_a_cube_net_that_is_not_the_greedy_net(net):
     r = _net_radius(d, art["eps"])
     pts = np.arange(2**d, dtype=np.int64)
     dA = np.min([np.bitwise_count(pts ^ a) for a in net], axis=0).astype(np.int64)
-    summary, witnesses = _certify(d, dA, r // 2, *_embedding_lookup(d, r, art["p"]))
+    summary, witnesses, _, _ = _certify(d, dA, r // 2, *_embedding_lookup(d, r, art["p"]))
     art.update(witnesses=[list(w) for w in witnesses], certified_distortion=summary.distortion)
     row.update(certified_distortion=summary.distortion, quotient_size=int((dA > r // 2).sum()) + 1)
     kinds = {v[0] for v in verify_bundle(doc).violations}
@@ -803,6 +803,21 @@ def test_verify_refuses_a_certified_row_without_its_artifact():
     doc["rows"] = [{"trial": [0]}]
     with pytest.raises(StructuralError, match="rows: malformed"):
         verify_bundle(doc)
+
+
+def test_verify_refuses_a_repeated_row():
+    # a copy of row 0 put before it verified while only the last row per trial was read
+    doc = run_bundle("cloud", {"n": 40}, "hst", {}, seed=1)
+    doc["rows"].insert(0, {**doc["rows"][0], "certified_distortion": 0.5, "quotient_size": 999})
+    violations = verify_bundle(doc).violations
+    assert ("row", (), "trial 0 repeats an earlier row's or is not in 0..0") in violations
+    assert {v[0] for v in violations} == {"row"}
+
+
+def test_verify_refuses_a_row_outside_its_plan():
+    doc = run_bundle("cloud", {"n": 40}, "hst", {}, seed=1)
+    doc["rows"].append({**doc["rows"][0], "trial": 5, "certified_distortion": "", "quotient_size": ""})
+    assert verify_bundle(doc).violations == [("row", (), "trial 5 repeats an earlier row's or is not in 0..0")]
 
 
 def test_a_bourgain_row_claim_is_checked():

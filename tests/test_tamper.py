@@ -9,8 +9,11 @@ a violation or a MetriqError, but for the ones KNOWN_ACCEPTED lists, each
 with the reason it holds.  Each plan's row gets one tamper per CSV column it
 fills, by the same rules, `provenance` and `target_class` read as strings of
 their fixed sets; verify must refuse each one but for the ones KNOWN_GAPS
-lists, each with the work that closes it.  Tampers written into an artifact
-and its row alike are not generated here.
+lists, each with the work that closes it.  Each artifact field that the row
+repeats (metriq.verify.ROW_FIELDS) gets a tamper written into artifact and row
+alike: a `one_of` string each other declared choice, a number by the rules
+above; verify must refuse each one but for the ones KNOWN_CONSISTENT lists,
+each a true certificate.
 """
 
 import copy
@@ -24,7 +27,7 @@ from metriq.core import Doc, MetricSpace, decode_array, encode_array, one_of
 from metriq.errors import MetriqError
 from metriq.generators import InstanceSpec, realize_instance
 from metriq.quotient import claim_slack
-from metriq.verify import CHECKS, verify_bundle
+from metriq.verify import CHECKS, ROW_FIELDS, verify_bundle
 
 from conftest import SMALL_PLANS, SQ_PLAN, block_reduce_loop, lip_colip_loop, run_bundle, shortest_path_closure
 
@@ -132,13 +135,14 @@ def _loop_claims(doc: dict) -> tuple[float, float]:
     lip * colip of its blocks' collapse, recomputed pair by pair on its plan's
     instance: the shortest-path closure of the block set distances, an SQ
     space restricted from the quotient by one block of every point outside
-    its blocks, then its blocks."""
+    its blocks (none when its blocks cover every point), then its blocks."""
     art = doc["artifacts"][0]
     base = realize_instance(plan_from_json(doc["plan"]).instance_spec(art["trial"]))
     blocks = [tuple(b) for b in art["blocks"]]
     parts, kept = blocks, slice(None)
-    if art["provenance"] == "SQ":
-        parts, kept = [tuple(sorted(set(range(base.n)).difference(*blocks))), *blocks], slice(1, None)
+    rest = tuple(sorted(set(range(base.n)).difference(*blocks)))
+    if art["provenance"] == "SQ" and rest:
+        parts, kept = [rest, *blocks], slice(1, None)
     q = np.array(shortest_path_closure(block_reduce_loop(base.dist, parts)))[kept, kept]
     model = {k: v for k, v in art["model"].items() if v is not None}
     target = realize_instance(InstanceSpec(model.pop("type"), model, None)).dist
@@ -199,3 +203,64 @@ def test_a_row_tamper_is_refused_unless_a_known_gap(name, column):
 def test_each_known_gap_is_a_generated_row_tamper():
     # a column that leaves the rows, or a plan that leaves PLANS, takes its entries along
     assert KNOWN_GAPS.keys() <= set(ROW_CASES)
+
+
+# --- consistent tampers: one value written into an artifact and its row alike ---
+
+COVERED = ("benign: the Q blocks cover every point, so as SQ no block of the rest is "
+           "collapsed and the space is the quotient itself")
+TWO = "benign: two singleton blocks, so as SQ a 2-point space, of the claimed distortion 1"
+
+#: (plan, field, value) -> why verify accepts that value in artifact and row;
+#: each is a true certificate by the loop oracle (_loop_claims)
+KNOWN_CONSISTENT = {
+    ("q2", "provenance", "SQ"): COVERED,
+    ("star", "provenance", "SQ"): COVERED,
+    ("aspect", "provenance", "SQ"): TWO,
+    ("aspect-lipschitz", "provenance", "SQ"): TWO + ", and singleton blocks keep lip * colip = 1",
+}
+
+
+def _consistent_cases() -> list[tuple[str, str, object]]:
+    out = []
+    for name in PLANS:
+        art = _bundle(name)["artifacts"][0]
+        fields = CHECKS[art["kind"]][0].fields
+        for key in ROW_FIELDS:
+            if art.get(key) is None:
+                continue
+            read = fields[key][0]
+            values = [c for c in read.choices if c != art[key]] if hasattr(read, "choices") else [_changed(art[key])]
+            out += [(name, key, value) for value in values]
+    return out
+
+
+CONSISTENT_CASES = _consistent_cases()
+
+
+def _consistent_ids(cases) -> list[str]:
+    """plan-field, and the value where it is a declared choice."""
+    return [f"{name}-{key}" + (f"-{value}" if isinstance(value, str) else "") for name, key, value in cases]
+
+
+def _consistently_tampered(name: str, key: str, value) -> dict:
+    """A copy of the plan's bundle with value at key in its artifact and its row."""
+    doc = copy.deepcopy(_bundle(name))
+    doc["artifacts"][0][key] = doc["rows"][0][key] = value
+    return doc
+
+
+@pytest.mark.parametrize("name, key, value", CONSISTENT_CASES, ids=_consistent_ids(CONSISTENT_CASES))
+def test_a_consistent_tamper_is_refused_unless_known(name, key, value):
+    assert _accepted(_consistently_tampered(name, key, value)) == ((name, key, value) in KNOWN_CONSISTENT)
+
+
+@pytest.mark.parametrize("name, key, value", sorted(KNOWN_CONSISTENT), ids=_consistent_ids(sorted(KNOWN_CONSISTENT)))
+def test_each_known_consistent_acceptance_is_a_generated_tamper_and_a_true_certificate(name, key, value):
+    assert (name, key, value) in CONSISTENT_CASES
+    doc = _consistently_tampered(name, key, value)
+    art = doc["artifacts"][0]
+    claim, product = _loop_claims(doc)
+    assert abs(claim - art["certified_distortion"]) <= claim_slack(art["certified_distortion"])
+    if "lipschitz" in art:
+        assert product - art["lipschitz"] <= claim_slack(art["lipschitz"])

@@ -236,3 +236,18 @@ def test_a_dropped_cube_witness_verifies_the_true_claim_by_the_kernel(monkeypatc
     # the kernel's value is the one compared
     dropped["artifacts"][0]["certified_distortion"] = dropped["rows"][0]["certified_distortion"] = 1.0
     assert [v[:2] for v in verify_bundle(dropped).violations] == [("certificate", (0,))]
+
+
+def test_run_and_verify_decide_a_cube_claim_by_one_call(monkeypatch):
+    # run searches for the witnesses, verify reads the stored ones, and both
+    # take the claim from cube._certify
+    certify, calls = cube._certify, []
+    monkeypatch.setattr(cube, "_certify", lambda *args: calls.append(args) or certify(*args))
+    doc = run_bundle(*CUBE)
+    assert [len(args) for args in calls] == [5]
+    assert verify_bundle(doc).ok
+    assert [len(args) for args in calls] == [5, 6] and calls[1][5] == doc["artifacts"][0]["witnesses"]
+    # the claim compared is the one _certify returns
+    off = cube.DistortionSummary(2.0, 2.0, 1)
+    monkeypatch.setattr(cube, "_certify", lambda *args: (off, *certify(*args)[1:]))
+    assert [v[:2] for v in verify_bundle(doc).violations] == [("certificate", (0,))]
