@@ -246,11 +246,13 @@ def _certify(d: int, dA: np.ndarray, cut: int, lookup, block_norm,
     (dA > cut): the bound (`_class_bound`), and the given witnesses or those
     `_find_witnesses` finds, each two distinct in-range singletons whose cell
     ratio is hi or lo; the kernel where an unattained extreme has none.
-    Returns the distortion (None after a bad witness; the empty summary, with
-    no witness read, where no point is a singleton), the witnesses, the first
+    Returns the distortion (None after a bad witness; the empty summary where
+    no point is a singleton and no witness is given), the witnesses, the first
     bad one's index or None, and the singleton count."""
     bound = _class_bound(d, dA, cut, lookup, block_norm)
-    if bound is None:
+    if bound is None:  # no singleton, so every given witness is bad
+        if witnesses:
+            return None, witnesses, 0, 0
         return DistortionSummary(0.0, 0.0, 0), [], None, 0
     if witnesses is None:
         witnesses = _find_witnesses(d, dA, cut, lookup, bound) or []

@@ -23,6 +23,7 @@ from .core import (
     integer,
     realize_special,
 )
+from .embeddings import TABLE_ELEMENTS
 from .errors import CapacityError, ParameterError, StructuralError
 from .seeds import RngSeed, as_seed
 
@@ -202,52 +203,39 @@ def gen_lipcomp_product(
 
 
 def _squared_distances(pts: np.ndarray) -> np.ndarray:
-    """sum_k (pts[i, k] - pts[j, k])**2 over the columns, one column at a time.
+    """The bits of ((pts[:, None] - pts[None]) ** 2).sum(axis=2) under
+    O(n^2 + TABLE_ELEMENTS) memory.
 
-    The bits of ((pts[:, None] - pts[None]) ** 2).sum(axis=2) without its
-    n x n x dim temporaries: the terms are added in numpy's own pairwise
-    order for a contiguous axis, that is sequentially below 8 terms, in 8
-    interleaved partial sums combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
-    plus a sequential tail from 8 to 128, and as two halves (the first a
-    multiple of 8 long) above 128.
+    Below 8 coordinates numpy adds the terms in order, so they are summed one
+    column at a time (two n x n matrices at the peak).  From 8 on numpy sums
+    pairwise, and the broadcast itself runs a few rows at a time under
+    TABLE_ELEMENTS entries of the rows x n x dim table, as in induced_metric.
     """
 
     def term(k):
         d = pts[:, k, None] - pts[None, :, k]
         return np.multiply(d, d, out=d)
 
-    def total(lo, hi):
-        size = hi - lo
-        if size > 128:
-            half = size // 2 - size // 2 % 8
-            acc = total(lo, lo + half)
-            acc += total(lo + half, hi)
-            return acc
-        if size < 8:
-            acc, tail = term(lo), lo + 1
-        else:
-            r = [term(lo + j) for j in range(8)]
-            tail = hi - size % 8
-            for i in range(lo + 8, tail, 8):
-                for j in range(8):
-                    r[j] += term(i + j)
-            acc = r[0]
-            for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
-                r[a] += r[b]
-        for k in range(tail, hi):
+    n, dim = pts.shape
+    if 0 < dim < 8:
+        acc = term(0)
+        for k in range(1, dim):
             acc += term(k)
         return acc
-
-    return total(0, pts.shape[1]) if pts.shape[1] else np.zeros((pts.shape[0],) * 2)
+    out = np.empty((n, n))
+    step = max(1, TABLE_ELEMENTS // max(1, n * dim))
+    for lo in range(0, n, step):
+        out[lo : lo + step] = ((pts[lo : lo + step, None] - pts[None]) ** 2).sum(axis=2)
+    return out
 
 
 def gen_euclidean_cloud(n: int, seed=None, dim: int = 3) -> MetricSpace:
     """Uniform points in the unit cube with exact Euclidean distances.
 
     The workhorse "random metric" for tests and experiments: always exactly a
-    metric, no repair step.  The squared distances are summed one coordinate
-    at a time (_squared_distances), so the peak is two n x n matrices below
-    8 coordinates.
+    metric, no repair step.  The squared distances are bitwise the n x n x dim
+    broadcast's, built without it (_squared_distances), so the peak is two
+    n x n matrices at any dim.
     """
     rng = as_seed(seed).rng()
     sq = _squared_distances(rng.uniform(size=(n, dim)))

@@ -159,40 +159,22 @@ class DistortionReport:
     def distortion(self) -> float:
         return self.expansion * self.contraction
 
-    def __str__(self):
-        return (
-            f"distortion {self.distortion:.6g} "
-            f"(expansion {self.expansion:.6g} at {self.expansion_pair}, "
-            f"contraction {self.contraction:.6g} at {self.contraction_pair})"
-        )
 
-
-def distortion_between(source: MetricSpace, target: MetricSpace, mapping=None) -> DistortionReport:
-    """Distortion of the map i -> mapping[i] from source into target.
+def distortion_between(source: MetricSpace, target: MetricSpace) -> DistortionReport:
+    """Distortion of the identity map i -> i from source into target.
 
     expansion = max d_target/d_source, contraction = max d_source/d_target,
-    both over all pairs; distortion is their product.  mapping=None means the
-    identity, and sizes that differ raise StructuralError.
+    both over all pairs; distortion is their product.  Sizes that differ
+    raise StructuralError.
     """
     n = source.n
-    if mapping is None:
-        if target.n != n:
-            raise StructuralError(f"source has {n} points, target {target.n}")
-        dt = target.dist
-    else:
-        mapping = [int(i) for i in mapping]
-        if len(mapping) != n:
-            raise StructuralError("mapping length != source size")
-        if len(set(mapping)) != n:
-            raise StructuralError("mapping must be injective")
-        if any(i < 0 or i >= target.n for i in mapping):
-            raise StructuralError("mapping image out of range")
-        dt = target.dist[np.ix_(mapping, mapping)]
+    if target.n != n:
+        raise StructuralError(f"source has {n} points, target {target.n}")
     if n < 2:
         return DistortionReport(1.0, 1.0, (0, 0), (0, 0))
 
     iu, ju = np.triu_indices(n, k=1)
-    s, t = source.dist[iu, ju], dt[iu, ju]
+    s, t = source.dist[iu, ju], target.dist[iu, ju]
     if np.any(s <= 0) or np.any(t <= 0):
         raise StructuralError("distances must be positive on distinct points/images")
     ratio = t / s

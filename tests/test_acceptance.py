@@ -291,7 +291,7 @@ def test_lip_colip_equals_distortion_bulk():
         assign = tuple(perm.index(i) for i in range(n))
         blocks = [(i,) for i in perm]  # the preimage of target point y
         lip, colip = lip_colip(m, blocks, t)
-        rep = distortion_between(m, t, assign)
+        rep = distortion_between(m, t.restrict(assign))
         assert lip * colip == pytest.approx(rep.distortion, rel=1e-12)
         # scale covariance: doubling the target doubles lip, halves colip
         lip2, colip2 = lip_colip(m, blocks, MetricSpace(t.dist * 2.0))

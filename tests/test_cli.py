@@ -741,13 +741,21 @@ def test_verify_refuses_a_cube_net_that_is_not_the_greedy_net(net):
 @pytest.mark.parametrize("key, value", [("eps", lambda eps: 0.01)])
 def test_verify_checks_the_cube_radius_against_d_and_eps(key, value):
     # the radius follows from d and eps: at eps = 0.01 that of d = 8 leaves
-    # the net alone, one block of claim 0
+    # the net alone, one block of claim 0, so no witness eps = 0.24 found names
+    # a singleton
     art = json.loads(dumps(_fresh_artifact("cube-qs")))
     assert verify_bundle(art).ok
     art[key] = value(art[key])
-    assert [v[0] for v in verify_bundle(art).violations] == ["certificate"]
+    assert [v[0] for v in verify_bundle(art).violations] == ["cube-witness"]
     with pytest.raises(StructuralError, match="eps = 0.25 is outside"):
         verify_bundle({**art, "eps": 0.25})
+
+
+@pytest.mark.parametrize("witnesses", [[[3, 3], [999999, -5]], [[1, 2]]])
+def test_verify_refuses_any_cube_witness_where_no_point_is_a_singleton(witnesses):
+    art = {**json.loads(dumps(_fresh_artifact("cube-qs"))), "eps": 0.01, "certified_distortion": 0.0}
+    assert verify_bundle({**art, "witnesses": []}).ok
+    assert [v[:2] for v in verify_bundle({**art, "witnesses": witnesses}).violations] == [("cube-witness", (0, 0))]
 
 
 def test_verify_refuses_a_tree_larger_than_its_base_before_building_its_metric():

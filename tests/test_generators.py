@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -208,6 +210,18 @@ def test_euclidean_cloud_is_metric():
 @given(st.integers(1, 40), st.one_of(st.integers(1, 20), st.sampled_from([129, 200])), st.integers(0, 2**31 - 1))
 def test_euclidean_cloud_matches_the_broadcast_bitwise(n, dim, seed):
     # below 8, from 8 to 128 and above 128 coordinates numpy sums in three
-    # different orders; the one-coordinate kernel must follow each of them
+    # different orders; the column loop below 8 and the row-chunked broadcast
+    # from 8 on must follow each of them
     got = gen_euclidean_cloud(n, RngSeed(seed), dim).dist
     assert got.tobytes() == euclidean_cloud_broadcast(n, RngSeed(seed), dim).dist.tobytes()
+
+
+def test_euclidean_cloud_peaks_at_two_matrices_from_eight_coordinates():
+    # a 2000-point matrix is 30.5 MiB; the n x n x 8 broadcast alone would be 8 of them
+    tracemalloc.start()
+    try:
+        gen_euclidean_cloud(2000, RngSeed(1), dim=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20

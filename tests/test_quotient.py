@@ -144,16 +144,10 @@ def test_distortion_with_mapping():
     m = random_metric(5, 10)
     perm = [4, 2, 0, 1, 3]
     t = m.restrict(perm)
-    # mapping sends source i to its position in the permuted target
+    # source i sits at position inv[i] of the permuted target
     inv = [perm.index(i) for i in range(5)]
-    rep = distortion_between(m, t, inv)
+    rep = distortion_between(m, t.restrict(inv))
     assert rep.distortion == 1.0
-
-
-@pytest.mark.parametrize("n, seed", [(1, 0), (2, 1), (9, 2), (40, 3)])
-def test_distortion_identity_equals_the_explicit_identity_mapping(n, seed):
-    m, t = random_metric(n, seed), random_metric(n, seed + 100)
-    assert distortion_between(m, t) == distortion_between(m, t, list(range(n)))
 
 
 @pytest.mark.parametrize("variant, vparams, pipeline, closures", [
@@ -181,12 +175,6 @@ def test_quotient_closure_runs_only_where_the_row_minimum_test_fails(
         assert len(calls) >= 1
     else:
         assert len(calls) == closures
-
-
-def test_distortion_rejects_non_injective():
-    m = random_metric(3, 11)
-    with pytest.raises(StructuralError):
-        distortion_between(m, m, [0, 0, 1])
 
 
 @pytest.mark.parametrize("ns,nt", [(5, 6), (6, 5)])

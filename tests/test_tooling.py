@@ -338,6 +338,65 @@ def test_every_library_member_is_used_outside_the_tests():
     assert _unused_members() == {key for key in ONLY_FROM_TESTS if "." in key[1]}
 
 
+# --- no option that no library call sets ------------------------------------
+
+#: (module, "function.param") or (module, "Class.method.param") of each
+#: parameter with a default that no call in src/metriq or perfbench/*.py
+#: sets, with the reason it stays.
+UNSET_DEFAULTS: dict[tuple[str, str], str] = {}
+
+
+def _defaulted(fn: ast.FunctionDef, method: bool) -> list[tuple[str, int | None]]:
+    """(name, index among a call's positional arguments, or None for a
+    keyword-only one) of each parameter of fn with a default; a method's
+    calls pass no self."""
+    a = fn.args
+    positional = a.posonlyargs + a.args
+    skip = int(method and not any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list))
+    first = len(positional) - len(a.defaults)
+    return ([(p.arg, i - skip) for i, p in enumerate(positional) if i >= first]
+            + [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None])
+
+
+def _unset_defaults() -> set[tuple[str, str]]:
+    """(module, "function.param") of each parameter with a default, of a
+    top-level function or a non-dunder method in src/metriq, that no call in
+    src/metriq or perfbench/*.py sets by keyword or by position.  Calls are
+    matched by the callee's name alone; a call with *args sets every
+    position, one with **kwargs every keyword."""
+    paths = sorted((ROOT / "src" / "metriq").glob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in paths + sorted((ROOT / "perfbench").glob("*.py"))}
+    keywords, positions = {}, {}
+    for tree in trees.values():
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call) and isinstance(call.func, (ast.Name, ast.Attribute)):
+                name = getattr(call.func, "id", None) or call.func.attr
+                keywords.setdefault(name, set()).update(k.arg for k in call.keywords)  # None: **kwargs
+                given = np.inf if any(isinstance(a, ast.Starred) for a in call.args) else len(call.args)
+                positions[name] = max(positions.get(name, 0), given)
+    out = set()
+    for path in paths:
+        for node in trees[path].body:
+            if isinstance(node, ast.FunctionDef):
+                fns = [(node, False, node.name)]
+            elif isinstance(node, ast.ClassDef):
+                fns = [(m, True, f"{node.name}.{m.name}") for m in node.body if isinstance(m, ast.FunctionDef)
+                       and not (m.name.startswith("__") and m.name.endswith("__"))]
+            else:
+                continue
+            for fn, method, qualname in fns:
+                kws = keywords.get(fn.name, set())
+                out |= {(path.stem, f"{qualname}.{param}") for param, at in _defaulted(fn, method)
+                        if not ({param, None} & kws or (at is not None and at < positions.get(fn.name, 0)))}
+    return out
+
+
+def test_every_defaulted_parameter_is_set_by_some_library_call():
+    # an option that nothing sets is dead code behind its default: delete
+    # it, or give the reason it stays in UNSET_DEFAULTS
+    assert _unset_defaults() == UNSET_DEFAULTS.keys()
+
+
 # --- no public name that the library never calls -------------------------------
 
 #: each name metriq exports that no src/metriq module names, with the reason it stays
