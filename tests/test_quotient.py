@@ -150,6 +150,17 @@ def test_distortion_with_mapping():
     assert rep.distortion == 1.0
 
 
+@pytest.mark.parametrize("n, seed", [(1, 0), (2, 1), (9, 2), (40, 3)])
+def test_distortion_identity_equals_the_explicit_identity_mapping(n, seed):
+    # the identity written out: both spaces relabelled by one permutation
+    m, t = random_metric(n, seed), random_metric(n, seed + 100)
+    perm = np.random.default_rng(seed).permutation(n)
+    rep, explicit = distortion_between(m, t), distortion_between(m.restrict(perm), t.restrict(perm))
+    assert (rep.expansion, rep.contraction) == (explicit.expansion, explicit.contraction)
+    i, j = explicit.expansion_pair
+    assert sorted((int(perm[i]), int(perm[j]))) == list(rep.expansion_pair)
+
+
 @pytest.mark.parametrize("variant, vparams, pipeline, closures", [
     ("gnp", {"n": 150, "q": 0.02}, "q2", 0),
     ("cloud", {"n": 150}, "aspect", 0),
