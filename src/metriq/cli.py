@@ -222,6 +222,16 @@ def _pipe_composition(tree, seed: RngSeed, params: dict):
             _hst_artifact(res.hst, dist, **quotient_to_json(q, base=False)))
 
 
+def _cube_space(spec: InstanceSpec, params: dict) -> int:
+    """2^d, for a cube-qs plan whose instance, resolved but not built, is the
+    `cube` of its d; any other instance is a ParameterError."""
+    inst, given = resolve_instance(spec)
+    if inst.name != "cube" or given["d"] != params["d"]:
+        raise ParameterError(f"a cube-qs plan with d = {params['d']} runs on instance cube with "
+                             f"d = {params['d']}, not {spec.variant} {given}")
+    return 2 ** params["d"]
+
+
 @dataclass(frozen=True)
 class Pipeline:
     """One construction: `metriq run` executes it once per trial, and the CLI
@@ -235,9 +245,9 @@ class Pipeline:
     run: Callable
     options: tuple[click.Option, ...] = ()
     # both None: the pipe runs on the plan's instance metric; own_space: it
-    # builds its own space of own_space(params) points (cube-qs); variant: it
-    # runs on that instance variant only, as build_instance builds it (a tree)
-    own_space: Callable[[dict], int] | None = None
+    # builds the space of own_space(spec, params) points its instance names
+    # (cube-qs); variant: it runs on that instance variant only, as a tree
+    own_space: Callable[[InstanceSpec, dict], int] | None = None
     variant: str | None = None
     by_name: dict = field(init=False, repr=False, compare=False)
 
@@ -262,7 +272,7 @@ PIPELINES = {p.name: p for p in (
     Pipeline("bourgain", "embedding", _pipe_bourgain, (option("--eps", 0.25), option("--p", 2.0))),
     Pipeline("cube-qs", "cube-qs", _pipe_cube_qs, (
         option("--d", type=click.IntRange(1, MAX_D)), option("--eps", 0.1), option("--p", 2.0),
-    ), own_space=lambda params: 2 ** params["d"]),
+    ), own_space=_cube_space),
     Pipeline("composition", "hst", _pipe_composition, (option("--k", 2.0), option("--alpha", 1.5)),
              variant="composition"),
 )}
@@ -297,9 +307,8 @@ def run_experiment(plan: ExperimentPlan, keep_artifacts: bool = False) -> Report
         try:
             spec = plan.instance_spec(t)
             if pipeline.own_space:
-                resolve_instance(spec)  # checked, though the pipe builds its own space
                 m = None
-                row["n"] = pipeline.own_space(params)
+                row["n"] = pipeline.own_space(spec, params)
             else:
                 m = (build_instance if pipeline.variant else realize_instance)(spec)
                 row["n"] = m.n

@@ -12,8 +12,8 @@ antipodal cells some pair hits and the singleton-to-block ratios contain every
 occupied cell: their max / min bounds the distortion in O(2^d).  The bound is
 exact when its extreme cells are occupied; a witness pair shows each one that
 is neither a block ratio nor an antipodal cell.  Where no witness is found,
-the exact kernel (`_class_distortion`: batched Walsh-Hadamard transforms of
-the class indicators plus one Krawtchouk contraction count all cells in
+the exact kernel (`_class_distortion`: one Walsh-Hadamard transform per class
+indicator plus one Krawtchouk contraction count all cells in
 O(c^2 2^d + c d 2^d) time for c <= d+1 classes) gives the value.  Singletons
 map through the closed forms of `embeddings`: the truncated Gaussian distance
 at p = 2, and the p-stable one, an exact series, for 1 <= p < 2.  Only this
@@ -75,21 +75,20 @@ def _net_radius(d: int, eps: float) -> int:
 
 
 def _greedy_net(d: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Maximal 2r-separated subset, scanning points in lexicographic order.
-
-    Returns the net and every point's Hamming distance to its nearest center.
-    """
-    pts = np.arange(2**d, dtype=np.int64)
-    kept: list[int] = []
-    mind = np.full(2**d, np.iinfo(np.int64).max, dtype=np.int64)
-    x = 0
+    """The maximal 2r-separated subset a lexicographic scan keeps, ascending,
+    and every point's Hamming distance to its nearest center.  That net is the
+    lexicode of minimum distance 2r + 1, a linear code (Conway and Sloane,
+    1986): the first point x far from the code C doubles it to C u (C ^ x),
+    and distance to C ^ x at y is distance to C at y ^ x.  That is k + 1
+    passes over the 2^d points for 2^k centers."""
+    mind = np.bitwise_count(np.arange(2**d, dtype=np.int64)).astype(np.int64)
+    code = np.zeros(1, dtype=np.int64)
     while True:
-        kept.append(x)
-        np.minimum(mind, np.bitwise_count(pts ^ x), out=mind)
-        far = mind[x + 1:] >= 2 * r + 1
-        if not far.any():
-            return np.array(kept, dtype=np.int64), mind
-        x += 1 + int(far.argmax())
+        x = int(np.argmax(mind > 2 * r))  # 0, a codeword, when no point is far
+        if mind[x] <= 2 * r:
+            return np.sort(code), mind
+        code = np.concatenate((code, code ^ x))
+        np.minimum(mind, mind[np.arange(2**d, dtype=np.int64) ^ x], out=mind)
 
 
 def _embedding_lookup(d: int, r: int, p: float) -> tuple[np.ndarray, float]:
@@ -274,15 +273,11 @@ def _class_kernel(d: int, dA: np.ndarray, cut: int, lookup, block_norm) -> Disto
     return _class_distortion(d, sing, dA[sing].astype(np.float64), lookup, block_norm)
 
 
-#: int64 budget of the kernel's work buffer: max(1, CHUNK_ELEMENTS >> d) rows
-CHUNK_ELEMENTS = 1 << 10
-
-
 def _wht(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Walsh-Hadamard transforms of the k int64 vectors x holds as a (2^d, k)
-    array, returned as a (k, 2^d) array in x or y: each pass writes the sums
-    and differences of one buffer's halves, interleaved, into the other."""
-    for _ in range(x.shape[-1].bit_length() - 1):
+    """Walsh-Hadamard transform of the int64 vector x, of length 2^d, returned
+    in x or y: each pass writes the sums and differences of one buffer's
+    halves, interleaved, into the other."""
+    for _ in range(x.size.bit_length() - 1):
         halves, pairs = x.reshape(2, -1), y.reshape(-1, 2)
         np.add(halves[0], halves[1], out=pairs[:, 0])
         np.subtract(halves[0], halves[1], out=pairs[:, 1])
@@ -304,26 +299,20 @@ def _shell_sums(d: int, classes: list[np.ndarray]) -> np.ndarray:
     """Row p, column h: sum_{|w| = h} F_i(w) F_j(w) for the p-th pair (i, j) of
     `np.triu_indices(len(classes))`, F_i the transform of class i's indicator;
     at most 4^d by Cauchy-Schwarz, so exact in int64."""
-    n, c = 1 << d, len(classes)
+    n = 1 << d
     order = np.argsort(np.bitwise_count(np.arange(n, dtype=np.int64)), kind="stable")
-    spectra = np.empty((c, n), dtype=np.int64)
-    work = np.empty((min(max(1, CHUNK_ELEMENTS >> d), c), n), dtype=np.int64)
-    for lo in range(0, c, len(work)):
-        block, spare = spectra[lo:lo + len(work)], work[:c - lo]
-        x, y = (block, spare) if d % 2 else (spare, block)  # d passes end in spare
+    spectra = np.empty((len(classes), n), dtype=np.int64)
+    x, y = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    for spectrum, members in zip(spectra, classes):
         x[:] = 0
-        for r, members in enumerate(classes[lo:lo + len(block)]):
-            x.reshape(n, -1)[members, r] = 1
-        np.take(_wht(x, y), order, axis=1, out=block, mode="clip")  # by |w|; clip: out unbuffered
+        x[members] = 1
+        np.take(_wht(x, y), order, out=spectrum, mode="clip")  # by |w|; clip: out unbuffered
     starts = np.concatenate(([0], np.cumsum([math.comb(d, w) for w in range(d)])))
-    i, j = np.triu_indices(c)
-    shell = []
-    for lo in range(0, i.size, len(work)):
-        products = work[:i.size - lo]
-        for row, a, b in zip(products, i[lo:], j[lo:]):
-            np.multiply(spectra[a], spectra[b], out=row)
-        shell.append(np.add.reduceat(products, starts, axis=1))
-    return np.concatenate(shell)
+    i, j = np.triu_indices(len(classes))
+    shell = np.empty((i.size, d + 1), dtype=np.int64)
+    for row, a, b in zip(shell, i, j):
+        np.add.reduceat(np.multiply(spectra[a], spectra[b], out=x), starts, out=row)
+    return shell
 
 
 def _class_pair_counts(d: int, classes: list[np.ndarray]) -> np.ndarray:

@@ -243,9 +243,10 @@ def quotient_to_json(q: QuotientSpace, base: bool = True) -> dict:
 
 
 #: a quotient's model: its `type`, which names a core dataclass (Star,
-#: Lacunary, Equilateral), and the fields of that dataclass
+#: Lacunary, Equilateral), and the fields of that dataclass but the scale
+#: `edge`, which a distortion does not depend on
 MODEL = Doc("a model", type=one_of("star", "lacunary", "equilateral"), n=integer, tau=number,
-            a=list_of(number), k=number, edge=number, optional={"n", "tau", "a", "k", "edge"})
+            a=list_of(number), k=number, optional={"n", "tau", "a", "k"})
 
 #: a quotient document, as quotient_to_json writes it, and the model and
 #: certified distortion that a quotient pipeline's artifact adds; a bundle's

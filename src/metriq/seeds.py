@@ -1,9 +1,9 @@
 """Reproducible randomness.
 
-Every randomized construction takes an RngSeed = (seed, stream).  Streams are
-derived from one base seed with numpy's SeedSequence spawning, so a CLI run
-with base seed S and trials 0..T-1 uses RngSeed(S, 0), ..., RngSeed(S, T-1)
-and each trial's draws are independent and reproducible in isolation.
+Every randomized construction takes an RngSeed = (seed, stream), drawing from
+SeedSequence(seed, spawn_key=(stream,)).  A CLI run with base seed S and trials
+0..T-1 uses RngSeed(S, 0), ..., RngSeed(S, T-1), each reproducible in isolation
+but not always independent of the others (RngSeed.child).
 """
 
 from __future__ import annotations
@@ -22,7 +22,9 @@ class RngSeed:
         return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(self.stream,)))
 
     def child(self, stream: int) -> "RngSeed":
-        """Derived seed for a sub-construction; distinct streams never collide."""
+        """Derived seed for a sub-construction.  Derivations can collide:
+        RngSeed(7, 0).child(1).child(0) == RngSeed(7, 2).child(0), stream 2001
+        (ROADMAP, independent seed streams)."""
         return RngSeed(self.seed, self.stream * 1000 + stream + 1)
 
 

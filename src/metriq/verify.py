@@ -24,7 +24,8 @@ from .quotient import (QUOTIENT, QuotientSpace, claim_slack, distortion_between,
 
 
 def _model_doc(model) -> dict:
-    return {"type": type(model).__name__.lower(), **asdict(model)}
+    """The model's type and fields but `edge`: distortion does not depend on scale."""
+    return {"type": type(model).__name__.lower(), **{k: v for k, v in asdict(model).items() if k != "edge"}}
 
 
 def _quotient_artifact(q: QuotientSpace, model, certified: float, lipschitz: float | None = None) -> dict:
@@ -236,12 +237,8 @@ def _check_rows(rows: list, artifacts: list[tuple[Doc, dict, int]], report: Vali
     Row and artifact are written from the same values, so they must be equal;
     a row field the artifact's fields hold as None must be empty.
     A row's `n` is the size of the instance its artifact was checked on (kept
-    as `base`), or own_space(params) (cube-qs, whose artifact repeats its
-    plan's d).
+    as `base`), or the `n` _bind_to_plan sets (cube-qs).
     """
-    from .cli import PIPELINES
-
-    own_space = PIPELINES[plan.pipeline].own_space
     by_trial = {}
     for row in rows:
         t = row["trial"]
@@ -257,11 +254,8 @@ def _check_rows(rows: list, artifacts: list[tuple[Doc, dict, int]], report: Vali
             report.add("row", (ai,), f"trial {f['trial']!r} has no row, or an earlier artifact")
             continue
         stored = {"quotient_size": size,
-                  **{k: "" if f[k] is None else f[k] for k in ROW_FIELDS if k in f}}
-        if "base" in decl.fields:
-            stored["n"] = f["base"]
-        elif own_space:
-            stored["n"] = own_space(plan.resolved)
+                  **{k: "" if f[k] is None else f[k] for k in ROW_FIELDS if k in f},
+                  "n": f["base"] if "base" in decl.fields else f["n"]}
         for key, value in stored.items():
             if row.get(key) != value:
                 report.add("row", (ai,), f"row {key} {row.get(key)!r} != artifact {value!r}")
@@ -299,12 +293,15 @@ def _plan_fields(kind: str, params: dict) -> dict:
 
 def _bind_to_plan(f: dict, kind: str, plan) -> None:
     """Refuse a bundle artifact of a kind its plan's pipeline does not write,
-    or whose fields disagree with the params it was written from."""
+    or whose fields disagree with the params it was written from.  Set the
+    `n` of a pipeline that builds its own space, whose instance must name it."""
     from .cli import PIPELINES
 
     pipeline = PIPELINES[plan.pipeline]
     if kind != pipeline.kind:
         raise StructuralError(f"a {plan.pipeline} plan writes {pipeline.kind} artifacts, not {kind}")
+    if pipeline.own_space:
+        f["n"] = pipeline.own_space(plan.instance, plan.resolved)
     for key, value in _plan_fields(kind, plan.resolved).items():
         if f[key] != value:
             raise StructuralError(f"{key} {f[key]!r} is not its plan's {value!r}")

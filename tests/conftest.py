@@ -457,6 +457,22 @@ def greedy_net_loop(d: int, r: int) -> np.ndarray:
     return np.array(kept, dtype=np.int64)
 
 
+def greedy_net_by_centers(d: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reference for cube._greedy_net, its net and every point's distance to
+    it: one XOR-popcount pass over the 2^d points per center kept."""
+    pts = np.arange(2**d, dtype=np.int64)
+    kept: list[int] = []
+    mind = np.full(2**d, np.iinfo(np.int64).max, dtype=np.int64)
+    x = 0
+    while True:
+        kept.append(x)
+        np.minimum(mind, np.bitwise_count(pts ^ x), out=mind)
+        far = mind[x + 1:] >= 2 * r + 1
+        if not far.any():
+            return np.array(kept, dtype=np.int64), mind
+        x += 1 + int(far.argmax())
+
+
 # --- recursive references for the flat HST functions -----------------------
 # A nested tree is a leaf id (int) or (delta, (child, ...)).
 

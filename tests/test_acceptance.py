@@ -354,13 +354,13 @@ GOLDEN_BUNDLES = {
     "quotient": ("cloud", {"n": 40}, "q2", {}, ("quotient", "Q"),
                  "7d6c8c55478c02f6739577dab6a86a85a3e10da65a4e04679c388980e38e9366"),
     "sq": ("cloud", {"n": 40}, "dichotomy", {"drop_root": True}, ("quotient", "SQ"),
-           "49dd22679d7af593119eeb72b44abdd1c70dc00eb52a6e5d6e02402426722dcd"),
+           "3f75998d1cb1da33c8e095e6970e8af4cdfd6d49590bd4695d3d19067c85f82e"),
     "aspect": ("cloud", {"n": 40}, "aspect", {}, ("quotient", "QS"),
-               "351f6b609da487cde2b1e31dd58ecb0bf7af90488ea5f51ef2b456072dbf3d04"),
+               "cc356dbf5d713a21b29ec490663163b1b392cb1f3cd34677c4eca59b5e09a943"),
     "aspect-gnp": ("gnp", {"n": 60, "q": 0.05}, "aspect", {}, ("quotient", "QS"),
-                   "3d7bd49c1221ada072f9d9cc1f24a6a509f1d318944fa9c1ec82e37207074260"),
+                   "cd3d81fbd32bbfba712897656e5edaecfd36bbef763db7fdba83f0095bcb4df4"),
     "aspect-lipschitz": ("cloud", {"n": 40}, "aspect", {"lipschitz": True}, ("quotient", "QS"),
-                         "1b2775c38025fafdb7b8a68af5bd1ee2ab2de1b807083d140dbf544981a8063b"),
+                         "f8c2955ad4324a0b32b7d2371ae9cf674905e913ac3d1a3bca9d5b48a24fdb34"),
     "hst": ("cloud", {"n": 40}, "hst", {}, ("hst", None),
             "b5ae7e30468429171ea9ff05fae1c0ad697f1be6f1638dbb8dbf2069a6cafafe"),
     "embedding": ("cloud", {"n": 40}, "bourgain", {}, ("embedding", None),

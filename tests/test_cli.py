@@ -937,7 +937,9 @@ def test_model_doc_round_trips_to_the_model_metric(model):
 
     doc = json.loads(dumps(_model_doc(model)))
     assert doc["type"] == type(model).__name__.lower()
-    assert np.array_equal(_model_from_doc(doc).dist, realize_special(model).dist)
+    # an equilateral model is stored without its edge and read at edge 1
+    edge = getattr(model, "edge", 1.0)
+    assert np.array_equal(_model_from_doc(doc).dist * edge, realize_special(model).dist)
     with pytest.raises(ParameterError, match="unknown \\['scale'\\]"):
         _model_from_doc({**doc, "scale": 2.5})  # distortion ignores scale, so none is stored
     with pytest.raises(StructuralError):
@@ -1098,13 +1100,33 @@ def test_cube_qs_plan_checks_its_instance_params_per_trial(variant, params, key)
         assert repr(key) in err["detail"]
 
 
-@pytest.mark.parametrize("d", [8, 30])
+@pytest.mark.parametrize("d", [8, 13])
 def test_cube_qs_plan_resolves_its_instance_without_building_it(d):
-    # a built d = 30 cube would be a 2^30-point matrix, which hypercube_metric refuses
+    # a built d = 13 cube would be a 2^13-point matrix, which hypercube_metric refuses
     doc = {"instance": {"variant": "cube", "params": {"d": d}}, "pipeline": "cube-qs",
-           "params": {"d": 8, "eps": 0.24}, "trials": 1, "seed": 0}
+           "params": {"d": d, "eps": 0.24}, "trials": 1, "seed": 0}
     bundle = run_experiment(plan_from_json(doc))
-    assert bundle.summary["failures"] == 0 and bundle.rows[0]["n"] == 256
+    assert bundle.summary["failures"] == 0 and bundle.rows[0]["n"] == 2**d
+
+
+@pytest.mark.parametrize("variant, params", [("cloud", {"n": 5}), ("cube", {"d": 3}), ("cube", {"d": 30})],
+                         ids=["cloud", "cube-d3", "cube-d30"])
+def test_cube_qs_plan_runs_only_on_the_cube_of_its_d(variant, params):
+    # each of these ran the pipeline's 256-point cube, and its bundle verified ok
+    doc = {"instance": {"variant": variant, "params": params}, "pipeline": "cube-qs",
+           "params": {"d": 8, "eps": 0.24}, "trials": 2, "seed": 0}
+    bundle = run_experiment(plan_from_json(doc), keep_artifacts=True)
+    assert len(bundle.rows) == 2 and bundle.artifacts == []
+    for t, err in enumerate(bundle.summary["errors"]):
+        assert err["trial"] == t and err["error"] == "ParameterError"
+        assert err["detail"].startswith(f"a cube-qs plan with d = 8 runs on instance cube with d = 8, not {variant} ")
+    matched = run_bundle("cube", {"d": 8}, "cube-qs", {"d": 8, "eps": 0.24})
+    matched["plan"]["instance"] = {"variant": variant, "params": params}
+    with pytest.raises(ParameterError, match="^artifact 0: a cube-qs plan with d = 8 runs on instance cube"):
+        verify_bundle(matched)
+    del matched["rows"]
+    with pytest.raises(ParameterError, match="^artifact 0: a cube-qs plan"):
+        verify_bundle(matched)
 
 
 def test_plan_rejects_missing_param():

@@ -17,6 +17,7 @@ from conftest import (
     cube_singletons,
     cube_udist,
     cube_udist_to_block,
+    greedy_net_by_centers,
     greedy_net_loop,
     stream_distortion_loop,
 )
@@ -38,6 +39,7 @@ from metriq.cube import (
     _krawtchouk,
     _net_radius,
     _shell_sums,
+    _wht,
     cube_qs_construct,
 )
 from metriq.errors import CapacityError, ConstructionFailureError, ParameterError
@@ -70,6 +72,47 @@ def test_greedy_net_matches_loop(d, r):
     pts = np.arange(2**d)
     want = np.min(np.bitwise_count(pts[:, None] ^ A[None, :]), axis=1)
     assert np.array_equal(mind, want)
+
+
+#: every eps the cube tests build at, over every d whose cube takes it
+NET_EPS = (0.01, 0.05, 0.1, 0.15, 0.18, 0.2, 0.22, 0.24)
+
+
+@pytest.mark.parametrize("d", [*range(1, 20), 20, 22])
+def test_greedy_net_is_the_net_of_a_pass_per_center(d):
+    # the doubling net, values and dtypes, against the loop it replaced
+    for eps in NET_EPS if d < 20 else (0.2,):
+        if eps < 2.0**-d:
+            continue
+        r = _net_radius(d, eps)
+        (A, mind), (A_ref, mind_ref) = _greedy_net(d, r), greedy_net_by_centers(d, r)
+        assert A.dtype == mind.dtype == np.int64
+        assert np.array_equal(A, A_ref) and np.array_equal(mind, mind_ref), (d, eps)
+
+
+def test_greedy_net_peak_memory_at_d22():
+    # three int64 vectors over the 2^22 points: the distances, the XOR of the
+    # points with a new generator, and the distances gathered there
+    r = _net_radius(22, 0.2)
+    tracemalloc.start()
+    try:
+        _greedy_net(22, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * 2**22 + 2**20
+
+
+@pytest.mark.parametrize("d", range(11))
+def test_wht_is_the_sylvester_hadamard_product(d):
+    H = np.ones((1, 1), dtype=np.int64)
+    for _ in range(d):
+        H = np.block([[H, H], [H, -H]])
+    v = np.random.default_rng(d).integers(-5, 6, size=2**d)
+    x, y = v.copy(), np.empty_like(v)
+    out = _wht(x, y)
+    assert out is x or out is y
+    assert out.tolist() == (H @ v).tolist()
 
 
 def test_block_count_and_survivor_rule():
@@ -271,13 +314,10 @@ def disjoint_classes(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(case=disjoint_classes(), chunk=st.sampled_from([1, cube.CHUNK_ELEMENTS, 1 << 20]))
-def test_class_pair_counts_match_brute_force(case, chunk):
-    # chunk 1 transforms class by class, 1 << 20 every class in one batch
+@given(case=disjoint_classes())
+def test_class_pair_counts_match_brute_force(case):
     d, classes = case
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cube, "CHUNK_ELEMENTS", chunk)
-        counts = _class_pair_counts(d, classes)
+    counts = _class_pair_counts(d, classes)
     assert counts.dtype == np.int64
     assert counts.tolist() == brute_pair_counts(d, classes)
 

@@ -276,7 +276,7 @@ def test_a_block_widened_past_the_lipschitz_bound_is_refused(seed):
 
 def test_a_cube_artifact_of_another_plan_is_refused():
     # the d = 9 artifact of another run, its row's size and claim copied
-    doc, other = run_bundle(*CUBE), run_bundle("cube", {"d": 8}, "cube-qs", {"d": 9, "eps": 0.24})
+    doc, other = run_bundle(*CUBE), run_bundle("cube", {"d": 9}, "cube-qs", {"d": 9, "eps": 0.24})
     doc["artifacts"] = other["artifacts"]
     for key in ("quotient_size", "certified_distortion"):
         doc["rows"][0][key] = other["rows"][0][key]

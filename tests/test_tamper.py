@@ -39,8 +39,6 @@ PLANS = {
     "aspect-lipschitz": ("cloud", {"n": 40}, "aspect", {"alpha": 1.5, "lipschitz": True}),
 }
 
-SCALE = "distortion does not depend on scale, so the model's edge certifies nothing"
-
 #: (plan, field path) -> why verify accepts that tamper; each is a true
 #: certificate by the loop oracle (_loop_claims)
 KNOWN_ACCEPTED = {
@@ -49,10 +47,6 @@ KNOWN_ACCEPTED = {
     ("aspect-lipschitz", "blocks"): "benign: as for aspect, and singleton blocks keep lip * colip = 1",
     ("sq", "blocks"): "benign: the SQ space with the last kept point moved to the next one has the "
                       "claimed distortion",
-    ("aspect", "model.edge"): SCALE,
-    ("aspect-lipschitz", "model.edge"): SCALE,
-    ("dichotomy", "model.edge"): SCALE,
-    ("sq", "model.edge"): SCALE,
 }
 
 
