@@ -24,7 +24,7 @@ from .errors import (
     ParameterError,
     StructuralError,
 )
-from .quotient import DistortionReport, distortion_between
+from .quotient import DistortionReport, distortion_between, pair_distortion
 from .seeds import as_seed
 
 
@@ -50,8 +50,8 @@ class VectorEmbedding:
             if w.shape != (v.shape[1],):
                 raise StructuralError("weights must have one entry per coordinate")
             object.__setattr__(self, "weights", w)
-        if self.p < 1:
-            raise ParameterError("p must be >= 1")
+        if not 1 <= self.p < math.inf:
+            raise ParameterError(f"p = {self.p!r} is not a finite number >= 1")
 
 
 # entries of one rows x n x dim chunk of a p-norm table, or of one block of
@@ -92,6 +92,76 @@ def induced_metric(emb: VectorEmbedding) -> MetricSpace:
         lo = hi
     out **= 1.0 / emb.p
     return MetricSpace(out)
+
+
+def embedding_distortion(source: MetricSpace, emb: VectorEmbedding) -> DistortionReport:
+    """distortion_between(source, induced_metric(emb)), bit for bit, errors included.
+
+    Real float64 vectors at p = 2 are screened by one Gram product instead of
+    the N^2/2 x J table.  With u the unit roundoff, gamma_m = m u / (1 - m u),
+    Y = X sqrt(w) (X where w is None), P_i = ||y_i||^2 and g_i its computed
+    Gram diagonal, the table's squared entry S_ij lies within B_ij of
+    D_ij = g_i + g_j - 2 (Y Y^T)_ij:
+
+    - a Gram entry errs by gamma_J sum_k |y_ik y_jk| <= gamma_J (P_i + P_j) / 2
+      in any summation order, FMA or not, and the diagonal by gamma_J P_i; the
+      add and subtract forming D_ij add gamma_2 of their operands, so D_ij is
+      within 2 gamma_(J+2) (P_i + P_j) of sum_k (y_ik - y_jk)^2;
+    - rounding sqrt(w_k) and x_ik sqrt(w_k) moves that sum by at most
+      4u (P_i + P_j) + gamma_2 W_ij from W_ij = sum_k w_k (x_ik - x_jk)^2;
+    - induced_metric's own sum (subtract, square, weight, J - 1 adds) is within
+      gamma_(J+3) W_ij of W_ij, and W_ij <= 2 (P_i + P_j) up to O(u) terms;
+
+    in all (4J + 18) u (P_i + P_j) and terms of order u^2.  Underflow adds
+    below 2^-1075 per rounding.  B_ij = (4J + 20) (2u (g_i + g_j) + 2^-1022)
+    doubles the first and covers the second many times over.  The ratio
+    interval [sqrt(D - B) / s, sqrt(D + B) / s], widened by 8u for its own
+    and the table's roundings of sqrt and /, holds the table's ratio t / s.
+
+    A pair can attain the max ratio only if its upper end reaches the largest
+    lower end, and the min only if its lower end reaches the smallest upper
+    end; a pair whose distance could be 0 has lower end 0 and is kept by the
+    second rule.  The kept pairs are recomputed by induced_metric on the
+    sub-embedding of their endpoints: entry (i, j) reads only rows i and j, so
+    it is the full table's bit for bit, and pair_distortion breaks ties in
+    np.triu_indices order among them as distortion_between does among all.
+    Only the kept set can vary with the BLAS build, never the result.
+
+    Any other p, vectors that are not finite float64, weights that are not
+    finite and >= 0, entries large enough to overflow, sizes that differ,
+    n < 2 or a source distance <= 0 take distortion_between(source,
+    induced_metric(emb)) itself.
+    """
+    v, w = emb.vectors, emb.weights
+    n, J = v.shape
+    screen = emb.p == 2 and v.dtype == np.float64 and source.n == n >= 2 and (w is None or (w >= 0).all())
+    if screen:  # 4 J max(w) max|x|^2 bounds every table and Gram entry; it is NaN or inf for non-finite input
+        with np.errstate(over="ignore", invalid="ignore"):
+            big = 4.0 * max(J, 1) * (1.0 if w is None else w.max(initial=0.0)) * np.abs(v).max(initial=0.0) ** 2
+        screen = big < 2.0**1000 and not np.triu(source.dist <= 0, 1).any()
+    if not screen:
+        return distortion_between(source, induced_metric(emb))
+
+    Y = v if w is None else v * np.sqrt(w)
+    G = Y @ Y.T
+    del Y
+    g = G.diagonal().copy()
+    u = np.finfo(np.float64).eps / 2
+    lower = np.empty_like(G)  # ratio intervals, strictly upper pairs only: lower ends here, upper ends in G
+    rows = max(1, TABLE_ELEMENTS // n)
+    for lo in range(0, n, rows):
+        hi = min(n, lo + rows)
+        D = g[lo:hi, None] + g - 2.0 * G[lo:hi]
+        B = (4 * J + 20) * (2.0 * u * (g[lo:hi, None] + g) + np.finfo(np.float64).tiny)
+        pairs = np.arange(n) > np.arange(lo, hi)[:, None]
+        s = np.where(pairs, source.dist[lo:hi], 1.0)
+        lower[lo:hi] = np.where(pairs, np.sqrt(np.maximum(D - B, 0.0)) / s * (1.0 - 8.0 * u), -np.inf)
+        G[lo:hi] = np.where(pairs, np.sqrt(D + B) / s * (1.0 + 8.0 * u), np.inf)
+    i, j = np.nonzero(np.triu((G >= lower.max()) | (lower <= G.min()), 1))
+    idx, ends = np.unique(np.concatenate([i, j]), return_inverse=True)
+    a, b = ends.reshape(2, -1)
+    t = induced_metric(VectorEmbedding(v[idx], emb.p, w)).dist[a, b]
+    return pair_distortion(i, j, source.dist[i, j], t)
 
 
 def embedding_to_json(subset: list[int], emb: VectorEmbedding, mask: np.ndarray, certified: float) -> dict:
@@ -162,8 +232,8 @@ def bourgain_embed(
     """
     from .constructions import find_m_center
 
-    if p < 1:
-        raise ParameterError("p must be >= 1")
+    if not 1 <= p < math.inf:  # before bourgain_scales divides by it
+        raise ParameterError(f"p = {p!r} is not a finite number >= 1")
     if mparam < 1:
         raise ParameterError("mparam must be >= 1")
     if find_m_center(m, mparam) is None:
@@ -189,7 +259,7 @@ def bourgain_embed(
         raise ParameterError(f"unknown mode {mode!r}")
     emb = VectorEmbedding(_subset_distances(m.dist, mask), p, weights)
 
-    report = distortion_between(m, induced_metric(emb))
+    report = embedding_distortion(m, emb)
     if mode == "exact" and report.distortion > 96 * q + 1e-9:
         raise ConstructionFailureError(
             f"exact-mode distortion {report.distortion} exceeds 96q = {96 * q}",

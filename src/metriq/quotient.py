@@ -174,17 +174,21 @@ def distortion_between(source: MetricSpace, target: MetricSpace) -> DistortionRe
         return DistortionReport(1.0, 1.0, (0, 0), (0, 0))
 
     iu, ju = np.triu_indices(n, k=1)
-    s, t = source.dist[iu, ju], target.dist[iu, ju]
+    return pair_distortion(iu, ju, source.dist[iu, ju], target.dist[iu, ju])
+
+
+def pair_distortion(iu: np.ndarray, ju: np.ndarray, s: np.ndarray, t: np.ndarray) -> DistortionReport:
+    """The report of distortion_between over the pairs (iu[k], ju[k]) at
+    source distance s[k] and target distance t[k], listed in np.triu_indices
+    order, so that a tie goes to the first such pair."""
     if np.any(s <= 0) or np.any(t <= 0):
         raise StructuralError("distances must be positive on distinct points/images")
     ratio = t / s
     hi = int(np.argmax(ratio))
     lo = int(np.argmin(ratio))
-    expansion = float(ratio[hi])
-    contraction = float(1.0 / ratio[lo])
     return DistortionReport(
-        expansion,
-        contraction,
+        float(ratio[hi]),
+        float(1.0 / ratio[lo]),
         (int(iu[hi]), int(ju[hi])),
         (int(iu[lo]), int(ju[lo])),
     )

@@ -159,7 +159,7 @@ EMBEDDING = Doc("an embedding artifact", kind="embedding", base=METRIC, subset=l
 def _verify_embedding(f: dict, ai: int, report: ValidationReport) -> int:
     """Rebuild the coordinates with the _subset_distances that the run takes and recompute the claim;
     weights >= 0 that sum to at most 1 keep the 1-Lipschitz coordinates non-expanding."""
-    from .embeddings import VectorEmbedding, _subset_distances, induced_metric
+    from .embeddings import VectorEmbedding, _subset_distances, embedding_distortion
 
     source, w, flat = _collapsed_base(f), f["weights"], f["subsets"]
     if not ((w >= 0).all() and w.sum() <= 1.0 + TOL):
@@ -169,8 +169,7 @@ def _verify_embedding(f: dict, ai: int, report: ValidationReport) -> int:
         raise StructuralError(f"subsets must be increasing flat indices into a {w.size} x {source.n} mask")
     mask.flat[flat] = True
     emb = VectorEmbedding(_subset_distances(source.dist, mask), f["p"], w)
-    rep = distortion_between(source, induced_metric(emb))
-    _check_claim(f["certified_distortion"], rep.distortion, ai, report)
+    _check_claim(f["certified_distortion"], embedding_distortion(source, emb).distortion, ai, report)
     return source.n
 
 

@@ -1100,6 +1100,19 @@ def test_cube_qs_plan_checks_its_instance_params_per_trial(variant, params, key)
         assert repr(key) in err["detail"]
 
 
+@pytest.mark.parametrize("p", [0.5, math.nan, math.inf], ids=["half", "nan", "inf"])
+def test_bourgain_plan_refuses_a_p_that_is_not_finite_and_at_least_1_per_trial(tmp_path, p):
+    # p = nan crashed the run in bourgain_scales with a bare ValueError, and
+    # p = inf certified 14.97 for an all-zero embedding that verify then refused
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({"instance": {"variant": "cloud", "params": {"n": 40}}, "pipeline": "bourgain",
+                                "params": {"p": p}, "trials": 2, "seed": 0}))
+    bundle = run_experiment(plan_from_json(json.loads(path.read_text())), keep_artifacts=True)
+    assert bundle.artifacts == [] and [row["certified_distortion"] for row in bundle.rows] == ["", ""]
+    assert [(err["trial"], err["error"], err["detail"]) for err in bundle.summary["errors"]] == [
+        (t, "ParameterError", f"p = {p!r} is not a finite number >= 1") for t in range(2)]
+
+
 @pytest.mark.parametrize("d", [8, 13])
 def test_cube_qs_plan_resolves_its_instance_without_building_it(d):
     # a built d = 13 cube would be a 2^13-point matrix, which hypercube_metric refuses

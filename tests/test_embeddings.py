@@ -14,19 +14,20 @@ from metriq import embeddings
 
 from metriq.cli import PIPELINES, main, plan_from_json, run_experiment
 from metriq.constructions import m_center_quotient, m_center_size
-from metriq.core import (Equilateral, Star, decode_array, dumps, encode_array, metric_from_json, realize_special,
-                         validate_metric)
+from metriq.core import (Equilateral, MetricSpace, Star, decode_array, dumps, encode_array, metric_from_json,
+                         realize_special, validate_metric)
 from metriq.embeddings import (
     VectorEmbedding,
     bourgain_embed,
+    embedding_distortion,
     embedding_to_json,
     induced_metric,
     pstable_distance,
     pstable_expectation,
     truncated_gauss_distance,
 )
-from metriq.errors import CapacityError, NoMCenterError, ParameterError
-from metriq.quotient import claim_slack, quotient_by_subset
+from metriq.errors import CapacityError, MetriqError, NoMCenterError, ParameterError
+from metriq.quotient import claim_slack, distortion_between, quotient_by_subset
 from metriq.seeds import RngSeed
 from metriq.verify import verify_bundle
 
@@ -39,6 +40,7 @@ from conftest import (
     pstable_expectation_monte_carlo,
     random_metric,
     refusal,
+    run_bundle,
     standalone,
     star_poincare_lower,
     star_to_lp,
@@ -415,6 +417,134 @@ def test_induced_metric_memory_stays_under_the_table_budget():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+# --- the embedding claim: a Gram screen, then the table on the kept pairs ---
+
+
+def _outcome(fn):
+    """fn()'s value, or the type and message of the MetriqError it raises."""
+    try:
+        return fn()
+    except MetriqError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_one_claim(source, emb):
+    want = _outcome(lambda: distortion_between(source, induced_metric(emb)))
+    assert _outcome(lambda: embedding_distortion(source, emb)) == want
+
+
+@st.composite
+def _embedding_cases(draw):
+    """A source metric and an embedding of its points: near-duplicate or
+    identical rows, zero or equal weights, or a simplex with every distance
+    tied, at p in {1, 1.5, 2}, complex at p = 2."""
+    n, J = draw(st.integers(0, 40)), draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["random", "near", "same", "simplex"]))
+    v = rng.normal(size=(n, J)) * 10.0 ** draw(st.integers(-6, 6))
+    source = random_metric(n, int(rng.integers(2**32))) if n else MetricSpace(np.zeros((0, 0)))
+    if shape == "simplex":
+        J = max(J, n)
+        v = np.eye(n, J) * 10.0 ** draw(st.integers(-6, 6))
+        source = MetricSpace(np.ones((n, n)) - np.eye(n))
+    elif shape in ("near", "same") and n >= 2:
+        k = draw(st.integers(1, n - 1))
+        rel = 0.0 if shape == "same" else 10.0 ** -draw(st.integers(1, 16))
+        v[k] = v[0] * (1.0 + rel * rng.normal(size=J))
+    weights = draw(st.sampled_from(["none", "equal"] if shape == "simplex" else ["none", "equal", "random", "zeros"]))
+    w = {"none": None, "equal": np.full(J, 1.0 / J), "random": rng.uniform(size=J),
+         "zeros": rng.uniform(size=J) * (rng.uniform(size=J) < 0.3)}[weights]
+    p = draw(st.sampled_from([1.0, 1.5, 2.0, "complex"]))
+    if p == "complex":
+        p, v = 2.0, v + 1j * rng.normal(size=v.shape) * np.abs(v).max(initial=1.0)
+    event(f"{shape}, {weights} weights, p = {p}, {v.dtype}")
+    return source, VectorEmbedding(v, p, w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_embedding_cases())
+def test_embedding_distortion_is_bitwise_the_tables(case):
+    # the same expansion, contraction and pairs, or the same error
+    _assert_one_claim(*case)
+
+
+def _edited(v, i, value):
+    v = v.copy()
+    v.flat[i] = value
+    return v
+
+
+_V = np.random.default_rng(5).normal(size=(9, 7))
+_SOURCE = random_metric(9, 5)
+
+
+@pytest.mark.parametrize("source, emb", [
+    (_SOURCE, VectorEmbedding(_V * 1e155, 2.0)),  # squares overflow in the table
+    (_SOURCE, VectorEmbedding(_V * 1e100, 2.0, np.full(7, 1e110))),
+    (_SOURCE, VectorEmbedding(_edited(_V, 3, math.nan), 2.0)),
+    (_SOURCE, VectorEmbedding(_edited(_V, 3, math.inf), 2.0)),
+    (_SOURCE, VectorEmbedding(_V, 2.0, np.full(7, math.inf))),
+    (_SOURCE, VectorEmbedding(_V, 2.0, _edited(np.ones(7), 2, -0.1))),
+    (_SOURCE, VectorEmbedding(_V.astype(np.float32), 2.0)),
+    (_SOURCE, VectorEmbedding((_V * 100).astype(np.int64), 2)),
+    (random_metric(8, 5), VectorEmbedding(_V, 2.0)),
+    (random_metric(1, 5), VectorEmbedding(_V[:1], 2.0)),
+    (MetricSpace(_SOURCE.dist * (1 - np.eye(9)[::-1])), VectorEmbedding(_V, 2.0)),  # source pair (0, 8) at 0
+    (_SOURCE, VectorEmbedding(_V * 1e-160, 2.0)),  # squares underflow
+], ids=["overflow", "weighted-overflow", "nan", "inf", "inf-weights", "negative-weight", "float32", "int64",
+        "sizes-differ", "one-point", "source-zero", "underflow"])
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_embedding_distortion_outside_the_screen_is_the_tables(source, emb):
+    _assert_one_claim(source, emb)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("n", [6, 12, 15])
+def test_embedding_distortion_of_an_exact_mode_embedding_is_bitwise_the_tables(n, p):
+    m = random_metric(n, n)
+    emb, rep, _ = bourgain_embed(m, float(n), p, "exact")
+    _assert_one_claim(m, emb)
+    assert rep == distortion_between(m, induced_metric(emb))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_bourgain_claims_on_clouds_are_the_tables(seed):
+    n = 40 + 30 * seed // 11
+    q = m_center_quotient(random_metric(n, seed), 0.25, RngSeed(seed).child(0))[1]
+    mode = "exact" if q.metric.n <= embeddings.EXACT_MAX_POINTS else "monte-carlo"
+    emb, rep, _ = bourgain_embed(q.metric, m_center_size(0.25), 2.0, mode, RngSeed(seed).child(1))
+    assert rep == distortion_between(q.metric, induced_metric(emb))
+
+
+def test_a_bourgain_claim_recomputes_under_1_percent_of_its_pairs(monkeypatch):
+    # run and verify each build the table only on the endpoints of the pairs the screen keeps
+    table, decide, seen = embeddings.induced_metric, embeddings.embedding_distortion, []
+    monkeypatch.setattr(embeddings, "induced_metric", lambda emb: seen.append(emb.vectors.shape[0]) or table(emb))
+    monkeypatch.setattr(embeddings, "embedding_distortion",
+                        lambda source, emb: seen.append(source.n) or decide(source, emb))
+    assert verify_bundle(run_bundle("cloud", {"n": 200}, "bourgain", {}, seed=0)).ok
+    (n, k), (n_again, k_again) = seen[:2], seen[2:]
+    assert n == n_again > embeddings.EXACT_MAX_POINTS and k == k_again
+    assert k * (k - 1) < 0.01 * n * (n - 1)
+
+
+def test_embedding_distortion_peaks_no_higher_than_the_table():
+    # N = 800 points and J = 1024 coordinates, as bourgain at cloud n = 1000
+    source = random_metric(800, 3)
+    probs = np.repeat(np.exp(-2.0 * np.arange(1, 5)), 256)
+    mask = np.random.default_rng(3).random((1024, 800)) < probs[:, None]
+    emb = VectorEmbedding(embeddings._subset_distances(source.dist, mask), 2.0, np.full(1024, 1.0 / 1024))
+    reports, peaks = [], []
+    for claim in (lambda: distortion_between(source, induced_metric(emb)), lambda: embedding_distortion(source, emb)):
+        tracemalloc.start()
+        try:
+            reports.append(claim())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert reports[0] == reports[1] and peaks[1] <= peaks[0]
 
 
 @pytest.mark.parametrize("n", [12, 40], ids=["exact", "monte-carlo"])

@@ -5,6 +5,7 @@ that names the artifact and the field's path, before any check runs.
 """
 
 import copy
+import dataclasses
 import json
 import math
 import re
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from metriq import cube
+from metriq import cube, embeddings
 from metriq.core import Doc, decode_array, integer, number
 from metriq.cube import _cell_ratio, _class_bound, _embedding_lookup, _greedy_net, _net_radius
 from metriq.errors import StructuralError, UndefinedInputError
@@ -250,4 +251,21 @@ def test_run_and_verify_decide_a_cube_claim_by_one_call(monkeypatch):
     # the claim compared is the one _certify returns
     off = cube.DistortionSummary(2.0, 2.0, 1)
     monkeypatch.setattr(cube, "_certify", lambda *args: (off, *certify(*args)[1:]))
+    assert [v[:2] for v in verify_bundle(doc).violations] == [("certificate", (0,))]
+
+
+def test_run_and_verify_decide_an_embedding_claim_by_one_call(monkeypatch):
+    # bourgain_embed and verify both take the claim from embeddings.embedding_distortion,
+    # on the same source and coordinates
+    decide, calls = embeddings.embedding_distortion, []
+    monkeypatch.setattr(embeddings, "embedding_distortion", lambda *args: calls.append(args) or decide(*args))
+    doc = _plan("bourgain")
+    assert len(calls) == 1
+    assert verify_bundle(doc).ok
+    assert len(calls) == 2
+    (run_source, run_emb), (source, emb) = calls
+    assert run_source.dist.tobytes() == source.dist.tobytes() and run_emb.vectors.tobytes() == emb.vectors.tobytes()
+    # the claim compared is the one embedding_distortion returns
+    monkeypatch.setattr(embeddings, "embedding_distortion",
+                        lambda *args: dataclasses.replace(decide(*args), contraction=2.0 * decide(*args).contraction))
     assert [v[:2] for v in verify_bundle(doc).violations] == [("certificate", (0,))]
