@@ -36,7 +36,7 @@ class VectorEmbedding:
 
     vectors: np.ndarray  # (n, dim), float64 or complex128
     p: float
-    weights: np.ndarray | None = None  # per-coordinate weights, default all-1
+    weights: np.ndarray | None = None  # per-coordinate weights, finite and >= 0, default all-1
 
     def __post_init__(self):
         v = np.asarray(self.vectors)
@@ -49,6 +49,8 @@ class VectorEmbedding:
             w = np.asarray(self.weights, dtype=np.float64)
             if w.shape != (v.shape[1],):
                 raise StructuralError("weights must have one entry per coordinate")
+            if not ((0 <= w) & (w < math.inf)).all():  # a negative weight makes induced_metric indefinite
+                raise StructuralError("weights must be finite and >= 0")
             object.__setattr__(self, "weights", w)
         if not 1 <= self.p < math.inf:
             raise ParameterError(f"p = {self.p!r} is not a finite number >= 1")
@@ -127,14 +129,13 @@ def embedding_distortion(source: MetricSpace, emb: VectorEmbedding) -> Distortio
     np.triu_indices order among them as distortion_between does among all.
     Only the kept set can vary with the BLAS build, never the result.
 
-    Any other p, vectors that are not finite float64, weights that are not
-    finite and >= 0, entries large enough to overflow, sizes that differ,
-    n < 2 or a source distance <= 0 take distortion_between(source,
-    induced_metric(emb)) itself.
+    Any other p, vectors that are not finite float64, entries large enough to
+    overflow, sizes that differ, n < 2 or a source distance <= 0 take
+    distortion_between(source, induced_metric(emb)) itself.
     """
     v, w = emb.vectors, emb.weights
     n, J = v.shape
-    screen = emb.p == 2 and v.dtype == np.float64 and source.n == n >= 2 and (w is None or (w >= 0).all())
+    screen = emb.p == 2 and v.dtype == np.float64 and source.n == n >= 2
     if screen:  # 4 J max(w) max|x|^2 bounds every table and Gram entry; it is NaN or inf for non-finite input
         with np.errstate(over="ignore", invalid="ignore"):
             big = 4.0 * max(J, 1) * (1.0 if w is None else w.max(initial=0.0)) * np.abs(v).max(initial=0.0) ** 2

@@ -9,7 +9,7 @@ its plan names, which verify rebuilds; in a standalone artifact, the base it emb
 
 from __future__ import annotations
 
-from dataclasses import asdict
+from dataclasses import fields
 
 import numpy as np
 
@@ -24,8 +24,10 @@ from .quotient import (QUOTIENT, QuotientSpace, claim_slack, distortion_between,
 
 
 def _model_doc(model) -> dict:
-    """The model's type and fields but `edge`: distortion does not depend on scale."""
-    return {"type": type(model).__name__.lower(), **{k: v for k, v in asdict(model).items() if k != "edge"}}
+    """The model's type and fields but `edge`: distortion does not depend on scale.
+    The fields are read shallowly: asdict would copy a Lacunary's tuple element by element."""
+    return {"type": type(model).__name__.lower(), **{f.name: getattr(model, f.name) for f in fields(model)
+                                                     if f.name != "edge"}}
 
 
 def _quotient_artifact(q: QuotientSpace, model, certified: float, lipschitz: float | None = None) -> dict:
@@ -158,12 +160,13 @@ EMBEDDING = Doc("an embedding artifact", kind="embedding", base=METRIC, subset=l
 
 def _verify_embedding(f: dict, ai: int, report: ValidationReport) -> int:
     """Rebuild the coordinates with the _subset_distances that the run takes and recompute the claim;
-    weights >= 0 that sum to at most 1 keep the 1-Lipschitz coordinates non-expanding."""
+    weights >= 0 (VectorEmbedding refuses others) that sum to at most 1 keep the 1-Lipschitz
+    coordinates non-expanding."""
     from .embeddings import VectorEmbedding, _subset_distances, embedding_distortion
 
     source, w, flat = _collapsed_base(f), f["weights"], f["subsets"]
-    if not ((w >= 0).all() and w.sum() <= 1.0 + TOL):
-        raise StructuralError("weights must be >= 0 and sum to at most 1")
+    if not w.sum() <= 1.0 + TOL:
+        raise StructuralError("weights must sum to at most 1")
     mask = np.zeros((w.size, source.n), dtype=bool)
     if flat.size and not (0 <= flat[0] and flat[-1] < mask.size and (np.diff(flat) > 0).all()):
         raise StructuralError(f"subsets must be increasing flat indices into a {w.size} x {source.n} mask")

@@ -372,20 +372,45 @@ GOLDEN_BUNDLES = {
 }
 
 
-@pytest.mark.parametrize("name", list(GOLDEN_BUNDLES))
-def test_bundle_bytes_are_golden(name):
+#: the same digest of bundles of several trials, whose summary quantiles
+#: interpolate: at 5 trials p25 and p75 fall on a value (t = 0); at 6 they
+#: take t = 0.25 and t = 0.75, one on each side of numpy's _lerp switch, and
+#: the median is the mean of two
+GOLDEN_MULTI_TRIAL = {
+    "quotient-5": ("cloud", {"n": 40}, "q2", {}, 5,
+                   "e2a3df2d10b148c4ce38b6859091ff18a6690330aed4f099601ec4ca8b06a10e"),
+    "hst-6": ("cloud", {"n": 40}, "hst", {}, 6,
+              "5e201f4fc6075a19b7aed7a6e032be1373e07cae5122b70cb8550bc500f17169"),
+}
+
+
+def _golden_digest(variant: str, instance: dict, pipeline: str, params: dict, trials: int):
+    """The artifacts of a seed-0 `run --artifacts` bundle, and the sha256 of its
+    dumps with summary.millis blanked."""
     from metriq.cli import plan_from_json, run_experiment
 
-    variant, instance, pipeline, params, kind, digest = GOLDEN_BUNDLES[name]
     plan = {"instance": {"variant": variant, "params": instance}, "pipeline": pipeline,
-            "params": params, "trials": 1, "seed": 0}
+            "params": params, "trials": trials, "seed": 0}
     bundle = run_experiment(plan_from_json(plan), keep_artifacts=True)
-    art = bundle.artifacts[0]
-    assert (art["kind"], art.get("provenance")) == kind
     bundle.summary["millis"] = []
     text = dumps({"plan": bundle.plan, "rows": bundle.rows, "summary": bundle.summary,
                   "artifacts": bundle.artifacts})
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    return bundle.artifacts, hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_BUNDLES))
+def test_bundle_bytes_are_golden(name):
+    variant, instance, pipeline, params, kind, digest = GOLDEN_BUNDLES[name]
+    (art,), got = _golden_digest(variant, instance, pipeline, params, 1)
+    assert (art["kind"], art.get("provenance")) == kind
+    assert got == digest
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_MULTI_TRIAL))
+def test_multi_trial_bundle_bytes_are_golden(name):
+    variant, instance, pipeline, params, trials, digest = GOLDEN_MULTI_TRIAL[name]
+    arts, got = _golden_digest(variant, instance, pipeline, params, trials)
+    assert len(arts) == trials and got == digest
 
 
 def test_a_cube_bundle_stores_no_array_of_cube_size():

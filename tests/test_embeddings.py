@@ -26,7 +26,7 @@ from metriq.embeddings import (
     pstable_expectation,
     truncated_gauss_distance,
 )
-from metriq.errors import CapacityError, MetriqError, NoMCenterError, ParameterError
+from metriq.errors import CapacityError, MetriqError, NoMCenterError, ParameterError, StructuralError
 from metriq.quotient import claim_slack, distortion_between, quotient_by_subset
 from metriq.seeds import RngSeed
 from metriq.verify import verify_bundle
@@ -485,19 +485,27 @@ _SOURCE = random_metric(9, 5)
     (_SOURCE, VectorEmbedding(_V * 1e100, 2.0, np.full(7, 1e110))),
     (_SOURCE, VectorEmbedding(_edited(_V, 3, math.nan), 2.0)),
     (_SOURCE, VectorEmbedding(_edited(_V, 3, math.inf), 2.0)),
-    (_SOURCE, VectorEmbedding(_V, 2.0, np.full(7, math.inf))),
-    (_SOURCE, VectorEmbedding(_V, 2.0, _edited(np.ones(7), 2, -0.1))),
     (_SOURCE, VectorEmbedding(_V.astype(np.float32), 2.0)),
     (_SOURCE, VectorEmbedding((_V * 100).astype(np.int64), 2)),
     (random_metric(8, 5), VectorEmbedding(_V, 2.0)),
     (random_metric(1, 5), VectorEmbedding(_V[:1], 2.0)),
     (MetricSpace(_SOURCE.dist * (1 - np.eye(9)[::-1])), VectorEmbedding(_V, 2.0)),  # source pair (0, 8) at 0
     (_SOURCE, VectorEmbedding(_V * 1e-160, 2.0)),  # squares underflow
-], ids=["overflow", "weighted-overflow", "nan", "inf", "inf-weights", "negative-weight", "float32", "int64",
-        "sizes-differ", "one-point", "source-zero", "underflow"])
+], ids=["overflow", "weighted-overflow", "nan", "inf", "float32", "int64", "sizes-differ", "one-point",
+        "source-zero", "underflow"])
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_embedding_distortion_outside_the_screen_is_the_tables(source, emb):
     _assert_one_claim(source, emb)
+
+
+@pytest.mark.parametrize("weights", [(2.0, -0.1), (1.0, -math.inf), (1.0, math.inf), (1.0, math.nan)],
+                         ids=["negative", "minus-inf", "inf", "nan"])
+def test_an_embedding_refuses_weights_that_are_negative_or_not_finite(weights):
+    # with weights (2, -0.1) induced_metric gave these points 1.049, 2.811 and
+    # 1.265: an indefinite form, which breaks the triangle inequality
+    with pytest.raises(StructuralError, match="weights must be finite and >= 0"):
+        VectorEmbedding(np.array([[0.0, 0.0], [1.0, 3.0], [2.0, 1.0]]), 2.0, np.array(weights))
+    assert VectorEmbedding(np.zeros((3, 2)), 2.0, np.array([0.0, 1e300])).weights[0] == 0.0
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0])

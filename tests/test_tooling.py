@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import itertools
@@ -442,3 +443,22 @@ def test_the_benchmarked_imports_leave_scipy_integrate_out():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("pipeline", sorted(PIPELINES))
+def test_a_trial_pays_for_no_numpy_quantile_or_asdict(monkeypatch, pipeline):
+    # the summary and the model documents once spent a third of a small trial
+    # in these; each name that holds one, in numpy, dataclasses or metriq, now raises
+    slow = (np.percentile, np.median, dataclasses.asdict)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trial called numpy.percentile, numpy.median or dataclasses.asdict")
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name in ("numpy", "dataclasses", "metriq") or name.startswith("metriq.")):
+            for attr, value in list(vars(module).items()):
+                if any(value is f for f in slow):
+                    monkeypatch.setattr(module, attr, refuse)
+    variant, instance, params = SMALL_PLANS[pipeline]
+    doc = run_bundle(variant, instance, pipeline, params, trials=3)
+    assert len(doc["artifacts"]) == 3 and verify_bundle(doc).ok
