@@ -36,28 +36,8 @@ from .generators import (INSTANCES, InstanceSpec, build_instance, gen_compositio
                          resolve_instance, resolve_params)
 from .quotient import distortion_between, quotient_metric, quotient_to_json
 from .seeds import RngSeed
-from .verify import (
-    _cube_artifact,
-    _hst_artifact,
-    _quotient_artifact,
-    _standalone_artifact,
-    verify_bundle,
-)
-
-CSV_COLUMNS = [
-    "trial",
-    "seed",
-    "n",
-    "quotient_size",
-    "provenance",
-    "target_class",
-    "p",
-    "certified_distortion",
-    "paper_bound",
-    "attempts",
-    "millis",
-]
-
+from .verify import (CSV_COLUMNS, _cube_artifact, _hst_artifact, _quotient_artifact, _standalone_artifact, row_of,
+                     verify_bundle)
 
 # ---------------------------------------------------------------------------
 # Experiment plans
@@ -123,14 +103,11 @@ class ReportBundle:
 
 # --- pipeline implementations ----------------------------------------------
 # Each pipe maps (its instance as a metric, a composition tree or None, seed,
-# resolved params) to its CSV row fields and the artifact that `run
-# --artifacts` stores, which references the instance instead of copying it;
-# its docstring is the help text of the CLI command generated for it.
-
-
-def _row(size: int, provenance: str, target: str, certified: float, bound, attempts=1, p=""):
-    return {"quotient_size": size, "provenance": provenance, "target_class": target, "p": p,
-            "certified_distortion": certified, "paper_bound": bound, "attempts": attempts}
+# resolved params) to the artifact that `run --artifacts` stores, which
+# references the instance instead of copying it, the size it certifies, its
+# attempts, and the fields of verify.row_of that the artifact does not hold
+# (the provenance of a collapse on `subset`, a cube's `lookup`).  Its
+# docstring is the help text of the CLI command generated for it.
 
 
 def _pipe_q2(m: MetricSpace, seed: RngSeed, params: dict):
@@ -138,8 +115,7 @@ def _pipe_q2(m: MetricSpace, seed: RngSeed, params: dict):
     from .constructions import q2_lacunary
 
     q, report, model, attempts = q2_lacunary(m, seed)
-    return (_row(q.metric.n, q.provenance, "lacunary", report.distortion, 2.0, attempts),
-            _quotient_artifact(q, model, report.distortion))
+    return _quotient_artifact(q, model, report.distortion), q.metric.n, attempts, {}
 
 
 def _pipe_aspect(m: MetricSpace, seed: RngSeed, params: dict):
@@ -147,21 +123,17 @@ def _pipe_aspect(m: MetricSpace, seed: RngSeed, params: dict):
     from .constructions import aspect_quotient
 
     res = aspect_quotient(m, params["alpha"], lipschitz=params["lipschitz"], seed=seed)
-    q, dist = res.quotient, res.report.distortion
-    return (_row(q.metric.n, q.provenance, "equilateral", dist, params["alpha"]),
-            _quotient_artifact(q, Equilateral(q.metric.n, res.band[0]), dist,
-                               lipschitz=params["alpha"] if params["lipschitz"] else None))
+    q = res.quotient
+    return (_quotient_artifact(q, Equilateral(q.metric.n, res.band[0]), res.report.distortion,
+                               lipschitz=params["alpha"] if params["lipschitz"] else None), q.metric.n, 1, {})
 
 
 def _pipe_dichotomy(m: MetricSpace, seed: RngSeed, params: dict):
     """Lacunary or star quotient, whichever certifies the larger one."""
     from .constructions import q_dichotomy
 
-    res = q_dichotomy(m, params["k"], params["beta"], params["alpha"], seed,
-                      drop_root=params["drop_root"])
-    q, dist = res.quotient, res.report.distortion
-    return (_row(q.metric.n, q.provenance, res.branch, dist, params["alpha"]),
-            _quotient_artifact(q, res.model, dist))
+    res = q_dichotomy(m, params["k"], params["beta"], params["alpha"], seed, drop_root=params["drop_root"])
+    return _quotient_artifact(res.quotient, res.model, res.report.distortion), res.quotient.metric.n, 1, {}
 
 
 def _pipe_star(m: MetricSpace, seed: RngSeed, params: dict):
@@ -169,36 +141,28 @@ def _pipe_star(m: MetricSpace, seed: RngSeed, params: dict):
     from .constructions import find_star_quotient
 
     res = find_star_quotient(m, params["a"], params["b"], params["alpha"], seed)
-    q, dist = res.quotient, res.report.distortion
-    return (_row(q.metric.n, q.provenance, "star", dist, params["alpha"], res.attempts),
-            _quotient_artifact(q, Star(q.metric.n - 1, res.tau), dist))
+    q = res.quotient
+    return _quotient_artifact(q, Star(q.metric.n - 1, res.tau), res.report.distortion), q.metric.n, res.attempts, {}
 
 
 def _pipe_hst(m: MetricSpace, seed: RngSeed, params: dict):
     """m-centre quotient, then its HST with a certified distortion."""
-    from .constructions import hst_from_m_centered, m_center_quotient, m_center_size
+    from .constructions import hst_from_m_centered, hst_mparam, m_center_quotient
 
-    eps = params["eps"]
-    T, q, attempts = m_center_quotient(m, eps, seed)
-    mparam = max(2, int(math.ceil(m_center_size(eps))))
-    tree, report = hst_from_m_centered(q.metric, mparam)
-    return (_row(q.metric.n, q.provenance, "UM", report.distortion, 2.0 * mparam, attempts),
-            _hst_artifact(tree, report.distortion, subset=T))
+    T, q, attempts = m_center_quotient(m, params["eps"], seed)
+    tree, report = hst_from_m_centered(q.metric, hst_mparam(params["eps"]))
+    return _hst_artifact(tree, report.distortion, subset=T), q.metric.n, attempts, {"provenance": q.provenance}
 
 
 def _pipe_bourgain(m: MetricSpace, seed: RngSeed, params: dict):
     """m-centre quotient, then its Bourgain embedding into L_p."""
     from .constructions import m_center_quotient, m_center_size
-    from .embeddings import EXACT_MAX_POINTS, bourgain_embed, bourgain_scales, embedding_to_json
+    from .embeddings import EXACT_MAX_POINTS, bourgain_embed, embedding_to_json
 
-    eps, p = params["eps"], params["p"]
-    T, q, attempts = m_center_quotient(m, eps, seed.child(0))
-    mparam = m_center_size(eps)
+    T, q, attempts = m_center_quotient(m, params["eps"], seed.child(0))
     mode = "exact" if q.metric.n <= EXACT_MAX_POINTS else "monte-carlo"
-    emb, report, mask = bourgain_embed(q.metric, mparam, p, mode, seed.child(1))
-    bound = 96 * bourgain_scales(mparam, p)
-    return (_row(q.metric.n, q.provenance, "lp", report.distortion, bound, attempts, p),
-            embedding_to_json(T, emb, mask, report.distortion))
+    emb, report, mask = bourgain_embed(q.metric, m_center_size(params["eps"]), params["p"], mode, seed.child(1))
+    return embedding_to_json(T, emb, mask, report.distortion), q.metric.n, attempts, {"provenance": q.provenance}
 
 
 def _pipe_cube_qs(m, seed: RngSeed, params: dict):
@@ -206,9 +170,7 @@ def _pipe_cube_qs(m, seed: RngSeed, params: dict):
     from .cube import cube_qs_construct
 
     res = cube_qs_construct(params["d"], params["eps"], params["p"])
-    return (_row(res.block_count, "QS", "lp", res.report.distortion, res.certified_bound,
-                 p=params["p"]),
-            _cube_artifact(res))
+    return _cube_artifact(res), res.block_count, 1, {"provenance": "QS", "lookup": res.lookup}
 
 
 def _pipe_composition(tree, seed: RngSeed, params: dict):
@@ -216,9 +178,8 @@ def _pipe_composition(tree, seed: RngSeed, params: dict):
     from .constructions import composition_qs
 
     res = composition_qs(tree, params["k"], params["alpha"], seed)
-    q, dist = res.quotient, res.report.distortion
-    return (_row(q.metric.n, q.provenance, "UM", dist, res.alpha_bound),
-            _hst_artifact(res.hst, dist, **quotient_to_json(q, base=False)))
+    q = res.quotient
+    return _hst_artifact(res.hst, res.report.distortion, **quotient_to_json(q, base=False)), q.metric.n, 1, {}
 
 
 def _cube_space(spec: InstanceSpec, params: dict) -> int:
@@ -312,24 +273,12 @@ def run_experiment(plan: ExperimentPlan, keep_artifacts: bool = False) -> Report
     Rows appear in trial order; failed trials keep their row with an empty
     certificate, and the summary carries failure counts and quantiles.
     """
-    bundle = ReportBundle(
-        {
-            "instance": {"variant": plan.instance.variant, "params": plan.instance.params},
-            "pipeline": plan.pipeline,
-            "params": plan.params,
-            "trials": plan.trials,
-            "seed": plan.seed,
-        }
-    )
-    pipeline = PIPELINES[plan.pipeline]
-    params = plan.resolved
-    values = []
-    errors = []
-    timings = []
+    bundle = ReportBundle({"instance": {"variant": plan.instance.variant, "params": plan.instance.params},
+                           "pipeline": plan.pipeline, "params": plan.params, "trials": plan.trials, "seed": plan.seed})
+    pipeline, params = PIPELINES[plan.pipeline], plan.resolved
+    values, errors, timings = [], [], []
     for t in range(plan.trials):
-        row = {c: "" for c in CSV_COLUMNS}
-        row["trial"] = t
-        row["seed"] = plan.seed
+        row = {**dict.fromkeys(CSV_COLUMNS, ""), "trial": t, "seed": plan.seed}
         start = time.perf_counter()
         try:
             spec = plan.instance_spec(t)
@@ -339,11 +288,11 @@ def run_experiment(plan: ExperimentPlan, keep_artifacts: bool = False) -> Report
             else:
                 m = (build_instance if pipeline.variant else realize_instance)(spec)
                 row["n"] = m.n
-            result, art = pipeline.run(m, RngSeed(plan.seed, t).child(1), params)
-            row.update(result)
-            values.append(float(result["certified_distortion"]))
+            art, size, attempts, held = pipeline.run(m, RngSeed(plan.seed, t).child(1), params)
+            art["trial"] = t
+            row.update(row_of(plan, {**art, **held, "n": row["n"]}, size), attempts=attempts)
+            values.append(float(art["certified_distortion"]))
             if keep_artifacts:
-                art["trial"] = t
                 bundle.artifacts.append(art)
         except MetriqError as exc:
             errors.append({"trial": t, "error": type(exc).__name__, "detail": str(exc)})
@@ -489,7 +438,7 @@ def _pipeline_command(pipeline: Pipeline) -> click.Command:
             m, seed = gen_composition(built), seed.child(1)
         else:
             built = m = None if pipeline.own_space else _load_metric(path)
-        _emit(ctx, _standalone_artifact(pipeline.run(built, seed, params)[1], m))
+        _emit(ctx, _standalone_artifact(pipeline.run(built, seed, params)[0], m))
 
     opts = [*(inst.options if inst else ()), *pipeline.options]
     if not (pipeline.own_space or inst):

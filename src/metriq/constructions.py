@@ -79,6 +79,11 @@ def m_center_size(eps: float) -> float:
     return 2.0 * math.log(2.0 / eps) / eps
 
 
+def hst_mparam(eps: float) -> int:
+    """The mparam of the m-centred HST built on an eps m-centre quotient: m_center_size(eps) rounded up, at least 2."""
+    return max(2, math.ceil(m_center_size(eps)))
+
+
 def m_center_quotient(m: MetricSpace, eps: float, seed=None):
     """Sample a small set T whose collapse has the T-block as an m-center.
 
@@ -862,7 +867,12 @@ class CompositionQsResult:
     report: DistortionReport  # quotient vs glued HST leaf metric
     sigma: float
     sigma_ok: bool
-    alpha_bound: float  # (1 + 1/beta_min) * alpha
+    alpha_bound: float  # composition_bound(beta_min, alpha)
+
+
+def composition_bound(beta: float, alpha: float) -> float:
+    """(1 + 1/beta) alpha: how far composition_qs's HST of a tree whose least beta is beta exceeds its quotient."""
+    return (1.0 + 1.0 / beta) * alpha
 
 
 def composition_qs(
@@ -947,5 +957,4 @@ def composition_qs(
     report = distortion_between(q.metric, hst_to_metric(glued))
     # every point weighs 1, so each block's heaviest point adds 1 ** sigma
     sigma_ok = bool(len(blocks) >= float(real.metric.n) ** sigma - 1e-9)
-    return CompositionQsResult(q, glued, report, sigma, sigma_ok,
-                               (1.0 + 1.0 / bmin) * alpha)
+    return CompositionQsResult(q, glued, report, sigma, sigma_ok, composition_bound(bmin, alpha))

@@ -56,6 +56,7 @@ class CubeQsResult:
     report: DistortionSummary
     certified_bound: float
     witnesses: list  # (x, y) singleton pairs that attain the bound's extremes (_certify)
+    lookup: np.ndarray  # embedded distance per Hamming value 0..d (_embedding_lookup)
 
     @property
     def block_count(self) -> int:
@@ -104,6 +105,15 @@ def _embedding_lookup(d: int, r: int, p: float) -> tuple[np.ndarray, float]:
     return lookup, float(r) ** (1.0 / p)
 
 
+def traced_bound(r: int, p: float, lookup: np.ndarray) -> float:
+    """The bound of a cube certificate at net radius r: 8 sqrt(e r / (e - 1)) at p = 2; for p < 2 the
+    traced envelope, the spread of lookup[h] / min{h, r} times the factor-4 metric sandwich."""
+    if p == 2.0:
+        return 8.0 * math.sqrt(math.e * r / (math.e - 1.0))
+    ratios = [v / (h if h < r else r) for h, v in enumerate(lookup.tolist()[1:], 1)]  # numpy's float64 quotients
+    return 4.0 * (max(ratios) / min(ratios))
+
+
 def cube_qs_construct(d: int, eps: float, p: float = 2.0) -> CubeQsResult:
     """Quotient of the d-cube keeping at least a (1 - eps) fraction of blocks.
 
@@ -137,20 +147,11 @@ def cube_qs_construct(d: int, eps: float, p: float = 2.0) -> CubeQsResult:
     summary, witnesses, bad, _ = _certify(d, dA_all, r // 2, lookup, block_norm)
     if bad is not None:  # a found pair that fails the rule verify reads it by
         raise ConstructionFailureError(f"witness {witnesses[bad]} names no extreme cell", {"r": r})
-    if p == 2.0:
-        bound = 8.0 * math.sqrt(math.e * r / (math.e - 1.0))
-    else:
-        # traced envelope: embedded/min{H, r} ratio spread times the factor-4
-        # metric sandwich
-        trunc = np.minimum(np.arange(1, d + 1, dtype=np.float64), float(r))
-        ratios = lookup[1:] / trunc
-        bound = 4.0 * float(ratios.max() / ratios.min())
+    bound = traced_bound(r, p, lookup)
     if summary.distortion > bound + 1e-9:
-        raise ConstructionFailureError(
-            f"measured distortion {summary.distortion:.6g} exceeds the traced bound {bound:.6g}",
-            {"r": r, "summary": summary},
-        )
-    return CubeQsResult(d, eps, p, r, A, S, dA, summary, bound, witnesses)
+        raise ConstructionFailureError(f"measured distortion {summary.distortion:.6g} exceeds the traced bound "
+                                       f"{bound:.6g}", {"r": r, "summary": summary})
+    return CubeQsResult(d, eps, p, r, A, S, dA, summary, bound, witnesses, lookup)
 
 
 def _cell_ratio(lookup, s, h):

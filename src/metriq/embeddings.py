@@ -179,8 +179,13 @@ def embedding_to_json(subset: list[int], emb: VectorEmbedding, mask: np.ndarray,
 
 
 def bourgain_scales(mparam: float, p: float) -> int:
-    """Bourgain's scale count q = ceil(ln(mparam)/p); the distortion bound is 96q."""
+    """Bourgain's scale count q = ceil(ln(mparam)/p)."""
     return max(1, int(math.ceil(math.log(mparam) / p - 1e-12)))
+
+
+def bourgain_bound(mparam: float, p: float) -> int:
+    """Bourgain's distortion bound 96 q, q = bourgain_scales(mparam, p)."""
+    return 96 * bourgain_scales(mparam, p)
 
 
 def _subset_distances(dist: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -260,12 +265,10 @@ def bourgain_embed(
         raise ParameterError(f"unknown mode {mode!r}")
     emb = VectorEmbedding(_subset_distances(m.dist, mask), p, weights)
 
-    report = embedding_distortion(m, emb)
-    if mode == "exact" and report.distortion > 96 * q + 1e-9:
-        raise ConstructionFailureError(
-            f"exact-mode distortion {report.distortion} exceeds 96q = {96 * q}",
-            {"q": q, "report": report},
-        )
+    report, bound = embedding_distortion(m, emb), bourgain_bound(mparam, p)
+    if mode == "exact" and report.distortion > bound + 1e-9:
+        raise ConstructionFailureError(f"exact-mode distortion {report.distortion} exceeds 96q = {bound}",
+                                       {"q": q, "report": report})
     return emb, report, mask
 
 

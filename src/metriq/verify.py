@@ -2,7 +2,8 @@
 embeddings.embedding_to_json), its fields and its check.
 
 `verify_bundle` reads every artifact through the declaration `CHECKS` gives its `kind`,
-re-checks the fields it read through the kind's check, and compares a bundle's rows with them.
+re-checks the fields it read through the kind's check, and compares a bundle's rows with the
+rows they give (row_of).
 A quotient, hst or embedding artifact is about a base metric: in a bundle, the instance
 its plan names, which verify rebuilds; in a standalone artifact, the base it embeds.
 """
@@ -17,7 +18,8 @@ from . import cube
 from .core import (METRIC, TOL, Doc, MetricSpace, ValidationReport, array, integer, list_of, metric_from_fields,
                    metric_to_json, number, one_of, validate_metric)
 from .errors import MetriqError, StructuralError
-from .generators import INSTANCES, InstanceSpec, realize_instance
+from .embeddings import bourgain_bound
+from .generators import INSTANCES, InstanceSpec, realize_instance, resolve_instance
 from .hst import TREE, HstTree, hst_to_json, hst_to_metric
 from .quotient import (QUOTIENT, QuotientSpace, claim_slack, distortion_between, lip_colip, quotient_by_subset,
                        quotient_from_fields, quotient_to_json)
@@ -58,14 +60,8 @@ def _standalone_artifact(art: dict, m: MetricSpace | None) -> dict:
 
 
 def _cube_artifact(res) -> dict:
-    return {
-        "kind": "cube-qs",
-        "d": res.d,
-        "eps": res.eps,
-        "p": res.p,
-        "witnesses": [list(w) for w in res.witnesses],
-        "certified_distortion": res.report.distortion,
-    }
+    return {"kind": "cube-qs", "d": res.d, "eps": res.eps, "p": res.p, "witnesses": [list(w) for w in res.witnesses],
+            "certified_distortion": res.report.distortion}
 
 
 # --- checks: each takes the fields its kind's declaration has read, adds its
@@ -194,7 +190,8 @@ CUBE = Doc("a cube-qs artifact", kind="cube-qs", d=integer, eps=number, p=number
 def _verify_cube(f: dict, ai: int, report: ValidationReport) -> int:
     """Recompute the claim from d, eps and p: the net radius and greedy net the
     construction takes, then its decision, cube._certify, on the stored
-    witnesses.  Returns the block count; a cube quotient is QS."""
+    witnesses.  Returns the block count; a cube quotient is QS, and the
+    embedded distances it sets as `lookup` give its row's bound (row_of)."""
     d, eps, p = f["d"], f["eps"], f["p"]
     f["provenance"] = "QS"
     if not 1 <= d <= cube.MAX_D:  # before the 2^d scan below allocates
@@ -205,7 +202,8 @@ def _verify_cube(f: dict, ai: int, report: ValidationReport) -> int:
         raise StructuralError(f"p = {p!r} is neither 2 nor in [1, 2)")
     r = cube._net_radius(d, eps)
     _, dA = cube._greedy_net(d, r)
-    exact, _, bad, singletons = cube._certify(d, dA, r // 2, *cube._embedding_lookup(d, r, p), f["witnesses"])
+    f["lookup"], block_norm = cube._embedding_lookup(d, r, p)
+    exact, _, bad, singletons = cube._certify(d, dA, r // 2, f["lookup"], block_norm, f["witnesses"])
     if bad is None:
         _check_claim(f["certified_distortion"], exact.distortion, ai, report)
     else:
@@ -226,44 +224,88 @@ CHECKS = {
     "cube-qs": (CUBE, _verify_cube),
 }
 
-#: row fields an artifact repeats, where its fields hold them, as read or as its check sets them
-ROW_FIELDS = ("provenance", "certified_distortion", "p")
+CSV_COLUMNS = ["trial", "seed", "n", "quotient_size", "provenance", "target_class", "p",
+               "certified_distortion", "paper_bound", "attempts", "millis"]
 
 
-def _check_rows(rows: list, artifacts: list[tuple[Doc, dict, int]], report: ValidationReport, plan):
-    """Each artifact (its declaration, read fields and certified size) against
-    the row of its trial, each certified row against its artifact, and every
-    row's seed against its plan's.  A row's trial is one of its plan's trials
-    and no earlier row's.
+def _paper_bound(plan, f: dict):
+    """The bound of arXiv math/0406349 that the plan's construction certifies, from its resolved params."""
+    params = plan.resolved
+    if plan.pipeline == "cube-qs":
+        return cube.traced_bound(cube._net_radius(params["d"], params["eps"]), params["p"], f["lookup"])
+    from .constructions import composition_bound, hst_mparam, m_center_size
 
-    Row and artifact are written from the same values, so they must be equal;
-    a row field the artifact's fields hold as None must be empty.
-    A row's `n` is the size of the instance its artifact was checked on (kept
-    as `base`), or the `n` _bind_to_plan sets (cube-qs).
-    """
+    if plan.pipeline == "q2":
+        return 2.0
+    if plan.pipeline == "hst":
+        return 2.0 * hst_mparam(params["eps"])
+    if plan.pipeline == "bourgain":
+        return bourgain_bound(m_center_size(params["eps"]), params["p"])
+    if plan.pipeline == "composition":  # every node of the instance's tree has its beta
+        return composition_bound(resolve_instance(plan.instance)[1]["beta"], params["alpha"])
+    return params["alpha"]  # aspect, dichotomy, star
+
+
+#: the target class of each pipeline whose artifact is not a quotient
+_TARGETS = {"hst": "UM", "composition": "UM", "bourgain": "lp", "cube-qs": "lp"}
+
+
+def row_of(plan, f: dict, size: int) -> dict:
+    """Every CSV column but `attempts` of the row of trial f["trial"] of the plan,
+    whose artifact has the checked fields f and certifies `size` points; f also
+    holds `n`, the instance size, and what its check works out that the artifact
+    does not hold (the provenance of a collapse on `subset`, a cube's `lookup`).
+    A quotient's target class is its model type, but star for dichotomy's
+    equilateral model of the SQ space drop_root keeps of a star.
+    run_experiment writes this row, and _check_rows compares a bundle's with it."""
+    target = _TARGETS.get(plan.pipeline) or (f.get("model") or {}).get("type")
+    if target == "equilateral" and plan.pipeline == "dichotomy":
+        target = "star"
+    p, claim = f.get("p"), f["certified_distortion"]
+    return {"trial": f["trial"], "seed": plan.seed, "n": f["n"], "quotient_size": size,
+            "provenance": f["provenance"] or "", "target_class": target or "", "p": "" if p is None else p,
+            "certified_distortion": "" if claim is None else claim, "paper_bound": _paper_bound(plan, f),
+            "millis": ""}
+
+
+def _wrong(row: dict, expected: dict) -> str:
+    """Each column where row is not expected's, in value or JSON type (14 is
+    not 14.0, nor 0 false), but the seed, checked apart, and each key of row that is no column."""
+    wrong = [f"{k} {row.get(k)!r} != {v!r}" for k, v in expected.items()
+             if k != "seed" and (type(row.get(k)) is not type(v) or row.get(k) != v)]
+    return "; ".join(wrong + [f"{k!r} is no column" for k in row.keys() - set(CSV_COLUMNS)])
+
+
+def _check_rows(rows: list, artifacts: list[tuple[dict, int]], report: ValidationReport, plan):
+    """Every row names its plan's seed and one of its trials, no earlier row's.
+    A row is the row_of its artifact (checked fields and certified size) with
+    an integer `attempts` >= 1, which certifies nothing, or without one a
+    failed trial's, as run_experiment writes it: every column empty but trial,
+    seed and an integer n.  So a bundle written without `--artifacts` fails
+    verify unless every trial failed."""
     by_trial = {}
     for row in rows:
         t = row["trial"]
-        if row.get("seed") != plan.seed:
+        if type(row.get("seed")) is not int or row["seed"] != plan.seed:
             report.add("row", (), f"trial {t!r}: seed {row.get('seed')!r} != plan seed {plan.seed}")
         if t in by_trial or type(t) is not int or not 0 <= t < plan.trials:
             report.add("row", (), f"trial {t!r} repeats an earlier row's or is not in 0..{plan.trials - 1}")
         else:
             by_trial[t] = row
-    for ai, (decl, f, size) in enumerate(artifacts):
+    for ai, (f, size) in enumerate(artifacts):
         row = by_trial.pop(f["trial"], None)  # what stays is the rows without an artifact
         if row is None:
             report.add("row", (ai,), f"trial {f['trial']!r} has no row, or an earlier artifact")
             continue
-        stored = {"quotient_size": size,
-                  **{k: "" if f[k] is None else f[k] for k in ROW_FIELDS if k in f},
-                  "n": f["base"] if "base" in decl.fields else f["n"]}
-        for key, value in stored.items():
-            if row.get(key) != value:
-                report.add("row", (ai,), f"row {key} {row.get(key)!r} != artifact {value!r}")
+        a = row.get("attempts")  # any integer >= 1 is as good
+        wrong = _wrong(row, {**row_of(plan, f, size), "attempts": a if type(a) is int and a >= 1 else 1})
+        if wrong:
+            report.add("row", (ai,), f"row {wrong}")
     for t, row in by_trial.items():
-        if row.get("certified_distortion", "") != "":
-            report.add("row", (), f"trial {t!r} has a certificate but no artifact")
+        n = row.get("n")  # any integer: the size of an instance built before its trial failed
+        wrong = _wrong(row, {**dict.fromkeys(CSV_COLUMNS, ""), "trial": t, "n": n if type(n) is int else ""})
+        if wrong:
+            report.add("row", (), f"trial {t!r} has no artifact, but {wrong}")
 
 
 def _bundle_plan(doc: dict):
@@ -280,31 +322,22 @@ def _bundle_plan(doc: dict):
         raise StructuralError(f"plan: malformed ({exc!r})") from exc
 
 
-def _plan_fields(kind: str, params: dict) -> dict:
-    """The fields that an artifact of `kind` copies from its pipeline's
-    resolved params: a cube's d, eps and p, an embedding's p, and a quotient's
-    `lipschitz`, its alpha where the lipschitz flag is set and none otherwise."""
-    if kind == "cube-qs":
-        return {k: params[k] for k in ("d", "eps", "p")}
-    if kind == "embedding":
-        return {"p": params["p"]}
-    if kind == "quotient":
-        return {"lipschitz": params["alpha"] if params.get("lipschitz") else None}
-    return {}
-
-
 def _bind_to_plan(f: dict, kind: str, plan) -> None:
     """Refuse a bundle artifact of a kind its plan's pipeline does not write,
-    or whose fields disagree with the params it was written from.  Set the
-    `n` of a pipeline that builds its own space, whose instance must name it."""
+    or whose fields disagree with the params it was written from: a cube's d,
+    eps and p, an embedding's p, a quotient's `lipschitz`.  Set the `n` of a
+    pipeline that builds its own space, whose instance must name it."""
     from .cli import PIPELINES
 
-    pipeline = PIPELINES[plan.pipeline]
+    pipeline, params = PIPELINES[plan.pipeline], plan.resolved
     if kind != pipeline.kind:
         raise StructuralError(f"a {plan.pipeline} plan writes {pipeline.kind} artifacts, not {kind}")
     if pipeline.own_space:
-        f["n"] = pipeline.own_space(plan.instance, plan.resolved)
-    for key, value in _plan_fields(kind, plan.resolved).items():
+        f["n"] = pipeline.own_space(plan.instance, params)
+    copied = {k: params[k] for k in {"cube-qs": ("d", "eps", "p"), "embedding": ("p",)}.get(kind, ())}
+    if kind == "quotient":  # where the lipschitz flag is set, alpha bounds lip * colip
+        copied["lipschitz"] = params["alpha"] if params.get("lipschitz") else None
+    for key, value in copied.items():
         if f[key] != value:
             raise StructuralError(f"{key} {f[key]!r} is not its plan's {value!r}")
 
@@ -345,9 +378,9 @@ def verify_bundle(doc: dict) -> ValidationReport:
     distortions are recomputed, a cube's from its d, eps, p and witnesses; a
     quotient's `lipschitz` bound must hold for its block collapse.  The
     tolerances are fixed: core.TOL, and quotient.claim_slack about a claim.
-    In a bundle with rows, with or without artifacts, each artifact must match
-    the row of its trial, each row with a certificate have an artifact, and
-    each row name its plan's seed.  Every MetriqError raised names its artifact.
+    In a bundle with rows, with or without artifacts, each row must be the
+    row_of its trial's artifact or, without one, a failed trial's, and name
+    its plan's seed (_check_rows).  Every MetriqError raised names its artifact.
     """
     report = ValidationReport()
     artifacts = doc.get("artifacts", [doc] if "kind" in doc else None) if isinstance(doc, dict) else None
@@ -370,9 +403,9 @@ def verify_bundle(doc: dict) -> ValidationReport:
                 _bind_to_plan(fields, kind, plan)
             if "base" in decl.fields:
                 _with_base(fields, plan)
-            read.append((decl, fields, check(fields, ai, report)))
+            read.append((fields, check(fields, ai, report)))
             if "base" in decl.fields:  # the rows read only its size: memory stays flat in trials
-                fields["base"] = fields["base"].n
+                fields["n"], fields["base"] = fields["base"].n, None
         except MetriqError as exc:
             raise type(exc)(f"artifact {ai}: {exc}") from exc
         except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -532,7 +532,7 @@ def _fresh_artifact(kind: str) -> dict:
     pipe = PIPELINES[{"quotient": "q2", "hst": "hst", "embedding": "bourgain", "cube-qs": "cube-qs"}[kind]]
     params = pipe.resolve({"d": 8, "eps": 0.24} if kind == "cube-qs" else {})
     m = None if pipe.own_space else m
-    return _standalone_artifact(pipe.run(m, RngSeed(2), params)[1], m)
+    return _standalone_artifact(pipe.run(m, RngSeed(2), params)[0], m)
 
 
 @pytest.mark.parametrize("kind, path", [
@@ -1072,7 +1072,7 @@ def test_construct_emits_the_pipeline_artifact(runner, metrics, name, opts, para
         m = _load_metric(metrics["CLOUD"])
         args = ["construct", name, "--in", metrics["CLOUD"], *opts]
     res = invoke(runner, "--seed", "6", *args)
-    _, art = pipeline.run(m, RngSeed(6), pipeline.resolve(params))
+    art = pipeline.run(m, RngSeed(6), pipeline.resolve(params))[0]
     assert res.output == dumps(_standalone_artifact(art, m)) + "\n"
 
 

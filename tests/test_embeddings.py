@@ -12,7 +12,7 @@ from scipy import integrate
 
 from metriq import embeddings
 
-from metriq.cli import PIPELINES, main, plan_from_json, run_experiment
+from metriq.cli import main, plan_from_json, run_experiment
 from metriq.constructions import m_center_quotient, m_center_size
 from metriq.core import (Equilateral, MetricSpace, Star, decode_array, dumps, encode_array, metric_from_json,
                          realize_special, validate_metric)
@@ -157,13 +157,11 @@ def test_bourgain_monte_carlo_close_to_exact():
 
 
 def test_pipeline_both_targets():
-    m = random_metric(40, 2)
-    lp, um = PIPELINES["bourgain"], PIPELINES["hst"]
-    row, art = lp.run(m, RngSeed(3), lp.resolve({"eps": 0.3}))
-    assert row["target_class"] == "lp" and art["kind"] == "embedding"
-    row, art = um.run(m, RngSeed(3), um.resolve({"eps": 0.3}))
+    lp = run_bundle("cloud", {"n": 40}, "bourgain", {"eps": 0.3}, seed=3)
+    assert lp["rows"][0]["target_class"] == "lp" and lp["artifacts"][0]["kind"] == "embedding"
+    um = run_bundle("cloud", {"n": 40}, "hst", {"eps": 0.3}, seed=3)
     mparam = 2.0 * math.log(2.0 / 0.3) / 0.3
-    assert row["certified_distortion"] <= 2 * math.ceil(mparam) + 1e-9
+    assert um["rows"][0]["certified_distortion"] <= 2 * math.ceil(mparam) + 1e-9
 
 
 # --- stars into L_p --------------------------------------------------------

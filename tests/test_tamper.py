@@ -9,25 +9,30 @@ a violation or a MetriqError, but for the ones KNOWN_ACCEPTED lists, each
 with the reason it holds.  Each plan's row gets one tamper per CSV column it
 fills, by the same rules, `provenance` and `target_class` read as strings of
 their fixed sets; verify must refuse each one but for the ones KNOWN_GAPS
-lists, each with the work that closes it.  Each artifact field that the row
-repeats (metriq.verify.ROW_FIELDS) gets a tamper written into artifact and row
-alike: a `one_of` string each other declared choice, a number by the rules
-above; verify must refuse each one but for the ones KNOWN_CONSISTENT lists,
-each a true certificate.
+lists, each with the work that closes it.  Each row also gets its empty
+columns filled, its integers recast as floats (and 0 or 1 as bools), its
+integral floats as integers, and a key of no column; verify must refuse
+each one, as it must refuse a failed trial's row with a certified column
+filled.  Each artifact field that metriq.verify.row_of copies into the row
+column of its name gets a tamper written into artifact and row alike: a
+`one_of` string each other declared choice, a number by the rules above;
+verify must refuse each one but for the ones KNOWN_CONSISTENT lists, each a
+true certificate.
 """
 
 import copy
 import functools
+import json
 
 import numpy as np
 import pytest
 
-from metriq.cli import CSV_COLUMNS, plan_from_json
-from metriq.core import Doc, MetricSpace, decode_array, encode_array, one_of
+from metriq.cli import CSV_COLUMNS, plan_from_json, run_experiment
+from metriq.core import Doc, MetricSpace, decode_array, dumps, encode_array, one_of
 from metriq.errors import MetriqError
 from metriq.generators import InstanceSpec, realize_instance
 from metriq.quotient import claim_slack
-from metriq.verify import CHECKS, ROW_FIELDS, verify_bundle
+from metriq.verify import CHECKS, verify_bundle
 
 from conftest import SMALL_PLANS, SQ_PLAN, block_reduce_loop, lip_colip_loop, run_bundle, shortest_path_closure
 
@@ -163,15 +168,11 @@ def test_each_known_acceptance_is_a_generated_tamper_and_a_true_certificate(name
 ROW_READERS = {"provenance": one_of("Q", "QS", "SQ"),
                "target_class": one_of("lacunary", "UM", "equilateral", "star", "lp")}
 
-GUARANTEES = "ROADMAP, the paper's guarantees as declared, checked and swept results"
-
 #: column -> (the work that closes its gap, why verify accepts a tamper of it)
 GAPS = {
-    "paper_bound": (GUARANTEES, "verify reads no paper bound; it is to be derived from the plan"),
-    "target_class": (GUARANTEES, "verify reads no target class; it is to be derived from the pipeline "
-                                 "and, for dichotomy, the model's type"),
     "attempts": ("ROADMAP, the tamper matrix, row half: listed for as long as the CSV keeps the column",
-                 "a counter of construction attempts, which certifies nothing, so verify does not read it"),
+                 "a counter of construction attempts, which certifies nothing, so verify reads only "
+                 "that it is an integer >= 1"),
 }
 
 #: (plan, column) of each row tamper that verify accepts -> GAPS[column]
@@ -199,6 +200,64 @@ def test_each_known_gap_is_a_generated_row_tamper():
     assert KNOWN_GAPS.keys() <= set(ROW_CASES)
 
 
+def _recast(value) -> list[tuple[str, object]]:
+    """(name, value) of each change of a row value's JSON type that keeps
+    its value: an integer as a float, and 0 or 1 as a bool; an integral float
+    as an integer."""
+    if type(value) is int:
+        return [("float", float(value))] + ([("bool", bool(value))] if value in (0, 1) else [])
+    if type(value) is float and value.is_integer():
+        return [("int", int(value))]
+    return []
+
+
+#: (plan, key, how, value): each empty column of a plan's row filled, each
+#: value recast (_recast), and a key that is no CSV column added
+FORM_CASES = [(name, column, how, value) for name in PLANS for column, cell in _bundle(name)["rows"][0].items()
+              for how, value in ([("filled", 1.0)] if cell == "" else _recast(cell))]
+FORM_CASES += [(name, "note", "added", "") for name in PLANS]
+
+
+@pytest.mark.parametrize("name, key, how, value", FORM_CASES, ids=[f"{n}-{k}-{h}" for n, k, h, _ in FORM_CASES])
+def test_a_row_of_another_form_is_refused(name, key, how, value):
+    doc = copy.deepcopy(_bundle(name))
+    doc["rows"][0][key] = value
+    assert not _accepted(doc)
+
+
+# --- failed trials: a row without an artifact leaves every certified column empty ---
+
+
+@functools.cache
+def _failed_bundle() -> dict:
+    """The bundle of a one-trial cube-qs plan that fails by design: at d = 10
+    a net centre's punctured ball alone removes more than eps 2^d points."""
+    plan = {"instance": {"variant": "cube", "params": {"d": 10}}, "pipeline": "cube-qs",
+            "params": {"d": 10, "eps": 0.05}, "trials": 1, "seed": 0}
+    bundle = run_experiment(plan_from_json(plan), keep_artifacts=True)
+    assert [e["error"] for e in bundle.summary["errors"]] == ["ConstructionFailureError"]
+    return json.loads(dumps({"plan": bundle.plan, "rows": bundle.rows, "summary": bundle.summary,
+                             "artifacts": bundle.artifacts}))
+
+
+def test_a_failed_trials_row_verifies_as_run_wrote_it():
+    doc = _failed_bundle()
+    assert doc["artifacts"] == [] and doc["rows"][0]["n"] == 1024
+    assert verify_bundle(doc).ok
+
+
+#: column -> a value that a cube-qs row holds there, or n as a float
+FAILED_FILLS = {"n": 1024.0, "quotient_size": 1000, "provenance": "QS", "target_class": "lp", "p": 2.0,
+                "certified_distortion": 1.5, "paper_bound": 18.0, "attempts": 1, "millis": 1.0}
+
+
+@pytest.mark.parametrize("column", FAILED_FILLS)
+def test_a_failed_trials_row_with_a_certified_column_filled_is_refused(column):
+    doc = copy.deepcopy(_failed_bundle())
+    doc["rows"][0][column] = FAILED_FILLS[column]
+    assert [v[:2] for v in verify_bundle(doc).violations] == [("row", ())]
+
+
 # --- consistent tampers: one value written into an artifact and its row alike ---
 
 COVERED = ("benign: the Q blocks cover every point, so as SQ no block of the rest is "
@@ -220,10 +279,10 @@ def _consistent_cases() -> list[tuple[str, str, object]]:
     for name in PLANS:
         art = _bundle(name)["artifacts"][0]
         fields = CHECKS[art["kind"]][0].fields
-        for key in ROW_FIELDS:
+        for key in CSV_COLUMNS:  # row_of copies each artifact field named like a column into it
             if art.get(key) is None:
                 continue
-            read = fields[key][0]
+            read = fields.get(key, (None,))[0]  # `trial`, which every kind holds, is an integer
             values = [c for c in read.choices if c != art[key]] if hasattr(read, "choices") else [_changed(art[key])]
             out += [(name, key, value) for value in values]
     return out

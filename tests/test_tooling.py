@@ -79,9 +79,10 @@ class _Recording(dict):
 
 
 def _checked(pipeline: str):
-    """The SMALL_PLANS bundle of the pipeline, its artifact's declaration, and
-    its fields as verify_bundle hands them to the row check, read through a
-    _Recording, with the report of its check and of the rows."""
+    """The SMALL_PLANS bundle of the pipeline, the size its artifact's check
+    certifies, and the artifact's fields as verify_bundle hands them to the
+    row check, read through a _Recording, with the report of its check and of
+    the rows."""
     variant, instance, params = SMALL_PLANS[pipeline]
     doc = run_bundle(variant, instance, pipeline, params)
     art, = doc["artifacts"]
@@ -91,10 +92,10 @@ def _checked(pipeline: str):
     if "base" in decl.fields:
         verify._with_base(typed, plan)
     size = check(typed, 0, report)
-    if "base" in decl.fields:
-        typed["base"] = typed["base"].n  # what verify_bundle keeps of it for the rows
-    verify._check_rows(doc["rows"], [(decl, typed, size)], report, plan)
-    return doc, decl, typed, report
+    if "base" in decl.fields:  # what verify_bundle keeps of it for the rows
+        typed["n"], typed["base"] = typed["base"].n, None
+    verify._check_rows(doc["rows"], [(typed, size)], report, plan)
+    return doc, size, typed, report
 
 
 @pytest.mark.parametrize("pipeline", sorted(PIPELINES))
@@ -109,14 +110,15 @@ def test_every_pipeline_writes_a_kind_that_verify_checks(pipeline):
 
 
 @pytest.mark.parametrize("pipeline", sorted(PIPELINES))
-def test_every_row_field_a_pipeline_fills_is_bound_by_its_artifact(pipeline):
-    # each ROW_FIELDS value the row fills is one its artifact's fields hold,
-    # as declared or as its check sets them, so the row check compares it;
-    # and the row's n is the size of a declared base or of the pipeline's own space
-    doc, decl, typed, _ = _checked(pipeline)
+def test_a_written_row_is_row_of_its_plan_and_checked_artifact(pipeline):
+    # run and verify make a row by the one function: over the fields verify
+    # checked, row_of gives the row the run wrote, value and JSON type alike
+    # (2 is not 2.0), in every column but `attempts`, which certifies nothing
+    doc, size, typed, _ = _checked(pipeline)
     row, = doc["rows"]
-    assert {k for k in verify.ROW_FIELDS if row[k] != ""} <= typed.keys()
-    assert "base" in decl.fields or PIPELINES[pipeline].own_space
+    made = verify.row_of(plan_from_json(doc["plan"]), typed, size)
+    assert list(made) == [c for c in verify.CSV_COLUMNS if c != "attempts"]
+    assert {c: (type(v), v) for c, v in made.items()} == {c: (type(row[c]), row[c]) for c in made}
 
 
 def _fields(decl: Doc, doc: dict | None = None) -> set[tuple[str, str]]:

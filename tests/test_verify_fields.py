@@ -164,10 +164,10 @@ def test_a_quotient_holds_its_model_and_claim_together(pipeline):
     art["certified_distortion"] = row["certified_distortion"] = 1.0
     with pytest.raises(StructuralError, match="^artifact 0: a quotient holds model and"):
         verify_bundle(doc)
-    # without both, the row's claim has nothing to match
+    # without both, the row's claim and its target class, the model's type, have nothing to match
     del art["certified_distortion"]
     assert [v[:2] for v in verify_bundle(doc).violations] == [("row", (0,))]
-    row["certified_distortion"] = ""
+    row["certified_distortion"] = row["target_class"] = ""
     assert verify_bundle(doc).ok
 
 
