@@ -106,7 +106,7 @@ class ReportBundle:
 # resolved params) to the artifact that `run --artifacts` stores, which
 # references the instance instead of copying it, the size it certifies, its
 # attempts, and the fields of verify.row_of that the artifact does not hold
-# (the provenance of a collapse on `subset`, a cube's `lookup`).  Its
+# (the provenance of a collapse on `subset`, a cube's `bound`).  Its
 # docstring is the help text of the CLI command generated for it.
 
 
@@ -170,7 +170,7 @@ def _pipe_cube_qs(m, seed: RngSeed, params: dict):
     from .cube import cube_qs_construct
 
     res = cube_qs_construct(params["d"], params["eps"], params["p"])
-    return _cube_artifact(res), res.block_count, 1, {"provenance": "QS", "lookup": res.lookup}
+    return _cube_artifact(res), res.block_count, 1, {"provenance": "QS", "bound": res.certified_bound}
 
 
 def _pipe_composition(tree, seed: RngSeed, params: dict):

@@ -56,7 +56,6 @@ class CubeQsResult:
     report: DistortionSummary
     certified_bound: float
     witnesses: list  # (x, y) singleton pairs that attain the bound's extremes (_certify)
-    lookup: np.ndarray  # embedded distance per Hamming value 0..d (_embedding_lookup)
 
     @property
     def block_count(self) -> int:
@@ -114,6 +113,24 @@ def traced_bound(r: int, p: float, lookup: np.ndarray) -> float:
     return 4.0 * (max(ratios) / min(ratios))
 
 
+def _claim(d: int, eps: float, p: float, witnesses=None):
+    """The decision of cell (d, eps, p), in run and verify alike: the greedy net at the paper's
+    radius, the survivor count, which must reach (1 - eps) 2^d blocks before the certificate runs,
+    `_certify` of the closed-form embedding on the given witnesses, or those it finds, and the
+    traced bound.  A block is the net's or a singleton, a point beyond r // 2 of it.  Returns r,
+    the net, every point's distance to it, what `_certify` returns and the bound."""
+    r = _net_radius(d, eps)
+    A, dA = _greedy_net(d, r)
+    blocks = int(np.count_nonzero(dA > r // 2)) + 1
+    if blocks < (1.0 - eps) * 2**d:
+        raise ConstructionFailureError(
+            f"only {blocks} blocks survive; need {(1.0 - eps) * 2 ** d:.1f}",
+            {"d": d, "eps": eps, "r": r, "net_size": int(A.size), "survivors": blocks - 1 + int(A.size)},
+        )
+    lookup, block_norm = _embedding_lookup(d, r, p)
+    return r, A, dA, _certify(d, dA, r // 2, lookup, block_norm, witnesses), traced_bound(r, p, lookup)
+
+
 def cube_qs_construct(d: int, eps: float, p: float = 2.0) -> CubeQsResult:
     """Quotient of the d-cube keeping at least a (1 - eps) fraction of blocks.
 
@@ -131,27 +148,14 @@ def cube_qs_construct(d: int, eps: float, p: float = 2.0) -> CubeQsResult:
         raise CapacityError(f"d must be at most {MAX_D}")
     if not (p == 2.0 or 1.0 <= p < 2.0):
         raise ParameterError("p must be 2 or in [1, 2)")
-    r = _net_radius(d, eps)
-    A, dA_all = _greedy_net(d, r)
-    survive = (dA_all == 0) | (dA_all > r // 2)
-    S = np.flatnonzero(survive)
-    dA = dA_all[survive].astype(np.float64)
-    blocks = int(S.size - A.size + 1)
-    if blocks < (1.0 - eps) * 2**d:
-        raise ConstructionFailureError(
-            f"only {blocks} blocks survive; need {(1.0 - eps) * 2 ** d:.1f}",
-            {"d": d, "eps": eps, "r": r, "net_size": int(A.size), "survivors": int(S.size)},
-        )
-
-    lookup, block_norm = _embedding_lookup(d, r, p)
-    summary, witnesses, bad, _ = _certify(d, dA_all, r // 2, lookup, block_norm)
+    r, A, dA, (summary, witnesses, bad, _), bound = _claim(d, eps, p)
     if bad is not None:  # a found pair that fails the rule verify reads it by
         raise ConstructionFailureError(f"witness {witnesses[bad]} names no extreme cell", {"r": r})
-    bound = traced_bound(r, p, lookup)
     if summary.distortion > bound + 1e-9:
         raise ConstructionFailureError(f"measured distortion {summary.distortion:.6g} exceeds the traced bound "
                                        f"{bound:.6g}", {"r": r, "summary": summary})
-    return CubeQsResult(d, eps, p, r, A, S, dA, summary, bound, witnesses, lookup)
+    S = np.flatnonzero((dA == 0) | (dA > r // 2))
+    return CubeQsResult(d, eps, p, r, A, S, dA[S].astype(np.float64), summary, bound, witnesses)
 
 
 def _cell_ratio(lookup, s, h):
@@ -247,12 +251,10 @@ def _certify(d: int, dA: np.ndarray, cut: int, lookup, block_norm,
     `_find_witnesses` finds, each two distinct in-range singletons whose cell
     ratio is hi or lo; the kernel where an unattained extreme has none.
     Returns the distortion (None after a bad witness; the empty summary where
-    no point is a singleton and no witness is given), the witnesses, the first
-    bad one's index or None, and the singleton count."""
+    no point is a singleton, which no cell `_claim` certifies has), the
+    witnesses, the first bad one's index or None, and the singleton count."""
     bound = _class_bound(d, dA, cut, lookup, block_norm)
-    if bound is None:  # no singleton, so every given witness is bad
-        if witnesses:
-            return None, witnesses, 0, 0
+    if bound is None:
         return DistortionSummary(0.0, 0.0, 0), [], None, 0
     if witnesses is None:
         witnesses = _find_witnesses(d, dA, cut, lookup, bound) or []

@@ -188,10 +188,9 @@ CUBE = Doc("a cube-qs artifact", kind="cube-qs", d=integer, eps=number, p=number
 
 
 def _verify_cube(f: dict, ai: int, report: ValidationReport) -> int:
-    """Recompute the claim from d, eps and p: the net radius and greedy net the
-    construction takes, then its decision, cube._certify, on the stored
-    witnesses.  Returns the block count; a cube quotient is QS, and the
-    embedded distances it sets as `lookup` give its row's bound (row_of)."""
+    """Recompute the claim from d, eps and p by the construction's decision, cube._claim, on the
+    stored witnesses: a cell that keeps too few blocks raises its ConstructionFailureError.  Returns
+    the block count; a cube quotient is QS, and the decision's bound, set as `bound`, is its row's."""
     d, eps, p = f["d"], f["eps"], f["p"]
     f["provenance"] = "QS"
     if not 1 <= d <= cube.MAX_D:  # before the 2^d scan below allocates
@@ -200,10 +199,7 @@ def _verify_cube(f: dict, ai: int, report: ValidationReport) -> int:
         raise StructuralError(f"eps = {eps!r} is outside [2^-d, 1/4)")
     if not (p == 2.0 or 1.0 <= p < 2.0):
         raise StructuralError(f"p = {p!r} is neither 2 nor in [1, 2)")
-    r = cube._net_radius(d, eps)
-    _, dA = cube._greedy_net(d, r)
-    f["lookup"], block_norm = cube._embedding_lookup(d, r, p)
-    exact, _, bad, singletons = cube._certify(d, dA, r // 2, f["lookup"], block_norm, f["witnesses"])
+    *_, (exact, _, bad, singletons), f["bound"] = cube._claim(d, eps, p, f["witnesses"])
     if bad is None:
         _check_claim(f["certified_distortion"], exact.distortion, ai, report)
     else:
@@ -231,8 +227,8 @@ CSV_COLUMNS = ["trial", "seed", "n", "quotient_size", "provenance", "target_clas
 def _paper_bound(plan, f: dict):
     """The bound of arXiv math/0406349 that the plan's construction certifies, from its resolved params."""
     params = plan.resolved
-    if plan.pipeline == "cube-qs":
-        return cube.traced_bound(cube._net_radius(params["d"], params["eps"]), params["p"], f["lookup"])
+    if plan.pipeline == "cube-qs":  # the bound of its cell's decision (cube._claim)
+        return f["bound"]
     from .constructions import composition_bound, hst_mparam, m_center_size
 
     if plan.pipeline == "q2":
@@ -254,7 +250,7 @@ def row_of(plan, f: dict, size: int) -> dict:
     """Every CSV column but `attempts` of the row of trial f["trial"] of the plan,
     whose artifact has the checked fields f and certifies `size` points; f also
     holds `n`, the instance size, and what its check works out that the artifact
-    does not hold (the provenance of a collapse on `subset`, a cube's `lookup`).
+    does not hold (the provenance of a collapse on `subset`, a cube's `bound`).
     A quotient's target class is its model type, but star for dichotomy's
     equilateral model of the SQ space drop_root keeps of a star.
     run_experiment writes this row, and _check_rows compares a bundle's with it."""

@@ -30,7 +30,7 @@ from metriq.core import (
     realize_special,
 )
 from metriq.cube import cube_qs_construct
-from metriq.errors import MetriqError, ParameterError, StructuralError
+from metriq.errors import ConstructionFailureError, MetriqError, ParameterError, StructuralError
 from metriq.generators import InstanceSpec
 from metriq.quotient import quotient_to_json
 from metriq.seeds import RngSeed
@@ -758,12 +758,12 @@ def test_verify_refuses_a_cube_net_that_is_not_the_greedy_net(net):
     assert kinds & {"certificate", "cube-witness"}, kinds
 
 
-@pytest.mark.parametrize("key, value", [("eps", lambda eps: 0.01)])
+@pytest.mark.parametrize("key, value", [("eps", lambda eps: 0.15)])
 def test_verify_checks_the_cube_radius_against_d_and_eps(key, value):
-    # the radius follows from d and eps: at eps = 0.01 that of d = 8 leaves
-    # the net alone, one block of claim 0, so no witness eps = 0.24 found names
-    # a singleton
-    art = json.loads(dumps(_fresh_artifact("cube-qs")))
+    # the radius follows from d and eps: at d = 11, eps = 0.2 gives r = 4 and
+    # eps = 0.15 gives r = 6, a feasible cell where the witness r = 4 found
+    # names no extreme cell
+    art = json.loads(dumps(standalone(run_bundle("cube", {"d": 11}, "cube-qs", {"d": 11, "eps": 0.2}))))
     assert verify_bundle(art).ok
     art[key] = value(art[key])
     assert [v[0] for v in verify_bundle(art).violations] == ["cube-witness"]
@@ -771,11 +771,13 @@ def test_verify_checks_the_cube_radius_against_d_and_eps(key, value):
         verify_bundle({**art, "eps": 0.25})
 
 
-@pytest.mark.parametrize("witnesses", [[[3, 3], [999999, -5]], [[1, 2]]])
+@pytest.mark.parametrize("witnesses", [[[3, 3], [999999, -5]], [[1, 2]], []])
 def test_verify_refuses_any_cube_witness_where_no_point_is_a_singleton(witnesses):
+    # at d = 8, eps = 0.01 the net is one block and no point a singleton: the
+    # construction's survivor count refuses the cell before any witness is read
     art = {**json.loads(dumps(_fresh_artifact("cube-qs"))), "eps": 0.01, "certified_distortion": 0.0}
-    assert verify_bundle({**art, "witnesses": []}).ok
-    assert [v[:2] for v in verify_bundle({**art, "witnesses": witnesses}).violations] == [("cube-witness", (0, 0))]
+    with pytest.raises(ConstructionFailureError, match="^artifact 0: only 1 blocks survive; need 253.4$"):
+        verify_bundle({**art, "witnesses": witnesses})
 
 
 def test_verify_refuses_a_tree_larger_than_its_base_before_building_its_metric():

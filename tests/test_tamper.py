@@ -29,7 +29,8 @@ import pytest
 
 from metriq.cli import CSV_COLUMNS, plan_from_json, run_experiment
 from metriq.core import Doc, MetricSpace, decode_array, dumps, encode_array, one_of
-from metriq.errors import MetriqError
+from metriq.cube import _certify, _embedding_lookup, _greedy_net, _net_radius, traced_bound
+from metriq.errors import ConstructionFailureError, MetriqError
 from metriq.generators import InstanceSpec, realize_instance
 from metriq.quotient import claim_slack
 from metriq.verify import CHECKS, verify_bundle
@@ -244,6 +245,26 @@ def test_a_failed_trials_row_verifies_as_run_wrote_it():
     doc = _failed_bundle()
     assert doc["artifacts"] == [] and doc["rows"][0]["n"] == 1024
     assert verify_bundle(doc).ok
+
+
+def test_a_forged_artifact_of_the_failed_cube_cell_is_refused():
+    # its true claim and witnesses at the paper's radius, which keeps 639
+    # blocks of the 972.8 needed: verify refuses the cell as run does, alone
+    # and in the bundle whose summary lists its trial as failed
+    r = _net_radius(10, 0.05)
+    _, dA = _greedy_net(10, r)
+    lookup, block_norm = _embedding_lookup(10, r, 2.0)
+    summary, witnesses, bad, singletons = _certify(10, dA, r // 2, lookup, block_norm)
+    assert bad is None and singletons + 1 == 639
+    art = {"kind": "cube-qs", "d": 10, "eps": 0.05, "p": 2.0, "witnesses": [list(w) for w in witnesses],
+           "certified_distortion": summary.distortion}
+    doc = copy.deepcopy(_failed_bundle())
+    doc["artifacts"] = [{**art, "trial": 0}]
+    doc["rows"][0].update(quotient_size=639, provenance="QS", target_class="lp", p=2.0,
+                          certified_distortion=summary.distortion, paper_bound=traced_bound(r, 2.0, lookup), attempts=1)
+    for forged in (art, doc):
+        with pytest.raises(ConstructionFailureError, match="^artifact 0: only 639 blocks survive; need 972.8$"):
+            verify_bundle(forged)
 
 
 #: column -> a value that a cube-qs row holds there, or n as a float

@@ -241,17 +241,25 @@ def test_a_dropped_cube_witness_verifies_the_true_claim_by_the_kernel(monkeypatc
 
 def test_run_and_verify_decide_a_cube_claim_by_one_call(monkeypatch):
     # run searches for the witnesses, verify reads the stored ones, and both
-    # take the claim from cube._certify
-    certify, calls = cube._certify, []
+    # take the claim from cube._certify, in one cube._claim per trial whose
+    # radius is the only one taken: the row's bound is that decision's too
+    certify, calls, decided = cube._certify, [], {"_claim": 0, "_net_radius": 0}
     monkeypatch.setattr(cube, "_certify", lambda *args: calls.append(args) or certify(*args))
-    doc = run_bundle(*CUBE)
-    assert [len(args) for args in calls] == [5]
+    for name in decided:
+        def counted(*args, name=name, decide=getattr(cube, name)):
+            decided[name] += 1
+            return decide(*args)
+        monkeypatch.setattr(cube, name, counted)
+    doc = run_bundle(*CUBE, trials=2)
+    assert [len(args) for args in calls] == [6, 6] and calls[0][5] is None
+    assert decided == {"_claim": 2, "_net_radius": 2}
     assert verify_bundle(doc).ok
-    assert [len(args) for args in calls] == [5, 6] and calls[1][5] == doc["artifacts"][0]["witnesses"]
+    assert [len(args) for args in calls] == [6, 6, 6, 6] and calls[3][5] == doc["artifacts"][1]["witnesses"]
+    assert decided == {"_claim": 4, "_net_radius": 4}
     # the claim compared is the one _certify returns
     off = cube.DistortionSummary(2.0, 2.0, 1)
     monkeypatch.setattr(cube, "_certify", lambda *args: (off, *certify(*args)[1:]))
-    assert [v[:2] for v in verify_bundle(doc).violations] == [("certificate", (0,))]
+    assert [v[:2] for v in verify_bundle(doc).violations] == [("certificate", (0,)), ("certificate", (1,))]
 
 
 def test_run_and_verify_decide_an_embedding_claim_by_one_call(monkeypatch):
