@@ -11,7 +11,6 @@ never in the CSV).
 from __future__ import annotations
 
 import json
-import math
 import sys
 import time
 from collections.abc import Callable
@@ -37,7 +36,7 @@ from .generators import (INSTANCES, InstanceSpec, build_instance, gen_compositio
 from .quotient import distortion_between, quotient_metric, quotient_to_json
 from .seeds import RngSeed
 from .verify import (CSV_COLUMNS, _cube_artifact, _hst_artifact, _quotient_artifact, _standalone_artifact, row_of,
-                     verify_bundle)
+                     summary_of, verify_bundle)
 
 # ---------------------------------------------------------------------------
 # Experiment plans
@@ -238,34 +237,6 @@ PIPELINES = {p.name: p for p in (
 )}
 
 
-def _quantiles(values: list[float]) -> dict:
-    """min, p25, median, p75 and max of the values, {} for none: bit for bit
-    np.min, np.percentile(values, 25), np.median, np.percentile(values, 75)
-    and np.max, without numpy's dispatch, which a one-trial plan paid five times.
-
-    A quantile q is numpy's default `linear` one: at virtual index h = (n - 1) q
-    of the sorted values, its t = h - floor(h) weighs the two values a, b
-    around h as numpy's _lerp does, a + (b - a) t, or b - (b - a)(1 - t) when
-    t >= 0.5.  The median is the middle value or (a + b) / 2 of the middle
-    two.  Any NaN gives NaN in every field, as in numpy.
-    """
-    if not values:
-        return {}
-    if any(math.isnan(x) for x in values):
-        return dict.fromkeys(("min", "p25", "median", "p75", "max"), math.nan)
-    s, n = sorted(values), len(values)
-
-    def linear(q: float) -> float:
-        h = (n - 1) * q
-        i = min(math.floor(h), n - 2)  # -1 at n = 1: numpy too reads the lone value twice, at t = 1
-        a, b, t = s[i], s[i + 1], h - i
-        return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
-
-    m = n // 2
-    return {"min": s[0], "p25": linear(0.25), "median": s[m] if n % 2 else (s[m - 1] + s[m]) / 2,
-            "p75": linear(0.75), "max": s[-1]}
-
-
 def run_experiment(plan: ExperimentPlan, keep_artifacts: bool = False) -> ReportBundle:
     """Execute the plan's trials; per-trial errors are recorded, not raised.
 
@@ -276,7 +247,7 @@ def run_experiment(plan: ExperimentPlan, keep_artifacts: bool = False) -> Report
     bundle = ReportBundle({"instance": {"variant": plan.instance.variant, "params": plan.instance.params},
                            "pipeline": plan.pipeline, "params": plan.params, "trials": plan.trials, "seed": plan.seed})
     pipeline, params = PIPELINES[plan.pipeline], plan.resolved
-    values, errors, timings = [], [], []
+    errors, timings = [], []
     for t in range(plan.trials):
         row = {**dict.fromkeys(CSV_COLUMNS, ""), "trial": t, "seed": plan.seed}
         start = time.perf_counter()
@@ -291,21 +262,13 @@ def run_experiment(plan: ExperimentPlan, keep_artifacts: bool = False) -> Report
             art, size, attempts, held = pipeline.run(m, RngSeed(plan.seed, t).child(1), params)
             art["trial"] = t
             row.update(row_of(plan, {**art, **held, "n": row["n"]}, size), attempts=attempts)
-            values.append(float(art["certified_distortion"]))
             if keep_artifacts:
                 bundle.artifacts.append(art)
         except MetriqError as exc:
             errors.append({"trial": t, "error": type(exc).__name__, "detail": str(exc)})
         timings.append((time.perf_counter() - start) * 1000.0)
         bundle.rows.append(row)
-    bundle.summary = {
-        "trials": plan.trials,
-        "failures": len(errors),
-        "failure_rate": len(errors) / plan.trials if plan.trials else 0.0,
-        "errors": errors,
-        "certified_distortion": _quantiles(values),
-        "millis": [round(x, 3) for x in timings],
-    }
+    bundle.summary = summary_of(plan, bundle.rows, errors, [round(x, 3) for x in timings])
     return bundle
 
 

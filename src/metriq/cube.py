@@ -251,7 +251,7 @@ def _certify(d: int, dA: np.ndarray, cut: int, lookup, block_norm,
     `_find_witnesses` finds, each two distinct in-range singletons whose cell
     ratio is hi or lo; the kernel where an unattained extreme has none.
     Returns the distortion (None after a bad witness; the empty summary where
-    no point is a singleton, which no cell `_claim` certifies has), the
+    no point is a singleton, which no cell that `_claim` accepts has), the
     witnesses, the first bad one's index or None, and the singleton count."""
     bound = _class_bound(d, dA, cut, lookup, block_norm)
     if bound is None:

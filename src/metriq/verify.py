@@ -10,11 +10,12 @@ its plan names, which verify rebuilds; in a standalone artifact, the base it emb
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields
 
 import numpy as np
 
-from . import cube
+from . import cube, errors as _errors
 from .core import (METRIC, TOL, Doc, MetricSpace, ValidationReport, array, integer, list_of, metric_from_fields,
                    metric_to_json, number, one_of, validate_metric)
 from .errors import MetriqError, StructuralError
@@ -264,6 +265,17 @@ def row_of(plan, f: dict, size: int) -> dict:
             "millis": ""}
 
 
+def _same(a, b) -> bool:
+    """a == b, in value and JSON type throughout, as _wrong compares a row's columns."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is dict:
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if type(a) is list:
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
 def _wrong(row: dict, expected: dict) -> str:
     """Each column where row is not expected's, in value or JSON type (14 is
     not 14.0, nor 0 false), but the seed, checked apart, and each key of row that is no column."""
@@ -272,14 +284,19 @@ def _wrong(row: dict, expected: dict) -> str:
     return "; ".join(wrong + [f"{k!r} is no column" for k in row.keys() - set(CSV_COLUMNS)])
 
 
-def _check_rows(rows: list, artifacts: list[tuple[dict, int]], report: ValidationReport, plan):
+def _check_rows(rows: list, artifacts: list[tuple[dict, int]], report: ValidationReport, plan) -> tuple[list, list]:
     """Every row names its plan's seed and one of its trials, no earlier row's.
     A row is the row_of its artifact (checked fields and certified size) with
     an integer `attempts` >= 1, which certifies nothing, or without one a
     failed trial's, as run_experiment writes it: every column empty but trial,
-    seed and an integer n.  So a bundle written without `--artifacts` fails
-    verify unless every trial failed."""
-    by_trial = {}
+    seed and n, the size of the instance built before the trial failed: any
+    integer, but own_space's for a pipeline that builds its own space, empty
+    where that refuses the plan.  So a bundle written without `--artifacts`
+    fails verify unless every trial failed.  Returns the rows as compared and
+    the failed trials, ascending."""
+    from .cli import PIPELINES
+
+    by_trial, made = {}, []
     for row in rows:
         t = row["trial"]
         if type(row.get("seed")) is not int or row["seed"] != plan.seed:
@@ -294,14 +311,89 @@ def _check_rows(rows: list, artifacts: list[tuple[dict, int]], report: Validatio
             report.add("row", (ai,), f"trial {f['trial']!r} has no row, or an earlier artifact")
             continue
         a = row.get("attempts")  # any integer >= 1 is as good
-        wrong = _wrong(row, {**row_of(plan, f, size), "attempts": a if type(a) is int and a >= 1 else 1})
+        made.append({**row_of(plan, f, size), "attempts": a if type(a) is int and a >= 1 else 1})
+        wrong = _wrong(row, made[-1])
         if wrong:
             report.add("row", (ai,), f"row {wrong}")
+    space = PIPELINES[plan.pipeline].own_space
     for t, row in by_trial.items():
-        n = row.get("n")  # any integer: the size of an instance built before its trial failed
-        wrong = _wrong(row, {**dict.fromkeys(CSV_COLUMNS, ""), "trial": t, "n": n if type(n) is int else ""})
+        n = row.get("n")
+        if space:  # the n run_experiment writes: empty where own_space refuses the plan
+            try:
+                n = space(plan.instance, plan.resolved)
+            except MetriqError:
+                n = ""
+        made.append({**dict.fromkeys(CSV_COLUMNS, ""), "trial": t, "n": n if type(n) is int else ""})
+        wrong = _wrong(row, made[-1])
         if wrong:
             report.add("row", (), f"trial {t!r} has no artifact, but {wrong}")
+    return made, sorted(by_trial)
+
+
+def _quantiles(values: list[float]) -> dict:
+    """min, p25, median, p75 and max of the values, {} for none: bit for bit
+    np.min, np.percentile(values, 25), np.median, np.percentile(values, 75)
+    and np.max, without numpy's dispatch, which a one-trial plan paid five times.
+
+    A quantile q is numpy's default `linear` one: at virtual index h = (n - 1) q
+    of the sorted values, its t = h - floor(h) weighs the two values a, b
+    around h as numpy's _lerp does, a + (b - a) t, or b - (b - a)(1 - t) when
+    t >= 0.5.  The median is the middle value or (a + b) / 2 of the middle
+    two.  Any NaN gives NaN in every field, as in numpy.
+    """
+    if not values:
+        return {}
+    if any(math.isnan(x) for x in values):
+        return dict.fromkeys(("min", "p25", "median", "p75", "max"), math.nan)
+    s, n = sorted(values), len(values)
+
+    def linear(q: float) -> float:
+        h = (n - 1) * q
+        i = min(math.floor(h), n - 2)  # -1 at n = 1: numpy too reads the lone value twice, at t = 1
+        a, b, t = s[i], s[i + 1], h - i
+        return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+
+    m = n // 2
+    return {"min": s[0], "p25": linear(0.25), "median": s[m] if n % 2 else (s[m - 1] + s[m]) / 2,
+            "p75": linear(0.75), "max": s[-1]}
+
+
+def summary_of(plan, rows: list, errors: list, millis: list) -> dict:
+    """The JSON summary of the plan's rows: its trials and failures, the errors
+    entry of each failed trial, the quantiles of the certified distortions
+    (_quantiles) and millis, each trial's wall-clock time.  run_experiment
+    writes it, and verify compares a bundle's with it (_check_summary)."""
+    values = [float(row["certified_distortion"]) for row in rows if row["certified_distortion"] != ""]
+    return {"trials": plan.trials, "failures": len(errors),
+            "failure_rate": len(errors) / plan.trials if plan.trials else 0.0, "errors": errors,
+            "certified_distortion": _quantiles(values), "millis": millis}
+
+
+#: the errors a failed trial's entry may name: run_experiment records a MetriqError, and no other
+_ERROR_NAMES = {name for name, c in vars(_errors).items() if isinstance(c, type) and issubclass(c, MetriqError)}
+
+
+def _check_summary(summary: dict, rows: list, failed: list, report: ValidationReport, plan):
+    """The summary is summary_of the rows as compared (_same): its errors hold
+    one entry per failed trial, in order, each a MetriqError's name and a
+    string detail, and its millis are plan.trials numbers, whose values stay
+    unread."""
+    given, millis = summary.get("errors"), summary.get("millis")
+    wrong, errors = [], given  # malformed ones are reported once, then compared as given
+    if type(given) is list and len(given) == len(failed) and all(
+            type(e) is dict and type(e.get("error")) is str and e["error"] in _ERROR_NAMES
+            and type(e.get("detail")) is str for e in given):
+        errors = [{"trial": t, "error": e["error"], "detail": e["detail"]} for t, e in zip(failed, given)]
+    else:
+        wrong.append(f"errors {given!r} are not one MetriqError name and string detail per failed trial {failed}")
+    if not (type(millis) is list and len(millis) == plan.trials and all(type(x) in (int, float) for x in millis)):
+        wrong.append(f"millis {millis!r} are not {plan.trials} numbers")
+    expected = {**summary_of(plan, rows, failed, millis), "errors": errors}  # failures: one per failed trial
+    if not _same(summary, expected):
+        wrong += [f"{k} {summary.get(k)!r} != {v!r}" for k, v in expected.items() if not _same(summary.get(k), v)]
+        wrong += [f"{k!r} is no summary field" for k in summary.keys() - expected.keys()]
+    if wrong:
+        report.add("summary", (), "; ".join(wrong))
 
 
 def _bundle_plan(doc: dict):
@@ -376,7 +468,8 @@ def verify_bundle(doc: dict) -> ValidationReport:
     tolerances are fixed: core.TOL, and quotient.claim_slack about a claim.
     In a bundle with rows, with or without artifacts, each row must be the
     row_of its trial's artifact or, without one, a failed trial's, and name
-    its plan's seed (_check_rows).  Every MetriqError raised names its artifact.
+    its plan's seed (_check_rows); its summary must be the summary_of those
+    rows (_check_summary).  Every MetriqError raised names its artifact.
     """
     report = ValidationReport()
     artifacts = doc.get("artifacts", [doc] if "kind" in doc else None) if isinstance(doc, dict) else None
@@ -406,9 +499,16 @@ def verify_bundle(doc: dict) -> ValidationReport:
             raise type(exc)(f"artifact {ai}: {exc}") from exc
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise StructuralError(f"artifact {ai}: malformed ({exc})") from exc
+    if "summary" in doc and "rows" not in doc:
+        raise StructuralError("summary: a bundle's summary comes with the rows it sums")
     if "rows" in doc:
         try:
-            _check_rows(doc["rows"], read, report, plan)
+            rows, failed = _check_rows(doc["rows"], read, report, plan)
         except (AttributeError, KeyError, TypeError) as exc:
             raise StructuralError(f"rows: malformed ({exc!r})") from exc
+    if "summary" in doc:
+        try:
+            _check_summary(doc["summary"], rows, failed, report, plan)
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise StructuralError(f"summary: malformed ({exc!r})") from exc
     return report

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from metriq.cli import (
     CSV_COLUMNS,
     ExperimentPlan,
-    _quantiles,
     main,
     plan_from_json,
     run_experiment,
@@ -34,7 +33,7 @@ from metriq.errors import ConstructionFailureError, MetriqError, ParameterError,
 from metriq.generators import InstanceSpec
 from metriq.quotient import quotient_to_json
 from metriq.seeds import RngSeed
-from metriq.verify import CHECKS
+from metriq.verify import CHECKS, _quantiles
 
 from conftest import ARTIFACT_COMMANDS, SQ_PLAN, edit_array, random_metric, refusal, run_bundle, standalone
 
@@ -373,7 +372,7 @@ def test_a_certified_bundle_without_artifacts_fails_verify(runner, tmp_path, cla
     if claim is not None:
         doc["rows"][0]["certified_distortion"] = claim
         out.write_text(json.dumps(doc))
-    assert [v[:2] for v in verify_bundle(doc).violations] == [("row", ()), ("row", ())]
+    assert [v[:2] for v in verify_bundle(doc).violations] == [("row", ()), ("row", ()), ("summary", ())]
     result = runner.invoke(main, ["verify", "--bundle", str(out)])
     assert result.exit_code == 1 and not json.loads(result.output)["ok"]
 
@@ -458,7 +457,7 @@ def test_verify_takes_no_tolerance(runner, tmp_path, tolerance):
     doc = run_bundle("cloud", {"n": 40}, "hst", {}, seed=1)
     claim = doc["artifacts"][0]["certified_distortion"] * 1.25 + 0.5
     doc["artifacts"][0]["certified_distortion"] = doc["rows"][0]["certified_distortion"] = claim
-    assert [v[:2] for v in verify_bundle(doc).violations] == [("certificate", (0,))]
+    assert [v[:2] for v in verify_bundle(doc).violations] == [("certificate", (0,)), ("summary", ())]
     with pytest.raises(TypeError):
         verify_bundle(doc, float(tolerance))
     path = tmp_path / "raised.json"
@@ -824,11 +823,12 @@ def test_verify_refuses_a_certified_row_without_its_artifact():
     doc = run_bundle("cloud", {"n": 40}, "q2", {}, trials=3)
     doc["artifacts"][1]["trial"] = 0  # two artifacts for trial 0, none for trial 1
     # artifact 1's blocks are now checked on trial 0's instance, where its claim fails
+    # and the summary counts no failure for trial 1
     assert [v[:2] for v in verify_bundle(doc).violations] == [
-        ("certificate", (1,)), ("row", (1,)), ("row", ())]
+        ("certificate", (1,)), ("row", (1,)), ("row", ()), ("summary", ())]
     del doc["artifacts"][1]
-    assert [v[:2] for v in verify_bundle(doc).violations] == [("row", ())]
-    del doc["rows"][1]  # the row goes too: nothing left to compare
+    assert [v[:2] for v in verify_bundle(doc).violations] == [("row", ()), ("summary", ())]
+    del doc["rows"][1], doc["summary"]  # the row goes too, and the summary that sums it: nothing left to compare
     assert verify_bundle(doc).ok
     doc["rows"] = [{"trial": [0]}]
     with pytest.raises(StructuralError, match="rows: malformed"):
@@ -858,7 +858,7 @@ def test_a_bourgain_row_claim_is_checked():
     doc["rows"][0]["certified_distortion"] = 1.0
     assert [v[:2] for v in verify_bundle(doc).violations] == [("row", (0,))]
     doc["artifacts"][0]["certified_distortion"] = 1.0
-    assert [v[:2] for v in verify_bundle(doc).violations] == [("certificate", (0,))]
+    assert [v[:2] for v in verify_bundle(doc).violations] == [("certificate", (0,)), ("summary", ())]
 
 
 def test_cli_verify_bundle_is_the_verify_module_one():
@@ -1155,6 +1155,11 @@ def test_cube_qs_plan_runs_only_on_the_cube_of_its_d(variant, params):
     for t, err in enumerate(bundle.summary["errors"]):
         assert err["trial"] == t and err["error"] == "ParameterError"
         assert err["detail"].startswith(f"a cube-qs plan with d = 8 runs on instance cube with d = 8, not {variant} ")
+    # each failed row's n is empty, as own_space refuses the plan, and verify expects it so
+    doc = json.loads(dumps({"plan": bundle.plan, "rows": bundle.rows, "summary": bundle.summary, "artifacts": []}))
+    assert verify_bundle(doc).ok
+    doc["rows"][1]["n"] = 256
+    assert [v[:2] for v in verify_bundle(doc).violations] == [("row", ())]
     matched = run_bundle("cube", {"d": 8}, "cube-qs", {"d": 8, "eps": 0.24})
     matched["plan"]["instance"] = {"variant": variant, "params": params}
     with pytest.raises(ParameterError, match="^artifact 0: a cube-qs plan with d = 8 runs on instance cube"):

@@ -17,7 +17,10 @@ filled.  Each artifact field that metriq.verify.row_of copies into the row
 column of its name gets a tamper written into artifact and row alike: a
 `one_of` string each other declared choice, a number by the rules above;
 verify must refuse each one but for the ones KNOWN_CONSISTENT lists, each a
-true certificate.
+true certificate.  Each bundle's summary, a failed trial's included, gets
+one tamper per number it holds, a quantile of its claims included, by the
+same rules, and an `errors` entry added, dropped or changed; verify must
+refuse each one but for the ones SUMMARY_GAPS lists.
 """
 
 import copy
@@ -267,6 +270,13 @@ def test_a_forged_artifact_of_the_failed_cube_cell_is_refused():
             verify_bundle(forged)
 
 
+def test_a_failed_cube_rows_n_is_the_size_of_its_plans_cube():
+    # own_space gives the n run writes, 2^d, for a failed trial too
+    doc = copy.deepcopy(_failed_bundle())
+    doc["rows"][0]["n"] = 1025
+    assert [v[:2] for v in verify_bundle(doc).violations] == [("row", ())]
+
+
 #: column -> a value that a cube-qs row holds there, or n as a float
 FAILED_FILLS = {"n": 1024.0, "quotient_size": 1000, "provenance": "QS", "target_class": "lp", "p": 2.0,
                 "certified_distortion": 1.5, "paper_bound": 18.0, "attempts": 1, "millis": 1.0}
@@ -338,3 +348,99 @@ def test_each_known_consistent_acceptance_is_a_generated_tamper_and_a_true_certi
     assert abs(claim - art["certified_distortion"]) <= claim_slack(art["certified_distortion"])
     if "lipschitz" in art:
         assert product - art["lipschitz"] <= claim_slack(art["lipschitz"])
+
+
+# --- the summary half: one tamper per number a summary holds, and its errors ---
+
+#: summary field -> why verify accepts a tamper of it
+SUMMARY_GAPS = {"millis": "wall-clock times, which no rerun repeats: verify reads only that they are "
+                          "the plan's trials in number"}
+
+
+#: each plan's bundle, and `failed`, the bundle of the failed cube-qs trial
+SUMMARY_BUNDLES = [*PLANS, "failed"]
+
+
+def _summary_bundle(name: str) -> dict:
+    return _failed_bundle() if name == "failed" else _bundle(name)
+
+
+def _summary_numbers(doc: dict, prefix: str = ""):
+    """(path, holder, key) of each number, or list of them, in a summary, a
+    nested document's included; the errors entries are tampered apart."""
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from _summary_numbers(value, f"{prefix}{key}.")
+        elif key != "errors":
+            yield prefix + key, doc, key
+
+
+SUMMARY_CASES = [(name, path) for name in SUMMARY_BUNDLES
+                 for path, holder, key in _summary_numbers(_summary_bundle(name)["summary"])
+                 if _changed(holder[key]) is not None]
+
+
+def _summary_tampered(name: str, path: str) -> dict:
+    """A copy of the bundle with the summary number at path tampered."""
+    doc = copy.deepcopy(_summary_bundle(name))
+    for at, holder, key in _summary_numbers(doc["summary"]):
+        if at == path:
+            holder[key] = _changed(holder[key])
+            return doc
+    raise KeyError(path)
+
+
+@pytest.mark.parametrize("name, path", SUMMARY_CASES, ids=[f"{name}-{path}" for name, path in SUMMARY_CASES])
+def test_a_summary_tamper_is_refused_unless_a_known_gap(name, path):
+    assert _accepted(_summary_tampered(name, path)) == (path in SUMMARY_GAPS)
+
+
+def test_each_summary_gap_is_a_generated_tamper():
+    assert {path for _, path in SUMMARY_CASES} >= SUMMARY_GAPS.keys()
+    assert {path for _, path in SUMMARY_CASES} >= {"trials", "failures", "failure_rate",
+                                                   *(f"certified_distortion.{q}" for q in
+                                                     ("min", "p25", "median", "p75", "max"))}
+
+
+#: how -> the entries that replace a summary's last errors entry
+ERROR_TAMPERS = {
+    "dropped": lambda entry: [],
+    "trial": lambda entry: [{**entry, "trial": _changed(entry["trial"])}],
+    "not-metriq": lambda entry: [{**entry, "error": "ValueError"}],
+    "detail": lambda entry: [{**entry, "detail": 0}],
+}
+
+#: (bundle, how): an entry added to each summary's errors, and each of its last entry's ERROR_TAMPERS
+ERROR_CASES = [(name, "added") for name in SUMMARY_BUNDLES]
+ERROR_CASES += [(name, how) for name in SUMMARY_BUNDLES if _summary_bundle(name)["summary"]["errors"]
+                for how in ERROR_TAMPERS]
+
+
+@pytest.mark.parametrize("name, how", ERROR_CASES, ids=[f"{name}-{how}" for name, how in ERROR_CASES])
+def test_an_errors_tamper_is_refused(name, how):
+    doc = copy.deepcopy(_summary_bundle(name))
+    errors = doc["summary"]["errors"]
+    if how == "added":
+        errors.append({"trial": 0, "error": "ConstructionFailureError", "detail": "forged"})
+    else:
+        errors[-1:] = ERROR_TAMPERS[how](errors[-1])
+    assert [v[:2] for v in verify_bundle(doc).violations] == [("summary", ())]
+
+
+#: (bundle, path, how, value): each summary number recast (_recast), and a key that is no summary field
+SUMMARY_FORM_CASES = [(name, path, how, value) for name in SUMMARY_BUNDLES
+                      for path, holder, key in _summary_numbers(_summary_bundle(name)["summary"])
+                      for how, value in _recast(holder[key])]
+SUMMARY_FORM_CASES += [(name, "note", "added", "") for name in SUMMARY_BUNDLES]
+
+
+@pytest.mark.parametrize("name, path, how, value", SUMMARY_FORM_CASES,
+                         ids=[f"{n}-{p}-{h}" for n, p, h, _ in SUMMARY_FORM_CASES])
+def test_a_summary_of_another_form_is_refused(name, path, how, value):
+    doc = copy.deepcopy(_summary_bundle(name))
+    *parents, key = path.split(".")
+    holder = doc["summary"]
+    for part in parents:
+        holder = holder[part]
+    holder[key] = value
+    assert not _accepted(doc)

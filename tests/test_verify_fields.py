@@ -164,10 +164,12 @@ def test_a_quotient_holds_its_model_and_claim_together(pipeline):
     art["certified_distortion"] = row["certified_distortion"] = 1.0
     with pytest.raises(StructuralError, match="^artifact 0: a quotient holds model and"):
         verify_bundle(doc)
-    # without both, the row's claim and its target class, the model's type, have nothing to match
+    # without both, the row's claim and its target class, the model's type,
+    # and the summary's quantiles of the claims have nothing to match
     del art["certified_distortion"]
-    assert [v[:2] for v in verify_bundle(doc).violations] == [("row", (0,))]
+    assert [v[:2] for v in verify_bundle(doc).violations] == [("row", (0,)), ("summary", ())]
     row["certified_distortion"] = row["target_class"] = ""
+    doc["summary"]["certified_distortion"] = {}
     assert verify_bundle(doc).ok
 
 
@@ -188,7 +190,7 @@ def test_a_consistent_cube_claim_of_one_is_refused():
     # it verified while verify only refused a cube claim below 1
     doc = run_bundle(*CUBE)
     doc["artifacts"][0]["certified_distortion"] = doc["rows"][0]["certified_distortion"] = 1.0
-    assert [v[:2] for v in verify_bundle(doc).violations] == [("certificate", (0,))]
+    assert [v[:2] for v in verify_bundle(doc).violations] == [("certificate", (0,)), ("summary", ())]
 
 
 # witness 0 is at distance 1, where every singleton pair has the largest ratio
@@ -236,7 +238,7 @@ def test_a_dropped_cube_witness_verifies_the_true_claim_by_the_kernel(monkeypatc
     assert len(calls) == 2
     # the kernel's value is the one compared
     dropped["artifacts"][0]["certified_distortion"] = dropped["rows"][0]["certified_distortion"] = 1.0
-    assert [v[:2] for v in verify_bundle(dropped).violations] == [("certificate", (0,))]
+    assert [v[:2] for v in verify_bundle(dropped).violations] == [("certificate", (0,)), ("summary", ())]
 
 
 def test_run_and_verify_decide_a_cube_claim_by_one_call(monkeypatch):
