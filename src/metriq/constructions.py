@@ -24,6 +24,7 @@ from .core import (
     block_reduce,
     nearest_radii,
     realize_special,
+    submatrix,
 )
 from .errors import (
     CapacityError,
@@ -203,7 +204,7 @@ class _PeelChain:
         self.queue = deque()
         self.alive = np.zeros(n, dtype=bool)
         self.alive[X] = True
-        sub = dist[np.ix_(X, X)]
+        sub = submatrix(dist, X)
         self.rho, self.cnt, self.viol = np.zeros(n), np.zeros(n, np.int64), np.zeros(n, np.int64)
         self.rho[X] = np.partition(sub, need - 1, axis=1)[:, need - 1]
         self.cnt[X] = np.count_nonzero(sub <= self.rho[X][:, None], axis=1)
@@ -385,7 +386,7 @@ def hst_from_m_centered(m: MetricSpace, mparam: int) -> tuple[HstTree, Distortio
             chain = _PeelChain(m.dist, item, mparam)
         else:
             X = item
-            ai, bi = divmod(int(np.argmax(m.dist[X[:, None], X])), X.size)
+            ai, bi = divmod(int(np.argmax(submatrix(m.dist, X))), X.size)
             delta, inside = _cut(m.dist, X, int(X[0]), int(X[ai]), int(X[bi]), mparam)
             return delta, (X[inside], X[~inside])
         delta, inside, rest = chain.step()
@@ -539,7 +540,7 @@ def coloring_partition(n: int, chi, seed=None, kcolors: int | None = None) -> Co
         keep = D[colD == int(np.argmax(np.bincount(colD, minlength=palette)))]
         if keep.size < 2:
             return _pair_fallback(V, is_cmin, cmin)
-        return solve([V[i] for i in keep.tolist()], sub[np.ix_(keep, keep)], krem - 1)
+        return solve([V[i] for i in keep.tolist()], submatrix(sub, keep), krem - 1)
 
     res = solve(list(range(n)), chi.copy(), max(1, int(kcolors)))
     if not check_coloring_result(chi, res):
@@ -574,7 +575,7 @@ def weighted_coloring_partition(
 
     def level_set(A: list[int]) -> ColoringResult:
         """coloring_partition on the points A, in original indices."""
-        sub = coloring_partition(len(A), chi[np.ix_(A, A)], seed.child(0), kcolors=k)
+        sub = coloring_partition(len(A), submatrix(chi, A), seed.child(0), kcolors=k)
         return ColoringResult(tuple(tuple(A[i] for i in blk) for blk in sub.blocks), sub.ell)
 
     candidates: list[ColoringResult] = []
@@ -725,7 +726,7 @@ def find_star_quotient(
         raise CapacityError(f"bucket count {kbuck} exceeds cap 64 (alpha too close to b/a)")
     kbuck = max(kbuck, 0)
     nn = len(N)
-    val = np.minimum(m.dist[np.ix_(N, N)], r[N][:, None] + r[N][None, :])
+    val = np.minimum(submatrix(m.dist, N), r[N][:, None] + r[N][None, :])
     with np.errstate(divide="ignore"):
         c = np.ceil(np.log(2 * b / np.maximum(val, 1e-300)) / math.log(alpha) - 1e-12) - 1
     c = np.clip(c, 0, kbuck).astype(int)

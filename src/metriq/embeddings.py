@@ -56,9 +56,10 @@ class VectorEmbedding:
             raise ParameterError(f"p = {self.p!r} is not a finite number >= 1")
 
 
-# entries of one rows x n x dim chunk of a p-norm table, or of one block of
-# the p-stable series; 512 KB of float64 stays in cache, which made Bourgain
-# tables faster than 8 MB chunks
+# entries of one rows x n x dim chunk of a p-norm table, of one row block of
+# the Gram screen, or of one block of the p-stable series; 512 KB of float64
+# stays in cache, which made Bourgain tables faster than 8 MB chunks.
+# _subset_distances takes no such budget: its peak is O(J n), a few J x n tables
 TABLE_ELEMENTS = 1 << 16
 
 #: Most points an exact construction takes: it enumerates 2^n subsets or atoms.
@@ -162,7 +163,7 @@ def embedding_distortion(source: MetricSpace, emb: VectorEmbedding) -> Distortio
     idx, ends = np.unique(np.concatenate([i, j]), return_inverse=True)
     a, b = ends.reshape(2, -1)
     t = induced_metric(VectorEmbedding(v[idx], emb.p, w)).dist[a, b]
-    return pair_distortion(i, j, source.dist[i, j], t)
+    return pair_distortion(source.dist[i, j], t, lambda k: (int(i[k]), int(j[k])))
 
 
 def embedding_to_json(subset: list[int], emb: VectorEmbedding, mask: np.ndarray, certified: float) -> dict:
@@ -192,27 +193,32 @@ def _subset_distances(dist: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """d(u, A_j) for every point u and every row A_j of a J x n boolean mask.
 
     Returns the C-ordered n x J coordinate array; an empty subset gives a 0
-    column.  Consecutive nonempty subsets are taken in groups of at most
-    TABLE_ELEMENTS gathered entries (at least one subset): the members' columns
-    of dist, as contiguous rows of its transpose, and np.minimum.reduceat
-    takes each subset's min.  A min is exact in any order, so every entry is
-    bitwise dist[:, A_j].min(axis=1).
+    column.  The subsets are sorted by size, largest first, so the ones with a
+    t-th member are a prefix.  Slot by slot, one gather reads the columns of
+    dist (rows of its transpose) at every such subset's t-th member, and an
+    in-place np.minimum folds them into that prefix of the J x n table.  A min
+    is exact in any order, so every entry is bitwise dist[:, A_j].min(axis=1).
+    The peak is O(J n): the table, one slot's gather, the table back in mask
+    order and its transpose.
     """
     n = dist.shape[0]
     cols = np.ascontiguousarray(dist.T)
-    out = np.zeros((mask.shape[0], n))
     sizes = mask.sum(axis=1)
-    live = np.flatnonzero(sizes)
-    members = np.nonzero(mask[live])[1]  # row-major: subset after subset
-    ends = np.cumsum(sizes[live])
-    starts = ends - sizes[live]
-    budget = TABLE_ELEMENTS // max(1, n)
-    lo = 0
-    while lo < live.size:
-        hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + budget, side="right")))
-        gathered = cols[members[starts[lo] : ends[hi - 1]]]
-        out[live[lo:hi]] = np.minimum.reduceat(gathered, starts[lo:hi] - starts[lo], axis=0)
-        lo = hi
+    order = np.argsort(-sizes, kind="stable")
+    sizes = sizes[order]
+    members = np.nonzero(mask[order])[1]  # row-major: subset after subset, largest first
+    starts = np.cumsum(sizes) - sizes
+    table = np.zeros((mask.shape[0], n))
+    # the number of subsets with a t-th member, t = 0 .. the largest size - 1
+    counts = np.searchsorted(-sizes, -np.arange(sizes[0] if sizes.size else 0), side="left")
+    for t, c in enumerate(counts.tolist()):
+        slot = cols[members[starts[:c] + t]]
+        if t:
+            np.minimum(table[:c], slot, out=table[:c])
+        else:
+            table[:c] = slot
+    out = np.empty_like(table)
+    out[order] = table
     return np.ascontiguousarray(out.T)
 
 

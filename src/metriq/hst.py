@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import TOL, Doc, MetricSpace, ValidationReport, array, encode_array
+from .core import TOL, Doc, MetricSpace, ValidationReport, array, encode_array, submatrix
 from .errors import StructuralError
 
 
@@ -143,7 +143,7 @@ def hst_to_metric(t: HstTree) -> MetricSpace:
         p = parent[c]
         d[lo[c] : hi[c], hi[c] : hi[p]] = delta[p]
         d[hi[c] : hi[p], lo[c] : hi[c]] = delta[p]
-    return MetricSpace(d[np.ix_(pos, pos)])
+    return MetricSpace(submatrix(d, pos))
 
 
 def _single_linkage(d: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import floyd_warshall
 
 from .core import (METRIC, TOL, Doc, MetricSpace, _closure_is_identity, block_reduce, integer, list_of,
-                   metric_from_fields, metric_to_json, number, one_of)
+                   metric_from_fields, metric_to_json, number, one_of, submatrix)
 from .errors import StructuralError, UndefinedInputError
 
 
@@ -114,19 +114,18 @@ def quotient_by_subset(m: MetricSpace, A) -> QuotientSpace:
         raise StructuralError("A must be nonempty")
     if A[0] < 0 or A[-1] >= m.n:
         raise StructuralError(f"point index {A[0] if A[0] < 0 else A[-1]} out of range")
-    collapsed = set(A)
-    rest = [i for i in range(m.n) if i not in collapsed]
-    blocks = tuple((i,) for i in rest) + (tuple(A),)
+    outside = np.ones(m.n, dtype=bool)
+    outside[A] = False
+    rest = np.flatnonzero(outside)
+    blocks = tuple((i,) for i in rest.tolist()) + (tuple(A),)
     k = len(blocks)
-    dA = m.dist[:, A].min(axis=1)  # distance of every point to A
+    dA = m.dist.take(A, axis=1).min(axis=1).take(rest)  # distance of every other point to A
     d = np.zeros((k, k))
-    if rest:
-        sub = m.dist[np.ix_(rest, rest)]
-        via = dA[rest][:, None] + dA[rest][None, :]
-        d[: k - 1, : k - 1] = np.minimum(sub, via)
+    if rest.size:
+        np.minimum(submatrix(m.dist, rest), dA[:, None] + dA[None, :], out=d[: k - 1, : k - 1])
         np.fill_diagonal(d[: k - 1, : k - 1], 0.0)
-        d[: k - 1, k - 1] = dA[rest]
-        d[k - 1, : k - 1] = dA[rest]
+        d[: k - 1, k - 1] = dA
+        d[k - 1, : k - 1] = dA
     return QuotientSpace(Partition(m, blocks), MetricSpace(d), "Q")
 
 
@@ -165,7 +164,9 @@ def distortion_between(source: MetricSpace, target: MetricSpace) -> DistortionRe
 
     expansion = max d_target/d_source, contraction = max d_source/d_target,
     both over all pairs; distortion is their product.  Sizes that differ
-    raise StructuralError.
+    raise StructuralError.  The pairs i < j are read through a boolean mask
+    of the strict upper triangle, row by row as np.triu_indices lists them,
+    and an extreme pair's (i, j) is worked out from its position.
     """
     n = source.n
     if target.n != n:
@@ -173,25 +174,27 @@ def distortion_between(source: MetricSpace, target: MetricSpace) -> DistortionRe
     if n < 2:
         return DistortionReport(1.0, 1.0, (0, 0), (0, 0))
 
-    iu, ju = np.triu_indices(n, k=1)
-    return pair_distortion(iu, ju, source.dist[iu, ju], target.dist[iu, ju])
+    rows = np.arange(n)
+    upper = rows[:, None] < rows
+    starts = rows * (2 * n - 1 - rows) // 2  # the position of pair (i, i + 1)
+
+    def pair(k: int) -> tuple[int, int]:
+        i = int(np.searchsorted(starts, k, side="right")) - 1
+        return i, i + 1 + k - int(starts[i])
+
+    return pair_distortion(source.dist[upper], target.dist[upper], pair)
 
 
-def pair_distortion(iu: np.ndarray, ju: np.ndarray, s: np.ndarray, t: np.ndarray) -> DistortionReport:
-    """The report of distortion_between over the pairs (iu[k], ju[k]) at
-    source distance s[k] and target distance t[k], listed in np.triu_indices
-    order, so that a tie goes to the first such pair."""
+def pair_distortion(s: np.ndarray, t: np.ndarray, pair) -> DistortionReport:
+    """The report of distortion_between over the pairs at source distance s[k]
+    and target distance t[k], listed in np.triu_indices order, so that a tie
+    goes to the first such pair; pair(k) is the (i, j) of pair k."""
     if np.any(s <= 0) or np.any(t <= 0):
         raise StructuralError("distances must be positive on distinct points/images")
     ratio = t / s
     hi = int(np.argmax(ratio))
     lo = int(np.argmin(ratio))
-    return DistortionReport(
-        float(ratio[hi]),
-        float(1.0 / ratio[lo]),
-        (int(iu[hi]), int(ju[hi])),
-        (int(iu[lo]), int(ju[lo])),
-    )
+    return DistortionReport(float(ratio[hi]), float(1.0 / ratio[lo]), pair(hi), pair(lo))
 
 
 def lip_colip(base: MetricSpace, blocks, target: MetricSpace) -> tuple[float, float]:

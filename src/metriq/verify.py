@@ -265,17 +265,6 @@ def row_of(plan, f: dict, size: int) -> dict:
             "millis": ""}
 
 
-def _same(a, b) -> bool:
-    """a == b, in value and JSON type throughout, as _wrong compares a row's columns."""
-    if type(a) is not type(b):
-        return False
-    if type(a) is dict:
-        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
-    if type(a) is list:
-        return len(a) == len(b) and all(map(_same, a, b))
-    return a == b
-
-
 def _wrong(row: dict, expected: dict) -> str:
     """Each column where row is not expected's, in value or JSON type (14 is
     not 14.0, nor 0 false), but the seed, checked apart, and each key of row that is no column."""
@@ -343,6 +332,10 @@ def _quantiles(values: list[float]) -> dict:
     """
     if not values:
         return {}
+    if len(values) == 1 and not math.isnan(values[0]):  # numpy reads the lone value twice, at t = 1
+        x = values[0]
+        q = x - (x - x) * 0.0  # NaN for an infinite x, as in numpy
+        return {"min": x, "p25": q, "median": x, "p75": q, "max": x}
     if any(math.isnan(x) for x in values):
         return dict.fromkeys(("min", "p25", "median", "p75", "max"), math.nan)
     s, n = sorted(values), len(values)
@@ -371,25 +364,35 @@ def summary_of(plan, rows: list, errors: list, millis: list) -> dict:
 
 #: the errors a failed trial's entry may name: run_experiment records a MetriqError, and no other
 _ERROR_NAMES = {name for name, c in vars(_errors).items() if isinstance(c, type) and issubclass(c, MetriqError)}
+_ERROR_KEYS = {"trial", "error", "detail"}
+
+
+def _same(value, expected) -> bool:
+    """value == expected, a field of summary_of, in value and JSON type (14 is
+    not 14.0, nor 1 true): a number of the type run writes, quantiles that are
+    all floats, or a list that holds no number of its own (errors and millis
+    come from the summary under check)."""
+    return value == expected and type(value) is type(expected) and (
+        type(value) is not dict or all(type(x) is float for x in value.values()))
 
 
 def _check_summary(summary: dict, rows: list, failed: list, report: ValidationReport, plan):
     """The summary is summary_of the rows as compared (_same): its errors hold
-    one entry per failed trial, in order, each a MetriqError's name and a
-    string detail, and its millis are plan.trials numbers, whose values stay
-    unread."""
-    given, millis = summary.get("errors"), summary.get("millis")
-    wrong, errors = [], given  # malformed ones are reported once, then compared as given
-    if type(given) is list and len(given) == len(failed) and all(
-            type(e) is dict and type(e.get("error")) is str and e["error"] in _ERROR_NAMES
-            and type(e.get("detail")) is str for e in given):
-        errors = [{"trial": t, "error": e["error"], "detail": e["detail"]} for t, e in zip(failed, given)]
-    else:
-        wrong.append(f"errors {given!r} are not one MetriqError name and string detail per failed trial {failed}")
-    if not (type(millis) is list and len(millis) == plan.trials and all(type(x) in (int, float) for x in millis)):
+    one entry per failed trial, in order, each the trial, a MetriqError's name
+    and a string detail, and its millis are plan.trials numbers, whose values
+    stay unread."""
+    errors, millis = summary.get("errors"), summary.get("millis")
+    wrong = []
+    if not (type(errors) is list and [e.get("trial") if type(e) is dict else None for e in errors] == failed
+            and all(e.keys() == _ERROR_KEYS and type(e["trial"]) is int and type(e["error"]) is str
+                    and e["error"] in _ERROR_NAMES and type(e["detail"]) is str for e in errors)):
+        wrong.append(f"errors {errors!r} are not one MetriqError name and string detail per failed trial {failed}")
+    if not (type(millis) is list and len(millis) == plan.trials
+            and all(type(x) in (int, float) and x == x for x in millis)):  # x == x: not NaN
         wrong.append(f"millis {millis!r} are not {plan.trials} numbers")
-    expected = {**summary_of(plan, rows, failed, millis), "errors": errors}  # failures: one per failed trial
-    if not _same(summary, expected):
+    expected = summary_of(plan, rows, failed, millis)  # failures: one per failed trial
+    expected["errors"] = errors  # checked above
+    if summary.keys() != expected.keys() or not all(_same(summary[k], v) for k, v in expected.items()):
         wrong += [f"{k} {summary.get(k)!r} != {v!r}" for k, v in expected.items() if not _same(summary.get(k), v)]
         wrong += [f"{k!r} is no summary field" for k in summary.keys() - expected.keys()]
     if wrong:
@@ -468,8 +471,8 @@ def verify_bundle(doc: dict) -> ValidationReport:
     tolerances are fixed: core.TOL, and quotient.claim_slack about a claim.
     In a bundle with rows, with or without artifacts, each row must be the
     row_of its trial's artifact or, without one, a failed trial's, and name
-    its plan's seed (_check_rows); its summary must be the summary_of those
-    rows (_check_summary).  Every MetriqError raised names its artifact.
+    its plan's seed (_check_rows); rows and summary come together, and the
+    summary must be the summary_of those rows (_check_summary).  Every MetriqError raised names its artifact.
     """
     report = ValidationReport()
     artifacts = doc.get("artifacts", [doc] if "kind" in doc else None) if isinstance(doc, dict) else None
@@ -501,6 +504,8 @@ def verify_bundle(doc: dict) -> ValidationReport:
             raise StructuralError(f"artifact {ai}: malformed ({exc})") from exc
     if "summary" in doc and "rows" not in doc:
         raise StructuralError("summary: a bundle's summary comes with the rows it sums")
+    if "rows" in doc and "summary" not in doc:
+        raise StructuralError("rows: a bundle's rows come with the summary that sums them")
     if "rows" in doc:
         try:
             rows, failed = _check_rows(doc["rows"], read, report, plan)

@@ -38,7 +38,7 @@ from metriq.errors import (
 )
 from metriq.generators import gen_euclidean_cloud, hypercube_metric, realize_instance
 from metriq.hst import HstTree, hst_from_splits, hst_to_metric, join, leaf
-from metriq.quotient import Partition, QuotientSpace, distortion_between
+from metriq.quotient import DistortionReport, Partition, QuotientSpace, distortion_between
 from metriq.seeds import as_seed
 from metriq.verify import _standalone_artifact
 
@@ -347,6 +347,40 @@ def distance_buckets_loop(m: MetricSpace, alpha: float) -> tuple[np.ndarray, int
     chi = np.clip(chi, 1, k)
     np.fill_diagonal(chi, 0)
     return chi, k, mind
+
+
+def distortion_between_triu(source: MetricSpace, target: MetricSpace) -> DistortionReport:
+    """Reference for quotient.distortion_between: both matrices gathered at
+    np.triu_indices, and np.argmax / np.argmin of the ratios, so that a tie
+    goes to the first pair in that order."""
+    n = source.n
+    if target.n != n:
+        raise StructuralError(f"source has {n} points, target {target.n}")
+    if n < 2:
+        return DistortionReport(1.0, 1.0, (0, 0), (0, 0))
+    iu, ju = np.triu_indices(n, k=1)
+    s, t = source.dist[iu, ju], target.dist[iu, ju]
+    if np.any(s <= 0) or np.any(t <= 0):
+        raise StructuralError("distances must be positive on distinct points/images")
+    ratio = t / s
+    hi, lo = int(np.argmax(ratio)), int(np.argmin(ratio))
+    return DistortionReport(float(ratio[hi]), float(1.0 / ratio[lo]), (int(iu[hi]), int(ju[hi])),
+                            (int(iu[lo]), int(ju[lo])))
+
+
+def quotient_by_subset_loop(m: MetricSpace, A) -> tuple[tuple, np.ndarray]:
+    """Reference for quotient.quotient_by_subset: its blocks, and its matrix
+    pair by pair from d(x, y) = min{d(x, y), d(x, A) + d(y, A)}."""
+    A = sorted(set(A))
+    rest = [x for x in range(m.n) if x not in A]
+    dA = [min(m.d(x, a) for a in A) for x in rest]
+    d = np.zeros((len(rest) + 1, len(rest) + 1))
+    for i, x in enumerate(rest):
+        for j, y in enumerate(rest):
+            if i != j:
+                d[i, j] = min(m.d(x, y), dA[i] + dA[j])
+        d[i, -1] = d[-1, i] = dA[i]
+    return tuple((x,) for x in rest) + (tuple(A),), d
 
 
 def set_distance(m: MetricSpace, U, V) -> float:

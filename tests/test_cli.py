@@ -33,7 +33,7 @@ from metriq.errors import ConstructionFailureError, MetriqError, ParameterError,
 from metriq.generators import InstanceSpec
 from metriq.quotient import quotient_to_json
 from metriq.seeds import RngSeed
-from metriq.verify import CHECKS, _quantiles
+from metriq.verify import CHECKS, _quantiles, summary_of
 
 from conftest import ARTIFACT_COMMANDS, SQ_PLAN, edit_array, random_metric, refusal, run_bundle, standalone
 
@@ -394,8 +394,10 @@ def test_verify_bundle_memory_is_flat_in_trials():
     peak, violations = _verify_peak(doc)
     assert violations == []
     singles = []
+    plan = plan_from_json(doc["plan"])
     for row, art in zip(doc["rows"], doc["artifacts"]):
-        one = {"plan": doc["plan"], "rows": [row], "artifacts": [art]}
+        one = {"plan": doc["plan"], "rows": [row], "artifacts": [art],
+               "summary": summary_of(plan, [row], [], doc["summary"]["millis"])}
         singles.append(_verify_peak(one))
     assert all(v == [] for _, v in singles)
     assert peak <= 1.1 * max(p for p, _ in singles)
@@ -634,6 +636,12 @@ def _verdict(doc: dict):
         return type(exc).__name__, str(exc).removeprefix("artifact 0: ")
 
 
+def _set_claim(doc: dict, claim: float):
+    """Set the claim of a one-trial bundle's artifact and row, and the summary that sums it."""
+    doc["artifacts"][0]["certified_distortion"] = doc["rows"][0]["certified_distortion"] = claim
+    doc["summary"] = summary_of(plan_from_json(doc["plan"]), doc["rows"], [], doc["summary"]["millis"])
+
+
 @settings(max_examples=60, deadline=None)
 @given(variant=st.sampled_from(["cloud", "gnp"]), n=st.integers(12, 60),
        pipe=st.sampled_from(sorted(QUOTIENT_PIPES)), seed=st.integers(0, 2**32 - 1),
@@ -659,15 +667,16 @@ def test_a_quotient_artifact_rebuilds_its_writers_matrix(variant, n, pipe, seed,
     assume(not errors)  # the construction failed on this input
     q, = written
     event(q.provenance)
-    doc = json.loads(dumps({"plan": bundle.plan, "rows": bundle.rows, "artifacts": bundle.artifacts}))
+    doc = json.loads(dumps({"plan": bundle.plan, "rows": bundle.rows, "summary": bundle.summary,
+                            "artifacts": bundle.artifacts}))
     art, row = doc["artifacts"][0], doc["rows"][0]
     m = realize_instance(plan_from_json(plan).instance_spec(0))
     assert np.array_equal(quotient_from_fields(m, art).metric.dist, q.metric.dist)
     assert verify_bundle(doc).ok
     claim = art["certified_distortion"]
-    art["certified_distortion"] = row["certified_distortion"] = claim * (1 + 1e-5)
+    _set_claim(doc, claim * (1 + 1e-5))
     assert _verdict(doc) == [("certificate", (0,))]
-    art["certified_distortion"] = row["certified_distortion"] = claim
+    _set_claim(doc, claim)
 
     # the reference tampered, not a base: another plan seed (and its rows'),
     # or one point moved to another block.  verify checks the artifact on the
@@ -828,7 +837,8 @@ def test_verify_refuses_a_certified_row_without_its_artifact():
         ("certificate", (1,)), ("row", (1,)), ("row", ()), ("summary", ())]
     del doc["artifacts"][1]
     assert [v[:2] for v in verify_bundle(doc).violations] == [("row", ()), ("summary", ())]
-    del doc["rows"][1], doc["summary"]  # the row goes too, and the summary that sums it: nothing left to compare
+    del doc["rows"][1]  # the row goes too, and the summary is rebuilt from the rows left: nothing left to compare
+    doc["summary"] = summary_of(plan_from_json(doc["plan"]), doc["rows"], [], doc["summary"]["millis"])
     assert verify_bundle(doc).ok
     doc["rows"] = [{"trial": [0]}]
     with pytest.raises(StructuralError, match="rows: malformed"):
@@ -972,7 +982,7 @@ def test_model_doc_round_trips_to_the_model_metric(model):
 
 def test_embedding_verifier_in_one_row_chunks(runner, monkeypatch, metrics):
     # `construct bourgain --in M` embeds M as its base; verify rebuilds the
-    # coordinates one subset and the induced metric one row at a time, and
+    # coordinates slot by slot and the induced metric one row at a time, and
     # recomputes the claim bit for bit; the nearest pair outside the subset
     # brought closer fails it
     from metriq import embeddings, verify

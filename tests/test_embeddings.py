@@ -97,6 +97,25 @@ def test_subset_distances_are_bitwise_the_per_subset_loop(n, subsets, density, a
     assert same_bytes(got, subset_distances_loop(dist, mask))
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_subset_distances_over_every_subset_are_bitwise_the_per_subset_loop(n):
+    # exact mode's mask: the 2^n - 1 nonempty subsets, of every size 1..n
+    dist = random_metric(n, n).dist
+    mask = ((np.arange(1, 2**n)[:, None] >> np.arange(n)) & 1).astype(bool)
+    assert same_bytes(embeddings._subset_distances(dist, mask), subset_distances_loop(dist, mask))
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 40])
+def test_subset_distances_with_a_subset_of_every_point_are_bitwise_the_per_subset_loop(n):
+    # its slots past the other subsets' sizes fold into it alone
+    dist = random_metric(n, n).dist
+    mask = np.random.default_rng(n).random((30, n)) < 0.2
+    mask[17] = True
+    got = embeddings._subset_distances(dist, mask)
+    assert got.flags.c_contiguous
+    assert same_bytes(got, subset_distances_loop(dist, mask))
+
+
 @pytest.mark.parametrize("p", [1.0, 2.0])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("n", [20, 50, 80])
@@ -565,7 +584,8 @@ def test_a_fresh_bourgain_artifact_verifies_and_a_moved_subsets_entry_is_refused
             "params": {}, "trials": 1, "seed": seed}
     bundle = run_experiment(plan_from_json(plan), keep_artifacts=True)
     assume(not bundle.summary["errors"])  # no m-centre quotient of this cloud
-    doc = json.loads(dumps({"plan": bundle.plan, "rows": bundle.rows, "artifacts": bundle.artifacts}))
+    doc = json.loads(dumps({"plan": bundle.plan, "rows": bundle.rows, "summary": bundle.summary,
+                            "artifacts": bundle.artifacts}))
     art = standalone(doc)
     assert verify_bundle(doc).ok and verify_bundle(art).ok
     source = quotient_by_subset(metric_from_json(art["base"]), art["subset"]).metric

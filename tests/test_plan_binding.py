@@ -29,7 +29,7 @@ from metriq.generators import INSTANCES, MAX_POINTS, InstanceSpec, realize_insta
 from metriq.hst import hst_from_json, hst_to_metric
 from metriq.quotient import claim_slack, quotient_by_subset, quotient_metric
 from metriq.seeds import RngSeed
-from metriq.verify import verify_bundle
+from metriq.verify import summary_of, verify_bundle
 
 from conftest import (block_reduce_loop, bourgain_embed_loop, edit_array, lip_colip_loop, run_bundle,
                       shortest_path_closure, standalone, widen, widenings)
@@ -227,7 +227,8 @@ def test_the_seed_of_a_failed_trials_row_is_checked():
     row = doc["rows"][1]
     row.update(dict.fromkeys(("quotient_size", "provenance", "target_class", "p", "certified_distortion",
                               "paper_bound", "attempts"), ""))
-    del doc["summary"]  # which counts no failure
+    error = {"trial": 1, "error": "ConstructionFailureError", "detail": "failed"}  # the summary counts it
+    doc["summary"] = summary_of(plan_from_json(doc["plan"]), doc["rows"], [error], doc["summary"]["millis"])
     assert verify_bundle(doc).ok
     row["seed"] = 99
     assert _violations(doc) == [("row", ())]

@@ -16,7 +16,8 @@ from metriq.quotient import (
     sq_space,
 )
 
-from conftest import random_metric, random_partition, shortest_path_closure
+from conftest import (distortion_between_triu, quotient_by_subset_loop, random_metric, random_partition,
+                      shortest_path_closure)
 
 
 def brute_quotient(m, blocks):
@@ -102,6 +103,17 @@ def test_quotient_by_subset_closed_form():
         assert rest == sorted(rest)
 
 
+@pytest.mark.parametrize("n", [2, 3, 8, 31])
+@pytest.mark.parametrize("A", ["one", "all-but-one", "unsorted-duplicates"])
+def test_quotient_by_subset_is_bitwise_the_pair_loop(n, A):
+    m = random_metric(n, n)
+    A = {"one": [n // 2], "all-but-one": [i for i in range(n) if i != n // 3],
+         "unsorted-duplicates": [n - 1, 0, n - 1, n // 2, 0]}[A]
+    q = quotient_by_subset(m, A)
+    blocks, d = quotient_by_subset_loop(m, A)
+    assert q.blocks == blocks and q.metric.dist.tobytes() == d.tobytes()
+
+
 def test_collapse_whole_space():
     m = random_metric(4, 5)
     q = quotient_by_subset(m, range(4))
@@ -126,6 +138,36 @@ def test_distortion_identity_and_scaling():
     assert rep.expansion == pytest.approx(3.0, rel=1e-12)
     assert rep.contraction == pytest.approx(1.0 / 3.0, rel=1e-12)
     assert rep.distortion == pytest.approx(1.0, rel=1e-12)
+
+
+def _report_or_refusal(f, source: MetricSpace, target: MetricSpace):
+    try:
+        return f(source, target)
+    except StructuralError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), levels=st.integers(1, 3),
+       zero=st.sampled_from([None, "source", "target"]))
+def test_distortion_between_is_the_triu_indices_scan(n, seed, levels, zero):
+    # distances of 1..levels tie many ratios, whose pairs must be the first
+    # in np.triu_indices order; a zero distance is the same StructuralError
+    rng = np.random.default_rng(seed)
+    source, target = (np.triu(rng.integers(1, levels + 1, (n, n)).astype(float), 1) for _ in range(2))
+    if zero and n > 1:
+        i, j = sorted(rng.choice(n, 2, replace=False))
+        (source if zero == "source" else target)[i, j] = 0.0
+    source, target = MetricSpace(source + source.T), MetricSpace(target + target.T)
+    want = _report_or_refusal(distortion_between_triu, source, target)
+    assert _report_or_refusal(distortion_between, source, target) == want
+    assert isinstance(want, str) == (zero is not None and n > 1)
+
+
+def test_distortion_between_refuses_sizes_that_differ_as_the_triu_indices_scan_does():
+    source, target = random_metric(4, 1), random_metric(5, 2)
+    assert _report_or_refusal(distortion_between, source, target) == _report_or_refusal(
+        distortion_between_triu, source, target) == "source has 4 points, target 5"
 
 
 def test_distortion_matches_brute_force():

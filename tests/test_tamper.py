@@ -402,6 +402,13 @@ def test_each_summary_gap_is_a_generated_tamper():
                                                      ("min", "p25", "median", "p75", "max"))}
 
 
+@pytest.mark.parametrize("name", SUMMARY_BUNDLES)
+def test_a_deleted_summary_is_refused(name):
+    doc = copy.deepcopy(_summary_bundle(name))
+    del doc["summary"]
+    assert not _accepted(doc)
+
+
 #: how -> the entries that replace a summary's last errors entry
 ERROR_TAMPERS = {
     "dropped": lambda entry: [],

@@ -436,6 +436,16 @@ def test_every_public_name_is_called_in_the_library():
     assert _uncalled_public() == UNCALLED_PUBLIC.keys()
 
 
+def test_the_library_reads_no_open_mesh_fancy_index():
+    # an n x n matrix read through np.ix_ took 0.23 ms at n = 251, against
+    # 0.07 ms for core.submatrix's two takes
+    found = [f"{path.name}:{node.lineno}" for path in sorted((ROOT / "src" / "metriq").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr == "ix_"
+             or isinstance(node, ast.alias) and node.name == "ix_"]
+    assert found == []
+
+
 def test_the_benchmarked_imports_leave_scipy_integrate_out():
     # the modules perfbench's import_program loads; importing scipy.integrate
     # alone costs 0.11-0.16 s on a 2-vCPU host, and nothing in src/metriq needs it
