@@ -280,7 +280,7 @@ def submatrix(a: np.ndarray, idx) -> np.ndarray:
     """The rows and columns of a at idx, in its order, as a new C-ordered
     array, by two takes: the rows, then their columns.  Each take copies
     contiguous runs, which an open-mesh fancy index of both axes does not
-    (0.07 against 0.23 ms at n = 251)."""
+    (0.07 against 0.23 ms at n = 251, 2-vCPU host)."""
     return a.take(idx, axis=0).take(idx, axis=1)
 
 

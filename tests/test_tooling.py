@@ -438,7 +438,7 @@ def test_every_public_name_is_called_in_the_library():
 
 def test_the_library_reads_no_open_mesh_fancy_index():
     # an n x n matrix read through np.ix_ took 0.23 ms at n = 251, against
-    # 0.07 ms for core.submatrix's two takes
+    # 0.07 ms for core.submatrix's two takes (2-vCPU host)
     found = [f"{path.name}:{node.lineno}" for path in sorted((ROOT / "src" / "metriq").glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Attribute) and node.attr == "ix_"
