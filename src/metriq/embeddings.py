@@ -198,28 +198,29 @@ def _subset_distances(dist: np.ndarray, mask: np.ndarray) -> np.ndarray:
     dist (rows of its transpose) at every such subset's t-th member, and an
     in-place np.minimum folds them into that prefix of the J x n table.  A min
     is exact in any order, so every entry is bitwise dist[:, A_j].min(axis=1).
-    The peak is O(J n): the table, one slot's gather, the table back in mask
-    order and its transpose.
+    The peak is O(J n): the members, the table, one slot's gather and the
+    n x J result, into which the table is scattered back in mask order.
     """
     n = dist.shape[0]
     cols = np.ascontiguousarray(dist.T)
     sizes = mask.sum(axis=1)
     order = np.argsort(-sizes, kind="stable")
     sizes = sizes[order]
-    members = np.nonzero(mask[order])[1]  # row-major: subset after subset, largest first
+    members = np.flatnonzero(mask[order])  # row-major: subset after subset, largest first
+    members %= n  # each member's point
     starts = np.cumsum(sizes) - sizes
     table = np.zeros((mask.shape[0], n))
     # the number of subsets with a t-th member, t = 0 .. the largest size - 1
     counts = np.searchsorted(-sizes, -np.arange(sizes[0] if sizes.size else 0), side="left")
     for t, c in enumerate(counts.tolist()):
-        slot = cols[members[starts[:c] + t]]
+        slot = members[starts[:c] + t]
         if t:
-            np.minimum(table[:c], slot, out=table[:c])
+            np.minimum(table[:c], cols[slot], out=table[:c])
         else:
-            table[:c] = slot
-    out = np.empty_like(table)
-    out[order] = table
-    return np.ascontiguousarray(out.T)
+            cols.take(slot, axis=0, out=table[:c])
+    out = np.empty((n, mask.shape[0]))
+    out[:, order] = table.T
+    return out
 
 
 def bourgain_embed(

@@ -332,10 +332,6 @@ def _quantiles(values: list[float]) -> dict:
     """
     if not values:
         return {}
-    if len(values) == 1 and not math.isnan(values[0]):  # numpy reads the lone value twice, at t = 1
-        x = values[0]
-        q = x - (x - x) * 0.0  # NaN for an infinite x, as in numpy
-        return {"min": x, "p25": q, "median": x, "p75": q, "max": x}
     if any(math.isnan(x) for x in values):
         return dict.fromkeys(("min", "p25", "median", "p75", "max"), math.nan)
     s, n = sorted(values), len(values)
