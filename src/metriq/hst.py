@@ -133,8 +133,9 @@ def hst_to_metric(t: HstTree) -> MetricSpace:
 
     Point i of the output is the leaf with id i; leaf ids must be 0..n-1.
     Each child's span meets the rest of its parent's span after it, so every
-    pair is written (and mirrored) once, at its LCA; one permutation then maps
-    DFS positions to leaf ids.
+    pair is written once, at its LCA, above the diagonal; adding the
+    transpose mirrors it exactly, as the other side still holds 0.  One
+    permutation then maps DFS positions to leaf ids.
     """
     pos = _leaf_position(t)
     d = np.zeros((pos.size, pos.size))
@@ -142,7 +143,7 @@ def hst_to_metric(t: HstTree) -> MetricSpace:
     for c in range(1, len(parent)):
         p = parent[c]
         d[lo[c] : hi[c], hi[c] : hi[p]] = delta[p]
-        d[hi[c] : hi[p], lo[c] : hi[c]] = delta[p]
+    d += d.T
     return MetricSpace(submatrix(d, pos))
 
 

@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import floyd_warshall
 
 from .core import (METRIC, TOL, Doc, MetricSpace, _closure_is_identity, block_reduce, integer, list_of,
                    metric_from_fields, metric_to_json, number, one_of, submatrix)
@@ -70,6 +68,17 @@ class QuotientSpace:
         return self.partition.blocks
 
 
+def floyd_warshall(w, *, directed: bool) -> np.ndarray:
+    """scipy's all-pairs shortest-path closure of the weight matrix w.
+
+    scipy.sparse takes 0.26 s to import on a 2-vCPU host, and most trials
+    never run a closure, so it is imported here, on the first call.
+    """
+    from scipy.sparse.csgraph import floyd_warshall as closure
+
+    return closure(w, directed=directed)
+
+
 def quotient_metric(m: MetricSpace, blocks) -> QuotientSpace:
     """Geodesic quotient metric on the given blocks.
 
@@ -95,8 +104,11 @@ def quotient_metric(m: MetricSpace, blocks) -> QuotientSpace:
         raise StructuralError(f"blocks {i} and {j} are at distance {float(w[i, j])!r} <= 0")
     w += w.T
     if not _closure_is_identity(w):
-        tiny = np.min(w + np.diag(np.full(w.shape[0], np.inf))) <= 1e-8
-        w = floyd_warshall(csr_matrix(w) if tiny else w, directed=False)
+        if np.min(w + np.diag(np.full(w.shape[0], np.inf))) <= 1e-8:
+            from scipy.sparse import csr_matrix
+
+            w = csr_matrix(w)
+        w = floyd_warshall(w, directed=False)
     prov = "Q" if part.covers_base else "QS"
     return QuotientSpace(part, MetricSpace(w), prov)
 

@@ -9,6 +9,7 @@ import re
 import shlex
 import subprocess
 import sys
+import textwrap
 import types
 from dataclasses import fields
 from pathlib import Path
@@ -446,15 +447,52 @@ def test_the_library_reads_no_open_mesh_fancy_index():
     assert found == []
 
 
-def test_the_benchmarked_imports_leave_scipy_integrate_out():
-    # the modules perfbench's import_program loads; importing scipy.integrate
-    # alone costs 0.11-0.16 s on a 2-vCPU host, and nothing in src/metriq needs it
-    code = ("import sys\n"
-            "from metriq import cli, constructions, core, cube, embeddings, generators, hst, quotient\n"
-            "print('scipy.integrate' in sys.modules)")
+def _fresh_interpreter(code: str) -> list[str]:
+    """The words code prints, run by a new interpreter that imports this checkout's metriq."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.split()
+
+
+def test_the_benchmarked_imports_leave_scipy_integrate_out():
+    # the modules perfbench's import_program loads; importing scipy.integrate
+    # alone costs 0.11-0.16 s on a 2-vCPU host, and nothing in src/metriq needs
+    # it; scipy.sparse costs 0.26 s, and only a shortest-path closure needs it
+    code = ("import sys\n"
+            "import numpy, scipy\n"
+            "from metriq import cli, constructions, core, cube, embeddings, generators, hst, quotient\n"
+            "print('scipy.integrate' in sys.modules, 'scipy.sparse' in sys.modules)")
+    assert _fresh_interpreter(code) == ["False", "False"]
+
+
+def test_only_a_shortest_path_closure_loads_scipy_sparse():
+    # cube-qs and hst trials run, dump, load and verify without it; a q2 trial
+    # on cloud n = 150, seed 4, fails the row-minimum test, runs a closure and
+    # loads it, and its bytes (summary.millis blanked) are those of scipy's
+    # closure imported at start-up
+    code = textwrap.dedent("""\
+        import hashlib, json, sys
+        from metriq.cli import plan_from_json, run_experiment
+        from metriq.core import dumps
+        from metriq.verify import verify_bundle
+
+        def trial(variant, instance, pipeline, params, seed):
+            plan = {"instance": {"variant": variant, "params": instance}, "pipeline": pipeline,
+                    "params": params, "trials": 1, "seed": seed}
+            bundle = run_experiment(plan_from_json(plan), keep_artifacts=True)
+            doc = {"plan": bundle.plan, "rows": bundle.rows, "summary": bundle.summary,
+                   "artifacts": bundle.artifacts}
+            assert verify_bundle(json.loads(dumps(doc))).ok
+            bundle.summary["millis"] = []
+            return hashlib.sha256(dumps(doc).encode()).hexdigest()
+
+        trial("cube", {"d": 8}, "cube-qs", {"d": 8, "eps": 0.24}, 0)
+        trial("cloud", {"n": 40}, "hst", {}, 0)
+        print("scipy.sparse" in sys.modules)
+        print(trial("cloud", {"n": 150}, "q2", {}, 4), "scipy.sparse" in sys.modules)
+    """)
+    assert _fresh_interpreter(code) == [
+        "False", "6a1e828bc41850fd8fa3b342bf70e3033017f70db4c8777de530612c3f9e4b83", "True"]
 
 
 @pytest.mark.parametrize("pipeline", sorted(PIPELINES))
